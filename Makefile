@@ -27,7 +27,7 @@ lint-strict:
 	mkdir -p results
 	cargo run --release -p lec-analyze --bin lec-lint -- --strict --audit --json results/LINT.json
 
-# Regenerate every experiment table (and results/BENCH_parallel.json).
+# Regenerate every experiment table (and results/BENCH_kernel.json).
 xtable:
 	cargo run --release -p lec-bench --bin xtable all
 
@@ -41,21 +41,19 @@ fault-smoke:
 	grep -q '"every_request_served": true' results/BENCH_faults.json
 	grep -q '"frontier_before_lsc": true' results/BENCH_faults.json
 
-# Kernel/parallel smoke: re-run X18 and check the machine-readable
-# trajectory has the forced multi-thread rows and the serial-speedup
-# block the kernel rewrite is judged by.
+# Kernel smoke: re-run X18 and check the machine-readable serial-DP
+# trajectory has its per-rank wall times and the serial-speedup block the
+# kernel rewrite is judged by.
 kernel-smoke:
 	cargo run --release -p lec-bench --bin xtable x18 > /dev/null
-	test -s results/BENCH_parallel.json
-	grep -q '"experiment": "x18_parallel"' results/BENCH_parallel.json
-	grep -q '"threads": 2' results/BENCH_parallel.json
-	grep -q '"threads": 4' results/BENCH_parallel.json
-	grep -q '"effective_threads"' results/BENCH_parallel.json
-	grep -q '"rank_wall_ns"' results/BENCH_parallel.json
-	grep -q '"serial_speedup"' results/BENCH_parallel.json
-	grep -q '"min_speedup"' results/BENCH_parallel.json
-	grep -q '"self_asserted": true' results/BENCH_parallel.json
-	grep -q '"optimized_build": true' results/BENCH_parallel.json
+	test -s results/BENCH_kernel.json
+	grep -q '"experiment": "x18_kernel"' results/BENCH_kernel.json
+	grep -q '"host_threads"' results/BENCH_kernel.json
+	grep -q '"rank_wall_ns"' results/BENCH_kernel.json
+	grep -q '"serial_speedup"' results/BENCH_kernel.json
+	grep -q '"min_speedup"' results/BENCH_kernel.json
+	grep -q '"self_asserted": true' results/BENCH_kernel.json
+	grep -q '"optimized_build": true' results/BENCH_kernel.json
 
 # Concurrent-serving smoke: run X22 on a short stream (X22_REQUESTS
 # redirects the artifact to the _smoke file, so the committed full-length
@@ -116,6 +114,7 @@ ci:
 	test -s results/LINT.json
 	grep -q '"audit"' results/LINT.json
 	grep -q '"serve_roots": 0' results/LINT.json
+	grep -q '"optimize_roots": 0' results/LINT.json
 	grep -q '"sample_roots": 0' results/LINT.json
 	grep -q '"certify_roots": 0' results/LINT.json
 	cargo test -q --workspace

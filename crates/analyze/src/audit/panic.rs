@@ -6,7 +6,9 @@
 //! - **serve** — every non-test `serve*` function in `crates/serve/src`
 //!   (`QueryService::serve`, `serve_at`, `ConcurrentServer::serve_stream`,
 //!   `serve_stream_collect`, …). A panic here kills a live request.
-//! - **optimize** — every non-test `optimize*` function in `crates/core/src`.
+//! - **optimize** — every non-test enumerator entry point in
+//!   `crates/core/src` ([`is_optimize_root`]): the `optimize*` family plus
+//!   `top_c_plans`, `exhaustive_lec*` and `ParametricPlans::precompute*`.
 //!   A panic here breaks the totality the LEC guarantees assume.
 //! - **sample** — every non-test `sample*` function in `crates/catalog/src`
 //!   (`SampleEstimator::sample_selectivity`, `sample_histogram`,
@@ -33,6 +35,7 @@ use std::collections::BTreeMap;
 
 use crate::callgraph::{Provenance, Workspace};
 use crate::diag::{Diagnostic, Status};
+use crate::items::FnItem;
 use crate::ratchet::Ratchet;
 use crate::rules::PANIC_REACHABILITY;
 
@@ -60,6 +63,18 @@ fn in_scope(path: &str) -> bool {
         .any(|t| path.starts_with(t) && (t.ends_with('/') || path[t.len()..].starts_with('/')))
 }
 
+/// Whether `f` (in workspace-relative file `path`) is an optimizer entry
+/// point: each enumerator module exposes exactly one, and not all of them
+/// are named `optimize*`.
+pub fn is_optimize_root(path: &str, f: &FnItem) -> bool {
+    path.starts_with("crates/core/src")
+        && (f.name.starts_with("optimize")
+            || f.name == "top_c_plans"
+            || f.name.starts_with("exhaustive_lec")
+            || (f.impl_type.as_deref() == Some("ParametricPlans")
+                && f.name.starts_with("precompute")))
+}
+
 /// Run the pass: one BFS per root group, findings ratcheted per group.
 pub fn run(
     ws: &Workspace,
@@ -69,8 +84,7 @@ pub fn run(
 ) {
     let serve_roots =
         ws.find_fns(|path, f| path.starts_with("crates/serve/src") && f.name.starts_with("serve"));
-    let optimize_roots = ws
-        .find_fns(|path, f| path.starts_with("crates/core/src") && f.name.starts_with("optimize"));
+    let optimize_roots = ws.find_fns(is_optimize_root);
     let sample_roots = ws
         .find_fns(|path, f| path.starts_with("crates/catalog/src") && f.name.starts_with("sample"));
     let certify_roots =

@@ -284,6 +284,54 @@ fn real_workspace_certifies_clean_at_budget_zero() {
     let json = report.to_json();
     assert!(json.contains("\"audit\""));
     assert!(json.contains("\"serve_roots\": 0"));
+    assert!(json.contains("\"optimize_roots\": 0"));
     assert!(json.contains("\"sample_roots\": 0"));
     assert!(json.contains("\"certify_roots\": 0"));
+}
+
+#[test]
+fn every_enumerator_module_contributes_an_optimize_root() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..");
+    let sources: Vec<(String, String)> = lec_analyze::collect_sources(&root)
+        .expect("scan workspace")
+        .into_iter()
+        .filter(|rel| rel.starts_with("crates/core/src"))
+        .map(|rel| {
+            let text = std::fs::read_to_string(root.join(&rel)).expect("read source");
+            (rel, text)
+        })
+        .collect();
+    let w = Workspace::build(&sources);
+    let roots = w.find_fns(lec_analyze::audit::panic::is_optimize_root);
+    for module in [
+        "alg_a",
+        "alg_b",
+        "alg_c",
+        "alg_d",
+        "bushy",
+        "dp",
+        "exhaustive",
+        "lsc",
+        "parametric",
+        "pareto",
+        "rules",
+        "soundness",
+        "topc",
+    ] {
+        let path = format!("crates/core/src/{module}.rs");
+        assert!(
+            roots.iter().any(|&id| w.path_of(id) == path),
+            "{module} has no entry point in the optimize root group"
+        );
+    }
+    // The renamed entry points are roots too, not just `optimize*`.
+    let names: Vec<String> = roots.iter().map(|&id| w.qualified_name(id)).collect();
+    for want in ["top_c_plans", "exhaustive_lec", "precompute"] {
+        assert!(
+            names.iter().any(|n| n.ends_with(want)),
+            "no `{want}` root in {names:?}"
+        );
+    }
 }

@@ -2,6 +2,7 @@
 //! fine distribution and the downstream optimizer cost per strategy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lec_core::dp::DpOptions;
 use lec_core::{alg_c, bucketing, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_stats::Bucketing;
@@ -34,7 +35,14 @@ fn strategies(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &dist, |b, d| {
             b.iter(|| {
-                alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(d.clone())).unwrap()
+                alg_c::optimize(
+                    &q,
+                    &PaperCostModel,
+                    &MemoryModel::Static(d.clone()),
+                    DpOptions::default(),
+                )
+                .unwrap()
+                .0
             })
         });
     }

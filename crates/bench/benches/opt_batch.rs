@@ -2,12 +2,12 @@
 //! workload of independent queries across a thread pool, against the same
 //! workload optimized one query at a time on one thread.
 //!
-//! Complements `opt_scaling`'s `serial_vs_parallel` group (which
-//! parallelizes *inside* one large query): here each query stays serial and
+//! Each query stays serial (the optimizers are serial dynamic programs);
 //! the batch is the unit of parallelism.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lec_bench::fixtures::{chain_query, spread_memory, static_mem, SEED};
+use lec_core::dp::DpOptions;
 use lec_core::{alg_c, Parallelism};
 use lec_cost::PaperCostModel;
 use lec_plan::JoinQuery;
@@ -27,7 +27,7 @@ fn batch_throughput(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for q in black_box(&queries) {
-                        alg_c::optimize(q, &PaperCostModel, &mem).unwrap();
+                        alg_c::optimize(q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
                     }
                 })
             },

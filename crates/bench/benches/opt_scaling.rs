@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lec_bench::fixtures::{chain_query, spread_memory, static_mem, SEED};
-use lec_core::{alg_a, alg_b, alg_c, lsc, pareto, Parallelism};
+use lec_core::dp::DpOptions;
+use lec_core::{alg_a, alg_b, alg_c, lsc, pareto};
 use lec_cost::PaperCostModel;
 use lec_stats::Utility;
 use std::hint::black_box;
@@ -16,7 +17,11 @@ fn by_relations(c: &mut Criterion) {
         let q = chain_query(n, SEED + n as u64);
         let mem = static_mem(mem_dist.clone());
         group.bench_with_input(BenchmarkId::new("lsc", n), &n, |b, _| {
-            b.iter(|| lsc::optimize_at_mean(black_box(&q), &PaperCostModel, &mem_dist).unwrap())
+            b.iter(|| {
+                lsc::optimize_at(black_box(&q), &PaperCostModel, mem_dist.mean())
+                    .unwrap()
+                    .0
+            })
         });
         group.bench_with_input(BenchmarkId::new("alg_a", n), &n, |b, _| {
             b.iter(|| alg_a::optimize(black_box(&q), &PaperCostModel, &mem).unwrap())
@@ -25,7 +30,11 @@ fn by_relations(c: &mut Criterion) {
             b.iter(|| alg_b::optimize(black_box(&q), &PaperCostModel, &mem, 3).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("alg_c", n), &n, |b, _| {
-            b.iter(|| alg_c::optimize(black_box(&q), &PaperCostModel, &mem).unwrap())
+            b.iter(|| {
+                alg_c::optimize(black_box(&q), &PaperCostModel, &mem, DpOptions::default())
+                    .unwrap()
+                    .0
+            })
         });
     }
     group.finish();
@@ -37,28 +46,11 @@ fn by_buckets(c: &mut Criterion) {
     for b in [1usize, 4, 16, 64] {
         let mem = static_mem(spread_memory(b));
         group.bench_with_input(BenchmarkId::from_parameter(b), &b, |bench, _| {
-            bench.iter(|| alg_c::optimize(black_box(&q), &PaperCostModel, &mem).unwrap())
-        });
-    }
-    group.finish();
-}
-
-fn serial_vs_parallel(c: &mut Criterion) {
-    // Rank-parallel Algorithm C against the serial reference at the sizes
-    // where the wavefronts are wide enough to matter. Results are
-    // bit-identical (see crates/core/tests/parallel_equivalence.rs); only
-    // wall-clock differs.
-    let mut group = c.benchmark_group("serial_vs_parallel");
-    let mem_dist = spread_memory(4);
-    let par = Parallelism::auto();
-    for n in [9usize, 11, 13] {
-        let q = chain_query(n, SEED + n as u64);
-        let mem = static_mem(mem_dist.clone());
-        group.bench_with_input(BenchmarkId::new("alg_c_serial", n), &n, |b, _| {
-            b.iter(|| alg_c::optimize(black_box(&q), &PaperCostModel, &mem).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("alg_c_parallel", n), &n, |b, _| {
-            b.iter(|| alg_c::optimize_par(black_box(&q), &PaperCostModel, &mem, &par).unwrap())
+            bench.iter(|| {
+                alg_c::optimize(black_box(&q), &PaperCostModel, &mem, DpOptions::default())
+                    .unwrap()
+                    .0
+            })
         });
     }
     group.finish();
@@ -72,7 +64,9 @@ fn pareto_vs_scalar(c: &mut Criterion) {
         let mem = spread_memory(b);
         group.bench_with_input(BenchmarkId::new("pareto_exact", b), &b, |bench, _| {
             bench.iter(|| {
-                pareto::optimize(black_box(&q), &PaperCostModel, &mem, Utility::Linear).unwrap()
+                pareto::optimize(black_box(&q), &PaperCostModel, &mem, Utility::Linear)
+                    .unwrap()
+                    .0
             })
         });
         group.bench_with_input(BenchmarkId::new("scalar_dp", b), &b, |bench, _| {
@@ -94,6 +88,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = by_relations, by_buckets, serial_vs_parallel, pareto_vs_scalar
+    targets = by_relations, by_buckets, pareto_vs_scalar
 }
 criterion_main!(benches);

@@ -44,6 +44,7 @@ fn topc_dp(c: &mut Criterion) {
                     MergeStrategy::Frontier,
                 )
                 .unwrap()
+                .0
             })
         });
         group.bench_with_input(BenchmarkId::new("naive", cc), &cc, |b, _| {
@@ -56,6 +57,7 @@ fn topc_dp(c: &mut Criterion) {
                     MergeStrategy::Naive,
                 )
                 .unwrap()
+                .0
             })
         });
     }

@@ -17,7 +17,7 @@ pub mod x14_voi;
 pub mod x15_parametric;
 pub mod x16_frontier_growth;
 pub mod x17_bushy;
-pub mod x18_parallel;
+pub mod x18_kernel;
 pub mod x19_stats;
 pub mod x20_serve;
 pub mod x21_faults;

@@ -58,10 +58,17 @@ pub fn run() -> String {
         }
     };
 
-    let lsc_mode = lsc::optimize_at_mode(&q, &model, &mem).expect("lsc");
-    let lsc_mean = lsc::optimize_at_mean(&q, &model, &mem).expect("lsc");
-    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone())).expect("lec");
-    let ablate = alg_c::optimize_with_options(
+    let lsc_mode = lsc::optimize_at(&q, &model, mem.mode()).expect("lsc").0;
+    let lsc_mean = lsc::optimize_at(&q, &model, mem.mean()).expect("lsc").0;
+    let lec = alg_c::optimize(
+        &q,
+        &model,
+        &MemoryModel::Static(mem.clone()),
+        DpOptions::default(),
+    )
+    .expect("lec")
+    .0;
+    let ablate = alg_c::optimize(
         &q,
         &model,
         &MemoryModel::Static(mem),
@@ -69,7 +76,8 @@ pub fn run() -> String {
             ignore_orders: true,
         },
     )
-    .expect("ablation");
+    .expect("ablation")
+    .0;
 
     let mut choices = Table::new(&["optimizer", "chooses", "expected cost of its choice"]);
     choices.row(vec![

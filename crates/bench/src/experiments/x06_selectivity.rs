@@ -16,6 +16,7 @@
 
 use crate::table::{num, ratio, Table};
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
+use lec_core::dp::DpOptions;
 use lec_core::{alg_c, evaluate, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_plan::JoinQuery;
@@ -54,9 +55,15 @@ pub fn run() -> String {
     ]);
     for cv in [0.0, 0.5, 1.0, 1.5, 2.0] {
         let sizes = SizeModel::with_uncertainty(&q, 0.0, cv, 3).expect("sizes");
-        let d = alg_d::optimize_fast(&q, &mem, &sizes, AlgDConfig::default()).expect("alg d");
-        let c = alg_c::optimize(&q, &model, &mem).expect("alg c");
-        let l = lsc::optimize_at_mean(&q, &model, &mem_dist).expect("lsc");
+        let d = alg_d::optimize(&q, &PaperCostModel, &mem, &sizes, AlgDConfig::default())
+            .expect("alg d")
+            .0;
+        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
+            .expect("alg c")
+            .0;
+        let l = lsc::optimize_at(&q, &model, mem_dist.mean())
+            .expect("lsc")
+            .0;
         let truth = |plan: &lec_plan::Plan| {
             evaluate::expected_cost_joint(&q, &model, plan, &sizes, &phases)
         };
@@ -86,8 +93,12 @@ pub fn run() -> String {
             let m = MemoryModel::Static(mem_dist.clone());
             let ph = m.table(qq.n()).expect("valid");
             let sizes = SizeModel::with_uncertainty(&qq, 0.0, cv, 3).expect("sizes");
-            let d = alg_d::optimize_fast(&qq, &m, &sizes, AlgDConfig::default()).expect("alg d");
-            let c = alg_c::optimize(&qq, &model, &m).expect("alg c");
+            let d = alg_d::optimize(&qq, &PaperCostModel, &m, &sizes, AlgDConfig::default())
+                .expect("alg d")
+                .0;
+            let c = alg_c::optimize(&qq, &model, &m, DpOptions::default())
+                .expect("alg c")
+                .0;
             if d.best.plan != c.plan {
                 flips += 1;
                 let td = evaluate::expected_cost_joint(&qq, &model, &d.best.plan, &sizes, &ph);

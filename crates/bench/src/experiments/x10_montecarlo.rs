@@ -7,6 +7,7 @@
 //! this experiment checks it survives contact with counted I/O.
 
 use crate::table::{num, Table};
+use lec_core::dp::DpOptions;
 use lec_core::{alg_c, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -100,8 +101,15 @@ pub fn run() -> String {
     let model = PaperCostModel;
     let mem = scaled_memory();
 
-    let lsc_choice = lsc::optimize_at_mode(&q, &model, &mem).expect("lsc");
-    let lec_choice = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone())).expect("lec");
+    let lsc_choice = lsc::optimize_at(&q, &model, mem.mode()).expect("lsc").0;
+    let lec_choice = alg_c::optimize(
+        &q,
+        &model,
+        &MemoryModel::Static(mem.clone()),
+        DpOptions::default(),
+    )
+    .expect("lec")
+    .0;
 
     let iters = 400;
     let (mut t_lsc, mut t_lec, lsc_wins) = race(&lsc_choice.plan, &lec_choice.plan, iters);
@@ -168,8 +176,15 @@ mod tests {
     fn x10_optimizers_disagree_as_designed() {
         let q = scaled_query();
         let mem = scaled_memory();
-        let lsc_choice = lsc::optimize_at_mode(&q, &PaperCostModel, &mem).unwrap();
-        let lec_choice = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem)).unwrap();
+        let lsc_choice = lsc::optimize_at(&q, &PaperCostModel, mem.mode()).unwrap().0;
+        let lec_choice = alg_c::optimize(
+            &q,
+            &PaperCostModel,
+            &MemoryModel::Static(mem),
+            DpOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(summarize(&lsc_choice.plan), "sort-merge");
         assert_eq!(summarize(&lec_choice.plan), "grace-hash + sort");
     }
@@ -178,9 +193,15 @@ mod tests {
     fn x10_lec_plan_wins_on_average_in_realized_io() {
         let q = scaled_query();
         let mem = scaled_memory();
-        let lsc_choice = lsc::optimize_at_mode(&q, &PaperCostModel, &mem).unwrap();
-        let lec_choice =
-            alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem.clone())).unwrap();
+        let lsc_choice = lsc::optimize_at(&q, &PaperCostModel, mem.mode()).unwrap().0;
+        let lec_choice = alg_c::optimize(
+            &q,
+            &PaperCostModel,
+            &MemoryModel::Static(mem.clone()),
+            DpOptions::default(),
+        )
+        .unwrap()
+        .0;
         let (t_lsc, t_lec, _) = race(&lsc_choice.plan, &lec_choice.plan, 120);
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         assert!(

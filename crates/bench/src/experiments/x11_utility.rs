@@ -35,7 +35,9 @@ pub fn run() -> String {
     let mem = envs::lognormal(120.0, 1.5, 6);
 
     // A deadline at the linear optimum's 60th percentile cost.
-    let linear = pareto::optimize(&q, &model, &mem, Utility::Linear).expect("linear");
+    let linear = pareto::optimize(&q, &model, &mem, Utility::Linear)
+        .expect("linear")
+        .0;
     let deadline = linear
         .cost_distribution
         .quantile(0.6)
@@ -73,7 +75,7 @@ pub fn run() -> String {
         ]
     };
     for (name, u) in &utilities {
-        let r = pareto::optimize(&q, &model, &mem, *u).expect("pareto");
+        let r = pareto::optimize(&q, &model, &mem, *u).expect("pareto").0;
         let mut row = vec![name.to_string()];
         row.extend(profile(&r));
         t.row(row);
@@ -96,7 +98,7 @@ pub fn run() -> String {
         let probe = lin_truth.cost_distribution.quantile(0.6).expect("valid");
         let u = Utility::Deadline { threshold: probe };
         let scal = pareto::scalar_dp(&qq, &model, &mm, u).expect("scalar");
-        let exact = pareto::optimize(&qq, &model, &mm, u).expect("pareto");
+        let exact = pareto::optimize(&qq, &model, &mm, u).expect("pareto").0;
         if scal.best.cost > exact.best.cost + 1e-9 {
             counterexample = format!(
                 "seed {seed}: scalar deadline DP miss-probability {:.3} vs exact {:.3} \

@@ -11,6 +11,7 @@ use crate::fixtures::{chain_query, SEED};
 use crate::table::Table;
 use lec_core::alg_d::{self, AlgDConfig, Kernel, SizeModel};
 use lec_core::MemoryModel;
+use lec_cost::PaperCostModel;
 use lec_stats::rebucket;
 use lec_workload::envs;
 
@@ -53,8 +54,9 @@ pub fn run() -> String {
     let q = chain_query(4, SEED + 12);
     let mem = MemoryModel::Static(envs::lognormal(300.0, 0.8, 4));
     let sizes = SizeModel::with_uncertainty(&q, 0.5, 0.8, 6).expect("sizes");
-    let reference = alg_d::optimize_fast(
+    let reference = alg_d::optimize(
         &q,
+        &PaperCostModel,
         &mem,
         &sizes,
         AlgDConfig {
@@ -62,11 +64,13 @@ pub fn run() -> String {
             kernel: Kernel::Fast,
         },
     )
-    .expect("reference");
+    .expect("reference")
+    .0;
     let mut stability = Table::new(&["cap b", "same plan as b=64?", "E[cost] drift %"]);
     for cap in [32usize, 16, 8, 4, 2] {
-        let r = alg_d::optimize_fast(
+        let r = alg_d::optimize(
             &q,
+            &PaperCostModel,
             &mem,
             &sizes,
             AlgDConfig {
@@ -74,7 +78,8 @@ pub fn run() -> String {
                 kernel: Kernel::Fast,
             },
         )
-        .expect("capped");
+        .expect("capped")
+        .0;
         stability.row(vec![
             cap.to_string(),
             if r.best.plan == reference.best.plan {

@@ -33,8 +33,9 @@ pub fn run() -> String {
                 }
                 .generate(&mut ChaCha8Rng::seed_from_u64(1600 + seed));
                 let mem = envs::lognormal(250.0, 1.2, b);
-                let r =
-                    pareto::optimize(&q, &PaperCostModel, &mem, Utility::Linear).expect("pareto");
+                let r = pareto::optimize(&q, &PaperCostModel, &mem, Utility::Linear)
+                    .expect("pareto")
+                    .0;
                 worst = worst.max(r.max_frontier);
                 // Exactness spot-check against the exhaustive optimum.
                 if n <= 4 {
@@ -60,7 +61,9 @@ pub fn run() -> String {
     }
     .generate(&mut ChaCha8Rng::seed_from_u64(1605));
     let mem = envs::lognormal(250.0, 1.2, 8);
-    let r = pareto::optimize(&q, &PaperCostModel, &mem, Utility::Linear).expect("pareto");
+    let r = pareto::optimize(&q, &PaperCostModel, &mem, Utility::Linear)
+        .expect("pareto")
+        .0;
 
     format!(
         "## X16 — Pareto frontier growth: the price of utility-exactness\n\n\

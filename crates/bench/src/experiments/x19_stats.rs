@@ -1,7 +1,7 @@
 //! X19 (extension) — the machine-readable search-space trajectory of the
 //! observability layer.
 //!
-//! Drives `alg_c::optimize_with_stats` over growing chain queries and
+//! Drives `alg_c::optimize` over growing chain queries and
 //! records the deterministic [`lec_core::OptStats`] counters: masks
 //! expanded, candidate combinations priced, DP entries written, and the
 //! precompute table sizes. The counters have closed forms on a chain of
@@ -16,6 +16,7 @@
 use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::fixtures::{chain_query, spread_memory, static_mem, SEED};
 use crate::table::Table;
+use lec_core::dp::DpOptions;
 use lec_core::{alg_c, pareto};
 use lec_cost::PaperCostModel;
 use lec_stats::Utility;
@@ -36,8 +37,8 @@ pub fn run() -> String {
     for n in 4usize..=12 {
         let q = chain_query(n, SEED + n as u64);
         let mem = static_mem(spread_memory(4));
-        let (_, stats) =
-            alg_c::optimize_with_stats(&q, &PaperCostModel, &mem).expect("alg_c with stats");
+        let (_, stats) = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .expect("alg_c with stats");
         let c = &stats.counters;
         t.row(vec![
             n.to_string(),
@@ -63,7 +64,7 @@ pub fn run() -> String {
     for n in 4usize..=6 {
         let q = chain_query(n, SEED + n as u64);
         let mem = spread_memory(4);
-        let (res, stats) = pareto::optimize_with_stats(
+        let (res, stats) = pareto::optimize(
             &q,
             &PaperCostModel,
             &mem,
@@ -102,9 +103,8 @@ pub fn run() -> String {
 
     format!(
         "## X19 — optimizer search-space statistics\n\n\
-         `alg_c::optimize_with_stats` on chain queries with 4 memory \
-         buckets. The counters are deterministic (identical between serial \
-         and rank-parallel runs; see `parallel_equivalence.rs`) and follow \
+         `alg_c::optimize` on chain queries with 4 memory \
+         buckets. The counters are deterministic and follow \
          the chain-query closed forms, so this table is an enumeration \
          regression oracle. Machine-readable copy written to \
          `results/BENCH_stats.json`.\n\n{}\n\

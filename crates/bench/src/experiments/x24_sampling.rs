@@ -41,6 +41,7 @@ use crate::table::Table;
 use lec_catalog::sampling::{sample_interval, BoundKind, SampleConfig, StatInterval};
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::certificate::{certify_plan, Certificate, QueryIntervals};
+use lec_core::dp::DpOptions;
 use lec_core::evaluate::expected_cost;
 use lec_core::{alg_c, bushy, MemoryModel};
 use lec_cost::PaperCostModel;
@@ -329,8 +330,9 @@ fn run_env(idx: usize, spec: &EnvSpec) -> EnvOutcome {
         .expect("x24: phase table");
 
     // Point arm: Algorithm C trusts the sampled points outright.
-    let point_plan = alg_c::optimize(&q_point, &model, &static_mem)
+    let point_plan = alg_c::optimize(&q_point, &model, &static_mem, DpOptions::default())
         .expect("x24: point-estimate optimization")
+        .0
         .plan;
     let true_point = expected_cost(&q_truth, &model, &point_plan, &phases);
 
@@ -363,13 +365,21 @@ fn run_env(idx: usize, spec: &EnvSpec) -> EnvOutcome {
             })
             .collect(),
     };
-    let d_plan = alg_d::optimize_fast(&q_point, &static_mem, &sizes, AlgDConfig::default())
-        .expect("x24: distribution-widened optimization")
-        .best
-        .plan;
+    let d_plan = alg_d::optimize(
+        &q_point,
+        &PaperCostModel,
+        &static_mem,
+        &sizes,
+        AlgDConfig::default(),
+    )
+    .expect("x24: distribution-widened optimization")
+    .0
+    .best
+    .plan;
     // Candidate 2: the exact bushy optimum of the point query.
     let b_plan = bushy::optimize(&q_point, &model, &static_mem)
         .expect("x24: bushy optimization of the sampled stats")
+        .0
         .plan;
 
     let intervals = QueryIntervals {
@@ -402,6 +412,7 @@ fn run_env(idx: usize, spec: &EnvSpec) -> EnvOutcome {
     let true_certified = expected_cost(&q_truth, &model, &cert_plan, &phases);
     let true_optimum = bushy::optimize(&q_truth, &model, &static_mem)
         .expect("x24: truth oracle")
+        .0
         .cost;
 
     let truth_in_box = truth_rel_sels

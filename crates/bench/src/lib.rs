@@ -34,7 +34,7 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "x15" => x15_parametric::run(),
         "x16" => x16_frontier_growth::run(),
         "x17" => x17_bushy::run(),
-        "x18" => x18_parallel::run(),
+        "x18" => x18_kernel::run(),
         "x19" => x19_stats::run(),
         "x20" => x20_serve::run(),
         "x21" => x21_faults::run(),

@@ -50,7 +50,7 @@ pub fn optimize<M: CostModel + ?Sized>(
     let phases = memory.table(query.n().max(2))?;
     let mut candidates = Vec::with_capacity(initial.len());
     for &m_i in initial.values() {
-        let optimized = lsc::optimize_at(query, model, m_i)?;
+        let optimized = lsc::optimize_at(query, model, m_i)?.0;
         let e = expected_cost(query, model, &optimized.plan, &phases);
         candidates.push(Candidate {
             assumed_memory: m_i,
@@ -74,6 +74,7 @@ pub fn optimize<M: CostModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::alg_c;
+    use crate::dp::DpOptions;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
     use lec_stats::Distribution;
@@ -104,7 +105,9 @@ mod tests {
         let mem = MemoryModel::Static(Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap());
         let res = optimize(&q, &model, &mem).unwrap();
         assert_eq!(res.candidates.len(), 2);
-        let lec = alg_c::optimize(&q, &model, &mem).unwrap();
+        let lec = alg_c::optimize(&q, &model, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(res.best.plan, lec.plan);
         assert!((res.best.cost - lec.cost).abs() < 1e-6);
     }
@@ -164,7 +167,9 @@ mod tests {
         );
         let model = PaperCostModel;
         let a = optimize(&q, &model, &mem).unwrap();
-        let c = alg_c::optimize(&q, &model, &mem).unwrap();
+        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         let b3 = crate::alg_b::optimize(&q, &model, &mem, 3).unwrap();
         assert!(
             a.best.cost > c.cost * 1.0001,
@@ -195,7 +200,9 @@ mod tests {
         let dist = Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap();
         let mem = MemoryModel::Static(dist);
         let res = optimize(&q, &model, &mem).unwrap();
-        let lec = alg_c::optimize(&q, &model, &mem).unwrap();
+        let lec = alg_c::optimize(&q, &model, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         assert!(lec.cost <= res.best.cost + 1e-9);
         let mode_candidate = res
             .candidates

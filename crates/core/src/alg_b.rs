@@ -27,18 +27,9 @@ pub struct AlgBResult {
     pub combos_naive: u64,
 }
 
-/// Runs Algorithm B with `c` plans per bucket.
+/// Runs Algorithm B with `c` plans per bucket, reporting candidate and
+/// merge statistics.
 pub fn optimize<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    c: usize,
-) -> Result<AlgBResult, CoreError> {
-    optimize_with_stats(query, model, memory, c)
-}
-
-/// Runs Algorithm B, reporting candidate and merge statistics.
-pub fn optimize_with_stats<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &MemoryModel,
@@ -50,7 +41,7 @@ pub fn optimize_with_stats<M: CostModel + ?Sized>(
     let mut combos_examined = 0;
     let mut combos_naive = 0;
     for &m_i in initial.values() {
-        let res = top_c_plans(query, model, m_i, c, MergeStrategy::Frontier)?;
+        let res = top_c_plans(query, model, m_i, c, MergeStrategy::Frontier)?.0;
         combos_examined += res.combos_examined;
         combos_naive += res.combos_naive;
         for p in res.plans {
@@ -83,6 +74,7 @@ pub fn optimize_with_stats<M: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::DpOptions;
     use crate::{alg_a, alg_c};
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
@@ -123,8 +115,10 @@ mod tests {
         let model = PaperCostModel;
         let mem = spread_memory();
         let a = alg_a::optimize(&q, &model, &mem).unwrap();
-        let b = optimize_with_stats(&q, &model, &mem, 4).unwrap();
-        let c = alg_c::optimize(&q, &model, &mem).unwrap();
+        let b = optimize(&q, &model, &mem, 4).unwrap();
+        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         assert!(c.cost <= b.best.cost + 1e-9 * c.cost);
         assert!(b.best.cost <= a.best.cost + 1e-9 * a.best.cost);
         assert!(b.candidates_evaluated >= 3, "expected several candidates");
@@ -152,7 +146,7 @@ mod tests {
         let q = query(5);
         let model = PaperCostModel;
         let mem = spread_memory();
-        let b = optimize_with_stats(&q, &model, &mem, 8).unwrap();
+        let b = optimize(&q, &model, &mem, 8).unwrap();
         assert!(b.combos_examined <= b.combos_naive);
     }
 
@@ -177,7 +171,7 @@ mod tests {
             })
             .collect();
         let q = JoinQuery::new(relations, predicates, None).unwrap();
-        let b = optimize_with_stats(&q, &PaperCostModel, &spread_memory(), 8).unwrap();
+        let b = optimize(&q, &PaperCostModel, &spread_memory(), 8).unwrap();
         assert!(b.combos_examined < b.combos_naive);
     }
 }

@@ -14,23 +14,22 @@
 //! calls [`crate::verify::debug_verify_plan`]); this module adds no hook of
 //! its own.
 
-use crate::dp::{
-    optimize_left_deep_par_with_stats, optimize_left_deep_with_stats, DpOptions, ExpectedCoster,
-    Optimized,
-};
+use crate::dp::{optimize_left_deep, DpOptions, ExpectedCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::par::Parallelism;
+use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
 use lec_plan::JoinQuery;
 
-/// Computes the LEC left-deep plan (Theorems 3.3 / 3.4).
+/// Computes the LEC left-deep plan (Theorems 3.3 / 3.4) together with its
+/// search-space [`OptStats`]. `options` carries the `ignore_orders`
+/// ablation; pass [`DpOptions::default()`] for the paper's optimizer.
 ///
 /// # Examples
 ///
 /// ```
-/// use lec_core::{alg_c, MemoryModel};
+/// use lec_core::{alg_c, dp::DpOptions, MemoryModel};
 /// use lec_cost::PaperCostModel;
 /// use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
 /// use lec_stats::Distribution;
@@ -44,40 +43,13 @@ use lec_plan::JoinQuery;
 ///     None,
 /// )?;
 /// let memory = MemoryModel::Static(Distribution::new([(30.0, 0.4), (300.0, 0.6)])?);
-/// let lec = alg_c::optimize(&query, &PaperCostModel, &memory)?;
+/// let (lec, stats) = alg_c::optimize(&query, &PaperCostModel, &memory, DpOptions::default())?;
 /// println!("{}", lec.plan.explain(&query));
 /// assert!(lec.cost > 0.0);
+/// assert_eq!(stats.algorithm, "alg_c");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn optimize<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-) -> Result<Optimized, CoreError> {
-    optimize_with_options(query, model, memory, DpOptions::default())
-}
-
-/// [`optimize`] with explicit DP options (the `ignore_orders` ablation).
-pub fn optimize_with_options<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    options: DpOptions,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_with_options_and_stats(query, model, memory, options)?.0)
-}
-
-/// [`optimize`], also returning the search-space [`OptStats`].
-pub fn optimize_with_stats<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-) -> Result<(Optimized, OptStats), CoreError> {
-    optimize_with_options_and_stats(query, model, memory, DpOptions::default())
-}
-
-/// [`optimize_with_options`], also returning the search-space [`OptStats`].
-pub fn optimize_with_options_and_stats<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &MemoryModel,
@@ -86,56 +58,8 @@ pub fn optimize_with_options_and_stats<M: CostModel + ?Sized>(
     // Phases: n-1 joins plus a possible root sort.
     let phases = memory.table(query.n().max(2))?;
     let coster = ExpectedCoster::new(model, &phases);
-    let (best, mut stats) = optimize_left_deep_with_stats(query, &coster, options)?;
-    stats.algorithm = "alg_c";
-    Ok((best, stats))
-}
-
-/// [`optimize`] on the rank-parallel DP. Bit-identical to the serial
-/// result; queries below the parallel cutoff run serially.
-pub fn optimize_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    optimize_with_options_par(query, model, memory, DpOptions::default(), par)
-}
-
-/// [`optimize_with_options`] on the rank-parallel DP.
-pub fn optimize_with_options_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    options: DpOptions,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_with_options_and_stats_par(query, model, memory, options, par)?.0)
-}
-
-/// [`optimize_par`], also returning the search-space [`OptStats`]. The
-/// counters are identical to [`optimize_with_stats`]'s on the same query.
-pub fn optimize_with_stats_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    par: &Parallelism,
-) -> Result<(Optimized, OptStats), CoreError> {
-    optimize_with_options_and_stats_par(query, model, memory, DpOptions::default(), par)
-}
-
-/// [`optimize_with_options_par`], also returning the search-space
-/// [`OptStats`].
-pub fn optimize_with_options_and_stats_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    options: DpOptions,
-    par: &Parallelism,
-) -> Result<(Optimized, OptStats), CoreError> {
-    let phases = memory.table(query.n().max(2))?;
-    let coster = ExpectedCoster::new(model, &phases);
-    let (best, mut stats) = optimize_left_deep_par_with_stats(query, &coster, options, par)?;
+    let tabs = QueryTables::new(query);
+    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster, options)?;
     stats.algorithm = "alg_c";
     Ok((best, stats))
 }
@@ -192,7 +116,7 @@ mod tests {
         let model = PaperCostModel;
         let mem = MemoryModel::Static(bimodal());
 
-        let lec = optimize(&q, &model, &mem).unwrap();
+        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
         // LEC: Grace hash + explicit sort.
         match &lec.plan {
             Plan::Sort { input, .. } => match &**input {
@@ -205,7 +129,7 @@ mod tests {
 
         // LSC at the mode picks the sort-merge plan, which is worse in
         // expectation — the paper's headline comparison.
-        let lsc_plan = lsc::optimize_at_mode(&q, &model, &bimodal()).unwrap();
+        let lsc_plan = lsc::optimize_at(&q, &model, bimodal().mode()).unwrap().0;
         let phases = mem.table(2).unwrap();
         let lsc_expected = expected_cost(&q, &model, &lsc_plan.plan, &phases);
         assert!(lec.cost < lsc_expected);
@@ -223,9 +147,11 @@ mod tests {
                 &q,
                 &model,
                 &MemoryModel::Static(Distribution::point(mem).unwrap()),
+                DpOptions::default(),
             )
-            .unwrap();
-            let lsc = lsc::optimize_at(&q, &model, mem).unwrap();
+            .unwrap()
+            .0;
+            let lsc = lsc::optimize_at(&q, &model, mem).unwrap().0;
             assert_eq!(lec.plan, lsc.plan);
             assert!((lec.cost - lsc.cost).abs() < 1e-9 * lsc.cost.max(1.0));
         }
@@ -237,9 +163,9 @@ mod tests {
         let model = PaperCostModel;
         let dist = Distribution::new([(30.0, 0.3), (150.0, 0.4), (900.0, 0.3)]).unwrap();
         let mem = MemoryModel::Static(dist);
-        let lec = optimize(&q, &model, &mem).unwrap();
+        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
         let phases = mem.table(q.n()).unwrap();
-        let truth = exhaustive::exhaustive_lec(&q, &model, &phases).unwrap();
+        let truth = exhaustive::exhaustive_lec(&q, &model, &phases).unwrap().0;
         assert!(
             (lec.cost - truth.cost).abs() <= 1e-6 * truth.cost.max(1.0),
             "DP {} vs exhaustive {}",
@@ -254,9 +180,9 @@ mod tests {
         let model = PaperCostModel;
         let chain = MarkovChain::random_walk(vec![25.0, 120.0, 800.0], 0.7).unwrap();
         let mem = MemoryModel::dynamic(chain, vec![0.2, 0.5, 0.3]).unwrap();
-        let lec = optimize(&q, &model, &mem).unwrap();
+        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
         let phases = mem.table(q.n()).unwrap();
-        let truth = exhaustive::exhaustive_lec(&q, &model, &phases).unwrap();
+        let truth = exhaustive::exhaustive_lec(&q, &model, &phases).unwrap().0;
         assert!(
             (lec.cost - truth.cost).abs() <= 1e-6 * truth.cost.max(1.0),
             "DP {} vs exhaustive {}",
@@ -277,7 +203,7 @@ mod tests {
                 .map(|i| (50.0 * (i + 1) as f64, 1.0 / b as f64))
                 .collect();
             let mem = MemoryModel::Static(Distribution::new(values).unwrap());
-            optimize(&q, &model, &mem).unwrap();
+            optimize(&q, &model, &mem, DpOptions::default()).unwrap();
             model.evaluations()
         };
         let e1 = evals_for(1);
@@ -296,12 +222,12 @@ mod tests {
         let dist = Distribution::new([(20.0, 0.25), (90.0, 0.5), (2500.0, 0.25)]).unwrap();
         let mem = MemoryModel::Static(dist.clone());
         let phases = mem.table(q.n()).unwrap();
-        let lec = optimize(&q, &model, &mem).unwrap();
+        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
         for candidate in [
-            lsc::optimize_at_mean(&q, &model, &dist).unwrap(),
-            lsc::optimize_at_mode(&q, &model, &dist).unwrap(),
-            lsc::optimize_at(&q, &model, 20.0).unwrap(),
-            lsc::optimize_at(&q, &model, 2500.0).unwrap(),
+            lsc::optimize_at(&q, &model, dist.mean()).unwrap().0,
+            lsc::optimize_at(&q, &model, dist.mode()).unwrap().0,
+            lsc::optimize_at(&q, &model, 20.0).unwrap().0,
+            lsc::optimize_at(&q, &model, 2500.0).unwrap().0,
         ] {
             let e = expected_cost(&q, &model, &candidate.plan, &phases);
             assert!(lec.cost <= e + 1e-9 * e.max(1.0));

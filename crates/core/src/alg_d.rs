@@ -21,10 +21,10 @@ use crate::dp::Optimized;
 use crate::env::{MemoryModel, PhaseDists};
 use crate::error::CoreError;
 use crate::evaluate::access_choices;
-use crate::par::{self, Parallelism};
+use crate::par;
 use crate::stats::OptStats;
 use lec_cost::fast_expect::{expected_join_fast, expected_join_naive, expected_sort};
-use lec_cost::{AccessMethod, CostModel, JoinMethod, PaperCostModel};
+use lec_cost::{AccessMethod, CostModel, JoinMethod};
 use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
 use lec_stats::{ConvolveScratch, Distribution};
 
@@ -94,11 +94,13 @@ impl SizeModel {
 /// Which expected-cost computation to use at each node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// The §3.6.1/3.6.2 linear-time kernels. Exact for [`PaperCostModel`]
-    /// only — [`optimize_fast`] fixes that model.
+    /// The §3.6.1/3.6.2 linear-time kernels. They encode the paper's
+    /// formulas, so they are exact only when [`optimize`] is handed
+    /// [`PaperCostModel`](lec_cost::PaperCostModel).
     #[default]
     Fast,
-    /// The naive `O(b_M · b_B · b_A)` triple loop; works for any model.
+    /// The naive `O(b_M · b_B · b_A)` triple loop through the model's own
+    /// formulas; works for any model.
     Naive,
 }
 
@@ -130,113 +132,88 @@ pub struct AlgDResult {
     pub result_size: Distribution,
 }
 
-/// Algorithm D with the paper cost model and the fast kernels.
-pub fn optimize_fast(
-    query: &JoinQuery,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-) -> Result<AlgDResult, CoreError> {
-    run(query, &PaperCostModel, memory, sizes, config)
-}
-
-/// [`optimize_fast`], also returning the search-space [`OptStats`].
-/// `precompute.pages_entries` counts the result-size distributions
-/// materialized (Algorithm D's analog of the pages table).
-pub fn optimize_fast_with_stats(
-    query: &JoinQuery,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-) -> Result<(AlgDResult, OptStats), CoreError> {
-    run_stats(query, &PaperCostModel, memory, sizes, config)
-}
-
-/// [`optimize_generic`], also returning the search-space [`OptStats`].
-pub fn optimize_generic_with_stats<M: CostModel + ?Sized>(
+/// Runs Algorithm D, returning the winner, its propagated result-size
+/// distribution, and the search-space [`OptStats`]
+/// (`precompute.pages_entries` counts the result-size distributions
+/// materialized — Algorithm D's analog of the pages table).
+///
+/// `config.kernel` picks the expected-cost computation: [`Kernel::Fast`]
+/// hard-codes the paper formulas, so any other `model` needs
+/// [`Kernel::Naive`]. The root sort is priced through `model` either way.
+///
+/// The sweep walks the lattice rank by rank (a valid DP order,
+/// bit-identical to the flat numeric sweep) so per-rank wall time can be
+/// recorded; within a rank each mask computes its result-size distribution
+/// and then its join costing, in increasing numeric mask order.
+pub fn optimize<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &MemoryModel,
     sizes: &SizeModel,
     config: AlgDConfig,
 ) -> Result<(AlgDResult, OptStats), CoreError> {
-    run_stats(
+    validate_inputs(query, sizes, &config)?;
+    let n = query.n();
+    let full = query.all();
+    let phases = memory.table(n.max(2))?;
+    let slots = (full.bits() + 1) as usize;
+    let mut table: Vec<Option<Entry>> = vec![None; slots];
+    let mut size_of: Vec<Option<Distribution>> = vec![None; slots];
+
+    let access = AccessTable::new(query, sizes);
+    seed_depth_one(query, sizes, &access, &mut table, &mut size_of);
+
+    let required = query.required_order();
+    let mut best_ordered: Option<Entry> = None;
+
+    let mut stats = OptStats::new("alg_d", n);
+    stats.precompute.access_entries = access.best.len();
+    stats.precompute.pages_entries = n; // singleton size distributions
+    stats.counters.entries_written = n as u64;
+
+    let ranks = par::ranks(n);
+    let mut scratch = ConvolveScratch::new();
+    for rank in &ranks[1..] {
+        let (result, elapsed) = par::timed(|| -> Result<(), CoreError> {
+            for &set in rank {
+                let idx = set.bits() as usize;
+                size_of[idx] = Some(node_size_dist(
+                    query,
+                    sizes,
+                    config,
+                    &size_of,
+                    set,
+                    &mut scratch,
+                )?);
+                let (best, ordered, candidates) = cost_mask_d(
+                    query, model, sizes, config, &access, &phases, &table, &size_of, set, full,
+                    required,
+                );
+                table[idx] = Some(best);
+                if let Some(ord) = ordered {
+                    best_ordered = Some(ord);
+                }
+                stats.counters.masks_expanded += 1;
+                stats.counters.candidates_priced += candidates;
+                stats.counters.entries_written += 1;
+                stats.precompute.pages_entries += 1;
+            }
+            Ok(())
+        });
+        result?;
+        stats.rank_wall_ns.push(elapsed);
+    }
+
+    let best = finalize_d(
         query,
         model,
-        memory,
-        sizes,
-        AlgDConfig {
-            kernel: Kernel::Naive,
-            ..config
-        },
-    )
-}
-
-/// [`optimize_fast_par`], also returning the search-space [`OptStats`].
-/// The counters are identical to [`optimize_fast_with_stats`]'s.
-pub fn optimize_fast_with_stats_par(
-    query: &JoinQuery,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-    par: &Parallelism,
-) -> Result<(AlgDResult, OptStats), CoreError> {
-    run_par_stats(query, &PaperCostModel, memory, sizes, config, par)
-}
-
-/// Algorithm D for an arbitrary cost model (the kernel is forced to
-/// [`Kernel::Naive`], since the fast kernels encode the paper formulas).
-pub fn optimize_generic<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-) -> Result<AlgDResult, CoreError> {
-    run(
-        query,
-        model,
-        memory,
-        sizes,
-        AlgDConfig {
-            kernel: Kernel::Naive,
-            ..config
-        },
-    )
-}
-
-/// Algorithm D with the paper cost model on the rank-parallel DP.
-/// Bit-identical to [`optimize_fast`]; small queries run serially.
-pub fn optimize_fast_par(
-    query: &JoinQuery,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-    par: &Parallelism,
-) -> Result<AlgDResult, CoreError> {
-    run_par(query, &PaperCostModel, memory, sizes, config, par)
-}
-
-/// [`optimize_generic`] on the rank-parallel DP (kernel forced to naive).
-pub fn optimize_generic_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-    par: &Parallelism,
-) -> Result<AlgDResult, CoreError> {
-    run_par(
-        query,
-        model,
-        memory,
-        sizes,
-        AlgDConfig {
-            kernel: Kernel::Naive,
-            ..config
-        },
-        par,
-    )
+        &access,
+        &phases,
+        &table,
+        &size_of,
+        best_ordered,
+    )?;
+    Ok((best, stats))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -274,9 +251,8 @@ impl AccessTable {
     }
 }
 
-fn validate_inputs<M: CostModel + ?Sized>(
+fn validate_inputs(
     query: &JoinQuery,
-    _model: &M,
     sizes: &SizeModel,
     config: &AlgDConfig,
 ) -> Result<(), CoreError> {
@@ -331,9 +307,8 @@ fn node_size_dist(
     Ok(scratch.map(&dist, |v| v.max(1.0))?)
 }
 
-/// Prices every way of forming `set` by a last join, against the frozen
-/// lower-depth tables. Shared verbatim by the serial sweep and the
-/// rank-parallel wavefront, so both produce identical entries.
+/// Prices every way of forming `set` by a last join, against the filled
+/// lower-depth tables.
 #[allow(clippy::too_many_arguments)]
 // lec-lint: allow(panic-reachability) — DP induction: singletons are seeded and subsets priced in rank order before supersets, and every candidate set holds at least the full-scan plan
 fn cost_mask_d<M: CostModel + ?Sized>(
@@ -458,184 +433,6 @@ fn finalize_d<M: CostModel + ?Sized>(
     Ok(AlgDResult { best, result_size })
 }
 
-fn run<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-) -> Result<AlgDResult, CoreError> {
-    Ok(run_stats(query, model, memory, sizes, config)?.0)
-}
-
-/// The serial driver with stats. The sweep walks the lattice rank by rank
-/// (a valid DP order, bit-identical to the flat numeric sweep) so per-rank
-/// wall time lines up with the parallel driver; within a rank each mask
-/// computes its result-size distribution and then its join costing, in
-/// increasing numeric mask order.
-fn run_stats<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-) -> Result<(AlgDResult, OptStats), CoreError> {
-    validate_inputs(query, model, sizes, &config)?;
-    let n = query.n();
-    let full = query.all();
-    let phases = memory.table(n.max(2))?;
-    let slots = (full.bits() + 1) as usize;
-    let mut table: Vec<Option<Entry>> = vec![None; slots];
-    let mut size_of: Vec<Option<Distribution>> = vec![None; slots];
-
-    let access = AccessTable::new(query, sizes);
-    seed_depth_one(query, sizes, &access, &mut table, &mut size_of);
-
-    let required = query.required_order();
-    let mut best_ordered: Option<Entry> = None;
-
-    let mut stats = OptStats::new("alg_d", n);
-    stats.precompute.access_entries = access.best.len();
-    stats.precompute.pages_entries = n; // singleton size distributions
-    stats.counters.entries_written = n as u64;
-
-    let ranks = par::ranks(n);
-    let mut scratch = ConvolveScratch::new();
-    for rank in &ranks[1..] {
-        let (result, elapsed) = par::timed(|| -> Result<(), CoreError> {
-            for &set in rank {
-                let idx = set.bits() as usize;
-                size_of[idx] = Some(node_size_dist(
-                    query,
-                    sizes,
-                    config,
-                    &size_of,
-                    set,
-                    &mut scratch,
-                )?);
-                let (best, ordered, candidates) = cost_mask_d(
-                    query, model, sizes, config, &access, &phases, &table, &size_of, set, full,
-                    required,
-                );
-                table[idx] = Some(best);
-                if let Some(ord) = ordered {
-                    best_ordered = Some(ord);
-                }
-                stats.counters.masks_expanded += 1;
-                stats.counters.candidates_priced += candidates;
-                stats.counters.entries_written += 1;
-                stats.precompute.pages_entries += 1;
-            }
-            Ok(())
-        });
-        result?;
-        stats.rank_wall_ns.push(elapsed);
-    }
-
-    let best = finalize_d(
-        query,
-        model,
-        &access,
-        &phases,
-        &table,
-        &size_of,
-        best_ordered,
-    )?;
-    Ok((best, stats))
-}
-
-fn run_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-    par: &Parallelism,
-) -> Result<AlgDResult, CoreError> {
-    Ok(run_par_stats(query, model, memory, sizes, config, par)?.0)
-}
-
-/// Rank-parallel Algorithm D: each rank of the subset lattice runs two
-/// wavefronts — result-size distributions first (they only read lower
-/// ranks), then join costing (which additionally reads this rank's sizes).
-/// Per-mask counts gather in input order, so the stats equal the serial
-/// driver's exactly.
-fn run_par_stats<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-    par: &Parallelism,
-) -> Result<(AlgDResult, OptStats), CoreError> {
-    let n = query.n();
-    if !par.use_parallel(n) {
-        return run_stats(query, model, memory, sizes, config);
-    }
-    validate_inputs(query, model, sizes, &config)?;
-    let full = query.all();
-    let phases = memory.table(n.max(2))?;
-    let slots = (full.bits() + 1) as usize;
-    let mut table: Vec<Option<Entry>> = vec![None; slots];
-    let mut size_of: Vec<Option<Distribution>> = vec![None; slots];
-
-    let access = AccessTable::new(query, sizes);
-    seed_depth_one(query, sizes, &access, &mut table, &mut size_of);
-
-    let required = query.required_order();
-    let mut best_ordered: Option<Entry> = None;
-
-    let mut stats = OptStats::new("alg_d", n);
-    stats.precompute.access_entries = access.best.len();
-    stats.precompute.pages_entries = n;
-    stats.counters.entries_written = n as u64;
-
-    let ranks = par::ranks(n);
-    for rank in &ranks[1..] {
-        let (wave, elapsed) = par::timed(|| -> Result<Vec<_>, CoreError> {
-            // Pass 1: this rank's result-size distributions (read lower
-            // ranks). Each worker reuses one convolution scratch across
-            // all the nodes it claims.
-            let dists = par::map_indexed_scratch(par, rank.len(), ConvolveScratch::new, |s, i| {
-                node_size_dist(query, sizes, config, &size_of, rank[i], s)
-            });
-            for (set, dist) in rank.iter().zip(dists) {
-                size_of[set.bits() as usize] = Some(dist?);
-            }
-            // Pass 2: join costing (reads this rank's sizes, lower-rank
-            // entries).
-            Ok(par::map_indexed(par, rank.len(), |i| {
-                cost_mask_d(
-                    query, model, sizes, config, &access, &phases, &table, &size_of, rank[i], full,
-                    required,
-                )
-            }))
-        });
-        stats.rank_wall_ns.push(elapsed);
-        for (set, (best, ordered, candidates)) in rank.iter().zip(wave?) {
-            table[set.bits() as usize] = Some(best);
-            if let Some(ord) = ordered {
-                best_ordered = Some(ord);
-            }
-            stats.counters.masks_expanded += 1;
-            stats.counters.candidates_priced += candidates;
-            stats.counters.entries_written += 1;
-            stats.precompute.pages_entries += 1;
-        }
-    }
-
-    let best = finalize_d(
-        query,
-        model,
-        &access,
-        &phases,
-        &table,
-        &size_of,
-        best_ordered,
-    )?;
-    Ok((best, stats))
-}
-
 /// Expected access cost when the effective size is a distribution.
 fn expected_access_cost(
     rel: &lec_plan::Relation,
@@ -689,8 +486,19 @@ fn reconstruct(
 mod tests {
     use super::*;
     use crate::alg_c;
+    use crate::dp::DpOptions;
+    use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
     use lec_stats::Distribution;
+
+    fn fast(
+        q: &JoinQuery,
+        mem: &MemoryModel,
+        sizes: &SizeModel,
+        config: AlgDConfig,
+    ) -> Result<AlgDResult, CoreError> {
+        optimize(q, &PaperCostModel, mem, sizes, config).map(|(d, _)| d)
+    }
 
     fn chain_query(n: usize) -> JoinQuery {
         let relations = (0..n)
@@ -716,8 +524,8 @@ mod tests {
         let q = chain_query(4);
         let sizes = SizeModel::certain(&q).unwrap();
         let mem = memory();
-        let d = optimize_fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let c = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+        let d = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
+        let (c, _) = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
         assert_eq!(d.best.plan, c.plan);
         assert!(
             (d.best.cost - c.cost).abs() < 1e-6 * c.cost.max(1.0),
@@ -736,10 +544,9 @@ mod tests {
         let q = chain_query(4);
         let sizes = SizeModel::with_uncertainty(&q, 0.4, 0.6, 4).unwrap();
         let mem = memory();
-        let fast = optimize_fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let naive = run(
+        let fast_kernel = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
+        let naive = fast(
             &q,
-            &PaperCostModel,
             &mem,
             &sizes,
             AlgDConfig {
@@ -748,8 +555,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(fast.best.plan, naive.best.plan);
-        assert!((fast.best.cost - naive.best.cost).abs() < 1e-6 * naive.best.cost.max(1.0));
+        assert_eq!(fast_kernel.best.plan, naive.best.plan);
+        assert!((fast_kernel.best.cost - naive.best.cost).abs() < 1e-6 * naive.best.cost.max(1.0));
     }
 
     #[test]
@@ -761,7 +568,7 @@ mod tests {
         let q = chain_query(4);
         let sizes = SizeModel::with_uncertainty(&q, 0.3, 0.3, 5).unwrap();
         let mem = memory();
-        let d = optimize_fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
+        let d = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
         let point = q.result_pages(q.all());
         let rel = (d.result_size.mean() - point).abs() / point;
         assert!(
@@ -777,7 +584,7 @@ mod tests {
         let sizes = SizeModel::with_uncertainty(&q, 0.5, 0.5, 6).unwrap();
         let mem = memory();
         for b in [2, 4, 8] {
-            let d = optimize_fast(
+            let d = fast(
                 &q,
                 &mem,
                 &sizes,
@@ -813,9 +620,9 @@ mod tests {
         .unwrap();
         let mem = MemoryModel::Static(Distribution::point(100.0).unwrap());
         let certain = SizeModel::certain(&q).unwrap();
-        let d1 = optimize_fast(&q, &mem, &certain, AlgDConfig::default()).unwrap();
+        let d1 = fast(&q, &mem, &certain, AlgDConfig::default()).unwrap();
         let uncertain = SizeModel::with_uncertainty(&q, 0.8, 0.0, 8).unwrap();
-        let d2 = optimize_fast(&q, &mem, &uncertain, AlgDConfig::default()).unwrap();
+        let d2 = fast(&q, &mem, &uncertain, AlgDConfig::default()).unwrap();
         let m1 = match &d1.best.plan {
             Plan::Join { method, .. } => *method,
             other => panic!("unexpected {other:?}"),
@@ -829,53 +636,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise() {
+    fn stats_count_the_lattice() {
         let q = chain_query(5);
         let sizes = SizeModel::with_uncertainty(&q, 0.4, 0.5, 4).unwrap();
         let mem = memory();
-        let serial = optimize_fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let par = Parallelism {
-            threads: 3,
-            sequential_cutoff: 2,
-        };
-        let parallel = optimize_fast_par(&q, &mem, &sizes, AlgDConfig::default(), &par).unwrap();
-        assert_eq!(serial.best.cost.to_bits(), parallel.best.cost.to_bits());
-        assert_eq!(serial.best.plan, parallel.best.plan);
-        assert_eq!(serial.result_size, parallel.result_size);
-    }
-
-    #[test]
-    fn stats_match_between_serial_and_parallel() {
-        let q = chain_query(5);
-        let sizes = SizeModel::with_uncertainty(&q, 0.4, 0.5, 4).unwrap();
-        let mem = memory();
-        let (serial, sstats) =
-            optimize_fast_with_stats(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let par = Parallelism {
-            threads: 3,
-            sequential_cutoff: 2,
-        };
-        let (parallel, pstats) =
-            optimize_fast_with_stats_par(&q, &mem, &sizes, AlgDConfig::default(), &par).unwrap();
-        assert_eq!(serial.best.cost.to_bits(), parallel.best.cost.to_bits());
-        assert_eq!(serial.best.plan, parallel.best.plan);
-        assert_eq!(sstats.counters, pstats.counters);
-        assert_eq!(sstats.precompute, pstats.precompute);
+        let (_, sstats) =
+            optimize(&q, &PaperCostModel, &mem, &sizes, AlgDConfig::default()).unwrap();
         assert_eq!(sstats.counters.masks_expanded, 26);
         assert_eq!(sstats.counters.candidates_priced, 225);
         // One propagated size distribution per node: 5 seeds + 26 masks.
         assert_eq!(sstats.precompute.pages_entries, 5 + 26);
-        // The plain entry point delegates to the stats driver.
-        let plain = optimize_fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        assert_eq!(plain.best.plan, serial.best.plan);
-        assert_eq!(plain.best.cost.to_bits(), serial.best.cost.to_bits());
     }
 
     #[test]
     fn rejects_mismatched_size_model() {
         let q = chain_query(3);
         let other = SizeModel::certain(&chain_query(4)).unwrap();
-        let res = optimize_fast(&q, &memory(), &other, AlgDConfig::default());
+        let res = fast(&q, &memory(), &other, AlgDConfig::default());
         assert!(matches!(res, Err(CoreError::BadParameter(_))));
     }
 }

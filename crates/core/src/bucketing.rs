@@ -9,6 +9,7 @@
 //! distribution equals the one computed from the full distribution: the
 //! bucketing is *lossless* for plan choice, with only a handful of buckets.
 
+use crate::dp::DpOptions;
 use crate::error::CoreError;
 use lec_cost::{CostModel, JoinMethod};
 use lec_plan::{JoinQuery, RelSet};
@@ -109,7 +110,13 @@ pub fn adaptive_optimize<M: CostModel + ?Sized>(
     loop {
         let coarse = Bucketing::EquiDepth(b.min(fine.len())).apply(fine)?;
         let coarse_buckets = coarse.len();
-        let opt = crate::alg_c::optimize(query, model, &crate::env::MemoryModel::Static(coarse))?;
+        let opt = crate::alg_c::optimize(
+            query,
+            model,
+            &crate::env::MemoryModel::Static(coarse),
+            DpOptions::default(),
+        )?
+        .0;
         refinements += 1;
         if last_plan.as_ref() == Some(&opt.plan) {
             stable_for += 1;
@@ -184,8 +191,18 @@ mod tests {
             coarse.len()
         );
 
-        let lec_fine = alg_c::optimize(&q, &model, &MemoryModel::Static(fine)).unwrap();
-        let lec_coarse = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse)).unwrap();
+        let lec_fine =
+            alg_c::optimize(&q, &model, &MemoryModel::Static(fine), DpOptions::default())
+                .unwrap()
+                .0;
+        let lec_coarse = alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(coarse),
+            DpOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(lec_fine.plan, lec_coarse.plan);
         assert!(
             (lec_fine.cost - lec_coarse.cost).abs() < 1e-6 * lec_fine.cost,
@@ -223,8 +240,18 @@ mod tests {
         let model = PaperCostModel;
         let fine = Distribution::uniform_over((1..=300).map(|i| 3.0 + 7.0 * i as f64)).unwrap();
         let coarse = bucketize_memory(&q, &model, &fine).unwrap();
-        let lec_fine = alg_c::optimize(&q, &model, &MemoryModel::Static(fine)).unwrap();
-        let lec_coarse = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse)).unwrap();
+        let lec_fine =
+            alg_c::optimize(&q, &model, &MemoryModel::Static(fine), DpOptions::default())
+                .unwrap()
+                .0;
+        let lec_coarse = alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(coarse),
+            DpOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(lec_fine.plan, lec_coarse.plan);
         assert!((lec_fine.cost - lec_coarse.cost).abs() < 1e-6 * lec_fine.cost);
     }
@@ -241,7 +268,9 @@ mod tests {
             Distribution::uniform_over(vals).unwrap()
         };
         let adaptive = adaptive_optimize(&q, &model, &fine, 2).unwrap();
-        let full = alg_c::optimize(&q, &model, &MemoryModel::Static(fine)).unwrap();
+        let full = alg_c::optimize(&q, &model, &MemoryModel::Static(fine), DpOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(adaptive.optimized.plan, full.plan);
         assert!((adaptive.optimized.cost - full.cost).abs() < 1e-6 * full.cost);
         assert!(
@@ -278,7 +307,14 @@ mod tests {
             let q = JoinQuery::new(relations, predicates, None).unwrap();
             let fine = Distribution::uniform_over((1..=128).map(|i| 12.0 * i as f64)).unwrap();
             let adaptive = adaptive_optimize(&q, &PaperCostModel, &fine, 2).unwrap();
-            let full = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(fine)).unwrap();
+            let full = alg_c::optimize(
+                &q,
+                &PaperCostModel,
+                &MemoryModel::Static(fine),
+                DpOptions::default(),
+            )
+            .unwrap()
+            .0;
             let regret = adaptive.optimized.cost / full.cost;
             assert!(
                 (1.0 - 1e-9..1.05).contains(&regret),

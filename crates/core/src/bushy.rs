@@ -13,15 +13,11 @@
 //! a subtree's phase indices depend on where it lands in the final plan, so
 //! subset-DP state is insufficient; [`optimize`] therefore rejects dynamic
 //! models rather than silently approximating.
-//!
-//! The `O(3^n)` submask enumeration parallelizes the same way as the
-//! left-deep DP: subsets of equal cardinality are independent, so
-//! [`optimize_par`] costs each rank of the lattice as one wavefront.
 
 use crate::dp::Optimized;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::par::{self, Parallelism};
+use crate::par;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{AccessMethod, CostModel, JoinMethod};
@@ -46,12 +42,10 @@ struct Entry {
     choice: Choice,
 }
 
-/// Prices every 2-partition of `set` against the frozen lower ranks and
+/// Prices every 2-partition of `set` against the filled lower ranks and
 /// returns the best entry, plus (at the full set, when an order is
 /// required) the best split whose join is a sort-merge on the required
-/// key. Shared by the serial sweep and the rank-parallel wavefront;
-/// submask order and the strict-`<` winner rule fix the result
-/// independently of scheduling.
+/// key. Submask order and the strict-`<` winner rule fix the result.
 // lec-lint: allow(panic-reachability) — DP induction: both halves of every split are priced in rank order before this set, and the candidate min covers at least one split
 fn cost_mask_bushy<M: CostModel + ?Sized>(
     query: &JoinQuery,
@@ -214,19 +208,11 @@ fn finalize<M: CostModel + ?Sized>(
     Ok(best)
 }
 
-/// Computes the least-expected-cost *bushy* plan under static memory.
+/// Computes the least-expected-cost *bushy* plan under static memory,
+/// with its search-space [`OptStats`]. `candidates_priced` counts
+/// (split × orientation × join-method) combinations — the `O(3^n)` term
+/// made observable.
 pub fn optimize<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_with_stats(query, model, memory)?.0)
-}
-
-/// [`optimize`], also returning the search-space [`OptStats`].
-/// `candidates_priced` counts (split × orientation × join-method)
-/// combinations — the `O(3^n)` term made observable.
-pub fn optimize_with_stats<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &MemoryModel,
@@ -265,67 +251,10 @@ pub fn optimize_with_stats<M: CostModel + ?Sized>(
     Ok((best, stats))
 }
 
-/// Rank-parallel [`optimize`]: the `O(3^n)` split enumeration is grouped
-/// by subset cardinality and each rank runs as one wavefront. Bit-identical
-/// to the serial result; queries below the parallel cutoff run serially.
-pub fn optimize_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_with_stats_par(query, model, memory, par)?.0)
-}
-
-/// [`optimize_par`], also returning the search-space [`OptStats`]. The
-/// counters are identical to [`optimize_with_stats`]'s.
-pub fn optimize_with_stats_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    par: &Parallelism,
-) -> Result<(Optimized, OptStats), CoreError> {
-    let n = query.n();
-    if !par.use_parallel(n) {
-        return optimize_with_stats(query, model, memory);
-    }
-    let mem = static_memory(memory)?;
-    let full = query.all();
-    let tabs = QueryTables::new(query);
-    let mut table: Vec<Option<Entry>> = vec![None; (full.bits() + 1) as usize];
-    seed_singletons(&tabs, n, &mut table);
-
-    let mut stats = OptStats::new("bushy", n);
-    stats.precompute = tabs.sizes();
-    stats.counters.entries_written = n as u64;
-
-    let mut best_ordered: Option<Entry> = None;
-    let ranks = par::ranks(n);
-    for rank in &ranks[1..] {
-        let (results, elapsed) = par::timed(|| {
-            par::map_indexed(par, rank.len(), |i| {
-                cost_mask_bushy(query, model, &tabs, mem, &table, rank[i], full)
-            })
-        });
-        stats.rank_wall_ns.push(elapsed);
-        for (set, (best, ordered, candidates)) in rank.iter().zip(results) {
-            table[set.bits() as usize] = Some(best);
-            if let Some(ord) = ordered {
-                best_ordered = Some(ord);
-            }
-            stats.counters.masks_expanded += 1;
-            stats.counters.candidates_priced += candidates;
-            stats.counters.entries_written += 1;
-        }
-    }
-
-    let best = finalize(query, model, &tabs, mem, &table, best_ordered)?;
-    Ok((best, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::DpOptions;
     use crate::evaluate::expected_cost;
     use crate::{alg_c, exhaustive};
     use lec_cost::PaperCostModel;
@@ -364,9 +293,10 @@ mod tests {
             for star in [false, true] {
                 let q = query(4, seed, star);
                 let mem = memory();
-                let dp = optimize(&q, &PaperCostModel, &mem).unwrap();
+                let (dp, _) = optimize(&q, &PaperCostModel, &mem).unwrap();
                 let phases = mem.table(q.n()).unwrap();
-                let truth = exhaustive::exhaustive_lec_bushy(&q, &PaperCostModel, &phases).unwrap();
+                let (truth, _) =
+                    exhaustive::exhaustive_lec_bushy(&q, &PaperCostModel, &phases).unwrap();
                 assert!(
                     (dp.cost - truth.cost).abs() <= 1e-6 * truth.cost,
                     "seed {seed} star {star}: dp {} vs exhaustive {}",
@@ -386,8 +316,9 @@ mod tests {
         for seed in 0..6 {
             let q = query(5, 100 + seed, seed % 2 == 0);
             let mem = memory();
-            let bushy = optimize(&q, &PaperCostModel, &mem).unwrap();
-            let left_deep = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+            let (bushy, _) = optimize(&q, &PaperCostModel, &mem).unwrap();
+            let (left_deep, _) =
+                alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
             assert!(
                 bushy.cost <= left_deep.cost + 1e-9 * left_deep.cost,
                 "seed {seed}: bushy {} vs left-deep {}",
@@ -398,26 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise() {
-        let par = Parallelism {
-            threads: 3,
-            sequential_cutoff: 2,
-        };
-        for seed in 0..4 {
-            let q = query(6, 40 + seed, seed % 2 == 0);
-            let mem = memory();
-            let serial = optimize(&q, &PaperCostModel, &mem).unwrap();
-            let parallel = optimize_par(&q, &PaperCostModel, &mem, &par).unwrap();
-            assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-            assert_eq!(serial.plan, parallel.plan);
-        }
-    }
-
-    #[test]
-    fn stats_count_splits_identically_across_paths() {
+    fn stats_count_every_ordered_split() {
         let q = query(6, 11, false);
         let mem = memory();
-        let (serial, sstats) = optimize_with_stats(&q, &PaperCostModel, &mem).unwrap();
+        let (_, sstats) = optimize(&q, &PaperCostModel, &mem).unwrap();
         // Σ over masks of (2-partitions × 2 orientations × 3 methods):
         // the number of ordered splits of the lattice is 3^n - 2^(n+1) + 1,
         // and each ordered split is one (orientation) candidate per method.
@@ -425,15 +340,6 @@ mod tests {
         let ordered_splits = 3u64.pow(n) - 2u64.pow(n + 1) + 1;
         assert_eq!(sstats.counters.candidates_priced, ordered_splits * 3);
         assert_eq!(sstats.counters.masks_expanded, (1 << n) - 1 - n as u64);
-        let par = Parallelism {
-            threads: 3,
-            sequential_cutoff: 2,
-        };
-        let (parallel, pstats) = optimize_with_stats_par(&q, &PaperCostModel, &mem, &par).unwrap();
-        assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-        assert_eq!(serial.plan, parallel.plan);
-        assert_eq!(sstats.counters, pstats.counters);
-        assert_eq!(sstats.precompute, pstats.precompute);
     }
 
     #[test]
@@ -445,23 +351,18 @@ mod tests {
             optimize(&q, &PaperCostModel, &mem),
             Err(CoreError::BadParameter(_))
         ));
-        let par = Parallelism::auto();
-        assert!(matches!(
-            optimize_par(&q, &PaperCostModel, &mem, &par),
-            Err(CoreError::BadParameter(_))
-        ));
     }
 
     #[test]
     fn single_relation_and_pair() {
         let q = JoinQuery::new(vec![Relation::new("only", 50.0, 1e3)], vec![], None).unwrap();
-        let opt = optimize(&q, &PaperCostModel, &memory()).unwrap();
+        let (opt, _) = optimize(&q, &PaperCostModel, &memory()).unwrap();
         assert_eq!(opt.plan, Plan::scan(0));
         // For two relations, bushy == left-deep by construction.
         let q2 = query(2, 3, false);
         let mem = memory();
-        let b = optimize(&q2, &PaperCostModel, &mem).unwrap();
-        let l = alg_c::optimize(&q2, &PaperCostModel, &mem).unwrap();
+        let (b, _) = optimize(&q2, &PaperCostModel, &mem).unwrap();
+        let (l, _) = alg_c::optimize(&q2, &PaperCostModel, &mem, DpOptions::default()).unwrap();
         assert!((b.cost - l.cost).abs() <= 1e-9 * l.cost);
     }
 }

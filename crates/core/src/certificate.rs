@@ -171,7 +171,7 @@ pub fn certify_plan<M: CostModel + ?Sized>(
 
     // The optimistic optimum over the *bushy* space lower-bounds the true
     // optimum over every plan any optimizer in this family can emit.
-    let optimal_lower = bushy::optimize(&optimistic, model, memory)?.cost;
+    let optimal_lower = bushy::optimize(&optimistic, model, memory)?.0.cost;
     if !(optimal_lower.is_finite() && optimal_lower > 0.0) {
         return Err(CoreError::BadParameter(format!(
             "optimistic optimum {optimal_lower} unusable as a lower bound"
@@ -311,6 +311,7 @@ fn bound_query(
 mod tests {
     use super::*;
     use crate::alg_c;
+    use crate::dp::DpOptions;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId};
     use lec_stats::Distribution;
@@ -375,7 +376,7 @@ mod tests {
     fn exact_intervals_certify_epsilon_zero_for_the_optimum() {
         let q = query();
         let mem = memory();
-        let best = crate::bushy::optimize(&q, &PaperCostModel, &mem).unwrap();
+        let best = crate::bushy::optimize(&q, &PaperCostModel, &mem).unwrap().0;
         let cert = certify_plan(
             &q,
             &PaperCostModel,
@@ -394,7 +395,10 @@ mod tests {
     fn wider_intervals_give_weaker_certificates() {
         let q = query();
         let mem = memory();
-        let plan = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().plan;
+        let plan = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .unwrap()
+            .0
+            .plan;
         let tight = certify_plan(&q, &PaperCostModel, &mem, &plan, &widen(&q, 1.1, 0.05)).unwrap();
         let loose = certify_plan(&q, &PaperCostModel, &mem, &plan, &widen(&q, 2.0, 0.05)).unwrap();
         assert!(
@@ -414,12 +418,16 @@ mod tests {
         // [optimal_lower, (1+ε)·optimal_lower] when truth is the point.
         let q = query();
         let mem = memory();
-        let plan = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().plan;
+        let plan = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .unwrap()
+            .0
+            .plan;
         let cert = certify_plan(&q, &PaperCostModel, &mem, &plan, &widen(&q, 1.5, 0.1)).unwrap();
         let phases = mem.table(q.n().max(2)).unwrap();
         let true_cost = expected_cost(&q, &PaperCostModel, &plan, &phases);
         let true_opt = crate::bushy::optimize(&q, &PaperCostModel, &mem)
             .unwrap()
+            .0
             .cost;
         assert!(true_cost <= (1.0 + cert.epsilon) * true_opt + 1e-9);
         assert!(cert.optimal_lower <= true_opt + 1e-9);
@@ -430,7 +438,10 @@ mod tests {
     fn malformed_intervals_are_rejected() {
         let q = query();
         let mem = memory();
-        let plan = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().plan;
+        let plan = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .unwrap()
+            .0
+            .plan;
         // Wrong shape.
         let mut iv = QueryIntervals::exact(&q);
         iv.predicate_selectivity.pop();
@@ -453,7 +464,8 @@ mod tests {
     fn certificate_surfaces_through_stats_and_explain() {
         let q = query();
         let mem = memory();
-        let (best, mut stats) = alg_c::optimize_with_stats(&q, &PaperCostModel, &mem).unwrap();
+        let (best, mut stats) =
+            alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
         let cert = certify_into_stats(
             &q,
             &PaperCostModel,

@@ -22,13 +22,11 @@
 use crate::env::PhaseDists;
 use crate::error::CoreError;
 use crate::evaluate::{join_step, sort_step};
-use crate::par::{self, Parallelism};
+use crate::par;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{AccessMethod, CostModel, JoinMethod};
 use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// An optimized plan with its (expected) cost under the optimizing
 /// objective.
@@ -155,29 +153,12 @@ enum Choice {
     Join { last: usize, method: JoinMethod },
 }
 
-/// The DP table: one write-once slot per subset mask. `OnceLock` slots
-/// let the rank-parallel wavefront share the table immutably across
-/// workers — lower ranks are frozen by the inter-wave barrier, and each
-/// current-rank slot is written exactly once by whichever worker claims
-/// its mask — while the serial sweep uses the same representation so both
-/// drivers run the identical `cost_mask` code path.
-type DpTable = Vec<OnceLock<Entry>>;
-
-fn new_table(size: usize) -> DpTable {
-    std::iter::repeat_with(OnceLock::new).take(size).collect()
-}
-
-/// Reads a frozen entry (a strictly smaller subset, or a finished rank).
-fn entry_at(table: &[OnceLock<Entry>], set: RelSet) -> Option<Entry> {
-    table[set.bits() as usize].get().copied()
-}
-
 /// Fills the depth-1 entries (best access path per relation) from the
 /// precomputed tables.
-fn seed_singletons(tabs: &QueryTables, n: usize, table: &[OnceLock<Entry>]) {
+fn seed_singletons(tabs: &QueryTables, n: usize, table: &mut [Option<Entry>]) {
     for i in 0..n {
         let (cost, method, _) = tabs.access(i);
-        let _ = table[RelSet::single(i).bits() as usize].set(Entry {
+        table[RelSet::single(i).bits() as usize] = Some(Entry {
             cost,
             choice: Choice::Access(method),
         });
@@ -189,17 +170,13 @@ fn seed_singletons(tabs: &QueryTables, n: usize, table: &[OnceLock<Entry>]) {
 /// whose final join is a sort-merge on the required key, plus the number of
 /// candidate (subplan × access × join-method) combinations priced.
 ///
-/// This is the whole per-mask unit of work; both the serial subset sweep
-/// and the rank-parallel wavefront call it, so the two paths agree
-/// bit-for-bit by construction (including the candidate count, which is a
-/// pure function of the mask). Iteration order is fixed — members of
-/// `set` ascending, then [`JoinMethod::ALL`] — and the winner is kept
-/// under strict `<`, making the result independent of scheduling.
+/// Iteration order is fixed — members of `set` ascending, then
+/// [`JoinMethod::ALL`] — and the winner is kept under strict `<`.
 // lec-lint: allow(panic-reachability) — DP induction: subsets are priced in rank order before supersets, and the candidate min covers at least the full scan
 fn cost_mask<C: StepCoster>(
     tabs: &QueryTables,
     coster: &C,
-    table: &[OnceLock<Entry>],
+    table: &[Option<Entry>],
     set: RelSet,
     full: RelSet,
     required: Option<KeyId>,
@@ -211,7 +188,7 @@ fn cost_mask<C: StepCoster>(
     let mut candidates = 0u64;
     for j in set.iter() {
         let sub = set.remove(j);
-        let left = entry_at(table, sub).expect("subset computed earlier");
+        let left = table[sub.bits() as usize].expect("subset computed earlier");
         let left_out = tabs.pages(sub);
         let (acc_cost, _, acc_out) = tabs.access(j);
         let key = tabs.join_key(sub, j);
@@ -243,19 +220,18 @@ fn cost_mask<C: StepCoster>(
     )
 }
 
-/// Root handling shared by the serial and parallel drivers: satisfy a
-/// required order either through the final join or through an explicit
-/// sort, then reconstruct the winning plan.
+/// Root handling: satisfy a required order either through the final join
+/// or through an explicit sort, then reconstruct the winning plan.
 fn finalize<C: StepCoster>(
     query: &JoinQuery,
     tabs: &QueryTables,
     coster: &C,
-    table: &[OnceLock<Entry>],
+    table: &[Option<Entry>],
     best_ordered: Option<Entry>,
 ) -> Result<Optimized, CoreError> {
     let n = query.n();
     let full = query.all();
-    let root = entry_at(table, full).ok_or(CoreError::NoPlanFound)?;
+    let root = table[full.bits() as usize].ok_or(CoreError::NoPlanFound)?;
 
     let best = if query.required_order().is_some() {
         let out = tabs.pages(full);
@@ -284,42 +260,14 @@ fn finalize<C: StepCoster>(
     Ok(best)
 }
 
-/// Runs the left-deep dynamic program with the given step coster.
+/// Runs the left-deep dynamic program with the given step coster against
+/// caller-built [`QueryTables`] (batch drivers build them once and share
+/// them across algorithms), returning the winner and its search-space
+/// [`OptStats`]. The subset sweep walks the lattice rank by rank (every
+/// subset still precedes its supersets, so DP order is preserved and
+/// results are bit-identical to a flat numeric sweep) so per-rank wall
+/// time can be recorded; counters accumulate in mask order.
 pub fn optimize_left_deep<C: StepCoster>(
-    query: &JoinQuery,
-    coster: &C,
-    options: DpOptions,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_left_deep_with_stats(query, coster, options)?.0)
-}
-
-/// [`optimize_left_deep`], also returning the search-space [`OptStats`].
-pub fn optimize_left_deep_with_stats<C: StepCoster>(
-    query: &JoinQuery,
-    coster: &C,
-    options: DpOptions,
-) -> Result<(Optimized, OptStats), CoreError> {
-    let tabs = QueryTables::new(query);
-    optimize_left_deep_with_tables_and_stats(query, &tabs, coster, options)
-}
-
-/// [`optimize_left_deep`] against caller-provided tables (lets batch
-/// drivers build [`QueryTables`] once and share them across algorithms).
-pub fn optimize_left_deep_with_tables<C: StepCoster>(
-    query: &JoinQuery,
-    tabs: &QueryTables,
-    coster: &C,
-    options: DpOptions,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_left_deep_with_tables_and_stats(query, tabs, coster, options)?.0)
-}
-
-/// The serial driver: caller-provided tables, stats returned. The subset
-/// sweep walks the lattice rank by rank (every subset still precedes its
-/// supersets, so DP order is preserved and results are bit-identical to a
-/// flat numeric sweep) so per-rank wall time is measured symmetrically
-/// with the parallel driver; counters accumulate in mask order.
-pub fn optimize_left_deep_with_tables_and_stats<C: StepCoster>(
     query: &JoinQuery,
     tabs: &QueryTables,
     coster: &C,
@@ -327,8 +275,8 @@ pub fn optimize_left_deep_with_tables_and_stats<C: StepCoster>(
 ) -> Result<(Optimized, OptStats), CoreError> {
     let n = query.n();
     let full = query.all();
-    let table = new_table((full.bits() + 1) as usize);
-    seed_singletons(tabs, n, &table);
+    let mut table: Vec<Option<Entry>> = vec![None; (full.bits() + 1) as usize];
+    seed_singletons(tabs, n, &mut table);
 
     // The best full-set plan whose final join is a sort-merge on the
     // required key (satisfies the ORDER BY for free).
@@ -350,7 +298,7 @@ pub fn optimize_left_deep_with_tables_and_stats<C: StepCoster>(
             for &set in rank {
                 let (best, ordered, candidates) =
                     cost_mask(tabs, coster, &table, set, full, required);
-                let _ = table[set.bits() as usize].set(best);
+                table[set.bits() as usize] = Some(best);
                 if let Some(ord) = ordered {
                     best_ordered = Some(ord);
                 }
@@ -366,113 +314,16 @@ pub fn optimize_left_deep_with_tables_and_stats<C: StepCoster>(
     Ok((best, stats))
 }
 
-/// Rank-parallel [`optimize_left_deep`]: subsets of cardinality `k` depend
-/// only on cardinalities below `k`, so each rank of the subset lattice is
-/// costed as one parallel wavefront. Produces bit-identical costs and
-/// plans to the serial program (enforced by the equivalence property
-/// tests); queries below the [`Parallelism::sequential_cutoff`] fall back
-/// to the serial path outright.
-pub fn optimize_left_deep_par<C: StepCoster + Sync>(
-    query: &JoinQuery,
-    coster: &C,
-    options: DpOptions,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_left_deep_par_with_stats(query, coster, options, par)?.0)
-}
-
-/// [`optimize_left_deep_par`], also returning the search-space
-/// [`OptStats`]. Counters equal the serial driver's exactly: the wavefront
-/// gathers per-mask results in input order and sums them in that order.
-pub fn optimize_left_deep_par_with_stats<C: StepCoster + Sync>(
-    query: &JoinQuery,
-    coster: &C,
-    options: DpOptions,
-    par: &Parallelism,
-) -> Result<(Optimized, OptStats), CoreError> {
-    let tabs = QueryTables::new(query);
-    optimize_left_deep_par_with_tables_and_stats(query, &tabs, coster, options, par)
-}
-
-/// [`optimize_left_deep_par`] against caller-provided tables.
-pub fn optimize_left_deep_par_with_tables<C: StepCoster + Sync>(
-    query: &JoinQuery,
-    tabs: &QueryTables,
-    coster: &C,
-    options: DpOptions,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    Ok(optimize_left_deep_par_with_tables_and_stats(query, tabs, coster, options, par)?.0)
-}
-
-/// The parallel driver: caller-provided tables, stats returned.
-// lec-lint: allow(panic-reachability, concurrency-determinism) — rank tables index wave + 1 within bounds by construction, and the candidate counter is an exact fetch_add RMW read only after every wave worker has joined (happens-before)
-pub fn optimize_left_deep_par_with_tables_and_stats<C: StepCoster + Sync>(
-    query: &JoinQuery,
-    tabs: &QueryTables,
-    coster: &C,
-    options: DpOptions,
-    par: &Parallelism,
-) -> Result<(Optimized, OptStats), CoreError> {
-    let n = query.n();
-    if !par.use_parallel(n) {
-        return optimize_left_deep_with_tables_and_stats(query, tabs, coster, options);
-    }
-    let full = query.all();
-    let table = new_table((full.bits() + 1) as usize);
-    seed_singletons(tabs, n, &table);
-
-    let required = if options.ignore_orders {
-        None
-    } else {
-        query.required_order()
-    };
-
-    let mut stats = OptStats::new("dp", n);
-    stats.precompute = tabs.sizes();
-    stats.counters.entries_written = n as u64;
-
-    // One persistent worker pool drives every rank: workers claim masks
-    // off the shared queue and write their winning entries straight into
-    // the write-once table slots; the inter-wave barrier freezes each
-    // rank before the next reads it. Candidate counts accumulate in a
-    // shared atomic — u64 addition commutes, so the total equals the
-    // serial mask-order sum exactly. The ordered-root alternative can
-    // only arise at the full mask (the single mask of the last rank), so
-    // a single write-once cell captures it.
-    let ranks = par::ranks(n);
-    let wave_lens: Vec<usize> = ranks[1..].iter().map(Vec::len).collect();
-    let candidates = AtomicU64::new(0);
-    let ordered_cell: OnceLock<Option<Entry>> = OnceLock::new();
-    stats.rank_wall_ns = par::run_waves(par, &wave_lens, |wave, i| {
-        let set = ranks[wave + 1][i];
-        let (best, ordered, cand) = cost_mask(tabs, coster, &table, set, full, required);
-        candidates.fetch_add(cand, Ordering::Relaxed);
-        let _ = table[set.bits() as usize].set(best);
-        if set == full {
-            let _ = ordered_cell.set(ordered);
-        }
-    });
-    let masks: u64 = wave_lens.iter().map(|&len| len as u64).sum();
-    stats.counters.masks_expanded = masks;
-    stats.counters.candidates_priced = candidates.load(Ordering::Relaxed);
-    stats.counters.entries_written += masks;
-    let best_ordered = ordered_cell.get().copied().flatten();
-
-    let best = finalize(query, tabs, coster, &table, best_ordered)?;
-    Ok((best, stats))
-}
-
 /// Rebuilds the plan tree from backpointers; `override_root` substitutes a
 /// different final-join choice (the ordered alternative).
 // lec-lint: allow(panic-reachability) — reconstruction only walks entries the forward pass has filled; singletons decompose to their only relation
 fn reconstruct(
     tabs: &QueryTables,
-    table: &[OnceLock<Entry>],
+    table: &[Option<Entry>],
     set: RelSet,
     override_root: Option<Entry>,
 ) -> Plan {
-    let entry = override_root.unwrap_or_else(|| entry_at(table, set).expect("entry exists"));
+    let entry = override_root.unwrap_or_else(|| table[set.bits() as usize].expect("entry exists"));
     match entry.choice {
         Choice::Access(method) => {
             let rel = set.iter().next().expect("singleton");
@@ -518,13 +369,17 @@ mod tests {
         JoinQuery::new(relations, predicates, None).unwrap()
     }
 
+    fn run<C: StepCoster>(q: &JoinQuery, coster: &C, options: DpOptions) -> (Optimized, OptStats) {
+        optimize_left_deep(q, &QueryTables::new(q), coster, options).unwrap()
+    }
+
     #[test]
     fn dp_cost_matches_evaluator() {
         let q = chain_query(4);
         let model = PaperCostModel;
         for memory in [5.0, 50.0, 500.0] {
             let coster = FixedMemoryCoster::new(&model, memory);
-            let opt = optimize_left_deep(&q, &coster, DpOptions::default()).unwrap();
+            let (opt, _) = run(&q, &coster, DpOptions::default());
             let evaluated = plan_cost_at(&q, &model, &opt.plan, memory);
             assert!(
                 (opt.cost - evaluated).abs() < 1e-6 * evaluated.max(1.0),
@@ -541,7 +396,7 @@ mod tests {
         let q = JoinQuery::new(vec![Relation::new("only", 50.0, 500.0)], vec![], None).unwrap();
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 100.0);
-        let opt = optimize_left_deep(&q, &coster, DpOptions::default()).unwrap();
+        let (opt, _) = run(&q, &coster, DpOptions::default());
         assert_eq!(opt.plan, Plan::scan(0));
         assert_eq!(opt.cost, 0.0);
     }
@@ -564,36 +419,17 @@ mod tests {
         .unwrap();
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 50.0);
-        let opt = optimize_left_deep(&q, &coster, DpOptions::default()).unwrap();
+        let (opt, _) = run(&q, &coster, DpOptions::default());
         // Whatever the winner, it must produce the required order.
         assert_eq!(opt.plan.output_order(), Some(KeyId(0)));
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise() {
-        let q = chain_query(9);
-        let model = PaperCostModel;
-        let coster = FixedMemoryCoster::new(&model, 50.0);
-        let serial = optimize_left_deep(&q, &coster, DpOptions::default()).unwrap();
-        let par = Parallelism {
-            threads: 3,
-            sequential_cutoff: 2,
-        };
-        let parallel = optimize_left_deep_par(&q, &coster, DpOptions::default(), &par).unwrap();
-        assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-        assert_eq!(serial.plan, parallel.plan);
-    }
-
-    #[test]
-    fn stats_count_the_lattice_and_match_across_paths() {
+    fn stats_count_the_lattice() {
         let q = chain_query(5);
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 50.0);
-        let (opt, stats) =
-            optimize_left_deep_with_stats(&q, &coster, DpOptions::default()).unwrap();
-        // The plain entry point delegates to the stats driver and discards.
-        let plain = optimize_left_deep(&q, &coster, DpOptions::default()).unwrap();
-        assert_eq!(opt, plain);
+        let (_, stats) = run(&q, &coster, DpOptions::default());
 
         // 2^5 - 1 subsets, minus 5 singletons, all expanded.
         assert_eq!(stats.counters.masks_expanded, 26);
@@ -606,17 +442,6 @@ mod tests {
         assert_eq!(stats.precompute.adjacency_entries, 8);
         assert_eq!(stats.rank_wall_ns.len(), 4); // ranks 2..=5
         assert!(stats.counters.frontier_per_rank.is_empty());
-
-        let par = Parallelism {
-            threads: 3,
-            sequential_cutoff: 2,
-        };
-        let (popt, pstats) =
-            optimize_left_deep_par_with_stats(&q, &coster, DpOptions::default(), &par).unwrap();
-        assert_eq!(opt.cost.to_bits(), popt.cost.to_bits());
-        assert_eq!(opt.plan, popt.plan);
-        assert_eq!(stats.counters, pstats.counters);
-        assert_eq!(stats.precompute, pstats.precompute);
     }
 
     #[test]
@@ -637,14 +462,13 @@ mod tests {
         .unwrap();
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 50.0);
-        let opt = optimize_left_deep(
+        let (opt, _) = run(
             &q,
             &coster,
             DpOptions {
                 ignore_orders: true,
             },
-        )
-        .unwrap();
+        );
         assert!(matches!(opt.plan, Plan::Sort { .. }));
     }
 }

@@ -380,6 +380,7 @@ pub fn expected_cost_joint<M: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::DpOptions;
     use crate::env::MemoryModel;
     use lec_cost::{JoinMethod, PaperCostModel};
     use lec_plan::{JoinPred, KeyId, Relation};
@@ -550,7 +551,8 @@ mod tests {
         let mem = Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap();
         let memory = MemoryModel::Static(mem);
         let phases = memory.table(2).unwrap();
-        let (opt, stats) = crate::alg_c::optimize_with_stats(&q, &model, &memory).unwrap();
+        let (opt, stats) =
+            crate::alg_c::optimize(&q, &model, &memory, DpOptions::default()).unwrap();
         let plain = explain_with_costs(&q, &model, &opt.plan, &phases);
         let rich = explain_with_costs_and_stats(&q, &model, &opt.plan, &phases, &stats);
         assert!(

@@ -7,7 +7,7 @@ use crate::dp::Optimized;
 use crate::env::PhaseDists;
 use crate::error::CoreError;
 use crate::evaluate::{access_choices, expected_cost};
-use crate::par::{self, Parallelism};
+use crate::par;
 use crate::stats::OptStats;
 use lec_cost::{CostModel, JoinMethod};
 use lec_plan::{JoinQuery, Plan, RelSet};
@@ -172,121 +172,52 @@ pub fn enumerate_bushy(query: &JoinQuery) -> Vec<Plan> {
 }
 
 /// The exact LEC plan by brute force: minimum expected cost over all
-/// left-deep plans.
+/// left-deep plans, with its [`OptStats`]. The exhaustive enumerators do
+/// not walk the subset lattice, so `masks_expanded` and `entries_written`
+/// are zero; `candidates_priced` is the number of complete plans scored,
+/// and `rank_wall_ns` holds a single total.
 pub fn exhaustive_lec<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     phases: &PhaseDists,
-) -> Result<Optimized, CoreError> {
-    best_by_expected_cost(query, model, phases, enumerate_left_deep(query))
-}
-
-/// [`exhaustive_lec`], also returning the search-space [`OptStats`]. The
-/// exhaustive enumerators do not walk the subset lattice, so
-/// `masks_expanded` and `entries_written` are zero; `candidates_priced` is
-/// the number of complete plans scored, and `rank_wall_ns` holds a single
-/// total.
-pub fn exhaustive_lec_with_stats<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    phases: &PhaseDists,
 ) -> Result<(Optimized, OptStats), CoreError> {
-    let mut stats = OptStats::new("exhaustive", query.n());
-    let (best, elapsed) = par::timed(|| {
-        let plans = enumerate_left_deep(query);
-        stats.counters.candidates_priced = plans.len() as u64;
-        best_by_expected_cost(query, model, phases, plans)
-    });
-    stats.rank_wall_ns.push(elapsed);
-    Ok((best?, stats))
+    best_by_expected_cost(query, model, phases, enumerate_left_deep)
 }
 
-/// [`exhaustive_lec_par`], also returning the search-space [`OptStats`].
-/// The counters are identical to [`exhaustive_lec_with_stats`]'s.
-pub fn exhaustive_lec_par_with_stats<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    phases: &PhaseDists,
-    par: &Parallelism,
-) -> Result<(Optimized, OptStats), CoreError> {
-    let mut stats = OptStats::new("exhaustive", query.n());
-    let (best, elapsed) = par::timed(|| {
-        let plans = enumerate_left_deep(query);
-        stats.counters.candidates_priced = plans.len() as u64;
-        best_scored_par(query, model, phases, plans, par)
-    });
-    stats.rank_wall_ns.push(elapsed);
-    Ok((best?, stats))
-}
-
-/// The exact LEC plan over the bushy space.
+/// The exact LEC plan over the bushy space, with its [`OptStats`]
+/// (counted as in [`exhaustive_lec`]).
 pub fn exhaustive_lec_bushy<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     phases: &PhaseDists,
-) -> Result<Optimized, CoreError> {
-    best_by_expected_cost(query, model, phases, enumerate_bushy(query))
+) -> Result<(Optimized, OptStats), CoreError> {
+    best_by_expected_cost(query, model, phases, enumerate_bushy)
 }
 
-/// [`exhaustive_lec`] with the plan scoring fanned out across threads.
-/// Enumeration stays serial (it is a fraction of the work); each plan's
-/// expected cost is independent, so scoring is embarrassingly parallel,
-/// and the winner is picked by a serial scan over the ordered costs —
-/// identical tie-breaking to the serial `min_by`.
-pub fn exhaustive_lec_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    phases: &PhaseDists,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    let plans = enumerate_left_deep(query);
-    best_scored_par(query, model, phases, plans, par)
-}
-
-fn best_scored_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    phases: &PhaseDists,
-    plans: Vec<Plan>,
-    par: &Parallelism,
-) -> Result<Optimized, CoreError> {
-    let costs = par::map_indexed(par, plans.len(), |i| {
-        expected_cost(query, model, &plans[i], phases)
-    });
-    // `Iterator::min_by` keeps the *first* of equally-minimal elements;
-    // strict `<` over the ascending scan reproduces that exactly.
-    let mut best: Option<usize> = None;
-    for (i, &cost) in costs.iter().enumerate() {
-        if best.is_none_or(|b| cost.total_cmp(&costs[b]) == std::cmp::Ordering::Less) {
-            best = Some(i);
-        }
-    }
-    let i = best.ok_or(CoreError::NoPlanFound)?;
-    let cost = costs[i];
-    // O(1) extraction: we only need plan `i`, not a prefix walk over (and
-    // drop of) every earlier plan.
-    let mut plans = plans;
-    let plan = plans.swap_remove(i);
-    crate::verify::debug_verify_plan(query, &plan, cost);
-    Ok(Optimized { plan, cost })
-}
-
+/// Enumerates the space and keeps the first plan of least expected cost.
 fn best_by_expected_cost<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     phases: &PhaseDists,
-    plans: Vec<Plan>,
-) -> Result<Optimized, CoreError> {
-    let best = plans
-        .into_iter()
-        .map(|plan| {
-            let cost = expected_cost(query, model, &plan, phases);
-            Optimized { plan, cost }
-        })
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .ok_or(CoreError::NoPlanFound)?;
+    enumerate: fn(&JoinQuery) -> Vec<Plan>,
+) -> Result<(Optimized, OptStats), CoreError> {
+    let mut stats = OptStats::new("exhaustive", query.n());
+    let (best, elapsed) = par::timed(|| {
+        let plans = enumerate(query);
+        stats.counters.candidates_priced = plans.len() as u64;
+        plans
+            .into_iter()
+            .map(|plan| {
+                let cost = expected_cost(query, model, &plan, phases);
+                Optimized { plan, cost }
+            })
+            .min_by(|a, b| a.cost.total_cmp(&b.cost))
+            .ok_or(CoreError::NoPlanFound)
+    });
+    stats.rank_wall_ns.push(elapsed);
+    let best = best?;
     crate::verify::debug_verify_plan(query, &best.plan, best.cost);
-    Ok(best)
+    Ok((best, stats))
 }
 
 #[cfg(test)]
@@ -383,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exhaustive_matches_serial_bitwise() {
+    fn stats_count_scored_plans() {
         use crate::env::MemoryModel;
         use lec_cost::PaperCostModel;
         use lec_stats::Distribution;
@@ -391,39 +322,11 @@ mod tests {
         let q = query(4);
         let mem = MemoryModel::Static(Distribution::new([(25.0, 0.4), (400.0, 0.6)]).unwrap());
         let phases = mem.table(q.n()).unwrap();
-        let serial = exhaustive_lec(&q, &PaperCostModel, &phases).unwrap();
-        let par = Parallelism {
-            threads: 4,
-            sequential_cutoff: 2,
-        };
-        let parallel = exhaustive_lec_par(&q, &PaperCostModel, &phases, &par).unwrap();
-        assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-        assert_eq!(serial.plan, parallel.plan);
-    }
-
-    #[test]
-    fn stats_count_scored_plans_identically_across_paths() {
-        use crate::env::MemoryModel;
-        use lec_cost::PaperCostModel;
-        use lec_stats::Distribution;
-
-        let q = query(4);
-        let mem = MemoryModel::Static(Distribution::new([(25.0, 0.4), (400.0, 0.6)]).unwrap());
-        let phases = mem.table(q.n()).unwrap();
-        let (serial, sstats) = exhaustive_lec_with_stats(&q, &PaperCostModel, &phases).unwrap();
+        let (_, sstats) = exhaustive_lec(&q, &PaperCostModel, &phases).unwrap();
         // 4! · 3^3 plans, no lattice walk.
         assert_eq!(sstats.counters.candidates_priced, 24 * 27);
         assert_eq!(sstats.counters.masks_expanded, 0);
         assert_eq!(sstats.counters.entries_written, 0);
-        let par = Parallelism {
-            threads: 4,
-            sequential_cutoff: 2,
-        };
-        let (parallel, pstats) =
-            exhaustive_lec_par_with_stats(&q, &PaperCostModel, &phases, &par).unwrap();
-        assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-        assert_eq!(serial.plan, parallel.plan);
-        assert_eq!(sstats.counters, pstats.counters);
     }
 
     #[test]

@@ -24,9 +24,14 @@
 //! The shared machinery lives in [`env`] (static / Markov-dynamic memory
 //! models), [`evaluate`] (costing *given* plans: per-value, expected,
 //! profiles, distributions) and [`dp`] (the generic left-deep dynamic
-//! program all scalar algorithms instantiate). The [`stats`] module is the
-//! observability layer: every enumerator exposes `*_with_stats` variants
-//! returning deterministic [`OptStats`] search counters alongside the plan.
+//! program all scalar algorithms instantiate). Each enumerator has exactly
+//! one entry point, a serial dynamic program (or enumeration) taking its
+//! options as explicit arguments; the DP enumerators (`lsc`, `alg_c`,
+//! `alg_d`, `bushy`, `topc`, `pareto`, `exhaustive`, `parametric`) return
+//! their result together with the deterministic [`OptStats`] search
+//! counters of the [`stats`] observability layer. [`par`] holds the
+//! lattice-rank and timing helpers, plus the cross-query fan-out batch
+//! drivers use.
 //!
 //! Two static-verification layers guard the family (DESIGN.md §7): every
 //! optimizer funnels its winners through the [`verify`] debug hooks (the

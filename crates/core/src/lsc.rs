@@ -2,46 +2,33 @@
 //! one fixed parameter value (§2.2, Theorem 2.1).
 //!
 //! "Current optimizers simply approximate each distribution by using the
-//! mean or modal value" (§1) — [`optimize_at_mean`] and [`optimize_at_mode`]
-//! are exactly those two baselines.
+//! mean or modal value" (§1) — [`optimize_at`] at `dist.mean()` or
+//! `dist.mode()` is exactly those two baselines.
 
 use crate::dp::{optimize_left_deep, DpOptions, FixedMemoryCoster, Optimized};
 use crate::error::CoreError;
+use crate::precompute::QueryTables;
+use crate::stats::OptStats;
 use lec_cost::CostModel;
 use lec_plan::JoinQuery;
-use lec_stats::Distribution;
 
-/// The LSC left-deep plan for a specific memory value (Theorem 2.1).
+/// The LSC left-deep plan for a specific memory value (Theorem 2.1), with
+/// its search-space [`OptStats`].
 pub fn optimize_at<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: f64,
-) -> Result<Optimized, CoreError> {
+) -> Result<(Optimized, OptStats), CoreError> {
     if !(memory.is_finite() && memory > 0.0) {
         return Err(CoreError::BadParameter(format!(
             "memory must be positive, got {memory}"
         )));
     }
     let coster = FixedMemoryCoster::new(model, memory);
-    optimize_left_deep(query, &coster, DpOptions::default())
-}
-
-/// The traditional optimizer with the distribution summarized by its mean.
-pub fn optimize_at_mean<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-) -> Result<Optimized, CoreError> {
-    optimize_at(query, model, memory.mean())
-}
-
-/// The traditional optimizer with the distribution summarized by its mode.
-pub fn optimize_at_mode<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-) -> Result<Optimized, CoreError> {
-    optimize_at(query, model, memory.mode())
+    let tabs = QueryTables::new(query);
+    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster, DpOptions::default())?;
+    stats.algorithm = "lsc";
+    Ok((best, stats))
 }
 
 #[cfg(test)]
@@ -75,7 +62,7 @@ mod tests {
         // the trap Example 1.1 sets for traditional optimizers.
         let q = example_1_1();
         for memory in [2000.0, 1740.0] {
-            let opt = optimize_at(&q, &PaperCostModel, memory).unwrap();
+            let (opt, _) = optimize_at(&q, &PaperCostModel, memory).unwrap();
             match &opt.plan {
                 Plan::Join { method, .. } => assert_eq!(*method, JoinMethod::SortMerge),
                 other => panic!("expected a bare SM join, got:\n{}", other.explain(&q)),
@@ -86,7 +73,7 @@ mod tests {
     #[test]
     fn lsc_picks_plan2_at_low_memory() {
         let q = example_1_1();
-        let opt = optimize_at(&q, &PaperCostModel, 700.0).unwrap();
+        let (opt, _) = optimize_at(&q, &PaperCostModel, 700.0).unwrap();
         // Grace hash + sort is cheaper when SM would need an extra pass.
         match &opt.plan {
             Plan::Sort { input, .. } => match &**input {
@@ -129,7 +116,7 @@ mod tests {
         let q = JoinQuery::new(relations, predicates, Some(KeyId(2))).unwrap();
         let model = PaperCostModel;
         for memory in [10.0, 100.0, 1000.0] {
-            let opt = optimize_at(&q, &model, memory).unwrap();
+            let (opt, _) = optimize_at(&q, &model, memory).unwrap();
             let mut best = f64::INFINITY;
             for plan in exhaustive::enumerate_left_deep(&q) {
                 best = best.min(plan_cost_at(&q, &model, &plan, memory));

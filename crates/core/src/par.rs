@@ -1,33 +1,18 @@
-//! Deterministic data-parallel helpers for the enumerators.
+//! Deterministic data-parallel helpers.
 //!
-//! Every dynamic program in this crate shares one dependency structure: a
-//! subset's entry depends only on *strictly smaller* subsets. Subsets of
-//! equal cardinality (one "rank" of the subset lattice) are therefore
-//! independent and can be costed concurrently, rank by rank — a wavefront
-//! schedule. This module provides the scheduling primitive: split an index
-//! range into fixed chunks that workers *claim* off a shared atomic
-//! counter (work stealing), and gather results back **in input order**.
+//! Every optimizer in this crate is a serial dynamic program: a subset's
+//! entry depends only on *strictly smaller* subsets, so the drivers walk
+//! the subset lattice rank by rank ([`ranks`]) and time each rank
+//! ([`timed`]). Parallelism lives one level up, across *independent*
+//! queries: [`map_indexed`] fans a batch out over scoped worker threads
+//! that claim fixed chunks off a shared atomic counter (work stealing) and
+//! gathers the results back **in input order**.
 //!
-//! The claim queue matters because rank work is skewed: subsets of the
-//! same cardinality can differ wildly in how many join candidates they
-//! admit, so a static one-chunk-per-worker split leaves threads idle
-//! behind the unluckiest chunk. With `fetch_add` claiming, a fast worker
-//! simply takes the next chunk — no chunk is ever owned before it is
-//! started.
-//!
-//! Determinism: the per-item function is pure (it reads the frozen
-//! lower-rank table), chunk boundaries are a function of `len` alone
-//! (never of thread count or timing), and each chunk's results carry
-//! their chunk index so the gather step reassembles exactly the serial
-//! output no matter which worker computed what. Parallel and serial runs
-//! are bit-identical by construction, which the equivalence property
-//! tests enforce end to end.
-//!
-//! [`map_indexed_scratch`] additionally threads a per-worker scratch
-//! value (e.g. a [`lec_stats::ConvolveScratch`]) through the chunk loop,
-//! so allocation-reusing kernels work under the same deterministic
-//! schedule: scratch state never crosses an item boundary's *output* —
-//! it only recycles buffers — so results stay schedule-independent.
+//! Determinism: the per-item function is pure, chunk boundaries are a
+//! function of `len` and the worker count alone (never of timing), and
+//! each chunk's results carry their start index, so the gather step
+//! reassembles exactly the serial output no matter which worker computed
+//! what.
 //!
 //! No external thread-pool crate is used — `std::thread::scope` is the
 //! fallback-free baseline available everywhere the workspace builds.
@@ -44,49 +29,28 @@ const CHUNKS_PER_WORKER: usize = 8;
 /// Smallest chunk worth a `fetch_add` round-trip.
 const MIN_CHUNK: usize = 16;
 
-/// How much parallelism an enumerator may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How many worker threads a batch may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Parallelism {
     /// Worker count; `0` means auto-detect via
     /// [`std::thread::available_parallelism`].
     pub threads: usize,
-    /// Queries with fewer relations than this run fully serially — below
-    /// ~10 relations the widest rank is only a few hundred masks
-    /// (`C(9, 4) = 126`), so pool wake-ups and claim traffic swamp the
-    /// costing work (measured on x18: n = 9 never beats serial at any
-    /// worker count, n = 11 is the first size where it can).
-    pub sequential_cutoff: usize,
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism {
-            threads: 0,
-            sequential_cutoff: 10,
-        }
-    }
 }
 
 impl Parallelism {
-    /// Auto-detected worker count with the default sequential cutoff.
+    /// Auto-detected worker count.
     pub fn auto() -> Self {
         Self::default()
     }
 
     /// Strictly serial execution (also the reference for equivalence tests).
     pub fn serial() -> Self {
-        Parallelism {
-            threads: 1,
-            sequential_cutoff: usize::MAX,
-        }
+        Self::with_threads(1)
     }
 
-    /// Exactly `threads` workers with the default cutoff.
+    /// Exactly `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
-        Parallelism {
-            threads,
-            ..Self::default()
-        }
+        Parallelism { threads }
     }
 
     /// The concrete worker count this configuration resolves to.
@@ -99,11 +63,6 @@ impl Parallelism {
                 .unwrap_or(1)
         }
     }
-
-    /// Should a query on `n` relations use the parallel path at all?
-    pub fn use_parallel(&self, n: usize) -> bool {
-        n >= self.sequential_cutoff && self.effective_threads() > 1
-    }
 }
 
 /// Maps `f` over `0..len`, preserving index order in the output.
@@ -111,38 +70,16 @@ impl Parallelism {
 /// With one effective worker (or a tiny range) this is a plain serial map;
 /// otherwise workers claim fixed chunks off an atomic counter (work
 /// stealing) and the chunks are gathered by index. `f` must be pure with
-/// respect to the index for the output to equal the serial map — which is
-/// exactly the contract the wavefront DP passes give it.
+/// respect to the index for the output to equal the serial map.
+// lec-lint: allow(panic-reachability, concurrency-determinism) — the chunk cursor is an exact fetch_add RMW handing out disjoint ranges (result order is fixed by index, not schedule), and join re-raising a worker panic is the correct double fault
 pub fn map_indexed<R, F>(par: &Parallelism, len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    map_indexed_scratch(par, len, || (), move |(), i| f(i))
-}
-
-/// [`map_indexed`] with a per-worker scratch value: each worker (the
-/// calling thread included) builds one scratch with `make_scratch` and
-/// reuses it for every item it claims. Use this to thread allocation
-/// arenas through the wavefront — the scratch must only recycle buffers,
-/// never carry state that changes an item's result, or determinism is
-/// lost.
-// lec-lint: allow(panic-reachability, concurrency-determinism) — the chunk cursor is an exact fetch_add RMW handing out disjoint ranges (result order is fixed by index, not schedule), and join re-raising a worker panic is the correct double fault
-pub fn map_indexed_scratch<R, S, MS, F>(
-    par: &Parallelism,
-    len: usize,
-    make_scratch: MS,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    MS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
     let workers = par.effective_threads().min(len.max(1));
     if workers <= 1 || len < 2 {
-        let mut scratch = make_scratch();
-        return (0..len).map(|i| f(&mut scratch, i)).collect();
+        return (0..len).map(f).collect();
     }
 
     // Fixed chunk size from `len` and `workers` only — the schedule
@@ -151,7 +88,6 @@ where
     let chunk = (len / (workers * CHUNKS_PER_WORKER)).max(MIN_CHUNK);
     let next = AtomicUsize::new(0);
     let run_worker = || {
-        let mut scratch = make_scratch();
         let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
         loop {
             let lo = next.fetch_add(chunk, Ordering::Relaxed);
@@ -159,7 +95,7 @@ where
                 break;
             }
             let hi = (lo + chunk).min(len);
-            mine.push((lo, (lo..hi).map(|i| f(&mut scratch, i)).collect()));
+            mine.push((lo, (lo..hi).map(&f).collect()));
         }
         mine
     };
@@ -181,117 +117,6 @@ where
         out.extend(chunk);
     }
     out
-}
-
-/// Drives a sequence of dependent waves through one persistent worker
-/// pool: the worker set is spawned **once** and parks at a barrier
-/// between waves, instead of paying a full spawn/join round per wave the
-/// way repeated [`map_indexed`] calls would. Wave `w` has `waves[w]`
-/// items; `body(w, i)` must be safe to run concurrently for all `i`
-/// within one wave and is responsible for publishing its own result
-/// (e.g. into a `OnceLock` slot) — by the time `body` runs for wave
-/// `w + 1`, every `body` call of wave `w` has completed (the inter-wave
-/// barrier is the happens-before edge).
-///
-/// Chunk boundaries are a pure function of each wave's length and the
-/// worker count, and claiming uses the same `fetch_add` queue as
-/// [`map_indexed`], so which worker runs which item is timing-dependent
-/// but the set of `(wave, item)` executions is not.
-///
-/// Returns the wall-clock nanoseconds each wave took (the per-rank
-/// timing the stats layer records).
-// lec-lint: allow(panic-reachability, concurrency-determinism) — fetch_add hands out disjoint chunks, the cursor reset is ordered by the wave barrier (happens-before), and join re-raises worker panics
-pub fn run_waves<F>(par: &Parallelism, waves: &[usize], body: F) -> Vec<u64>
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let longest = waves.iter().copied().max().unwrap_or(0);
-    let workers = par.effective_threads().min(longest.max(1));
-    if workers <= 1 {
-        return waves
-            .iter()
-            .enumerate()
-            .map(|(w, &len)| {
-                let ((), ns) = timed(|| {
-                    for i in 0..len {
-                        body(w, i);
-                    }
-                });
-                ns
-            })
-            .collect();
-    }
-
-    // Waves with fewer items than one chunk per worker run inline on the
-    // lead thread, with no barrier traffic at all — both sides compute
-    // this predicate from the wave length alone, so lead and workers
-    // always agree on which waves synchronize. (The head and tail ranks
-    // of a subset lattice are tiny; waking the pool for them costs more
-    // than the costing work itself.)
-    let inline = |len: usize| len < workers * MIN_CHUNK;
-    let next = AtomicUsize::new(0);
-    let barrier = std::sync::Barrier::new(workers);
-    let claim_wave = |w: usize, len: usize| {
-        let chunk = (len / (workers * CHUNKS_PER_WORKER)).max(MIN_CHUNK);
-        loop {
-            let lo = next.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= len {
-                break;
-            }
-            for i in lo..(lo + chunk).min(len) {
-                body(w, i);
-            }
-        }
-    };
-    let mut wall = Vec::with_capacity(waves.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    for (w, &len) in waves.iter().enumerate() {
-                        if inline(len) {
-                            continue;
-                        }
-                        // Entry barrier: the lead has finished every
-                        // earlier wave (inline ones included) and rearmed
-                        // the claim queue — that wait is the
-                        // happens-before edge freezing the lower ranks.
-                        barrier.wait();
-                        claim_wave(w, len);
-                        // Exit barrier: the wave is fully drained.
-                        barrier.wait();
-                    }
-                })
-            })
-            .collect();
-        // The calling thread is the lead worker: it runs tiny waves
-        // alone, and for pool waves rearms the queue, releases the
-        // workers, participates, and records wall time. The clock starts
-        // *before* the entry barrier so work done by workers while the
-        // lead is still being scheduled is attributed to the right wave.
-        for (w, &len) in waves.iter().enumerate() {
-            if inline(len) {
-                let ((), ns) = timed(|| {
-                    for i in 0..len {
-                        body(w, i);
-                    }
-                });
-                wall.push(ns);
-                continue;
-            }
-            next.store(0, Ordering::Relaxed);
-            // lec-lint: allow(no-wallclock-or-ambient-rng) — observability-only wall time; feeds OptStats::rank_wall_ns, never a plan choice
-            let start = std::time::Instant::now();
-            barrier.wait();
-            claim_wave(w, len);
-            barrier.wait();
-            wall.push(start.elapsed().as_nanos() as u64);
-        }
-        for handle in handles {
-            handle.join().expect("wave worker panicked");
-        }
-    });
-    wall
 }
 
 /// Runs `f` and returns its result together with the coarse wall-clock
@@ -356,104 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_per_worker_and_results_are_ordered() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let builds = AtomicUsize::new(0);
-        for threads in [1, 3] {
-            builds.store(0, Ordering::SeqCst);
-            let par = Parallelism::with_threads(threads);
-            let len = 3 * MIN_CHUNK + 1;
-            let out = map_indexed_scratch(
-                &par,
-                len,
-                || {
-                    builds.fetch_add(1, Ordering::SeqCst);
-                    Vec::<usize>::new()
-                },
-                |scratch, i| {
-                    // Reuse the buffer; its *content* never leaks into the
-                    // result beyond the current item.
-                    scratch.clear();
-                    scratch.extend(0..=i);
-                    scratch.iter().sum::<usize>()
-                },
-            );
-            assert_eq!(
-                out,
-                (0..len).map(|i| i * (i + 1) / 2).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-            // One scratch per participating worker, no more.
-            assert!(builds.load(Ordering::SeqCst) <= threads.max(1));
-        }
-    }
-
-    #[test]
-    fn run_waves_matches_serial_and_respects_dependencies() {
-        use std::sync::OnceLock;
-        // Wave w writes slot (w, i) = f(previous wave's slot i) — the
-        // inter-wave barrier must make every lower wave fully visible.
-        // Wave lengths mix pool waves (≥ workers · MIN_CHUNK) with inline
-        // ones so the barrier-skipping path is exercised in between.
-        let waves = [200usize, 5, 200, 200, 1];
-        for threads in [1, 2, 4] {
-            let par = Parallelism::with_threads(threads);
-            let slots: Vec<Vec<OnceLock<u64>>> = waves
-                .iter()
-                .map(|&len| std::iter::repeat_with(OnceLock::new).take(len).collect())
-                .collect();
-            let wall = run_waves(&par, &waves, |w, i| {
-                let below = if w == 0 {
-                    i as u64
-                } else {
-                    *slots[w - 1][i % waves[w - 1]]
-                        .get()
-                        .expect("lower wave frozen")
-                };
-                slots[w][i]
-                    .set(below.wrapping_mul(31).wrapping_add(w as u64))
-                    .unwrap();
-            });
-            assert_eq!(wall.len(), waves.len());
-            let mut expect: Vec<Vec<u64>> = Vec::new();
-            for (w, &len) in waves.iter().enumerate() {
-                let row: Vec<u64> = (0..len)
-                    .map(|i| {
-                        let below = if w == 0 {
-                            i as u64
-                        } else {
-                            expect[w - 1][i % waves[w - 1]]
-                        };
-                        below.wrapping_mul(31).wrapping_add(w as u64)
-                    })
-                    .collect();
-                expect.push(row);
-            }
-            for (w, row) in expect.iter().enumerate() {
-                for (i, want) in row.iter().enumerate() {
-                    assert_eq!(
-                        slots[w][i].get(),
-                        Some(want),
-                        "threads={threads} w={w} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_waves_handles_empty_and_tiny_waves() {
-        let par = Parallelism::with_threads(4);
-        assert!(run_waves(&par, &[], |_, _| {}).is_empty());
-        let hits = AtomicUsize::new(0);
-        let wall = run_waves(&par, &[0, 1, 0, 3], |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(wall.len(), 4);
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     fn map_indexed_handles_edge_lengths() {
         let par = Parallelism::with_threads(4);
         assert_eq!(map_indexed(&par, 0, |i| i), Vec::<usize>::new());
@@ -465,17 +192,6 @@ mod tests {
     fn serial_never_parallelizes() {
         let par = Parallelism::serial();
         assert_eq!(par.effective_threads(), 1);
-        assert!(!par.use_parallel(30));
-    }
-
-    #[test]
-    fn cutoff_gates_small_queries() {
-        let par = Parallelism {
-            threads: 8,
-            sequential_cutoff: 8,
-        };
-        assert!(!par.use_parallel(7));
-        assert!(par.use_parallel(8));
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! join count — and run the cheapest.
 
 use crate::alg_c;
-use crate::dp::Optimized;
+use crate::dp::{DpOptions, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::evaluate::expected_cost;
-use crate::par::Parallelism;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinQuery, Plan};
@@ -74,15 +73,7 @@ impl ParametricPlans {
         model: &M,
         scenarios: &[Distribution],
     ) -> Result<Self, CoreError> {
-        if scenarios.is_empty() {
-            return Err(CoreError::BadParameter("need at least one scenario".into()));
-        }
-        let mut out = Vec::with_capacity(scenarios.len());
-        for s in scenarios {
-            let opt = alg_c::optimize(query, model, &MemoryModel::Static(s.clone()))?;
-            out.push((s.clone(), opt));
-        }
-        Ok(Self { scenarios: out })
+        Ok(Self::precompute_with_stats(query, model, scenarios)?.0)
     }
 
     /// [`precompute`](Self::precompute), also returning the aggregate
@@ -99,31 +90,12 @@ impl ParametricPlans {
         let mut out = Vec::with_capacity(scenarios.len());
         let mut aggregate = OptStats::new("parametric", query.n());
         for s in scenarios {
-            let (opt, stats) =
-                alg_c::optimize_with_stats(query, model, &MemoryModel::Static(s.clone()))?;
-            aggregate.absorb(&stats);
-            out.push((s.clone(), opt));
-        }
-        Ok((Self { scenarios: out }, aggregate))
-    }
-
-    /// [`precompute_with_stats`](Self::precompute_with_stats) on the
-    /// rank-parallel DP: per-scenario plans, costs, and counters are
-    /// bit-identical to the serial run — only scheduling changes.
-    pub fn precompute_with_stats_par<M: CostModel + Sync + ?Sized>(
-        query: &JoinQuery,
-        model: &M,
-        scenarios: &[Distribution],
-        par: &Parallelism,
-    ) -> Result<(Self, OptStats), CoreError> {
-        if scenarios.is_empty() {
-            return Err(CoreError::BadParameter("need at least one scenario".into()));
-        }
-        let mut out = Vec::with_capacity(scenarios.len());
-        let mut aggregate = OptStats::new("parametric", query.n());
-        for s in scenarios {
-            let (opt, stats) =
-                alg_c::optimize_with_stats_par(query, model, &MemoryModel::Static(s.clone()), par)?;
+            let (opt, stats) = alg_c::optimize(
+                query,
+                model,
+                &MemoryModel::Static(s.clone()),
+                DpOptions::default(),
+            )?;
             aggregate.absorb(&stats);
             out.push((s.clone(), opt));
         }
@@ -281,7 +253,8 @@ mod tests {
         assert_eq!(set.len(), 3);
         for s in scenarios() {
             let choice = set.pick(&q, &model, &s).unwrap();
-            let fresh = alg_c::optimize(&q, &model, &MemoryModel::Static(s)).unwrap();
+            let (fresh, _) =
+                alg_c::optimize(&q, &model, &MemoryModel::Static(s), DpOptions::default()).unwrap();
             assert!(
                 (choice.expected_cost - fresh.cost).abs() <= 1e-9 * fresh.cost,
                 "stored {} vs fresh {}",
@@ -299,7 +272,13 @@ mod tests {
         // An observed distribution between the stored scenarios.
         let observed = Distribution::new([(600.0, 0.3), (2100.0, 0.7)]).unwrap();
         let choice = set.pick(&q, &model, &observed).unwrap();
-        let fresh = alg_c::optimize(&q, &model, &MemoryModel::Static(observed)).unwrap();
+        let (fresh, _) = alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(observed),
+            DpOptions::default(),
+        )
+        .unwrap();
         // Never better than fresh, and on this family the stored plans
         // cover the space, so it should tie.
         assert!(choice.expected_cost >= fresh.cost - 1e-9);
@@ -316,7 +295,13 @@ mod tests {
         set.pick(&q, &model, &observed).unwrap();
         let pick_evals = model.evaluations();
         model.reset();
-        alg_c::optimize(&q, &model, &MemoryModel::Static(observed)).unwrap();
+        alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(observed),
+            DpOptions::default(),
+        )
+        .unwrap();
         let fresh_evals = model.evaluations();
         assert!(
             pick_evals < fresh_evals,
@@ -335,15 +320,6 @@ mod tests {
             ParametricPlans::precompute_with_stats(&q, &PaperCostModel, &[]),
             Err(CoreError::BadParameter(_))
         ));
-        assert!(matches!(
-            ParametricPlans::precompute_with_stats_par(
-                &q,
-                &PaperCostModel,
-                &[],
-                &Parallelism::serial()
-            ),
-            Err(CoreError::BadParameter(_))
-        ));
     }
 
     #[test]
@@ -353,28 +329,23 @@ mod tests {
         let plain = ParametricPlans::precompute(&q, &model, &scenarios()).unwrap();
         let (with_stats, stats) =
             ParametricPlans::precompute_with_stats(&q, &model, &scenarios()).unwrap();
-        let (par_set, par_stats) = ParametricPlans::precompute_with_stats_par(
-            &q,
-            &model,
-            &scenarios(),
-            &Parallelism::with_threads(3),
-        )
-        .unwrap();
         assert_eq!(stats.algorithm, "parametric");
-        // One alg_c run per scenario, absorbed deterministically.
-        assert_eq!(stats.counters, par_stats.counters);
-        assert_eq!(stats.precompute, par_stats.precompute);
+        // One alg_c run per scenario, absorbed in scenario order.
+        let mut expected = OptStats::new("parametric", q.n());
+        for s in scenarios() {
+            let mem = MemoryModel::Static(s);
+            expected.absorb(
+                &alg_c::optimize(&q, &model, &mem, DpOptions::default())
+                    .unwrap()
+                    .1,
+            );
+        }
+        assert_eq!(stats.counters, expected.counters);
         assert!(stats.counters.candidates_priced > 0);
-        for ((ds, os), ((dw, ow), (dp, op))) in plain
-            .scenarios()
-            .iter()
-            .zip(with_stats.scenarios().iter().zip(par_set.scenarios()))
-        {
-            assert!(ds.approx_eq(dw, 0.0) && ds.approx_eq(dp, 0.0));
+        for ((ds, os), (dw, ow)) in plain.scenarios().iter().zip(with_stats.scenarios()) {
+            assert!(ds.approx_eq(dw, 0.0));
             assert_eq!(os.cost.to_bits(), ow.cost.to_bits());
-            assert_eq!(os.cost.to_bits(), op.cost.to_bits());
             assert_eq!(os.plan, ow.plan);
-            assert_eq!(os.plan, op.plan);
         }
     }
 }

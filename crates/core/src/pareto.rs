@@ -91,6 +91,12 @@ fn insert_frontier(frontier: &mut Vec<ProfEntry>, entry: ProfEntry) {
 /// Exact expected-utility optimization over left-deep plans via the
 /// Pareto-frontier DP. Static memory only (profiles are per-value costs).
 ///
+/// Also returns the deterministic [`OptStats`] search counters:
+/// `candidates_priced` counts frontier-insert attempts (subplan × join
+/// method × extending relation), `entries_written` the singleton seeds
+/// plus every surviving frontier entry, and `frontier_per_rank` the
+/// largest frontier at any mask of each DP rank.
+///
 /// # Examples
 ///
 /// ```
@@ -108,7 +114,7 @@ fn insert_frontier(frontier: &mut Vec<ProfEntry>, entry: ProfEntry) {
 ///     None,
 /// )?;
 /// let memory = Distribution::new([(30.0, 0.4), (300.0, 0.6)])?;
-/// let averse = pareto::optimize(
+/// let (averse, _stats) = pareto::optimize(
 ///     &query,
 ///     &PaperCostModel,
 ///     &memory,
@@ -119,20 +125,6 @@ fn insert_frontier(frontier: &mut Vec<ProfEntry>, entry: ProfEntry) {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn optimize<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-    utility: Utility,
-) -> Result<UtilityResult, CoreError> {
-    Ok(optimize_with_stats(query, model, memory, utility)?.0)
-}
-
-/// [`optimize`] plus the deterministic [`OptStats`] search counters:
-/// `candidates_priced` counts frontier-insert attempts (subplan × join
-/// method × extending relation), `entries_written` the singleton seeds
-/// plus every surviving frontier entry, and `frontier_per_rank` the
-/// largest frontier at any mask of each DP rank.
-pub fn optimize_with_stats<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &Distribution,
@@ -172,7 +164,7 @@ pub fn optimize_with_stats<M: CostModel + ?Sized>(
 /// The frontier DP itself, stopping just short of the utility pick:
 /// returns the surviving *root* frontier (plans plus profiles), the
 /// largest frontier encountered anywhere, and the search counters. Both
-/// [`optimize_with_stats`] and the rule-selection layer finalize from
+/// [`optimize`] and the rule-selection layer finalize from
 /// this — the table build is utility- and rule-independent, so a
 /// different selection rule costs one extra scoring pass, not a second
 /// enumeration.
@@ -431,6 +423,7 @@ pub fn exhaustive_utility<M: CostModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::alg_c;
+    use crate::dp::DpOptions;
     use crate::env::MemoryModel;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
@@ -467,8 +460,17 @@ mod tests {
         for seed in 0..5 {
             let q = query(4, seed);
             let mem = memory();
-            let p = optimize(&q, &PaperCostModel, &mem, Utility::Linear).unwrap();
-            let c = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem)).unwrap();
+            let p = optimize(&q, &PaperCostModel, &mem, Utility::Linear)
+                .unwrap()
+                .0;
+            let c = alg_c::optimize(
+                &q,
+                &PaperCostModel,
+                &MemoryModel::Static(mem),
+                DpOptions::default(),
+            )
+            .unwrap()
+            .0;
             assert!(
                 (p.best.cost - c.cost).abs() < 1e-6 * c.cost.max(1.0),
                 "seed {seed}: pareto {} vs C {}",
@@ -489,7 +491,7 @@ mod tests {
             let q = query(4, seed);
             let mem = memory();
             for u in utilities {
-                let p = optimize(&q, &PaperCostModel, &mem, u).unwrap();
+                let p = optimize(&q, &PaperCostModel, &mem, u).unwrap().0;
                 let e = exhaustive_utility(&q, &PaperCostModel, &mem, u).unwrap();
                 assert!(
                     (p.best.cost - e.best.cost).abs() <= 1e-6 * e.best.cost.abs().max(1e-9),
@@ -511,7 +513,7 @@ mod tests {
             let probe = exhaustive_utility(&q, &PaperCostModel, &mem, Utility::Linear).unwrap();
             let t = probe.cost_distribution.mean();
             let u = Utility::Deadline { threshold: t };
-            let p = optimize(&q, &PaperCostModel, &mem, u).unwrap();
+            let p = optimize(&q, &PaperCostModel, &mem, u).unwrap().0;
             let e = exhaustive_utility(&q, &PaperCostModel, &mem, u).unwrap();
             assert!(
                 (p.best.cost - e.best.cost).abs() <= 1e-9,
@@ -579,7 +581,8 @@ mod tests {
             &mem,
             Utility::Exponential { gamma: 1e-5 },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(averse.cost_distribution.is_point());
         assert!(matches!(averse.best.plan, Plan::Sort { .. }));
         assert!(averse.max_frontier >= 1);
@@ -674,7 +677,7 @@ mod tests {
     fn stats_track_frontier_growth() {
         let q = query(5, 1);
         let mem = memory();
-        let (res, stats) = optimize_with_stats(
+        let (res, stats) = optimize(
             &q,
             &PaperCostModel,
             &mem,
@@ -705,7 +708,8 @@ mod tests {
             &mem,
             Utility::Exponential { gamma: 1e-5 },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(plain.best.cost.to_bits(), res.best.cost.to_bits());
         assert_eq!(plain.best.plan, res.best.plan);
     }

@@ -12,7 +12,7 @@
 //! *the same expression* the enumerators previously evaluated inline
 //! (same iteration order, same comparator, same floating-point flooring),
 //! so switching an enumerator to the tables cannot change any cost by
-//! even one ULP. The serial/parallel equivalence tests lean on this.
+//! even one ULP. The differential batteries lean on this.
 
 use crate::evaluate::{access_choices, access_step};
 use lec_cost::AccessMethod;

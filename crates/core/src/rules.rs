@@ -33,6 +33,7 @@
 //! survivor.
 
 use crate::alg_c;
+use crate::dp::DpOptions;
 use crate::dp::Optimized;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
@@ -100,7 +101,13 @@ pub fn optimize_with_rule<M: CostModel + ?Sized>(
     match rule {
         Rule::LeastExpectedCost => {
             debug_assert!(admission.scalar_ok());
-            let best = alg_c::optimize(query, model, &MemoryModel::Static(memory.clone()))?;
+            let best = alg_c::optimize(
+                query,
+                model,
+                &MemoryModel::Static(memory.clone()),
+                DpOptions::default(),
+            )?
+            .0;
             let dist = cost_distribution_static(query, model, &best.plan, memory);
             Ok(RuleResult {
                 expected_cost: best.cost,
@@ -205,8 +212,14 @@ mod tests {
             let mem = memory();
             let via_rule =
                 optimize_with_rule(&q, &PaperCostModel, &mem, &Rule::LeastExpectedCost).unwrap();
-            let direct =
-                alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem.clone())).unwrap();
+            let direct = alg_c::optimize(
+                &q,
+                &PaperCostModel,
+                &MemoryModel::Static(mem.clone()),
+                DpOptions::default(),
+            )
+            .unwrap()
+            .0;
             assert_eq!(via_rule.best.cost.to_bits(), direct.cost.to_bits());
             assert_eq!(via_rule.best.plan, direct.plan);
             assert!(via_rule.admission.scalar_ok());

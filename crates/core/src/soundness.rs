@@ -188,7 +188,7 @@ pub fn optimize_gated<M: CostModel + ?Sized>(
     let admission = certify(&utility)?;
     let result = match admission {
         DpAdmission::ScalarExpectedCost => pareto::scalar_dp(query, model, memory, utility)?,
-        DpAdmission::FrontierOnly => pareto::optimize(query, model, memory, utility)?,
+        DpAdmission::FrontierOnly => pareto::optimize(query, model, memory, utility)?.0,
     };
     Ok((result, admission))
 }
@@ -307,8 +307,9 @@ mod tests {
         let (gated, admission) =
             optimize_gated(&query(), &PaperCostModel, &memory(), u).expect("exponential optimizes");
         assert_eq!(admission, DpAdmission::FrontierOnly);
-        let direct =
-            pareto::optimize(&query(), &PaperCostModel, &memory(), u).expect("frontier dp runs");
+        let direct = pareto::optimize(&query(), &PaperCostModel, &memory(), u)
+            .expect("frontier dp runs")
+            .0;
         assert_eq!(gated.best.plan, direct.best.plan);
         assert_eq!(gated.best.cost, direct.best.cost);
     }

@@ -12,19 +12,15 @@
 //! ### Determinism contract
 //!
 //! The counters in [`SearchCounters`] are accumulated **in mask order** —
-//! the serial sweeps iterate the subset lattice rank by rank, and the
-//! rank-parallel wavefronts gather per-mask counts back in the same order
-//! (exactly how `topc` has always merged its combination counters). Serial
-//! and parallel runs of the same enumerator therefore produce *identical*
-//! counters, and plan results stay bit-for-bit unchanged; the equivalence
-//! property tests assert both. Wall time ([`OptStats::rank_wall_ns`]) is
-//! the one deliberately non-deterministic field and is excluded from every
-//! equality comparison.
+//! the sweeps iterate the subset lattice rank by rank — so two runs of the
+//! same enumerator on the same query produce *identical* counters. Wall
+//! time ([`OptStats::rank_wall_ns`]) is the one deliberately
+//! non-deterministic field and is excluded from every equality comparison.
 //!
 //! [`QueryTables`]: crate::precompute::QueryTables
 
-/// Deterministic search counters, identical between serial and
-/// rank-parallel runs of the same enumerator on the same query.
+/// Deterministic search counters, identical between runs of the same
+/// enumerator on the same query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchCounters {
     /// Subset-lattice masks (cardinality ≥ 2) whose entry was computed.
@@ -40,7 +36,7 @@ pub struct SearchCounters {
     pub entries_written: u64,
     /// Largest Pareto frontier encountered at any mask of each rank
     /// (rank `k` holds subsets of cardinality `k + 2`). Empty for every
-    /// scalar enumerator; populated by `pareto::optimize_with_stats`.
+    /// scalar enumerator; populated by `pareto::optimize`.
     pub frontier_per_rank: Vec<usize>,
 }
 
@@ -138,12 +134,12 @@ pub struct PrecomputeSizes {
 ///
 /// Everything except [`rank_wall_ns`](Self::rank_wall_ns) is deterministic;
 /// compare [`counters`](Self::counters) and
-/// [`precompute`](Self::precompute) across serial/parallel runs, never the
-/// wall times.
+/// [`precompute`](Self::precompute) across runs, never the wall times.
 #[derive(Debug, Clone, Default)]
 pub struct OptStats {
     /// Which enumerator produced this record (`"alg_c"`, `"alg_d"`,
-    /// `"topc"`, `"bushy"`, `"exhaustive"`, `"pareto"`, `"batch"`, ...).
+    /// `"topc"`, `"bushy"`, `"exhaustive"`, `"pareto"`, `"lsc"`, `"batch"`,
+    /// ...).
     pub algorithm: &'static str,
     /// Number of relations in the query.
     pub relations: usize,

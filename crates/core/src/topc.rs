@@ -15,7 +15,7 @@
 use crate::dp::Optimized;
 use crate::error::CoreError;
 use crate::evaluate::{access_choices, access_step, join_step, sort_step};
-use crate::par::{self, Parallelism};
+use crate::par;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{CostModel, JoinMethod};
@@ -49,10 +49,8 @@ struct TcEntry {
 }
 
 /// The per-mask unit of work: every way of forming `set` by a last join,
-/// merged and truncated to the top `c`. Returned rather than accumulated
-/// so the serial sweep and the rank-parallel wavefront share it exactly —
-/// including the combination counters, which are summed in mask order by
-/// both drivers.
+/// merged and truncated to the top `c`, with its combination counters
+/// (summed in mask order by the driver).
 struct MaskMerge {
     merged: Vec<TcEntry>,
     /// Full-set candidates whose final join already produces the required
@@ -163,7 +161,7 @@ fn seed_access_lists(query: &JoinQuery, c: usize, table: &mut [Vec<TcEntry>]) {
     }
 }
 
-/// Root handling shared by the serial and parallel drivers.
+/// Root handling: sort completion and the ordered candidate pool.
 #[allow(clippy::too_many_arguments)]
 fn finalize_topc<M: CostModel + ?Sized>(
     query: &JoinQuery,
@@ -221,21 +219,11 @@ fn finalize_topc<M: CostModel + ?Sized>(
 }
 
 /// Computes the top-`c` left-deep plans for one fixed memory value
-/// (Theorem 3.2: roughly a constant factor over the single-plan DP).
+/// (Theorem 3.2: roughly a constant factor over the single-plan DP), with
+/// the search-space [`OptStats`]: `candidates_priced` equals the merge's
+/// `combos_examined`, and `entries_written` counts the list entries
+/// actually kept per node.
 pub fn top_c_plans<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: f64,
-    c: usize,
-    strategy: MergeStrategy,
-) -> Result<TopCResult, CoreError> {
-    Ok(top_c_plans_with_stats(query, model, memory, c, strategy)?.0)
-}
-
-/// [`top_c_plans`], also returning the search-space [`OptStats`].
-/// `candidates_priced` equals the merge's `combos_examined`;
-/// `entries_written` counts the list entries actually kept per node.
-pub fn top_c_plans_with_stats<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: f64,
@@ -278,87 +266,6 @@ pub fn top_c_plans_with_stats<M: CostModel + ?Sized>(
             }
         });
         stats.rank_wall_ns.push(elapsed);
-    }
-
-    let result = finalize_topc(
-        query,
-        model,
-        &tabs,
-        memory,
-        c,
-        &table,
-        ordered_roots,
-        combos_examined,
-        combos_naive,
-    )?;
-    Ok((result, stats))
-}
-
-/// Rank-parallel [`top_c_plans`]: each rank of the subset lattice merges
-/// as one wavefront. Plans, costs, and both combination counters are
-/// identical to the serial run — per-mask counts are accumulated in mask
-/// order by the ordered gather. Queries below the parallel cutoff run
-/// serially.
-pub fn top_c_plans_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: f64,
-    c: usize,
-    strategy: MergeStrategy,
-    par: &Parallelism,
-) -> Result<TopCResult, CoreError> {
-    Ok(top_c_plans_with_stats_par(query, model, memory, c, strategy, par)?.0)
-}
-
-/// [`top_c_plans_par`], also returning the search-space [`OptStats`]. The
-/// counters are identical to [`top_c_plans_with_stats`]'s.
-pub fn top_c_plans_with_stats_par<M: CostModel + Sync + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: f64,
-    c: usize,
-    strategy: MergeStrategy,
-    par: &Parallelism,
-) -> Result<(TopCResult, OptStats), CoreError> {
-    let n = query.n();
-    if !par.use_parallel(n) {
-        return top_c_plans_with_stats(query, model, memory, c, strategy);
-    }
-    validate_topc(memory, c)?;
-    let full = query.all();
-    let tabs = QueryTables::new(query);
-    let mut table: Vec<Vec<TcEntry>> = vec![Vec::new(); (full.bits() + 1) as usize];
-    let mut combos_examined = 0u64;
-    let mut combos_naive = 0u64;
-    let mut ordered_roots: Vec<TcEntry> = Vec::new();
-
-    seed_access_lists(query, c, &mut table);
-
-    let mut stats = OptStats::new("topc", n);
-    stats.precompute = tabs.sizes();
-    stats.counters.entries_written = (0..n)
-        .map(|i| table[RelSet::single(i).bits() as usize].len() as u64)
-        .sum();
-
-    let ranks = par::ranks(n);
-    for rank in &ranks[1..] {
-        let (results, elapsed) = par::timed(|| {
-            par::map_indexed(par, rank.len(), |i| {
-                merge_mask(
-                    query, model, &tabs, memory, c, strategy, &table, rank[i], full,
-                )
-            })
-        });
-        stats.rank_wall_ns.push(elapsed);
-        for (set, mut result) in rank.iter().zip(results) {
-            combos_examined += result.examined;
-            combos_naive += result.naive;
-            ordered_roots.append(&mut result.ordered);
-            stats.counters.masks_expanded += 1;
-            stats.counters.candidates_priced += result.examined;
-            stats.counters.entries_written += result.merged.len() as u64;
-            table[set.bits() as usize] = result.merged;
-        }
     }
 
     let result = finalize_topc(
@@ -440,8 +347,10 @@ mod tests {
         let q = query(4);
         let model = PaperCostModel;
         for memory in [15.0, 80.0, 600.0] {
-            let top = top_c_plans(&q, &model, memory, 1, MergeStrategy::Frontier).unwrap();
-            let single = lsc::optimize_at(&q, &model, memory).unwrap();
+            let top = top_c_plans(&q, &model, memory, 1, MergeStrategy::Frontier)
+                .unwrap()
+                .0;
+            let (single, _) = lsc::optimize_at(&q, &model, memory).unwrap();
             assert_eq!(top.plans.len(), 1);
             assert!((top.plans[0].cost - single.cost).abs() < 1e-9 * single.cost.max(1.0));
         }
@@ -452,7 +361,9 @@ mod tests {
         let q = query(4);
         let model = PaperCostModel;
         let memory = 90.0;
-        let top = top_c_plans(&q, &model, memory, 5, MergeStrategy::Frontier).unwrap();
+        let top = top_c_plans(&q, &model, memory, 5, MergeStrategy::Frontier)
+            .unwrap()
+            .0;
         assert!(top.plans.windows(2).all(|w| w[0].cost <= w[1].cost));
         for p in &top.plans {
             p.plan.validate(&q).unwrap();
@@ -471,8 +382,12 @@ mod tests {
         let q = query(5);
         let model = PaperCostModel;
         for c in [2, 3, 8] {
-            let frontier = top_c_plans(&q, &model, 70.0, c, MergeStrategy::Frontier).unwrap();
-            let naive = top_c_plans(&q, &model, 70.0, c, MergeStrategy::Naive).unwrap();
+            let frontier = top_c_plans(&q, &model, 70.0, c, MergeStrategy::Frontier)
+                .unwrap()
+                .0;
+            let naive = top_c_plans(&q, &model, 70.0, c, MergeStrategy::Naive)
+                .unwrap()
+                .0;
             let fc: Vec<f64> = frontier.plans.iter().map(|p| p.cost).collect();
             let nc: Vec<f64> = naive.plans.iter().map(|p| p.cost).collect();
             assert_eq!(fc.len(), nc.len());
@@ -491,7 +406,9 @@ mod tests {
         let model = PaperCostModel;
         let memory = 45.0;
         let c = 4;
-        let top = top_c_plans(&q, &model, memory, c, MergeStrategy::Frontier).unwrap();
+        let top = top_c_plans(&q, &model, memory, c, MergeStrategy::Frontier)
+            .unwrap()
+            .0;
         let mut all: Vec<f64> = exhaustive::enumerate_left_deep(&q)
             .iter()
             .map(|p| plan_cost_at(&q, &model, p, memory))
@@ -536,8 +453,10 @@ mod tests {
         .unwrap();
         let model = PaperCostModel;
         for memory in [12.0, 95.0, 800.0, 6000.0] {
-            let top = top_c_plans(&q, &model, memory, 1, MergeStrategy::Frontier).unwrap();
-            let single = lsc::optimize_at(&q, &model, memory).unwrap();
+            let top = top_c_plans(&q, &model, memory, 1, MergeStrategy::Frontier)
+                .unwrap()
+                .0;
+            let (single, _) = lsc::optimize_at(&q, &model, memory).unwrap();
             assert!(
                 (top.plans[0].cost - single.cost).abs() < 1e-9 * single.cost.max(1.0),
                 "M={memory}: top-1 {} vs LSC {}",
@@ -571,54 +490,22 @@ mod tests {
             Some(KeyId(1)),
         )
         .unwrap();
-        let top = top_c_plans(&q, &PaperCostModel, 40.0, 6, MergeStrategy::Frontier).unwrap();
+        let top = top_c_plans(&q, &PaperCostModel, 40.0, 6, MergeStrategy::Frontier)
+            .unwrap()
+            .0;
         for p in &top.plans {
             assert_eq!(p.plan.output_order(), Some(KeyId(1)));
         }
     }
 
     #[test]
-    fn parallel_matches_serial_including_counters() {
-        let q = query(7);
-        let model = PaperCostModel;
-        let par = Parallelism {
-            threads: 4,
-            sequential_cutoff: 2,
-        };
-        for strategy in [MergeStrategy::Frontier, MergeStrategy::Naive] {
-            let serial = top_c_plans(&q, &model, 70.0, 5, strategy).unwrap();
-            let parallel = top_c_plans_par(&q, &model, 70.0, 5, strategy, &par).unwrap();
-            assert_eq!(serial.plans.len(), parallel.plans.len());
-            for (s, p) in serial.plans.iter().zip(&parallel.plans) {
-                assert_eq!(s.cost.to_bits(), p.cost.to_bits());
-                assert_eq!(s.plan, p.plan);
-            }
-            assert_eq!(serial.combos_examined, parallel.combos_examined);
-            assert_eq!(serial.combos_naive, parallel.combos_naive);
-        }
-    }
-
-    #[test]
-    fn stats_track_combo_counters_identically_across_paths() {
+    fn stats_track_combo_counters() {
         let q = query(6);
         let model = PaperCostModel;
-        let (serial, sstats) =
-            top_c_plans_with_stats(&q, &model, 70.0, 4, MergeStrategy::Frontier).unwrap();
+        let (serial, sstats) = top_c_plans(&q, &model, 70.0, 4, MergeStrategy::Frontier).unwrap();
         assert_eq!(sstats.counters.candidates_priced, serial.combos_examined);
         assert_eq!(sstats.counters.masks_expanded, (1 << 6) - 1 - 6);
         assert!(sstats.counters.entries_written > 0);
-        let par = Parallelism {
-            threads: 4,
-            sequential_cutoff: 2,
-        };
-        let (parallel, pstats) =
-            top_c_plans_with_stats_par(&q, &model, 70.0, 4, MergeStrategy::Frontier, &par).unwrap();
-        assert_eq!(sstats.counters, pstats.counters);
-        assert_eq!(sstats.precompute, pstats.precompute);
-        for (s, p) in serial.plans.iter().zip(&parallel.plans) {
-            assert_eq!(s.cost.to_bits(), p.cost.to_bits());
-            assert_eq!(s.plan, p.plan);
-        }
     }
 
     #[test]

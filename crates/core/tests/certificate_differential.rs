@@ -260,6 +260,7 @@ fn validate(mutation: Mutation) -> Result<Vec<EnvReport>, String> {
         // sampled statistics.
         let chosen = bushy::optimize(&q_point, &model, &static_mem)
             .expect("bushy optimizes the sampled query")
+            .0
             .plan;
         let cert = certify_plan(&q_point, &model, &static_mem, &chosen, &intervals)
             .expect("certification succeeds");
@@ -268,6 +269,7 @@ fn validate(mutation: Mutation) -> Result<Vec<EnvReport>, String> {
         let true_chosen = expected_cost(&truth, &model, &chosen, &phases);
         let true_optimum = bushy::optimize(&truth, &model, &static_mem)
             .expect("truth oracle")
+            .0
             .cost;
         let violated = true_chosen > (1.0 + cert.epsilon) * true_optimum * (1.0 + 1e-9);
 

@@ -17,19 +17,16 @@
 //!   plans from the space the oracle minimized over) and `<=` a named
 //!   dominating candidate (A is at most its mode candidate; B at most A,
 //!   because B's per-bucket top-c pool contains A's per-bucket winner).
-//! * **Serial ≡ rank-parallel**: where a `_par` entry point exists, it
-//!   must return the same plan and the same repriced bits as the serial
-//!   run, with the parallel path forced (more workers than cores, cutoff
-//!   below every n).
 //!
 //! `lec-core` deliberately has no RNG dependency, so environments come
 //! from an in-file splitmix64 generator: deterministic, seeded, and
 //! identical on every run and platform.
 
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
+use lec_core::dp::DpOptions;
 use lec_core::evaluate::expected_cost;
 use lec_core::topc::{self, MergeStrategy};
-use lec_core::{alg_a, alg_b, alg_c, bushy, exhaustive, lsc, MemoryModel, Parallelism};
+use lec_core::{alg_a, alg_b, alg_c, bushy, exhaustive, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_plan::{JoinPred, JoinQuery, KeyId, Plan, Relation};
 use lec_stats::Distribution;
@@ -104,15 +101,6 @@ fn build_memory(seed: u64) -> Distribution {
     }
 }
 
-/// More workers than cores, no sequential fallback: the rank-parallel code
-/// path runs even for n = 2 on a single-core container.
-fn forced() -> Parallelism {
-    Parallelism {
-        threads: 3,
-        sequential_cutoff: 2,
-    }
-}
-
 /// Every seeded environment the battery runs: (query, memory, label).
 fn environments() -> Vec<(JoinQuery, Distribution, String)> {
     let mut envs = Vec::new();
@@ -147,7 +135,9 @@ fn exact_algorithms_match_the_exhaustive_oracle_bit_for_bit() {
         let phases = static_mem.table(q.n().max(2)).expect("phase table");
         let reprice = |p: &Plan| expected_cost(&q, &model, p, &phases);
 
-        let oracle = exhaustive::exhaustive_lec(&q, &model, &phases).expect("oracle");
+        let oracle = exhaustive::exhaustive_lec(&q, &model, &phases)
+            .expect("oracle")
+            .0;
         assert_eq!(
             reprice(&oracle.plan).to_bits(),
             oracle.cost.to_bits(),
@@ -155,25 +145,25 @@ fn exact_algorithms_match_the_exhaustive_oracle_bit_for_bit() {
         );
 
         // Algorithm C is the exact left-deep LEC plan: repriced, it must
-        // hit the oracle's minimum exactly — serial and rank-parallel.
-        let c_serial = alg_c::optimize(&q, &model, &static_mem).expect("alg_c");
+        // hit the oracle's minimum exactly.
+        let c_serial = alg_c::optimize(&q, &model, &static_mem, DpOptions::default())
+            .expect("alg_c")
+            .0;
         assert_eq!(
             reprice(&c_serial.plan).to_bits(),
             oracle.cost.to_bits(),
-            "{label}: alg_c (serial) repriced {} vs oracle {}",
+            "{label}: alg_c repriced {} vs oracle {}",
             reprice(&c_serial.plan),
             oracle.cost
         );
-        let c_par = alg_c::optimize_par(&q, &model, &static_mem, &forced()).expect("alg_c par");
-        assert_eq!(&c_par.plan, &c_serial.plan, "{label}: alg_c serial ≡ par");
-        assert_eq!(reprice(&c_par.plan).to_bits(), oracle.cost.to_bits());
 
         // The bushy DPsub against the bushy-space oracle, same rule; and
         // the wider space can only improve on the left-deep minimum.
         if q.n() <= 5 {
-            let bushy_oracle =
-                exhaustive::exhaustive_lec_bushy(&q, &model, &phases).expect("bushy oracle");
-            let b_serial = bushy::optimize(&q, &model, &static_mem).expect("bushy");
+            let bushy_oracle = exhaustive::exhaustive_lec_bushy(&q, &model, &phases)
+                .expect("bushy oracle")
+                .0;
+            let b_serial = bushy::optimize(&q, &model, &static_mem).expect("bushy").0;
             assert_eq!(
                 reprice(&b_serial.plan).to_bits(),
                 bushy_oracle.cost.to_bits(),
@@ -185,18 +175,7 @@ fn exact_algorithms_match_the_exhaustive_oracle_bit_for_bit() {
                 bushy_oracle.cost.total_cmp(&oracle.cost).is_le(),
                 "{label}: bushy oracle above the left-deep oracle"
             );
-            let b_par = bushy::optimize_par(&q, &model, &static_mem, &forced()).expect("bushy par");
-            assert_eq!(&b_par.plan, &b_serial.plan, "{label}: bushy serial ≡ par");
         }
-
-        // The parallel exhaustive scorer is the oracle's own parallel path.
-        let oracle_par =
-            exhaustive::exhaustive_lec_par(&q, &model, &phases, &forced()).expect("oracle par");
-        assert_eq!(oracle_par.cost.to_bits(), oracle.cost.to_bits());
-        assert_eq!(
-            &oracle_par.plan, &oracle.plan,
-            "{label}: oracle serial ≡ par"
-        );
     }
 }
 
@@ -207,7 +186,9 @@ fn heuristics_obey_the_exact_oracle_sandwich() {
         let static_mem = MemoryModel::Static(mem.clone());
         let phases = static_mem.table(q.n().max(2)).expect("phase table");
         let reprice = |p: &Plan| expected_cost(&q, &model, p, &phases);
-        let oracle = exhaustive::exhaustive_lec(&q, &model, &phases).expect("oracle");
+        let oracle = exhaustive::exhaustive_lec(&q, &model, &phases)
+            .expect("oracle")
+            .0;
         let at_least_oracle = |cost: f64, who: &str| {
             assert!(
                 oracle.cost.total_cmp(&cost).is_le(),
@@ -218,9 +199,13 @@ fn heuristics_obey_the_exact_oracle_sandwich() {
         };
 
         // LSC at mode and mean: legal plans, so never below the oracle.
-        let lsc_mode = lsc::optimize_at_mode(&q, &model, &mem).expect("lsc mode");
+        let lsc_mode = lsc::optimize_at(&q, &model, mem.mode())
+            .expect("lsc mode")
+            .0;
         at_least_oracle(reprice(&lsc_mode.plan), "lsc(mode)");
-        let lsc_mean = lsc::optimize_at_mean(&q, &model, &mem).expect("lsc mean");
+        let lsc_mean = lsc::optimize_at(&q, &model, mem.mean())
+            .expect("lsc mean")
+            .0;
         at_least_oracle(reprice(&lsc_mean.plan), "lsc(mean)");
 
         // Algorithm A: sandwiched between the oracle and its own mode
@@ -251,37 +236,25 @@ fn heuristics_obey_the_exact_oracle_sandwich() {
         );
 
         // Top-c at the mode: every ranked plan is a legal left-deep plan.
-        let ranked =
-            topc::top_c_plans(&q, &model, mem.mode(), 3, MergeStrategy::Frontier).expect("topc");
+        let ranked = topc::top_c_plans(&q, &model, mem.mode(), 3, MergeStrategy::Frontier)
+            .expect("topc")
+            .0;
         for (i, p) in ranked.plans.iter().enumerate() {
             at_least_oracle(reprice(&p.plan), &format!("topc[{i}]"));
         }
-        let ranked_par = topc::top_c_plans_par(
-            &q,
-            &model,
-            mem.mode(),
-            3,
-            MergeStrategy::Frontier,
-            &forced(),
-        )
-        .expect("topc par");
-        assert_eq!(ranked.plans.len(), ranked_par.plans.len());
-        for (s, p) in ranked.plans.iter().zip(&ranked_par.plans) {
-            assert_eq!(&s.plan, &p.plan, "{label}: topc serial ≡ par");
-        }
 
         // Algorithm D under certainty degenerates to a legal left-deep
-        // plan; serial and rank-parallel agree on it.
+        // plan.
         let sizes = SizeModel::certain(&q).expect("certain sizes");
-        let d =
-            alg_d::optimize_fast(&q, &static_mem, &sizes, AlgDConfig::default()).expect("alg_d");
+        let d = alg_d::optimize(
+            &q,
+            &PaperCostModel,
+            &static_mem,
+            &sizes,
+            AlgDConfig::default(),
+        )
+        .expect("alg_d")
+        .0;
         at_least_oracle(reprice(&d.best.plan), "alg_d");
-        let d_par =
-            alg_d::optimize_fast_par(&q, &static_mem, &sizes, AlgDConfig::default(), &forced())
-                .expect("alg_d par");
-        assert_eq!(
-            &d_par.best.plan, &d.best.plan,
-            "{label}: alg_d serial ≡ par"
-        );
     }
 }

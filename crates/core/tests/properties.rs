@@ -1,8 +1,13 @@
 //! Property tests for the optimizer crate's internal agreements: the fast
-//! kernels inside Algorithm D, joint evaluation, and the VOI bounds.
+//! kernels inside Algorithm D, joint evaluation, the VOI bounds, and every
+//! enumerator's plan validity and search counters on chain, star and clique
+//! queries.
 
 use lec_core::alg_d::{self, AlgDConfig, Kernel, SizeModel};
-use lec_core::{evaluate, voi, MemoryModel};
+use lec_core::dp::DpOptions;
+use lec_core::parametric::ParametricPlans;
+use lec_core::topc::{self, MergeStrategy};
+use lec_core::{alg_c, bushy, evaluate, exhaustive, voi, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
 use lec_stats::Distribution;
@@ -51,15 +56,16 @@ proptest! {
     ) {
         let sizes = SizeModel::with_uncertainty(&q, size_cv, sel_cv, 3).unwrap();
         let mm = MemoryModel::Static(mem);
-        let fast = alg_d::optimize_fast(&q, &mm, &sizes, AlgDConfig::default()).unwrap();
-        let naive = alg_d::optimize_generic(
+        let fast = alg_d::optimize(&q, &PaperCostModel, &mm, &sizes, AlgDConfig::default()).unwrap().0;
+        let naive = alg_d::optimize(
             &q,
             &PaperCostModel,
             &mm,
             &sizes,
             AlgDConfig { kernel: Kernel::Naive, size_buckets: 8 },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Float-rounding differences between the two summation orders can
         // flip tie-breaks between cost-identical plans (e.g. mirrored
         // symmetric joins), so assert cost equality, and plan equality only
@@ -80,7 +86,7 @@ proptest! {
         let sizes = SizeModel::certain(&q).unwrap();
         let mm = MemoryModel::Static(mem);
         let phases = mm.table(q.n()).unwrap();
-        let lec = lec_core::alg_c::optimize(&q, &PaperCostModel, &mm).unwrap();
+        let lec = lec_core::alg_c::optimize(&q, &PaperCostModel, &mm, DpOptions::default()).unwrap().0;
         let joint = evaluate::expected_cost_joint(&q, &PaperCostModel, &lec.plan, &sizes, &phases);
         let plain = evaluate::expected_cost(&q, &PaperCostModel, &lec.plan, &phases);
         prop_assert!((joint - plain).abs() <= 1e-6 * plain.max(1.0));
@@ -111,6 +117,144 @@ proptest! {
         for p in &r.partial {
             prop_assert!(*p >= -1e-9);
             prop_assert!(*p <= r.evpi + 1e-6 * r.committed_cost.max(1.0));
+        }
+    }
+}
+
+/// Chain (0), star (1), or clique (2) topology over `n` relations, with
+/// deterministically varied page counts, selectivities, and index flags.
+fn build_query(topo: usize, n: usize, seed: u64, ordered: bool) -> JoinQuery {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(0x5851F42D4C957F2D)
+            .wrapping_add(0x14057B7EF767814F);
+        state >> 33
+    };
+    let relations = (0..n)
+        .map(|i| {
+            let pages = (next() % 9000 + 40) as f64;
+            let mut rel = Relation::new(format!("r{i}"), pages, pages * 40.0);
+            if next() % 3 == 0 {
+                rel = rel
+                    .with_local_selectivity((next() % 90 + 5) as f64 / 100.0)
+                    .with_index();
+            }
+            rel
+        })
+        .collect();
+    let mut predicates = Vec::new();
+    let mut key = 0;
+    match topo {
+        0 => {
+            for i in 0..n - 1 {
+                predicates.push(JoinPred {
+                    left: i,
+                    right: i + 1,
+                    selectivity: (next() % 900 + 10) as f64 * 1e-5,
+                    key: KeyId(key),
+                });
+                key += 1;
+            }
+        }
+        1 => {
+            for i in 1..n {
+                predicates.push(JoinPred {
+                    left: 0,
+                    right: i,
+                    selectivity: (next() % 900 + 10) as f64 * 1e-5,
+                    key: KeyId(key),
+                });
+                key += 1;
+            }
+        }
+        _ => {
+            for i in 0..n {
+                for j in i + 1..n {
+                    predicates.push(JoinPred {
+                        left: i,
+                        right: j,
+                        selectivity: (next() % 900 + 100) as f64 * 1e-4,
+                        key: KeyId(key),
+                    });
+                    key += 1;
+                }
+            }
+        }
+    }
+    let required = if ordered && !predicates.is_empty() {
+        Some(predicates[predicates.len() - 1].key)
+    } else {
+        None
+    };
+    JoinQuery::new(relations, predicates, required).expect("valid query")
+}
+
+fn memory_model(a: f64, b: f64) -> MemoryModel {
+    MemoryModel::Static(Distribution::new([(a, 0.35), (b, 0.65)]).expect("valid distribution"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every enumerator returns a plan the query validates, and its search
+    /// counters obey their definitions: top-c prices exactly the
+    /// combinations its merge examined, the exhaustive oracle scores plans
+    /// without walking the lattice, and a repeated Algorithm C run
+    /// reproduces plan, cost bits and counters.
+    #[test]
+    fn enumerators_return_valid_plans_and_consistent_counters(
+        topo in 0usize..3,
+        n in 2usize..=8,
+        seed in 0u64..1_000_000,
+        ordered in proptest::bool::ANY,
+        lo in 8.0f64..120.0,
+        hi in 150.0f64..4000.0,
+    ) {
+        let q = build_query(topo, n, seed, ordered);
+        let mem = memory_model(lo, hi);
+
+        let (c, cstats) = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+        c.plan.validate(&q).unwrap();
+        let (again, astats) =
+            alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+        prop_assert_eq!(c.cost.to_bits(), again.cost.to_bits());
+        prop_assert_eq!(&c.plan, &again.plan);
+        prop_assert_eq!(&cstats.counters, &astats.counters);
+        prop_assert_eq!(cstats.precompute, astats.precompute);
+
+        let (b, _) = bushy::optimize(&q, &PaperCostModel, &mem).unwrap();
+        b.plan.validate(&q).unwrap();
+
+        let (ranked, tstats) =
+            topc::top_c_plans(&q, &PaperCostModel, lo, 3, MergeStrategy::Frontier).unwrap();
+        prop_assert_eq!(tstats.counters.candidates_priced, ranked.combos_examined);
+        for p in &ranked.plans {
+            p.plan.validate(&q).unwrap();
+        }
+
+        if n <= 7 {
+            let sizes = SizeModel::with_uncertainty(&q, 0.4, 0.5, 3).unwrap();
+            let (d, _) =
+                alg_d::optimize(&q, &PaperCostModel, &mem, &sizes, AlgDConfig::default()).unwrap();
+            d.best.plan.validate(&q).unwrap();
+
+            let scenarios = vec![
+                Distribution::new([(lo, 0.8), (hi, 0.2)]).unwrap(),
+                Distribution::new([(lo, 0.2), (hi, 0.8)]).unwrap(),
+            ];
+            let set = ParametricPlans::precompute(&q, &PaperCostModel, &scenarios).unwrap();
+            let observed = Distribution::new([(lo, 0.5), (hi, 0.5)]).unwrap();
+            let choice = set.pick(&q, &PaperCostModel, &observed).unwrap();
+            prop_assert_eq!(&choice.plan, &set.scenarios()[choice.scenario].1.plan);
+        }
+
+        if n <= 6 {
+            let phases = mem.table(n.max(2)).unwrap();
+            let (oracle, ostats) = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases).unwrap();
+            oracle.plan.validate(&q).unwrap();
+            prop_assert!(ostats.counters.candidates_priced > 0);
+            prop_assert_eq!(ostats.counters.masks_expanded, 0);
         }
     }
 }

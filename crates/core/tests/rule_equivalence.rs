@@ -20,6 +20,7 @@
 //!   worst-case regret over the belief support (that is the rule's
 //!   defining guarantee — checked against the rule-independent frontier).
 
+use lec_core::dp::DpOptions;
 use lec_core::evaluate::{cost_profile, expected_cost};
 use lec_core::parametric::ParametricPlans;
 use lec_core::rules::{optimize_with_dyn_rule, optimize_with_rule};
@@ -138,7 +139,14 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
         // Fresh optimization: the rule entry point vs alg_c directly.
         let via_rule =
             optimize_with_rule(&q, &model, &mem, &Rule::LeastExpectedCost).expect("rule path");
-        let direct = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone())).expect("alg_c");
+        let direct = alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(mem.clone()),
+            DpOptions::default(),
+        )
+        .expect("alg_c")
+        .0;
         assert_eq!(
             via_rule.best.cost.to_bits(),
             direct.cost.to_bits(),
@@ -172,7 +180,14 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
 fn frontier_finalized_lec_agrees_with_the_scalar_path() {
     let model = PaperCostModel;
     for (q, mem, label) in environments() {
-        let scalar = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone())).expect("alg_c");
+        let scalar = alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(mem.clone()),
+            DpOptions::default(),
+        )
+        .expect("alg_c")
+        .0;
         // Force the LEC criterion down the frontier path every other rule
         // takes (dyn rules always frontier-finalize).
         let frontier =
@@ -206,6 +221,7 @@ fn minmax_and_tail_risk_provably_diverge_from_lec() {
         let mm_profile = cost_profile(&q, &model, &minmax.best.plan, mem.values());
         let frontier = lec_core::pareto::optimize(&q, &model, &mem, lec_stats::Utility::Linear)
             .expect("frontier")
+            .0
             .frontier_profiles;
         let opt: Vec<f64> = (0..mem.values().len())
             .map(|s| {

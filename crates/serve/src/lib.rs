@@ -23,8 +23,7 @@
 //!    migrated and re-cost.
 //!
 //! Everything is deterministic for a given request stream — including the
-//! cache and recalibration counters, which are identical between the
-//! serial and rank-parallel optimizer backends.
+//! cache and recalibration counters.
 //!
 //! The [`concurrent`] module scales the loop out: a [`ConcurrentServer`]
 //! partitions one logical stream across shard-affine workers with bounded

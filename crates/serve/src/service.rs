@@ -18,9 +18,8 @@
 //! One service processes its request stream sequentially, so every counter
 //! — cache hits/misses/evictions/invalidations, optimizer invocations,
 //! recalibrations — is a pure function of the stream and the initial
-//! catalogs. The optimizer backend (serial vs. rank-parallel) is the one
-//! configurable source of concurrency, and the DP is bit-identical either
-//! way; `tests/parallel_equivalence.rs` asserts the end-to-end equality.
+//! catalogs. The optimizer is a serial dynamic program, so one service has
+//! no internal concurrency at all.
 //!
 //! [`serve_at`](QueryService::serve_at) exposes the same loop with the
 //! stream position made explicit, so the concurrent driver
@@ -41,7 +40,7 @@ use lec_catalog::{Catalog, Histogram, Predicate};
 use lec_core::alg_d::SizeModel;
 use lec_core::certificate::{certify_plan, Certificate, QueryIntervals};
 use lec_core::parametric::ParametricPlans;
-use lec_core::{expected_cost, lsc, voi, MemoryModel, OptStats, Parallelism, ResilienceCounters};
+use lec_core::{expected_cost, lsc, voi, MemoryModel, OptStats, ResilienceCounters};
 use lec_cost::CostModel;
 use lec_exec::datagen::{generate, DataGenSpec};
 use lec_exec::{
@@ -78,9 +77,6 @@ pub struct ServeConfig {
     pub reoptimize_cost: f64,
     /// Base seed for data generation and per-execution memory draws.
     pub exec_seed: u64,
-    /// Optimizer backend: `None` runs the serial DP, `Some` the
-    /// rank-parallel one (bit-identical results either way).
-    pub parallelism: Option<Parallelism>,
     /// Run every served plan through the plan-IR verifier
     /// (`lec_plan::verify_plan`) before execution, failing the request with
     /// [`ServeError::Verification`] on a bad plan. On by default — unlike
@@ -159,7 +155,6 @@ impl ServeConfig {
             drift: DriftConfig::default(),
             reoptimize_cost: 0.0,
             exec_seed: 0x5EC5,
-            parallelism: None,
             verify_plans: true,
             resilience: ResiliencePolicy::default(),
             fault_injection: FaultInjection::OFF,
@@ -545,19 +540,11 @@ impl<M: CostModel + Sync> QueryService<M> {
         &mut self,
         canon: &lec_plan::Canonical,
     ) -> Result<ParametricPlans, ServeError> {
-        let (plans, pstats) = match &self.config.parallelism {
-            Some(par) => ParametricPlans::precompute_with_stats_par(
-                &canon.query,
-                &self.model,
-                &self.config.scenarios,
-                par,
-            )?,
-            None => ParametricPlans::precompute_with_stats(
-                &canon.query,
-                &self.model,
-                &self.config.scenarios,
-            )?,
-        };
+        let (plans, pstats) = ParametricPlans::precompute_with_stats(
+            &canon.query,
+            &self.model,
+            &self.config.scenarios,
+        )?;
         self.stats.absorb(&pstats);
         self.optimizer_invocations += 1;
         Ok(plans)
@@ -954,8 +941,12 @@ impl<M: CostModel + Sync> QueryService<M> {
         query: &JoinQuery,
         canon: &lec_plan::Canonical,
     ) -> Result<(Plan, f64), ServeError> {
-        let optimized =
-            lsc::optimize_at_mean(&canon.query, &self.model, &self.config.observed_memory)?;
+        let optimized = lsc::optimize_at(
+            &canon.query,
+            &self.model,
+            self.config.observed_memory.mean(),
+        )?
+        .0;
         let phases = MemoryModel::Static(self.config.observed_memory.clone())
             .table(canon.query.n().max(2))
             .map_err(ServeError::Core)?;

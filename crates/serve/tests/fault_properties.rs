@@ -7,8 +7,7 @@
 //!    policy values are, and every resilience counter stays zero.
 //! 2. **Same config ⇒ same trace**: two runs with the same injection
 //!    config produce identical fault traces, retry counts, routes, and
-//!    counters — and so does a run with the rank-parallel optimizer
-//!    backend forced.
+//!    counters.
 //! 3. **Degraded serves are still sound**: every request served off the
 //!    primary route (frontier rung, LSC baseline, breaker reroute) returns
 //!    a plan that passes the plan-IR verifier against the request's query.
@@ -17,7 +16,6 @@
 //!    the retry counter stays zero.
 
 use lec_catalog::{Catalog, ColumnMeta, TableMeta};
-use lec_core::Parallelism;
 use lec_cost::PaperCostModel;
 use lec_exec::{FaultKind, PAGE_CAPACITY};
 use lec_serve::{
@@ -62,11 +60,7 @@ fn join(l: &str, lc: &str, r: &str, rc: &str) -> JoinSpec {
 
 /// Scenarios far apart so cached entries hold distinct per-scenario plans
 /// (giving the fallback ladder real frontier rungs).
-fn config(
-    injection: FaultInjection,
-    policy: ResiliencePolicy,
-    parallelism: Option<Parallelism>,
-) -> ServeConfig {
+fn config(injection: FaultInjection, policy: ResiliencePolicy) -> ServeConfig {
     let mut cfg = ServeConfig::new(
         vec![
             Distribution::new([(3.0, 0.9), (6.0, 0.1)]).unwrap(),
@@ -81,7 +75,6 @@ fn config(
     };
     cfg.fault_injection = injection;
     cfg.resilience = policy;
-    cfg.parallelism = parallelism;
     cfg
 }
 
@@ -124,14 +117,13 @@ fn stream(len: usize) -> Vec<QueryRequest> {
 fn run(
     injection: FaultInjection,
     policy: ResiliencePolicy,
-    parallelism: Option<Parallelism>,
     len: usize,
 ) -> (Vec<ServedQuery>, QueryService<PaperCostModel>) {
     let mut svc = QueryService::new(
         PaperCostModel,
         catalog(),
         catalog(),
-        config(injection, policy, parallelism),
+        config(injection, policy),
     )
     .unwrap();
     let served = stream(len)
@@ -141,16 +133,9 @@ fn run(
     (served, svc)
 }
 
-fn forced() -> Parallelism {
-    Parallelism {
-        threads: 3,
-        sequential_cutoff: 2,
-    }
-}
-
 #[test]
 fn off_injection_is_bit_identical_whatever_the_policy() {
-    let (baseline, base_svc) = run(FaultInjection::OFF, ResiliencePolicy::default(), None, 24);
+    let (baseline, base_svc) = run(FaultInjection::OFF, ResiliencePolicy::default(), 24);
     // Aggressive knobs — low breaker threshold, extra retries — must not
     // change a single bit while no fault ever fires.
     let (other, other_svc) = run(
@@ -160,7 +145,6 @@ fn off_injection_is_bit_identical_whatever_the_policy() {
             breaker_threshold: 1,
             shard_breaker_threshold: 2,
         },
-        None,
         24,
     );
     for (a, b) in baseline.iter().zip(&other) {
@@ -181,38 +165,31 @@ fn off_injection_is_bit_identical_whatever_the_policy() {
 }
 
 #[test]
-fn same_injection_config_replays_identically_across_runs_and_backends() {
+fn same_injection_config_replays_identically_across_runs() {
     let policy = ResiliencePolicy {
         max_retries: 2,
         breaker_threshold: 3,
         shard_breaker_threshold: 0,
     };
     let injection = FaultInjection::every(3, FaultKind::IoError);
-    let (first, first_svc) = run(injection, policy, None, 27);
-    let (second, second_svc) = run(injection, policy, None, 27);
-    let (parallel, parallel_svc) = run(injection, policy, Some(forced()), 27);
+    let (first, first_svc) = run(injection, policy, 27);
+    let (second, second_svc) = run(injection, policy, 27);
 
     assert!(
         first.iter().any(|s| s.resilience.degraded),
         "injection must bite"
     );
-    for other in [&second, &parallel] {
-        for (a, b) in first.iter().zip(other.iter()) {
-            assert_eq!(a.resilience, b.resilience, "fault trace must replay");
-            assert_eq!(&a.plan, &b.plan);
-            assert_eq!(a.expected_cost.to_bits(), b.expected_cost.to_bits());
-            assert_eq!(a.report, b.report);
-        }
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a.resilience, b.resilience, "fault trace must replay");
+        assert_eq!(&a.plan, &b.plan);
+        assert_eq!(a.expected_cost.to_bits(), b.expected_cost.to_bits());
+        assert_eq!(a.report, b.report);
     }
     assert_eq!(
         first_svc.resilience_counters(),
         second_svc.resilience_counters()
     );
-    assert_eq!(
-        first_svc.resilience_counters(),
-        parallel_svc.resilience_counters()
-    );
-    assert_eq!(first_svc.stats().cache, parallel_svc.stats().cache);
+    assert_eq!(first_svc.stats().cache, second_svc.stats().cache);
 }
 
 #[test]
@@ -225,7 +202,7 @@ fn degraded_serves_return_plans_the_verifier_accepts() {
         shard_breaker_threshold: 0,
     };
     let injection = FaultInjection::every(2, FaultKind::IoError);
-    let (served, svc) = run(injection, policy, None, 24);
+    let (served, svc) = run(injection, policy, 24);
     let truth = catalog();
     let mut degraded = 0;
     let mut breaker_routed = 0;
@@ -258,7 +235,7 @@ fn degraded_serves_return_plans_the_verifier_accepts() {
 #[test]
 fn non_fatal_faults_are_recorded_but_never_reroute() {
     let injection = FaultInjection::every(2, FaultKind::MemoryPressure { divisor: 4 });
-    let (served, svc) = run(injection, ResiliencePolicy::default(), None, 12);
+    let (served, svc) = run(injection, ResiliencePolicy::default(), 12);
     for s in &served {
         assert_eq!(s.resilience.route, ServeRoute::Primary);
         assert_eq!(s.resilience.attempts, 1);

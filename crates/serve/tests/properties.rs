@@ -10,6 +10,7 @@
 //!    the serving layer).
 
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
+use lec_core::dp::DpOptions;
 use lec_core::{alg_c, expected_cost, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::PAGE_CAPACITY;
@@ -175,12 +176,8 @@ proptest! {
             None,
         )
         .unwrap();
-        let fresh = alg_c::optimize(
-            &updated,
-            &PaperCostModel,
-            &MemoryModel::Static(cfg.observed_memory.clone()),
-        )
-        .unwrap();
+        let fresh = alg_c::optimize(&updated, &PaperCostModel, &MemoryModel::Static(cfg.observed_memory.clone()), DpOptions::default())
+        .unwrap().0;
         let phases = MemoryModel::Static(cfg.observed_memory.clone())
             .table(updated.n().max(2))
             .unwrap();

@@ -11,34 +11,42 @@
 
 use lec_stats::{ConvolveScratch, Distribution};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Passes through to the system allocator, counting allocation events
 /// while `TRACKING` is set.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicUsize = AtomicUsize::new(0);
-static TRACKING: AtomicBool = AtomicBool::new(false);
+// Both cells are per thread: the test harness runs sibling tests on other
+// threads, and their allocations must not land in this thread's count.
+// Const-initialized `Cell`s need no destructor registration, so touching
+// them from inside the allocator never allocates.
+thread_local! {
+    static ALLOC_EVENTS: Cell<usize> = const { Cell::new(0) };
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation event if the calling thread is tracking. A thread
+/// past its TLS teardown is, by construction, not inside `count_allocs`.
+fn record() {
+    if TRACKING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        }
+        record();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        }
+        record();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        }
+        record();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -50,14 +58,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with allocation counting enabled and returns how many
-/// allocation events (alloc / alloc_zeroed / realloc) it performed.
+/// Runs `f` with allocation counting enabled on the calling thread and
+/// returns how many allocation events (alloc / alloc_zeroed / realloc) it
+/// performed.
 fn count_allocs(f: impl FnOnce()) -> usize {
-    ALLOC_EVENTS.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
+    ALLOC_EVENTS.with(|n| n.set(0));
+    TRACKING.with(|t| t.set(true));
     f();
-    TRACKING.store(false, Ordering::SeqCst);
-    ALLOC_EVENTS.load(Ordering::SeqCst)
+    TRACKING.with(|t| t.set(false));
+    ALLOC_EVENTS.with(Cell::get)
 }
 
 #[test]

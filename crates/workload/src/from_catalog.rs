@@ -154,6 +154,7 @@ pub fn query_from_catalog(
 mod tests {
     use super::*;
     use lec_catalog::{ColumnMeta, Histogram, TableMeta};
+    use lec_core::dp::DpOptions;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -279,8 +280,10 @@ mod tests {
             &q,
             &lec_cost::PaperCostModel,
             &lec_core::MemoryModel::Static(mem),
+            DpOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         lec.plan.validate(&q).unwrap();
         assert!(lec.cost > 0.0);
     }

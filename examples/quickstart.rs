@@ -8,6 +8,7 @@
 //! bucketed distribution, and compares the traditional (LSC) plan against
 //! the least-expected-cost (LEC) plan of Algorithm C.
 
+use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::plan::{JoinPred, JoinQuery, KeyId, Relation};
@@ -48,13 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = PaperCostModel;
 
     // The traditional optimizer summarizes the distribution by its mean.
-    let lsc_plan = lsc::optimize_at_mean(&query, &model, &memory)?;
+    let lsc_plan = lsc::optimize_at(&query, &model, memory.mean())?.0;
     println!("LSC plan (optimized for M = {:.0} pages):", memory.mean());
     println!("{}", lsc_plan.plan.explain(&query));
 
     // Algorithm C optimizes the expectation directly.
     let mem_model = MemoryModel::Static(memory);
-    let lec_plan = alg_c::optimize(&query, &model, &mem_model)?;
+    let lec_plan = alg_c::optimize(&query, &model, &mem_model, DpOptions::default())?.0;
     println!("LEC plan (Algorithm C):");
     println!("{}", lec_plan.plan.explain(&query));
 

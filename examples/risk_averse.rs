@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])?;
 
     // A deadline: the 70th-percentile cost of the risk-neutral optimum.
-    let neutral = pareto::optimize(&query, &model, &memory, Utility::Linear)?;
+    let neutral = pareto::optimize(&query, &model, &memory, Utility::Linear)?.0;
     let deadline = neutral.cost_distribution.quantile(0.7)?;
     println!("deadline set at {deadline:.0} page units\n");
 
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
     for (name, u) in objectives {
-        let r = pareto::optimize(&query, &model, &memory, u)?;
+        let r = pareto::optimize(&query, &model, &memory, u)?.0;
         let d = &r.cost_distribution;
         println!("{name}:");
         println!(

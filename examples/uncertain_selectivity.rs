@@ -12,6 +12,7 @@
 
 use lecopt::catalog::SelectivityBelief;
 use lecopt::core::alg_d::{self, AlgDConfig, SizeModel};
+use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::plan::{JoinPred, JoinQuery, KeyId, Relation};
@@ -62,8 +63,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let sizes = SizeModel::with_uncertainty(&query, 0.0, 1.0, 3)?;
-    let d = alg_d::optimize_fast(&query, &mem_model, &sizes, AlgDConfig::default())?;
-    let c = alg_c::optimize(&query, &model, &mem_model)?;
+    let d = alg_d::optimize(
+        &query,
+        &PaperCostModel,
+        &mem_model,
+        &sizes,
+        AlgDConfig::default(),
+    )?
+    .0;
+    let c = alg_c::optimize(&query, &model, &mem_model, DpOptions::default())?.0;
 
     println!(
         "\npoint-estimate (Algorithm C) plan:\n{}",

@@ -1,16 +1,12 @@
 //! Batch optimization: many queries across one thread pool.
 //!
-//! The rank-parallel DPs in `lec-core` speed up a *single large* query;
-//! workloads are the complementary axis. Queries are independent, so a
-//! batch parallelizes perfectly — each worker runs the ordinary serial
-//! optimizer on its own slice of queries. [`BatchOptimizer`] does exactly
-//! that on scoped `std::thread` workers and returns results in input
-//! order, so `optimize_all(qs)[i]` always corresponds to `qs[i]`.
-//!
-//! Per-query parallelism and batch parallelism compose poorly on small
-//! machines (they compete for the same cores), so the batch path keeps
-//! each query serial; use `lec_core::alg_c::optimize_par` directly when
-//! one query dominates.
+//! Every optimizer in `lec-core` is a serial dynamic program; a rank-parallel
+//! wavefront inside one query never beat it (EXPERIMENTS.md X18). Queries
+//! are independent, though, so a batch parallelizes perfectly — each worker
+//! runs the ordinary serial optimizer on its own slice of queries.
+//! [`BatchOptimizer`] does exactly that on scoped `std::thread` workers and
+//! returns results in input order, so `optimize_all(qs).0[i]` always
+//! corresponds to `qs[i]`.
 
 use lec_core::alg_c;
 use lec_core::dp::{DpOptions, Optimized};
@@ -35,8 +31,9 @@ use std::collections::HashMap;
 /// let memory = MemoryModel::Static(Distribution::new([(700.0, 0.2), (2000.0, 0.8)])?);
 /// let batch = BatchOptimizer::new(&PaperCostModel, &memory);
 /// let queries = vec![example_1_1(), example_1_1()];
-/// let results = batch.optimize_all(&queries);
+/// let (results, stats) = batch.optimize_all(&queries);
 /// assert_eq!(results.len(), 2);
+/// assert!(stats.counters.candidates_priced > 0);
 /// assert!(results[0].as_ref().unwrap().cost > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -75,30 +72,17 @@ impl<'a, M: CostModel + Sync + ?Sized> BatchOptimizer<'a, M> {
 
     /// Optimizes every query with Algorithm C (the LEC left-deep DP),
     /// fanning the batch out across the thread pool. `results[i]`
-    /// corresponds to `queries[i]`.
-    pub fn optimize_all(&self, queries: &[JoinQuery]) -> Vec<Result<Optimized, CoreError>> {
-        map_indexed(&self.par, queries.len(), |i| {
-            alg_c::optimize_with_options(&queries[i], self.model, self.memory, self.options)
-        })
-    }
-
-    /// [`optimize_all`](Self::optimize_all) plus the aggregate
-    /// [`OptStats`] of the whole batch: per-query search counters are
-    /// folded together with [`OptStats::absorb`] in input order, so the
-    /// aggregate is deterministic regardless of the thread count (queries
-    /// that fail contribute nothing). `relations` holds the largest query
-    /// in the batch.
-    pub fn optimize_all_with_stats(
+    /// corresponds to `queries[i]`. The aggregate [`OptStats`] folds the
+    /// per-query search counters together with [`OptStats::absorb`] in
+    /// input order, so it is deterministic regardless of the thread count
+    /// (queries that fail contribute nothing); `relations` holds the
+    /// largest query in the batch.
+    pub fn optimize_all(
         &self,
         queries: &[JoinQuery],
     ) -> (Vec<Result<Optimized, CoreError>>, OptStats) {
         let runs = map_indexed(&self.par, queries.len(), |i| {
-            alg_c::optimize_with_options_and_stats(
-                &queries[i],
-                self.model,
-                self.memory,
-                self.options,
-            )
+            alg_c::optimize(&queries[i], self.model, self.memory, self.options)
         });
         let mut aggregate = OptStats::new("batch", 0);
         let results = runs
@@ -113,8 +97,8 @@ impl<'a, M: CostModel + Sync + ?Sized> BatchOptimizer<'a, M> {
         (results, aggregate)
     }
 
-    /// [`optimize_all_with_stats`](Self::optimize_all_with_stats) with
-    /// isomorphism deduplication: queries are grouped by canonical
+    /// [`optimize_all`](Self::optimize_all) with isomorphism
+    /// deduplication: queries are grouped by canonical
     /// fingerprint ([`lec_plan::fingerprint`]), the optimizer runs once per
     /// equivalence class (on the *canonical* form), and each member's plan
     /// is recovered by renumbering the class plan back into that member's
@@ -140,7 +124,7 @@ impl<'a, M: CostModel + Sync + ?Sized> BatchOptimizer<'a, M> {
         }
 
         let runs = map_indexed(&self.par, reps.len(), |k| {
-            alg_c::optimize_with_options_and_stats(
+            alg_c::optimize(
                 &canons[reps[k]].query,
                 self.model,
                 self.memory,
@@ -168,9 +152,8 @@ impl<'a, M: CostModel + Sync + ?Sized> BatchOptimizer<'a, M> {
                 // Errors are per-query conditions (no plan found, bad
                 // parameters); reproduce the member's own error rather
                 // than cloning the representative's.
-                Err(_) => {
-                    alg_c::optimize_with_options(&queries[i], self.model, self.memory, self.options)
-                }
+                Err(_) => alg_c::optimize(&queries[i], self.model, self.memory, self.options)
+                    .map(|(opt, _)| opt),
             })
             .collect();
         (results, aggregate, classes)
@@ -210,10 +193,12 @@ mod tests {
         let model = PaperCostModel;
         let batch =
             BatchOptimizer::new(&model, &mem).with_parallelism(Parallelism::with_threads(4));
-        let results = batch.optimize_all(&queries);
+        let (results, _) = batch.optimize_all(&queries);
         assert_eq!(results.len(), queries.len());
         for (q, r) in queries.iter().zip(&results) {
-            let solo = alg_c::optimize(q, &model, &mem).unwrap();
+            let solo = alg_c::optimize(q, &model, &mem, DpOptions::default())
+                .unwrap()
+                .0;
             let got = r.as_ref().unwrap();
             assert_eq!(solo.cost.to_bits(), got.cost.to_bits());
             assert_eq!(solo.plan, got.plan);
@@ -229,10 +214,12 @@ mod tests {
         let model = PaperCostModel;
         let serial = BatchOptimizer::new(&model, &mem)
             .with_parallelism(Parallelism::serial())
-            .optimize_all(&queries);
+            .optimize_all(&queries)
+            .0;
         let parallel = BatchOptimizer::new(&model, &mem)
             .with_parallelism(Parallelism::with_threads(3))
-            .optimize_all(&queries);
+            .optimize_all(&queries)
+            .0;
         for (s, p) in serial.iter().zip(&parallel) {
             let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
             assert_eq!(s.cost.to_bits(), p.cost.to_bits());
@@ -244,8 +231,7 @@ mod tests {
     fn empty_batch() {
         let mem = memory();
         let batch = BatchOptimizer::new(&PaperCostModel, &mem);
-        assert!(batch.optimize_all(&[]).is_empty());
-        let (results, stats) = batch.optimize_all_with_stats(&[]);
+        let (results, stats) = batch.optimize_all(&[]);
         assert!(results.is_empty());
         assert_eq!(stats.counters.masks_expanded, 0);
     }
@@ -288,7 +274,9 @@ mod tests {
             // The class cost is computed once on the canonical form, so a
             // solo run on the member's own numbering must agree to float
             // reassociation tolerance.
-            let solo = alg_c::optimize(q, &model, &mem).unwrap();
+            let solo = alg_c::optimize(q, &model, &mem, DpOptions::default())
+                .unwrap()
+                .0;
             assert!(
                 (got.cost - solo.cost).abs() <= 1e-9 * solo.cost,
                 "deduped {} vs solo {}",
@@ -304,7 +292,7 @@ mod tests {
         }
         // And the aggregate covers 3 runs, not 9: it matches a plain batch
         // over the distinct queries only.
-        let (_, solo_stats) = batch.optimize_all_with_stats(&distinct);
+        let (_, solo_stats) = batch.optimize_all(&distinct);
         assert_eq!(stats.counters, solo_stats.counters);
     }
 
@@ -315,19 +303,18 @@ mod tests {
         let model = PaperCostModel;
         let (serial_res, serial_stats) = BatchOptimizer::new(&model, &mem)
             .with_parallelism(Parallelism::serial())
-            .optimize_all_with_stats(&queries);
+            .optimize_all(&queries);
         let (par_res, par_stats) = BatchOptimizer::new(&model, &mem)
             .with_parallelism(Parallelism::with_threads(3))
-            .optimize_all_with_stats(&queries);
+            .optimize_all(&queries);
         assert_eq!(serial_stats.algorithm, "batch");
         assert_eq!(serial_stats.relations, 6);
         assert_eq!(serial_stats.counters, par_stats.counters);
         assert_eq!(serial_stats.precompute, par_stats.precompute);
-        // The aggregate equals the sum of per-query solo runs, and the
-        // plans match the stat-less path.
+        // The aggregate equals the sum of per-query solo runs.
         let mut expected = lec_core::OptStats::new("batch", 0);
         for (q, r) in queries.iter().zip(&serial_res) {
-            let (solo, stats) = alg_c::optimize_with_stats(q, &model, &mem).unwrap();
+            let (solo, stats) = alg_c::optimize(q, &model, &mem, DpOptions::default()).unwrap();
             expected.absorb(&stats);
             assert_eq!(solo.cost.to_bits(), r.as_ref().unwrap().cost.to_bits());
         }

@@ -17,6 +17,7 @@
 //!     simulator (all joins must share one key).
 //! ```
 
+use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_a, alg_b, alg_c, evaluate, lsc, pareto, MemoryModel};
 use lecopt::cost::{CostModel, DetailedCostModel, PaperCostModel};
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -55,8 +56,14 @@ fn example11() -> Result<(), AnyError> {
     let q = lecopt::workload::queries::example_1_1();
     let mem = lecopt::workload::envs::example_1_1_memory();
     let model = PaperCostModel;
-    let lsc_plan = lsc::optimize_at_mode(&q, &model, &mem)?;
-    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))?;
+    let lsc_plan = lsc::optimize_at(&q, &model, mem.mode())?.0;
+    let lec = alg_c::optimize(
+        &q,
+        &model,
+        &MemoryModel::Static(mem.clone()),
+        DpOptions::default(),
+    )?
+    .0;
     let phases = MemoryModel::Static(mem).table(q.n())?;
     println!("LSC(mode) plan:\n{}", lsc_plan.plan.explain(&q));
     println!(
@@ -149,7 +156,7 @@ fn optimize(args: &[String]) -> Result<(), AnyError> {
     };
 
     if let Some(g) = f.get("gamma") {
-        let r = pareto::optimize(&q, &model, &mem, Utility::Exponential { gamma: g.parse()? })?;
+        let r = pareto::optimize(&q, &model, &mem, Utility::Exponential { gamma: g.parse()? })?.0;
         println!("{}", r.best.plan.explain(&q));
         println!("certainty-equivalent cost: {:.0}", r.best.cost);
         return Ok(());
@@ -162,7 +169,8 @@ fn optimize(args: &[String]) -> Result<(), AnyError> {
             Utility::Deadline {
                 threshold: t.parse()?,
             },
-        )?;
+        )?
+        .0;
         println!("{}", r.best.plan.explain(&q));
         println!("deadline-miss probability: {:.3}", r.best.cost);
         return Ok(());
@@ -171,13 +179,13 @@ fn optimize(args: &[String]) -> Result<(), AnyError> {
     let mm = MemoryModel::Static(mem.clone());
     let alg = f.get("alg").map(String::as_str).unwrap_or("c");
     let optimized = match alg {
-        "lsc" => lsc::optimize_at_mean(&q, &model, &mem)?,
+        "lsc" => lsc::optimize_at(&q, &model, mem.mean())?.0,
         "a" => alg_a::optimize(&q, &model, &mm)?.best,
         "b" => {
             let c: usize = f.get("top-c").map(|s| s.parse()).transpose()?.unwrap_or(3);
             alg_b::optimize(&q, &model, &mm, c)?.best
         }
-        "c" => alg_c::optimize(&q, &model, &mm)?,
+        "c" => alg_c::optimize(&q, &model, &mm, DpOptions::default())?.0,
         other => return Err(format!("unknown --alg `{other}`").into()),
     };
     println!("{}", optimized.plan.explain(&q));
@@ -199,8 +207,14 @@ fn execute(args: &[String]) -> Result<(), AnyError> {
     let mem = parse_memory(&f)?;
     let runs: usize = f.get("runs").map(|s| s.parse()).transpose()?.unwrap_or(100);
     let model = PaperCostModel;
-    let lsc_plan = lsc::optimize_at_mode(&q, &model, &mem)?;
-    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))?;
+    let lsc_plan = lsc::optimize_at(&q, &model, mem.mode())?.0;
+    let lec = alg_c::optimize(
+        &q,
+        &model,
+        &MemoryModel::Static(mem.clone()),
+        DpOptions::default(),
+    )?
+    .0;
 
     let mut disk = Disk::new();
     let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -17,7 +17,7 @@
 //! picks a hash-join plan that is best *in expectation*:
 //!
 //! ```
-//! use lecopt::core::{alg_c, lsc, MemoryModel};
+//! use lecopt::core::{alg_c, dp::DpOptions, lsc, MemoryModel};
 //! use lecopt::cost::PaperCostModel;
 //! use lecopt::stats::Distribution;
 //! use lecopt::workload::queries::example_1_1;
@@ -26,10 +26,10 @@
 //! let memory = Distribution::new([(700.0, 0.2), (2000.0, 0.8)])?;
 //!
 //! // Traditional: summarize by the mode, optimize for that one value.
-//! let lsc = lsc::optimize_at_mode(&query, &PaperCostModel, &memory)?;
+//! let lsc = lsc::optimize_at(&query, &PaperCostModel, memory.mode())?.0;
 //!
 //! // LEC: optimize the expectation directly (Algorithm C, Theorem 3.3).
-//! let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(memory))?;
+//! let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(memory), DpOptions::default())?.0;
 //!
 //! assert_ne!(lsc.plan, lec.plan);           // they disagree...
 //! assert!(lec.cost < 2_813_000.0);          // ...and LEC wins on average

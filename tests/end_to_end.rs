@@ -1,6 +1,7 @@
 //! Integration tests: the full pipeline — generate data, optimize, execute
 //! in the page-level simulator, verify results and realized costs.
 
+use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -54,7 +55,14 @@ fn star_setup(pages: &[usize], sel: f64, seed: u64) -> (JoinQuery, Disk, Vec<Rel
 fn optimized_plans_execute_correctly() {
     let (query, mut disk, base) = star_setup(&[40, 18, 10], 5e-3, 51);
     let mem = Distribution::new([(6.0, 0.4), (30.0, 0.6)]).unwrap();
-    let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(mem.clone())).unwrap();
+    let lec = alg_c::optimize(
+        &query,
+        &PaperCostModel,
+        &MemoryModel::Static(mem.clone()),
+        DpOptions::default(),
+    )
+    .unwrap()
+    .0;
 
     let mut env = ExecMemoryEnv::draw_once(mem, 99);
     let report = execute_plan(&lec.plan, &base, &mut disk, &mut env).unwrap();
@@ -112,8 +120,15 @@ fn lec_realized_io_not_worse_on_star_query() {
     let (query, mut disk, base) = star_setup(&[120, 60, 30], 1e-3, 55);
     let mem = Distribution::new([(7.0, 0.35), (40.0, 0.65)]).unwrap();
     let model = PaperCostModel;
-    let lec = alg_c::optimize(&query, &model, &MemoryModel::Static(mem.clone())).unwrap();
-    let lsc_plan = lsc::optimize_at_mode(&query, &model, &mem).unwrap();
+    let lec = alg_c::optimize(
+        &query,
+        &model,
+        &MemoryModel::Static(mem.clone()),
+        DpOptions::default(),
+    )
+    .unwrap()
+    .0;
+    let lsc_plan = lsc::optimize_at(&query, &model, mem.mode()).unwrap().0;
 
     let iters = 60;
     let (mut io_lec, mut io_lsc) = (0u64, 0u64);
@@ -142,7 +157,14 @@ fn lec_realized_io_not_worse_on_star_query() {
 fn phase_accounting_matches_plan_structure() {
     let (query, mut disk, base) = star_setup(&[30, 14, 9], 3e-3, 54);
     let mem = Distribution::new([(8.0, 0.5), (24.0, 0.5)]).unwrap();
-    let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(mem)).unwrap();
+    let lec = alg_c::optimize(
+        &query,
+        &PaperCostModel,
+        &MemoryModel::Static(mem),
+        DpOptions::default(),
+    )
+    .unwrap()
+    .0;
     let chain = lecopt::stats::MarkovChain::random_walk(vec![8.0, 16.0, 32.0], 0.8).unwrap();
     let mut env = ExecMemoryEnv::markov(chain, vec![1.0, 0.0, 0.0], 5);
     let report = execute_plan(&lec.plan, &base, &mut disk, &mut env).unwrap();

@@ -1,6 +1,7 @@
 //! Integration tests: every theorem and proposition in the paper, checked
 //! through the public facade against brute force.
 
+use lecopt::core::dp::DpOptions;
 use lecopt::core::topc::{frontier_bound, frontier_merge, top_c_plans, MergeStrategy};
 use lecopt::core::{alg_a, alg_b, alg_c, evaluate, exhaustive, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
@@ -29,7 +30,7 @@ fn theorem_2_1_lsc_optimality() {
         for topology in [Topology::Chain, Topology::Star] {
             let q = query(4, seed, topology);
             for memory in [25.0, 300.0, 2500.0] {
-                let opt = lsc::optimize_at(&q, &PaperCostModel, memory).unwrap();
+                let opt = lsc::optimize_at(&q, &PaperCostModel, memory).unwrap().0;
                 let best = exhaustive::enumerate_left_deep(&q)
                     .iter()
                     .map(|p| evaluate::plan_cost_at(&q, &PaperCostModel, p, memory))
@@ -50,9 +51,13 @@ fn theorem_3_3_lec_optimality_static() {
     for seed in 0..6 {
         let q = query(4, 100 + seed, Topology::Chain);
         let mem = MemoryModel::Static(spread());
-        let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+        let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         let phases = mem.table(q.n()).unwrap();
-        let truth = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases).unwrap();
+        let truth = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases)
+            .unwrap()
+            .0;
         assert!(
             (lec.cost - truth.cost).abs() <= 1e-6 * truth.cost,
             "seed {seed}: {} vs {}",
@@ -69,9 +74,13 @@ fn theorem_3_4_lec_optimality_dynamic() {
         let q = query(4, 200 + seed, Topology::Chain);
         let chain = MarkovChain::random_walk(vec![20.0, 150.0, 1200.0], 0.5).unwrap();
         let mem = MemoryModel::dynamic(chain, vec![0.3, 0.4, 0.3]).unwrap();
-        let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+        let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         let phases = mem.table(q.n()).unwrap();
-        let truth = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases).unwrap();
+        let truth = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases)
+            .unwrap()
+            .0;
         assert!(
             (lec.cost - truth.cost).abs() <= 1e-6 * truth.cost,
             "seed {seed}: {} vs {}",
@@ -91,14 +100,16 @@ fn lec_dominates_every_specific_choice() {
         let dist = spread();
         let mem = MemoryModel::Static(dist.clone());
         let phases = mem.table(q.n()).unwrap();
-        let c = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+        let c = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+            .unwrap()
+            .0;
         let b = alg_b::optimize(&q, &PaperCostModel, &mem, 4).unwrap();
         let a = alg_a::optimize(&q, &PaperCostModel, &mem).unwrap();
         let tol = 1e-9 * c.cost.max(1.0);
         assert!(c.cost <= b.best.cost + tol, "seed {seed}");
         assert!(b.best.cost <= a.best.cost + tol, "seed {seed}");
         for &m in dist.values() {
-            let specific = lsc::optimize_at(&q, &PaperCostModel, m).unwrap();
+            let specific = lsc::optimize_at(&q, &PaperCostModel, m).unwrap().0;
             let e = evaluate::expected_cost(&q, &PaperCostModel, &specific.plan, &phases);
             assert!(a.best.cost <= e + tol, "seed {seed}, m {m}");
         }
@@ -112,8 +123,10 @@ fn one_bucket_degenerates_to_system_r() {
         let q = query(5, 400 + seed, Topology::Chain);
         for m in [30.0, 500.0] {
             let mem = MemoryModel::Static(Distribution::point(m).unwrap());
-            let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
-            let std = lsc::optimize_at(&q, &PaperCostModel, m).unwrap();
+            let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+                .unwrap()
+                .0;
+            let std = lsc::optimize_at(&q, &PaperCostModel, m).unwrap().0;
             assert_eq!(lec.plan, std.plan, "seed {seed}, m {m}");
         }
     }
@@ -140,8 +153,12 @@ fn proposition_3_1_frontier() {
     // DP level: frontier and naive top-c DP agree.
     let q = query(4, 777, Topology::Chain);
     for c in [2usize, 6] {
-        let f = top_c_plans(&q, &PaperCostModel, 90.0, c, MergeStrategy::Frontier).unwrap();
-        let n = top_c_plans(&q, &PaperCostModel, 90.0, c, MergeStrategy::Naive).unwrap();
+        let f = top_c_plans(&q, &PaperCostModel, 90.0, c, MergeStrategy::Frontier)
+            .unwrap()
+            .0;
+        let n = top_c_plans(&q, &PaperCostModel, 90.0, c, MergeStrategy::Naive)
+            .unwrap()
+            .0;
         let fc: Vec<f64> = f.plans.iter().map(|p| p.cost).collect();
         let nc: Vec<f64> = n.plans.iter().map(|p| p.cost).collect();
         for (a, b) in fc.iter().zip(&nc) {

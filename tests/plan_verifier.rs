@@ -7,6 +7,7 @@
 //! `debug_assertions`; this suite pins the contract from the outside so a
 //! release-built optimizer cannot silently drift either.
 
+use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_a, alg_b, alg_c, alg_d, bushy, exhaustive, lsc, pareto, topc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::plan::{verify_frontier, verify_plan, KeyId, Plan, PlanError};
@@ -45,7 +46,10 @@ fn every_optimizer_family_member_emits_verifiable_plans() {
 
             let mut emitted: Vec<(&str, Plan)> = vec![(
                 "lsc",
-                lsc::optimize_at_mode(&q, &model, &mem).expect("lsc").plan,
+                lsc::optimize_at(&q, &model, mem.mode())
+                    .expect("lsc")
+                    .0
+                    .plan,
             )];
             emitted.push((
                 "alg_a",
@@ -63,38 +67,50 @@ fn every_optimizer_family_member_emits_verifiable_plans() {
             ));
             emitted.push((
                 "alg_c",
-                alg_c::optimize(&q, &model, &static_mem)
+                alg_c::optimize(&q, &model, &static_mem, DpOptions::default())
                     .expect("alg_c")
+                    .0
                     .plan,
             ));
             let sizes = alg_d::SizeModel::certain(&q).expect("size model");
             emitted.push((
                 "alg_d",
-                alg_d::optimize_fast(&q, &static_mem, &sizes, alg_d::AlgDConfig::default())
-                    .expect("alg_d")
-                    .best
-                    .plan,
+                alg_d::optimize(
+                    &q,
+                    &PaperCostModel,
+                    &static_mem,
+                    &sizes,
+                    alg_d::AlgDConfig::default(),
+                )
+                .expect("alg_d")
+                .0
+                .best
+                .plan,
             ));
             emitted.push((
                 "bushy",
                 bushy::optimize(&q, &model, &static_mem)
                     .expect("bushy")
+                    .0
                     .plan,
             ));
             emitted.push((
                 "exhaustive",
                 exhaustive::exhaustive_lec(&q, &model, &phases)
                     .expect("exhaustive")
+                    .0
                     .plan,
             ));
             let topc = topc::top_c_plans(&q, &model, mem.mode(), 3, topc::MergeStrategy::Frontier)
-                .expect("topc");
+                .expect("topc")
+                .0;
             for (i, p) in topc.plans.iter().enumerate() {
                 emitted.push(("topc", p.plan.clone()));
                 assert!(p.cost.is_finite() && p.cost >= 0.0, "topc cost {i}");
             }
             let utility = pareto::optimize(&q, &model, &mem, Utility::Exponential { gamma: 1e-5 })
-                .expect("pareto");
+                .expect("pareto")
+                .0;
             emitted.push(("pareto", utility.best.plan.clone()));
             // The root frontier must itself verify: mutually nondominated,
             // finite nonnegative profiles.
@@ -203,9 +219,15 @@ fn mutated_plans_are_rejected() {
     let model = PaperCostModel;
     for seed in 0..10 {
         let q = query(Topology::Chain, 4, 200 + seed);
-        let good = alg_c::optimize(&q, &model, &MemoryModel::Static(memory()))
-            .expect("alg_c")
-            .plan;
+        let good = alg_c::optimize(
+            &q,
+            &model,
+            &MemoryModel::Static(memory()),
+            DpOptions::default(),
+        )
+        .expect("alg_c")
+        .0
+        .plan;
         assert_eq!(verify_plan(&good, &q), Ok(()));
 
         // Wrong (or dropped) join key at the root.
@@ -278,9 +300,12 @@ fn verifier_accepts_required_order_completions() {
         )
         .expect("ordered query");
         let mem = MemoryModel::Static(memory());
-        let plan = alg_c::optimize(&q, &model, &mem).expect("alg_c").plan;
+        let plan = alg_c::optimize(&q, &model, &mem, DpOptions::default())
+            .expect("alg_c")
+            .0
+            .plan;
         assert_eq!(verify_plan(&plan, &q), Ok(()), "seed {seed}");
-        let bushy_plan = bushy::optimize(&q, &model, &mem).expect("bushy").plan;
+        let bushy_plan = bushy::optimize(&q, &model, &mem).expect("bushy").0.plan;
         assert_eq!(verify_plan(&bushy_plan, &q), Ok(()), "seed {seed} bushy");
     }
 }

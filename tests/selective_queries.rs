@@ -1,6 +1,7 @@
 //! Integration tests: queries with local selections, optimized end to end
 //! and executed with filtered scans.
 
+use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, MemoryModel};
 use lecopt::cost::{AccessMethod, PaperCostModel};
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -36,7 +37,9 @@ fn selective_query() -> JoinQuery {
 fn index_scan_chosen_for_selective_access() {
     let q = selective_query();
     let mem = MemoryModel::Static(Distribution::new([(6.0, 0.5), (40.0, 0.5)]).unwrap());
-    let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+    let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+        .unwrap()
+        .0;
     // The selective relation must be accessed through the index: index cost
     // 2 + 3·16 = 50 beats full-scan 80 + 16 = 96.
     let mut found_index = false;
@@ -116,7 +119,9 @@ fn filtered_execution_matches_size_estimates() {
 fn selective_access_costing_consistent() {
     let q = selective_query();
     let mem = MemoryModel::Static(Distribution::new([(6.0, 0.5), (40.0, 0.5)]).unwrap());
-    let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+    let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+        .unwrap()
+        .0;
     let phases = mem.table(q.n()).unwrap();
     let scored = evaluate::expected_cost(&q, &PaperCostModel, &lec.plan, &phases);
     assert!((lec.cost - scored).abs() <= 1e-9 * scored.max(1.0));

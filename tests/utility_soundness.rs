@@ -35,7 +35,7 @@ fn pareto_dp_is_exact_for_every_utility() {
                 threshold: deadline,
             },
         ] {
-            let p = pareto::optimize(&q, &model, &mem, u).unwrap();
+            let p = pareto::optimize(&q, &model, &mem, u).unwrap().0;
             let t = pareto::exhaustive_utility(&q, &model, &mem, u).unwrap();
             assert!(
                 (p.best.cost - t.best.cost).abs() <= 1e-6 * t.best.cost.abs().max(1e-12),
@@ -83,7 +83,9 @@ fn risk_preferences_order_certainty_equivalents() {
     let model = PaperCostModel;
     let q = query(55);
     let mem = envs::lognormal(300.0, 1.2, 6);
-    let plan = pareto::optimize(&q, &model, &mem, Utility::Linear).unwrap();
+    let plan = pareto::optimize(&q, &model, &mem, Utility::Linear)
+        .unwrap()
+        .0;
     let d = &plan.cost_distribution;
     let mean = d.mean();
     let averse1 = Utility::Exponential { gamma: 1e-6 }.score(d);
