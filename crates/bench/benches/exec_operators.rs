@@ -1,5 +1,6 @@
 //! Simulator operator throughput (supports experiment X9): how fast the
-//! page-level operators run at various memory grants.
+//! page-level operators run at various memory grants, on X9-sized inputs
+//! and on the small inputs served plans join.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lec_exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -8,27 +9,39 @@ use lec_exec::{BufferPool, Disk, RelId};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn setup() -> (Disk, RelId, RelId) {
+/// Two generated relations of `pa` and `pb` pages over one key domain.
+fn relations(pa: usize, pb: usize, key_domain: u64) -> (Disk, RelId, RelId) {
     let mut disk = Disk::new();
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let domain = domain_for_selectivity(5e-4);
     let a = generate(
         &mut disk,
         &mut rng,
         &DataGenSpec {
-            pages: 96,
-            key_domain: domain,
+            pages: pa,
+            key_domain,
         },
     );
     let b = generate(
         &mut disk,
         &mut rng,
         &DataGenSpec {
-            pages: 32,
-            key_domain: domain,
+            pages: pb,
+            key_domain,
         },
     );
     (disk, a, b)
+}
+
+/// The X9-sized case: 96 × 32 pages, few matches.
+fn setup() -> (Disk, RelId, RelId) {
+    relations(96, 32, domain_for_selectivity(5e-4))
+}
+
+/// The serving-size case: a 2-page filtered input joined with a 6-page
+/// table over a key domain just above the table's row count, the shape a
+/// served plan's joins run (about 130 output rows).
+fn serving_setup() -> (Disk, RelId, RelId) {
+    relations(2, 6, 400)
 }
 
 fn operators(c: &mut Criterion) {
@@ -54,6 +67,26 @@ fn operators(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("block_nl", m), &m, |bench, _| {
             bench.iter_with_setup(setup, |(mut disk, a, b)| {
+                let mut pool = BufferPool::with_capacity(m);
+                block_nested_loop_join(&mut disk, &mut pool, a, b, m).unwrap()
+            })
+        });
+    }
+    group.finish();
+
+    // At m = 48 the 2-page side is one block / one build table; at m = 8
+    // the grants still hold it, so these cases time the in-memory match
+    // structure rather than partitioning or re-scans.
+    let mut group = c.benchmark_group("exec_operators_serving");
+    for m in [8usize, 48] {
+        group.bench_with_input(BenchmarkId::new("grace_hash", m), &m, |bench, _| {
+            bench.iter_with_setup(serving_setup, |(mut disk, a, b)| {
+                let mut pool = BufferPool::with_capacity(m);
+                grace_hash_join(&mut disk, &mut pool, a, b, m).unwrap()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("block_nl", m), &m, |bench, _| {
+            bench.iter_with_setup(serving_setup, |(mut disk, a, b)| {
                 let mut pool = BufferPool::with_capacity(m);
                 block_nested_loop_join(&mut disk, &mut pool, a, b, m).unwrap()
             })

@@ -46,8 +46,7 @@ pub fn analyze(
     let (mut min_key, mut max_key) = (None::<u64>, None::<u64>);
     let mut seen = 0usize;
     for p in 0..pages {
-        let tuples = pool.read(disk, rel, p)?.tuples().to_vec();
-        for t in tuples {
+        for &t in pool.read(disk, rel, p)?.tuples() {
             distinct.insert(t.key);
             min_key = Some(min_key.map_or(t.key, |m| m.min(t.key)));
             max_key = Some(max_key.map_or(t.key, |m| m.max(t.key)));

@@ -8,11 +8,19 @@
 //! working set the cost model says they hold (e.g. a block nested-loop
 //! join's outer block) and the pool errors out if an operator overcommits
 //! its memory grant — the enforcement that keeps operators honest.
+//!
+//! Frames track residency only: which pages the pool holds, their pins
+//! and their recency. The page data stays on the [`Disk`], and a read
+//! returns a reference into it, so a hit copies nothing and can never
+//! serve a page the disk has since dropped. A pool lives for one
+//! execution; the serving loop reclaims each execution's temporaries from
+//! the disk afterwards (see [`Disk::drop_from`]).
 
 use crate::disk::{Disk, RelId};
 use crate::error::ExecError;
 use crate::tuple::Page;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Read/write counters, in pages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,20 +50,54 @@ impl std::ops::Sub for IoCounters {
 
 type PageKey = (RelId, usize);
 
-#[derive(Debug)]
+/// Multiplicative hashing for page keys: two small integers, hashed on
+/// every page access, need none of SipHash's flooding resistance.
+#[derive(Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// End-of-list marker for the recency links.
+const NIL: u32 = u32::MAX;
+
+/// One resident page: its identity, pin count and place in the recency
+/// list (a doubly linked list over frame slots, oldest first).
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    page: Page,
+    key: PageKey,
     pins: u32,
-    stamp: u64,
+    older: u32,
+    newer: u32,
 }
 
 /// The buffer pool.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<PageKey, Frame>,
-    recency: BTreeMap<u64, PageKey>,
-    tick: u64,
+    /// Resident page → its slot in `frames`.
+    slots: HashMap<PageKey, u32, BuildHasherDefault<PageKeyHasher>>,
+    frames: Vec<Frame>,
+    /// Least and most recently used slots.
+    oldest: u32,
+    newest: u32,
     io: IoCounters,
     /// Armed fault-injection point: the first charged I/O at or past this
     /// total-I/O tick fails with [`ExecError::InjectedFault`]. Survives
@@ -68,9 +110,10 @@ impl BufferPool {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            frames: HashMap::new(),
-            recency: BTreeMap::new(),
-            tick: 0,
+            slots: HashMap::default(),
+            frames: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             io: IoCounters::default(),
             fault_at: None,
         }
@@ -111,57 +154,50 @@ impl BufferPool {
     }
 
     /// Empties the cache and sets a new capacity (a fresh memory grant at a
-    /// phase boundary). Counters are preserved.
+    /// phase boundary). Counters are preserved, and so are the frame
+    /// tables' allocations.
     pub fn regrant(&mut self, capacity: usize) {
-        self.frames.clear();
-        self.recency.clear();
         self.capacity = capacity.max(1);
+        self.slots.clear();
+        self.frames.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
     }
 
     /// Reads a page through the pool: free on hit, one read I/O on miss.
-    pub fn read<'a>(
-        &'a mut self,
-        disk: &Disk,
+    /// The page is borrowed from `disk`, not copied.
+    pub fn read<'d>(
+        &mut self,
+        disk: &'d Disk,
         rel: RelId,
         idx: usize,
-    ) -> Result<&'a Page, ExecError> {
-        let key = (rel, idx);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(frame) = self.frames.get_mut(&key) {
-            self.recency.remove(&frame.stamp);
-            frame.stamp = tick;
-            self.recency.insert(tick, key);
-        } else {
-            let page = disk.page(rel, idx)?.clone();
-            self.io.reads += 1;
-            self.check_io_fault()?;
-            self.make_room()?;
-            self.frames.insert(
-                key,
-                Frame {
-                    page,
-                    pins: 0,
-                    stamp: tick,
-                },
-            );
-            self.recency.insert(tick, key);
-        }
-        Ok(&self.frames[&key].page)
+    ) -> Result<&'d Page, ExecError> {
+        let page = disk.page(rel, idx)?;
+        self.touch((rel, idx))?;
+        Ok(page)
     }
 
     /// Reads and pins a page: it will not be evicted until unpinned.
-    pub fn read_pinned(&mut self, disk: &Disk, rel: RelId, idx: usize) -> Result<&Page, ExecError> {
-        self.read(disk, rel, idx)?;
-        let frame = self.frames.get_mut(&(rel, idx)).expect("just read"); // lec-lint: allow(panic-reachability) — read() returns only after pinning the frame, so the entry exists
-        frame.pins += 1;
-        Ok(&self.frames[&(rel, idx)].page)
+    pub fn read_pinned<'d>(
+        &mut self,
+        disk: &'d Disk,
+        rel: RelId,
+        idx: usize,
+    ) -> Result<&'d Page, ExecError> {
+        let page = disk.page(rel, idx)?;
+        let slot = self.touch((rel, idx))?;
+        if let Some(frame) = self.frames.get_mut(slot) {
+            frame.pins += 1;
+        }
+        Ok(page)
     }
 
     /// Releases one pin on a page.
     pub fn unpin(&mut self, rel: RelId, idx: usize) {
-        if let Some(frame) = self.frames.get_mut(&(rel, idx)) {
-            frame.pins = frame.pins.saturating_sub(1);
+        if let Some(&slot) = self.slots.get(&(rel, idx)) {
+            if let Some(frame) = self.frames.get_mut(slot as usize) {
+                frame.pins = frame.pins.saturating_sub(1);
+            }
         }
     }
 
@@ -173,27 +209,79 @@ impl BufferPool {
         disk.append(rel, page)
     }
 
-    /// Evicts the least recently used unpinned frame if the pool is full.
-    fn make_room(&mut self) -> Result<(), ExecError> {
-        while self.frames.len() >= self.capacity {
-            let victim = self
-                .recency
-                .iter()
-                .map(|(stamp, key)| (*stamp, *key))
-                .find(|(_, key)| self.frames[key].pins == 0);
-            match victim {
-                Some((stamp, key)) => {
-                    self.recency.remove(&stamp);
-                    self.frames.remove(&key);
-                }
-                None => {
-                    return Err(ExecError::OutOfFrames {
-                        capacity: self.capacity,
-                    })
-                }
-            }
+    /// Makes `key` the most recently used resident page, charging one read
+    /// on a miss. Returns its slot.
+    fn touch(&mut self, key: PageKey) -> Result<usize, ExecError> {
+        if let Some(&slot) = self.slots.get(&key) {
+            self.unlink(slot);
+            self.link_newest(slot);
+            return Ok(slot as usize);
         }
-        Ok(())
+        self.io.reads += 1;
+        self.check_io_fault()?;
+        let frame = Frame {
+            key,
+            pins: 0,
+            older: NIL,
+            newer: NIL,
+        };
+        let slot = if self.frames.len() < self.capacity {
+            self.frames.push(frame);
+            self.frames.len() - 1
+        } else {
+            // Evict the least recently used unpinned frame; its slot takes
+            // the new page.
+            let victim = self.lru_unpinned().ok_or(ExecError::OutOfFrames {
+                capacity: self.capacity,
+            })?;
+            self.unlink(victim);
+            let old = std::mem::replace(&mut self.frames[victim as usize], frame);
+            self.slots.remove(&old.key);
+            victim as usize
+        };
+        let slot32 = slot as u32;
+        self.slots.insert(key, slot32);
+        self.link_newest(slot32);
+        Ok(slot)
+    }
+
+    /// The least recently used frame with no pins.
+    fn lru_unpinned(&self) -> Option<u32> {
+        let mut at = self.oldest;
+        while let Some(frame) = self.frames.get(at as usize) {
+            if frame.pins == 0 {
+                return Some(at);
+            }
+            at = frame.newer;
+        }
+        None
+    }
+
+    /// Detaches a slot from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Frame { older, newer, .. } = self.frames[slot as usize];
+        match self.frames.get_mut(older as usize) {
+            Some(f) => f.newer = newer,
+            None => self.oldest = newer,
+        }
+        match self.frames.get_mut(newer as usize) {
+            Some(f) => f.older = older,
+            None => self.newest = older,
+        }
+    }
+
+    /// Appends a detached slot at the most recently used end.
+    fn link_newest(&mut self, slot: u32) {
+        let prev = self.newest;
+        if let Some(f) = self.frames.get_mut(prev as usize) {
+            f.newer = slot;
+        } else {
+            self.oldest = slot;
+        }
+        let frame = &mut self.frames[slot as usize];
+        frame.older = prev;
+        frame.newer = NIL;
+        self.newest = slot;
     }
 }
 
@@ -290,6 +378,60 @@ mod tests {
         // Disarmed: I/O proceeds normally afterwards.
         pool.read(&disk, r, 2).unwrap();
         assert_eq!(pool.counters().reads, 3);
+    }
+
+    #[test]
+    fn truncated_page_is_never_a_stale_hit() {
+        let (mut disk, r) = disk_with(2);
+        let mut pool = BufferPool::with_capacity(4);
+        pool.read(&disk, r, 0).unwrap();
+        assert_eq!(pool.resident(), 1);
+        disk.truncate(r).unwrap();
+        // The frame is still resident, but the pool reads through to the
+        // disk, which no longer has the page.
+        assert!(matches!(
+            pool.read(&disk, r, 0),
+            Err(ExecError::PageOutOfRange {
+                page: 0,
+                len: 0,
+                ..
+            })
+        ));
+        assert_eq!(pool.counters().reads, 1);
+    }
+
+    #[test]
+    fn hits_borrow_the_disk_page() {
+        let (disk, r) = disk_with(1);
+        let mut pool = BufferPool::with_capacity(2);
+        let miss: *const Page = pool.read(&disk, r, 0).unwrap();
+        let hit: *const Page = pool.read(&disk, r, 0).unwrap();
+        assert!(std::ptr::eq(miss, hit));
+        assert!(std::ptr::eq(hit, disk.page(r, 0).unwrap()));
+    }
+
+    #[test]
+    fn eviction_skips_pinned_frames_in_lru_order() {
+        let (disk, r) = disk_with(5);
+        let mut pool = BufferPool::with_capacity(3);
+        pool.read_pinned(&disk, r, 0).unwrap(); // oldest, but pinned
+        pool.read(&disk, r, 1).unwrap();
+        pool.read(&disk, r, 2).unwrap();
+        pool.read(&disk, r, 1).unwrap(); // hit: 2 is now the LRU unpinned
+        pool.read(&disk, r, 3).unwrap(); // evicts 2
+        assert_eq!(pool.counters().reads, 4);
+        pool.read(&disk, r, 1).unwrap(); // hit
+        pool.read(&disk, r, 0).unwrap(); // pinned survivor: hit
+        assert_eq!(pool.counters().reads, 4);
+        pool.read(&disk, r, 2).unwrap(); // was evicted: miss, evicts 3
+        assert_eq!(pool.counters().reads, 5);
+        pool.unpin(r, 0);
+        pool.read(&disk, r, 4).unwrap(); // evicts 1 (LRU unpinned)
+        pool.read(&disk, r, 0).unwrap(); // hit
+        pool.read(&disk, r, 2).unwrap(); // hit
+        assert_eq!(pool.counters().reads, 6);
+        pool.read(&disk, r, 1).unwrap(); // miss
+        assert_eq!(pool.counters().reads, 7);
     }
 
     #[test]

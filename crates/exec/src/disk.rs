@@ -61,6 +61,21 @@ impl Disk {
         Ok(pages.len() - 1)
     }
 
+    /// Number of relations created so far. Taken before an execution, it
+    /// is the mark [`Disk::drop_from`] rolls back to.
+    pub fn relation_count(&self) -> usize {
+        self.relations.len()
+    }
+
+    /// Drops every relation created at or after `mark` (a
+    /// [`Disk::relation_count`] taken earlier), reclaiming an execution's
+    /// temporaries: filtered scans, sort runs, partitions and results.
+    /// Their ids become unknown, and later [`Disk::create`] calls hand
+    /// them out again. A `mark` past the end is a no-op.
+    pub fn drop_from(&mut self, mark: usize) {
+        self.relations.truncate(mark);
+    }
+
     /// Drops a temporary relation's pages (the id stays valid but empty).
     pub fn truncate(&mut self, rel: RelId) -> Result<(), ExecError> {
         self.rel_mut(rel)?.clear();
@@ -127,5 +142,23 @@ mod tests {
         assert_eq!(d.tuples(r).unwrap(), 1);
         d.truncate(r).unwrap();
         assert_eq!(d.pages(r).unwrap(), 0);
+    }
+
+    #[test]
+    fn drop_from_rolls_back_to_a_mark() {
+        let mut d = Disk::new();
+        let base = d.load((0..10u64).map(|k| Tuple { key: k, payload: k }));
+        let mark = d.relation_count();
+        let tmp = d.load((0..10u64).map(|k| Tuple { key: k, payload: k }));
+        d.create();
+        assert_eq!(d.relation_count(), mark + 2);
+        d.drop_from(mark);
+        assert_eq!(d.relation_count(), mark);
+        assert!(matches!(d.pages(tmp), Err(ExecError::UnknownRelation(_))));
+        assert_eq!(d.tuples(base).unwrap(), 10);
+        // The dropped id is handed out again.
+        assert_eq!(d.create(), tmp);
+        d.drop_from(usize::MAX);
+        assert_eq!(d.relation_count(), mark + 1);
     }
 }

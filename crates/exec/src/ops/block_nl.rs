@@ -6,12 +6,12 @@
 use crate::bufferpool::BufferPool;
 use crate::disk::{Disk, RelId};
 use crate::error::ExecError;
-use crate::ops::{join_tuple, MIN_MEMORY};
-use crate::tuple::{Page, Tuple};
-use std::collections::HashMap;
+use crate::ops::{join_tuple, KeyIndex, PageWriter, MIN_MEMORY};
+use crate::tuple::Tuple;
 
 /// Joins `outer` and `inner` on key; `outer` plays the left/A role in the
-/// emitted tuples.
+/// emitted tuples. Output order: block by block, inner tuples in scan
+/// order, each inner tuple's matches in outer order.
 pub fn block_nested_loop_join(
     disk: &mut Disk,
     pool: &mut BufferPool,
@@ -29,33 +29,26 @@ pub fn block_nested_loop_join(
     let outer_pages = disk.pages(outer)?;
     let inner_pages = disk.pages(inner)?;
     let out = disk.create();
-    let mut page = Page::new();
+    let mut writer = PageWriter::new(out);
+    let mut index = KeyIndex::new();
+    let mut probe: Vec<Tuple> = Vec::new();
 
     let mut start = 0;
     while start < outer_pages {
         let end = (start + block).min(outer_pages);
-        // Pin the block and hash it by key (CPU-side structure over the
+        // Pin the block and index it by key (CPU-side structure over the
         // pinned pages; no extra I/O).
-        let mut hashed: HashMap<u64, Vec<Tuple>> = HashMap::new();
+        index.clear();
         for p in start..end {
-            let tuples = pool.read_pinned(disk, outer, p)?.tuples().to_vec();
-            for t in tuples {
-                hashed.entry(t.key).or_default().push(t);
-            }
+            index.extend(pool.read_pinned(disk, outer, p)?.tuples());
         }
+        index.build();
         // Re-scan the inner per block.
         for ip in 0..inner_pages {
-            let tuples: Vec<Tuple> = pool.read(disk, inner, ip)?.tuples().to_vec();
-            for t in tuples {
-                if let Some(matches) = hashed.get(&t.key) {
-                    for &ot in matches {
-                        let joined = join_tuple(ot, t);
-                        if !page.push(joined) {
-                            pool.append(disk, out, std::mem::take(&mut page))?;
-                            page.push(joined);
-                        }
-                    }
-                }
+            probe.clear();
+            probe.extend_from_slice(pool.read(disk, inner, ip)?.tuples());
+            for &t in &probe {
+                index.for_each_match(t.key, |ot| writer.push(disk, pool, join_tuple(ot, t)))?;
             }
         }
         for p in start..end {
@@ -63,9 +56,7 @@ pub fn block_nested_loop_join(
         }
         start = end;
     }
-    if !page.is_empty() {
-        pool.append(disk, out, page)?;
-    }
+    writer.finish(disk, pool)?;
     Ok(out)
 }
 

@@ -5,16 +5,17 @@
 use crate::bufferpool::BufferPool;
 use crate::disk::{Disk, RelId};
 use crate::error::ExecError;
-use crate::ops::{join_tuple, MIN_MEMORY};
-use crate::tuple::{Page, Tuple};
-use std::collections::HashMap;
+use crate::ops::{join_tuple, KeyIndex, PageWriter, MIN_MEMORY};
+use crate::tuple::Tuple;
 
 /// Maximum recursive partitioning depth before falling back to an
 /// in-memory join (guards against degenerate all-one-key inputs).
 const MAX_DEPTH: u32 = 8;
 
 /// Joins `a` and `b` on key with the Grace hash algorithm under an
-/// `m`-page grant. Output order is unspecified.
+/// `m`-page grant. Output order: partition pair by partition pair; within
+/// an in-memory join, probe tuples in scan order, each one's matches in
+/// build order.
 pub fn grace_hash_join(
     disk: &mut Disk,
     pool: &mut BufferPool,
@@ -77,22 +78,17 @@ fn partition(
     salt: u32,
 ) -> Result<Vec<RelId>, ExecError> {
     let rels: Vec<RelId> = (0..fanout).map(|_| disk.create()).collect();
-    let mut buffers: Vec<Page> = vec![Page::new(); fanout];
-    let npages = disk.pages(input)?;
-    for p in 0..npages {
-        let tuples: Vec<Tuple> = pool.read(disk, input, p)?.tuples().to_vec();
-        for t in tuples {
-            let h = bucket_of(t.key, salt, fanout);
-            if !buffers[h].push(t) {
-                pool.append(disk, rels[h], std::mem::take(&mut buffers[h]))?;
-                buffers[h].push(t);
-            }
+    let mut writers: Vec<PageWriter> = rels.iter().map(|&r| PageWriter::new(r)).collect();
+    let mut scratch: Vec<Tuple> = Vec::new();
+    for p in 0..disk.pages(input)? {
+        scratch.clear();
+        scratch.extend_from_slice(pool.read(disk, input, p)?.tuples());
+        for &t in &scratch {
+            writers[bucket_of(t.key, salt, fanout)].push(disk, pool, t)?;
         }
     }
-    for (h, buf) in buffers.into_iter().enumerate() {
-        if !buf.is_empty() {
-            pool.append(disk, rels[h], buf)?;
-        }
+    for w in writers {
+        w.finish(disk, pool)?;
     }
     Ok(rels)
 }
@@ -105,8 +101,9 @@ fn bucket_of(key: u64, salt: u32, fanout: usize) -> usize {
     (mixed >> 17) as usize % fanout
 }
 
-/// Builds a hash table from the smaller side and probes with the larger.
-/// Emits `join_tuple(a_side, b_side)` regardless of which side built.
+/// Builds a [`KeyIndex`] over the smaller side and probes it with the
+/// larger. Emits `join_tuple(a_side, b_side)` regardless of which side
+/// built.
 fn in_memory_join(
     disk: &mut Disk,
     pool: &mut BufferPool,
@@ -119,35 +116,29 @@ fn in_memory_join(
     } else {
         (b, a, false)
     };
-    let mut table: HashMap<u64, Vec<Tuple>> = HashMap::new();
+    let mut index = KeyIndex::new();
     for p in 0..disk.pages(build)? {
-        for &t in pool.read(disk, build, p)?.tuples() {
-            table.entry(t.key).or_default().push(t);
-        }
+        index.extend(pool.read(disk, build, p)?.tuples());
     }
+    index.build();
     let out = disk.create();
-    let mut page = Page::new();
+    let mut writer = PageWriter::new(out);
+    let mut scratch: Vec<Tuple> = Vec::new();
     for p in 0..disk.pages(probe)? {
-        let tuples: Vec<Tuple> = pool.read(disk, probe, p)?.tuples().to_vec();
-        for t in tuples {
-            if let Some(matches) = table.get(&t.key) {
-                for &mt in matches {
-                    let joined = if build_is_a {
-                        join_tuple(mt, t)
-                    } else {
-                        join_tuple(t, mt)
-                    };
-                    if !page.push(joined) {
-                        pool.append(disk, out, std::mem::take(&mut page))?;
-                        page.push(joined);
-                    }
-                }
-            }
+        scratch.clear();
+        scratch.extend_from_slice(pool.read(disk, probe, p)?.tuples());
+        for &t in &scratch {
+            index.for_each_match(t.key, |mt| {
+                let joined = if build_is_a {
+                    join_tuple(mt, t)
+                } else {
+                    join_tuple(t, mt)
+                };
+                writer.push(disk, pool, joined)
+            })?;
         }
     }
-    if !page.is_empty() {
-        pool.append(disk, out, page)?;
-    }
+    writer.finish(disk, pool)?;
     Ok(out)
 }
 

@@ -10,7 +10,8 @@
 use crate::bufferpool::BufferPool;
 use crate::disk::{Disk, RelId};
 use crate::error::ExecError;
-use crate::tuple::{Page, Tuple};
+use crate::ops::PageWriter;
+use crate::tuple::Tuple;
 
 /// True iff the tuple passes a uniform pseudo-random predicate with the
 /// given selectivity. Deterministic in the tuple's payload.
@@ -38,19 +39,18 @@ pub fn filtered_scan(
         )));
     }
     let out = disk.create();
-    let mut page = Page::new();
+    let mut writer = PageWriter::new(out);
+    let mut scratch: Vec<Tuple> = Vec::new();
     for p in 0..disk.pages(input)? {
-        let tuples: Vec<Tuple> = pool.read(disk, input, p)?.tuples().to_vec();
-        for t in tuples {
-            if passes(t, selectivity) && !page.push(t) {
-                pool.append(disk, out, std::mem::take(&mut page))?;
-                page.push(t);
+        scratch.clear();
+        scratch.extend_from_slice(pool.read(disk, input, p)?.tuples());
+        for &t in &scratch {
+            if passes(t, selectivity) {
+                writer.push(disk, pool, t)?;
             }
         }
     }
-    if !page.is_empty() {
-        pool.append(disk, out, page)?;
-    }
+    writer.finish(disk, pool)?;
     Ok(out)
 }
 

@@ -5,8 +5,8 @@
 use crate::bufferpool::BufferPool;
 use crate::disk::{Disk, RelId};
 use crate::error::ExecError;
-use crate::ops::MIN_MEMORY;
-use crate::tuple::{pack_pages, Page, Tuple};
+use crate::ops::{PageWriter, MIN_MEMORY};
+use crate::tuple::{pack_pages, Tuple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -128,20 +128,15 @@ fn merge_runs(disk: &mut Disk, pool: &mut BufferPool, runs: &[RelId]) -> Result<
             heap.push(Reverse((t, i)));
         }
     }
-    let mut page = Page::new();
+    let mut writer = PageWriter::new(out);
     while let Some(Reverse((t, i))) = heap.pop() {
-        if !page.push(t) {
-            pool.append(disk, out, std::mem::take(&mut page))?;
-            page.push(t);
-        }
+        writer.push(disk, pool, t)?;
         cursors[i].advance(disk, pool)?;
         if let Some(next) = cursors[i].head() {
             heap.push(Reverse((next, i)));
         }
     }
-    if !page.is_empty() {
-        pool.append(disk, out, page)?;
-    }
+    writer.finish(disk, pool)?;
     Ok(out)
 }
 

@@ -7,8 +7,8 @@ use crate::bufferpool::BufferPool;
 use crate::disk::{Disk, RelId};
 use crate::error::ExecError;
 use crate::ops::sort::external_sort;
-use crate::ops::{join_tuple, MIN_MEMORY};
-use crate::tuple::{Page, Tuple};
+use crate::ops::{join_tuple, PageWriter, MIN_MEMORY};
+use crate::tuple::Tuple;
 
 /// Joins `a` and `b` on `key`; `a_sorted` / `b_sorted` declare inputs that
 /// are already physically sorted (their sort is skipped). Output is sorted
@@ -40,7 +40,9 @@ pub fn sort_merge_join(
     };
 
     let out = disk.create();
-    let mut page = Page::new();
+    let mut writer = PageWriter::new(out);
+    // Duplicate-key groups, reused across keys.
+    let (mut ga, mut gb) = (Vec::new(), Vec::new());
 
     let mut ca = Stream::open(disk, pool, sa)?;
     let mut cb = Stream::open(disk, pool, sb)?;
@@ -52,7 +54,7 @@ pub fn sort_merge_join(
         } else {
             let key = ta.key;
             // Collect both duplicate groups, then cross join them.
-            let mut ga = Vec::new();
+            ga.clear();
             while let Some(t) = ca.head() {
                 if t.key != key {
                     break;
@@ -60,7 +62,7 @@ pub fn sort_merge_join(
                 ga.push(t);
                 ca.advance(disk, pool)?;
             }
-            let mut gb = Vec::new();
+            gb.clear();
             while let Some(t) = cb.head() {
                 if t.key != key {
                     break;
@@ -70,14 +72,12 @@ pub fn sort_merge_join(
             }
             for &x in &ga {
                 for &y in &gb {
-                    emit(disk, pool, out, &mut page, join_tuple(x, y))?;
+                    writer.push(disk, pool, join_tuple(x, y))?;
                 }
             }
         }
     }
-    if !page.is_empty() {
-        pool.append(disk, out, page)?;
-    }
+    writer.finish(disk, pool)?;
     // Drop sort temporaries we created.
     if !a_sorted {
         disk.truncate(sa)?;
@@ -86,21 +86,6 @@ pub fn sort_merge_join(
         disk.truncate(sb)?;
     }
     Ok(out)
-}
-
-/// Appends a tuple to the output, flushing full pages through the pool.
-fn emit(
-    disk: &mut Disk,
-    pool: &mut BufferPool,
-    out: RelId,
-    page: &mut Page,
-    t: Tuple,
-) -> Result<(), ExecError> {
-    if !page.push(t) {
-        pool.append(disk, out, std::mem::take(page))?;
-        page.push(t);
-    }
-    Ok(())
 }
 
 /// Page-at-a-time stream over a relation.

@@ -14,16 +14,20 @@ pub struct Tuple {
     pub payload: u64,
 }
 
-/// A fixed-capacity page of tuples.
+/// A fixed-capacity page of tuples. `Page::default()` is an empty page
+/// that has not allocated yet.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Page {
     tuples: Vec<Tuple>,
 }
 
 impl Page {
-    /// An empty page.
+    /// An empty page with room for [`PAGE_CAPACITY`] tuples, so filling it
+    /// takes one allocation.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            tuples: Vec::with_capacity(PAGE_CAPACITY),
+        }
     }
 
     /// The tuples on the page.
@@ -63,7 +67,7 @@ pub fn pack_pages(tuples: impl IntoIterator<Item = Tuple>) -> Vec<Page> {
     let mut cur = Page::new();
     for t in tuples {
         if !cur.push(t) {
-            pages.push(std::mem::take(&mut cur));
+            pages.push(std::mem::replace(&mut cur, Page::new()));
             cur.push(t);
         }
     }

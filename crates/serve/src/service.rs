@@ -234,7 +234,10 @@ pub struct ServedQuery {
     pub scenario: usize,
     /// Whether the plan came from the cache.
     pub cache_hit: bool,
-    /// Execution report (realized I/O, per-phase memory).
+    /// Execution report (realized I/O, per-phase memory). The service
+    /// does not retain the result: `report.output` names a relation that
+    /// was dropped when the serve finished, and its id is reused by later
+    /// executions.
     pub report: ExecReport,
     /// Observed cardinalities harvested from the execution.
     pub feedback: ExecFeedback,
@@ -1018,14 +1021,20 @@ impl<M: CostModel + Sync> QueryService<M> {
             self.config.observed_memory.clone(),
             self.config.exec_seed.wrapping_add(ordinal),
         );
-        Ok(execute_plan_with_faults(
+        // Everything the execution writes (filtered scans, sort runs,
+        // partitions, the result) is dropped again, on success and on
+        // error, so a long-lived service holds only its base data.
+        let mark = self.store.disk.relation_count();
+        let executed = execute_plan_with_faults(
             plan,
             &base,
             &selections,
             &mut self.store.disk,
             &mut env,
             faults,
-        )?)
+        );
+        self.store.disk.drop_from(mark);
+        Ok(executed?)
     }
 
     /// Feeds execution observations to the drift detector and handles any
@@ -1747,6 +1756,13 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// optimizer run.
     pub fn primed_consumed(&self) -> u64 {
         self.primed_consumed
+    }
+
+    /// Relations on the service's simulated disk. Executions reclaim their
+    /// temporaries, so between serves this is the number of generated base
+    /// tables.
+    pub fn stored_relations(&self) -> usize {
+        self.store.disk.relation_count()
     }
 
     /// Live cache size in entries.

@@ -148,12 +148,11 @@ fn assert_served_equal(a: &ServedQuery, b: &ServedQuery, context: &str) {
     );
     assert_eq!(a.scenario, b.scenario, "{context}: scenario");
     assert_eq!(a.cache_hit, b.cache_hit, "{context}: cache_hit");
-    // The output `RelId` is a per-disk allocation counter: each worker
-    // owns a private disk whose temp-relation ids advance only with its
-    // own executions, so ids (and nothing else about the report) may
-    // differ across worker counts. The replay test pins it separately.
-    assert_eq!(a.report.total, b.report.total, "{context}: exec io");
-    assert_eq!(a.report.phases, b.report.phases, "{context}: exec phases");
+    // Every serve reclaims its temporaries, so the output `RelId` a
+    // worker's private disk hands out depends on the plan alone, not on
+    // how many executions that worker ran before: the full report matches
+    // across worker counts.
+    assert_eq!(a.report, b.report, "{context}: exec report");
     assert_eq!(a.feedback, b.feedback, "{context}: feedback");
     assert_eq!(a.resilience, b.resilience, "{context}: resilience");
 }
@@ -189,9 +188,6 @@ fn worker1_window1_replays_sequential_serve_bit_identically_under_drift() {
     assert_eq!(served.len(), expected.len());
     for (i, (a, b)) in expected.iter().zip(&served).enumerate() {
         assert_served_equal(a, b, &format!("request {i}"));
-        // Single worker, single window: even the disk's temp-relation
-        // allocation order replays, so the reports are *fully* equal.
-        assert_eq!(a.report, b.report, "request {i}: full report");
     }
     assert_eq!(outcome.dedup_saved, 0, "window 1 cannot dedup");
     assert_eq!(outcome.recalibrations, sequential.recalibrations());

@@ -14,6 +14,8 @@
 //! 4. **Non-fatal faults don't reroute**: memory-pressure injection is
 //!    recorded in the trace but never aborts, so routes stay primary and
 //!    the retry counter stays zero.
+//! 5. **No leaked temporaries**: every execution, including one aborted by
+//!    a fault, leaves the service's disk holding only the base tables.
 
 use lec_catalog::{Catalog, ColumnMeta, TableMeta};
 use lec_cost::PaperCostModel;
@@ -249,4 +251,34 @@ fn non_fatal_faults_are_recorded_but_never_reroute() {
     assert_eq!(c.retries, 0);
     assert_eq!(c.degraded_serves, 0);
     assert_eq!(c.breaker_trips, 0);
+}
+
+#[test]
+fn executions_leave_only_base_tables_on_disk_even_when_aborted() {
+    let policy = ResiliencePolicy {
+        max_retries: 2,
+        breaker_threshold: 3,
+        shard_breaker_threshold: 0,
+    };
+    for injection in [
+        FaultInjection::OFF,
+        FaultInjection::every(2, FaultKind::IoError),
+    ] {
+        let mut svc = QueryService::new(
+            PaperCostModel,
+            catalog(),
+            catalog(),
+            config(injection, policy),
+        )
+        .unwrap();
+        let tables = svc.stored_relations();
+        assert_eq!(tables, catalog().iter().count());
+        for req in stream(24) {
+            svc.serve(&req).expect("every request serves");
+            assert_eq!(svc.stored_relations(), tables);
+        }
+        if injection != FaultInjection::OFF {
+            assert!(svc.resilience_counters().retries > 0, "faults must abort");
+        }
+    }
 }
