@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` is the tier-1 gate the CI driver
 # runs; the others are the fast local loops.
 
-.PHONY: verify test bench-smoke lint lint-strict xtable fault-smoke kernel-smoke serve-concurrent-smoke rules-smoke sampling-smoke ci
+.PHONY: verify test bench-smoke lint lint-strict xtable fault-smoke kernel-smoke serve-concurrent-smoke rules-smoke sampling-smoke perfbench-replay ci
 
 # Tier-1: release build + full test suite (what must never regress).
 verify:
@@ -101,12 +101,26 @@ sampling-smoke:
 	grep -q '"certificate_validity"' results/BENCH_sampling_smoke.json
 	grep -q '"optimized_build": true' results/BENCH_sampling_smoke.json
 
+# Serve-loop replay oracle: perfbench's traced run replays every request
+# through `Mirror`, an independent copy of the serving loop, and fails any
+# request whose plan, cost bits, I/O or certificate differ from what the
+# service served. A short seeded run of each workload must report
+# `"correct": true` with no failed request.
+perfbench-replay:
+	@for w in hot_hits miss_storm drift_certify; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 1 | tail -n 1); \
+		echo "$$out" | grep -q '"correct": true' || { echo "perfbench replay failed: $$w"; exit 1; }; \
+		echo "$$out" | grep -q '"failed": 0,' || { echo "perfbench replay failed: $$w"; exit 1; }; \
+		echo "perfbench replay ok: $$w ($$(echo "$$out" | grep -o '"attempted": [0-9]*, "failed": [0-9]*'))"; \
+	done
+
 # Full local CI gate: formatting, lints, the whole test suite (unit +
 # integration + doc-tests), and X18–X24 smoke runs that must leave
 # well-formed results/BENCH_stats.json, results/BENCH_serve.json, and
 # results/BENCH_faults.json behind (X20 self-asserts the control-run
 # closed forms and the drift-recovery bounds; X21 self-asserts the
-# fault-run closed forms, ladder ordering, and bit-identical replay).
+# fault-run closed forms, ladder ordering, and bit-identical replay),
+# then the perfbench replay oracle over all three workloads.
 ci:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -130,3 +144,4 @@ ci:
 	$(MAKE) serve-concurrent-smoke
 	$(MAKE) rules-smoke
 	$(MAKE) sampling-smoke
+	$(MAKE) perfbench-replay

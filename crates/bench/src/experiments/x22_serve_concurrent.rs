@@ -444,8 +444,9 @@ fn run_impl(requests_len: usize) -> String {
          thrashes). Batched rows prime each window of {BATCH_WINDOW} global \
          ordinals with one optimization per distinct would-miss class; the \
          speedup is deduplicated optimizer work, honest on a single core. \
-         Per-request latencies exclude the shared priming (it is inside \
-         the wall clock and the throughput). The 1-worker / window-1 row \
+         Each request's latency is its serve call plus an even share of \
+         its window's priming, so every row's percentiles are comparable \
+         with the sequential loop's. The 1-worker / window-1 row \
          replays the sequential loop and must match its counters exactly. \
          Machine-readable copy written to \
          `results/BENCH_serve_concurrent{}.json`.\n\n{}\n",

@@ -7,8 +7,8 @@
 //! failure; in release builds they compile to nothing, so the hot path pays
 //! zero cost (EXPERIMENTS.md measures with the hooks compiled out).
 //!
-//! `lec-serve` does *not* rely on these: it verifies every served plan
-//! unconditionally (see `ServeConfig::verify_plans`).
+//! `lec-serve` does *not* rely on these: its verify stage checks every
+//! served plan and fallback rung unconditionally, in every build.
 
 use lec_plan::{JoinQuery, Plan};
 

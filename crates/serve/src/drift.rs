@@ -101,7 +101,6 @@ struct Window {
 pub struct DriftDetector {
     config: DriftConfig,
     windows: BTreeMap<DriftTarget, Window>,
-    events_fired: u64,
 }
 
 impl DriftDetector {
@@ -110,13 +109,7 @@ impl DriftDetector {
         DriftDetector {
             config,
             windows: BTreeMap::new(),
-            events_fired: 0,
         }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// Feeds one (estimated, observed) pair. Returns a [`DriftEvent`] when
@@ -147,19 +140,7 @@ impl DriftDetector {
             target: target.clone(),
         };
         self.windows.remove(&target);
-        self.events_fired += 1;
         Some(event)
-    }
-
-    /// Drops the window for one statistic (after an external recalibration
-    /// made its accumulated evidence stale).
-    pub fn reset(&mut self, target: &DriftTarget) {
-        self.windows.remove(target);
-    }
-
-    /// Total events fired since construction.
-    pub fn events_fired(&self) -> u64 {
-        self.events_fired
     }
 }
 
@@ -180,7 +161,6 @@ mod tests {
         for _ in 0..100 {
             assert!(d.observe(sel("t", "c"), 0.1, 0.101).is_none());
         }
-        assert_eq!(d.events_fired(), 0);
     }
 
     #[test]
@@ -204,7 +184,6 @@ mod tests {
             }
         }
         assert_eq!(events, 2);
-        assert_eq!(d.events_fired(), 2);
     }
 
     #[test]
@@ -219,20 +198,6 @@ mod tests {
         assert!(d.observe(sel("t", "good"), 0.1, 0.1).is_none());
         assert!(d.observe(sel("t", "good"), 0.1, 0.1).is_none());
         assert!(d.observe(sel("t", "bad"), 0.1, 0.9).is_some());
-    }
-
-    #[test]
-    fn reset_discards_evidence() {
-        let mut d = DriftDetector::new(DriftConfig {
-            error_threshold: 0.5,
-            min_observations: 2,
-            blend: 0.5,
-        });
-        assert!(d.observe(sel("t", "c"), 0.1, 0.9).is_none());
-        d.reset(&sel("t", "c"));
-        // The window starts over: one more observation is not enough.
-        assert!(d.observe(sel("t", "c"), 0.1, 0.9).is_none());
-        assert!(d.observe(sel("t", "c"), 0.1, 0.9).is_some());
     }
 
     #[test]

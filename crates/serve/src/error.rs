@@ -30,9 +30,9 @@ pub enum ServeError {
     },
     /// A plan about to be served failed the plan-IR verifier
     /// (`lec_plan::verify`). Unlike the optimizers' debug-only hooks this
-    /// check is always on (see `ServeConfig::verify_plans`), because served
-    /// plans can come from the cache-migration path rather than straight
-    /// from an optimizer.
+    /// check always runs on every served plan and fallback rung, because
+    /// served plans can come from the cache-migration path rather than
+    /// straight from an optimizer.
     Verification(lec_plan::PlanError),
 }
 

@@ -3,21 +3,28 @@
 //! Query-serving subsystem for the LEC optimizer family.
 //!
 //! The paper optimizes one query at a time under *assumed* distributions;
-//! this crate closes the loop a deployed optimizer actually runs in:
+//! this crate closes the loop a deployed optimizer actually runs in. Every
+//! request runs the same straight-line sequence of stages in
+//! [`QueryService::serve_at`] (see the [`service`] module docs):
 //!
-//! 1. **Cache** — incoming queries are keyed by a canonical fingerprint
-//!    ([`lec_plan::fingerprint`]), so isomorphic requests (same statistics,
-//!    different relation numbering or predicate order) share one cached
-//!    [`ParametricPlans`](lec_core::parametric::ParametricPlans) entry: one
-//!    precomputed LEC plan per anticipated memory scenario, re-*cost* (not
-//!    re-optimized) under the observed distribution at serve time.
-//! 2. **Execute** — served plans run for real on `lec-exec`'s page-level
-//!    simulator, which reports observed selection and join cardinalities
-//!    alongside the I/O counts.
-//! 3. **Recalibrate** — a [`DriftDetector`] compares observations against
-//!    the belief catalog's estimates; sustained error recalibrates the
-//!    catalog ([`Histogram::merge_observations`]
-//!    (lec_catalog::Histogram::merge_observations)), invalidates the
+//! 1. **Prepare and plan** — incoming queries are keyed by a canonical
+//!    fingerprint ([`lec_plan::fingerprint`]), so isomorphic requests (same
+//!    statistics, different relation numbering or predicate order) share
+//!    one cached [`ParametricPlans`](lec_core::parametric::ParametricPlans)
+//!    entry: one precomputed LEC plan per anticipated memory scenario.
+//! 2. **Pick and verify** — the stored plans are re-*cost* (not
+//!    re-optimized) under the observed distribution, one is chosen by the
+//!    configured selection rule, and the plan-IR verifier checks it.
+//! 3. **Execute** — the pick runs for real on `lec-exec`'s page-level
+//!    simulator, falling back down a ladder of frontier plans and the LSC
+//!    baseline on injected faults; a tripped circuit [`Breaker`] starts
+//!    the ladder at the LSC baseline.
+//! 4. **Certify, feedback, recalibrate** — with resampling on, the served
+//!    plan gets an (ε, δ) certificate; observed cardinalities feed a
+//!    [`DriftDetector`], and sustained error recalibrates the belief
+//!    catalog (blending the observations into it via
+//!    [`Histogram::merge_observations`](lec_catalog::Histogram::merge_observations),
+//!    or resampling the statistic from the truth catalog), invalidates the
 //!    affected cache entries, and a value-of-information analysis
 //!    ([`lec_core::voi`]) decides whether they are re-optimized or merely
 //!    migrated and re-cost.
@@ -35,6 +42,7 @@ pub mod cache;
 pub mod concurrent;
 pub mod drift;
 pub mod error;
+mod recalibrate;
 pub mod resilience;
 pub mod service;
 
@@ -42,9 +50,7 @@ pub use cache::PlanCache;
 pub use concurrent::{ConcurrencyConfig, ConcurrentServer, RequestOutcome, StreamOutcome};
 pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
 pub use error::ServeError;
-pub use resilience::{
-    CircuitBreaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute, ShardBreaker,
-};
+pub use resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
 pub use service::{
     BatchPrimer, PreparedRequest, QueryRequest, QueryService, Recalibration, RecalibrationDecision,
     ResampleConfig, ServeConfig, ServedQuery,

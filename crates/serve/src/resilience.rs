@@ -1,5 +1,6 @@
 //! Graceful degradation for the serving loop: retry ladder, deterministic
-//! fault injection config, and a per-fingerprint circuit breaker.
+//! fault injection config, and per-fingerprint and per-shard circuit
+//! breakers.
 //!
 //! The LEC pitch is pricing plans under uncertainty; this module is what
 //! happens when an execution *actually* goes bad. On an injected fault the
@@ -11,17 +12,20 @@
 //! allowed attempt always runs with an empty [`FaultSchedule`], so a
 //! request under injection is degraded or retried, never errored out.
 //!
-//! Repeat offenders trip a [`CircuitBreaker`]: once a fingerprint has
-//! accumulated `breaker_threshold` faults it is routed straight to the LSC
-//! baseline (fault-free) and its cache entry is invalidated, flagging it
-//! for reoptimization on its next request.
+//! Repeat offenders trip a [`Breaker`]: once a fingerprint has accumulated
+//! `breaker_threshold` faults (or its cache shard `shard_breaker_threshold`)
+//! the ladder starts at the LSC baseline (fault-free) and the fingerprint's
+//! cache entry (or the whole shard) is invalidated, flagging it for
+//! reoptimization on its next request.
 //!
 //! Everything here is deterministic: [`FaultInjection`] keys schedules on
 //! the request ordinal and attempt number, faults fire on simulated
-//! coordinates inside `lec-exec`, and the breaker is a [`BTreeMap`] keyed
-//! by fingerprint encodings — no wall clock, no ambient randomness.
+//! coordinates inside `lec-exec`, and the breakers are [`BTreeMap`]s keyed
+//! by fingerprint encoding or shard index — no wall clock, no ambient
+//! randomness.
 
 use lec_exec::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, FaultTrigger};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Bounded-retry and circuit-breaker knobs on
@@ -95,11 +99,6 @@ impl FaultInjection {
         }
     }
 
-    /// True when this config never injects.
-    pub fn is_off(&self) -> bool {
-        self.period == 0
-    }
-
     /// The schedule for one execution attempt: a single phase-0 fault when
     /// `ordinal` matches the period/offset and `attempt` is still within
     /// the faulted prefix, empty otherwise.
@@ -148,100 +147,53 @@ pub struct ResilienceReport {
     pub route: ServeRoute,
     /// True when the serving route was not [`ServeRoute::Primary`].
     pub degraded: bool,
-    /// True when the circuit breaker rerouted this request.
+    /// True when a circuit breaker rerouted this request.
     pub breaker_tripped: bool,
 }
 
-impl ResilienceReport {
-    /// The report of an undisturbed primary serve.
-    pub fn primary() -> Self {
-        ResilienceReport {
-            attempts: 1,
-            faults: Vec::new(),
-            attempted: vec![ServeRoute::Primary],
-            route: ServeRoute::Primary,
-            degraded: false,
-            breaker_tripped: false,
+/// Fault strikes per key. The service keeps two: one keyed by fingerprint
+/// encoding (a tripped fingerprint reroutes to the LSC baseline and drops
+/// its cache entry) and one keyed by cache shard (correlated faults across
+/// distinct fingerprints in one shard trip it even when no single
+/// fingerprint reaches its own threshold, and flush the whole shard).
+/// Deterministic: a [`BTreeMap`].
+#[derive(Debug, Clone)]
+pub struct Breaker<K: Ord> {
+    strikes: BTreeMap<K, u32>,
+}
+
+impl<K: Ord> Default for Breaker<K> {
+    fn default() -> Self {
+        Breaker {
+            strikes: BTreeMap::new(),
         }
     }
 }
 
-/// Per-fingerprint fault strikes. Deterministic: a [`BTreeMap`] keyed by
-/// the fingerprint's canonical encoding bytes.
-#[derive(Debug, Clone, Default)]
-pub struct CircuitBreaker {
-    strikes: BTreeMap<Vec<u8>, u32>,
-}
-
-impl CircuitBreaker {
-    /// A breaker with no strikes recorded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl<K: Ord> Breaker<K> {
     /// Records one fault against `key`, returning the new strike count.
-    pub fn record_fault(&mut self, key: &[u8]) -> u32 {
-        let count = self.strikes.entry(key.to_vec()).or_insert(0);
+    pub fn record_fault(&mut self, key: K) -> u32 {
+        let count = self.strikes.entry(key).or_insert(0);
         *count += 1;
         *count
-    }
-
-    /// Strikes recorded against `key`.
-    pub fn strikes(&self, key: &[u8]) -> u32 {
-        self.strikes.get(key).copied().unwrap_or(0)
     }
 
     /// True when `key` has reached `threshold` strikes (a zero threshold
     /// never opens).
-    pub fn is_open(&self, key: &[u8], threshold: u32) -> bool {
-        threshold > 0 && self.strikes(key) >= threshold
+    pub fn is_open<Q: Ord + ?Sized>(&self, key: &Q, threshold: u32) -> bool
+    where
+        K: Borrow<Q>,
+    {
+        threshold > 0 && self.strikes.get(key).is_some_and(|&n| n >= threshold)
     }
 
-    /// Clears the strikes against `key` (done when the breaker trips and
-    /// reroutes, so the fresh entry starts clean).
-    pub fn reset(&mut self, key: &[u8]) {
+    /// Clears the strikes against `key` (done when the breaker trips, so
+    /// the refreshed entry or shard starts clean).
+    pub fn reset<Q: Ord + ?Sized>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+    {
         self.strikes.remove(key);
-    }
-}
-
-/// Per-shard fault strikes — the coarse companion to [`CircuitBreaker`].
-/// Strikes accumulate against the *cache shard* a faulting fingerprint
-/// maps to, so correlated faults across distinct fingerprints in one shard
-/// can trip even when no single fingerprint reaches its own threshold.
-/// Deterministic: a [`BTreeMap`] keyed by shard index.
-#[derive(Debug, Clone, Default)]
-pub struct ShardBreaker {
-    strikes: BTreeMap<usize, u32>,
-}
-
-impl ShardBreaker {
-    /// A breaker with no strikes recorded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one fault against `shard`, returning the new strike count.
-    pub fn record_fault(&mut self, shard: usize) -> u32 {
-        let count = self.strikes.entry(shard).or_insert(0);
-        *count += 1;
-        *count
-    }
-
-    /// Strikes recorded against `shard`.
-    pub fn strikes(&self, shard: usize) -> u32 {
-        self.strikes.get(&shard).copied().unwrap_or(0)
-    }
-
-    /// True when `shard` has reached `threshold` strikes (a zero threshold
-    /// never opens — same contract as [`CircuitBreaker::is_open`]).
-    pub fn is_open(&self, shard: usize, threshold: u32) -> bool {
-        threshold > 0 && self.strikes(shard) >= threshold
-    }
-
-    /// Clears the strikes against `shard` (done when the shard breaker
-    /// trips and flushes, so the refilled shard starts clean).
-    pub fn reset(&mut self, shard: usize) {
-        self.strikes.remove(&shard);
     }
 }
 
@@ -251,7 +203,6 @@ mod tests {
 
     #[test]
     fn off_injection_always_yields_empty_schedules() {
-        assert!(FaultInjection::OFF.is_off());
         for ordinal in 0..20 {
             for attempt in 0..3 {
                 assert!(FaultInjection::OFF
@@ -277,39 +228,37 @@ mod tests {
 
     #[test]
     fn breaker_opens_at_threshold_and_resets() {
-        let mut b = CircuitBreaker::new();
+        let mut b: Breaker<Vec<u8>> = Breaker::default();
         let key = b"fp-a".as_slice();
         assert!(!b.is_open(key, 2));
-        assert_eq!(b.record_fault(key), 1);
+        assert_eq!(b.record_fault(key.to_vec()), 1);
         assert!(!b.is_open(key, 2));
-        assert_eq!(b.record_fault(key), 2);
+        assert_eq!(b.record_fault(key.to_vec()), 2);
         assert!(b.is_open(key, 2));
         // Other keys are independent.
-        assert!(!b.is_open(b"fp-b", 2));
+        assert!(!b.is_open(b"fp-b".as_slice(), 2));
         b.reset(key);
         assert!(!b.is_open(key, 2));
-        assert_eq!(b.strikes(key), 0);
         // A zero threshold never opens.
-        b.record_fault(key);
+        b.record_fault(key.to_vec());
         assert!(!b.is_open(key, 0));
     }
 
     #[test]
     fn shard_breaker_opens_at_threshold_and_resets() {
-        let mut b = ShardBreaker::new();
-        assert!(!b.is_open(2, 2));
+        let mut b: Breaker<usize> = Breaker::default();
+        assert!(!b.is_open(&2, 2));
         assert_eq!(b.record_fault(2), 1);
         assert_eq!(b.record_fault(2), 2);
-        assert!(b.is_open(2, 2));
+        assert!(b.is_open(&2, 2));
         // Other shards are independent.
-        assert!(!b.is_open(3, 2));
-        b.reset(2);
-        assert_eq!(b.strikes(2), 0);
-        assert!(!b.is_open(2, 2));
+        assert!(!b.is_open(&3, 2));
+        b.reset(&2);
+        assert!(!b.is_open(&2, 2));
         // A zero threshold never opens, so the default policy keeps the
         // shard layer inert.
         b.record_fault(2);
-        assert!(!b.is_open(2, 0));
+        assert!(!b.is_open(&2, 0));
         assert_eq!(ResiliencePolicy::default().shard_breaker_threshold, 0);
     }
 }

@@ -1,17 +1,42 @@
-//! The query service: fingerprint → cache → optimize → execute →
-//! feedback → recalibrate.
+//! The query service: one request runs one straight-line sequence of
+//! stages.
 //!
 //! A [`QueryService`] owns two catalogs. The **belief** catalog is what the
 //! optimizer sees; the **truth** catalog describes the data actually on the
-//! simulated disk. Requests are canonicalized (so isomorphic queries share
-//! one cache entry), served from a sharded [`PlanCache`] of parametric plan
-//! sets when possible, and executed for real through `lec-exec`. Execution
-//! feedback (observed selection and join cardinalities) feeds a
-//! [`DriftDetector`]; when a statistic has drifted, the belief catalog is
-//! recalibrated from the observations, affected cache entries are pulled,
-//! and a value-of-information analysis ([`lec_core::voi`]) decides whether
-//! the pulled entries are re-optimized from scratch on their next request
-//! or migrated (plans carried over, re-cost at pick time).
+//! simulated disk. [`serve_at`](QueryService::serve_at) runs each request
+//! through the same private stages, in this order:
+//!
+//! 1. **prepare** — build the belief-side query and canonicalize it (so
+//!    isomorphic queries share one cache entry), or reuse the caller's
+//!    prepared form while its beliefs version is current;
+//! 2. **plan** — look the fingerprint up in the sharded [`PlanCache`] of
+//!    parametric plan sets; on a miss take a batch primer's plans or run
+//!    the optimizer;
+//! 3. **pick** — re-cost the stored per-scenario plans under the observed
+//!    memory distribution and choose one by the configured selection rule;
+//! 4. **verify** — run the pick through the plan-IR verifier in the
+//!    request's numbering (always on);
+//! 5. **execute** — walk the fallback ladder (primary pick, next-best
+//!    frontier plans, LSC baseline) on `lec-exec`. A tripped circuit
+//!    breaker starts the ladder at its LSC rung, fault-free;
+//! 6. **certify** — under resampling, attach an (ε, δ) certificate computed
+//!    from the intervals the plan was served under. This runs before
+//!    feedback, which may resample and refresh those intervals;
+//! 7. **feedback** — feed observed selection and join cardinalities to the
+//!    [`DriftDetector`];
+//! 8. **recalibrate** — for each fired drift event, update the belief
+//!    statistic (blend or resample, see below), pull the affected cache
+//!    entries, and let a value-of-information analysis
+//!    ([`lec_core::voi`]) decide whether they are re-optimized from
+//!    scratch on their next request or migrated (plans carried over,
+//!    re-cost at pick time).
+//!
+//! A private `Recalibrator` is built once from [`ServeConfig::resample`]:
+//! `Blend` folds the drift window's observed mean into the belief
+//! statistic and certifies nothing; `Resample` replaces the statistic with
+//! a fresh row sample from the truth catalog, keeps a confidence interval
+//! per sampled statistic, and certifies every serve the breaker did not
+//! reroute.
 //!
 //! ### Determinism contract
 //!
@@ -21,39 +46,37 @@
 //! catalogs. The optimizer is a serial dynamic program, so one service has
 //! no internal concurrency at all.
 //!
-//! [`serve_at`](QueryService::serve_at) exposes the same loop with the
-//! stream position made explicit, so the concurrent driver
-//! ([`crate::concurrent`]) can partition one logical stream across several
-//! services while reproducing the sequential loop's memory draws and fault
-//! schedules exactly; [`prepare`](QueryService::prepare) and
-//! [`prime_window`](QueryService::prime_window) move canonicalization and
-//! miss optimization off the serve path without perturbing any counter.
+//! [`serve_at`](QueryService::serve_at) takes the stream position
+//! explicitly, so the concurrent driver ([`crate::concurrent`]) can
+//! partition one logical stream across several services while reproducing
+//! the sequential loop's memory draws and fault schedules exactly;
+//! [`prime_window`](QueryService::prime_window) runs the prepare and
+//! optimize stages ahead of a window without perturbing any counter.
 
 use crate::cache::{shard_of, PlanCache};
 use crate::drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
-use crate::resilience::{
-    CircuitBreaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute, ShardBreaker,
-};
-use lec_catalog::sampling::{BoundKind, SampleConfig, SampleEstimator, StatInterval};
-use lec_catalog::{Catalog, Histogram, Predicate};
+use crate::recalibrate::{filter_stat, join_stat, Recalibrator};
+use crate::resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
+use lec_catalog::sampling::{BoundKind, StatInterval};
+use lec_catalog::Catalog;
 use lec_core::alg_d::SizeModel;
-use lec_core::certificate::{certify_plan, Certificate, QueryIntervals};
+use lec_core::certificate::{certify_plan, Certificate};
 use lec_core::parametric::ParametricPlans;
 use lec_core::{expected_cost, lsc, voi, MemoryModel, OptStats, ResilienceCounters};
 use lec_cost::CostModel;
 use lec_exec::datagen::{generate, DataGenSpec};
 use lec_exec::{
     execute_plan_with_faults, Disk, ExecError, ExecFeedback, ExecMemoryEnv, ExecReport,
-    FaultRecord, FaultSchedule, RelId,
+    FaultSchedule, RelId,
 };
-use lec_plan::Plan;
-use lec_plan::{canonicalize, JoinQuery};
+use lec_plan::{canonicalize, Canonical, JoinQuery, Plan, RelSet};
 use lec_rules::{Rule, SelectionRule};
 use lec_stats::Distribution;
-use lec_workload::from_catalog::{query_from_catalog, FilterSpec, JoinSpec};
-use rand_chacha::rand_core::{RngCore, SeedableRng};
+use lec_workload::from_catalog::{page_selectivity, query_from_catalog, FilterSpec, JoinSpec};
+use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration for a [`QueryService`].
@@ -77,18 +100,11 @@ pub struct ServeConfig {
     pub reoptimize_cost: f64,
     /// Base seed for data generation and per-execution memory draws.
     pub exec_seed: u64,
-    /// Run every served plan through the plan-IR verifier
-    /// (`lec_plan::verify_plan`) before execution, failing the request with
-    /// [`ServeError::Verification`] on a bad plan. On by default — unlike
-    /// the optimizers' debug-only hooks this guards the cache-migration
-    /// path too, and its cost (a tree walk over a handful of nodes) is
-    /// noise next to plan execution.
-    pub verify_plans: bool,
     /// Bounded-retry and circuit-breaker behavior on faulted executions.
     pub resilience: ResiliencePolicy,
     /// Deterministic fault injection, keyed on request ordinal and attempt
-    /// number. [`FaultInjection::OFF`] (the default) keeps every execution
-    /// on the exact pre-resilience code path.
+    /// number. [`FaultInjection::OFF`] (the default) gives every execution
+    /// an empty fault schedule.
     pub fault_injection: FaultInjection,
     /// How the start-up pick and the fallback-ladder ordering choose
     /// among the cached per-scenario plans. The default,
@@ -99,14 +115,13 @@ pub struct ServeConfig {
     /// recalibration, and the resilience ladder all run under whichever
     /// rule is configured.
     pub selection_rule: Rule,
-    /// Sample-backed certification. `None` (the default) keeps the
-    /// legacy blending recalibration path bit-for-bit: no sampler is
-    /// seeded, no interval state is kept, and served queries carry no
-    /// certificate. `Some` switches drift handling from blending to
-    /// *resampling* — a fired drift event draws a fresh row sample from
-    /// the truth catalog, replaces the drifted belief statistic, and
-    /// refreshes its confidence interval — and attaches an (ε, δ)
-    /// suboptimality certificate to every successfully served plan.
+    /// How drift recalibrates the beliefs. `None` (the default) *blends*
+    /// each drift window's observed mean into the belief statistic and
+    /// attaches no certificate. `Some` *resamples* instead — a fired drift
+    /// event draws a fresh row sample from the truth catalog, replaces the
+    /// drifted belief statistic, and refreshes its confidence interval —
+    /// and attaches an (ε, δ) suboptimality certificate to every serve the
+    /// circuit breaker did not reroute.
     pub resample: Option<ResampleConfig>,
 }
 
@@ -155,7 +170,6 @@ impl ServeConfig {
             drift: DriftConfig::default(),
             reoptimize_cost: 0.0,
             exec_seed: 0x5EC5,
-            verify_plans: true,
             resilience: ResiliencePolicy::default(),
             fault_injection: FaultInjection::OFF,
             selection_rule: Rule::LeastExpectedCost,
@@ -189,9 +203,7 @@ pub struct CacheEntry {
     /// Plans are stored in this canonical numbering.
     plans: ParametricPlans,
     /// Canonicalization of the representative request's query.
-    canon: lec_plan::Canonical,
-    /// Tables the entry's estimates depend on (sorted, deduplicated).
-    tables: Vec<String>,
+    canon: Canonical,
 }
 
 /// What drift did to the service's state during one serve.
@@ -247,8 +259,8 @@ pub struct ServedQuery {
     pub resilience: ResilienceReport,
     /// The (ε, δ) suboptimality certificate of the served plan, computed
     /// from the current sampled statistic intervals. `None` when
-    /// [`ServeConfig::resample`] is off or the serve took a degraded
-    /// breaker route.
+    /// [`ServeConfig::resample`] is off or the circuit breaker rerouted
+    /// the serve.
     pub certificate: Option<Certificate>,
 }
 
@@ -266,11 +278,26 @@ pub struct ServedQuery {
 #[derive(Debug, Clone)]
 pub struct PreparedRequest {
     pub(crate) query: JoinQuery,
-    pub(crate) canon: lec_plan::Canonical,
+    pub(crate) canon: Canonical,
     pub(crate) version: u64,
 }
 
 impl PreparedRequest {
+    /// Builds `request`'s query from `beliefs` and canonicalizes it,
+    /// tagged with the beliefs `version`.
+    pub(crate) fn build(
+        beliefs: &Catalog,
+        request: &QueryRequest,
+        version: u64,
+    ) -> Result<Self, ServeError> {
+        let query = build_query(beliefs, request)?;
+        Ok(PreparedRequest {
+            canon: canonicalize(&query),
+            query,
+            version,
+        })
+    }
+
     /// The cache shard the prepared fingerprint maps to under `shards`-way
     /// splitting — the concurrent driver's routing key.
     pub fn shard(&self, shards: usize) -> usize {
@@ -307,13 +334,6 @@ pub struct BatchPrimer {
     pub dedup_saved: u64,
 }
 
-impl BatchPrimer {
-    /// Number of distinct fingerprints primed.
-    pub fn primed(&self) -> usize {
-        self.plans.len()
-    }
-}
-
 /// One rung of the fallback ladder, ready to execute in the request's
 /// numbering.
 struct LadderRung {
@@ -323,53 +343,57 @@ struct LadderRung {
     route: ServeRoute,
 }
 
-/// Generated base data: one simulated relation per catalog table.
-struct TableStore {
-    disk: Disk,
-    rels: BTreeMap<String, RelId>,
+/// What the execute stage hands on: the rung that served, its execution,
+/// and what the resilience layer did to get there.
+struct Executed {
+    rung: LadderRung,
+    report: ExecReport,
+    feedback: ExecFeedback,
+    resilience: ResilienceReport,
 }
 
-impl TableStore {
-    /// Generates data for every table in `truth`, in name order. The
-    /// simulator joins on the single shared key attribute; its domain is
-    /// taken from each table's *first* column (the store's join-key
-    /// convention).
-    fn generate(truth: &Catalog, seed: u64) -> Self {
-        let mut disk = Disk::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut rels = BTreeMap::new();
-        for meta in truth.iter() {
-            let key_domain = meta
-                .columns
-                .first()
-                .map(|c| c.distinct.max(1))
-                .unwrap_or(meta.rows.max(1));
-            let rel = generate(
-                &mut disk,
-                &mut rng,
-                &DataGenSpec {
-                    pages: meta.pages as usize,
-                    key_domain,
-                },
-            );
-            rels.insert(meta.name.clone(), rel);
-        }
-        TableStore { disk, rels }
+/// Generates the simulated base data: one relation per table in `truth`,
+/// in name order. The simulator joins on the single shared key attribute;
+/// its domain is taken from each table's *first* column (the store's
+/// join-key convention).
+fn generate_tables(truth: &Catalog, seed: u64) -> (Disk, BTreeMap<String, RelId>) {
+    let mut disk = Disk::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rels = BTreeMap::new();
+    for meta in truth.iter() {
+        let key_domain = meta
+            .columns
+            .first()
+            .map(|c| c.distinct.max(1))
+            .unwrap_or(meta.rows.max(1));
+        let spec = DataGenSpec {
+            pages: meta.pages as usize,
+            key_domain,
+        };
+        rels.insert(meta.name.clone(), generate(&mut disk, &mut rng, &spec));
     }
+    (disk, rels)
 }
 
-/// The serving loop. See the module docs for the data flow.
+/// The serving loop. See the module docs for the stage sequence.
 pub struct QueryService<M: CostModel + Sync> {
     model: M,
     beliefs: Catalog,
     truth: Catalog,
-    store: TableStore,
+    /// The simulated disk, holding the generated base tables between
+    /// serves.
+    disk: Disk,
+    /// Each table's generated relation on `disk`.
+    rels: BTreeMap<String, RelId>,
     cache: PlanCache<CacheEntry>,
     drift: DriftDetector,
     config: ServeConfig,
+    recalibrator: Recalibrator,
     stats: OptStats,
-    breaker: CircuitBreaker,
-    shard_breaker: ShardBreaker,
+    /// Fault strikes per fingerprint encoding.
+    breaker: Breaker<Vec<u8>>,
+    /// Fault strikes per cache shard.
+    shard_breaker: Breaker<usize>,
     resilience: ResilienceCounters,
     optimizer_invocations: u64,
     recalibrations: u64,
@@ -383,14 +407,6 @@ pub struct QueryService<M: CostModel + Sync> {
     /// Cache misses answered from a batch primer instead of a fresh
     /// optimizer run.
     primed_consumed: u64,
-    /// Sampled confidence intervals per drifted/certified statistic
-    /// (row-domain for joins). Empty unless `config.resample` is on.
-    intervals: BTreeMap<DriftTarget, StatInterval>,
-    /// RNG behind the sample draws; `None` unless `config.resample` is on,
-    /// so the legacy path consumes no randomness.
-    resample_rng: Option<ChaCha8Rng>,
-    /// Drift-triggered resampling rounds performed so far.
-    resamples: u64,
 }
 
 impl<M: CostModel + Sync> QueryService<M> {
@@ -421,37 +437,21 @@ impl<M: CostModel + Sync> QueryService<M> {
                 config.drift.blend
             )));
         }
-        if let Some(rc) = &config.resample {
-            if rc.draws == 0 || rc.initial_draws == 0 {
-                return Err(ServeError::Config(
-                    "resample draw counts must be positive".into(),
-                ));
-            }
-            if !(rc.delta.is_finite() && rc.delta > 0.0 && rc.delta < 1.0) {
-                return Err(ServeError::Config(format!(
-                    "resample delta {} outside (0, 1)",
-                    rc.delta
-                )));
-            }
-        }
-        let store = TableStore::generate(&truth, config.exec_seed);
-        let cache = PlanCache::new(config.cache_shards, config.cache_capacity);
-        let drift = DriftDetector::new(config.drift);
-        let resample_rng = config
-            .resample
-            .as_ref()
-            .map(|rc| ChaCha8Rng::seed_from_u64(rc.seed));
+        let recalibrator = Recalibrator::new(config.resample, config.drift.blend)?;
+        let (disk, rels) = generate_tables(&truth, config.exec_seed);
         Ok(QueryService {
+            disk,
+            rels,
+            cache: PlanCache::new(config.cache_shards, config.cache_capacity),
+            drift: DriftDetector::new(config.drift),
             model,
             beliefs,
             truth,
-            store,
-            cache,
-            drift,
             config,
+            recalibrator,
             stats: OptStats::new("serve", 0),
-            breaker: CircuitBreaker::new(),
-            shard_breaker: ShardBreaker::new(),
+            breaker: Breaker::default(),
+            shard_breaker: Breaker::default(),
             resilience: ResilienceCounters::default(),
             optimizer_invocations: 0,
             recalibrations: 0,
@@ -460,9 +460,6 @@ impl<M: CostModel + Sync> QueryService<M> {
             queries_served: 0,
             beliefs_version: 0,
             primed_consumed: 0,
-            intervals: BTreeMap::new(),
-            resample_rng,
-            resamples: 0,
         })
     }
 
@@ -472,19 +469,6 @@ impl<M: CostModel + Sync> QueryService<M> {
         self.serve_at(self.queries_served, request, None, None)
     }
 
-    /// Pre-processes a request off the serving path: builds its belief-side
-    /// query and canonicalization, tagged with the current beliefs version.
-    /// Pure with respect to service state (no counters move).
-    pub fn prepare(&self, request: &QueryRequest) -> Result<PreparedRequest, ServeError> {
-        let query = self.build_query(request)?;
-        let canon = canonicalize(&query);
-        Ok(PreparedRequest {
-            query,
-            canon,
-            version: self.beliefs_version,
-        })
-    }
-
     /// Optimizes every *distinct would-miss* fingerprint in `window` exactly
     /// once, ahead of serving. Requests resident in the cache at prime time
     /// are *pinned*: their entry is cloned into the primer by a pure read
@@ -492,12 +476,11 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// within-window inserts evict them, later occurrences serve from the
     /// primer instead of re-optimizing. Isomorphic repeats of an optimized
     /// prime within the window are deduplicated (counted in the primer's
-    /// `dedup_saved`). Optimizer work done here is indistinguishable from
-    /// the same work done on the miss path: the same stats are absorbed and
-    /// the same invocation counter moves, so a window of one request leaves
-    /// every counter exactly where plain [`serve`] would — a resident
-    /// request's pin is never consulted (its serve hits the cache first),
-    /// and a non-resident one is optimized exactly once either way.
+    /// `dedup_saved`). Priming runs the serve path's own prepare and
+    /// optimize stages, so a window of one request leaves every counter
+    /// exactly where plain [`serve`] would — a resident request's pin is
+    /// never consulted (its serve hits the cache first), and a non-resident
+    /// one is optimized exactly once either way.
     ///
     /// Each `window` element pairs a request with its prepared form, if the
     /// caller has one; stale or absent preparations are recomputed here.
@@ -514,43 +497,25 @@ impl<M: CostModel + Sync> QueryService<M> {
             dedup_saved: 0,
         };
         for (request, prepared) in window {
-            let canon = match prepared.filter(|p| p.version == self.beliefs_version) {
-                Some(p) => p.canon.clone(),
-                None => canonicalize(&self.build_query(request)?),
-            };
-            let key = canon.fingerprint.encoding();
+            let prepared = self.prepare(request, *prepared)?;
+            let fingerprint = &prepared.canon.fingerprint;
+            let key = fingerprint.encoding();
             if primer.plans.contains_key(key) {
                 if !primer.pinned.contains(key) {
                     primer.dedup_saved += 1;
                 }
                 continue;
             }
-            if let Some(entry) = self.cache.peek(&canon.fingerprint) {
-                primer.pinned.insert(key.to_vec());
-                primer.plans.insert(key.to_vec(), entry.plans);
-                continue;
-            }
-            let plans = self.optimize_canonical(&canon)?;
+            let plans = match self.cache.peek(fingerprint) {
+                Some(entry) => {
+                    primer.pinned.insert(key.to_vec());
+                    entry.plans
+                }
+                None => self.optimize(&prepared.canon)?,
+            };
             primer.plans.insert(key.to_vec(), plans);
         }
         Ok(primer)
-    }
-
-    /// One full optimizer run against a canonical query, with stats
-    /// absorbed and the invocation counter moved — the single chokepoint
-    /// both the miss path and the batch primer go through.
-    fn optimize_canonical(
-        &mut self,
-        canon: &lec_plan::Canonical,
-    ) -> Result<ParametricPlans, ServeError> {
-        let (plans, pstats) = ParametricPlans::precompute_with_stats(
-            &canon.query,
-            &self.model,
-            &self.config.scenarios,
-        )?;
-        self.stats.absorb(&pstats);
-        self.optimizer_invocations += 1;
-        Ok(plans)
     }
 
     /// [`serve`](QueryService::serve) with the stream position made
@@ -569,199 +534,215 @@ impl<M: CostModel + Sync> QueryService<M> {
         prepared: Option<&PreparedRequest>,
         primer: Option<&BatchPrimer>,
     ) -> Result<ServedQuery, ServeError> {
-        let (query, canon) = match prepared.filter(|p| p.version == self.beliefs_version) {
-            Some(p) => (p.query.clone(), p.canon.clone()),
-            None => {
-                let query = self.build_query(request)?;
-                let canon = canonicalize(&query);
-                (query, canon)
-            }
-        };
-
-        // Both the hit and the miss path optimize *and* cost against the
-        // canonical query, so a hit's expected cost is bit-identical to the
-        // miss that populated it; only the served plan is remapped into the
-        // request's numbering.
-        let (entry, cache_hit) = match self.cache.get(&canon.fingerprint) {
-            Some(entry) => (entry, true),
-            None => {
-                let primed = primer
-                    .filter(|p| p.version == self.beliefs_version)
-                    .and_then(|p| p.plans.get(canon.fingerprint.encoding()));
-                let plans = match primed {
-                    Some(plans) => {
-                        self.primed_consumed += 1;
-                        plans.clone()
-                    }
-                    None => self.optimize_canonical(&canon)?,
-                };
-                let entry = CacheEntry {
-                    request: request.clone(),
-                    plans,
-                    canon: canon.clone(),
-                    tables: sorted_tables(request),
-                };
-                self.cache.insert(&canon.fingerprint, entry.clone());
-                (entry, false)
-            }
-        };
-
+        let prepared = self.prepare(request, prepared)?;
+        let (query, canon) = (&prepared.query, &prepared.canon);
+        let (entry, cache_hit) = self.plan(request, canon, primer)?;
         let choice = entry.plans.pick_with_rule(
             &canon.query,
             &self.model,
             &self.config.observed_memory,
             &self.config.selection_rule,
         )?;
-        let plan = canon.plan_to_original(&choice.plan);
+        let primary = LadderRung {
+            plan: canon.plan_to_original(&choice.plan),
+            expected_cost: choice.expected_cost,
+            scenario: choice.scenario,
+            route: ServeRoute::Primary,
+        };
+        verify(&primary, query, "served expected cost")?;
+        let executed = self.execute_ladder(ordinal, request, &prepared, &entry, primary)?;
+        // Certify against the intervals the plan was served under, before
+        // this serve's own feedback can resample them. A breaker reroute
+        // is already degraded and makes no certificate claim.
+        let certificate = match &mut self.recalibrator {
+            Recalibrator::Resample(s) if !executed.resilience.breaker_tripped => {
+                let intervals = s.interval_box(&self.beliefs, &self.truth, request, query)?;
+                let memory = MemoryModel::Static(self.config.observed_memory.clone());
+                let plan = &executed.rung.plan;
+                let cert = certify_plan(query, &self.model, &memory, plan, &intervals)?;
+                self.stats.certificate = Some(cert.clone());
+                Some(cert)
+            }
+            _ => None,
+        };
+        let recalibrations = self.ingest_feedback(request, query, &executed.feedback)?;
+        self.queries_served += 1;
+        Ok(ServedQuery {
+            plan: executed.rung.plan,
+            expected_cost: executed.rung.expected_cost,
+            scenario: executed.rung.scenario,
+            cache_hit,
+            report: executed.report,
+            feedback: executed.feedback,
+            recalibrations,
+            resilience: executed.resilience,
+            certificate,
+        })
+    }
 
-        // Always-on verification (`--verify` mode): the plan about to run
-        // is checked in the *request's* numbering, so the canonical↔request
-        // remapping is inside the verified surface.
-        if self.config.verify_plans {
-            lec_plan::verify_plan(&plan, &query).map_err(ServeError::Verification)?;
-            lec_plan::verify_costs("served expected cost", &[choice.expected_cost])
-                .map_err(ServeError::Verification)?;
+    /// The prepare stage: the caller's prepared request while its beliefs
+    /// version is current, else one rebuilt from the live beliefs.
+    fn prepare<'p>(
+        &self,
+        request: &QueryRequest,
+        prepared: Option<&'p PreparedRequest>,
+    ) -> Result<Cow<'p, PreparedRequest>, ServeError> {
+        match prepared.filter(|p| p.version == self.beliefs_version) {
+            Some(p) => Ok(Cow::Borrowed(p)),
+            None => {
+                PreparedRequest::build(&self.beliefs, request, self.beliefs_version).map(Cow::Owned)
+            }
         }
+    }
 
+    /// The plan stage: the cached entry on a hit; on a miss, the primer's
+    /// plans or a fresh optimizer run, inserted into the cache. Both paths
+    /// store and cost plans against the canonical query, so a hit's
+    /// expected cost is bit-identical to the miss that populated it.
+    fn plan(
+        &mut self,
+        request: &QueryRequest,
+        canon: &Canonical,
+        primer: Option<&BatchPrimer>,
+    ) -> Result<(CacheEntry, bool), ServeError> {
+        if let Some(entry) = self.cache.get(&canon.fingerprint) {
+            return Ok((entry, true));
+        }
+        let primed = primer
+            .filter(|p| p.version == self.beliefs_version)
+            .and_then(|p| p.plans.get(canon.fingerprint.encoding()));
+        let plans = match primed {
+            Some(plans) => {
+                self.primed_consumed += 1;
+                plans.clone()
+            }
+            None => self.optimize(canon)?,
+        };
+        let entry = CacheEntry {
+            request: request.clone(),
+            plans,
+            canon: canon.clone(),
+        };
+        self.cache.insert(&canon.fingerprint, entry.clone());
+        Ok((entry, false))
+    }
+
+    /// One full optimizer run against a canonical query, with stats
+    /// absorbed and the invocation counter moved — the single chokepoint
+    /// both the miss path and the batch primer go through.
+    fn optimize(&mut self, canon: &Canonical) -> Result<ParametricPlans, ServeError> {
+        let (plans, pstats) = ParametricPlans::precompute_with_stats(
+            &canon.query,
+            &self.model,
+            &self.config.scenarios,
+        )?;
+        self.stats.absorb(&pstats);
+        self.optimizer_invocations += 1;
+        Ok(plans)
+    }
+
+    /// The circuit breakers. The shard breaker is checked first — a shard
+    /// whose fingerprints have *collectively* accumulated enough faults is
+    /// flushed wholesale, which invalidates strictly more state; otherwise a
+    /// fingerprint with enough faults has its own entry dropped. Either way
+    /// the tripped breaker's strikes are reset, the dropped entries
+    /// reoptimize on their next request, and `true` tells the execute stage
+    /// to start at the LSC rung.
+    fn trip_breakers(&mut self, fp: &[u8], shard: usize) -> bool {
         let policy = self.config.resilience;
-        let fp_key: Vec<u8> = canon.fingerprint.encoding().to_vec();
+        let (fp_limit, shard_limit) = (policy.breaker_threshold, policy.shard_breaker_threshold);
+        if self.shard_breaker.is_open(&shard, shard_limit) {
+            self.shard_breaker.reset(&shard);
+            self.resilience.shard_breaker_trips += 1;
+            let shards = self.cache.shard_count();
+            self.cache
+                .invalidate_collect(|e| shard_of(&e.canon.fingerprint, shards) == shard);
+        } else if self.breaker.is_open(fp, fp_limit) {
+            self.breaker.reset(fp);
+            self.resilience.breaker_trips += 1;
+            self.cache
+                .invalidate_collect(|e| e.canon.fingerprint.encoding() == fp);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// The execute stage: the fallback ladder. Attempt 0 runs `first` (the
+    /// primary pick, or the LSC rung after a breaker trip); attempt k runs
+    /// fallback rung k-1 (next-best frontier plans by rule order, then the
+    /// LSC baseline, clamped at the last rung). The final allowed attempt
+    /// always executes with an empty schedule, so under injection every
+    /// request is served — degraded or retried, never errored out. A
+    /// tripped serve gets exactly one attempt. Fallback rungs are built
+    /// lazily: a fault-free serve never prices or verifies them.
+    fn execute_ladder(
+        &mut self,
+        ordinal: u64,
+        request: &QueryRequest,
+        prepared: &PreparedRequest,
+        entry: &CacheEntry,
+        primary: LadderRung,
+    ) -> Result<Executed, ServeError> {
+        let canon = &prepared.canon;
+        let fp_key = canon.fingerprint.encoding().to_vec();
         let shard = self.cache.shard_index(&canon.fingerprint);
-
-        // Shard breaker first — the coarse layer: a shard whose
-        // fingerprints have *collectively* accumulated enough faults is
-        // flushed wholesale and this request serves the LSC baseline
-        // fault-free. Checked before the per-fingerprint breaker because a
-        // tripping shard invalidates strictly more state.
-        if self
-            .shard_breaker
-            .is_open(shard, policy.shard_breaker_threshold)
-        {
-            return self.serve_shard_reroute(
-                ordinal,
-                request,
-                &query,
-                &canon,
-                choice.scenario,
-                cache_hit,
-                shard,
-            );
-        }
-
-        // Circuit breaker: a fingerprint with enough accumulated faults
-        // skips the ladder, serves the robust LSC baseline fault-free, and
-        // has its entry dropped so the next request reoptimizes.
-        if self.breaker.is_open(&fp_key, policy.breaker_threshold) {
-            return self.serve_breaker_reroute(
-                ordinal,
-                request,
-                &query,
-                &canon,
-                choice.scenario,
-                cache_hit,
-                &fp_key,
-            );
-        }
-
-        // The fallback ladder: attempt 0 is the primary pick; attempt k
-        // runs rung k-1 (next-best frontier plans by re-cost order, then
-        // the LSC baseline, clamped at the last rung). The final allowed
-        // attempt always executes with an empty schedule, so under
-        // injection every request is served — degraded or retried, never
-        // errored out. Rungs are built lazily: a fault-free serve (the
-        // common case, and the whole PR-3 path) never prices or verifies
-        // them at all.
-        let max_attempts = policy.max_retries.saturating_add(1);
-        let mut ladder: Option<Vec<LadderRung>> = None;
-        let mut attempted: Vec<ServeRoute> = Vec::new();
-        let mut fault_records: Vec<FaultRecord> = Vec::new();
-
+        let tripped = self.trip_breakers(&fp_key, shard);
+        let (first, max_attempts) = if tripped {
+            (self.lsc_rung(prepared, primary.scenario)?, 1)
+        } else {
+            let retries = self.config.resilience.max_retries;
+            (primary, retries.saturating_add(1))
+        };
+        let primary_scenario = first.scenario;
+        let mut rungs = vec![first];
+        let mut attempted = Vec::new();
+        let mut faults_seen = Vec::new();
         for attempt in 0..max_attempts {
-            let (att_plan, att_cost, att_scenario, route) = if attempt == 0 {
-                (
-                    plan.clone(),
-                    choice.expected_cost,
-                    choice.scenario,
-                    ServeRoute::Primary,
-                )
-            } else {
-                if ladder.is_none() {
-                    ladder = Some(self.build_ladder(
-                        &query,
-                        &canon,
-                        &entry,
-                        &choice.plan,
-                        choice.scenario,
-                    )?);
-                }
-                let rungs = ladder.as_ref().ok_or_else(|| {
-                    ServeError::Config("fallback ladder missing after build".into())
-                })?;
-                let rung = &rungs[(attempt as usize - 1).min(rungs.len() - 1)];
-                (
-                    rung.plan.clone(),
-                    rung.expected_cost,
-                    rung.scenario,
-                    rung.route,
-                )
-            };
+            if attempt == 1 {
+                let fallbacks = self.fallback_rungs(prepared, entry, primary_scenario)?;
+                rungs.extend(fallbacks);
+            }
+            let idx = (attempt as usize).min(rungs.len() - 1);
+            let route = rungs[idx].route;
             attempted.push(route);
-
-            let final_attempt = attempt + 1 == max_attempts;
-            let mut faults = if final_attempt {
+            let mut faults = if attempt + 1 == max_attempts {
                 FaultSchedule::empty()
             } else {
                 self.config.fault_injection.schedule_for(ordinal, attempt)
             };
-
-            match self.execute(ordinal, request, &att_plan, &mut faults) {
-                Ok((report, feedback)) => {
-                    self.resilience.faults_injected += faults.trace().len() as u64;
-                    fault_records.extend_from_slice(faults.trace());
-                    match route {
-                        ServeRoute::Primary => {}
-                        ServeRoute::Frontier { .. } => {
-                            self.resilience.degraded_serves += 1;
-                            self.resilience.frontier_fallbacks += 1;
-                        }
-                        ServeRoute::LscBaseline => {
-                            self.resilience.degraded_serves += 1;
-                            self.resilience.lsc_fallbacks += 1;
-                        }
-                    }
-                    // Certify against the intervals the plan was served
-                    // under — before this serve's own feedback can trigger
-                    // a resample and refresh them.
-                    let certificate = self.certify_served(request, &query, &att_plan)?;
-                    let recalibrations = self.ingest_feedback(request, &query, &feedback)?;
-                    self.queries_served += 1;
-                    return Ok(ServedQuery {
-                        plan: att_plan,
-                        expected_cost: att_cost,
-                        scenario: att_scenario,
-                        cache_hit,
-                        report,
-                        feedback,
-                        recalibrations,
-                        resilience: ResilienceReport {
-                            attempts: attempt + 1,
-                            faults: fault_records,
-                            attempted,
-                            route,
-                            degraded: route != ServeRoute::Primary,
-                            breaker_tripped: false,
-                        },
-                        certificate,
-                    });
+            let executed = match self.execute(ordinal, request, &rungs[idx].plan, &mut faults) {
+                Err(e) if !matches!(e, ServeError::Exec(ExecError::InjectedFault { .. })) => {
+                    return Err(e)
                 }
-                Err(ServeError::Exec(ExecError::InjectedFault { .. })) => {
-                    self.resilience.faults_injected += faults.trace().len() as u64;
-                    fault_records.extend_from_slice(faults.trace());
-                    self.breaker.record_fault(&fp_key);
-                    self.shard_breaker.record_fault(shard);
-                    self.resilience.retries += 1;
-                }
-                Err(other) => return Err(other),
-            }
+                executed => executed,
+            };
+            self.resilience.faults_injected += faults.trace().len() as u64;
+            faults_seen.extend_from_slice(faults.trace());
+            let Ok((report, feedback)) = executed else {
+                self.breaker.record_fault(fp_key.clone());
+                self.shard_breaker.record_fault(shard);
+                self.resilience.retries += 1;
+                continue;
+            };
+            let degraded = route != ServeRoute::Primary;
+            let counters = &mut self.resilience;
+            counters.degraded_serves += u64::from(degraded);
+            counters.frontier_fallbacks += u64::from(matches!(route, ServeRoute::Frontier { .. }));
+            counters.lsc_fallbacks += u64::from(route == ServeRoute::LscBaseline);
+            return Ok(Executed {
+                rung: rungs.swap_remove(idx),
+                report,
+                feedback,
+                resilience: ResilienceReport {
+                    attempts: attempt + 1,
+                    faults: faults_seen,
+                    attempted,
+                    route,
+                    degraded,
+                    breaker_tripped: tripped,
+                },
+            });
         }
         // Unreachable: the final attempt runs fault-free, so the loop
         // either served above or propagated a real error.
@@ -770,209 +751,97 @@ impl<M: CostModel + Sync> QueryService<M> {
         ))
     }
 
-    /// The circuit breaker's direct route: reset the strikes, drop the
-    /// offending cache entry (its next request reoptimizes), and serve the
-    /// LSC baseline without injection.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_breaker_reroute(
-        &mut self,
-        ordinal: u64,
-        request: &QueryRequest,
-        query: &JoinQuery,
-        canon: &lec_plan::Canonical,
-        scenario: usize,
-        cache_hit: bool,
-        fp_key: &[u8],
-    ) -> Result<ServedQuery, ServeError> {
-        self.breaker.reset(fp_key);
-        self.resilience.breaker_trips += 1;
-        self.cache
-            .invalidate_collect(|e| e.canon.fingerprint.encoding() == fp_key);
-        self.serve_lsc_fallback(ordinal, request, query, canon, scenario, cache_hit)
-    }
-
-    /// The shard breaker's direct route: reset the shard's strikes, flush
-    /// *every* entry in the shard (correlated faults taint them all — each
-    /// reoptimizes on its next request), and serve the LSC baseline without
-    /// injection.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_shard_reroute(
-        &mut self,
-        ordinal: u64,
-        request: &QueryRequest,
-        query: &JoinQuery,
-        canon: &lec_plan::Canonical,
-        scenario: usize,
-        cache_hit: bool,
-        shard: usize,
-    ) -> Result<ServedQuery, ServeError> {
-        self.shard_breaker.reset(shard);
-        self.resilience.shard_breaker_trips += 1;
-        let shards = self.cache.shard_count();
-        self.cache
-            .invalidate_collect(|e| shard_of(&e.canon.fingerprint, shards) == shard);
-        self.serve_lsc_fallback(ordinal, request, query, canon, scenario, cache_hit)
-    }
-
-    /// Shared tail of both breaker reroutes: execute the LSC baseline
-    /// fault-free and report a degraded, breaker-tripped serve.
-    fn serve_lsc_fallback(
-        &mut self,
-        ordinal: u64,
-        request: &QueryRequest,
-        query: &JoinQuery,
-        canon: &lec_plan::Canonical,
-        scenario: usize,
-        cache_hit: bool,
-    ) -> Result<ServedQuery, ServeError> {
-        let (plan, expected) = self.lsc_baseline(query, canon)?;
-        let mut faults = FaultSchedule::empty();
-        let (report, feedback) = self.execute(ordinal, request, &plan, &mut faults)?;
-        self.resilience.degraded_serves += 1;
-        self.resilience.lsc_fallbacks += 1;
-        let recalibrations = self.ingest_feedback(request, query, &feedback)?;
-        self.queries_served += 1;
-        Ok(ServedQuery {
-            plan,
-            expected_cost: expected,
-            scenario,
-            cache_hit,
-            report,
-            feedback,
-            recalibrations,
-            resilience: ResilienceReport {
-                attempts: 1,
-                faults: Vec::new(),
-                attempted: vec![ServeRoute::LscBaseline],
-                route: ServeRoute::LscBaseline,
-                degraded: true,
-                breaker_tripped: true,
-            },
-            // Breaker routes are already degraded; no certificate claim.
-            certificate: None,
-        })
-    }
-
-    /// Prices the fallback rungs for one request: the entry's remaining
-    /// distinct scenario plans re-cost under the observed memory
-    /// distribution, ordered by the configured selection rule (for the
-    /// default LEC rule, expected cost ascending — bit-identical to the
-    /// pre-rules ladder; for robust rules, their joint rule score — ties
-    /// broken by scenario index either way), followed by the LSC
-    /// baseline as the last resort. The LSC rung reports the primary's
-    /// scenario (it belongs to none).
-    fn build_ladder(
+    /// Prices the fallback rungs for one request: the entry's distinct
+    /// scenario plans other than the primary pick, re-cost under the
+    /// observed memory distribution and ordered by the configured selection
+    /// rule (for the default LEC rule, expected cost ascending; for robust
+    /// rules, their joint rule score — ties broken by scenario index either
+    /// way), followed by the LSC baseline as the last resort. The LSC rung
+    /// reports the primary's scenario (it belongs to none).
+    fn fallback_rungs(
         &self,
-        query: &JoinQuery,
-        canon: &lec_plan::Canonical,
+        prepared: &PreparedRequest,
         entry: &CacheEntry,
-        primary_canonical: &Plan,
         primary_scenario: usize,
     ) -> Result<Vec<LadderRung>, ServeError> {
-        let phases = MemoryModel::Static(self.config.observed_memory.clone())
-            .table(canon.query.n().max(2))
-            .map_err(ServeError::Core)?;
+        let canon = &prepared.canon;
+        let phases = self.observed_phases(canon)?;
+        let scenarios = entry.plans.scenarios();
+        let primary = scenarios.get(primary_scenario).map(|(_, opt)| &opt.plan);
         let mut priced: Vec<(Plan, f64, usize)> = Vec::new();
-        for (idx, (_, opt)) in entry.plans.scenarios().iter().enumerate() {
-            if opt.plan == *primary_canonical || priced.iter().any(|(p, _, _)| *p == opt.plan) {
+        for (idx, (_, opt)) in scenarios.iter().enumerate() {
+            if Some(&opt.plan) == primary || priced.iter().any(|(p, _, _)| *p == opt.plan) {
                 continue;
             }
             let cost = expected_cost(&canon.query, &self.model, &opt.plan, &phases);
             priced.push((opt.plan.clone(), cost, idx));
         }
-        if matches!(self.config.selection_rule, Rule::LeastExpectedCost) {
-            priced.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)));
+        // The default rule orders by expected cost; robust rules by their
+        // own (joint) score, so a fallback under minmax regret walks the
+        // *regret* frontier. Rung expected costs still report expected
+        // cost — the comparable currency across routes.
+        let keys: Vec<f64> = if matches!(self.config.selection_rule, Rule::LeastExpectedCost) {
+            priced.iter().map(|(_, cost, _)| *cost).collect()
         } else {
-            // Robust rules order the rungs by their own (joint) score, so
-            // a fallback under minmax regret walks the *regret* frontier,
-            // not the expected-cost one. Rung expected costs still report
-            // expected cost — the comparable currency across routes.
             let observed = &self.config.observed_memory;
             let profiles: Vec<Vec<f64>> = priced
                 .iter()
                 .map(|(p, _, _)| {
-                    lec_core::evaluate::cost_profile(
-                        &canon.query,
-                        &self.model,
-                        p,
-                        observed.values(),
-                    )
+                    let values = observed.values();
+                    lec_core::evaluate::cost_profile(&canon.query, &self.model, p, values)
                 })
                 .collect();
-            let scores = self
-                .config
-                .selection_rule
-                .scores(&profiles, observed.probs());
-            let mut order: Vec<usize> = (0..priced.len()).collect();
-            order.sort_by(|&a, &b| {
-                scores[a]
-                    .total_cmp(&scores[b])
-                    .then(priced[a].2.cmp(&priced[b].2))
-            });
-            priced = order.into_iter().map(|i| priced[i].clone()).collect();
-        }
-        let mut rungs = Vec::with_capacity(priced.len() + 1);
-        for (rank, (cplan, cost, scenario)) in priced.into_iter().enumerate() {
-            let plan = canon.plan_to_original(&cplan);
-            if self.config.verify_plans {
-                lec_plan::verify_plan(&plan, query).map_err(ServeError::Verification)?;
-                lec_plan::verify_costs("fallback expected cost", &[cost])
-                    .map_err(ServeError::Verification)?;
-            }
-            rungs.push(LadderRung {
-                plan,
-                expected_cost: cost,
-                scenario,
-                route: ServeRoute::Frontier { rank },
-            });
-        }
-        let (lsc_plan, lsc_cost) = self.lsc_baseline(query, canon)?;
-        rungs.push(LadderRung {
-            plan: lsc_plan,
-            expected_cost: lsc_cost,
-            scenario: primary_scenario,
-            route: ServeRoute::LscBaseline,
+            let rule = &self.config.selection_rule;
+            rule.scores(&profiles, observed.probs())
+        };
+        let mut order: Vec<usize> = (0..priced.len()).collect();
+        order.sort_by(|&a, &b| {
+            keys[a]
+                .total_cmp(&keys[b])
+                .then(priced[a].2.cmp(&priced[b].2))
         });
+        let mut rungs = Vec::with_capacity(priced.len() + 1);
+        for (rank, i) in order.into_iter().enumerate() {
+            let (cplan, cost, scenario) = &priced[i];
+            let rung = LadderRung {
+                plan: canon.plan_to_original(cplan),
+                expected_cost: *cost,
+                scenario: *scenario,
+                route: ServeRoute::Frontier { rank },
+            };
+            verify(&rung, &prepared.query, "fallback expected cost")?;
+            rungs.push(rung);
+        }
+        rungs.push(self.lsc_rung(prepared, primary_scenario)?);
         Ok(rungs)
     }
 
     /// The robust last resort: System R (LSC) at the mean observed grant,
     /// re-priced as an expected cost under the observed distribution so its
     /// rung is comparable to the frontier rungs.
-    fn lsc_baseline(
+    fn lsc_rung(
         &self,
-        query: &JoinQuery,
-        canon: &lec_plan::Canonical,
-    ) -> Result<(Plan, f64), ServeError> {
-        let optimized = lsc::optimize_at(
-            &canon.query,
-            &self.model,
-            self.config.observed_memory.mean(),
-        )?
-        .0;
-        let phases = MemoryModel::Static(self.config.observed_memory.clone())
-            .table(canon.query.n().max(2))
-            .map_err(ServeError::Core)?;
-        let cost = expected_cost(&canon.query, &self.model, &optimized.plan, &phases);
-        let plan = canon.plan_to_original(&optimized.plan);
-        if self.config.verify_plans {
-            lec_plan::verify_plan(&plan, query).map_err(ServeError::Verification)?;
-            lec_plan::verify_costs("lsc baseline expected cost", &[cost])
-                .map_err(ServeError::Verification)?;
-        }
-        Ok((plan, cost))
+        prepared: &PreparedRequest,
+        scenario: usize,
+    ) -> Result<LadderRung, ServeError> {
+        let canon = &prepared.canon;
+        let mean = self.config.observed_memory.mean();
+        let (optimized, _) = lsc::optimize_at(&canon.query, &self.model, mean)?;
+        let phases = self.observed_phases(canon)?;
+        let rung = LadderRung {
+            expected_cost: expected_cost(&canon.query, &self.model, &optimized.plan, &phases),
+            plan: canon.plan_to_original(&optimized.plan),
+            scenario,
+            route: ServeRoute::LscBaseline,
+        };
+        verify(&rung, &prepared.query, "lsc baseline expected cost")?;
+        Ok(rung)
     }
 
-    /// Builds the optimizer query for `request` from the belief catalog.
-    fn build_query(&self, request: &QueryRequest) -> Result<JoinQuery, ServeError> {
-        let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
-        Ok(query_from_catalog(
-            &self.beliefs,
-            &tables,
-            &request.joins,
-            &request.filters,
-            request.order_by,
-        )?)
+    /// The observed memory distribution as a per-phase table for `canon`.
+    fn observed_phases(&self, canon: &Canonical) -> Result<lec_core::PhaseDists, ServeError> {
+        Ok(MemoryModel::Static(self.config.observed_memory.clone())
+            .table(canon.query.n().max(2))?)
     }
 
     /// Executes `plan` over the generated data, realizing the *truth*
@@ -987,14 +856,16 @@ impl<M: CostModel + Sync> QueryService<M> {
         plan: &Plan,
         faults: &mut FaultSchedule,
     ) -> Result<(ExecReport, ExecFeedback), ServeError> {
-        let mut base = Vec::with_capacity(request.tables.len());
-        for t in &request.tables {
-            base.push(
-                *self.store.rels.get(t).ok_or_else(|| {
-                    ServeError::Config(format!("table `{t}` has no generated data"))
-                })?,
-            );
-        }
+        let base = request
+            .tables
+            .iter()
+            .map(|t| {
+                self.rels
+                    .get(t)
+                    .copied()
+                    .ok_or_else(|| ServeError::Config(format!("table `{t}` has no generated data")))
+            })
+            .collect::<Result<Vec<RelId>, ServeError>>()?;
         let mut selections = vec![1.0; request.tables.len()];
         for f in &request.filters {
             let idx = request
@@ -1004,15 +875,7 @@ impl<M: CostModel + Sync> QueryService<M> {
                 .ok_or_else(|| {
                     ServeError::Config(format!("filter on `{}` not in table list", f.table))
                 })?;
-            let true_sel = Predicate::Range {
-                table: f.table.clone(),
-                column: f.column.clone(),
-                lo: f.lo,
-                hi: f.hi,
-            }
-            .estimate(&self.truth)?
-            .clamp(1e-9, 1.0);
-            selections[idx] *= true_sel;
+            selections[idx] *= filter_stat(f).1.estimate(&self.truth)?.clamp(1e-9, 1.0);
         }
         // Seeded by the request ordinal, not the attempt: every rung of the
         // ladder faces the same memory draw, so a retry is a pure plan
@@ -1024,164 +887,96 @@ impl<M: CostModel + Sync> QueryService<M> {
         // Everything the execution writes (filtered scans, sort runs,
         // partitions, the result) is dropped again, on success and on
         // error, so a long-lived service holds only its base data.
-        let mark = self.store.disk.relation_count();
-        let executed = execute_plan_with_faults(
-            plan,
-            &base,
-            &selections,
-            &mut self.store.disk,
-            &mut env,
-            faults,
-        );
-        self.store.disk.drop_from(mark);
+        let mark = self.disk.relation_count();
+        let executed =
+            execute_plan_with_faults(plan, &base, &selections, &mut self.disk, &mut env, faults);
+        self.disk.drop_from(mark);
         Ok(executed?)
     }
 
-    /// Feeds execution observations to the drift detector and handles any
-    /// events it fires. `query` is the belief-side query the request was
-    /// planned under (its estimates are what the observations refute).
+    /// The feedback stage: feeds execution observations to the drift
+    /// detector and recalibrates on every event it fires. `query` is the
+    /// belief-side query the request was planned under (its estimates are
+    /// what the observations refute).
     fn ingest_feedback(
         &mut self,
         request: &QueryRequest,
         query: &JoinQuery,
         feedback: &ExecFeedback,
     ) -> Result<Vec<Recalibration>, ServeError> {
-        let mut events = Vec::new();
-
+        // (statistic, estimated, observed) for every attributable
+        // observation, selections first.
+        let mut observed = Vec::new();
         for obs in &feedback.selections {
-            let table = &request.tables[obs.rel];
             // Attribute the relation's observed shrinkage to its first
             // filter (a relation with several filters gets one composite
             // window; the recalibration re-spreads mass over all of them).
-            let Some(filter) = request.filters.iter().find(|f| f.table == *table) else {
-                continue;
-            };
-            let target = DriftTarget::Selection {
-                table: table.clone(),
-                column: filter.column.clone(),
-            };
-            let estimated = query.relation(obs.rel).local_selectivity;
-            if let Some(e) = self
-                .drift
-                .observe(target, estimated, obs.observed_selectivity())
-            {
-                events.push(e);
+            let table = &request.tables[obs.rel];
+            if let Some(filter) = request.filters.iter().find(|f| f.table == *table) {
+                let estimated = query.relation(obs.rel).local_selectivity;
+                observed.push((filter_stat(filter).0, estimated, obs.observed_selectivity()));
             }
         }
-
+        let position = |t: &String| request.tables.iter().position(|x| x == t);
         for obs in &feedback.joins {
             // Only leaf joins (output covering exactly two base relations)
             // isolate a single predicate's selectivity.
-            if obs.rels.len() != 2 {
-                continue;
-            }
-            let members: Vec<usize> = obs.rels.iter().collect();
-            let Some(spec) = request.joins.iter().find(|j| {
-                let l = request.tables.iter().position(|t| *t == j.left_table);
-                let r = request.tables.iter().position(|t| *t == j.right_table);
-                matches!((l, r), (Some(l), Some(r))
-                    if (l == members[0] && r == members[1]) || (l == members[1] && r == members[0]))
-            }) else {
-                continue;
-            };
-            let estimated = Predicate::EquiJoin {
-                left_table: spec.left_table.clone(),
-                left_column: spec.left_column.clone(),
-                right_table: spec.right_table.clone(),
-                right_column: spec.right_column.clone(),
-            }
-            .estimate(&self.beliefs)?;
-            let target = DriftTarget::Join {
-                left_table: spec.left_table.clone(),
-                left_column: spec.left_column.clone(),
-                right_table: spec.right_table.clone(),
-                right_column: spec.right_column.clone(),
-            };
-            if let Some(e) = self
-                .drift
-                .observe(target, estimated, obs.observed_selectivity())
-            {
-                events.push(e);
+            let leaf = request.joins.iter().find(|j| {
+                matches!((position(&j.left_table), position(&j.right_table)),
+                    (Some(l), Some(r)) if RelSet::single(l).insert(r) == obs.rels)
+            });
+            if let Some(spec) = leaf {
+                let (target, pred) = join_stat(spec);
+                observed.push((
+                    target,
+                    pred.estimate(&self.beliefs)?,
+                    obs.observed_selectivity(),
+                ));
             }
         }
-
-        let mut rounds = Vec::with_capacity(events.len());
-        for event in events {
-            rounds.push(self.recalibrate(request, event)?);
-        }
-        Ok(rounds)
+        let events: Vec<DriftEvent> = observed
+            .into_iter()
+            .filter_map(|(target, estimated, obs)| self.drift.observe(target, estimated, obs))
+            .collect();
+        events
+            .into_iter()
+            .map(|event| self.recalibrate(request, event))
+            .collect()
     }
 
-    /// Recalibrates the belief catalog from one drift event, pulls the
-    /// affected cache entries, and decides (via EVPI) whether they are
-    /// dropped for re-optimization or migrated for re-costing.
+    /// The recalibrate stage for one drift event: updates the belief
+    /// statistic, pulls the affected cache entries, and decides (via EVPI)
+    /// whether they are dropped for re-optimization or migrated for
+    /// re-costing.
     fn recalibrate(
         &mut self,
         request: &QueryRequest,
         event: DriftEvent,
     ) -> Result<Recalibration, ServeError> {
-        if self.config.resample.is_some() {
-            // Resampling mode: instead of blending observations into the
-            // beliefs, draw a fresh row sample from truth — fresh point
-            // estimate, fresh confidence interval, fresh certificate for
-            // every subsequent serve.
-            self.resample_statistic(request, &event.target)?;
-        } else {
-            match &event.target {
-                DriftTarget::Selection { table, column } => {
-                    let filter = request
-                        .filters
-                        .iter()
-                        .find(|f| f.table == *table && f.column == *column)
-                        .ok_or_else(|| {
-                            ServeError::Config(format!(
-                                "drift on `{table}.{column}` without a matching filter"
-                            ))
-                        })?;
-                    self.recalibrate_selection(filter, event.mean_observed)?;
-                }
-                DriftTarget::Join {
-                    left_table,
-                    left_column,
-                    right_table,
-                    right_column,
-                } => {
-                    self.recalibrate_join(
-                        left_table,
-                        left_column,
-                        right_table,
-                        right_column,
-                        event.mean_observed,
-                    )?;
-                }
-            }
-        }
+        self.recalibrator
+            .apply(&mut self.beliefs, &self.truth, request, &event)?;
         self.recalibrations += 1;
         // Anything prepared or primed under the old beliefs is now stale.
         self.beliefs_version += 1;
 
         // Every cached entry optimized under the stale statistic is pulled.
         let affected: Vec<&str> = event.target.tables();
-        let mut removed = self
-            .cache
-            .invalidate_collect(|e| e.tables.iter().any(|t| affected.contains(&t.as_str())));
+        let mut removed = self.cache.invalidate_collect(|e| {
+            e.request
+                .tables
+                .iter()
+                .any(|t| affected.contains(&t.as_str()))
+        });
         // invalidate_collect's order follows shard/map layout; sort by the
         // entries' canonical encodings so migration re-inserts (and thus
         // future LRU ticks) are deterministic.
-        removed.sort_by(|a, b| {
-            a.canon
-                .fingerprint
-                .encoding()
-                .cmp(b.canon.fingerprint.encoding())
-        });
+        removed.sort_by_cached_key(|e| e.canon.fingerprint.encoding().to_vec());
         let entries_invalidated = removed.len();
 
         let decision = self.decide(request, &event)?;
         let mut entries_migrated = 0;
         match decision {
-            RecalibrationDecision::Reoptimize => {
-                self.reoptimize_decisions += 1;
-            }
+            RecalibrationDecision::Reoptimize => self.reoptimize_decisions += 1,
             RecalibrationDecision::RecostOnly => {
                 self.recost_decisions += 1;
                 for entry in removed {
@@ -1198,382 +993,6 @@ impl<M: CostModel + Sync> QueryService<M> {
         })
     }
 
-    /// Folds an observed filter selectivity into the belief column's
-    /// histogram (installing a uniform one first if the column had none).
-    fn recalibrate_selection(
-        &mut self,
-        filter: &FilterSpec,
-        observed_sel: f64,
-    ) -> Result<(), ServeError> {
-        let blend = self.config.drift.blend;
-        let meta = self.beliefs.table_mut(&filter.table)?;
-        let col = meta
-            .columns
-            .iter_mut()
-            .find(|c| c.name == filter.column)
-            .ok_or_else(|| {
-                ServeError::Config(format!(
-                    "filtered column `{}.{}` missing from beliefs",
-                    filter.table, filter.column
-                ))
-            })?;
-        let (col_min, col_max) = (col.min, col.max);
-        let h = match &mut col.histogram {
-            Some(h) => h,
-            slot => {
-                // Seed a uniform prior over the column's span so there is
-                // something to blend the observations into.
-                let span: Vec<f64> = (0..=16)
-                    .map(|i| col_min + (col_max - col_min) * i as f64 / 16.0)
-                    .collect();
-                slot.insert(Histogram::equi_width(&span, 8)?)
-            }
-        };
-
-        // Synthesize a sample realizing the observed in-range fraction:
-        // spread the in-range mass over points inside [lo, hi] and the
-        // remainder over the rest of the histogram's domain, both evenly.
-        const SAMPLE: u64 = 10_000;
-        const POINTS: u64 = 8;
-        let in_total = ((observed_sel.clamp(0.0, 1.0) * SAMPLE as f64).round() as u64).min(SAMPLE);
-        let out_total = SAMPLE - in_total;
-        let mut obs: Vec<(f64, u64)> = Vec::new();
-        spread(&mut obs, filter.lo, filter.hi, in_total, POINTS);
-        let bounds = h.boundaries();
-        let (dom_lo, dom_hi) = (
-            bounds.first().copied().unwrap_or(filter.lo).min(filter.lo),
-            bounds.last().copied().unwrap_or(filter.hi).max(filter.hi),
-        );
-        let left_w = (filter.lo - dom_lo).max(0.0);
-        let right_w = (dom_hi - filter.hi).max(0.0);
-        let total_w = left_w + right_w;
-        if out_total > 0 && total_w > 0.0 {
-            let left_share = ((out_total as f64) * left_w / total_w).round() as u64;
-            spread(
-                &mut obs,
-                dom_lo,
-                filter.lo,
-                left_share.min(out_total),
-                POINTS,
-            );
-            spread(
-                &mut obs,
-                filter.hi,
-                dom_hi,
-                out_total - left_share.min(out_total),
-                POINTS,
-            );
-        }
-        if obs.iter().map(|&(_, c)| c).sum::<u64>() > 0 {
-            h.merge_observations(&obs, blend)?;
-        }
-        Ok(())
-    }
-
-    /// Nudges the binding distinct count of an equi-join toward the value
-    /// implied by the observed row selectivity (System R containment:
-    /// `sel = 1 / max(d_left, d_right)`).
-    fn recalibrate_join(
-        &mut self,
-        left_table: &str,
-        left_column: &str,
-        right_table: &str,
-        right_column: &str,
-        observed_sel: f64,
-    ) -> Result<(), ServeError> {
-        let blend = self.config.drift.blend;
-        let implied = (1.0 / observed_sel.max(1e-12)).round().max(1.0);
-        let d_left = self
-            .beliefs
-            .table(left_table)?
-            .column(left_column)?
-            .distinct;
-        let d_right = self
-            .beliefs
-            .table(right_table)?
-            .column(right_column)?
-            .distinct;
-        // The containment estimate only reads the larger side; blend it
-        // toward the implied value.
-        let (table, column, old) = if d_left >= d_right {
-            (left_table, left_column, d_left)
-        } else {
-            (right_table, right_column, d_right)
-        };
-        let new = ((1.0 - blend) * old as f64 + blend * implied)
-            .round()
-            .max(1.0) as u64;
-        let meta = self.beliefs.table_mut(table)?;
-        let col = meta
-            .columns
-            .iter_mut()
-            .find(|c| c.name == column)
-            .ok_or_else(|| {
-                ServeError::Config(format!(
-                    "join column `{table}.{column}` missing from beliefs"
-                ))
-            })?;
-        col.distinct = new;
-        Ok(())
-    }
-
-    /// The per-statistic sampling configuration in force, or an error when
-    /// resampling is off (the callers below are all gated on it).
-    fn sample_config(&self, draws: u64) -> Result<SampleConfig, ServeError> {
-        let rc =
-            self.config.resample.as_ref().ok_or_else(|| {
-                ServeError::Config("sampling requested with resampling off".into())
-            })?;
-        Ok(SampleConfig {
-            draws,
-            delta: rc.delta,
-            bound: rc.bound,
-            buckets: rc.buckets,
-        })
-    }
-
-    /// One fresh draw-seed from the resampling RNG (deterministic in the
-    /// request stream).
-    fn next_sample_seed(&mut self) -> Result<u64, ServeError> {
-        self.resample_rng
-            .as_mut()
-            .map(RngCore::next_u64)
-            .ok_or_else(|| ServeError::Config("sampling requested with resampling off".into()))
-    }
-
-    /// Samples `pred` against the truth catalog at the given draw count and
-    /// caches the resulting interval under `target`.
-    fn sample_interval_for(
-        &mut self,
-        target: &DriftTarget,
-        pred: &Predicate,
-        draws: u64,
-    ) -> Result<StatInterval, ServeError> {
-        let cfg = self.sample_config(draws)?;
-        let seed = self.next_sample_seed()?;
-        let interval = SampleEstimator::new(&self.truth, cfg, seed).sample_selectivity(pred)?;
-        self.intervals.insert(target.clone(), interval);
-        Ok(interval)
-    }
-
-    /// Drift-triggered resampling: replaces the drifted belief statistic
-    /// with a fresh sample-backed estimate (full `draws` budget) and
-    /// refreshes its cached confidence interval. The alternative to the
-    /// blending recalibrations, selected by [`ServeConfig::resample`].
-    fn resample_statistic(
-        &mut self,
-        request: &QueryRequest,
-        target: &DriftTarget,
-    ) -> Result<(), ServeError> {
-        let rc = *self.config.resample.as_ref().ok_or_else(|| {
-            ServeError::Config("resample_statistic called with resampling off".into())
-        })?;
-        match target {
-            DriftTarget::Selection { table, column } => {
-                let filter = request
-                    .filters
-                    .iter()
-                    .find(|f| f.table == *table && f.column == *column)
-                    .ok_or_else(|| {
-                        ServeError::Config(format!(
-                            "drift on `{table}.{column}` without a matching filter"
-                        ))
-                    })?
-                    .clone();
-                let pred = Predicate::Range {
-                    table: table.clone(),
-                    column: column.clone(),
-                    lo: filter.lo,
-                    hi: filter.hi,
-                };
-                self.sample_interval_for(target, &pred, rc.draws)?;
-                // The belief column's histogram is rebuilt from the same
-                // fresh sample budget, so subsequent estimates track truth
-                // instead of blending toward it.
-                let cfg = self.sample_config(rc.draws)?;
-                let seed = self.next_sample_seed()?;
-                let hist =
-                    SampleEstimator::new(&self.truth, cfg, seed).sample_histogram(table, column)?;
-                let meta = self.beliefs.table_mut(table)?;
-                let col = meta
-                    .columns
-                    .iter_mut()
-                    .find(|c| c.name == *column)
-                    .ok_or_else(|| {
-                        ServeError::Config(format!(
-                            "filtered column `{table}.{column}` missing from beliefs"
-                        ))
-                    })?;
-                col.histogram = Some(hist);
-            }
-            DriftTarget::Join {
-                left_table,
-                left_column,
-                right_table,
-                right_column,
-            } => {
-                let pred = Predicate::EquiJoin {
-                    left_table: left_table.clone(),
-                    left_column: left_column.clone(),
-                    right_table: right_table.clone(),
-                    right_column: right_column.clone(),
-                };
-                let interval = self.sample_interval_for(target, &pred, rc.draws)?;
-                // The containment estimate reads the larger side's distinct
-                // count; replace it with the count the sampled selectivity
-                // implies (`sel = 1 / max(d_left, d_right)`).
-                let implied = (1.0 / interval.point.max(1e-12)).round().max(1.0) as u64;
-                let d_left = self
-                    .beliefs
-                    .table(left_table)?
-                    .column(left_column)?
-                    .distinct;
-                let d_right = self
-                    .beliefs
-                    .table(right_table)?
-                    .column(right_column)?
-                    .distinct;
-                let (table, column) = if d_left >= d_right {
-                    (left_table, left_column)
-                } else {
-                    (right_table, right_column)
-                };
-                let meta = self.beliefs.table_mut(table)?;
-                let col = meta
-                    .columns
-                    .iter_mut()
-                    .find(|c| c.name == *column)
-                    .ok_or_else(|| {
-                        ServeError::Config(format!(
-                            "join column `{table}.{column}` missing from beliefs"
-                        ))
-                    })?;
-                col.distinct = implied;
-            }
-        }
-        self.resamples += 1;
-        Ok(())
-    }
-
-    /// Builds the interval box for `query` from the cached per-statistic
-    /// intervals (lazily sampling any first-touch statistic at the cheap
-    /// `initial_draws` budget) and certifies the served plan against it.
-    /// Returns `None` when resampling is off — the legacy path computes
-    /// nothing.
-    ///
-    /// Statistics without a drift-target representation (unfiltered
-    /// relations, relations with several filters, non-leaf joins' absent
-    /// observations) are treated as exactly known, like every other
-    /// statistic the paper's model takes as given; each sampled interval is
-    /// widened to include the belief catalog's own point estimate (coverage
-    /// only grows), and join intervals are mapped from the row domain to
-    /// the page domain the query's predicates live in.
-    fn certify_served(
-        &mut self,
-        request: &QueryRequest,
-        query: &JoinQuery,
-        plan: &Plan,
-    ) -> Result<Option<Certificate>, ServeError> {
-        let Some(rc) = self.config.resample else {
-            return Ok(None);
-        };
-        let mut delta_total = 0.0;
-
-        let mut relation_selectivity = Vec::with_capacity(query.n());
-        for (idx, table) in request.tables.iter().enumerate() {
-            let point = query.relation(idx).local_selectivity;
-            let filters: Vec<&FilterSpec> = request
-                .filters
-                .iter()
-                .filter(|f| f.table == *table)
-                .collect();
-            if point >= 1.0 || filters.len() != 1 {
-                relation_selectivity.push((point, point));
-                continue;
-            }
-            let filter = filters[0].clone();
-            let target = DriftTarget::Selection {
-                table: table.clone(),
-                column: filter.column.clone(),
-            };
-            let interval = match self.intervals.get(&target) {
-                Some(iv) => *iv,
-                None => {
-                    let pred = Predicate::Range {
-                        table: table.clone(),
-                        column: filter.column.clone(),
-                        lo: filter.lo,
-                        hi: filter.hi,
-                    };
-                    self.sample_interval_for(&target, &pred, rc.initial_draws)?
-                }
-            };
-            let (lo, hi) = (interval.lo.min(point), interval.hi.max(point));
-            if hi > lo {
-                delta_total += interval.delta;
-            }
-            relation_selectivity.push((lo, hi));
-        }
-
-        let mut predicate_selectivity = Vec::with_capacity(query.predicates().len());
-        for (k, spec) in request.joins.iter().enumerate() {
-            let point = query
-                .predicates()
-                .get(k)
-                .map(|p| p.selectivity)
-                .ok_or_else(|| {
-                    ServeError::Config(format!("join {k} missing from the built query"))
-                })?;
-            let target = DriftTarget::Join {
-                left_table: spec.left_table.clone(),
-                left_column: spec.left_column.clone(),
-                right_table: spec.right_table.clone(),
-                right_column: spec.right_column.clone(),
-            };
-            let interval = match self.intervals.get(&target) {
-                Some(iv) => *iv,
-                None => {
-                    let pred = Predicate::EquiJoin {
-                        left_table: spec.left_table.clone(),
-                        left_column: spec.left_column.clone(),
-                        right_table: spec.right_table.clone(),
-                        right_column: spec.right_column.clone(),
-                    };
-                    self.sample_interval_for(&target, &pred, rc.initial_draws)?
-                }
-            };
-            // Row-domain interval endpoints → the page domain, through the
-            // same monotone conversion `query_from_catalog` applies to the
-            // point estimate.
-            let (lt, rt) = (
-                self.beliefs.table(&spec.left_table)?,
-                self.beliefs.table(&spec.right_table)?,
-            );
-            let tpp_out = lt.tuples_per_page().max(rt.tuples_per_page());
-            let to_pages = |s: f64| {
-                (s * lt.tuples_per_page() * rt.tuples_per_page() / tpp_out).clamp(1e-12, 1.0)
-            };
-            let (lo, hi) = (
-                to_pages(interval.lo).min(point),
-                to_pages(interval.hi).max(point),
-            );
-            if hi > lo {
-                delta_total += interval.delta;
-            }
-            predicate_selectivity.push((lo, hi));
-        }
-
-        let intervals = QueryIntervals {
-            relation_selectivity,
-            predicate_selectivity,
-            delta: delta_total,
-        };
-        let memory = MemoryModel::Static(self.config.observed_memory.clone());
-        let cert = certify_plan(query, &self.model, &memory, plan, &intervals)?;
-        self.stats.certificate = Some(cert.clone());
-        Ok(Some(cert))
-    }
-
     /// EVPI-based cache policy: is re-planning under the (now sharper)
     /// statistic worth a full optimizer run?
     fn decide(
@@ -1583,31 +1002,25 @@ impl<M: CostModel + Sync> QueryService<M> {
     ) -> Result<RecalibrationDecision, ServeError> {
         // The exact joint analysis is exponential; beyond 4 relations the
         // conservative answer is to re-optimize.
-        let query = self.build_query(request)?;
+        let query = build_query(&self.beliefs, request)?;
         if query.n() > 4 {
             return Ok(RecalibrationDecision::Reoptimize);
         }
         let mut sizes = SizeModel::certain(&query)?;
-        let two_point = |est: f64, obs: f64| -> Option<Distribution> {
-            let (a, b) = (est.max(1e-12), obs.max(1e-12));
-            if (a - b).abs() <= 1e-9 * a.max(b) {
-                return None;
-            }
-            Distribution::new([(a, 0.5), (b, 0.5)]).ok()
-        };
-        let uncertain = match &event.target {
+        // The drifted statistic's slot in the size model, and its estimated
+        // and observed means in the query's units (pages for a relation,
+        // page-domain selectivity for a join).
+        let (slot, est, obs) = match &event.target {
             DriftTarget::Selection { table, .. } => {
                 let Some(idx) = request.tables.iter().position(|t| t == table) else {
                     return Ok(RecalibrationDecision::Reoptimize);
                 };
                 let pages = query.relation(idx).pages;
-                match two_point(pages * event.mean_estimated, pages * event.mean_observed) {
-                    Some(d) => {
-                        sizes.rel_sizes[idx] = d;
-                        true
-                    }
-                    None => false,
-                }
+                (
+                    &mut sizes.rel_sizes[idx],
+                    pages * event.mean_estimated,
+                    pages * event.mean_observed,
+                )
             }
             DriftTarget::Join {
                 left_table,
@@ -1621,32 +1034,23 @@ impl<M: CostModel + Sync> QueryService<M> {
                 else {
                     return Ok(RecalibrationDecision::Reoptimize);
                 };
-                // Convert the row-domain means to the page domain the
-                // query's predicate selectivities live in.
                 let (lt, rt) = (
                     self.beliefs.table(left_table)?,
                     self.beliefs.table(right_table)?,
                 );
-                let tpp_out = lt.tuples_per_page().max(rt.tuples_per_page());
-                let to_pages = |s: f64| {
-                    (s * lt.tuples_per_page() * rt.tuples_per_page() / tpp_out).clamp(1e-12, 1.0)
-                };
-                match two_point(
-                    to_pages(event.mean_estimated),
-                    to_pages(event.mean_observed),
-                ) {
-                    Some(d) => {
-                        sizes.selectivities[k] = d;
-                        true
-                    }
-                    None => false,
-                }
+                (
+                    &mut sizes.selectivities[k],
+                    page_selectivity(lt, rt, event.mean_estimated),
+                    page_selectivity(lt, rt, event.mean_observed),
+                )
             }
         };
-        if !uncertain {
+        let (a, b) = (est.max(1e-12), obs.max(1e-12));
+        match Distribution::new([(a, 0.5), (b, 0.5)]) {
+            Ok(two_point) if (a - b).abs() > 1e-9 * a.max(b) => *slot = two_point,
             // The statistic barely moved: nothing an optimizer run could
             // exploit.
-            return Ok(RecalibrationDecision::RecostOnly);
+            _ => return Ok(RecalibrationDecision::RecostOnly),
         }
         let memory = MemoryModel::Static(self.config.observed_memory.clone());
         let report = voi::analyze(&query, &self.model, &memory, &sizes)?;
@@ -1665,8 +1069,7 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// full verifier, not the weaker `Plan::validate`, so a migration can
     /// never park a plan the serve path would refuse to run.
     fn migrate(&mut self, entry: CacheEntry) -> Result<bool, ServeError> {
-        let query = self.build_query(&entry.request)?;
-        let canon = canonicalize(&query);
+        let canon = canonicalize(&build_query(&self.beliefs, &entry.request)?);
         let mut scenarios = Vec::with_capacity(entry.plans.scenarios().len());
         for (dist, opt) in entry.plans.scenarios() {
             // Old canonical → the entry's request numbering → new canonical.
@@ -1675,21 +1078,16 @@ impl<M: CostModel + Sync> QueryService<M> {
             if lec_plan::verify_plan(&plan, &canon.query).is_err() {
                 return Ok(false);
             }
-            scenarios.push((
-                dist.clone(),
-                lec_core::Optimized {
-                    plan,
-                    // Stale by design: `pick` re-costs, never reads this.
-                    cost: opt.cost,
-                },
-            ));
+            // The carried cost is stale by design: `pick` re-costs, never
+            // reads it.
+            let cost = opt.cost;
+            scenarios.push((dist.clone(), lec_core::Optimized { plan, cost }));
         }
         let plans = ParametricPlans::from_parts(scenarios)?;
         let migrated = CacheEntry {
             request: entry.request,
             plans,
             canon: canon.clone(),
-            tables: entry.tables,
         };
         self.cache.insert(&canon.fingerprint, migrated);
         Ok(true)
@@ -1762,7 +1160,7 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// temporaries, so between serves this is the number of generated base
     /// tables.
     pub fn stored_relations(&self) -> usize {
-        self.store.disk.relation_count()
+        self.disk.relation_count()
     }
 
     /// Live cache size in entries.
@@ -1773,40 +1171,38 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// Drift-triggered resampling rounds performed so far (always zero
     /// with [`ServeConfig::resample`] off or on a drift-quiet stream).
     pub fn resamples(&self) -> u64 {
-        self.resamples
+        match &self.recalibrator {
+            Recalibrator::Blend(_) => 0,
+            Recalibrator::Resample(s) => s.resamples,
+        }
     }
 
     /// The cached confidence interval for one statistic, if it has been
     /// sampled (row-domain for joins).
     pub fn stat_interval(&self, target: &DriftTarget) -> Option<StatInterval> {
-        self.intervals.get(target).copied()
-    }
-}
-
-/// The request's tables, sorted and deduplicated (invalidation keys).
-fn sorted_tables(request: &QueryRequest) -> Vec<String> {
-    let mut tables = request.tables.clone();
-    tables.sort();
-    tables.dedup();
-    tables
-}
-
-/// Appends `points` evenly spaced observation sites across `[lo, hi]`
-/// carrying `count` rows in total (remainder goes to the first site).
-fn spread(obs: &mut Vec<(f64, u64)>, lo: f64, hi: f64, count: u64, points: u64) {
-    if count == 0 || hi < lo {
-        return;
-    }
-    let points = points.max(1);
-    let per = count / points;
-    let mut rem = count % points;
-    for i in 0..points {
-        let frac = (i as f64 + 0.5) / points as f64;
-        let v = lo + (hi - lo) * frac;
-        let c = per + if rem > 0 { 1 } else { 0 };
-        rem = rem.saturating_sub(1);
-        if c > 0 {
-            obs.push((v, c));
+        match &self.recalibrator {
+            Recalibrator::Blend(_) => None,
+            Recalibrator::Resample(s) => s.intervals.get(target).copied(),
         }
     }
+}
+
+/// Builds the optimizer query for `request` from `beliefs`.
+fn build_query(beliefs: &Catalog, request: &QueryRequest) -> Result<JoinQuery, ServeError> {
+    let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
+    Ok(query_from_catalog(
+        beliefs,
+        &tables,
+        &request.joins,
+        &request.filters,
+        request.order_by,
+    )?)
+}
+
+/// The verify stage for one ladder rung: the plan-IR verifier in the
+/// request's numbering (so the canonical↔request remapping is inside the
+/// verified surface), and a finite non-negative expected cost.
+fn verify(rung: &LadderRung, query: &JoinQuery, what: &str) -> Result<(), ServeError> {
+    lec_plan::verify_plan(&rung.plan, query).map_err(ServeError::Verification)?;
+    lec_plan::verify_costs(what, &[rung.expected_cost]).map_err(ServeError::Verification)
 }

@@ -209,3 +209,23 @@ fn accurate_beliefs_never_recalibrate() {
     assert_eq!((counters.hits, counters.misses), (5, 1));
     assert_eq!(svc.beliefs(), &cat);
 }
+
+/// Two filters on one table: the belief-side estimate is the product of
+/// both, like the execution's, so exact beliefs still never drift.
+#[test]
+fn two_filters_on_one_table_never_recalibrate_under_exact_beliefs() {
+    let mut cat = catalog(10, 18, 512, &UNIFORM);
+    let cust = cat.table_mut("cust").unwrap();
+    cust.columns.push(ColumnMeta::new("w", 800, 0.0, 100.0));
+    let mut req = request(0.0, 50.0);
+    req.filters.push(FilterSpec {
+        column: "w".into(),
+        ..filter_spec(0.0, 25.0)
+    });
+    let mut svc = QueryService::new(PaperCostModel, cat.clone(), cat.clone(), config()).unwrap();
+    for _ in 0..12 {
+        assert!(svc.serve(&req).unwrap().recalibrations.is_empty());
+    }
+    assert_eq!(svc.recalibrations(), 0);
+    assert_eq!(svc.beliefs(), &cat);
+}

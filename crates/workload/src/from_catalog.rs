@@ -8,7 +8,7 @@
 //! converted from the row domain the catalog speaks to the page domain the
 //! cost formulas speak.
 
-use lec_catalog::{Catalog, CatalogError, Predicate};
+use lec_catalog::{Catalog, CatalogError, Predicate, TableMeta};
 use lec_plan::{JoinPred, JoinQuery, KeyId, PlanError, Relation};
 use std::fmt;
 
@@ -113,7 +113,10 @@ pub fn query_from_catalog(
         }
         .estimate(catalog)?
         .clamp(1e-9, 1.0);
-        relations[idx] = relations[idx].clone().with_local_selectivity(sel);
+        // Several filters on one table conjoin: their selectivities
+        // multiply (under independence), as they do at execution time.
+        let combined = (relations[idx].local_selectivity * sel).clamp(1e-9, 1.0);
+        relations[idx] = relations[idx].clone().with_local_selectivity(combined);
         if f.indexed {
             relations[idx] = relations[idx].clone().with_index();
         }
@@ -130,19 +133,14 @@ pub fn query_from_catalog(
             right_column: j.right_column.clone(),
         }
         .estimate(catalog)?;
-        // Row-domain selectivity → page-domain: out_pages =
-        // rows_l·rows_r·sel / tpp_out with tpp_out ≈ max(tpp_l, tpp_r).
-        let (lt, rt) = (
-            catalog.table(&j.left_table)?,
-            catalog.table(&j.right_table)?,
-        );
-        let tpp_out = lt.tuples_per_page().max(rt.tuples_per_page());
-        let sel_pages =
-            (sel_rows * lt.tuples_per_page() * rt.tuples_per_page() / tpp_out).clamp(1e-12, 1.0);
         predicates.push(JoinPred {
             left,
             right,
-            selectivity: sel_pages,
+            selectivity: page_selectivity(
+                catalog.table(&j.left_table)?,
+                catalog.table(&j.right_table)?,
+                sel_rows,
+            ),
             key: KeyId(k),
         });
     }
@@ -150,10 +148,19 @@ pub fn query_from_catalog(
     Ok(JoinQuery::new(relations, predicates, order_by.map(KeyId))?)
 }
 
+/// Converts a row-domain join selectivity between `left` and `right` to
+/// the page domain the cost formulas use: `out_pages = rows_l·rows_r·sel /
+/// tpp_out` with `tpp_out ≈ max(tpp_l, tpp_r)`, clamped to `[1e-12, 1]`.
+/// Monotone in `sel_rows`, so it maps interval endpoints to endpoints.
+pub fn page_selectivity(left: &TableMeta, right: &TableMeta, sel_rows: f64) -> f64 {
+    let tpp_out = left.tuples_per_page().max(right.tuples_per_page());
+    (sel_rows * left.tuples_per_page() * right.tuples_per_page() / tpp_out).clamp(1e-12, 1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lec_catalog::{ColumnMeta, Histogram, TableMeta};
+    use lec_catalog::{ColumnMeta, Histogram};
     use lec_core::dp::DpOptions;
 
     fn catalog() -> Catalog {
@@ -236,6 +243,28 @@ mod tests {
             r.local_selectivity
         );
         assert!(r.has_index);
+    }
+
+    #[test]
+    fn filters_on_one_table_multiply() {
+        let cat = catalog();
+        let filter = |column: &str, hi: f64| FilterSpec {
+            table: "orders".into(),
+            column: column.into(),
+            lo: 0.0,
+            hi,
+            indexed: false,
+        };
+        let build = |filters: &[FilterSpec]| {
+            query_from_catalog(&cat, &["orders"], &[], filters, None)
+                .unwrap()
+                .relation(0)
+                .local_selectivity
+        };
+        let date = build(&[filter("o_date", 35.9)]);
+        let id = build(&[filter("o_id", 1999.0)]);
+        let both = build(&[filter("o_date", 35.9), filter("o_id", 1999.0)]);
+        assert_eq!(both.to_bits(), (date * id).to_bits());
     }
 
     #[test]
