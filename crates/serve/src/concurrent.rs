@@ -210,9 +210,9 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
 
         // Router pre-pass: one canonicalization per distinct request
         // shape, memoized on the request's debug form (requests are plain
-        // data, so equal shapes print equally).
-        // Each stream position's prepared form is `prepared[routed[i]]`;
-        // its fingerprint's shard picks the worker that owns it.
+        // data, so equal shapes print equally). Stream position `i` uses
+        // `prepared[routed[i]]`, whose fingerprint's shard picks the
+        // worker that owns it.
         let mut memo: BTreeMap<String, usize> = BTreeMap::new();
         let mut prepared: Vec<PreparedRequest> = Vec::new();
         let mut routed: Vec<usize> = Vec::with_capacity(requests.len());
