@@ -115,7 +115,8 @@ perfbench-replay:
 	done
 
 # Full local CI gate: formatting, lints, the whole test suite (unit +
-# integration + doc-tests), and X18–X24 smoke runs that must leave
+# integration + doc-tests), one untimed pass of every Criterion bench,
+# and X18–X24 smoke runs that must leave
 # well-formed results/BENCH_stats.json, results/BENCH_serve.json, and
 # results/BENCH_faults.json behind (X20 self-asserts the control-run
 # closed forms and the drift-recovery bounds; X21 self-asserts the
@@ -133,6 +134,7 @@ ci:
 	grep -q '"certify_roots": 0' results/LINT.json
 	cargo test -q --workspace
 	cargo test -q --workspace --doc
+	$(MAKE) bench-smoke
 	cargo run --release -p lec-bench --bin xtable x19 > /dev/null
 	test -s results/BENCH_stats.json
 	grep -q '"experiment": "x19_stats"' results/BENCH_stats.json

@@ -65,7 +65,7 @@ pub fn run() -> String {
             .expect("lsc")
             .0;
         let truth = |plan: &lec_plan::Plan| {
-            evaluate::expected_cost_joint(&q, &model, plan, &sizes, &phases)
+            evaluate::expected_cost_joint(&q, &model, plan, &sizes, &phases).expect("joint cost")
         };
         let (tl, tc, td) = (truth(&l.plan), truth(&c.plan), truth(&d.best.plan));
         showcase.row(vec![
@@ -101,8 +101,10 @@ pub fn run() -> String {
                 .0;
             if d.best.plan != c.plan {
                 flips += 1;
-                let td = evaluate::expected_cost_joint(&qq, &model, &d.best.plan, &sizes, &ph);
-                let tc = evaluate::expected_cost_joint(&qq, &model, &c.plan, &sizes, &ph);
+                let td = evaluate::expected_cost_joint(&qq, &model, &d.best.plan, &sizes, &ph)
+                    .expect("joint cost");
+                let tc = evaluate::expected_cost_joint(&qq, &model, &c.plan, &sizes, &ph)
+                    .expect("joint cost");
                 ratios.push(td / tc);
             }
         }

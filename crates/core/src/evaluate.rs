@@ -5,7 +5,9 @@
 //! helpers, so a plan's DP cost and its evaluated cost agree exactly — a
 //! property the theorem tests rely on.
 
+use crate::alg_d::SizeModel;
 use crate::env::PhaseDists;
+use crate::error::CoreError;
 use lec_cost::{AccessMethod, CostModel};
 use lec_plan::{JoinQuery, Plan, Relation};
 use lec_stats::Distribution;
@@ -300,81 +302,125 @@ pub fn explain_with_costs_and_stats<M: CostModel + ?Sized>(
     out
 }
 
-/// Exact expected cost of a plan when relation sizes and predicate
-/// selectivities are themselves distributed (the multi-parameter world of
-/// §3.6), by *joint enumeration*: every combination of size and selectivity
-/// values is priced and probability-weighted. Exponential in the number of
-/// uncertain parameters — this is the ground truth Algorithm D's
-/// independence-propagation approximation is judged against (X6), not a
-/// production path.
-pub fn expected_cost_joint<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    plan: &Plan,
-    sizes: &crate::alg_d::SizeModel,
-    phases: &PhaseDists,
-) -> f64 {
-    let n = query.n();
-    let np = query.predicates().len();
-    debug_assert_eq!(sizes.rel_sizes.len(), n);
-    debug_assert_eq!(sizes.selectivities.len(), np);
+/// One joint assignment of a [`SizeModel`]'s parameters, realized as a
+/// query instance.
+pub(crate) struct JointAssignment {
+    /// Bucket index of every parameter: relation sizes first, then
+    /// predicate selectivities, in index order.
+    pub(crate) buckets: Vec<usize>,
+    /// The assignment's probability: the parameters' bucket masses,
+    /// multiplied in parameter order.
+    pub(crate) prob: f64,
+    /// The query with every statistic set to its assigned value.
+    pub(crate) instance: JoinQuery,
+}
 
-    // Odometer over all parameter assignments.
-    let dims: Vec<&lec_stats::Distribution> = sizes
+/// Every joint assignment of the size model's parameters, in odometer order
+/// (parameter 0 varies fastest). Fails with a typed error when the model
+/// does not match the query's shape, or when an assigned value does not
+/// realize a valid query — e.g. a finite size so large that rescaling it by
+/// the relation's local selectivity overflows to ∞ pages.
+pub(crate) fn joint_assignments(
+    query: &JoinQuery,
+    sizes: &SizeModel,
+) -> Result<Vec<JointAssignment>, CoreError> {
+    if sizes.rel_sizes.len() != query.n() || sizes.selectivities.len() != query.predicates().len() {
+        return Err(CoreError::BadParameter(format!(
+            "size model has {} sizes and {} selectivities for a query with {} relations and {} predicates",
+            sizes.rel_sizes.len(),
+            sizes.selectivities.len(),
+            query.n(),
+            query.predicates().len()
+        )));
+    }
+    let dims: Vec<&Distribution> = sizes
         .rel_sizes
         .iter()
         .chain(sizes.selectivities.iter())
         .collect();
-    let mut idx = vec![0usize; dims.len()];
-    let mut total = 0.0;
+    let mut buckets = vec![0usize; dims.len()];
+    let mut out = Vec::new();
     loop {
         let mut prob = 1.0;
-        for (d, &i) in dims.iter().zip(&idx) {
+        for (d, &i) in dims.iter().zip(&buckets) {
             prob *= d.probs()[i];
         }
-        // Build the query instance for this assignment.
+        let mut values = dims.iter().zip(&buckets).map(|(d, &i)| d.values()[i]);
+        // The size distribution models *effective* pages; realize it by
+        // scaling the relation so effective_pages matches.
         let relations: Vec<Relation> = query
             .relations()
             .iter()
-            .enumerate()
-            .map(|(r, rel)| {
-                // The size distribution models *effective* pages; realize it
-                // by scaling the relation so effective_pages matches.
-                let pages = dims[r].values()[idx[r]] / rel.local_selectivity;
+            .zip(values.by_ref())
+            .map(|(rel, size)| {
                 let mut out = rel.clone();
-                out.pages = pages.max(1.0);
+                out.pages = (size / rel.local_selectivity).max(1.0);
                 out
             })
             .collect();
         let predicates: Vec<lec_plan::JoinPred> = query
             .predicates()
             .iter()
-            .enumerate()
-            .map(|(p, pred)| {
+            .zip(values)
+            .map(|(pred, selectivity)| {
                 let mut out = *pred;
-                out.selectivity = dims[n + p].values()[idx[n + p]].clamp(1e-300, 1.0); // lec-lint: allow(panic-reachability) — dims holds n relation dims followed by the predicate dims, so n + p is in bounds
+                out.selectivity = selectivity.clamp(1e-300, 1.0);
                 out
             })
             .collect();
-        let instance = JoinQuery::new(relations, predicates, query.required_order())
-            .expect("instance stays valid"); // lec-lint: allow(panic-reachability) — rescaling pages and selectivities of a valid query preserves validity
-        let e = expected_cost(&instance, model, plan, phases);
-        total += prob * e;
+        let instance = JoinQuery::new(relations, predicates, query.required_order())?;
+        out.push(JointAssignment {
+            buckets: buckets.clone(),
+            prob,
+            instance,
+        });
 
         // Advance the odometer.
         let mut k = 0;
         loop {
             if k == dims.len() {
-                return total;
+                return Ok(out);
             }
-            idx[k] += 1;
-            if idx[k] < dims[k].len() {
+            buckets[k] += 1;
+            if buckets[k] < dims[k].len() {
                 break;
             }
-            idx[k] = 0;
+            buckets[k] = 0;
             k += 1;
         }
     }
+}
+
+/// `Σ prob · expected_cost(instance)` over the assignments, in their order.
+pub(crate) fn expected_cost_over<M: CostModel + ?Sized>(
+    assignments: &[JointAssignment],
+    model: &M,
+    plan: &Plan,
+    phases: &PhaseDists,
+) -> f64 {
+    assignments.iter().fold(0.0, |total, a| {
+        total + a.prob * expected_cost(&a.instance, model, plan, phases)
+    })
+}
+
+/// Exact expected cost of a plan when relation sizes and predicate
+/// selectivities are themselves distributed (the multi-parameter world of
+/// §3.6), by *joint enumeration*: every combination of size and selectivity
+/// values is priced and probability-weighted. Exponential in the number of
+/// uncertain parameters — this is the ground truth Algorithm D's
+/// independence-propagation approximation is judged against (X6), not a
+/// production path. Fails when the size model does not match the query's
+/// shape, or when an assigned value does not realize a valid query (e.g. a
+/// finite size that rescales to ∞ pages).
+pub fn expected_cost_joint<M: CostModel + ?Sized>(
+    query: &JoinQuery,
+    model: &M,
+    plan: &Plan,
+    sizes: &SizeModel,
+    phases: &PhaseDists,
+) -> Result<f64, CoreError> {
+    let assignments = joint_assignments(query, sizes)?;
+    Ok(expected_cost_over(&assignments, model, plan, phases))
 }
 
 #[cfg(test)]
@@ -571,9 +617,9 @@ mod tests {
         let model = PaperCostModel;
         let mem = Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap();
         let phases = MemoryModel::Static(mem).table(2).unwrap();
-        let sizes = crate::alg_d::SizeModel::certain(&q).unwrap();
+        let sizes = SizeModel::certain(&q).unwrap();
         for plan in [plan1(), plan2()] {
-            let joint = expected_cost_joint(&q, &model, &plan, &sizes, &phases);
+            let joint = expected_cost_joint(&q, &model, &plan, &sizes, &phases).unwrap();
             let direct = expected_cost(&q, &model, &plan, &phases);
             assert!((joint - direct).abs() < 1e-6 * direct.max(1.0));
         }
@@ -587,9 +633,9 @@ mod tests {
         let model = PaperCostModel;
         let mem = Distribution::point(2000.0).unwrap();
         let phases = MemoryModel::Static(mem).table(2).unwrap();
-        let mut sizes = crate::alg_d::SizeModel::certain(&q).unwrap();
+        let mut sizes = SizeModel::certain(&q).unwrap();
         sizes.rel_sizes[1] = Distribution::new([(200_000.0, 0.5), (600_000.0, 0.5)]).unwrap();
-        let joint = expected_cost_joint(&q, &model, &plan1(), &sizes, &phases);
+        let joint = expected_cost_joint(&q, &model, &plan1(), &sizes, &phases).unwrap();
         let mut manual = 0.0;
         for b in [200_000.0, 600_000.0] {
             let inst = JoinQuery::new(

@@ -20,11 +20,16 @@
 //! joint enumeration (exponential; experiment scale), both for learning
 //! *everything* and for learning one parameter at a time — the per-
 //! parameter numbers tell you *which* predicate deserves a sample.
+//!
+//! Every quantity is a fold over the same `P × A` table of plan costs (`P`
+//! left-deep plans, `A` joint parameter assignments), so [`analyze`] costs
+//! one plan enumeration plus `P × A` plan pricings, and never stores the
+//! table: it prices plan by plan and keeps only running sums and minima.
 
 use crate::alg_d::SizeModel;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::evaluate::expected_cost_joint;
+use crate::evaluate::{expected_cost, expected_cost_over, joint_assignments};
 use crate::exhaustive::enumerate_left_deep;
 use lec_cost::CostModel;
 use lec_plan::{JoinQuery, Plan};
@@ -58,37 +63,10 @@ impl VoiReport {
     }
 }
 
-/// Number of uncertain parameters in a size model.
-fn n_params(sizes: &SizeModel) -> usize {
-    sizes.rel_sizes.len() + sizes.selectivities.len()
-}
-
-/// The `k`-th parameter's distribution.
-fn param(sizes: &SizeModel, k: usize) -> &Distribution {
-    let n = sizes.rel_sizes.len();
-    if k < n {
-        &sizes.rel_sizes[k]
-    } else {
-        &sizes.selectivities[k - n] // lec-lint: allow(panic-reachability) — k is in n..n_params in this branch, so k - n indexes the selectivities
-    }
-}
-
-/// A copy of the size model with parameter `k` collapsed to `value`.
-fn condition(sizes: &SizeModel, k: usize, value: f64) -> Result<SizeModel, CoreError> {
-    let mut out = sizes.clone();
-    let n = out.rel_sizes.len();
-    let point = Distribution::point(value)?;
-    if k < n {
-        out.rel_sizes[k] = point;
-    } else {
-        out.selectivities[k - n] = point; // lec-lint: allow(panic-reachability) — k is in n..n_params in this branch, so k - n indexes the selectivities
-    }
-    Ok(out)
-}
-
 /// Best single plan under joint uncertainty: exact minimum of
-/// [`expected_cost_joint`] over all left-deep plans. Exponential; the
-/// ground-truth counterpart of Algorithm D.
+/// [`crate::evaluate::expected_cost_joint`] over all left-deep plans (the
+/// first minimum in enumeration order). Exponential; the ground-truth
+/// counterpart of Algorithm D.
 pub fn joint_lec(
     query: &JoinQuery,
     model: &(impl CostModel + ?Sized),
@@ -96,44 +74,135 @@ pub fn joint_lec(
     sizes: &SizeModel,
 ) -> Result<(Plan, f64), CoreError> {
     let phases = memory.table(query.n().max(2))?;
+    let assignments = joint_assignments(query, sizes)?;
     enumerate_left_deep(query)
         .into_iter()
         .map(|plan| {
-            let cost = expected_cost_joint(query, model, &plan, sizes, &phases);
+            let cost = expected_cost_over(&assignments, model, &plan, &phases);
             (plan, cost)
         })
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .ok_or(CoreError::NoPlanFound)
 }
 
-/// Computes the full EVPI analysis. Cost grows as the product of all
-/// parameter bucket counts; intended for small queries (`n ≤ 4`, few
-/// buckets), where it is exact.
+/// Lowers `slot` to `cost` when `cost` is smaller under `total_cmp`; an
+/// empty slot takes any cost. Ties keep the earlier value, like `min_by`.
+fn keep_min(slot: &mut Option<f64>, cost: f64) {
+    if slot.is_none_or(|m| cost.total_cmp(&m).is_lt()) {
+        *slot = Some(cost);
+    }
+}
+
+/// Computes the full EVPI analysis: one left-deep enumeration, and each
+/// plan priced once per joint parameter assignment, so `P × A` pricings in
+/// total. The assignment count `A` is the product of all parameter bucket
+/// counts; intended for small queries (`n ≤ 4`, few buckets), where it is
+/// exact.
+///
+/// Each quantity matches, to the bit, re-running [`joint_lec`] on the
+/// conditioned size model it is defined by: costs are accumulated in the
+/// same odometer order, and a parameter conditioned to one bucket weighs
+/// exactly 1.0, the mass of [`Distribution::point`].
 pub fn analyze(
     query: &JoinQuery,
     model: &(impl CostModel + ?Sized),
     memory: &MemoryModel,
     sizes: &SizeModel,
 ) -> Result<VoiReport, CoreError> {
-    let (committed_plan, committed_cost) = joint_lec(query, model, memory, sizes)?;
+    let phases = memory.table(query.n().max(2))?;
+    let assignments = joint_assignments(query, sizes)?;
+    let dims: Vec<&Distribution> = sizes
+        .rel_sizes
+        .iter()
+        .chain(sizes.selectivities.iter())
+        .collect();
 
-    // Full information: for each joint assignment, re-optimize.
-    let informed_cost = expected_over_assignments(sizes, &mut |conditioned| {
-        joint_lec(query, model, memory, conditioned).map(|(_, c)| c)
-    })?;
+    // Partial information about parameter k conditions it on its bucket b:
+    // assignment `a` then lands in the (k, b) bucket with the probability
+    // of the other parameters alone. `slots[a]` lists, per parameter, that
+    // bucket's position in the flat per-(k, b) arrays and that weight.
+    let mut bucket_base = Vec::with_capacity(dims.len());
+    let mut n_buckets = 0;
+    for d in &dims {
+        bucket_base.push(n_buckets);
+        n_buckets += d.len();
+    }
+    let slots: Vec<Vec<(usize, f64)>> = assignments
+        .iter()
+        .map(|a| {
+            bucket_base
+                .iter()
+                .zip(&a.buckets)
+                .enumerate()
+                .map(|(k, (&base, &b))| {
+                    let weight = dims
+                        .iter()
+                        .zip(&a.buckets)
+                        .enumerate()
+                        .fold(1.0, |prob, (j, (d, &i))| {
+                            prob * if j == k { 1.0 } else { d.probs()[i] }
+                        });
+                    (base + b, weight)
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut committed: Option<(Plan, f64)> = None;
+    let mut informed: Vec<Option<f64>> = vec![None; assignments.len()];
+    let mut partial_best: Vec<Option<f64>> = vec![None; n_buckets];
+    let mut partial_sum = vec![0.0; n_buckets];
+    for plan in enumerate_left_deep(query) {
+        let mut total = 0.0;
+        partial_sum.fill(0.0);
+        for ((a, best), slots) in assignments.iter().zip(&mut informed).zip(&slots) {
+            let cost = expected_cost(&a.instance, model, &plan, &phases);
+            total += a.prob * cost;
+            keep_min(best, cost);
+            for &(slot, weight) in slots {
+                partial_sum[slot] += weight * cost;
+            }
+        }
+        for (best, &sum) in partial_best.iter_mut().zip(&partial_sum) {
+            keep_min(best, sum);
+        }
+        if committed
+            .as_ref()
+            .is_none_or(|(_, c)| total.total_cmp(c).is_lt())
+        {
+            committed = Some((plan, total));
+        }
+    }
+    let (committed_plan, committed_cost) = committed.ok_or(CoreError::NoPlanFound)?;
+    // With at least one plan priced, every running minimum is set.
+    let informed: Vec<f64> = informed
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or(CoreError::NoPlanFound)?;
+    let partial_best: Vec<f64> = partial_best
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or(CoreError::NoPlanFound)?;
+
+    // Full information: the best plan for each realized assignment.
+    let informed_cost = assignments
+        .iter()
+        .zip(&informed)
+        .fold(0.0, |total, (a, best)| total + a.prob * best);
 
     // Partial information, one parameter at a time.
-    let mut partial = Vec::with_capacity(n_params(sizes));
-    for k in 0..n_params(sizes) {
-        let dist = param(sizes, k).clone();
-        let mut with_k = 0.0;
-        for (v, p) in dist.iter() {
-            let conditioned = condition(sizes, k, v)?;
-            let (_, best) = joint_lec(query, model, memory, &conditioned)?;
-            with_k += p * best;
-        }
-        partial.push((committed_cost - with_k).max(0.0));
-    }
+    let partial = dims
+        .iter()
+        .zip(&bucket_base)
+        .map(|(d, &base)| {
+            let with_k = d
+                .probs()
+                .iter()
+                .zip(partial_best.iter().skip(base))
+                .fold(0.0, |total, (p, best)| total + p * best);
+            (committed_cost - with_k).max(0.0)
+        })
+        .collect();
 
     Ok(VoiReport {
         evpi: (committed_cost - informed_cost).max(0.0),
@@ -144,47 +213,10 @@ pub fn analyze(
     })
 }
 
-/// Iterates all joint assignments of the size model's parameters, calling
-/// `f` with a fully conditioned model and probability-weighting the result.
-fn expected_over_assignments(
-    sizes: &SizeModel,
-    f: &mut impl FnMut(&SizeModel) -> Result<f64, CoreError>,
-) -> Result<f64, CoreError> {
-    let dims: Vec<Distribution> = sizes
-        .rel_sizes
-        .iter()
-        .chain(sizes.selectivities.iter())
-        .cloned()
-        .collect();
-    let mut idx = vec![0usize; dims.len()];
-    let mut total = 0.0;
-    loop {
-        let mut prob = 1.0;
-        let mut conditioned = sizes.clone();
-        for (k, (d, &i)) in dims.iter().zip(&idx).enumerate() {
-            prob *= d.probs()[i];
-            conditioned = condition(&conditioned, k, d.values()[i])?;
-        }
-        total += prob * f(&conditioned)?;
-
-        let mut k = 0;
-        loop {
-            if k == dims.len() {
-                return Ok(total);
-            }
-            idx[k] += 1;
-            if idx[k] < dims[k].len() {
-                break;
-            }
-            idx[k] = 0;
-            k += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::expected_cost_joint;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
 
@@ -259,7 +291,7 @@ mod tests {
         let r = analyze(&q, &PaperCostModel, &mem, &sizes).unwrap();
         let phases = mem.table(q.n()).unwrap();
         for plan in enumerate_left_deep(&q) {
-            let c = expected_cost_joint(&q, &PaperCostModel, &plan, &sizes, &phases);
+            let c = expected_cost_joint(&q, &PaperCostModel, &plan, &sizes, &phases).unwrap();
             assert!(r.committed_cost <= c + 1e-6 * c.max(1.0));
         }
         r.committed_plan.validate(&q).unwrap();

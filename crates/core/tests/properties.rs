@@ -87,7 +87,7 @@ proptest! {
         let mm = MemoryModel::Static(mem);
         let phases = mm.table(q.n()).unwrap();
         let lec = lec_core::alg_c::optimize(&q, &PaperCostModel, &mm, DpOptions::default()).unwrap().0;
-        let joint = evaluate::expected_cost_joint(&q, &PaperCostModel, &lec.plan, &sizes, &phases);
+        let joint = evaluate::expected_cost_joint(&q, &PaperCostModel, &lec.plan, &sizes, &phases).unwrap();
         let plain = evaluate::expected_cost(&q, &PaperCostModel, &lec.plan, &phases);
         prop_assert!((joint - plain).abs() <= 1e-6 * plain.max(1.0));
     }

@@ -92,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Exact joint ground truth for both plans.
     let phases = mem_model.table(query.n())?;
-    let truth_c = evaluate::expected_cost_joint(&query, &model, &c.plan, &sizes, &phases);
-    let truth_d = evaluate::expected_cost_joint(&query, &model, &d.best.plan, &sizes, &phases);
+    let truth_c = evaluate::expected_cost_joint(&query, &model, &c.plan, &sizes, &phases)?;
+    let truth_d = evaluate::expected_cost_joint(&query, &model, &d.best.plan, &sizes, &phases)?;
     println!("\ntrue expected cost (joint enumeration):");
     println!("  Algorithm C plan: {truth_c:.0}");
     println!("  Algorithm D plan: {truth_d:.0}");
