@@ -9,7 +9,7 @@
 
 use crate::fixtures::{chain_query, SEED};
 use crate::table::Table;
-use lec_core::alg_d::{self, AlgDConfig, Kernel, SizeModel};
+use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::MemoryModel;
 use lec_cost::PaperCostModel;
 use lec_stats::rebucket;
@@ -59,10 +59,7 @@ pub fn run() -> String {
         &PaperCostModel,
         &mem,
         &sizes,
-        AlgDConfig {
-            size_buckets: 64,
-            kernel: Kernel::Fast,
-        },
+        AlgDConfig { size_buckets: 64 },
     )
     .expect("reference")
     .0;
@@ -73,10 +70,7 @@ pub fn run() -> String {
             &PaperCostModel,
             &mem,
             &sizes,
-            AlgDConfig {
-                size_buckets: cap,
-                kernel: Kernel::Fast,
-            },
+            AlgDConfig { size_buckets: cap },
         )
         .expect("capped")
         .0;

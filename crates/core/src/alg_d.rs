@@ -7,25 +7,29 @@
 //! selectivity `σ` (the paper's Figure 1) — regardless of how many
 //! parameters the query started with:
 //!
-//! * the expected join-step cost is `E[Φ(method, |B_j|, |A_j|, M)]`,
-//!   computed either by the naive `b_M · b_B · b_A` triple loop or by the
-//!   §3.6.1/3.6.2 linear-time kernels;
+//! * the expected join-step cost is `E[Φ(method, |B_j|, |A_j|, M)]`, which
+//!   the model computes itself through
+//!   [`CostModel::expected_join_dist`]: the naive `b_M · b_B · b_A` triple
+//!   loop by default, the §3.6.1/3.6.2 linear-time kernels for
+//!   [`PaperCostModel`](lec_cost::PaperCostModel);
 //! * the result-size distribution `|B_j ⋈ A_j|` is the independent product
 //!   `|B_j| ⊗ |A_j| ⊗ σ`, rebucketed back to `b` support points (§3.6.3) so
 //!   the distribution carried up the dag does not grow.
 //!
 //! The result size is independent of the choice of `j`, so it is computed
-//! once per dag node (the paper's observation at the end of Algorithm D).
+//! once per dag node (the paper's observation at the end of Algorithm D),
+//! before the dag walk. The walk itself is Algorithm C's: the shared
+//! left-deep DP ([`dp::optimize_left_deep`]) with a step coster that reads
+//! those distributions.
 
-use crate::dp::Optimized;
+use crate::dp::{self, DpOptions, JoinInputs, Optimized, StepCoster};
 use crate::env::{MemoryModel, PhaseDists};
 use crate::error::CoreError;
-use crate::evaluate::access_choices;
-use crate::par;
+use crate::precompute::QueryTables;
 use crate::stats::OptStats;
-use lec_cost::fast_expect::{expected_join_fast, expected_join_naive, expected_sort};
-use lec_cost::{AccessMethod, CostModel, JoinMethod};
-use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
+use lec_cost::fast_expect::expected_sort;
+use lec_cost::{CostModel, JoinMethod};
+use lec_plan::{JoinQuery, RelSet};
 use lec_stats::{ConvolveScratch, Distribution};
 
 /// Distributions for the non-memory parameters.
@@ -91,35 +95,17 @@ impl SizeModel {
     }
 }
 
-/// Which expected-cost computation to use at each node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// The §3.6.1/3.6.2 linear-time kernels. They encode the paper's
-    /// formulas, so they are exact only when [`optimize`] is handed
-    /// [`PaperCostModel`](lec_cost::PaperCostModel).
-    #[default]
-    Fast,
-    /// The naive `O(b_M · b_B · b_A)` triple loop through the model's own
-    /// formulas; works for any model.
-    Naive,
-}
-
 /// Configuration for Algorithm D.
 #[derive(Debug, Clone, Copy)]
 pub struct AlgDConfig {
     /// Support-size cap `b` for propagated result-size distributions
     /// (§3.6.3 rebucketing).
     pub size_buckets: usize,
-    /// Expected-cost kernel.
-    pub kernel: Kernel,
 }
 
 impl Default for AlgDConfig {
     fn default() -> Self {
-        Self {
-            size_buckets: 8,
-            kernel: Kernel::Fast,
-        }
+        Self { size_buckets: 8 }
     }
 }
 
@@ -137,14 +123,9 @@ pub struct AlgDResult {
 /// (`precompute.pages_entries` counts the result-size distributions
 /// materialized — Algorithm D's analog of the pages table).
 ///
-/// `config.kernel` picks the expected-cost computation: [`Kernel::Fast`]
-/// hard-codes the paper formulas, so any other `model` needs
-/// [`Kernel::Naive`]. The root sort is priced through `model` either way.
-///
-/// The sweep walks the lattice rank by rank (a valid DP order,
-/// bit-identical to the flat numeric sweep) so per-rank wall time can be
-/// recorded; within a rank each mask computes its result-size distribution
-/// and then its join costing, in increasing numeric mask order.
+/// Every expectation goes through `model`: join steps through
+/// [`CostModel::expected_join_dist`] and the root sort through the model's
+/// `sort_cost`, so any cost model is priced by its own formulas.
 pub fn optimize<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
@@ -153,101 +134,51 @@ pub fn optimize<M: CostModel + ?Sized>(
     config: AlgDConfig,
 ) -> Result<(AlgDResult, OptStats), CoreError> {
     validate_inputs(query, sizes, &config)?;
-    let n = query.n();
-    let full = query.all();
-    let phases = memory.table(n.max(2))?;
-    let slots = (full.bits() + 1) as usize;
-    let mut table: Vec<Option<Entry>> = vec![None; slots];
-    let mut size_of: Vec<Option<Distribution>> = vec![None; slots];
+    let phases = memory.table(query.n().max(2))?;
+    let node_sizes = node_size_dists(query, sizes, config.size_buckets)?;
+    let coster = SizeDistCoster {
+        model,
+        phases: &phases,
+        rel_sizes: &sizes.rel_sizes,
+        means: node_sizes.iter().map(Distribution::mean).collect(),
+        node_sizes,
+    };
+    let tabs = QueryTables::with_access_pages(query, |i| sizes.rel_sizes[i].mean());
+    let (best, mut stats) = dp::optimize_left_deep(query, &tabs, &coster, DpOptions::default())?;
+    stats.algorithm = "alg_d";
+    // One propagated size distribution per non-empty subset.
+    stats.precompute.pages_entries = coster.node_sizes.len() - 1;
+    let result_size = coster.node_sizes[query.all().bits() as usize].clone();
+    Ok((AlgDResult { best, result_size }, stats))
+}
 
-    let access = AccessTable::new(query, sizes);
-    seed_depth_one(query, sizes, &access, &mut table, &mut size_of);
+/// Prices join steps in expectation over memory *and* the propagated
+/// size distributions: `E[Φ(method, |B_j|, |A_j|, M)] + E[|out|]`.
+struct SizeDistCoster<'a, M: ?Sized> {
+    model: &'a M,
+    phases: &'a PhaseDists,
+    rel_sizes: &'a [Distribution],
+    /// Result-size distribution per subset, indexed by `RelSet::bits()`.
+    node_sizes: Vec<Distribution>,
+    /// Their means: the expected output-materialization costs.
+    means: Vec<f64>,
+}
 
-    let required = query.required_order();
-    let mut best_ordered: Option<Entry> = None;
-
-    let mut stats = OptStats::new("alg_d", n);
-    stats.precompute.access_entries = access.best.len();
-    stats.precompute.pages_entries = n; // singleton size distributions
-    stats.counters.entries_written = n as u64;
-
-    let ranks = par::ranks(n);
-    let mut scratch = ConvolveScratch::new();
-    for rank in &ranks[1..] {
-        let (result, elapsed) = par::timed(|| -> Result<(), CoreError> {
-            for &set in rank {
-                let idx = set.bits() as usize;
-                size_of[idx] = Some(node_size_dist(
-                    query,
-                    sizes,
-                    config,
-                    &size_of,
-                    set,
-                    &mut scratch,
-                )?);
-                let (best, ordered, candidates) = cost_mask_d(
-                    query, model, sizes, config, &access, &phases, &table, &size_of, set, full,
-                    required,
-                );
-                table[idx] = Some(best);
-                if let Some(ord) = ordered {
-                    best_ordered = Some(ord);
-                }
-                stats.counters.masks_expanded += 1;
-                stats.counters.candidates_priced += candidates;
-                stats.counters.entries_written += 1;
-                stats.precompute.pages_entries += 1;
-            }
-            Ok(())
-        });
-        result?;
-        stats.rank_wall_ns.push(elapsed);
+impl<M: CostModel + ?Sized> StepCoster for SizeDistCoster<'_, M> {
+    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+        let mem = self.phases.at(phase);
+        let left = &self.node_sizes[join.sub.bits() as usize];
+        let right = &self.rel_sizes[join.j];
+        let e_out = self.means[join.set.bits() as usize];
+        // Summed left to right onto `base`: folding `e_join + e_out` first
+        // would round differently and can flip ties between candidates.
+        JoinMethod::ALL
+            .map(|method| base + self.model.expected_join_dist(method, left, right, mem) + e_out)
     }
 
-    let best = finalize_d(
-        query,
-        model,
-        &access,
-        &phases,
-        &table,
-        &size_of,
-        best_ordered,
-    )?;
-    Ok((best, stats))
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Choice {
-    Access(AccessMethod),
-    Join { last: usize, method: JoinMethod },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    cost: f64,
-    choice: Choice,
-}
-
-/// Per-query state Algorithm D previously recomputed per `(set, j)` visit:
-/// the best expected access path of each relation, hoisted out of the
-/// inner loop (computed once, like the other memoization tables).
-struct AccessTable {
-    best: Vec<(f64, AccessMethod)>,
-}
-
-impl AccessTable {
-    fn new(query: &JoinQuery, sizes: &SizeModel) -> Self {
-        let best = (0..query.n())
-            .map(|i| {
-                let rel = query.relation(i);
-                access_choices(rel)
-                    .into_iter()
-                    .map(|m| (expected_access_cost(rel, m, &sizes.rel_sizes[i]), m))
-                    .min_by(|a, b| a.0.total_cmp(&b.0))
-                    .expect("at least the full scan") // lec-lint: allow(panic-reachability) — every relation set is seeded with the full-scan access, so the candidate list is non-empty
-            })
-            .collect();
-        AccessTable { best }
+    fn sort(&self, phase: usize, set: RelSet, _pages: f64) -> f64 {
+        let idx = set.bits() as usize;
+        expected_sort(self.model, &self.node_sizes[idx], self.phases.at(phase)) + self.means[idx]
     }
 }
 
@@ -267,229 +198,78 @@ fn validate_inputs(
     Ok(())
 }
 
-/// Result-size distribution of a dag node: computed once per node, from
-/// the lowest member as the designated `j` (any choice is equivalent).
+/// Result-size distribution of every subset, indexed by `RelSet::bits()`
+/// (entry 0, the empty set, is an unused point). A node's distribution
+/// joins its lowest member `j` onto `set \ {j}` (any choice of `j` is
+/// equivalent), and that smaller mask is always filled first.
 ///
-/// Every product → §3.6.3 rebucket step runs through the caller's
-/// [`ConvolveScratch`], so steady-state nodes allocate nothing: the wide
-/// product support lives in the scratch buffers and the rebucketed result
-/// (≤ `size_buckets` ≤ 8 points by default) is emitted inline. The scratch
-/// kernels are bit-identical to `product_with` + `rebucket`, so this is
-/// purely an allocation change.
-// lec-lint: allow(panic-reachability) — callers pass non-empty sets whose subset entries the DP pass has already filled
-fn node_size_dist(
+/// Every product → §3.6.3 rebucket step runs through one
+/// [`ConvolveScratch`], so steady-state nodes allocate nothing but their
+/// result: the wide product support lives in the scratch buffers and the
+/// rebucketed result (≤ `size_buckets` ≤ 8 points by default) is emitted
+/// inline. The scratch kernels are bit-identical to `product_with` +
+/// `rebucket`.
+fn node_size_dists(
     query: &JoinQuery,
     sizes: &SizeModel,
-    config: AlgDConfig,
-    size_of: &[Option<Distribution>],
-    set: RelSet,
-    scratch: &mut ConvolveScratch,
-) -> Result<Distribution, CoreError> {
-    let j = set.iter().next().expect("non-empty");
-    let sub = set.remove(j);
-    let sub_dist = size_of[sub.bits() as usize]
-        .as_ref()
-        .expect("subset computed earlier");
-    let j_dist = &sizes.rel_sizes[j];
-    let mut dist = scratch.product_rebucket(sub_dist, j_dist, |a, b| a * b, config.size_buckets)?;
-    for (pidx, pred) in query.predicates().iter().enumerate() {
-        let crosses = (sub.contains(pred.left) && j == pred.right)
-            || (sub.contains(pred.right) && j == pred.left);
-        if crosses {
-            dist = scratch.product_rebucket(
-                &dist,
-                &sizes.selectivities[pidx],
-                |s, sel| s * sel,
-                config.size_buckets,
-            )?;
-        }
-    }
-    Ok(scratch.map(&dist, |v| v.max(1.0))?)
-}
-
-/// Prices every way of forming `set` by a last join, against the filled
-/// lower-depth tables.
-#[allow(clippy::too_many_arguments)]
-// lec-lint: allow(panic-reachability) — DP induction: singletons are seeded and subsets priced in rank order before supersets, and every candidate set holds at least the full-scan plan
-fn cost_mask_d<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    sizes: &SizeModel,
-    config: AlgDConfig,
-    access: &AccessTable,
-    phases: &PhaseDists,
-    table: &[Option<Entry>],
-    size_of: &[Option<Distribution>],
-    set: RelSet,
-    full: RelSet,
-    required: Option<KeyId>,
-) -> (Entry, Option<Entry>, u64) {
-    let phase = set.len() - 2;
-    let mem_dist = phases.at(phase);
-    let e_out = size_of[set.bits() as usize]
-        .as_ref()
-        .expect("node size computed earlier")
-        .mean();
-
-    let mut best: Option<Entry> = None;
-    let mut best_ordered: Option<Entry> = None;
-    let mut candidates = 0u64;
-    for j in set.iter() {
+    size_buckets: usize,
+) -> Result<Vec<Distribution>, CoreError> {
+    let mut dists = Vec::with_capacity(1usize << query.n());
+    dists.push(Distribution::point(1.0)?);
+    let mut scratch = ConvolveScratch::new();
+    for set in RelSet::all_subsets(query.n()) {
+        let j = set.bits().trailing_zeros() as usize;
         let sub = set.remove(j);
-        let left = table[sub.bits() as usize].expect("subset computed earlier");
-        let left_dist = size_of[sub.bits() as usize]
-            .as_ref()
-            .expect("subset computed earlier");
         let j_dist = &sizes.rel_sizes[j];
-        let acc_cost = access.best[j].0;
-        let key = query.join_key_between(sub, RelSet::single(j));
-        for method in JoinMethod::ALL {
-            let e_join = match config.kernel {
-                Kernel::Fast => expected_join_fast(method, left_dist, j_dist, mem_dist),
-                Kernel::Naive => expected_join_naive(model, method, left_dist, j_dist, mem_dist),
-            };
-            let cost = left.cost + acc_cost + e_join + e_out;
-            candidates += 1;
-            let entry = Entry {
-                cost,
-                choice: Choice::Join { last: j, method },
-            };
-            if best.is_none_or(|b| cost < b.cost) {
-                best = Some(entry);
-            }
-            if set == full
-                && method == JoinMethod::SortMerge
-                && required.is_some()
-                && key == required
-                && best_ordered.is_none_or(|b| cost < b.cost)
-            {
-                best_ordered = Some(entry);
+        if sub.is_empty() {
+            dists.push(j_dist.clone());
+            continue;
+        }
+        let sub_dist = &dists[sub.bits() as usize];
+        let mut dist = scratch.product_rebucket(sub_dist, j_dist, |a, b| a * b, size_buckets)?;
+        for (pidx, pred) in query.predicates().iter().enumerate() {
+            let crosses = (sub.contains(pred.left) && j == pred.right)
+                || (sub.contains(pred.right) && j == pred.left);
+            if crosses {
+                dist = scratch.product_rebucket(
+                    &dist,
+                    &sizes.selectivities[pidx],
+                    |s, sel| s * sel,
+                    size_buckets,
+                )?;
             }
         }
+        dists.push(scratch.map(&dist, |v| v.max(1.0))?);
     }
-    (
-        best.expect("set has at least two members"),
-        best_ordered,
-        candidates,
-    )
-}
-
-fn seed_depth_one(
-    query: &JoinQuery,
-    sizes: &SizeModel,
-    access: &AccessTable,
-    table: &mut [Option<Entry>],
-    size_of: &mut [Option<Distribution>],
-) {
-    for i in 0..query.n() {
-        let (cost, method) = access.best[i];
-        let idx = RelSet::single(i).bits() as usize;
-        table[idx] = Some(Entry {
-            cost,
-            choice: Choice::Access(method),
-        });
-        size_of[idx] = Some(sizes.rel_sizes[i].clone());
-    }
-}
-
-fn finalize_d<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    access: &AccessTable,
-    phases: &PhaseDists,
-    table: &[Option<Entry>],
-    size_of: &[Option<Distribution>],
-    best_ordered: Option<Entry>,
-) -> Result<AlgDResult, CoreError> {
-    let n = query.n();
-    let full = query.all();
-    let root = table[full.bits() as usize].ok_or(CoreError::NoPlanFound)?;
-    let result_size = size_of[full.bits() as usize]
-        .clone()
-        .ok_or(CoreError::NoPlanFound)?;
-
-    let best = if let Some(key) = query.required_order() {
-        let sort_phase = n.saturating_sub(1);
-        let e_sort = expected_sort(model, &result_size, phases.at(sort_phase)) + result_size.mean();
-        let sorted_cost = root.cost + e_sort;
-        match best_ordered {
-            Some(ord) if ord.cost <= sorted_cost => Optimized {
-                plan: reconstruct(query, access, table, full, Some(ord)),
-                cost: ord.cost,
-            },
-            _ => Optimized {
-                plan: Plan::sort(reconstruct(query, access, table, full, None), key),
-                cost: sorted_cost,
-            },
-        }
-    } else {
-        Optimized {
-            plan: reconstruct(query, access, table, full, None),
-            cost: root.cost,
-        }
-    };
-
-    crate::verify::debug_verify_plan(query, &best.plan, best.cost);
-    Ok(AlgDResult { best, result_size })
-}
-
-/// Expected access cost when the effective size is a distribution.
-fn expected_access_cost(
-    rel: &lec_plan::Relation,
-    method: AccessMethod,
-    size: &Distribution,
-) -> f64 {
-    match method {
-        AccessMethod::FullScan => {
-            if rel.local_selectivity >= 1.0 {
-                0.0
-            } else {
-                rel.pages + size.mean()
-            }
-        }
-        AccessMethod::IndexScan => 2.0 + 3.0 * size.mean(),
-    }
-}
-
-// lec-lint: allow(panic-reachability) — reconstruction only walks entries the forward DP pass has filled; a singleton decomposes to its only relation
-fn reconstruct(
-    query: &JoinQuery,
-    access: &AccessTable,
-    table: &[Option<Entry>],
-    set: RelSet,
-    override_root: Option<Entry>,
-) -> Plan {
-    let entry = override_root.unwrap_or_else(|| table[set.bits() as usize].expect("entry exists"));
-    match entry.choice {
-        Choice::Access(method) => Plan::Access {
-            rel: set.iter().next().expect("singleton"),
-            method,
-        },
-        Choice::Join { last, method } => {
-            let sub = set.remove(last);
-            let left = reconstruct(query, access, table, sub, None);
-            let key = query.join_key_between(sub, RelSet::single(last));
-            Plan::join(
-                left,
-                Plan::Access {
-                    rel: last,
-                    method: access.best[last].1,
-                },
-                method,
-                key,
-            )
-        }
-    }
+    Ok(dists)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alg_c;
-    use crate::dp::DpOptions;
     use lec_cost::PaperCostModel;
-    use lec_plan::{JoinPred, KeyId, Relation};
-    use lec_stats::Distribution;
+    use lec_plan::{JoinPred, KeyId, Plan, Relation};
+    use lec_stats::{Distribution, MarkovChain};
+
+    /// The paper's formulas without its fast-kernel override: inherits the
+    /// default triple loop of [`CostModel::expected_join_dist`].
+    struct NaivePaper;
+
+    impl CostModel for NaivePaper {
+        fn join_cost(&self, method: JoinMethod, l: f64, r: f64, m: f64) -> f64 {
+            PaperCostModel.join_cost(method, l, r, m)
+        }
+        fn sort_cost(&self, pages: f64, memory: f64) -> f64 {
+            PaperCostModel.sort_cost(pages, memory)
+        }
+        fn join_breakpoints(&self, method: JoinMethod, l: f64, r: f64) -> Vec<f64> {
+            PaperCostModel.join_breakpoints(method, l, r)
+        }
+        fn sort_breakpoints(&self, pages: f64) -> Vec<f64> {
+            PaperCostModel.sort_breakpoints(pages)
+        }
+    }
 
     fn fast(
         q: &JoinQuery,
@@ -525,7 +305,7 @@ mod tests {
         let sizes = SizeModel::certain(&q).unwrap();
         let mem = memory();
         let d = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let (c, _) = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+        let (c, _) = alg_c::optimize(&q, &PaperCostModel, &mem, dp::DpOptions::default()).unwrap();
         assert_eq!(d.best.plan, c.plan);
         assert!(
             (d.best.cost - c.cost).abs() < 1e-6 * c.cost.max(1.0),
@@ -539,24 +319,24 @@ mod tests {
         assert!((d.result_size.mean() - q.result_pages(q.all())).abs() < 1e-6);
     }
 
+    fn dynamic_memory() -> MemoryModel {
+        let chain = MarkovChain::random_walk(vec![20.0, 200.0, 1500.0], 0.5).unwrap();
+        MemoryModel::dynamic(chain, vec![0.3, 0.4, 0.3]).unwrap()
+    }
+
     #[test]
     fn fast_and_naive_kernels_agree() {
         let q = chain_query(4);
         let sizes = SizeModel::with_uncertainty(&q, 0.4, 0.6, 4).unwrap();
-        let mem = memory();
-        let fast_kernel = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let naive = fast(
-            &q,
-            &mem,
-            &sizes,
-            AlgDConfig {
-                kernel: Kernel::Naive,
-                size_buckets: 8,
-            },
-        )
-        .unwrap();
-        assert_eq!(fast_kernel.best.plan, naive.best.plan);
-        assert!((fast_kernel.best.cost - naive.best.cost).abs() < 1e-6 * naive.best.cost.max(1.0));
+        for mem in [memory(), dynamic_memory()] {
+            let fast_kernel = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
+            let (naive, _) =
+                optimize(&q, &NaivePaper, &mem, &sizes, AlgDConfig::default()).unwrap();
+            assert_eq!(fast_kernel.best.plan, naive.best.plan);
+            assert!(
+                (fast_kernel.best.cost - naive.best.cost).abs() < 1e-6 * naive.best.cost.max(1.0)
+            );
+        }
     }
 
     #[test]
@@ -584,16 +364,7 @@ mod tests {
         let sizes = SizeModel::with_uncertainty(&q, 0.5, 0.5, 6).unwrap();
         let mem = memory();
         for b in [2, 4, 8] {
-            let d = fast(
-                &q,
-                &mem,
-                &sizes,
-                AlgDConfig {
-                    size_buckets: b,
-                    kernel: Kernel::Fast,
-                },
-            )
-            .unwrap();
+            let d = fast(&q, &mem, &sizes, AlgDConfig { size_buckets: b }).unwrap();
             assert!(d.result_size.len() <= b);
         }
     }

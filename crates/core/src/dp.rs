@@ -1,12 +1,14 @@
 //! The generic left-deep dynamic program (§2.2's dag walk).
 //!
-//! System R's LSC optimizer (Theorem 2.1) and the LEC Algorithm C
-//! (Theorems 3.3/3.4) are the *same* dynamic program instantiated with
-//! different step costers: LSC costs each join step at one fixed memory
-//! value, Algorithm C costs it in expectation over the phase's memory
-//! distribution. Correctness of the DP only needs the step cost to be
-//! additive across the plan — which expectations are, by linearity (that is
-//! the entire content of the Theorem 3.3 proof).
+//! System R's LSC optimizer (Theorem 2.1), the LEC Algorithm C (Theorems
+//! 3.3/3.4) and Algorithm D (§3.6) are the *same* dynamic program
+//! instantiated with different step costers: LSC costs each join step at
+//! one fixed memory value, Algorithm C costs it in expectation over the
+//! phase's memory distribution, and Algorithm D also takes the expectation
+//! over the input-size distributions it propagates up the dag. Correctness
+//! of the DP only needs the step cost to be additive across the plan —
+//! which expectations are, by linearity (that is the entire content of the
+//! Theorem 3.3 proof).
 //!
 //! ### Interesting orders
 //!
@@ -39,35 +41,40 @@ pub struct Optimized {
     pub cost: f64,
 }
 
+/// One join candidate of the DP: the best plan for `sub = set \ {j}`
+/// joined with relation `j`'s access path to form `set`, with the point
+/// page estimates of [`QueryTables`] for the left input, the right input
+/// and the output.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinInputs {
+    /// The left (outer) subset.
+    pub sub: RelSet,
+    /// The relation joined last.
+    pub j: usize,
+    /// The subset the join forms.
+    pub set: RelSet,
+    /// Estimated pages of `sub`'s result.
+    pub left_pages: f64,
+    /// Pages emitted by `j`'s access path.
+    pub right_pages: f64,
+    /// Estimated pages of `set`'s result.
+    pub out_pages: f64,
+}
+
 /// Prices one plan *step* for the dynamic program. The phase index follows
 /// §3.5: the join forming a `k`-relation result is phase `k - 2`; a final
 /// sort is the last phase.
 pub trait StepCoster {
-    /// Cost of a join step, including output materialization.
-    fn join(
-        &self,
-        phase: usize,
-        method: JoinMethod,
-        left_pages: f64,
-        right_pages: f64,
-        out_pages: f64,
-    ) -> f64;
+    /// Candidate costs of the join `join`, one per method in
+    /// [`JoinMethod::ALL`] order. `base` is the cost of the best plan for
+    /// `join.sub` plus `join.j`'s access cost; the coster adds the join
+    /// step (join formula plus output materialization) onto it, so it also
+    /// fixes how the sum associates.
+    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3];
 
-    /// Cost of a sort step, including output materialization.
-    fn sort(&self, phase: usize, pages: f64) -> f64;
-
-    /// Join-step costs for all three methods at once, in
-    /// [`JoinMethod::ALL`] order. Overrides must stay bit-identical to
-    /// three [`StepCoster::join`] calls; the default guarantees it.
-    fn join_all(
-        &self,
-        phase: usize,
-        left_pages: f64,
-        right_pages: f64,
-        out_pages: f64,
-    ) -> [f64; 3] {
-        JoinMethod::ALL.map(|method| self.join(phase, method, left_pages, right_pages, out_pages))
-    }
+    /// Cost of a final sort of `set`'s result (`pages` estimated pages),
+    /// including output materialization.
+    fn sort(&self, phase: usize, set: RelSet, pages: f64) -> f64;
 }
 
 /// Step coster for a single fixed memory value (the LSC world).
@@ -85,11 +92,12 @@ impl<'a, M: CostModel + ?Sized> FixedMemoryCoster<'a, M> {
 }
 
 impl<M: CostModel + ?Sized> StepCoster for FixedMemoryCoster<'_, M> {
-    fn join(&self, _phase: usize, method: JoinMethod, l: f64, r: f64, out: f64) -> f64 {
-        join_step(self.model, method, l, r, out, self.memory)
+    fn join_all(&self, _phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+        let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
+        JoinMethod::ALL.map(|method| base + join_step(self.model, method, l, r, out, self.memory))
     }
 
-    fn sort(&self, _phase: usize, pages: f64) -> f64 {
+    fn sort(&self, _phase: usize, _set: RelSet, pages: f64) -> f64 {
         sort_step(self.model, pages, self.memory)
     }
 }
@@ -110,24 +118,20 @@ impl<'a, M: CostModel + ?Sized> ExpectedCoster<'a, M> {
 }
 
 impl<M: CostModel + ?Sized> StepCoster for ExpectedCoster<'_, M> {
-    fn join(&self, phase: usize, method: JoinMethod, l: f64, r: f64, out: f64) -> f64 {
-        // Routed through the model's expectation kernel (bit-identical to
-        // `dist.expect(|m| join_step(...))`, with hoisted overrides for the
-        // paper model) — this is the x18 hot path.
+    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+        // Routed through the model's fused expectation kernel (bit-identical
+        // to `dist.expect(|m| join_step(...))` per method, with hoisted
+        // overrides for the paper model) — this is the x18 hot path.
         let d = self.phases.at(phase);
-        self.model
-            .expected_join_step(method, l, r, out, d.values(), d.probs())
-    }
-
-    fn sort(&self, phase: usize, pages: f64) -> f64 {
-        let d = self.phases.at(phase);
-        self.model.expected_sort_step(pages, d.values(), d.probs())
-    }
-
-    fn join_all(&self, phase: usize, l: f64, r: f64, out: f64) -> [f64; 3] {
-        let d = self.phases.at(phase);
+        let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
         self.model
             .expected_join_steps(l, r, out, d.values(), d.probs())
+            .map(|step| base + step)
+    }
+
+    fn sort(&self, phase: usize, _set: RelSet, pages: f64) -> f64 {
+        let d = self.phases.at(phase);
+        self.model.expected_sort_step(pages, d.values(), d.probs())
     }
 }
 
@@ -189,12 +193,18 @@ fn cost_mask<C: StepCoster>(
     for j in set.iter() {
         let sub = set.remove(j);
         let left = table[sub.bits() as usize].expect("subset computed earlier");
-        let left_out = tabs.pages(sub);
         let (acc_cost, _, acc_out) = tabs.access(j);
         let key = tabs.join_key(sub, j);
-        let steps = coster.join_all(phase, left_out, acc_out, out);
-        for (method, step) in JoinMethod::ALL.into_iter().zip(steps) {
-            let cost = left.cost + acc_cost + step;
+        let join = JoinInputs {
+            sub,
+            j,
+            set,
+            left_pages: tabs.pages(sub),
+            right_pages: acc_out,
+            out_pages: out,
+        };
+        let costs = coster.join_all(phase, left.cost + acc_cost, join);
+        for (method, cost) in JoinMethod::ALL.into_iter().zip(costs) {
             candidates += 1;
             let entry = Entry {
                 cost,
@@ -234,8 +244,7 @@ fn finalize<C: StepCoster>(
     let root = table[full.bits() as usize].ok_or(CoreError::NoPlanFound)?;
 
     let best = if query.required_order().is_some() {
-        let out = tabs.pages(full);
-        let sorted_cost = root.cost + coster.sort(n.saturating_sub(1), out);
+        let sorted_cost = root.cost + coster.sort(n.saturating_sub(1), full, tabs.pages(full));
         match best_ordered {
             Some(ord) if ord.cost <= sorted_cost => Optimized {
                 plan: reconstruct(tabs, table, full, Some(ord)),

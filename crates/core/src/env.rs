@@ -91,6 +91,7 @@ pub struct PhaseDists {
 
 impl PhaseDists {
     /// The memory distribution in effect during `phase`.
+    #[inline]
     pub fn at(&self, phase: usize) -> &Distribution {
         let idx = phase.min(self.dists.len() - 1);
         &self.dists[idx]

@@ -12,25 +12,32 @@ use lec_cost::{AccessMethod, CostModel};
 use lec_plan::{JoinQuery, Plan, Relation};
 use lec_stats::Distribution;
 
-/// Access-path step: `(cost, output pages)`.
+/// Cost of reading `rel` through `method` when the access emits
+/// `out_pages` pages.
 ///
 /// Plain full scans are free (the consuming join's formula reads the base
 /// table); a selective scan reads every page and materializes the filtered
 /// result; an index scan pays a random-access premium per output page plus
 /// a fixed descend cost, which beats the full scan for selective predicates
 /// on large tables.
-pub(crate) fn access_step(rel: &Relation, method: AccessMethod) -> (f64, f64) {
-    let out = rel.effective_pages();
+pub(crate) fn access_cost(rel: &Relation, method: AccessMethod, out_pages: f64) -> f64 {
     match method {
         AccessMethod::FullScan => {
             if rel.local_selectivity >= 1.0 {
-                (0.0, out)
+                0.0
             } else {
-                (rel.pages + out, out)
+                rel.pages + out_pages
             }
         }
-        AccessMethod::IndexScan => (2.0 + 3.0 * out, out),
+        AccessMethod::IndexScan => 2.0 + 3.0 * out_pages,
     }
+}
+
+/// Access-path step at the relation's estimated size: `(cost, output
+/// pages)`.
+pub(crate) fn access_step(rel: &Relation, method: AccessMethod) -> (f64, f64) {
+    let out = rel.effective_pages();
+    (access_cost(rel, method, out), out)
 }
 
 /// Access paths applicable to a relation: full scan always; index scan only

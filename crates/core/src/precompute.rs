@@ -14,7 +14,7 @@
 //! so switching an enumerator to the tables cannot change any cost by
 //! even one ULP. The differential batteries lean on this.
 
-use crate::evaluate::{access_choices, access_step};
+use crate::evaluate::{access_choices, access_cost};
 use lec_cost::AccessMethod;
 use lec_plan::{JoinQuery, KeyId, RelSet};
 
@@ -47,17 +47,25 @@ impl QueryTables {
     /// `O(2^n)` space — the same order as the DP table every enumerator
     /// already allocates.
     pub fn new(query: &JoinQuery) -> Self {
+        Self::with_access_pages(query, |i| query.relation(i).effective_pages())
+    }
+
+    /// Like [`QueryTables::new`], but relation `i`'s access paths are
+    /// priced as emitting `access_pages(i)` pages instead of its point
+    /// estimate. Algorithm D passes each relation's expected size.
+    pub(crate) fn with_access_pages(
+        query: &JoinQuery,
+        access_pages: impl Fn(usize) -> f64,
+    ) -> Self {
         let n = query.n();
 
         let best_access = (0..n)
             .map(|i| {
                 let rel = query.relation(i);
+                let out = access_pages(i);
                 access_choices(rel)
                     .into_iter()
-                    .map(|m| {
-                        let (cost, out) = access_step(rel, m);
-                        (cost, m, out)
-                    })
+                    .map(|m| (access_cost(rel, m, out), m, out))
                     .min_by(|a, b| a.0.total_cmp(&b.0))
                     .expect("at least the full scan") // lec-lint: allow(panic-reachability) — every relation has a full-scan access path, so the min is over a non-empty set
             })
@@ -198,6 +206,7 @@ impl QueryTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::access_step;
     use lec_plan::{JoinPred, Relation};
 
     fn query() -> JoinQuery {

@@ -3,14 +3,14 @@
 //! enumerator's plan validity and search counters on chain, star and clique
 //! queries.
 
-use lec_core::alg_d::{self, AlgDConfig, Kernel, SizeModel};
+use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::dp::DpOptions;
 use lec_core::parametric::ParametricPlans;
 use lec_core::topc::{self, MergeStrategy};
 use lec_core::{alg_c, bushy, evaluate, exhaustive, voi, MemoryModel};
-use lec_cost::PaperCostModel;
+use lec_cost::{CostModel, JoinMethod, PaperCostModel};
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
-use lec_stats::Distribution;
+use lec_stats::{Distribution, MarkovChain};
 use proptest::prelude::*;
 
 /// Random small chain query.
@@ -42,38 +42,56 @@ fn arb_memory() -> impl Strategy<Value = Distribution> {
         .prop_map(|pts| Distribution::from_weights(pts).expect("positive"))
 }
 
+/// The paper's formulas without `PaperCostModel`'s fast-kernel override:
+/// Algorithm D prices it through the default triple loop.
+struct NaivePaper;
+
+impl CostModel for NaivePaper {
+    fn join_cost(&self, method: JoinMethod, l: f64, r: f64, m: f64) -> f64 {
+        PaperCostModel.join_cost(method, l, r, m)
+    }
+    fn sort_cost(&self, pages: f64, memory: f64) -> f64 {
+        PaperCostModel.sort_cost(pages, memory)
+    }
+    fn join_breakpoints(&self, method: JoinMethod, l: f64, r: f64) -> Vec<f64> {
+        PaperCostModel.join_breakpoints(method, l, r)
+    }
+    fn sort_breakpoints(&self, pages: f64) -> Vec<f64> {
+        PaperCostModel.sort_breakpoints(pages)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Algorithm D's fast kernels and naive triple loop agree on plan and
-    /// cost for arbitrary uncertain size models.
+    /// cost for arbitrary uncertain size models, under static memory and
+    /// under a random walk over the same memory states.
     #[test]
     fn alg_d_fast_equals_naive(
         q in arb_query(),
         mem in arb_memory(),
+        p_move in 0.0f64..1.0,
         size_cv in 0.0f64..1.0,
         sel_cv in 0.0f64..1.5,
     ) {
         let sizes = SizeModel::with_uncertainty(&q, size_cv, sel_cv, 3).unwrap();
-        let mm = MemoryModel::Static(mem);
-        let fast = alg_d::optimize(&q, &PaperCostModel, &mm, &sizes, AlgDConfig::default()).unwrap().0;
-        let naive = alg_d::optimize(
-            &q,
-            &PaperCostModel,
-            &mm,
-            &sizes,
-            AlgDConfig { kernel: Kernel::Naive, size_buckets: 8 },
-        )
-        .unwrap()
-        .0;
-        // Float-rounding differences between the two summation orders can
-        // flip tie-breaks between cost-identical plans (e.g. mirrored
-        // symmetric joins), so assert cost equality, and plan equality only
-        // when the costs are not tied across candidates.
-        prop_assert!(
-            (fast.best.cost - naive.best.cost).abs() <= 1e-6 * naive.best.cost.max(1.0),
-            "fast {} vs naive {}", fast.best.cost, naive.best.cost
-        );
+        let chain = MarkovChain::random_walk(mem.values().to_vec(), p_move).unwrap();
+        let dynamic = MemoryModel::dynamic(chain, mem.probs().to_vec()).unwrap();
+        for mm in [MemoryModel::Static(mem), dynamic] {
+            let fast = alg_d::optimize(&q, &PaperCostModel, &mm, &sizes, AlgDConfig::default()).unwrap().0;
+            let naive = alg_d::optimize(&q, &NaivePaper, &mm, &sizes, AlgDConfig::default())
+                .unwrap()
+                .0;
+            // Float-rounding differences between the two summation orders can
+            // flip tie-breaks between cost-identical plans (e.g. mirrored
+            // symmetric joins), so assert cost equality, and plan equality only
+            // when the costs are not tied across candidates.
+            prop_assert!(
+                (fast.best.cost - naive.best.cost).abs() <= 1e-6 * naive.best.cost.max(1.0),
+                "fast {} vs naive {}", fast.best.cost, naive.best.cost
+            );
+        }
     }
 
     /// Joint evaluation with point distributions equals plain expected cost

@@ -34,11 +34,6 @@ impl<M: CostModel> CountingModel<M> {
     pub fn reset(&self) {
         self.evals.set(0);
     }
-
-    /// Returns the wrapped model.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
 }
 
 impl<M: CostModel> CostModel for CountingModel<M> {
@@ -80,5 +75,26 @@ mod tests {
         assert_eq!(m.evaluations(), 2);
         m.reset();
         assert_eq!(m.evaluations(), 0);
+    }
+
+    #[test]
+    fn distribution_expectation_runs_the_counted_default_loop() {
+        use crate::fast_expect::expected_join_naive;
+        use lec_stats::Distribution;
+        // The wrapper does not forward `PaperCostModel`'s fast override: it
+        // prices through the default triple loop, one counted `join_cost`
+        // per (left, right, memory) bucket triple.
+        let m = CountingModel::new(PaperCostModel);
+        let left = Distribution::new([(10.0, 0.25), (50.0, 0.25), (100.0, 0.5)]).unwrap();
+        let right = Distribution::new([(9.0, 0.15), (61.0, 0.35), (415.0, 0.5)]).unwrap();
+        let mem =
+            Distribution::new([(4.0, 0.15), (9.0, 0.25), (19.0, 0.35), (75.0, 0.25)]).unwrap();
+        for method in JoinMethod::ALL {
+            m.reset();
+            let counted = m.expected_join_dist(method, &left, &right, &mem);
+            let naive = expected_join_naive(&PaperCostModel, method, &left, &right, &mem);
+            assert_eq!(counted.to_bits(), naive.to_bits(), "{method}");
+            assert_eq!(m.evaluations(), 3 * 3 * 4, "{method}");
+        }
     }
 }

@@ -2,24 +2,26 @@
 //!
 //! Algorithm D needs, at every dag node, the expected cost
 //! `E[Φ(method, |A|, |B|, M)]` where all three of `|A|`, `|B|`, `M` are
-//! bucketed distributions. The naive computation is a triple loop over
-//! `b_A · b_B · b_M` cost-formula evaluations; the paper shows that for the
-//! simple step-function formulas the expectation can be computed in
+//! bucketed distributions; it asks the model through
+//! [`CostModel::expected_join_dist`]. The default computation,
+//! [`expected_join_naive`], is a triple loop over `b_A · b_B · b_M`
+//! cost-formula evaluations and works for any model. The paper shows that
+//! for its simple step-function formulas the expectation can be computed in
 //! `O(b_M + b_A + b_B)` — asymptotically optimal, since every bucket must be
 //! looked at — by a merged sweep over the sorted supports with prefix
 //! (`Pr[X ≤ t]`, `E[X·1{X ≤ t}]`) accumulators.
 //!
-//! This module implements both the naive references and the fast kernels
-//! for all three join methods of [`PaperCostModel`], plus a generic naive
-//! evaluator for arbitrary [`CostModel`]s. Experiment X7 checks exact
-//! agreement and benches the speedup.
+//! [`expected_join_fast`] implements those kernels for all three join
+//! methods; it is [`PaperCostModel`](crate::PaperCostModel)'s override of
+//! [`CostModel::expected_join_dist`]. Experiment X7 checks the two join
+//! entry points for agreement and times them.
 
 use crate::methods::JoinMethod;
-use crate::paper::PaperCostModel;
 use crate::CostModel;
 use lec_stats::Distribution;
 
-/// Naive `O(b_A · b_B · b_M)` expected join cost for any model.
+/// Naive `O(b_A · b_B · b_M)` expected join cost for any model: the
+/// default of [`CostModel::expected_join_dist`].
 pub fn expected_join_naive<M: CostModel + ?Sized>(
     model: &M,
     method: JoinMethod,
@@ -38,7 +40,9 @@ pub fn expected_join_naive<M: CostModel + ?Sized>(
     total
 }
 
-/// Expected join cost under [`PaperCostModel`] in `O(b_M + b_A + b_B)`.
+/// Expected join cost under [`PaperCostModel`](crate::PaperCostModel) in
+/// `O(b_M + b_A + b_B)`: the model's [`CostModel::expected_join_dist`]
+/// override.
 pub fn expected_join_fast(
     method: JoinMethod,
     a: &Distribution,
@@ -72,7 +76,8 @@ pub fn expected_sort<M: CostModel + ?Sized>(
 /// Forward sweep over a sorted support producing `Pr[X < t]` / `Pr[X ≤ t]`
 /// and the matching partial expectations for a *non-decreasing* sequence of
 /// thresholds `t`. Each support point is consumed once, so a full sweep is
-/// `O(b_X + #thresholds)`.
+/// `O(b_X + #thresholds)`. Tail probabilities are complements:
+/// `Pr[X > t] = 1 - Pr[X ≤ t]`.
 struct PrefixSweep<'a> {
     values: &'a [f64],
     probs: &'a [f64],
@@ -94,19 +99,19 @@ impl<'a> PrefixSweep<'a> {
 
     /// `(Pr[X < t], E[X·1{X < t}])`; `t` must not decrease across calls.
     fn lt(&mut self, t: f64) -> (f64, f64) {
-        while self.idx < self.values.len() && self.values[self.idx] < t {
-            self.cum_p += self.probs[self.idx];
-            self.cum_e += self.values[self.idx] * self.probs[self.idx];
-            self.idx += 1;
-        }
-        (self.cum_p, self.cum_e)
+        self.advance(|v| v < t)
     }
 
     /// `(Pr[X ≤ t], E[X·1{X ≤ t}])`; `t` must not decrease across calls, and
     /// `le` must not be interleaved with `lt` at the same threshold going
     /// backwards (use separate sweeps per threshold stream).
     fn le(&mut self, t: f64) -> (f64, f64) {
-        while self.idx < self.values.len() && self.values[self.idx] <= t {
+        self.advance(|v| v <= t)
+    }
+
+    /// Consumes support points while `take(value)` holds.
+    fn advance(&mut self, take: impl Fn(f64) -> bool) -> (f64, f64) {
+        while self.idx < self.values.len() && take(self.values[self.idx]) {
             self.cum_p += self.probs[self.idx];
             self.cum_e += self.values[self.idx] * self.probs[self.idx];
             self.idx += 1;
@@ -115,70 +120,32 @@ impl<'a> PrefixSweep<'a> {
     }
 }
 
-/// Tail sweep over the memory distribution: `Pr[M > t]` and `Pr[M ≥ t]` for
-/// a non-decreasing sequence of thresholds.
-struct TailSweep<'a> {
-    values: &'a [f64],
-    probs: &'a [f64],
-    idx: usize,
-    head: f64,
-}
-
-impl<'a> TailSweep<'a> {
-    fn new(d: &'a Distribution) -> Self {
-        Self {
-            values: d.values(),
-            probs: d.probs(),
-            idx: 0,
-            head: 0.0,
-        }
-    }
-
-    /// `Pr[M > t]`; `t` must not decrease across calls.
-    fn gt(&mut self, t: f64) -> f64 {
-        while self.idx < self.values.len() && self.values[self.idx] <= t {
-            self.head += self.probs[self.idx];
-            self.idx += 1;
-        }
-        (1.0 - self.head).max(0.0)
-    }
-
-    /// `Pr[M ≥ t]`; `t` must not decrease across calls.
-    fn ge(&mut self, t: f64) -> f64 {
-        while self.idx < self.values.len() && self.values[self.idx] < t {
-            self.head += self.probs[self.idx];
-            self.idx += 1;
-        }
-        (1.0 - self.head).max(0.0)
-    }
-}
-
 /// `E_M[pass_coefficient(M, n)]` for a non-decreasing stream of `n`,
-/// using two tail sweeps (one per threshold family √n and ⁴√n).
+/// using two memory sweeps (one per threshold family √n and ⁴√n).
 struct CoeffSweep<'a> {
-    sqrt_tail: TailSweep<'a>,
-    quad_tail: TailSweep<'a>,
+    sqrt_head: PrefixSweep<'a>,
+    quad_head: PrefixSweep<'a>,
 }
 
 impl<'a> CoeffSweep<'a> {
     fn new(mem: &'a Distribution) -> Self {
         Self {
-            sqrt_tail: TailSweep::new(mem),
-            quad_tail: TailSweep::new(mem),
+            sqrt_head: PrefixSweep::new(mem),
+            quad_head: PrefixSweep::new(mem),
         }
     }
 
     /// Expected pass coefficient for threshold-relation size `n`:
     /// `2·Pr[M > √n] + 4·Pr[⁴√n < M ≤ √n] + 6·Pr[M ≤ ⁴√n] = 6 - 2p₁ - 2p₂`.
     fn expected(&mut self, n: f64) -> f64 {
-        let p1 = self.sqrt_tail.gt(n.sqrt());
-        let p2 = self.quad_tail.gt(n.sqrt().sqrt());
+        let p1 = (1.0 - self.sqrt_head.le(n.sqrt()).0).max(0.0);
+        let p2 = (1.0 - self.quad_head.le(n.sqrt().sqrt()).0).max(0.0);
         6.0 - 2.0 * p1 - 2.0 * p2
     }
 }
 
 /// §3.6.1: expected sort-merge cost, `Φ = coeff(M, max(A,B)) · (A + B)`.
-pub fn sm_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
+fn sm_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
     // Pairs with A ≤ B (B attains the max): iterate B's support.
     let mut t1 = 0.0;
     {
@@ -205,13 +172,8 @@ pub fn sm_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) 
     t1 + t2
 }
 
-/// Naive reference for [`sm_expected_fast`].
-pub fn sm_expected_naive(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
-    expected_join_naive(&PaperCostModel, JoinMethod::SortMerge, a, b, mem)
-}
-
 /// Grace hash analogue: `Φ = coeff(M, min(A,B)) · (A + B)`.
-pub fn grace_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
+fn grace_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
     // Pairs with A ≤ B (A attains the min): iterate A's support; we need
     // suffix quantities of B, obtained as complements of a prefix sweep.
     let (b_total_e, a_total_e) = (b.mean(), a.mean());
@@ -241,22 +203,17 @@ pub fn grace_expected_fast(a: &Distribution, b: &Distribution, mem: &Distributio
     t1 + t2
 }
 
-/// Naive reference for [`grace_expected_fast`].
-pub fn grace_expected_naive(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
-    expected_join_naive(&PaperCostModel, JoinMethod::GraceHash, a, b, mem)
-}
-
 /// §3.6.2: expected nested-loop cost,
 /// `Φ = A + B` if `M ≥ min(A,B) + 2`, else `A + A·B` (left outer).
-pub fn nl_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
+fn nl_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
     let (a_total_e, b_total_e) = (a.mean(), b.mean());
     // Pairs with A ≤ B (S = A): iterate A's support.
     let mut t1 = 0.0;
     {
-        let mut mem_tail = TailSweep::new(mem);
+        let mut mem_head = PrefixSweep::new(mem);
         let mut b_prefix = PrefixSweep::new(b);
         for (av, ap) in a.iter() {
-            let q = mem_tail.ge(av + 2.0);
+            let q = (1.0 - mem_head.lt(av + 2.0).0).max(0.0); // Pr[M ≥ S+2]
             let (pb_lt, eb_lt) = b_prefix.lt(av);
             let pb_ge = 1.0 - pb_lt;
             let eb_ge = b_total_e - eb_lt;
@@ -268,10 +225,10 @@ pub fn nl_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) 
     // Pairs with A > B (S = B): iterate B's support.
     let mut t2 = 0.0;
     {
-        let mut mem_tail = TailSweep::new(mem);
+        let mut mem_head = PrefixSweep::new(mem);
         let mut a_prefix = PrefixSweep::new(a);
         for (bv, bp) in b.iter() {
-            let q = mem_tail.ge(bv + 2.0);
+            let q = (1.0 - mem_head.lt(bv + 2.0).0).max(0.0);
             let (pa_le, ea_le) = a_prefix.le(bv);
             let pa_gt = 1.0 - pa_le;
             let ea_gt = a_total_e - ea_le;
@@ -283,14 +240,10 @@ pub fn nl_expected_fast(a: &Distribution, b: &Distribution, mem: &Distribution) 
     t1 + t2
 }
 
-/// Naive reference for [`nl_expected_fast`].
-pub fn nl_expected_naive(a: &Distribution, b: &Distribution, mem: &Distribution) -> f64 {
-    expected_join_naive(&PaperCostModel, JoinMethod::NestedLoop, a, b, mem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::PaperCostModel;
 
     fn d(points: &[(f64, f64)]) -> Distribution {
         Distribution::new(points.iter().copied()).unwrap()

@@ -29,9 +29,11 @@
 //!
 //! The crate also provides:
 //!
-//! * [`fast_expect`] — the §3.6.1/3.6.2 linear-time expected-cost kernels,
-//!   `O(b_M + b_A + b_B)` in the bucket counts, with naive `O(b³)`
-//!   references for testing and benchmarking;
+//! * [`CostModel::expected_join_dist`] — the expected join cost when both
+//!   input sizes and memory are distributions (Algorithm D's pricing). The
+//!   default is the naive `O(b_A · b_B · b_M)` triple loop through the
+//!   model's own formulas; [`PaperCostModel`] overrides it with the
+//!   §3.6.1/3.6.2 linear-time kernels of [`fast_expect`];
 //! * memory **breakpoints** per operator, feeding the level-set bucketing
 //!   strategy of §3.7;
 //! * [`CountingModel`] — a wrapper that counts cost-formula evaluations,
@@ -47,6 +49,8 @@ pub use counting::CountingModel;
 pub use detailed::DetailedCostModel;
 pub use methods::{AccessMethod, JoinMethod};
 pub use paper::PaperCostModel;
+
+use lec_stats::Distribution;
 
 /// A cost model: `Φ(operator, sizes, memory) -> I/O cost`.
 ///
@@ -124,6 +128,23 @@ pub trait CostModel {
         })
     }
 
+    /// Expected join cost `E[Φ(method, |A|, |B|, M)]` over independent
+    /// distributions of the input sizes `left` (`|A|`), `right` (`|B|`) and
+    /// memory — Algorithm D's per-node expectation (§3.6), excluding output
+    /// materialization. The default is the `O(b_A · b_B · b_M)` triple loop
+    /// [`fast_expect::expected_join_naive`]; overrides may be faster and
+    /// agree up to float rounding, as [`PaperCostModel`]'s §3.6.1/3.6.2
+    /// kernels ([`fast_expect::expected_join_fast`]) do.
+    fn expected_join_dist(
+        &self,
+        method: JoinMethod,
+        left: &Distribution,
+        right: &Distribution,
+        mem: &Distribution,
+    ) -> f64 {
+        fast_expect::expected_join_naive(self, method, left, right, mem)
+    }
+
     /// Expected sort-*step* cost (sort formula plus `pages` output
     /// materialization) over a bucketed memory distribution. Same contract
     /// as [`CostModel::expected_join_step`]: the default is bitwise
@@ -171,6 +192,15 @@ impl<M: CostModel + ?Sized> CostModel for &M {
         mem_probs: &[f64],
     ) -> [f64; 3] {
         (**self).expected_join_steps(l, r, out, mem_values, mem_probs)
+    }
+    fn expected_join_dist(
+        &self,
+        method: JoinMethod,
+        left: &Distribution,
+        right: &Distribution,
+        mem: &Distribution,
+    ) -> f64 {
+        (**self).expected_join_dist(method, left, right, mem)
     }
     fn expected_sort_step(&self, pages: f64, mem_values: &[f64], mem_probs: &[f64]) -> f64 {
         (**self).expected_sort_step(pages, mem_values, mem_probs)

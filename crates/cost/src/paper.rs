@@ -24,8 +24,10 @@
 //! Example 1.1 come out exactly as the paper argues (see the tests below
 //! and experiment X1).
 
+use crate::fast_expect::expected_join_fast;
 use crate::methods::JoinMethod;
 use crate::CostModel;
+use lec_stats::Distribution;
 
 /// The paper's three-case step-function cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,6 +188,18 @@ impl CostModel for PaperCostModel {
             nl += (c_nl + out) * p;
         }
         [sm, gh, nl]
+    }
+
+    // The §3.6.1/3.6.2 linear-time kernels: they sum in a different order,
+    // so they match the default triple loop up to rounding, not bit for bit.
+    fn expected_join_dist(
+        &self,
+        method: JoinMethod,
+        left: &Distribution,
+        right: &Distribution,
+        mem: &Distribution,
+    ) -> f64 {
+        expected_join_fast(method, left, right, mem)
     }
 
     fn expected_sort_step(&self, pages: f64, mem_values: &[f64], mem_probs: &[f64]) -> f64 {
@@ -385,6 +399,35 @@ mod tests {
                     "{method} fused lane drifted at ({a}, {b})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn distribution_expectation_is_the_fast_kernel_through_references() {
+        use crate::fast_expect::expected_join_naive;
+        // Inputs on which the linear-time kernels and the triple loop round
+        // differently for every method, so only a forwarded override can
+        // match `expected_join_fast` bit for bit.
+        let left = Distribution::new([(10.0, 0.25), (50.0, 0.25), (100.0, 0.5)]).unwrap();
+        let right = Distribution::new([(9.0, 0.15), (61.0, 0.35), (415.0, 0.5)]).unwrap();
+        let mem =
+            Distribution::new([(4.0, 0.15), (9.0, 0.25), (19.0, 0.35), (75.0, 0.25)]).unwrap();
+        for method in JoinMethod::ALL {
+            let fast = expected_join_fast(method, &left, &right, &mem);
+            let naive = expected_join_naive(&PaperCostModel, method, &left, &right, &mem);
+            assert_ne!(fast.to_bits(), naive.to_bits(), "{method}: inputs too easy");
+            let direct = PaperCostModel.expected_join_dist(method, &left, &right, &mem);
+            assert_eq!(direct.to_bits(), fast.to_bits(), "{method}: direct");
+            // Method-call syntax on `&PaperCostModel` would auto-ref to the
+            // direct impl; the explicit path exercises the blanket `&M` one.
+            let forwarded = <&PaperCostModel as CostModel>::expected_join_dist(
+                &&PaperCostModel,
+                method,
+                &left,
+                &right,
+                &mem,
+            );
+            assert_eq!(forwarded.to_bits(), fast.to_bits(), "{method}: via &M");
         }
     }
 

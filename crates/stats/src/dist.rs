@@ -161,11 +161,13 @@ impl Distribution {
     }
 
     /// The sorted support values.
+    #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 
     /// The probabilities, aligned with [`Self::values`].
+    #[inline]
     pub fn probs(&self) -> &[f64] {
         &self.probs
     }
