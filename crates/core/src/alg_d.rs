@@ -413,9 +413,14 @@ mod tests {
         let mem = memory();
         let (_, sstats) =
             optimize(&q, &PaperCostModel, &mem, &sizes, AlgDConfig::default()).unwrap();
-        assert_eq!(sstats.counters.masks_expanded, 26);
-        assert_eq!(sstats.counters.candidates_priced, 225);
-        // One propagated size distribution per node: 5 seeds + 26 masks.
+        // Every mask of the lattice is expanded or pruned, and no more
+        // candidates are priced than the unbounded 3 · Σ_{k=2..5} k·C(5,k).
+        let c = &sstats.counters;
+        assert_eq!(c.masks_expanded + c.masks_pruned, 26);
+        assert_eq!(c.entries_written, 5 + c.masks_expanded);
+        assert!(c.candidates_priced <= 225);
+        // One propagated size distribution per node, pruned or not:
+        // 5 seeds + 26 masks.
         assert_eq!(sstats.precompute.pages_entries, 5 + 26);
     }
 

@@ -20,6 +20,60 @@
 //! is a sort-merge on the required key; the root then compares that
 //! against best-unordered-plus-sort. Disabling this via
 //! [`DpOptions::ignore_orders`] is the X1 ablation.
+//!
+//! ### Bounding the search
+//!
+//! On chain, star and cycle graphs most subsets are cross products whose
+//! result sizes make every plan through them hopeless. The sweep bounds
+//! them out exactly instead of banning them (DeHaan & Tompa's
+//! accumulated-cost bounding, with a DPccp-style incumbent found first):
+//!
+//! * **Incumbent.** Once every pair is priced, one complete plan is priced
+//!   greedily — the cheapest pair, then repeatedly the cheapest next step —
+//!   with the same [`StepCoster`] and base-add association, plus the root
+//!   handling (sort, or an ordered final sort-merge). Its cost is `U`. The
+//!   sweep reuses these priced steps wherever it prices the same candidate
+//!   from the same base.
+//! * **Lower bound.** For a subset `S` missing `k` relations, `LB(S)` is
+//!   `best(S)`, plus the access cost of every relation outside `S`, plus
+//!   `k − 1` floors of a step forming a result of at least one page, plus
+//!   the floor of the last step, which forms the full set's `pages(full)`
+//!   ([`StepCoster::join_floor`]). Every join step is its non-negative
+//!   formula plus its output pages (`evaluate::join_step`), every result
+//!   has at least one page, and a root sort costs at least zero, so every
+//!   complete plan through `S` costs at least `LB(S)`.
+//! * **Pruning.** A subset with `LB(S) > U · (1 + PRUNE_MARGIN)` keeps no
+//!   entry. Before pricing `S`, the same test runs with `min over live
+//!   subsets (best(sub) + access(j))` plus the floor of the step forming
+//!   `S` in place of `best(S)`, so hopeless subsets are never priced; only
+//!   candidates whose left input is live are priced. Each rank visits only
+//!   the one-relation extensions of the rank below's live subsets, so a
+//!   subset with no live input is pruned without being visited. The full
+//!   set is never pruned. Every test is a `>` comparison, so NaN or an
+//!   infinite `U` prunes nothing.
+//!
+//! **The winner's prefixes are never pruned**, by induction on rank. Let
+//! the unbounded sweep's winner (the plan `finalize` returns, root
+//! handling included) cost `W`, with prefixes `P₂ ⊂ … ⊂ Pₙ`. Suppose every
+//! prefix below rank `k` is live with the unbounded sweep's entry. The
+//! unbounded first minimum at `P_k` is a candidate through `P_{k−1}`, so the
+//! bounded sweep prices it from the same entry and gets the same bits;
+//! every other candidate it prices is built from an entry no cheaper than
+//! its unbounded counterpart (steps are non-decreasing in the base), and
+//! candidates through pruned subsets are skipped, so under strict-`<`
+//! first-minimum `P_k` gets the same entry. Its bound satisfies
+//! `LB(P_k) ≤ W ≤ U` in real arithmetic: `W` is one completion through
+//! `P_k`, and the incumbent is a plan whose every step the unbounded sweep
+//! prices from an entry at least as cheap. The floating-point bound can
+//! exceed that real sum only by rounding — its summation order differs
+//! from the DP's, and memory probabilities sum to one only up to rounding,
+//! which shaves the `out · Σp` term of an expected step — and
+//! `PRUNE_MARGIN` (a relative 1e-9) absorbs it, so `P_k` survives. At the
+//! root the sorted alternative is computed from the same root entry; the
+//! ordered alternative is the same candidate when it wins, and can only be
+//! costlier when it loses. Plans and costs are therefore bit-identical to
+//! the unbounded sweep; `crates/core/tests/bounded_dp_differential.rs`
+//! checks this against a verbatim copy of it.
 
 use crate::env::PhaseDists;
 use crate::error::CoreError;
@@ -75,6 +129,16 @@ pub trait StepCoster {
     /// Cost of a final sort of `set`'s result (`pages` estimated pages),
     /// including output materialization.
     fn sort(&self, phase: usize, set: RelSet, pages: f64) -> f64;
+
+    /// A floor under every join step forming a result of at least
+    /// `out_pages` pages: each entry of [`join_all`](Self::join_all) is at
+    /// least `base + join_floor(join.out_pages)`, up to rounding within
+    /// the DP's relative pruning margin. It must be non-negative and
+    /// non-decreasing in `out_pages`. The default `0.0` is sound for any
+    /// coster whose steps are non-negative.
+    fn join_floor(&self, _out_pages: f64) -> f64 {
+        0.0
+    }
 }
 
 /// Step coster for a single fixed memory value (the LSC world).
@@ -99,6 +163,11 @@ impl<M: CostModel + ?Sized> StepCoster for FixedMemoryCoster<'_, M> {
 
     fn sort(&self, _phase: usize, _set: RelSet, pages: f64) -> f64 {
         sort_step(self.model, pages, self.memory)
+    }
+
+    /// A step is its non-negative join formula plus `out_pages`.
+    fn join_floor(&self, out_pages: f64) -> f64 {
+        out_pages
     }
 }
 
@@ -132,6 +201,12 @@ impl<M: CostModel + ?Sized> StepCoster for ExpectedCoster<'_, M> {
     fn sort(&self, phase: usize, _set: RelSet, pages: f64) -> f64 {
         let d = self.phases.at(phase);
         self.model.expected_sort_step(pages, d.values(), d.probs())
+    }
+
+    /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
+    /// and probabilities summing to one up to rounding.
+    fn join_floor(&self, out_pages: f64) -> f64 {
+        out_pages
     }
 }
 
@@ -169,43 +244,155 @@ fn seed_singletons(tabs: &QueryTables, n: usize, table: &mut [Option<Entry>]) {
     }
 }
 
-/// Prices every way of forming `set` by a last join and returns the best
-/// entry, plus (at the full set, when an order is required) the best entry
-/// whose final join is a sort-merge on the required key, plus the number of
-/// candidate (subplan × access × join-method) combinations priced.
+/// Relative slack on the incumbent's cost. A subset is pruned only when
+/// its lower bound exceeds `U · (1 + PRUNE_MARGIN)`, which absorbs the
+/// few-ulp differences between the bound's summation order and the DP's,
+/// and memory probabilities that sum to one only up to rounding.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// One step of the incumbent: the prefix it extended and, per relation `j`
+/// joined onto it (indexed by `j`), the base and the three priced costs.
+type IncumbentStep = (RelSet, Vec<Option<(f64, [f64; 3])>>);
+
+/// The search bound: the incumbent's cost with its margin, the floor of
+/// the steps that complete a plan from a subset, and the incumbent's
+/// priced steps, which the sweep reuses instead of pricing them twice.
+struct Bound {
+    /// A subset whose lower bound exceeds this is pruned: `U · (1 +
+    /// PRUNE_MARGIN)` once the incumbent is priced, `+∞` before. `∞` or
+    /// NaN prunes nothing.
+    limit: f64,
+    /// `tail[k]`: floor of the `k` join steps that complete a plan from a
+    /// subset missing `k` relations: `k − 1` steps forming results of at
+    /// least one page, then the step forming the full set.
+    tail: Vec<f64>,
+    full: RelSet,
+    /// The incumbent's steps, by prefix size − 2.
+    steps: Vec<IncumbentStep>,
+}
+
+impl Bound {
+    fn new<C: StepCoster>(tabs: &QueryTables, coster: &C, full: RelSet) -> Self {
+        let step = coster.join_floor(1.0);
+        let mut tail = vec![0.0];
+        let mut floor = coster.join_floor(tabs.pages(full));
+        for _ in 0..full.len() {
+            tail.push(floor);
+            floor += step;
+        }
+        Bound {
+            limit: f64::INFINITY,
+            tail,
+            full,
+            steps: Vec::new(),
+        }
+    }
+
+    /// Floor of completing a plan from `set`: the access cost of every
+    /// relation outside it plus the floors of the remaining join steps.
+    /// `None` when nothing can be pruned (no finite incumbent yet, or `set`
+    /// is the full set, whose best entry is the answer).
+    fn completion(&self, tabs: &QueryTables, set: RelSet) -> Option<f64> {
+        if !self.limit.is_finite() || set == self.full {
+            return None;
+        }
+        let outside = RelSet::from_bits(self.full.bits() & !set.bits());
+        let mut floor = self.tail[outside.len()];
+        for j in outside.iter() {
+            floor += tabs.access(j).0;
+        }
+        Some(floor)
+    }
+
+    /// True when `lower + completion` exceeds the limit.
+    fn prunes(&self, lower: f64, completion: Option<f64>) -> bool {
+        completion.is_some_and(|rest| lower + rest > self.limit)
+    }
+
+    /// The incumbent step that formed `set`, if any: the relation it
+    /// joined last, its base and its costs.
+    fn priced(&self, set: RelSet) -> Option<(usize, f64, [f64; 3])> {
+        let (prefix, joins) = self.steps.get(set.len().checked_sub(3)?)?;
+        if !prefix.is_subset_of(set) {
+            return None;
+        }
+        let j = RelSet::from_bits(set.bits() & !prefix.bits())
+            .iter()
+            .next()?;
+        let (base, costs) = (*joins.get(j)?)?;
+        Some((j, base, costs))
+    }
+}
+
+/// Prices every way of forming `set` by a last join from a live subset and
+/// returns the best entry (`None` when `set` is pruned), plus (at the full
+/// set, when an order is required) the best entry whose final join is a
+/// sort-merge on the required key, plus the number of candidate (subplan ×
+/// access × join-method) combinations priced.
 ///
-/// Iteration order is fixed — members of `set` ascending, then
-/// [`JoinMethod::ALL`] — and the winner is kept under strict `<`.
-// lec-lint: allow(panic-reachability) — DP induction: subsets are priced in rank order before supersets, and the candidate min covers at least the full scan
+/// Before pricing, `set` is pruned when even its cheapest live input plus
+/// the floor of the join forming it cannot beat the incumbent; after
+/// pricing, when its best entry cannot. A candidate the incumbent already
+/// priced from the same base is reused, not priced again. Iteration order
+/// is fixed — members of `set` ascending, then [`JoinMethod::ALL`] — and
+/// the winner is kept under strict `<`.
 fn cost_mask<C: StepCoster>(
     tabs: &QueryTables,
     coster: &C,
     table: &[Option<Entry>],
     set: RelSet,
-    full: RelSet,
+    bound: &Bound,
     required: Option<KeyId>,
-) -> (Entry, Option<Entry>, u64) {
+    live: &mut [(usize, f64)],
+) -> (Option<Entry>, Option<Entry>, u64) {
+    // The live inputs: each `j` whose remainder `set \ {j}` kept an entry,
+    // with the candidate's base (that entry's cost plus `j`'s access
+    // cost). Liveness follows no pattern a branch predictor could learn,
+    // so it is collected without branching on it; a NaN base is sticky in
+    // `cheapest`, so it never prunes.
+    let mut count = 0;
+    let mut cheapest = f64::INFINITY;
+    for j in set.iter() {
+        let left = table[set.remove(j).bits() as usize];
+        let base = left.map_or(f64::INFINITY, |e| e.cost) + tabs.access(j).0;
+        live[count] = (j, base);
+        count += usize::from(left.is_some());
+        cheapest = if base < cheapest || base.is_nan() {
+            base
+        } else {
+            cheapest
+        };
+    }
     let out = tabs.pages(set);
+    let rest = bound.completion(tabs, set);
+    if bound.prunes(cheapest + coster.join_floor(out), rest) {
+        return (None, None, 0);
+    }
+    let reuse = bound.priced(set);
     let phase = set.len() - 2;
     let mut best: Option<Entry> = None;
     let mut best_ordered: Option<Entry> = None;
     let mut candidates = 0u64;
-    for j in set.iter() {
+    for &(j, base) in &live[..count] {
         let sub = set.remove(j);
-        let left = table[sub.bits() as usize].expect("subset computed earlier");
-        let (acc_cost, _, acc_out) = tabs.access(j);
-        let key = tabs.join_key(sub, j);
-        let join = JoinInputs {
-            sub,
-            j,
-            set,
-            left_pages: tabs.pages(sub),
-            right_pages: acc_out,
-            out_pages: out,
+        let costs = match reuse {
+            Some((rj, rbase, costs)) if rj == j && rbase.to_bits() == base.to_bits() => costs,
+            _ => {
+                let join = JoinInputs {
+                    sub,
+                    j,
+                    set,
+                    left_pages: tabs.pages(sub),
+                    right_pages: tabs.access(j).2,
+                    out_pages: out,
+                };
+                let costs = coster.join_all(phase, base, join);
+                candidates += costs.len() as u64;
+                costs
+            }
         };
-        let costs = coster.join_all(phase, left.cost + acc_cost, join);
+        let key = tabs.join_key(sub, j);
         for (method, cost) in JoinMethod::ALL.into_iter().zip(costs) {
-            candidates += 1;
             let entry = Entry {
                 cost,
                 choice: Choice::Join { last: j, method },
@@ -213,7 +400,7 @@ fn cost_mask<C: StepCoster>(
             if best.is_none_or(|b| cost < b.cost) {
                 best = Some(entry);
             }
-            if set == full
+            if set == bound.full
                 && method == JoinMethod::SortMerge
                 && required.is_some()
                 && key == required
@@ -223,11 +410,90 @@ fn cost_mask<C: StepCoster>(
             }
         }
     }
-    (
-        best.expect("set has at least two members"),
-        best_ordered,
-        candidates,
-    )
+    if best.is_some_and(|b| bound.prunes(b.cost, rest)) {
+        return (None, None, candidates);
+    }
+    (best, best_ordered, candidates)
+}
+
+/// Prices one complete left-deep plan greedily — the cheapest pair (the
+/// cheapest rank-2 entry), then repeatedly the cheapest next step — with
+/// the DP's own step coster and association, plus the root handling
+/// [`finalize`] would apply to it. Records its cost `U` (NaN when there is
+/// no pair) and its priced steps in `bound`, and returns the candidates
+/// priced. The DP's optimum can only be cheaper: every entry on this
+/// plan's path is a candidate the sweep prices from an entry at least as
+/// cheap.
+fn incumbent<C: StepCoster>(
+    query: &JoinQuery,
+    tabs: &QueryTables,
+    coster: &C,
+    table: &[Option<Entry>],
+    pairs: &[RelSet],
+    required: Option<KeyId>,
+    bound: &mut Bound,
+) -> u64 {
+    let full = query.all();
+    let mut cheapest: Option<(f64, RelSet)> = None;
+    for &pair in pairs {
+        if let Some(e) = table[pair.bits() as usize] {
+            if cheapest.is_none_or(|(c, _)| e.cost < c) {
+                cheapest = Some((e.cost, pair));
+            }
+        }
+    }
+    let Some((mut cost, mut set)) = cheapest else {
+        bound.limit = f64::NAN;
+        return 0;
+    };
+    let mut candidates = 0u64;
+    let mut ordered = None;
+    while set != full {
+        let mut joins = vec![None; query.n()];
+        let mut next: Option<(f64, RelSet)> = None;
+        for j in RelSet::from_bits(full.bits() & !set.bits()).iter() {
+            let grown = set.insert(j);
+            let (acc_cost, _, acc_out) = tabs.access(j);
+            let base = cost + acc_cost;
+            let join = JoinInputs {
+                sub: set,
+                j,
+                set: grown,
+                left_pages: tabs.pages(set),
+                right_pages: acc_out,
+                out_pages: tabs.pages(grown),
+            };
+            let costs = coster.join_all(grown.len() - 2, base, join);
+            candidates += costs.len() as u64;
+            joins[j] = Some((base, costs));
+            for c in costs {
+                if next.is_none_or(|(b, _)| c < b) {
+                    next = Some((c, grown));
+                }
+            }
+            if grown == full && required.is_some() && tabs.join_key(set, j) == required {
+                ordered = JoinMethod::ALL
+                    .into_iter()
+                    .zip(costs)
+                    .find_map(|(method, c)| (method == JoinMethod::SortMerge).then_some(c));
+            }
+        }
+        bound.steps.push((set, joins));
+        let Some(step) = next else {
+            bound.limit = f64::NAN;
+            return candidates;
+        };
+        (cost, set) = step;
+    }
+    if query.required_order().is_some() {
+        let sorted = cost + coster.sort(query.n() - 1, full, tabs.pages(full));
+        cost = match ordered {
+            Some(o) if o <= sorted => o,
+            _ => sorted,
+        };
+    }
+    bound.limit = cost * (1.0 + PRUNE_MARGIN);
+    candidates
 }
 
 /// Root handling: satisfy a required order either through the final join
@@ -269,13 +535,19 @@ fn finalize<C: StepCoster>(
     Ok(best)
 }
 
-/// Runs the left-deep dynamic program with the given step coster against
-/// caller-built [`QueryTables`] (batch drivers build them once and share
-/// them across algorithms), returning the winner and its search-space
-/// [`OptStats`]. The subset sweep walks the lattice rank by rank (every
-/// subset still precedes its supersets, so DP order is preserved and
-/// results are bit-identical to a flat numeric sweep) so per-rank wall
-/// time can be recorded; counters accumulate in mask order.
+/// Runs the bounded left-deep dynamic program with the given step coster
+/// against caller-built [`QueryTables`] (batch drivers build them once and
+/// share them across algorithms), returning the winner and its
+/// search-space [`OptStats`].
+///
+/// The subset sweep walks the lattice rank by rank (every subset still
+/// precedes its supersets, so DP order is preserved) so per-rank wall time
+/// can be recorded. Once the pairs are priced, a greedy incumbent plan sets
+/// the bound, and every later subset whose lower bound exceeds it is
+/// pruned (see the module docs); the winner, its cost and its plan are
+/// those of the unbounded sweep. Counters are sums over the lattice, so
+/// they do not depend on the visiting order within a rank;
+/// `masks_expanded + masks_pruned` is always `2ⁿ − n − 1`.
 pub fn optimize_left_deep<C: StepCoster>(
     query: &JoinQuery,
     tabs: &QueryTables,
@@ -295,26 +567,59 @@ pub fn optimize_left_deep<C: StepCoster>(
         query.required_order()
     };
     let mut best_ordered: Option<Entry> = None;
+    let mut bound = Bound::new(tabs, coster, full);
+    let mut live = vec![(0, 0.0); n];
 
     let mut stats = OptStats::new("dp", n);
     stats.precompute = tabs.sizes();
     stats.counters.entries_written = n as u64; // depth-1 seeds
 
-    // Depths 2..n: each rank lists its masks in increasing numeric order.
-    let ranks = par::ranks(n);
-    for rank in &ranks[1..] {
+    // Rank by rank, visit only the one-relation extensions of the live
+    // masks one rank down: a subset with no live input has nothing to price
+    // and is pruned unvisited. A mask's entry depends only on the rank
+    // below, so the visiting order within a rank changes nothing.
+    let mut frontier: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+    let mut queued = vec![false; table.len()];
+    let mut rank_size = n as u64; // C(n, size), starting at size 1
+    for size in 2..=n {
+        rank_size = rank_size * (n + 1 - size) as u64 / size as u64;
         let ((), elapsed) = par::timed(|| {
-            for &set in rank {
+            let mut rank = Vec::new();
+            for &sub in &frontier {
+                for j in RelSet::from_bits(full.bits() & !sub.bits()).iter() {
+                    let set = sub.insert(j);
+                    if !std::mem::replace(&mut queued[set.bits() as usize], true) {
+                        rank.push(set);
+                    }
+                }
+            }
+            for &set in &rank {
                 let (best, ordered, candidates) =
-                    cost_mask(tabs, coster, &table, set, full, required);
-                table[set.bits() as usize] = Some(best);
+                    cost_mask(tabs, coster, &table, set, &bound, required, &mut live);
+                table[set.bits() as usize] = best;
                 if let Some(ord) = ordered {
                     best_ordered = Some(ord);
                 }
-                stats.counters.masks_expanded += 1;
                 stats.counters.candidates_priced += candidates;
-                stats.counters.entries_written += 1;
             }
+            if size == 2 && n > 2 {
+                // The pairs are priced: seed the bound from the incumbent
+                // and drop the pairs it already rules out.
+                stats.counters.candidates_priced +=
+                    incumbent(query, tabs, coster, &table, &rank, required, &mut bound);
+                for &pair in &rank {
+                    let slot = &mut table[pair.bits() as usize];
+                    if slot.is_some_and(|e| bound.prunes(e.cost, bound.completion(tabs, pair))) {
+                        *slot = None;
+                    }
+                }
+            }
+            rank.retain(|s| table[s.bits() as usize].is_some());
+            let kept = rank.len() as u64;
+            stats.counters.masks_expanded += kept;
+            stats.counters.entries_written += kept;
+            stats.counters.masks_pruned += rank_size - kept;
+            frontier = rank;
         });
         stats.rank_wall_ns.push(elapsed);
     }
@@ -440,12 +745,16 @@ mod tests {
         let coster = FixedMemoryCoster::new(&model, 50.0);
         let (_, stats) = run(&q, &coster, DpOptions::default());
 
-        // 2^5 - 1 subsets, minus 5 singletons, all expanded.
-        assert_eq!(stats.counters.masks_expanded, 26);
-        // Each mask prices |set| × |JoinMethod::ALL| combinations:
-        // 3 · Σ_{k=2..5} k·C(5,k) = 3 · 75.
-        assert_eq!(stats.counters.candidates_priced, 225);
-        assert_eq!(stats.counters.entries_written, 5 + 26);
+        // 2^5 - 1 subsets, minus 5 singletons, each expanded or pruned;
+        // one entry per seed and per expanded mask.
+        let c = &stats.counters;
+        assert_eq!(c.masks_expanded + c.masks_pruned, 26);
+        assert_eq!(c.entries_written, 5 + c.masks_expanded);
+        // The chain's cross products are bounded out, so fewer candidates
+        // are priced than the unbounded sweep's |set| × |JoinMethod::ALL|
+        // per mask, 3 · Σ_{k=2..5} k·C(5,k) = 3 · 75, incumbent included.
+        assert!(c.masks_pruned > 0);
+        assert!(c.candidates_priced < 225);
         assert_eq!(stats.precompute.access_entries, 5);
         assert_eq!(stats.precompute.pages_entries, 1 << 5);
         assert_eq!(stats.precompute.adjacency_entries, 8);

@@ -10,11 +10,11 @@
 //! plan costing is linear in plan size, optimization is exponential in the
 //! join count — and run the cheapest.
 
-use crate::alg_c;
-use crate::dp::{DpOptions, Optimized};
+use crate::dp::{optimize_left_deep, DpOptions, ExpectedCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::evaluate::expected_cost;
+use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
 use lec_plan::{JoinQuery, Plan};
@@ -79,6 +79,10 @@ impl ParametricPlans {
     /// [`precompute`](Self::precompute), also returning the aggregate
     /// [`OptStats`] of the per-scenario optimizer runs (absorbed in
     /// scenario order, so the aggregate is deterministic).
+    ///
+    /// Every scenario runs Algorithm C's DP against one shared
+    /// [`QueryTables`], so the aggregate reports the table sizes once, not
+    /// once per scenario.
     pub fn precompute_with_stats<M: CostModel + ?Sized>(
         query: &JoinQuery,
         model: &M,
@@ -87,18 +91,17 @@ impl ParametricPlans {
         if scenarios.is_empty() {
             return Err(CoreError::BadParameter("need at least one scenario".into()));
         }
+        let tabs = QueryTables::new(query);
         let mut out = Vec::with_capacity(scenarios.len());
         let mut aggregate = OptStats::new("parametric", query.n());
         for s in scenarios {
-            let (opt, stats) = alg_c::optimize(
-                query,
-                model,
-                &MemoryModel::Static(s.clone()),
-                DpOptions::default(),
-            )?;
+            let phases = MemoryModel::Static(s.clone()).table(query.n().max(2))?;
+            let coster = ExpectedCoster::new(model, &phases);
+            let (opt, stats) = optimize_left_deep(query, &tabs, &coster, DpOptions::default())?;
             aggregate.absorb(&stats);
             out.push((s.clone(), opt));
         }
+        aggregate.precompute = tabs.sizes();
         Ok((Self { scenarios: out }, aggregate))
     }
 
@@ -214,6 +217,7 @@ impl ParametricPlans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg_c;
     use lec_cost::{CountingModel, PaperCostModel};
     use lec_plan::{JoinPred, KeyId, Relation};
 
@@ -330,18 +334,21 @@ mod tests {
         let (with_stats, stats) =
             ParametricPlans::precompute_with_stats(&q, &model, &scenarios()).unwrap();
         assert_eq!(stats.algorithm, "parametric");
-        // One alg_c run per scenario, absorbed in scenario order.
+        // One alg_c run per scenario, absorbed in scenario order, with the
+        // same plan and cost bits as a stand-alone alg_c run.
         let mut expected = OptStats::new("parametric", q.n());
-        for s in scenarios() {
+        for (s, (_, stored)) in scenarios().into_iter().zip(with_stats.scenarios()) {
             let mem = MemoryModel::Static(s);
-            expected.absorb(
-                &alg_c::optimize(&q, &model, &mem, DpOptions::default())
-                    .unwrap()
-                    .1,
-            );
+            let (fresh, fresh_stats) =
+                alg_c::optimize(&q, &model, &mem, DpOptions::default()).unwrap();
+            assert_eq!(fresh.plan, stored.plan);
+            assert_eq!(fresh.cost.to_bits(), stored.cost.to_bits());
+            expected.absorb(&fresh_stats);
         }
         assert_eq!(stats.counters, expected.counters);
         assert!(stats.counters.candidates_priced > 0);
+        // The scenarios share one set of tables, reported once.
+        assert_eq!(stats.precompute, QueryTables::new(&q).sizes());
         for ((ds, os), (dw, ow)) in plain.scenarios().iter().zip(with_stats.scenarios()) {
             assert!(ds.approx_eq(dw, 0.0));
             assert_eq!(os.cost.to_bits(), ow.cost.to_bits());

@@ -23,12 +23,20 @@
 /// enumerator on the same query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchCounters {
-    /// Subset-lattice masks (cardinality ≥ 2) whose entry was computed.
-    /// Zero for the exhaustive enumerators, which do not walk the lattice.
+    /// Subset-lattice masks (cardinality ≥ 2) whose entry was computed and
+    /// kept. Zero for the exhaustive enumerators, which do not walk the
+    /// lattice.
     pub masks_expanded: u64,
+    /// Subset-lattice masks (cardinality ≥ 2) the bounded left-deep DP
+    /// pruned: their lower bound exceeded the incumbent's cost, so no entry
+    /// was kept. For that DP `masks_expanded + masks_pruned = 2ⁿ − n − 1`;
+    /// zero for every other enumerator.
+    pub masks_pruned: u64,
     /// Candidate (subplan × access × join-method) combinations priced.
-    /// For `topc` this is the frontier-merge `combos_examined`; for the
-    /// exhaustive enumerators it is the number of complete plans scored.
+    /// For the bounded left-deep DP this includes the incumbent plan's
+    /// steps, each counted once even when the sweep reuses it. For `topc`
+    /// this is the frontier-merge `combos_examined`; for the exhaustive
+    /// enumerators it is the number of complete plans scored.
     pub candidates_priced: u64,
     /// Entries written into the DP table: the depth-1 seeds plus one per
     /// expanded mask (for `topc` and the Pareto DP, the *list/frontier
@@ -145,7 +153,10 @@ pub struct OptStats {
     pub relations: usize,
     /// The deterministic search counters.
     pub counters: SearchCounters,
-    /// Sizes of the precomputed tables the run consumed.
+    /// Sizes of the precomputed tables the run consumed. A call that runs
+    /// several DPs against one shared set of tables
+    /// (`ParametricPlans::precompute_with_stats`, one DP per scenario)
+    /// reports them once, not once per DP.
     pub precompute: PrecomputeSizes,
     /// Plan-cache behavior, when the record comes from a caching layer
     /// (all zeros for a bare optimizer run).
@@ -185,6 +196,7 @@ impl OptStats {
     pub fn absorb(&mut self, other: &OptStats) {
         self.relations = self.relations.max(other.relations);
         self.counters.masks_expanded += other.counters.masks_expanded;
+        self.counters.masks_pruned += other.counters.masks_pruned;
         self.counters.candidates_priced += other.counters.candidates_priced;
         self.counters.entries_written += other.counters.entries_written;
         extend_max(
@@ -222,6 +234,7 @@ impl OptStats {
             self.algorithm, self.relations
         );
         let _ = writeln!(out, "masks expanded:    {}", self.counters.masks_expanded);
+        let _ = writeln!(out, "masks pruned:      {}", self.counters.masks_pruned);
         let _ = writeln!(
             out,
             "candidates priced: {}",
@@ -305,6 +318,7 @@ mod tests {
     fn absorb_sums_counters_and_extends_vectors() {
         let mut a = OptStats::new("alg_c", 4);
         a.counters.masks_expanded = 11;
+        a.counters.masks_pruned = 2;
         a.counters.candidates_priced = 100;
         a.counters.entries_written = 15;
         a.precompute.access_entries = 4;
@@ -312,6 +326,7 @@ mod tests {
 
         let mut b = OptStats::new("alg_c", 6);
         b.counters.masks_expanded = 57;
+        b.counters.masks_pruned = 3;
         b.counters.candidates_priced = 500;
         b.counters.entries_written = 63;
         b.counters.frontier_per_rank = vec![2, 3, 1];
@@ -321,6 +336,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.relations, 6);
         assert_eq!(a.counters.masks_expanded, 68);
+        assert_eq!(a.counters.masks_pruned, 5);
         assert_eq!(a.counters.candidates_priced, 600);
         assert_eq!(a.counters.entries_written, 78);
         assert_eq!(a.counters.frontier_per_rank, vec![2, 3, 1]);
@@ -333,11 +349,13 @@ mod tests {
     fn render_mentions_every_counter() {
         let mut s = OptStats::new("pareto", 5);
         s.counters.masks_expanded = 26;
+        s.counters.masks_pruned = 4;
         s.counters.frontier_per_rank = vec![3, 4];
         s.rank_wall_ns = vec![1000];
         let text = s.render();
         assert!(text.contains("optimizer stats (pareto, n=5)"));
         assert!(text.contains("masks expanded:    26"));
+        assert!(text.contains("masks pruned:      4"));
         assert!(text.contains("frontier per rank: [3, 4]"));
         assert!(text.contains("rank(s)"));
     }
@@ -403,6 +421,7 @@ mod tests {
         // wall time lives on OptStats (which has no PartialEq) instead.
         let a = SearchCounters {
             masks_expanded: 1,
+            masks_pruned: 5,
             candidates_priced: 2,
             entries_written: 3,
             frontier_per_rank: vec![4],

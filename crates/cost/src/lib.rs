@@ -61,10 +61,16 @@ pub trait CostModel {
     /// Cost of joining materialized inputs of `left_pages` and `right_pages`
     /// pages with `method` under `memory` pages of buffer, including reading
     /// both inputs and all intermediate passes, excluding writing the output.
+    ///
+    /// Must be non-negative (never NaN) for page counts `>= 1`, including
+    /// `∞`, and any positive memory. The left-deep DP's lower bound charges
+    /// each remaining join step at least its output pages and prunes on
+    /// that; a negative formula would let it prune the optimum.
     fn join_cost(&self, method: JoinMethod, left_pages: f64, right_pages: f64, memory: f64) -> f64;
 
     /// Cost of sorting a materialized input of `pages` pages under `memory`
-    /// pages of buffer (zero when it fits in memory).
+    /// pages of buffer (zero when it fits in memory). Non-negative under
+    /// the same contract as [`CostModel::join_cost`].
     fn sort_cost(&self, pages: f64, memory: f64) -> f64;
 
     /// Memory values at which `join_cost` for these sizes is discontinuous,

@@ -1,6 +1,7 @@
 //! Property tests: the fast expectation kernels agree exactly with the
-//! naive triple loop for arbitrary bucketed distributions, and both cost
-//! models behave monotonically in memory.
+//! naive triple loop for arbitrary bucketed distributions, both cost
+//! models behave monotonically in memory, and their formulas are
+//! non-negative wherever the optimizer's dynamic program evaluates them.
 
 use lec_cost::fast_expect::{expected_join_fast, expected_join_naive};
 use lec_cost::{CostModel, DetailedCostModel, JoinMethod, PaperCostModel};
@@ -24,7 +25,37 @@ fn arb_mem_dist() -> impl Strategy<Value = Distribution> {
     })
 }
 
+/// Page counts the left-deep DP hands a formula: result and access pages
+/// are floored at one page, and products of huge relations overflow to ∞.
+fn dp_pages() -> impl Strategy<Value = f64> {
+    (0.0f64..300.0, 0u8..16).prop_map(|(e, k)| if k == 0 { f64::INFINITY } else { 10f64.powf(e) })
+}
+
+/// Memory values: any positive size, from a fraction of a page up.
+fn dp_memory() -> impl Strategy<Value = f64> {
+    (-3.0f64..12.0).prop_map(|e| 10f64.powf(e))
+}
+
 proptest! {
+    /// The DP's lower bound charges every remaining step at least its
+    /// output pages, which is exact only if no join or sort formula is
+    /// negative (NaN fails `>= 0` too).
+    #[test]
+    fn formulas_are_nonnegative_over_the_dp_domain(
+        a in dp_pages(),
+        b in dp_pages(),
+        m in dp_memory(),
+    ) {
+        for model in [&PaperCostModel as &dyn CostModel, &DetailedCostModel] {
+            for method in JoinMethod::ALL {
+                let c = model.join_cost(method, a, b, m);
+                prop_assert!(c >= 0.0, "{method}({a}, {b}, {m}) = {c}");
+            }
+            let c = model.sort_cost(a, m);
+            prop_assert!(c >= 0.0, "sort({a}, {m}) = {c}");
+        }
+    }
+
     #[test]
     fn fast_equals_naive_for_all_methods(
         a in arb_pages_dist(),
