@@ -114,14 +114,14 @@ perfbench-replay:
 		echo "perfbench replay ok: $$w ($$(echo "$$out" | grep -o '"attempted": [0-9]*, "failed": [0-9]*'))"; \
 	done
 
-# Full local CI gate: formatting, lints, the whole test suite (unit +
-# integration + doc-tests), one untimed pass of every Criterion bench,
-# and X18–X24 smoke runs that must leave
-# well-formed results/BENCH_stats.json, results/BENCH_serve.json, and
-# results/BENCH_faults.json behind (X20 self-asserts the control-run
-# closed forms and the drift-recovery bounds; X21 self-asserts the
-# fault-run closed forms, ladder ordering, and bit-identical replay),
-# then the perfbench replay oracle over all three workloads.
+# Full local CI gate: formatting, clippy, the lec-lint pass and its audit
+# markers in results/LINT.json, rustdoc with warnings denied (no doc link
+# may point at a missing or private item), the whole test suite (unit +
+# integration + doc-tests), one untimed pass of every Criterion bench, the
+# X19/X20 runs that must leave well-formed results/BENCH_stats.json and
+# results/BENCH_serve.json behind, the fault/kernel/concurrent/rules/
+# sampling smokes above, then the perfbench replay oracle over all three
+# workloads.
 ci:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -132,6 +132,7 @@ ci:
 	grep -q '"optimize_roots": 0' results/LINT.json
 	grep -q '"sample_roots": 0' results/LINT.json
 	grep -q '"certify_roots": 0' results/LINT.json
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 	cargo test -q --workspace
 	cargo test -q --workspace --doc
 	$(MAKE) bench-smoke

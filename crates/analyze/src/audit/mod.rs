@@ -4,7 +4,7 @@
 //! passes reason over the workspace call graph built by
 //! [`crate::callgraph::Workspace`]:
 //!
-//! - [`panic`] — panic-reachability from serve/optimize entry points, with
+//! - [`panic`](mod@panic) — panic-reachability from serve/optimize entry points, with
 //!   full call-path witnesses and per-root-group ratchet budgets.
 //! - [`concurrency`] — shared mutable captures and `Ordering::Relaxed` inside
 //!   concurrent regions of deterministic paths.

@@ -2,7 +2,6 @@
 //! fine distribution and the downstream optimizer cost per strategy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, bucketing, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_stats::Bucketing;
@@ -35,14 +34,9 @@ fn strategies(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &dist, |b, d| {
             b.iter(|| {
-                alg_c::optimize(
-                    &q,
-                    &PaperCostModel,
-                    &MemoryModel::Static(d.clone()),
-                    DpOptions::default(),
-                )
-                .unwrap()
-                .0
+                alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(d.clone()))
+                    .unwrap()
+                    .0
             })
         });
     }

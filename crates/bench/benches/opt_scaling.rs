@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lec_bench::fixtures::{chain_query, spread_memory, static_mem, SEED};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_a, alg_b, alg_c, lsc, pareto};
 use lec_cost::PaperCostModel;
 use lec_stats::Utility;
@@ -31,7 +30,7 @@ fn by_relations(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("alg_c", n), &n, |b, _| {
             b.iter(|| {
-                alg_c::optimize(black_box(&q), &PaperCostModel, &mem, DpOptions::default())
+                alg_c::optimize(black_box(&q), &PaperCostModel, &mem)
                     .unwrap()
                     .0
             })
@@ -47,7 +46,7 @@ fn by_buckets(c: &mut Criterion) {
         let mem = static_mem(spread_memory(b));
         group.bench_with_input(BenchmarkId::from_parameter(b), &b, |bench, _| {
             bench.iter(|| {
-                alg_c::optimize(black_box(&q), &PaperCostModel, &mem, DpOptions::default())
+                alg_c::optimize(black_box(&q), &PaperCostModel, &mem)
                     .unwrap()
                     .0
             })

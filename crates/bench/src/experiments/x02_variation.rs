@@ -7,7 +7,6 @@
 //! plan (≥ 1 by construction; 1.0 means LEC buys nothing).
 
 use crate::table::{num, ratio, Table};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, evaluate, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_workload::{envs, queries};
@@ -18,7 +17,7 @@ fn advantage(lo: f64, hi: f64, p_lo: f64) -> (f64, f64, f64) {
     let mem = envs::bimodal(lo, hi, p_lo);
     let phases = MemoryModel::Static(mem.clone()).table(2).expect("valid");
     let lsc_plan = lsc::optimize_at(&q, &model, mem.mode()).expect("lsc").0;
-    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem), DpOptions::default())
+    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem))
         .expect("lec")
         .0;
     let lsc_expected = evaluate::expected_cost(&q, &model, &lsc_plan.plan, &phases);

@@ -9,7 +9,6 @@
 
 use crate::fixtures::{chain_query, spread_memory, static_mem, SEED};
 use crate::table::{num, ratio, Table};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_a, alg_b, alg_c, evaluate, exhaustive, lsc};
 use lec_cost::{CountingModel, PaperCostModel};
 use lec_stats::Distribution;
@@ -40,9 +39,7 @@ pub fn run() -> String {
             .0;
         let a = alg_a::optimize(&q, &model, &mem).expect("a");
         let b = alg_b::optimize(&q, &model, &mem, 3).expect("b");
-        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .expect("c")
-            .0;
+        let c = alg_c::optimize(&q, &model, &mem).expect("c").0;
         let lsc_e = evaluate::expected_cost(&q, &model, &lsc_plan.plan, &phases);
 
         let bushy_gap = if n <= 5 {
@@ -78,7 +75,7 @@ pub fn run() -> String {
         let dist = Distribution::new(values).expect("valid");
         let mem = static_mem(dist.clone());
         let mc = CountingModel::new(PaperCostModel);
-        alg_c::optimize(&q, &mc, &mem, DpOptions::default()).expect("c");
+        alg_c::optimize(&q, &mc, &mem).expect("c");
         let c_evals = mc.evaluations();
         let ma = CountingModel::new(PaperCostModel);
         alg_a::optimize(&q, &ma, &mem).expect("a");
@@ -133,9 +130,7 @@ pub fn run() -> String {
         let model = PaperCostModel;
         let a = alg_a::optimize(&q, &model, &mem).expect("a");
         let b3 = alg_b::optimize(&q, &model, &mem, 3).expect("b");
-        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .expect("c")
-            .0;
+        let c = alg_c::optimize(&q, &model, &mem).expect("c").0;
         let shape = |p: &Plan| p.explain(&q).replace('\n', " / ");
         let mut t = Table::new(&["algorithm", "expected cost", "vs LEC", "plan"]);
         t.row(vec![

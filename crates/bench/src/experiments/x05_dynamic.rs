@@ -17,7 +17,6 @@
 use crate::fixtures::chain_query;
 use crate::fixtures::SEED;
 use crate::table::{num, ratio, Table};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, evaluate, exhaustive, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_stats::MarkovChain;
@@ -39,23 +38,16 @@ fn score(q: &lec_plan::JoinQuery, chain: MarkovChain, initial: Vec<f64>, label: 
     let dynamic = MemoryModel::dynamic(chain, initial).expect("valid");
     let phases = dynamic.table(q.n()).expect("valid");
 
-    let lec_dyn = alg_c::optimize(q, &model, &dynamic, DpOptions::default())
-        .expect("lec dyn")
-        .0;
+    let lec_dyn = alg_c::optimize(q, &model, &dynamic).expect("lec dyn").0;
     let truth = exhaustive::exhaustive_lec(q, &model, &phases)
         .expect("truth")
         .0;
     let verified = (lec_dyn.cost - truth.cost).abs() <= 1e-6 * truth.cost;
 
     let initial_dist = dynamic.initial_distribution().expect("valid");
-    let lec_static = alg_c::optimize(
-        q,
-        &model,
-        &MemoryModel::Static(initial_dist.clone()),
-        DpOptions::default(),
-    )
-    .expect("lec")
-    .0;
+    let lec_static = alg_c::optimize(q, &model, &MemoryModel::Static(initial_dist.clone()))
+        .expect("lec")
+        .0;
     let static_e = evaluate::expected_cost(q, &model, &lec_static.plan, &phases);
 
     let lsc_plan = lsc::optimize_at(q, &model, initial_dist.mean())

@@ -16,7 +16,6 @@
 
 use crate::table::{num, ratio, Table};
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, evaluate, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_plan::JoinQuery;
@@ -58,9 +57,7 @@ pub fn run() -> String {
         let d = alg_d::optimize(&q, &PaperCostModel, &mem, &sizes, AlgDConfig::default())
             .expect("alg d")
             .0;
-        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .expect("alg c")
-            .0;
+        let c = alg_c::optimize(&q, &model, &mem).expect("alg c").0;
         let l = lsc::optimize_at(&q, &model, mem_dist.mean())
             .expect("lsc")
             .0;
@@ -96,9 +93,7 @@ pub fn run() -> String {
             let d = alg_d::optimize(&qq, &PaperCostModel, &m, &sizes, AlgDConfig::default())
                 .expect("alg d")
                 .0;
-            let c = alg_c::optimize(&qq, &model, &m, DpOptions::default())
-                .expect("alg c")
-                .0;
+            let c = alg_c::optimize(&qq, &model, &m).expect("alg c").0;
             if d.best.plan != c.plan {
                 flips += 1;
                 let td = evaluate::expected_cost_joint(&qq, &model, &d.best.plan, &sizes, &ph)

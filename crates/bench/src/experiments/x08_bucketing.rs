@@ -9,7 +9,6 @@
 //! bucketing is exact with only a handful of buckets.
 
 use crate::table::{num, ratio, Table};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, bucketing, evaluate, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_stats::{Bucketing, Distribution};
@@ -24,9 +23,7 @@ pub fn run() -> String {
     let fine = lec_workload::envs::lognormal(1100.0, 0.6, 512);
     let fine_mem = MemoryModel::Static(fine.clone());
     let fine_phases = fine_mem.table(q.n()).expect("valid");
-    let lec_fine = alg_c::optimize(&q, &model, &fine_mem, DpOptions::default())
-        .expect("fine")
-        .0;
+    let lec_fine = alg_c::optimize(&q, &model, &fine_mem).expect("fine").0;
 
     let mut t = Table::new(&[
         "strategy",
@@ -38,14 +35,9 @@ pub fn run() -> String {
     ]);
     let mut score = |name: String, coarse: Distribution| {
         let b = coarse.len();
-        let opt = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(coarse),
-            DpOptions::default(),
-        )
-        .expect("coarse")
-        .0;
+        let opt = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse))
+            .expect("coarse")
+            .0;
         let true_cost = evaluate::expected_cost(&q, &model, &opt.plan, &fine_phases);
         t.row(vec![
             name,

@@ -7,7 +7,6 @@
 //! this experiment checks it survives contact with counted I/O.
 
 use crate::table::{num, Table};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -22,7 +21,7 @@ const B_PAGES: f64 = 100.0;
 const SELECTIVITY: f64 = 3e-4;
 
 /// The scaled motivating query.
-pub fn scaled_query() -> JoinQuery {
+fn scaled_query() -> JoinQuery {
     JoinQuery::new(
         vec![
             Relation::new("A", A_PAGES, A_PAGES * 64.0),
@@ -40,7 +39,7 @@ pub fn scaled_query() -> JoinQuery {
 }
 
 /// The scaled bimodal memory environment: 25 pages (mode) or 12 pages.
-pub fn scaled_memory() -> Distribution {
+fn scaled_memory() -> Distribution {
     Distribution::new([(12.0, 0.2), (25.0, 0.8)]).expect("valid")
 }
 
@@ -102,14 +101,9 @@ pub fn run() -> String {
     let mem = scaled_memory();
 
     let lsc_choice = lsc::optimize_at(&q, &model, mem.mode()).expect("lsc").0;
-    let lec_choice = alg_c::optimize(
-        &q,
-        &model,
-        &MemoryModel::Static(mem.clone()),
-        DpOptions::default(),
-    )
-    .expect("lec")
-    .0;
+    let lec_choice = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))
+        .expect("lec")
+        .0;
 
     let iters = 400;
     let (mut t_lsc, mut t_lec, lsc_wins) = race(&lsc_choice.plan, &lec_choice.plan, iters);
@@ -177,14 +171,9 @@ mod tests {
         let q = scaled_query();
         let mem = scaled_memory();
         let lsc_choice = lsc::optimize_at(&q, &PaperCostModel, mem.mode()).unwrap().0;
-        let lec_choice = alg_c::optimize(
-            &q,
-            &PaperCostModel,
-            &MemoryModel::Static(mem),
-            DpOptions::default(),
-        )
-        .unwrap()
-        .0;
+        let lec_choice = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem))
+            .unwrap()
+            .0;
         assert_eq!(summarize(&lsc_choice.plan), "sort-merge");
         assert_eq!(summarize(&lec_choice.plan), "grace-hash + sort");
     }
@@ -194,14 +183,9 @@ mod tests {
         let q = scaled_query();
         let mem = scaled_memory();
         let lsc_choice = lsc::optimize_at(&q, &PaperCostModel, mem.mode()).unwrap().0;
-        let lec_choice = alg_c::optimize(
-            &q,
-            &PaperCostModel,
-            &MemoryModel::Static(mem.clone()),
-            DpOptions::default(),
-        )
-        .unwrap()
-        .0;
+        let lec_choice = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem.clone()))
+            .unwrap()
+            .0;
         let (t_lsc, t_lec, _) = race(&lsc_choice.plan, &lec_choice.plan, 120);
         let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
         assert!(

@@ -8,7 +8,6 @@
 //! against a full re-optimization, plus the work saved.
 
 use crate::table::{num, ratio, Table};
-use lec_core::dp::DpOptions;
 use lec_core::parametric::ParametricPlans;
 use lec_core::{alg_c, MemoryModel};
 use lec_cost::{CountingModel, PaperCostModel};
@@ -63,14 +62,9 @@ pub fn run() -> String {
         let choice = set.pick(&q, &model, observed).expect("pick");
         let pick_evals = model.evaluations();
         model.reset();
-        let fresh = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(observed.clone()),
-            DpOptions::default(),
-        )
-        .expect("fresh")
-        .0;
+        let fresh = alg_c::optimize(&q, &model, &MemoryModel::Static(observed.clone()))
+            .expect("fresh")
+            .0;
         let fresh_evals = model.evaluations();
         t.row(vec![
             name.clone(),

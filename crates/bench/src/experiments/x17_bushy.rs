@@ -7,7 +7,6 @@
 //! how much cheaper is the bushy LEC optimum than the left-deep one?
 
 use crate::table::{num, ratio, Table};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, bushy, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_workload::envs;
@@ -41,7 +40,7 @@ pub fn run() -> String {
                     ..QueryGen::default()
                 }
                 .generate(&mut ChaCha8Rng::seed_from_u64(1700 + seed));
-                let left = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
+                let left = alg_c::optimize(&q, &PaperCostModel, &mem)
                     .expect("left-deep")
                     .0;
                 let bushy = bushy::optimize(&q, &PaperCostModel, &mem).expect("bushy").0;

@@ -24,7 +24,6 @@ use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::fixtures::{chain_query, spread_memory, static_mem, SEED};
 use crate::table::{ratio, Table};
 use lec_core::alg_c;
-use lec_core::dp::DpOptions;
 use lec_cost::PaperCostModel;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -101,7 +100,7 @@ pub fn run() -> String {
     for n in SIZES {
         let q = chain_query(n, SEED + n as u64);
         let mem = static_mem(spread_memory(4));
-        let optimize = || alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default());
+        let optimize = || alg_c::optimize(&q, &PaperCostModel, &mem);
         let mut serial = median_ns(
             || {
                 optimize().expect("serial");

@@ -17,7 +17,6 @@
 use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::fixtures::{chain_query, spread_memory, static_mem, SEED};
 use crate::table::Table;
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, pareto};
 use lec_cost::PaperCostModel;
 use lec_stats::Utility;
@@ -46,8 +45,7 @@ pub fn run() -> String {
     for n in 4usize..=12 {
         let q = chain_query(n, SEED + n as u64);
         let mem = static_mem(spread_memory(4));
-        let (_, stats) = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .expect("alg_c with stats");
+        let (_, stats) = alg_c::optimize(&q, &PaperCostModel, &mem).expect("alg_c with stats");
         let c = &stats.counters;
         t.row(vec![
             n.to_string(),

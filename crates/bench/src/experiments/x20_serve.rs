@@ -21,7 +21,6 @@
 use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::table::Table;
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, expected_cost, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::PAGE_CAPACITY;
@@ -155,15 +154,10 @@ fn oracle_cost(truth: &Catalog, request: &QueryRequest, observed: &Distribution)
     let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
     let q = query_from_catalog(truth, &tables, &request.joins, &request.filters, None)
         .expect("truth query");
-    alg_c::optimize(
-        &q,
-        &PaperCostModel,
-        &MemoryModel::Static(observed.clone()),
-        DpOptions::default(),
-    )
-    .expect("oracle optimization")
-    .0
-    .cost
+    alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(observed.clone()))
+        .expect("oracle optimization")
+        .0
+        .cost
 }
 
 struct DriftRun {

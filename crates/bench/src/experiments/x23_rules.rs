@@ -38,7 +38,6 @@ use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::table::Table;
 use lec_catalog::synthetic::zipf_masses;
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
-use lec_core::dp::DpOptions;
 use lec_core::evaluate::cost_profile;
 use lec_core::rules::optimize_with_rule;
 use lec_core::{alg_c, expected_cost, pareto, MemoryModel};
@@ -127,14 +126,9 @@ fn skew_suite() -> (Vec<SkewEnv>, usize) {
     let mut out = Vec::new();
     let mut strict_envs = 0usize;
     for (label, q) in skew_environments() {
-        let direct = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(belief.clone()),
-            DpOptions::default(),
-        )
-        .expect("x23: alg_c optimizes the seeded environment")
-        .0;
+        let direct = alg_c::optimize(&q, &model, &MemoryModel::Static(belief.clone()))
+            .expect("x23: alg_c optimizes the seeded environment")
+            .0;
         let frontier = pareto::optimize(&q, &model, &belief, Utility::Linear)
             .expect("x23: frontier builds")
             .0
@@ -335,15 +329,10 @@ fn oracle_cost(truth: &Catalog, req: &QueryRequest, observed: &Distribution) -> 
     let tables: Vec<&str> = req.tables.iter().map(String::as_str).collect();
     let q = query_from_catalog(truth, &tables, &req.joins, &req.filters, None)
         .expect("x23: truth query builds");
-    alg_c::optimize(
-        &q,
-        &PaperCostModel,
-        &MemoryModel::Static(observed.clone()),
-        DpOptions::default(),
-    )
-    .expect("x23: oracle optimization")
-    .0
-    .cost
+    alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(observed.clone()))
+        .expect("x23: oracle optimization")
+        .0
+        .cost
 }
 
 /// Nearest-rank percentile over an unsorted sample.

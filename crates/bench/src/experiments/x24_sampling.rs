@@ -41,7 +41,6 @@ use crate::table::Table;
 use lec_catalog::sampling::{sample_interval, BoundKind, SampleConfig, StatInterval};
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::certificate::{certify_plan, Certificate, QueryIntervals};
-use lec_core::dp::DpOptions;
 use lec_core::evaluate::expected_cost;
 use lec_core::{alg_c, bushy, MemoryModel};
 use lec_cost::PaperCostModel;
@@ -330,7 +329,7 @@ fn run_env(idx: usize, spec: &EnvSpec) -> EnvOutcome {
         .expect("x24: phase table");
 
     // Point arm: Algorithm C trusts the sampled points outright.
-    let point_plan = alg_c::optimize(&q_point, &model, &static_mem, DpOptions::default())
+    let point_plan = alg_c::optimize(&q_point, &model, &static_mem)
         .expect("x24: point-estimate optimization")
         .0
         .plan;

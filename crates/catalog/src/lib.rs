@@ -15,8 +15,8 @@
 //! * [`selectivity`] — point selectivity estimation for predicates, plus
 //!   [`selectivity::SelectivityBelief`]: a point estimate wrapped in a
 //!   bucketed uncertainty distribution, the input Algorithm D consumes.
-//! * [`synthetic`] — seed-deterministic generators for schemas and
-//!   statistics used by the experiment harness.
+//! * [`synthetic`] — closed-form Zipf masses the experiment harness uses
+//!   to skew a "truth" away from beliefs.
 //! * [`sampling`] — seeded row sampling against a truth catalog:
 //!   sample-backed histograms and per-statistic Hoeffding/Wilson
 //!   confidence intervals ([`sampling::StatInterval`]), the raw material

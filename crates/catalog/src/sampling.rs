@@ -33,8 +33,8 @@
 use crate::catalog::Catalog;
 use crate::error::CatalogError;
 use crate::histogram::Histogram;
-use crate::selectivity::{Predicate, SelectivityBelief};
-use crate::table::{ColumnMeta, TableMeta};
+use crate::selectivity::Predicate;
+use crate::table::ColumnMeta;
 use lec_stats::families::{interval_widened, normal_quantile};
 use lec_stats::Distribution;
 use rand::Rng;
@@ -112,26 +112,10 @@ impl StatInterval {
         self.hi - self.lo
     }
 
-    /// True when the interval carries no uncertainty.
-    pub fn is_exact(&self) -> bool {
-        self.width() <= 0.0
-    }
-
     /// The interval-widened bucketed distribution (DESIGN.md §11): mean
     /// pinned to the point estimate, support spread over `[lo, hi]`.
     pub fn widened(&self, buckets: usize) -> Result<Distribution, CatalogError> {
         Ok(interval_widened(self.point, self.lo, self.hi, buckets)?)
-    }
-
-    /// The interval as an optimizer-facing [`SelectivityBelief`]: the
-    /// widened distribution clamped into `(0, 1]` selectivity space.
-    pub fn to_belief(&self, buckets: usize) -> Result<SelectivityBelief, CatalogError> {
-        let floor = f64::MIN_POSITIVE;
-        let point = self.point.clamp(floor, 1.0);
-        let lo = self.lo.clamp(floor, 1.0).min(point);
-        let hi = self.hi.clamp(floor, 1.0).max(point);
-        let dist = interval_widened(point, lo, hi, buckets)?;
-        Ok(SelectivityBelief::from_distribution(dist))
     }
 }
 
@@ -374,32 +358,6 @@ impl<'a> SampleEstimator<'a> {
         Histogram::equi_width(&values, self.config.buckets.max(1))
     }
 
-    /// Builds a full sample-backed belief catalog: physical sizes (rows,
-    /// pages) are copied from truth — they are assumed known exactly —
-    /// while every column gets a sample-backed histogram and a sampled
-    /// distinct count.
-    pub fn sample_catalog(&mut self) -> Result<Catalog, CatalogError> {
-        let mut catalog = Catalog::new();
-        let names: Vec<String> = self.truth.iter().map(|t| t.name.clone()).collect();
-        for name in names {
-            let src = self.truth.table(&name)?.clone();
-            let mut table = TableMeta::new(src.name.clone(), src.rows, src.pages)?;
-            for col in &src.columns {
-                let hist = self.sample_histogram(&name, &col.name)?;
-                let distinct = self.sample_distinct(&name, &col.name)?;
-                let mut sampled =
-                    ColumnMeta::new(col.name.clone(), 1, col.min, col.max).with_histogram(hist);
-                // The collision estimate sees the full column; the
-                // histogram's per-bucket distinct totals only what the
-                // sample realized. Keep the collision estimate.
-                sampled.distinct = distinct.point.round().max(1.0) as u64;
-                table = table.with_column(sampled);
-            }
-            catalog.register(table)?;
-        }
-        Ok(catalog)
-    }
-
     /// One row draw from a column's value model.
     fn draw_value(&mut self, col: &ColumnMeta) -> f64 {
         match &col.histogram {
@@ -467,6 +425,7 @@ fn bucket_index(boundaries: &[f64], v: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableMeta;
 
     fn truth() -> Catalog {
         let vals: Vec<f64> = (0..512).map(|i| (i % 64) as f64).collect();
@@ -580,22 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_catalog_is_complete_and_histogram_backed() {
-        let c = truth();
-        let mut est = SampleEstimator::new(&c, SampleConfig::default(), 17);
-        let sampled = est.sample_catalog().unwrap();
-        assert_eq!(sampled.len(), c.len());
-        for t in sampled.iter() {
-            assert_eq!(t.rows, c.table(&t.name).unwrap().rows);
-            for col in &t.columns {
-                assert!(col.histogram.is_some());
-                assert!(col.distinct >= 1);
-            }
-        }
-        assert!(est.draws_made() > 0);
-    }
-
-    #[test]
     fn widened_belief_has_point_mean_and_unit_clamp() {
         let iv = StatInterval {
             point: 0.3,
@@ -606,10 +549,8 @@ mod tests {
         };
         let d = iv.widened(8).unwrap();
         assert!((d.mean() - 0.3).abs() < 1e-9);
-        let belief = iv.to_belief(8).unwrap();
-        assert!((belief.point() - 0.3).abs() < 1e-9);
         let exact = StatInterval::exact(0.5);
-        assert!(exact.is_exact());
+        assert_eq!(exact.width(), 0.0);
         assert!(exact.widened(8).unwrap().is_point());
     }
 }

@@ -152,14 +152,6 @@ impl SelectivityBelief {
         Ok(Self { point, dist })
     }
 
-    /// Wraps an existing distribution; the point estimate is its mean.
-    pub fn from_distribution(dist: Distribution) -> Self {
-        Self {
-            point: dist.mean(),
-            dist,
-        }
-    }
-
     /// The classical point estimate.
     pub fn point(&self) -> f64 {
         self.point

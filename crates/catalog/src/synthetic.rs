@@ -1,62 +1,4 @@
-//! Seed-deterministic synthetic catalogs for the experiment harness.
-
-use crate::catalog::Catalog;
-use crate::error::CatalogError;
-use crate::histogram::Histogram;
-use crate::table::{ColumnMeta, TableMeta};
-use rand::Rng;
-
-/// Parameters for synthetic catalog generation.
-#[derive(Debug, Clone)]
-pub struct SyntheticSpec {
-    /// Number of tables.
-    pub tables: usize,
-    /// Page counts are drawn log-uniformly from this range.
-    pub pages_range: (u64, u64),
-    /// Tuples per page.
-    pub tuples_per_page: u64,
-    /// Number of histogram buckets per key column.
-    pub histogram_buckets: usize,
-    /// Zipf skew of key values; 0.0 = uniform.
-    pub zipf_theta: f64,
-}
-
-impl Default for SyntheticSpec {
-    fn default() -> Self {
-        Self {
-            tables: 5,
-            pages_range: (100, 1_000_000),
-            tuples_per_page: 50,
-            histogram_buckets: 16,
-            zipf_theta: 0.0,
-        }
-    }
-}
-
-/// Generates a catalog of `spec.tables` tables named `t0, t1, ...`, each with
-/// a `key` column carrying a histogram built from a synthetic value sample.
-pub fn generate(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Catalog, CatalogError> {
-    let pages = draw_pages(spec, rng)?;
-    from_pages(spec, &pages, spec.zipf_theta, rng)
-}
-
-/// A beliefs/truth catalog pair for belief-miscalibration experiments:
-/// identical table shapes (same page draws, same rows, same key domains),
-/// but the beliefs' key values are drawn at `spec.zipf_theta` (usually 0,
-/// i.e. uniform) while the truth's are Zipf-skewed at `truth_theta`. A
-/// filter that beliefs price as uniform therefore passes far more (or
-/// fewer) rows in truth — the regime where selection rules beyond
-/// expected cost actually differ (experiment X23).
-pub fn skewed_pair(
-    spec: &SyntheticSpec,
-    truth_theta: f64,
-    rng: &mut impl Rng,
-) -> Result<(Catalog, Catalog), CatalogError> {
-    let pages = draw_pages(spec, rng)?;
-    let beliefs = from_pages(spec, &pages, spec.zipf_theta, rng)?;
-    let truth = from_pages(spec, &pages, truth_theta, rng)?;
-    Ok((beliefs, truth))
-}
+//! Closed-form skew generators for the experiment harness.
 
 /// Normalized Zipf(`theta`) masses over `n` ranks: `p_r ∝ (r+1)^-theta`,
 /// summing to 1. `theta = 0` is uniform; larger values concentrate mass on
@@ -70,159 +12,9 @@ pub fn zipf_masses(n: usize, theta: f64) -> Vec<f64> {
     weights.into_iter().map(|w| w / total).collect()
 }
 
-fn draw_pages(spec: &SyntheticSpec, rng: &mut impl Rng) -> Result<Vec<u64>, CatalogError> {
-    if spec.tables == 0 {
-        return Err(CatalogError::InvalidStatistic("zero tables".into()));
-    }
-    let (lo, hi) = spec.pages_range;
-    if lo == 0 || hi < lo {
-        return Err(CatalogError::InvalidStatistic(format!(
-            "bad pages range [{lo}, {hi}]"
-        )));
-    }
-    Ok((0..spec.tables).map(|_| log_uniform(rng, lo, hi)).collect())
-}
-
-/// Builds the catalog for pre-drawn page counts with the given key skew.
-fn from_pages(
-    spec: &SyntheticSpec,
-    pages_per_table: &[u64],
-    theta: f64,
-    rng: &mut impl Rng,
-) -> Result<Catalog, CatalogError> {
-    let mut catalog = Catalog::new();
-    for (i, &pages) in pages_per_table.iter().enumerate() {
-        let rows = pages * spec.tuples_per_page;
-        // Sample key values (capped sample size keeps generation fast).
-        let domain = (rows / 2).max(2);
-        let sample_n = 4096.min(rows as usize).max(2);
-        let sample: Vec<f64> = (0..sample_n)
-            .map(|_| zipf_value(rng, domain, theta))
-            .collect();
-        let hist = Histogram::equi_depth(&sample, spec.histogram_buckets)?;
-        // Scale the sampled distinct count up to the full table.
-        let distinct_est = ((hist.distinct_total() as f64 / sample_n as f64) * rows as f64)
-            .round()
-            .max(1.0) as u64;
-        let table = TableMeta::new(format!("t{i}"), rows, pages)?.with_column(
-            ColumnMeta::new("key", distinct_est.min(domain), 0.0, domain as f64 - 1.0)
-                .with_histogram(hist),
-        );
-        catalog.register(table)?;
-    }
-    Ok(catalog)
-}
-
-/// Draws log-uniformly from `[lo, hi]`.
-fn log_uniform(rng: &mut impl Rng, lo: u64, hi: u64) -> u64 {
-    if lo == hi {
-        return lo;
-    }
-    let (ll, lh) = ((lo as f64).ln(), (hi as f64).ln());
-    let x: f64 = rng.gen_range(ll..lh);
-    (x.exp().round() as u64).clamp(lo, hi)
-}
-
-/// Draws a value in `[0, domain)` with Zipf skew `theta` (0 = uniform),
-/// using the inverse-CDF approximation `u^(1/(1-theta))` for theta < 1.
-fn zipf_value(rng: &mut impl Rng, domain: u64, theta: f64) -> f64 {
-    let u: f64 = rng.gen();
-    let frac = if theta <= 0.0 {
-        u
-    } else {
-        u.powf(1.0 / (1.0 - theta.min(0.99)))
-    };
-    (frac * domain as f64).floor().min(domain as f64 - 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn generation_is_deterministic() {
-        let spec = SyntheticSpec::default();
-        let a = generate(&spec, &mut ChaCha8Rng::seed_from_u64(1)).unwrap();
-        let b = generate(&spec, &mut ChaCha8Rng::seed_from_u64(1)).unwrap();
-        assert_eq!(a, b);
-        let c = generate(&spec, &mut ChaCha8Rng::seed_from_u64(2)).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn tables_have_sane_stats() {
-        let spec = SyntheticSpec {
-            tables: 8,
-            ..SyntheticSpec::default()
-        };
-        let cat = generate(&spec, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
-        assert_eq!(cat.len(), 8);
-        for t in cat.iter() {
-            assert!(t.pages >= 100 && t.pages <= 1_000_000);
-            assert_eq!(t.rows, t.pages * 50);
-            let key = t.column("key").unwrap();
-            assert!(key.distinct >= 1);
-            assert!(key.histogram.is_some());
-        }
-    }
-
-    #[test]
-    fn zipf_skew_concentrates_mass() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let n = 5000;
-        let uniform_low = (0..n)
-            .filter(|_| zipf_value(&mut rng, 1000, 0.0) < 100.0)
-            .count();
-        let skewed_low = (0..n)
-            .filter(|_| zipf_value(&mut rng, 1000, 0.8) < 100.0)
-            .count();
-        assert!(
-            skewed_low > uniform_low * 2,
-            "{skewed_low} vs {uniform_low}"
-        );
-    }
-
-    #[test]
-    fn skewed_pair_shares_shapes_but_not_histograms() {
-        let spec = SyntheticSpec {
-            tables: 4,
-            ..SyntheticSpec::default()
-        };
-        let (beliefs, truth) = skewed_pair(&spec, 0.8, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-        let (b2, t2) = skewed_pair(&spec, 0.8, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-        assert_eq!(beliefs, b2, "pair generation is deterministic");
-        assert_eq!(truth, t2);
-        assert_ne!(beliefs, truth, "the skew must actually differ");
-        for (b, t) in beliefs.iter().zip(truth.iter()) {
-            assert_eq!(b.name, t.name);
-            assert_eq!(b.pages, t.pages, "shapes shared between beliefs and truth");
-            assert_eq!(b.rows, t.rows);
-            let (bk, tk) = (b.column("key").unwrap(), t.column("key").unwrap());
-            assert_eq!(bk.min, tk.min);
-            assert_eq!(bk.max, tk.max);
-        }
-        // Zipf truth piles values onto the low end of the domain: the row
-        // mass its histograms place in the bottom decile dwarfs beliefs'.
-        let low_mass = |cat: &Catalog| -> f64 {
-            cat.iter()
-                .map(|t| {
-                    let key = t.column("key").unwrap();
-                    key.histogram
-                        .as_ref()
-                        .unwrap()
-                        .selectivity_range(key.min, key.max / 10.0)
-                })
-                .sum()
-        };
-        assert!(
-            low_mass(&truth) > 2.0 * low_mass(&beliefs),
-            "truth ({}) must concentrate mass in the low decile vs beliefs ({})",
-            low_mass(&truth),
-            low_mass(&beliefs)
-        );
-    }
 
     #[test]
     fn zipf_masses_are_normalized_and_skewed() {
@@ -235,26 +27,5 @@ mod tests {
             "masses must strictly decrease in rank: {skewed:?}"
         );
         assert!(skewed[0] > 0.5, "theta 1.5 concentrates the head");
-    }
-
-    #[test]
-    fn bad_spec_rejected() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert!(generate(
-            &SyntheticSpec {
-                tables: 0,
-                ..SyntheticSpec::default()
-            },
-            &mut rng
-        )
-        .is_err());
-        assert!(generate(
-            &SyntheticSpec {
-                pages_range: (10, 5),
-                ..SyntheticSpec::default()
-            },
-            &mut rng
-        )
-        .is_err());
     }
 }

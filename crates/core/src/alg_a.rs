@@ -74,7 +74,6 @@ pub fn optimize<M: CostModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::alg_c;
-    use crate::dp::DpOptions;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
     use lec_stats::Distribution;
@@ -105,9 +104,7 @@ mod tests {
         let mem = MemoryModel::Static(Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap());
         let res = optimize(&q, &model, &mem).unwrap();
         assert_eq!(res.candidates.len(), 2);
-        let lec = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let lec = alg_c::optimize(&q, &model, &mem).unwrap().0;
         assert_eq!(res.best.plan, lec.plan);
         assert!((res.best.cost - lec.cost).abs() < 1e-6);
     }
@@ -167,9 +164,7 @@ mod tests {
         );
         let model = PaperCostModel;
         let a = optimize(&q, &model, &mem).unwrap();
-        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let c = alg_c::optimize(&q, &model, &mem).unwrap().0;
         let b3 = crate::alg_b::optimize(&q, &model, &mem, 3).unwrap();
         assert!(
             a.best.cost > c.cost * 1.0001,
@@ -200,9 +195,7 @@ mod tests {
         let dist = Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap();
         let mem = MemoryModel::Static(dist);
         let res = optimize(&q, &model, &mem).unwrap();
-        let lec = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let lec = alg_c::optimize(&q, &model, &mem).unwrap().0;
         assert!(lec.cost <= res.best.cost + 1e-9);
         let mode_candidate = res
             .candidates

@@ -74,7 +74,6 @@ pub fn optimize<M: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::DpOptions;
     use crate::{alg_a, alg_c};
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
@@ -116,9 +115,7 @@ mod tests {
         let mem = spread_memory();
         let a = alg_a::optimize(&q, &model, &mem).unwrap();
         let b = optimize(&q, &model, &mem, 4).unwrap();
-        let c = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let c = alg_c::optimize(&q, &model, &mem).unwrap().0;
         assert!(c.cost <= b.best.cost + 1e-9 * c.cost);
         assert!(b.best.cost <= a.best.cost + 1e-9 * a.best.cost);
         assert!(b.candidates_evaluated >= 3, "expected several candidates");

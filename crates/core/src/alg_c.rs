@@ -14,7 +14,7 @@
 //! calls [`crate::verify::debug_verify_plan`]); this module adds no hook of
 //! its own.
 
-use crate::dp::{optimize_left_deep, DpOptions, ExpectedCoster, Optimized};
+use crate::dp::{optimize_left_deep, ExpectedCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::precompute::QueryTables;
@@ -23,13 +23,12 @@ use lec_cost::CostModel;
 use lec_plan::JoinQuery;
 
 /// Computes the LEC left-deep plan (Theorems 3.3 / 3.4) together with its
-/// search-space [`OptStats`]. `options` carries the `ignore_orders`
-/// ablation; pass [`DpOptions::default()`] for the paper's optimizer.
+/// search-space [`OptStats`].
 ///
 /// # Examples
 ///
 /// ```
-/// use lec_core::{alg_c, dp::DpOptions, MemoryModel};
+/// use lec_core::{alg_c, MemoryModel};
 /// use lec_cost::PaperCostModel;
 /// use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
 /// use lec_stats::Distribution;
@@ -43,7 +42,7 @@ use lec_plan::JoinQuery;
 ///     None,
 /// )?;
 /// let memory = MemoryModel::Static(Distribution::new([(30.0, 0.4), (300.0, 0.6)])?);
-/// let (lec, stats) = alg_c::optimize(&query, &PaperCostModel, &memory, DpOptions::default())?;
+/// let (lec, stats) = alg_c::optimize(&query, &PaperCostModel, &memory)?;
 /// println!("{}", lec.plan.explain(&query));
 /// assert!(lec.cost > 0.0);
 /// assert_eq!(stats.algorithm, "alg_c");
@@ -53,13 +52,12 @@ pub fn optimize<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &MemoryModel,
-    options: DpOptions,
 ) -> Result<(Optimized, OptStats), CoreError> {
     // Phases: n-1 joins plus a possible root sort.
     let phases = memory.table(query.n().max(2))?;
     let coster = ExpectedCoster::new(model, &phases);
     let tabs = QueryTables::new(query);
-    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster, options)?;
+    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
     stats.algorithm = "alg_c";
     Ok((best, stats))
 }
@@ -116,7 +114,7 @@ mod tests {
         let model = PaperCostModel;
         let mem = MemoryModel::Static(bimodal());
 
-        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
+        let lec = optimize(&q, &model, &mem).unwrap().0;
         // LEC: Grace hash + explicit sort.
         match &lec.plan {
             Plan::Sort { input, .. } => match &**input {
@@ -147,7 +145,6 @@ mod tests {
                 &q,
                 &model,
                 &MemoryModel::Static(Distribution::point(mem).unwrap()),
-                DpOptions::default(),
             )
             .unwrap()
             .0;
@@ -163,7 +160,7 @@ mod tests {
         let model = PaperCostModel;
         let dist = Distribution::new([(30.0, 0.3), (150.0, 0.4), (900.0, 0.3)]).unwrap();
         let mem = MemoryModel::Static(dist);
-        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
+        let lec = optimize(&q, &model, &mem).unwrap().0;
         let phases = mem.table(q.n()).unwrap();
         let truth = exhaustive::exhaustive_lec(&q, &model, &phases).unwrap().0;
         assert!(
@@ -180,7 +177,7 @@ mod tests {
         let model = PaperCostModel;
         let chain = MarkovChain::random_walk(vec![25.0, 120.0, 800.0], 0.7).unwrap();
         let mem = MemoryModel::dynamic(chain, vec![0.2, 0.5, 0.3]).unwrap();
-        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
+        let lec = optimize(&q, &model, &mem).unwrap().0;
         let phases = mem.table(q.n()).unwrap();
         let truth = exhaustive::exhaustive_lec(&q, &model, &phases).unwrap().0;
         assert!(
@@ -203,7 +200,7 @@ mod tests {
                 .map(|i| (50.0 * (i + 1) as f64, 1.0 / b as f64))
                 .collect();
             let mem = MemoryModel::Static(Distribution::new(values).unwrap());
-            optimize(&q, &model, &mem, DpOptions::default()).unwrap();
+            optimize(&q, &model, &mem).unwrap();
             model.evaluations()
         };
         let e1 = evals_for(1);
@@ -222,7 +219,7 @@ mod tests {
         let dist = Distribution::new([(20.0, 0.25), (90.0, 0.5), (2500.0, 0.25)]).unwrap();
         let mem = MemoryModel::Static(dist.clone());
         let phases = mem.table(q.n()).unwrap();
-        let lec = optimize(&q, &model, &mem, DpOptions::default()).unwrap().0;
+        let lec = optimize(&q, &model, &mem).unwrap().0;
         for candidate in [
             lsc::optimize_at(&q, &model, dist.mean()).unwrap().0,
             lsc::optimize_at(&q, &model, dist.mode()).unwrap().0,

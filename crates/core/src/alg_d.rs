@@ -22,7 +22,7 @@
 //! left-deep DP ([`dp::optimize_left_deep`]) with a step coster that reads
 //! those distributions.
 
-use crate::dp::{self, DpOptions, JoinInputs, Optimized, StepCoster};
+use crate::dp::{self, JoinInputs, Optimized, StepCoster};
 use crate::env::{MemoryModel, PhaseDists};
 use crate::error::CoreError;
 use crate::precompute::QueryTables;
@@ -144,7 +144,7 @@ pub fn optimize<M: CostModel + ?Sized>(
         node_sizes,
     };
     let tabs = QueryTables::with_access_pages(query, |i| sizes.rel_sizes[i].mean());
-    let (best, mut stats) = dp::optimize_left_deep(query, &tabs, &coster, DpOptions::default())?;
+    let (best, mut stats) = dp::optimize_left_deep(query, &tabs, &coster)?;
     stats.algorithm = "alg_d";
     // One propagated size distribution per non-empty subset.
     stats.precompute.pages_entries = coster.node_sizes.len() - 1;
@@ -305,7 +305,7 @@ mod tests {
         let sizes = SizeModel::certain(&q).unwrap();
         let mem = memory();
         let d = fast(&q, &mem, &sizes, AlgDConfig::default()).unwrap();
-        let (c, _) = alg_c::optimize(&q, &PaperCostModel, &mem, dp::DpOptions::default()).unwrap();
+        let (c, _) = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
         assert_eq!(d.best.plan, c.plan);
         assert!(
             (d.best.cost - c.cost).abs() < 1e-6 * c.cost.max(1.0),

@@ -9,7 +9,6 @@
 //! distribution equals the one computed from the full distribution: the
 //! bucketing is *lossless* for plan choice, with only a handful of buckets.
 
-use crate::dp::DpOptions;
 use crate::error::CoreError;
 use lec_cost::{CostModel, JoinMethod};
 use lec_plan::{JoinQuery, RelSet};
@@ -24,7 +23,7 @@ use lec_stats::{Bucketing, Distribution};
 /// breakpoint `t` is emitted together with `t.next_down()` so that both
 /// strict (`M > t`) and non-strict (`M ≥ t`) threshold conventions fall on
 /// bucket boundaries. Exponential in `n` (like the DP itself).
-pub fn level_set_breakpoints<M: CostModel + ?Sized>(query: &JoinQuery, model: &M) -> Vec<f64> {
+fn level_set_breakpoints<M: CostModel + ?Sized>(query: &JoinQuery, model: &M) -> Vec<f64> {
     let n = query.n();
     let mut points = Vec::new();
     let mut push = |t: f64| {
@@ -55,19 +54,14 @@ pub fn level_set_breakpoints<M: CostModel + ?Sized>(query: &JoinQuery, model: &M
     points
 }
 
-/// The §3.7 bucketing strategy for this query: boundaries at the level
-/// sets.
-pub fn level_set_bucketing<M: CostModel + ?Sized>(query: &JoinQuery, model: &M) -> Bucketing {
-    Bucketing::Breakpoints(level_set_breakpoints(query, model))
-}
-
-/// Applies level-set bucketing to a fine memory distribution.
+/// Applies the §3.7 bucketing strategy to a fine memory distribution:
+/// bucket boundaries at the level sets of the query's cost formulas.
 pub fn bucketize_memory<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     fine: &Distribution,
 ) -> Result<Distribution, CoreError> {
-    Ok(level_set_bucketing(query, model).apply(fine)?)
+    Ok(Bucketing::Breakpoints(level_set_breakpoints(query, model)).apply(fine)?)
 }
 
 /// Result of the coarse-to-fine strategy.
@@ -110,13 +104,7 @@ pub fn adaptive_optimize<M: CostModel + ?Sized>(
     loop {
         let coarse = Bucketing::EquiDepth(b.min(fine.len())).apply(fine)?;
         let coarse_buckets = coarse.len();
-        let opt = crate::alg_c::optimize(
-            query,
-            model,
-            &crate::env::MemoryModel::Static(coarse),
-            DpOptions::default(),
-        )?
-        .0;
+        let opt = crate::alg_c::optimize(query, model, &crate::env::MemoryModel::Static(coarse))?.0;
         refinements += 1;
         if last_plan.as_ref() == Some(&opt.plan) {
             stable_for += 1;
@@ -191,18 +179,12 @@ mod tests {
             coarse.len()
         );
 
-        let lec_fine =
-            alg_c::optimize(&q, &model, &MemoryModel::Static(fine), DpOptions::default())
-                .unwrap()
-                .0;
-        let lec_coarse = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(coarse),
-            DpOptions::default(),
-        )
-        .unwrap()
-        .0;
+        let lec_fine = alg_c::optimize(&q, &model, &MemoryModel::Static(fine))
+            .unwrap()
+            .0;
+        let lec_coarse = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse))
+            .unwrap()
+            .0;
         assert_eq!(lec_fine.plan, lec_coarse.plan);
         assert!(
             (lec_fine.cost - lec_coarse.cost).abs() < 1e-6 * lec_fine.cost,
@@ -240,18 +222,12 @@ mod tests {
         let model = PaperCostModel;
         let fine = Distribution::uniform_over((1..=300).map(|i| 3.0 + 7.0 * i as f64)).unwrap();
         let coarse = bucketize_memory(&q, &model, &fine).unwrap();
-        let lec_fine =
-            alg_c::optimize(&q, &model, &MemoryModel::Static(fine), DpOptions::default())
-                .unwrap()
-                .0;
-        let lec_coarse = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(coarse),
-            DpOptions::default(),
-        )
-        .unwrap()
-        .0;
+        let lec_fine = alg_c::optimize(&q, &model, &MemoryModel::Static(fine))
+            .unwrap()
+            .0;
+        let lec_coarse = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse))
+            .unwrap()
+            .0;
         assert_eq!(lec_fine.plan, lec_coarse.plan);
         assert!((lec_fine.cost - lec_coarse.cost).abs() < 1e-6 * lec_fine.cost);
     }
@@ -268,7 +244,7 @@ mod tests {
             Distribution::uniform_over(vals).unwrap()
         };
         let adaptive = adaptive_optimize(&q, &model, &fine, 2).unwrap();
-        let full = alg_c::optimize(&q, &model, &MemoryModel::Static(fine), DpOptions::default())
+        let full = alg_c::optimize(&q, &model, &MemoryModel::Static(fine))
             .unwrap()
             .0;
         assert_eq!(adaptive.optimized.plan, full.plan);
@@ -307,14 +283,9 @@ mod tests {
             let q = JoinQuery::new(relations, predicates, None).unwrap();
             let fine = Distribution::uniform_over((1..=128).map(|i| 12.0 * i as f64)).unwrap();
             let adaptive = adaptive_optimize(&q, &PaperCostModel, &fine, 2).unwrap();
-            let full = alg_c::optimize(
-                &q,
-                &PaperCostModel,
-                &MemoryModel::Static(fine),
-                DpOptions::default(),
-            )
-            .unwrap()
-            .0;
+            let full = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(fine))
+                .unwrap()
+                .0;
             let regret = adaptive.optimized.cost / full.cost;
             assert!(
                 (1.0 - 1e-9..1.05).contains(&regret),

@@ -254,7 +254,6 @@ pub fn optimize<M: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::DpOptions;
     use crate::evaluate::expected_cost;
     use crate::{alg_c, exhaustive};
     use lec_cost::PaperCostModel;
@@ -317,8 +316,7 @@ mod tests {
             let q = query(5, 100 + seed, seed % 2 == 0);
             let mem = memory();
             let (bushy, _) = optimize(&q, &PaperCostModel, &mem).unwrap();
-            let (left_deep, _) =
-                alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+            let (left_deep, _) = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
             assert!(
                 bushy.cost <= left_deep.cost + 1e-9 * left_deep.cost,
                 "seed {seed}: bushy {} vs left-deep {}",
@@ -362,7 +360,7 @@ mod tests {
         let q2 = query(2, 3, false);
         let mem = memory();
         let (b, _) = optimize(&q2, &PaperCostModel, &mem).unwrap();
-        let (l, _) = alg_c::optimize(&q2, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+        let (l, _) = alg_c::optimize(&q2, &PaperCostModel, &mem).unwrap();
         assert!((b.cost - l.cost).abs() <= 1e-9 * l.cost);
     }
 }

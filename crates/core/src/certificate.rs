@@ -188,22 +188,6 @@ pub fn certify_plan<M: CostModel + ?Sized>(
     })
 }
 
-/// Certifies an already-optimized choice and attaches the certificate to
-/// its search stats — the convenience wrapper the serving layer and the
-/// experiments use to surface certificates through `OptStats`/EXPLAIN.
-pub fn certify_into_stats<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &MemoryModel,
-    plan: &Plan,
-    intervals: &QueryIntervals,
-    stats: &mut crate::stats::OptStats,
-) -> Result<Certificate, CoreError> {
-    let cert = certify_plan(query, model, memory, plan, intervals)?;
-    stats.certificate = Some(cert.clone());
-    Ok(cert)
-}
-
 enum Bound {
     Lower,
     Upper,
@@ -311,7 +295,6 @@ fn bound_query(
 mod tests {
     use super::*;
     use crate::alg_c;
-    use crate::dp::DpOptions;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId};
     use lec_stats::Distribution;
@@ -395,10 +378,7 @@ mod tests {
     fn wider_intervals_give_weaker_certificates() {
         let q = query();
         let mem = memory();
-        let plan = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .unwrap()
-            .0
-            .plan;
+        let plan = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0.plan;
         let tight = certify_plan(&q, &PaperCostModel, &mem, &plan, &widen(&q, 1.1, 0.05)).unwrap();
         let loose = certify_plan(&q, &PaperCostModel, &mem, &plan, &widen(&q, 2.0, 0.05)).unwrap();
         assert!(
@@ -418,10 +398,7 @@ mod tests {
         // [optimal_lower, (1+ε)·optimal_lower] when truth is the point.
         let q = query();
         let mem = memory();
-        let plan = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .unwrap()
-            .0
-            .plan;
+        let plan = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0.plan;
         let cert = certify_plan(&q, &PaperCostModel, &mem, &plan, &widen(&q, 1.5, 0.1)).unwrap();
         let phases = mem.table(q.n().max(2)).unwrap();
         let true_cost = expected_cost(&q, &PaperCostModel, &plan, &phases);
@@ -438,10 +415,7 @@ mod tests {
     fn malformed_intervals_are_rejected() {
         let q = query();
         let mem = memory();
-        let plan = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .unwrap()
-            .0
-            .plan;
+        let plan = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0.plan;
         // Wrong shape.
         let mut iv = QueryIntervals::exact(&q);
         iv.predicate_selectivity.pop();
@@ -461,32 +435,15 @@ mod tests {
     }
 
     #[test]
-    fn certificate_surfaces_through_stats_and_explain() {
+    fn certificate_surfaces_through_stats() {
         let q = query();
         let mem = memory();
-        let (best, mut stats) =
-            alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
-        let cert = certify_into_stats(
-            &q,
-            &PaperCostModel,
-            &mem,
-            &best.plan,
-            &widen(&q, 1.3, 0.05),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(stats.certificate.as_ref(), Some(&cert));
+        let (best, mut stats) = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
+        let cert =
+            certify_plan(&q, &PaperCostModel, &mem, &best.plan, &widen(&q, 1.3, 0.05)).unwrap();
+        stats.certificate = Some(cert);
         let text = stats.render();
         assert!(text.contains("certificate:"), "{text}");
         assert!(text.contains("w.p. ≥ 0.950"), "{text}");
-        let phases = mem.table(q.n().max(2)).unwrap();
-        let explain = crate::evaluate::explain_with_costs_and_stats(
-            &q,
-            &PaperCostModel,
-            &best.plan,
-            &phases,
-            &stats,
-        );
-        assert!(explain.contains("certificate:"), "{explain}");
     }
 }

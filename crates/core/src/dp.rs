@@ -18,8 +18,7 @@
 //! pre-sorted inputs). The DP therefore keeps one best entry per subset and
 //! additionally tracks, at the full set, the best plan whose *final* join
 //! is a sort-merge on the required key; the root then compares that
-//! against best-unordered-plus-sort. Disabling this via
-//! [`DpOptions::ignore_orders`] is the X1 ablation.
+//! against best-unordered-plus-sort.
 //!
 //! ### Bounding the search
 //!
@@ -208,14 +207,6 @@ impl<M: CostModel + ?Sized> StepCoster for ExpectedCoster<'_, M> {
     fn join_floor(&self, out_pages: f64) -> f64 {
         out_pages
     }
-}
-
-/// Options for the dynamic program.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DpOptions {
-    /// Ablation: drop order tracking and always sort at the root when the
-    /// query requires an order.
-    pub ignore_orders: bool,
 }
 
 /// One DP table entry: best cost plus the backpointer to reconstruct the
@@ -536,8 +527,8 @@ fn finalize<C: StepCoster>(
 }
 
 /// Runs the bounded left-deep dynamic program with the given step coster
-/// against caller-built [`QueryTables`] (batch drivers build them once and
-/// share them across algorithms), returning the winner and its
+/// against caller-built [`QueryTables`] (parametric precompute builds them
+/// once and shares them across scenarios), returning the winner and its
 /// search-space [`OptStats`].
 ///
 /// The subset sweep walks the lattice rank by rank (every subset still
@@ -552,7 +543,6 @@ pub fn optimize_left_deep<C: StepCoster>(
     query: &JoinQuery,
     tabs: &QueryTables,
     coster: &C,
-    options: DpOptions,
 ) -> Result<(Optimized, OptStats), CoreError> {
     let n = query.n();
     let full = query.all();
@@ -561,11 +551,7 @@ pub fn optimize_left_deep<C: StepCoster>(
 
     // The best full-set plan whose final join is a sort-merge on the
     // required key (satisfies the ORDER BY for free).
-    let required = if options.ignore_orders {
-        None
-    } else {
-        query.required_order()
-    };
+    let required = query.required_order();
     let mut best_ordered: Option<Entry> = None;
     let mut bound = Bound::new(tabs, coster, full);
     let mut live = vec![(0, 0.0); n];
@@ -683,8 +669,8 @@ mod tests {
         JoinQuery::new(relations, predicates, None).unwrap()
     }
 
-    fn run<C: StepCoster>(q: &JoinQuery, coster: &C, options: DpOptions) -> (Optimized, OptStats) {
-        optimize_left_deep(q, &QueryTables::new(q), coster, options).unwrap()
+    fn run<C: StepCoster>(q: &JoinQuery, coster: &C) -> (Optimized, OptStats) {
+        optimize_left_deep(q, &QueryTables::new(q), coster).unwrap()
     }
 
     #[test]
@@ -693,7 +679,7 @@ mod tests {
         let model = PaperCostModel;
         for memory in [5.0, 50.0, 500.0] {
             let coster = FixedMemoryCoster::new(&model, memory);
-            let (opt, _) = run(&q, &coster, DpOptions::default());
+            let (opt, _) = run(&q, &coster);
             let evaluated = plan_cost_at(&q, &model, &opt.plan, memory);
             assert!(
                 (opt.cost - evaluated).abs() < 1e-6 * evaluated.max(1.0),
@@ -710,7 +696,7 @@ mod tests {
         let q = JoinQuery::new(vec![Relation::new("only", 50.0, 500.0)], vec![], None).unwrap();
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 100.0);
-        let (opt, _) = run(&q, &coster, DpOptions::default());
+        let (opt, _) = run(&q, &coster);
         assert_eq!(opt.plan, Plan::scan(0));
         assert_eq!(opt.cost, 0.0);
     }
@@ -733,7 +719,7 @@ mod tests {
         .unwrap();
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 50.0);
-        let (opt, _) = run(&q, &coster, DpOptions::default());
+        let (opt, _) = run(&q, &coster);
         // Whatever the winner, it must produce the required order.
         assert_eq!(opt.plan.output_order(), Some(KeyId(0)));
     }
@@ -743,7 +729,7 @@ mod tests {
         let q = chain_query(5);
         let model = PaperCostModel;
         let coster = FixedMemoryCoster::new(&model, 50.0);
-        let (_, stats) = run(&q, &coster, DpOptions::default());
+        let (_, stats) = run(&q, &coster);
 
         // 2^5 - 1 subsets, minus 5 singletons, each expanded or pruned;
         // one entry per seed and per expanded mask.
@@ -760,33 +746,5 @@ mod tests {
         assert_eq!(stats.precompute.adjacency_entries, 8);
         assert_eq!(stats.rank_wall_ns.len(), 4); // ranks 2..=5
         assert!(stats.counters.frontier_per_rank.is_empty());
-    }
-
-    #[test]
-    fn ignore_orders_ablation_always_sorts() {
-        let q = JoinQuery::new(
-            vec![
-                Relation::new("a", 1000.0, 1e4),
-                Relation::new("b", 800.0, 8e3),
-            ],
-            vec![JoinPred {
-                left: 0,
-                right: 1,
-                selectivity: 1e-4,
-                key: KeyId(0),
-            }],
-            Some(KeyId(0)),
-        )
-        .unwrap();
-        let model = PaperCostModel;
-        let coster = FixedMemoryCoster::new(&model, 50.0);
-        let (opt, _) = run(
-            &q,
-            &coster,
-            DpOptions {
-                ignore_orders: true,
-            },
-        );
-        assert!(matches!(opt.plan, Plan::Sort { .. }));
     }
 }

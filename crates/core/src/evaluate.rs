@@ -290,25 +290,6 @@ pub fn explain_with_costs<M: CostModel + ?Sized>(
     out
 }
 
-/// [`explain_with_costs`] enriched with the optimizer's search counters:
-/// the plan tree and cost totals followed by the [`OptStats`] block
-/// (masks expanded, candidates priced, entries written, precompute table
-/// sizes, per-rank frontier sizes and wall time) from the
-/// `*_with_stats` optimizer entry point that produced the plan.
-///
-/// [`OptStats`]: crate::stats::OptStats
-pub fn explain_with_costs_and_stats<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    plan: &Plan,
-    phases: &PhaseDists,
-    stats: &crate::stats::OptStats,
-) -> String {
-    let mut out = explain_with_costs(query, model, plan, phases);
-    out.push_str(&stats.render());
-    out
-}
-
 /// One joint assignment of a [`SizeModel`]'s parameters, realized as a
 /// query instance.
 pub(crate) struct JointAssignment {
@@ -433,7 +414,6 @@ pub fn expected_cost_joint<M: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::DpOptions;
     use crate::env::MemoryModel;
     use lec_cost::{JoinMethod, PaperCostModel};
     use lec_plan::{JoinPred, KeyId, Relation};
@@ -598,24 +578,16 @@ mod tests {
     }
 
     #[test]
-    fn explain_with_stats_appends_the_counter_block() {
+    fn stats_footer_reports_the_search_counters() {
         let q = example_1_1();
-        let model = PaperCostModel;
         let mem = Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap();
-        let memory = MemoryModel::Static(mem);
-        let phases = memory.table(2).unwrap();
-        let (opt, stats) =
-            crate::alg_c::optimize(&q, &model, &memory, DpOptions::default()).unwrap();
-        let plain = explain_with_costs(&q, &model, &opt.plan, &phases);
-        let rich = explain_with_costs_and_stats(&q, &model, &opt.plan, &phases, &stats);
-        assert!(
-            rich.starts_with(&plain),
-            "stats block is appended, not interleaved"
-        );
-        assert!(rich.contains("-- optimizer stats (alg_c, n=2) --"));
-        assert!(rich.contains("masks expanded:    1"));
-        assert!(rich.contains("candidates priced:"));
-        assert!(rich.contains("precompute:"));
+        let (_, stats) =
+            crate::alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem)).unwrap();
+        let footer = stats.render();
+        assert!(footer.contains("-- optimizer stats (alg_c, n=2) --"));
+        assert!(footer.contains("masks expanded:    1"));
+        assert!(footer.contains("candidates priced:"));
+        assert!(footer.contains("precompute:"));
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn enumerate_access_variants(
 /// intended for `n ≤ 5`. Access paths are fixed to each relation's cheapest
 /// choice (access cost is additive and independent, so this preserves the
 /// optimum).
-pub fn enumerate_bushy(query: &JoinQuery) -> Vec<Plan> {
+fn enumerate_bushy(query: &JoinQuery) -> Vec<Plan> {
     // lec-lint: allow(panic-reachability) — enumeration recurses only on non-empty sets whose subplans were just generated
     fn plans_for(query: &JoinQuery, set: RelSet) -> Vec<Plan> {
         if set.len() == 1 {

@@ -21,7 +21,7 @@
 //! | [`voi`] | §2.3 / \[SBM93\] | Expected value of perfect information: when sampling to reduce uncertainty pays for itself |
 //! | [`parametric`] | §3.2 / \[INSS92\] | Precompute LEC plans per scenario at compile time, re-cost and pick at start-up time |
 //!
-//! The shared machinery lives in [`env`] (static / Markov-dynamic memory
+//! The shared machinery lives in [`env`](mod@env) (static / Markov-dynamic memory
 //! models), [`evaluate`] (costing *given* plans: per-value, expected,
 //! profiles, distributions) and [`dp`] (the generic left-deep dynamic
 //! program all scalar algorithms instantiate). Each enumerator has exactly
@@ -30,8 +30,7 @@
 //! `alg_d`, `bushy`, `topc`, `pareto`, `exhaustive`, `parametric`) return
 //! their result together with the deterministic [`OptStats`] search
 //! counters of the [`stats`] observability layer. [`par`] holds the
-//! lattice-rank and timing helpers, plus the cross-query fan-out batch
-//! drivers use.
+//! lattice-rank and timing helpers.
 //!
 //! Two static-verification layers guard the family (DESIGN.md §7): every
 //! optimizer funnels its winners through the [`verify`] debug hooks (the
@@ -76,7 +75,6 @@ pub use dp::Optimized;
 pub use env::{MemoryModel, PhaseDists};
 pub use error::CoreError;
 pub use evaluate::{cost_distribution_static, expected_cost, plan_cost_at};
-pub use par::Parallelism;
 pub use precompute::QueryTables;
 pub use rules::{optimize_with_rule, RuleResult};
 pub use stats::{CacheCounters, OptStats, PrecomputeSizes, ResilienceCounters, SearchCounters};

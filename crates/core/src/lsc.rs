@@ -5,7 +5,7 @@
 //! mean or modal value" (§1) — [`optimize_at`] at `dist.mean()` or
 //! `dist.mode()` is exactly those two baselines.
 
-use crate::dp::{optimize_left_deep, DpOptions, FixedMemoryCoster, Optimized};
+use crate::dp::{optimize_left_deep, FixedMemoryCoster, Optimized};
 use crate::error::CoreError;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
@@ -26,7 +26,7 @@ pub fn optimize_at<M: CostModel + ?Sized>(
     }
     let coster = FixedMemoryCoster::new(model, memory);
     let tabs = QueryTables::new(query);
-    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster, DpOptions::default())?;
+    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
     stats.algorithm = "lsc";
     Ok((best, stats))
 }

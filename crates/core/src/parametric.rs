@@ -10,7 +10,7 @@
 //! plan costing is linear in plan size, optimization is exponential in the
 //! join count — and run the cheapest.
 
-use crate::dp::{optimize_left_deep, DpOptions, ExpectedCoster, Optimized};
+use crate::dp::{optimize_left_deep, ExpectedCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::evaluate::expected_cost;
@@ -97,7 +97,7 @@ impl ParametricPlans {
         for s in scenarios {
             let phases = MemoryModel::Static(s.clone()).table(query.n().max(2))?;
             let coster = ExpectedCoster::new(model, &phases);
-            let (opt, stats) = optimize_left_deep(query, &tabs, &coster, DpOptions::default())?;
+            let (opt, stats) = optimize_left_deep(query, &tabs, &coster)?;
             aggregate.absorb(&stats);
             out.push((s.clone(), opt));
         }
@@ -169,7 +169,7 @@ impl ParametricPlans {
 
     /// [`pick`](Self::pick) under a configurable selection rule.
     ///
-    /// [`Rule::LeastExpectedCost`] dispatches to [`pick`](Self::pick)
+    /// [`lec_rules::Rule::LeastExpectedCost`] dispatches to [`pick`](Self::pick)
     /// itself — same code path, bit-identical choice. Any other rule
     /// scores the stored plans' cost *profiles* under the observed
     /// distribution jointly (regret-style rules are context-sensitive)
@@ -257,8 +257,7 @@ mod tests {
         assert_eq!(set.len(), 3);
         for s in scenarios() {
             let choice = set.pick(&q, &model, &s).unwrap();
-            let (fresh, _) =
-                alg_c::optimize(&q, &model, &MemoryModel::Static(s), DpOptions::default()).unwrap();
+            let (fresh, _) = alg_c::optimize(&q, &model, &MemoryModel::Static(s)).unwrap();
             assert!(
                 (choice.expected_cost - fresh.cost).abs() <= 1e-9 * fresh.cost,
                 "stored {} vs fresh {}",
@@ -276,13 +275,7 @@ mod tests {
         // An observed distribution between the stored scenarios.
         let observed = Distribution::new([(600.0, 0.3), (2100.0, 0.7)]).unwrap();
         let choice = set.pick(&q, &model, &observed).unwrap();
-        let (fresh, _) = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(observed),
-            DpOptions::default(),
-        )
-        .unwrap();
+        let (fresh, _) = alg_c::optimize(&q, &model, &MemoryModel::Static(observed)).unwrap();
         // Never better than fresh, and on this family the stored plans
         // cover the space, so it should tie.
         assert!(choice.expected_cost >= fresh.cost - 1e-9);
@@ -299,13 +292,7 @@ mod tests {
         set.pick(&q, &model, &observed).unwrap();
         let pick_evals = model.evaluations();
         model.reset();
-        alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(observed),
-            DpOptions::default(),
-        )
-        .unwrap();
+        alg_c::optimize(&q, &model, &MemoryModel::Static(observed)).unwrap();
         let fresh_evals = model.evaluations();
         assert!(
             pick_evals < fresh_evals,
@@ -339,8 +326,7 @@ mod tests {
         let mut expected = OptStats::new("parametric", q.n());
         for (s, (_, stored)) in scenarios().into_iter().zip(with_stats.scenarios()) {
             let mem = MemoryModel::Static(s);
-            let (fresh, fresh_stats) =
-                alg_c::optimize(&q, &model, &mem, DpOptions::default()).unwrap();
+            let (fresh, fresh_stats) = alg_c::optimize(&q, &model, &mem).unwrap();
             assert_eq!(fresh.plan, stored.plan);
             assert_eq!(fresh.cost.to_bits(), stored.cost.to_bits());
             expected.absorb(&fresh_stats);

@@ -423,7 +423,6 @@ pub fn exhaustive_utility<M: CostModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::alg_c;
-    use crate::dp::DpOptions;
     use crate::env::MemoryModel;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
@@ -463,14 +462,9 @@ mod tests {
             let p = optimize(&q, &PaperCostModel, &mem, Utility::Linear)
                 .unwrap()
                 .0;
-            let c = alg_c::optimize(
-                &q,
-                &PaperCostModel,
-                &MemoryModel::Static(mem),
-                DpOptions::default(),
-            )
-            .unwrap()
-            .0;
+            let c = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem))
+                .unwrap()
+                .0;
             assert!(
                 (p.best.cost - c.cost).abs() < 1e-6 * c.cost.max(1.0),
                 "seed {seed}: pareto {} vs C {}",

@@ -1,7 +1,7 @@
 //! Rule-parameterized plan selection: the `lec-rules` subsystem threaded
 //! through the optimizer family (DESIGN.md §9).
 //!
-//! The frontier DP in [`pareto`](crate::pareto) already computes, per
+//! The frontier DP in [`pareto`] already computes, per
 //! surviving plan, the full cost *profile* — one cost per memory value.
 //! The LEC criterion collapses that profile to its expectation; this
 //! module lets any certified [`SelectionRule`] do the collapsing instead,
@@ -9,18 +9,13 @@
 //!
 //! * [`optimize_with_rule`] — gated entry point for the shipped
 //!   [`Rule`]s. [`Rule::LeastExpectedCost`] dispatches to the *existing*
-//!   scalar path ([`alg_c`](crate::alg_c)) exactly like
+//!   scalar path ([`alg_c`]) exactly like
 //!   [`soundness::optimize_gated`](crate::soundness::optimize_gated)
 //!   does for the linear utility, so the LEC rule is bit-identical to
 //!   the expected-cost optimizer by construction (the differential
 //!   battery in `tests/rule_equivalence.rs` holds it to `to_bits`
 //!   equality). Every other shipped rule is certified frontier-only and
 //!   finalizes over the root Pareto frontier.
-//! * [`optimize_with_dyn_rule`] — the extension point for custom
-//!   [`SelectionRule`] impls: always frontier-finalized, but still gated
-//!   through [`lec_rules::certify`] so a non-monotone rule (whose
-//!   optimum the frontier may already have pruned) is rejected with a
-//!   numeric witness instead of silently returning a wrong plan.
 //!
 //! Frontier finalization is *exact* for every certified rule: dominance
 //! pruning only discards profiles that are componentwise no better, and
@@ -33,7 +28,6 @@
 //! survivor.
 
 use crate::alg_c;
-use crate::dp::DpOptions;
 use crate::dp::Optimized;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
@@ -101,13 +95,7 @@ pub fn optimize_with_rule<M: CostModel + ?Sized>(
     match rule {
         Rule::LeastExpectedCost => {
             debug_assert!(admission.scalar_ok());
-            let best = alg_c::optimize(
-                query,
-                model,
-                &MemoryModel::Static(memory.clone()),
-                DpOptions::default(),
-            )?
-            .0;
+            let best = alg_c::optimize(query, model, &MemoryModel::Static(memory.clone()))?.0;
             let dist = cost_distribution_static(query, model, &best.plan, memory);
             Ok(RuleResult {
                 expected_cost: best.cost,
@@ -119,22 +107,6 @@ pub fn optimize_with_rule<M: CostModel + ?Sized>(
         }
         _ => finalize_over_frontier(query, model, memory, rule, admission),
     }
-}
-
-/// Optimize under any custom [`SelectionRule`], always finalizing over
-/// the root Pareto frontier. The rule is certified first; a rule whose
-/// score is not monotone in per-scenario costs is rejected with
-/// [`CoreError::UnsoundRule`] (frontier pruning could have discarded its
-/// optimum — the witness in the error shows a dominated profile it
-/// prefers).
-pub fn optimize_with_dyn_rule<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-    rule: &dyn SelectionRule,
-) -> Result<RuleResult, CoreError> {
-    let admission = lec_rules::certify(rule)?;
-    finalize_over_frontier(query, model, memory, rule, admission)
 }
 
 fn finalize_over_frontier<M: CostModel + ?Sized>(
@@ -212,14 +184,9 @@ mod tests {
             let mem = memory();
             let via_rule =
                 optimize_with_rule(&q, &PaperCostModel, &mem, &Rule::LeastExpectedCost).unwrap();
-            let direct = alg_c::optimize(
-                &q,
-                &PaperCostModel,
-                &MemoryModel::Static(mem.clone()),
-                DpOptions::default(),
-            )
-            .unwrap()
-            .0;
+            let direct = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem.clone()))
+                .unwrap()
+                .0;
             assert_eq!(via_rule.best.cost.to_bits(), direct.cost.to_bits());
             assert_eq!(via_rule.best.plan, direct.plan);
             assert!(via_rule.admission.scalar_ok());
@@ -275,39 +242,13 @@ mod tests {
         }
     }
 
-    struct AntiMonotone;
-
-    impl SelectionRule for AntiMonotone {
-        fn name(&self) -> &'static str {
-            "anti-monotone"
-        }
-
-        fn scores(&self, profiles: &[Vec<f64>], _probs: &[f64]) -> Vec<f64> {
-            profiles.iter().map(|p| -p.iter().sum::<f64>()).collect()
-        }
-    }
-
     #[test]
     fn unsound_rules_are_rejected_at_the_gate() {
         let q = query(3, 0);
-        let err =
-            optimize_with_dyn_rule(&q, &PaperCostModel, &memory(), &AntiMonotone).unwrap_err();
-        assert!(matches!(err, CoreError::UnsoundRule(_)), "{err}");
         let bad_alpha = Rule::TailRisk(lec_rules::TailRisk { alpha: 1.5 });
         assert!(matches!(
             optimize_with_rule(&q, &PaperCostModel, &memory(), &bad_alpha),
             Err(CoreError::BadParameter(_))
         ));
-    }
-
-    #[test]
-    fn dyn_rule_entry_accepts_certified_rules() {
-        let q = query(4, 2);
-        let mem = memory();
-        let via_enum = optimize_with_rule(&q, &PaperCostModel, &mem, &Rule::MinmaxRegret).unwrap();
-        let via_dyn =
-            optimize_with_dyn_rule(&q, &PaperCostModel, &mem, &lec_rules::MinmaxRegret).unwrap();
-        assert_eq!(via_enum.best.plan, via_dyn.best.plan);
-        assert_eq!(via_enum.best.cost.to_bits(), via_dyn.best.cost.to_bits());
     }
 }

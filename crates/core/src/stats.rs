@@ -146,8 +146,7 @@ pub struct PrecomputeSizes {
 #[derive(Debug, Clone, Default)]
 pub struct OptStats {
     /// Which enumerator produced this record (`"alg_c"`, `"alg_d"`,
-    /// `"topc"`, `"bushy"`, `"exhaustive"`, `"pareto"`, `"lsc"`, `"batch"`,
-    /// ...).
+    /// `"topc"`, `"bushy"`, `"exhaustive"`, `"pareto"`, `"lsc"`, ...).
     pub algorithm: &'static str,
     /// Number of relations in the query.
     pub relations: usize,
@@ -188,11 +187,11 @@ impl OptStats {
         self.rank_wall_ns.iter().sum()
     }
 
-    /// Folds another record into this one (for batch aggregation): counters
-    /// and precompute sizes add, `frontier_per_rank` and `rank_wall_ns` add
-    /// elementwise (shorter vectors are zero-extended), `relations` keeps
-    /// the maximum. Summation in input order keeps the aggregate
-    /// deterministic when the inputs are.
+    /// Folds another record into this one (the serving layer's running
+    /// totals): counters and precompute sizes add, `frontier_per_rank` and
+    /// `rank_wall_ns` add elementwise (shorter vectors are zero-extended),
+    /// `relations` keeps the maximum. Summation in input order keeps the
+    /// aggregate deterministic when the inputs are.
     pub fn absorb(&mut self, other: &OptStats) {
         self.relations = self.relations.max(other.relations);
         self.counters.masks_expanded += other.counters.masks_expanded;
@@ -223,8 +222,8 @@ impl OptStats {
         }
     }
 
-    /// Renders the record as the multi-line footer `explain_with_costs_and_stats`
-    /// appends below the plan tree.
+    /// Renders the record as a multi-line footer for an EXPLAIN: callers
+    /// append it below [`explain_with_costs`](crate::evaluate::explain_with_costs).
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();

@@ -29,7 +29,7 @@
 use crate::alg_d::SizeModel;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::evaluate::{expected_cost, expected_cost_over, joint_assignments};
+use crate::evaluate::{expected_cost, joint_assignments};
 use crate::exhaustive::enumerate_left_deep;
 use lec_cost::CostModel;
 use lec_plan::{JoinQuery, Plan};
@@ -63,28 +63,6 @@ impl VoiReport {
     }
 }
 
-/// Best single plan under joint uncertainty: exact minimum of
-/// [`crate::evaluate::expected_cost_joint`] over all left-deep plans (the
-/// first minimum in enumeration order). Exponential; the ground-truth
-/// counterpart of Algorithm D.
-pub fn joint_lec(
-    query: &JoinQuery,
-    model: &(impl CostModel + ?Sized),
-    memory: &MemoryModel,
-    sizes: &SizeModel,
-) -> Result<(Plan, f64), CoreError> {
-    let phases = memory.table(query.n().max(2))?;
-    let assignments = joint_assignments(query, sizes)?;
-    enumerate_left_deep(query)
-        .into_iter()
-        .map(|plan| {
-            let cost = expected_cost_over(&assignments, model, &plan, &phases);
-            (plan, cost)
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .ok_or(CoreError::NoPlanFound)
-}
-
 /// Lowers `slot` to `cost` when `cost` is smaller under `total_cmp`; an
 /// empty slot takes any cost. Ties keep the earlier value, like `min_by`.
 fn keep_min(slot: &mut Option<f64>, cost: f64) {
@@ -99,8 +77,9 @@ fn keep_min(slot: &mut Option<f64>, cost: f64) {
 /// counts; intended for small queries (`n ≤ 4`, few buckets), where it is
 /// exact.
 ///
-/// Each quantity matches, to the bit, re-running [`joint_lec`] on the
-/// conditioned size model it is defined by: costs are accumulated in the
+/// Each quantity matches, to the bit, an exact joint-LEC search (the
+/// first minimum of [`crate::evaluate::expected_cost_joint`] over all
+/// left-deep plans) on the conditioned size model it is defined by: costs are accumulated in the
 /// same odometer order, and a parameter conditioned to one bucket weighs
 /// exactly 1.0, the mass of [`Distribution::point`].
 pub fn analyze(

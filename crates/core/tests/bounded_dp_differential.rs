@@ -22,7 +22,7 @@
 //! - adversarial queries: an optimum that joins a cross product first,
 //!   many exact cost ties, and relations so large that every cost is ∞.
 
-use lec_core::dp::{self, DpOptions, ExpectedCoster, FixedMemoryCoster, JoinInputs, StepCoster};
+use lec_core::dp::{self, ExpectedCoster, FixedMemoryCoster, JoinInputs, StepCoster};
 use lec_core::exhaustive;
 use lec_core::{expected_cost, MemoryModel, OptStats, Optimized, QueryTables};
 use lec_cost::{CostModel, DetailedCostModel, JoinMethod, PaperCostModel};
@@ -113,8 +113,8 @@ impl<C: StepCoster> StepCoster for NoFloor<C> {
 /// Runs the bounded DP and the oracle on `q` and asserts identical results,
 /// consistent counters, and no more candidates priced than the oracle
 /// priced; returns the bounded run's stats.
-fn check<C: StepCoster>(q: &JoinQuery, coster: &C, options: DpOptions, label: &str) -> OptStats {
-    let (stats, oracle_stats) = check_results(q, coster, options, label);
+fn check<C: StepCoster>(q: &JoinQuery, coster: &C, label: &str) -> OptStats {
+    let (stats, oracle_stats) = check_results(q, coster, label);
     assert!(
         stats.counters.candidates_priced <= oracle_stats.counters.candidates_priced,
         "{label}: {} candidates priced vs the oracle's {}",
@@ -126,15 +126,10 @@ fn check<C: StepCoster>(q: &JoinQuery, coster: &C, options: DpOptions, label: &s
 
 /// [`check`] without the work comparison: the plan, the cost bits and the
 /// counter identities. Returns the bounded and the oracle stats.
-fn check_results<C: StepCoster>(
-    q: &JoinQuery,
-    coster: &C,
-    options: DpOptions,
-    label: &str,
-) -> (OptStats, OptStats) {
+fn check_results<C: StepCoster>(q: &JoinQuery, coster: &C, label: &str) -> (OptStats, OptStats) {
     let tabs = QueryTables::new(q);
-    let (new, stats) = dp::optimize_left_deep(q, &tabs, coster, options).expect("bounded");
-    let (old, old_stats) = oracle::optimize_left_deep(q, &tabs, coster, options).expect("oracle");
+    let (new, stats) = dp::optimize_left_deep(q, &tabs, coster).expect("bounded");
+    let (old, old_stats) = oracle::optimize_left_deep(q, &tabs, coster).expect("oracle");
     assert_same(&new, &old, label);
     let n = q.n() as u64;
     let c = &stats.counters;
@@ -160,52 +155,40 @@ fn assert_same(new: &Optimized, old: &Optimized, label: &str) {
 /// both memory models, the fixed-memory ones at the lognormal's extreme
 /// buckets. Returns the masks pruned over all of them.
 fn check_all_costers(q: &JoinQuery, label: &str) -> u64 {
-    let mut options = vec![DpOptions::default()];
-    if q.required_order().is_some() {
-        options.push(DpOptions {
-            ignore_orders: true,
-        });
-    }
     let mut pruned = 0;
-    for &opt in &options {
-        let label = format!("{label} ignore_orders={}", opt.ignore_orders);
-        for (m, memory) in memories().iter().enumerate() {
-            let phases = memory.table(q.n().max(2)).expect("phases");
-            let label = format!("{label} memory#{m}");
-            let paper = ExpectedCoster::new(&PaperCostModel, &phases);
-            let runs = [
-                check(q, &paper, opt, &format!("{label} expected/paper")),
-                check(q, &NoFloor(paper), opt, &format!("{label} no-floor")),
-                check(
-                    q,
-                    &ExpectedCoster::new(&DetailedCostModel, &phases),
-                    opt,
-                    &format!("{label} expected/detailed"),
-                ),
-                check(
-                    q,
-                    &ExpectedCoster::new(&FreeSteps, &phases),
-                    opt,
-                    &format!("{label} expected/free"),
-                ),
-            ];
-            pruned += runs.iter().map(|s| s.counters.masks_pruned).sum::<u64>();
-        }
-        let [memory, _] = memories();
-        let values = memory.table(1).expect("phases").at(0).values().to_vec();
-        for m in [values[0], values[values.len() - 1]] {
-            for (name, model) in [
-                ("paper", &PaperCostModel as &dyn CostModel),
-                ("free", &FreeSteps),
-            ] {
-                let stats = check(
-                    q,
-                    &FixedMemoryCoster::new(model, m),
-                    opt,
-                    &format!("{label} fixed/{name} m={m}"),
-                );
-                pruned += stats.counters.masks_pruned;
-            }
+    for (m, memory) in memories().iter().enumerate() {
+        let phases = memory.table(q.n().max(2)).expect("phases");
+        let label = format!("{label} memory#{m}");
+        let paper = ExpectedCoster::new(&PaperCostModel, &phases);
+        let runs = [
+            check(q, &paper, &format!("{label} expected/paper")),
+            check(q, &NoFloor(paper), &format!("{label} no-floor")),
+            check(
+                q,
+                &ExpectedCoster::new(&DetailedCostModel, &phases),
+                &format!("{label} expected/detailed"),
+            ),
+            check(
+                q,
+                &ExpectedCoster::new(&FreeSteps, &phases),
+                &format!("{label} expected/free"),
+            ),
+        ];
+        pruned += runs.iter().map(|s| s.counters.masks_pruned).sum::<u64>();
+    }
+    let [memory, _] = memories();
+    let values = memory.table(1).expect("phases").at(0).values().to_vec();
+    for m in [values[0], values[values.len() - 1]] {
+        for (name, model) in [
+            ("paper", &PaperCostModel as &dyn CostModel),
+            ("free", &FreeSteps),
+        ] {
+            let stats = check(
+                q,
+                &FixedMemoryCoster::new(model, m),
+                &format!("{label} fixed/{name} m={m}"),
+            );
+            pruned += stats.counters.masks_pruned;
         }
     }
     pruned
@@ -280,32 +263,20 @@ fn tight_bound_never_prunes_the_winner() {
         let n = 3 + (seed as usize / 4) % 6;
         let plain = query(shape, n, seed % 3 == 0, 0x71 + seed);
         let label = format!("{shape:?} n={n} seed={seed}");
-        check(
-            &plain,
-            &FreeJoins,
-            DpOptions::default(),
-            &format!("{label} free"),
-        );
+        check(&plain, &FreeJoins, &format!("{label} free"));
         let q = with_selections(&plain, seed);
-        check_results(
-            &q,
-            &FreeJoins,
-            DpOptions::default(),
-            &format!("{label} free/selected"),
-        );
+        check_results(&q, &FreeJoins, &format!("{label} free/selected"));
         for memory in memories() {
             let phases = memory.table(n).expect("phases");
             check(
                 &q,
                 &ExpectedCoster::new(&FreeSteps, &phases),
-                DpOptions::default(),
                 &format!("{label} expected"),
             );
             for &m in phases.at(0).values() {
                 check(
                     &q,
                     &FixedMemoryCoster::new(&FreeSteps, m),
-                    DpOptions::default(),
                     &format!("{label} fixed m={m}"),
                 );
             }
@@ -345,9 +316,9 @@ fn an_optimal_cross_product_is_kept() {
     let [memory, _] = memories();
     let phases = memory.table(q.n()).expect("phases");
     let coster = ExpectedCoster::new(&PaperCostModel, &phases);
-    check(&q, &coster, DpOptions::default(), "cross product");
+    check(&q, &coster, "cross product");
     let tabs = QueryTables::new(&q);
-    let (best, _) = dp::optimize_left_deep(&q, &tabs, &coster, DpOptions::default()).unwrap();
+    let (best, _) = dp::optimize_left_deep(&q, &tabs, &coster).unwrap();
     let (truth, _) = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases).expect("oracle");
     assert_eq!(
         expected_cost(&q, &PaperCostModel, &best.plan, &phases).to_bits(),
@@ -417,9 +388,9 @@ fn infinite_costs_prune_nothing() {
         let run = |bounded: bool| {
             std::panic::catch_unwind(|| {
                 if bounded {
-                    dp::optimize_left_deep(&q, &tabs, &coster, DpOptions::default())
+                    dp::optimize_left_deep(&q, &tabs, &coster)
                 } else {
-                    oracle::optimize_left_deep(&q, &tabs, &coster, DpOptions::default())
+                    oracle::optimize_left_deep(&q, &tabs, &coster)
                 }
             })
         };
@@ -446,7 +417,7 @@ mod oracle {
     //! verbatim except for what living outside the crate needs: public-API
     //! imports, a crate-visible entry point and no lint pragmas.
 
-    use lec_core::dp::{DpOptions, JoinInputs, Optimized, StepCoster};
+    use lec_core::dp::{JoinInputs, Optimized, StepCoster};
     use lec_core::error::CoreError;
     use lec_core::par;
     use lec_core::precompute::QueryTables;
@@ -590,7 +561,6 @@ mod oracle {
         query: &JoinQuery,
         tabs: &QueryTables,
         coster: &C,
-        options: DpOptions,
     ) -> Result<(Optimized, OptStats), CoreError> {
         let n = query.n();
         let full = query.all();
@@ -599,11 +569,7 @@ mod oracle {
 
         // The best full-set plan whose final join is a sort-merge on the
         // required key (satisfies the ORDER BY for free).
-        let required = if options.ignore_orders {
-            None
-        } else {
-            query.required_order()
-        };
+        let required = query.required_order();
         let mut best_ordered: Option<Entry> = None;
 
         let mut stats = OptStats::new("dp", n);

@@ -23,7 +23,6 @@
 //! identical on every run and platform.
 
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
-use lec_core::dp::DpOptions;
 use lec_core::evaluate::expected_cost;
 use lec_core::topc::{self, MergeStrategy};
 use lec_core::{alg_a, alg_b, alg_c, bushy, exhaustive, lsc, MemoryModel};
@@ -146,9 +145,7 @@ fn exact_algorithms_match_the_exhaustive_oracle_bit_for_bit() {
 
         // Algorithm C is the exact left-deep LEC plan: repriced, it must
         // hit the oracle's minimum exactly.
-        let c_serial = alg_c::optimize(&q, &model, &static_mem, DpOptions::default())
-            .expect("alg_c")
-            .0;
+        let c_serial = alg_c::optimize(&q, &model, &static_mem).expect("alg_c").0;
         assert_eq!(
             reprice(&c_serial.plan).to_bits(),
             oracle.cost.to_bits(),

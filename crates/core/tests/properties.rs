@@ -4,7 +4,6 @@
 //! queries.
 
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
-use lec_core::dp::DpOptions;
 use lec_core::parametric::ParametricPlans;
 use lec_core::topc::{self, MergeStrategy};
 use lec_core::{alg_c, bushy, evaluate, exhaustive, voi, MemoryModel};
@@ -104,7 +103,7 @@ proptest! {
         let sizes = SizeModel::certain(&q).unwrap();
         let mm = MemoryModel::Static(mem);
         let phases = mm.table(q.n()).unwrap();
-        let lec = lec_core::alg_c::optimize(&q, &PaperCostModel, &mm, DpOptions::default()).unwrap().0;
+        let lec = lec_core::alg_c::optimize(&q, &PaperCostModel, &mm).unwrap().0;
         let joint = evaluate::expected_cost_joint(&q, &PaperCostModel, &lec.plan, &sizes, &phases).unwrap();
         let plain = evaluate::expected_cost(&q, &PaperCostModel, &lec.plan, &phases);
         prop_assert!((joint - plain).abs() <= 1e-6 * plain.max(1.0));
@@ -232,10 +231,10 @@ proptest! {
         let q = build_query(topo, n, seed, ordered);
         let mem = memory_model(lo, hi);
 
-        let (c, cstats) = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+        let (c, cstats) = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
         c.plan.validate(&q).unwrap();
         let (again, astats) =
-            alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default()).unwrap();
+            alg_c::optimize(&q, &PaperCostModel, &mem).unwrap();
         prop_assert_eq!(c.cost.to_bits(), again.cost.to_bits());
         prop_assert_eq!(&c.plan, &again.plan);
         prop_assert_eq!(&cstats.counters, &astats.counters);

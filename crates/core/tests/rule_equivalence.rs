@@ -20,14 +20,13 @@
 //!   worst-case regret over the belief support (that is the rule's
 //!   defining guarantee — checked against the rule-independent frontier).
 
-use lec_core::dp::DpOptions;
 use lec_core::evaluate::{cost_profile, expected_cost};
 use lec_core::parametric::ParametricPlans;
-use lec_core::rules::{optimize_with_dyn_rule, optimize_with_rule};
+use lec_core::rules::optimize_with_rule;
 use lec_core::{alg_c, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
-use lec_rules::{LeastExpectedCost, Rule, TailRisk};
+use lec_rules::{Rule, TailRisk};
 use lec_stats::Distribution;
 
 /// splitmix64: the battery's only randomness (identical to the generator
@@ -139,14 +138,9 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
         // Fresh optimization: the rule entry point vs alg_c directly.
         let via_rule =
             optimize_with_rule(&q, &model, &mem, &Rule::LeastExpectedCost).expect("rule path");
-        let direct = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(mem.clone()),
-            DpOptions::default(),
-        )
-        .expect("alg_c")
-        .0;
+        let direct = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))
+            .expect("alg_c")
+            .0;
         assert_eq!(
             via_rule.best.cost.to_bits(),
             direct.cost.to_bits(),
@@ -180,18 +174,14 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
 fn frontier_finalized_lec_agrees_with_the_scalar_path() {
     let model = PaperCostModel;
     for (q, mem, label) in environments() {
-        let scalar = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(mem.clone()),
-            DpOptions::default(),
-        )
-        .expect("alg_c")
-        .0;
-        // Force the LEC criterion down the frontier path every other rule
-        // takes (dyn rules always frontier-finalize).
-        let frontier =
-            optimize_with_dyn_rule(&q, &model, &mem, &LeastExpectedCost).expect("frontier LEC");
+        let scalar = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))
+            .expect("alg_c")
+            .0;
+        // Finalize the LEC criterion over the root Pareto frontier, the
+        // path every other rule takes.
+        let frontier = lec_core::pareto::optimize(&q, &model, &mem, lec_stats::Utility::Linear)
+            .expect("frontier LEC")
+            .0;
         assert!(
             (frontier.best.cost - scalar.cost).abs() <= 1e-9 * scalar.cost.max(1.0),
             "{label}: frontier-finalized LEC {} vs scalar {}",

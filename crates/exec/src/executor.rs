@@ -126,53 +126,23 @@ pub fn execute_plan(
     env: &mut ExecMemoryEnv,
 ) -> Result<ExecReport, ExecError> {
     let selections = vec![1.0; base.len()];
-    execute_plan_with_selections(plan, base, &selections, disk, env)
-}
-
-/// [`execute_plan`] with per-relation local-selection selectivities
-/// (aligned with `base`): a relation with selectivity below 1 is filtered
-/// and materialized before its first join, charged `pages + out` I/O —
-/// the same accounting the optimizer's access path uses. The filter
-/// predicate is a uniform hash of the tuple payload.
-pub fn execute_plan_with_selections(
-    plan: &Plan,
-    base: &[RelId],
-    selections: &[f64],
-    disk: &mut Disk,
-    env: &mut ExecMemoryEnv,
-) -> Result<ExecReport, ExecError> {
-    execute_plan_with_selections_and_feedback(plan, base, selections, disk, env)
+    let mut faults = FaultSchedule::empty();
+    execute_plan_with_faults(plan, base, &selections, disk, env, &mut faults)
         .map(|(report, _)| report)
 }
 
-/// [`execute_plan`] that also returns [`ExecFeedback`] — the observed
+/// [`execute_plan`] with per-relation local-selection selectivities
+/// (aligned with `base`), [`ExecFeedback`] capture and a deterministic
+/// [`FaultSchedule`] — the full entry point.
+///
+/// A relation with selectivity below 1 is filtered and materialized
+/// before its first join, charged `pages + out` I/O — the same accounting
+/// the optimizer's access path uses. The filter predicate is a uniform
+/// hash of the tuple payload. The returned feedback holds the observed
 /// selection and join cardinalities the `lec-serve` recalibration loop
 /// compares against the optimizer's estimates.
-pub fn execute_plan_with_feedback(
-    plan: &Plan,
-    base: &[RelId],
-    disk: &mut Disk,
-    env: &mut ExecMemoryEnv,
-) -> Result<(ExecReport, ExecFeedback), ExecError> {
-    let selections = vec![1.0; base.len()];
-    execute_plan_with_selections_and_feedback(plan, base, &selections, disk, env)
-}
-
-/// [`execute_plan_with_selections`] plus [`ExecFeedback`] capture.
-pub fn execute_plan_with_selections_and_feedback(
-    plan: &Plan,
-    base: &[RelId],
-    selections: &[f64],
-    disk: &mut Disk,
-    env: &mut ExecMemoryEnv,
-) -> Result<(ExecReport, ExecFeedback), ExecError> {
-    let mut faults = FaultSchedule::empty();
-    execute_plan_with_faults(plan, base, selections, disk, env, &mut faults)
-}
-
-/// [`execute_plan_with_selections_and_feedback`] under a deterministic
-/// [`FaultSchedule`]. With an empty schedule this is the exact same code
-/// path — bit-identical reports and feedback. With a non-empty schedule,
+///
+/// With an empty schedule no fault fires. With a non-empty schedule,
 /// matching faults fire at most once each: I/O errors surface as
 /// [`ExecError::InjectedFault`], memory-pressure faults divide the phase's
 /// grant down (floored at the operator minimum), and stalls are recorded in
@@ -543,8 +513,15 @@ mod tests {
             Some(KeyId(0)),
         );
         let mut env = ExecMemoryEnv::Fixed(8);
-        let (report, feedback) =
-            execute_plan_with_feedback(&plan, &base, &mut disk, &mut env).unwrap();
+        let (report, feedback) = execute_plan_with_faults(
+            &plan,
+            &base,
+            &[1.0, 1.0],
+            &mut disk,
+            &mut env,
+            &mut FaultSchedule::empty(),
+        )
+        .unwrap();
         assert!(feedback.selections.is_empty());
         assert_eq!(feedback.joins.len(), 1);
         let j = feedback.joins[0];
@@ -570,12 +547,13 @@ mod tests {
             Some(KeyId(0)),
         );
         let mut env = ExecMemoryEnv::Fixed(8);
-        let (_, feedback) = crate::executor::execute_plan_with_selections_and_feedback(
+        let (_, feedback) = execute_plan_with_faults(
             &plan,
             &base,
             &[0.25, 1.0],
             &mut disk,
             &mut env,
+            &mut FaultSchedule::empty(),
         )
         .unwrap();
         assert_eq!(feedback.selections.len(), 1);
@@ -591,24 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn feedback_free_paths_match_feedback_path() {
-        let (mut disk, base) = two_table_setup(42);
-        let plan = Plan::join(
-            Plan::scan(0),
-            Plan::scan(1),
-            JoinMethod::SortMerge,
-            Some(KeyId(0)),
-        );
-        let mut env = ExecMemoryEnv::Fixed(8);
-        let with = execute_plan_with_feedback(&plan, &base, &mut disk, &mut env)
-            .unwrap()
-            .0;
-        let without = execute_plan(&plan, &base, &mut disk, &mut env).unwrap();
-        assert_eq!(with.total, without.total);
-        assert_eq!(with.phases, without.phases);
-    }
-
-    #[test]
     fn empty_fault_schedule_is_bit_identical() {
         let plan = Plan::join(
             Plan::scan(0),
@@ -618,7 +578,7 @@ mod tests {
         );
         let (mut disk, base) = two_table_setup(50);
         let mut env = ExecMemoryEnv::Fixed(8);
-        let baseline = execute_plan_with_feedback(&plan, &base, &mut disk, &mut env).unwrap();
+        let baseline = execute_plan(&plan, &base, &mut disk, &mut env).unwrap();
         let (mut disk2, base2) = two_table_setup(50);
         let mut env2 = ExecMemoryEnv::Fixed(8);
         let mut faults = FaultSchedule::empty();
@@ -631,7 +591,7 @@ mod tests {
             &mut faults,
         )
         .unwrap();
-        assert_eq!(baseline, faulted);
+        assert_eq!(baseline, faulted.0);
         assert!(faults.trace().is_empty());
     }
 

@@ -231,11 +231,6 @@ impl FaultSchedule {
         self.specs.is_empty()
     }
 
-    /// The configured specs.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-
     /// Every fault that fired so far, in firing order.
     pub fn trace(&self) -> &[FaultRecord] {
         &self.trace

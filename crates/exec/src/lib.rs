@@ -45,9 +45,7 @@ pub use disk::{Disk, RelId};
 pub use env::ExecMemoryEnv;
 pub use error::ExecError;
 pub use executor::{
-    execute_plan, execute_plan_with_faults, execute_plan_with_feedback,
-    execute_plan_with_selections, execute_plan_with_selections_and_feedback, ExecFeedback,
-    ExecReport, JoinObs, SelectionObs,
+    execute_plan, execute_plan_with_faults, ExecFeedback, ExecReport, JoinObs, SelectionObs,
 };
 pub use fault::{FaultKind, FaultRecord, FaultSchedule, FaultSpec, FaultTrigger, OpKind};
 pub use tuple::{Page, Tuple, PAGE_CAPACITY};

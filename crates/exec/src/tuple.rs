@@ -46,7 +46,7 @@ impl Page {
     }
 
     /// True when no further tuple fits.
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.tuples.len() >= PAGE_CAPACITY
     }
 

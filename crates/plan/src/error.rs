@@ -70,7 +70,7 @@ impl fmt::Display for PlanError {
                 write!(f, "predicate joins relation {i} with itself")
             }
             PlanError::BadSelectivity(s) => write!(f, "selectivity {s} outside (0, 1]"),
-            PlanError::BadStatistic(v) => write!(f, "non-positive statistic {v}"),
+            PlanError::BadStatistic(v) => write!(f, "non-finite or non-positive statistic {v}"),
             PlanError::UnknownOrderKey(k) => write!(f, "order key {k} matches no predicate"),
             PlanError::MalformedPlan(msg) => write!(f, "malformed plan: {msg}"),
             PlanError::DuplicateRelation(i) => {

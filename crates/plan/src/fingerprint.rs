@@ -4,8 +4,8 @@
 //! (and the induced re-indexing of predicate endpoints), by the *order* of
 //! the predicate list, or by the arbitrary labels of their [`KeyId`]s
 //! describe the same optimization problem and must share a fingerprint —
-//! otherwise a plan cache fragments and a batch deduplicator misses
-//! duplicates. Conversely, any change to a statistic (pages, rows, a
+//! otherwise a plan cache fragments and the concurrent server's in-window
+//! deduplication misses duplicates. Conversely, any change to a statistic (pages, rows, a
 //! selectivity, an index flag) or to the join structure must change it.
 //!
 //! Canonicalization runs Weisfeiler–Lehman-style color refinement on the

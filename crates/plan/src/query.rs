@@ -91,8 +91,10 @@ impl JoinQuery {
             return Err(PlanError::TooManyRelations(relations.len()));
         }
         for r in &relations {
-            if !(r.pages.is_finite() && r.pages > 0.0 && r.rows.is_finite() && r.rows > 0.0) {
-                return Err(PlanError::BadStatistic(r.pages.min(r.rows)));
+            for stat in [r.pages, r.rows] {
+                if !(stat.is_finite() && stat > 0.0) {
+                    return Err(PlanError::BadStatistic(stat));
+                }
             }
             if !(r.local_selectivity.is_finite()
                 && r.local_selectivity > 0.0
@@ -159,21 +161,12 @@ impl JoinQuery {
 
     /// Predicates with one endpoint in each (disjoint) set — the join
     /// condition applied when combining the two subplans.
-    pub fn predicates_between(&self, a: RelSet, b: RelSet) -> impl Iterator<Item = &JoinPred> {
+    fn predicates_between(&self, a: RelSet, b: RelSet) -> impl Iterator<Item = &JoinPred> {
         debug_assert!(a.is_disjoint(b));
         self.predicates.iter().filter(move |p| {
             (a.contains(p.left) && b.contains(p.right))
                 || (a.contains(p.right) && b.contains(p.left))
         })
-    }
-
-    /// Combined selectivity between two disjoint sets: the product of all
-    /// crossing predicates (1.0 when none — the paper's trivially-true
-    /// predicate convention, i.e. a cross product).
-    pub fn selectivity_between(&self, a: RelSet, b: RelSet) -> f64 {
-        self.predicates_between(a, b)
-            .map(|p| p.selectivity)
-            .product()
     }
 
     /// The join key shared by the crossing predicates, when they agree on
@@ -315,10 +308,33 @@ mod tests {
     }
 
     #[test]
+    fn bad_statistic_reports_the_offending_value() {
+        let bad = |pages: f64, rows: f64| {
+            JoinQuery::new(vec![Relation::new("a", pages, rows)], vec![], None).unwrap_err()
+        };
+        let PlanError::BadStatistic(v) = bad(f64::NAN, 100.0) else {
+            panic!("NaN pages must be a bad statistic");
+        };
+        assert!(v.is_nan(), "reported {v}");
+        assert_eq!(
+            bad(f64::INFINITY, 100.0),
+            PlanError::BadStatistic(f64::INFINITY)
+        );
+        let PlanError::BadStatistic(v) = bad(100.0, f64::NAN) else {
+            panic!("NaN rows must be a bad statistic");
+        };
+        assert!(v.is_nan(), "reported {v}");
+        assert_eq!(bad(100.0, -3.0), PlanError::BadStatistic(-3.0));
+        assert_eq!(
+            bad(f64::INFINITY, 100.0).to_string(),
+            "non-finite or non-positive statistic inf"
+        );
+    }
+
+    #[test]
     fn selectivity_and_size_estimation() {
         let q = two_rel_query();
         let (a, b) = (RelSet::single(0), RelSet::single(1));
-        assert_eq!(q.selectivity_between(a, b), 1e-5);
         assert_eq!(q.join_key_between(a, b), Some(KeyId(0)));
         // 1000 * 400 * 1e-5 = 4 pages.
         assert!((q.result_pages(q.all()) - 4.0).abs() < 1e-9);
@@ -346,7 +362,6 @@ mod tests {
         )
         .unwrap();
         let (a, b) = (RelSet::single(0), RelSet::single(1));
-        assert_eq!(q.selectivity_between(a, b), 1.0);
         assert_eq!(q.join_key_between(a, b), None);
         assert_eq!(q.result_pages(q.all()), 200.0);
     }

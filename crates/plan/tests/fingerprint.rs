@@ -4,7 +4,7 @@
 //! relation renumberings, predicate-list shuffles, key relabelings, and
 //! renamings all preserve it, while perturbing any statistic breaks it.
 //! These are exactly the guarantees the `lec-serve` plan cache and the
-//! `BatchOptimizer` deduplicator rely on.
+//! concurrent server's in-window deduplication rely on.
 
 use lec_plan::fingerprint::{canonicalize, fingerprint};
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};

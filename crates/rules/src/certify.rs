@@ -61,8 +61,9 @@ impl RuleAdmission {
     }
 }
 
-/// A numeric counterexample: `lhs` and `rhs` should agree (to
-/// [`PROBE_TOLERANCE`]) for a scalar-pruning-sound rule but do not.
+/// A numeric counterexample: `lhs` and `rhs` should agree (up to the
+/// gate's `1e-9` probe tolerance) for a scalar-pruning-sound rule but do
+/// not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PruningWitness {
     /// Which probe failed, with the probe data spelled out.

@@ -92,7 +92,7 @@ pub fn argmin(scores: &[f64]) -> Option<usize> {
 /// same float as the fused expected-cost kernels in `lec-core`; hosts
 /// that promise bit-identity dispatch [`LeastExpectedCost`] to the
 /// existing scalar path instead of calling this).
-pub fn profile_mean(profile: &[f64], probs: &[f64]) -> f64 {
+fn profile_mean(profile: &[f64], probs: &[f64]) -> f64 {
     profile.iter().zip(probs).map(|(c, p)| c * p).sum()
 }
 
@@ -296,7 +296,7 @@ impl Default for TailRisk {
 /// that straddles the boundary), renormalize the rest. Deterministic:
 /// the sort is a stable sort under `total_cmp` and equal-cost atoms
 /// contribute identically wherever the boundary lands.
-pub fn cvar(profile: &[f64], probs: &[f64], alpha: f64) -> f64 {
+fn cvar(profile: &[f64], probs: &[f64], alpha: f64) -> f64 {
     debug_assert_eq!(profile.len(), probs.len());
     let alpha = alpha.clamp(0.0, 1.0 - 1e-12);
     let mut idx: Vec<usize> = (0..profile.len()).collect();

@@ -10,7 +10,6 @@
 //!    the serving layer).
 
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
-use lec_core::dp::DpOptions;
 use lec_core::{alg_c, expected_cost, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::PAGE_CAPACITY;
@@ -176,7 +175,7 @@ proptest! {
             None,
         )
         .unwrap();
-        let fresh = alg_c::optimize(&updated, &PaperCostModel, &MemoryModel::Static(cfg.observed_memory.clone()), DpOptions::default())
+        let fresh = alg_c::optimize(&updated, &PaperCostModel, &MemoryModel::Static(cfg.observed_memory.clone()))
         .unwrap().0;
         let phases = MemoryModel::Static(cfg.observed_memory.clone())
             .table(updated.n().max(2))

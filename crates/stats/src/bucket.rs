@@ -57,18 +57,6 @@ impl Bucketing {
             Bucketing::Breakpoints(bps) => by_breakpoints(fine, bps),
         }
     }
-
-    /// Builds a distribution directly from raw observations (each sample
-    /// weighted `1/n`) and then applies this strategy.
-    pub fn from_samples(&self, samples: &[f64]) -> Result<Distribution, StatsError> {
-        let n = samples.len();
-        if n == 0 {
-            return Err(StatsError::EmptySupport);
-        }
-        let w = 1.0 / n as f64;
-        let fine = Distribution::new(samples.iter().map(|&s| (s, w)))?;
-        self.apply(&fine)
-    }
 }
 
 /// Groups contiguous runs of support points; each group becomes one bucket
@@ -233,14 +221,6 @@ mod tests {
             assert!(c.is_point());
             assert!((c.values()[0] - d.mean()).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn from_samples_weights_equally() {
-        let c = Bucketing::EquiDepth(2)
-            .from_samples(&[1.0, 1.0, 1.0, 5.0])
-            .unwrap();
-        assert!((c.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -231,17 +231,6 @@ impl Distribution {
         self.probs[..idx].iter().sum()
     }
 
-    /// Partial expectation `E[X · 1{X <= x}]`. Together with [`Self::cdf`]
-    /// this is what the §3.6.1 prefix tables store.
-    pub fn partial_expect_le(&self, x: f64) -> f64 {
-        let idx = self.values.partition_point(|&v| v <= x);
-        self.values[..idx]
-            .iter()
-            .zip(&self.probs[..idx])
-            .map(|(v, p)| v * p)
-            .sum()
-    }
-
     /// The `q`-quantile (smallest support value `v` with `Pr[X <= v] >= q`).
     pub fn quantile(&self, q: f64) -> Result<f64, StatsError> {
         if !(0.0..=1.0).contains(&q) {
@@ -434,14 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn cdf_and_partial_expectation() {
+    fn cdf_accumulates_mass() {
         let d = Distribution::new([(1.0, 0.2), (2.0, 0.3), (4.0, 0.5)]).unwrap();
         assert!((d.cdf(0.5) - 0.0).abs() < 1e-12);
         assert!((d.cdf(2.0) - 0.5).abs() < 1e-12);
         assert!((d.cdf(10.0) - 1.0).abs() < 1e-12);
-        // E[X 1{X<=2}] = 1*0.2 + 2*0.3 = 0.8
-        assert!((d.partial_expect_le(2.0) - 0.8).abs() < 1e-12);
-        assert!((d.partial_expect_le(100.0) - d.mean()).abs() < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! This crate provides that substrate:
 //!
 //! * [`Distribution`] — a validated, sorted discrete distribution over `f64`
-//!   values with exact-mass arithmetic (expectations, partial expectations,
-//!   quantiles, pushforwards, independent products).
+//!   values with exact-mass arithmetic (expectations, quantiles,
+//!   pushforwards, independent products).
 //! * [`bucket`] — bucketing strategies (equi-width, equi-depth, breakpoint /
 //!   level-set driven) and the mean-preserving `rebucket` reduction used by
 //!   §3.6.3 of the paper.

@@ -10,7 +10,6 @@
 
 use crate::dist::Distribution;
 use crate::error::StatsError;
-use rand::Rng;
 
 /// A time-homogeneous Markov chain over a finite, sorted set of parameter
 /// values (e.g. memory sizes in pages).
@@ -176,21 +175,6 @@ impl MarkovChain {
         Distribution::new(self.states.iter().copied().zip(probs.iter().copied()))
     }
 
-    /// Interprets a value-distribution as a probability vector over this
-    /// chain's states. Every support value must be (nearly) a state value.
-    pub fn probs_from_distribution(&self, dist: &Distribution) -> Result<Vec<f64>, StatsError> {
-        let mut probs = vec![0.0; self.n_states()];
-        for (v, p) in dist.iter() {
-            let idx = self
-                .states
-                .iter()
-                .position(|&s| (s - v).abs() <= 1e-9 * s.abs().max(1.0))
-                .ok_or(StatsError::NonFiniteValue(v))?;
-            probs[idx] += p;
-        }
-        Ok(probs)
-    }
-
     /// The stationary distribution via power iteration from uniform.
     pub fn stationary(&self) -> Result<Vec<f64>, StatsError> {
         let n = self.n_states();
@@ -231,37 +215,11 @@ impl MarkovChain {
         }
         seqs
     }
-
-    /// Samples a length-`len` path of state *values*.
-    pub fn sample_path(&self, rng: &mut impl Rng, initial: &[f64], len: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(len);
-        let mut cur: Option<usize> = None;
-        for _ in 0..len {
-            let weights: &[f64] = match cur {
-                None => initial,
-                Some(i) => &self.rows[i],
-            };
-            let mut u: f64 = rng.gen();
-            let mut chosen = weights.len() - 1;
-            for (j, &w) in weights.iter().enumerate() {
-                if u < w {
-                    chosen = j;
-                    break;
-                }
-                u -= w;
-            }
-            cur = Some(chosen);
-            out.push(self.states[chosen]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn chain() -> MarkovChain {
         MarkovChain::random_walk(vec![500.0, 1000.0, 2000.0], 0.4).unwrap()
@@ -358,44 +316,9 @@ mod tests {
         let c = chain();
         let probs = [0.25, 0.25, 0.5];
         let d = c.distribution(&probs).unwrap();
-        let back = c.probs_from_distribution(&d).unwrap();
-        for (a, b) in probs.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn probs_from_foreign_distribution_fails() {
-        let c = chain();
-        let d = Distribution::point(777.0).unwrap();
-        assert!(c.probs_from_distribution(&d).is_err());
-    }
-
-    #[test]
-    fn sampled_paths_follow_marginals() {
-        let c = chain();
-        let initial = [1.0, 0.0, 0.0];
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let n = 10_000;
-        let len = 3;
-        let mut counts = vec![vec![0usize; 3]; len];
-        for _ in 0..n {
-            let path = c.sample_path(&mut rng, &initial, len);
-            for (k, v) in path.iter().enumerate() {
-                let idx = c.states().iter().position(|s| s == v).unwrap();
-                counts[k][idx] += 1;
-            }
-        }
-        for (k, phase_counts) in counts.iter().enumerate() {
-            let marg = c.marginal_after(&initial, k);
-            for j in 0..3 {
-                let freq = phase_counts[j] as f64 / n as f64;
-                assert!(
-                    (freq - marg[j]).abs() < 0.02,
-                    "phase {k} state {j}: {freq} vs {}",
-                    marg[j]
-                );
-            }
+        for (v, p) in d.iter() {
+            let idx = c.states().iter().position(|&s| s == v).unwrap();
+            assert!((p - probs[idx]).abs() < 1e-12);
         }
     }
 }

@@ -94,18 +94,11 @@ impl Utility {
             Utility::Deadline { threshold } => 1.0 - costs.cdf(threshold),
         }
     }
-
-    /// True iff scalar expected-cost-style dynamic programming is exact for
-    /// this utility under a shared static parameter (Theorem 3.3 and its
-    /// 2002 generalization): only the linear case qualifies.
-    pub fn admits_scalar_dp(&self) -> bool {
-        matches!(self, Utility::Linear)
-    }
 }
 
 /// Certainty equivalent `(1/γ) ln E[e^{γX}]` computed with the log-sum-exp
 /// trick so that large page-count costs do not overflow.
-pub fn certainty_equivalent(costs: &Distribution, gamma: f64) -> f64 {
+fn certainty_equivalent(costs: &Distribution, gamma: f64) -> f64 {
     debug_assert!(gamma != 0.0, "gamma = 0 is the linear utility");
     // ln Σ pᵢ e^{γxᵢ} = m + ln Σ pᵢ e^{γxᵢ - m},  m = max γxᵢ.
     let m = costs
@@ -176,12 +169,5 @@ mod tests {
         assert_eq!(Utility::Linear.apply(7.0), 7.0);
         assert_eq!(Utility::Deadline { threshold: 5.0 }.apply(7.0), 1.0);
         assert_eq!(Utility::Deadline { threshold: 7.0 }.apply(7.0), 0.0);
-    }
-
-    #[test]
-    fn only_linear_admits_scalar_dp() {
-        assert!(Utility::Linear.admits_scalar_dp());
-        assert!(!Utility::Exponential { gamma: 0.1 }.admits_scalar_dp());
-        assert!(!Utility::Deadline { threshold: 1.0 }.admits_scalar_dp());
     }
 }

@@ -18,16 +18,6 @@ pub fn bimodal(lo: f64, hi: f64, p_lo: f64) -> Distribution {
     Distribution::new([(lo, p_lo), (hi, 1.0 - p_lo)]).expect("valid mix") // lec-lint: allow(panic-reachability) — callers pass fixed in-range probabilities, so the two-point support is valid
 }
 
-/// `b` equally likely memory levels spread uniformly over `[lo, hi]`.
-pub fn uniform_grid(lo: f64, hi: f64, b: usize) -> Distribution {
-    assert!(b >= 1 && hi >= lo);
-    if b == 1 {
-        return Distribution::point((lo + hi) / 2.0).expect("valid point");
-    }
-    let step = (hi - lo) / (b - 1) as f64;
-    Distribution::uniform_over((0..b).map(|i| lo + step * i as f64)).expect("valid grid")
-}
-
 /// A lognormal-shaped memory distribution with the given mean, coefficient
 /// of variation, and bucket count.
 // lec-lint: allow(panic-reachability) — the discretized lognormal support is positive and finite for the fixed parameter grids callers use
@@ -62,13 +52,6 @@ mod tests {
         let d = bimodal(100.0, 900.0, 0.25);
         assert!((d.cdf(100.0) - 0.25).abs() < 1e-12);
         assert!((d.mean() - 700.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_grid_spacing() {
-        let d = uniform_grid(10.0, 50.0, 5);
-        assert_eq!(d.values(), &[10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert!(uniform_grid(10.0, 50.0, 1).is_point());
     }
 
     #[test]

@@ -161,7 +161,6 @@ pub fn page_selectivity(left: &TableMeta, right: &TableMeta, sel_rows: f64) -> f
 mod tests {
     use super::*;
     use lec_catalog::{ColumnMeta, Histogram};
-    use lec_core::dp::DpOptions;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -309,7 +308,6 @@ mod tests {
             &q,
             &lec_cost::PaperCostModel,
             &lec_core::MemoryModel::Static(mem),
-            DpOptions::default(),
         )
         .unwrap()
         .0;

@@ -9,7 +9,6 @@
 //! Algorithm C handles this exactly by evolving the memory distribution
 //! with the Markov chain — one distribution per dag depth.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::workload::envs;
@@ -40,15 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Three optimizers, all scored under the true dynamics.
-    let lec_dynamic = alg_c::optimize(&query, &model, &dynamic, DpOptions::default())?.0;
+    let lec_dynamic = alg_c::optimize(&query, &model, &dynamic)?.0;
     let initial_dist = dynamic.initial_distribution()?;
-    let lec_static = alg_c::optimize(
-        &query,
-        &model,
-        &MemoryModel::Static(initial_dist.clone()),
-        DpOptions::default(),
-    )?
-    .0;
+    let lec_static = alg_c::optimize(&query, &model, &MemoryModel::Static(initial_dist.clone()))?.0;
     let lsc_plan = lsc::optimize_at(&query, &model, initial_dist.mean())?.0;
 
     let score = |plan| evaluate::expected_cost(&query, &model, plan, &phases);

@@ -5,7 +5,6 @@
 //! cargo run --example motivating_example
 //! ```
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -29,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let lsc_plan = lsc::optimize_at(&q, &model, memory.mode())?.0;
     let mem_model = MemoryModel::Static(memory);
-    let lec_plan = alg_c::optimize(&q, &model, &mem_model, DpOptions::default())?.0;
+    let lec_plan = alg_c::optimize(&q, &model, &mem_model)?.0;
     let phases = mem_model.table(q.n())?;
 
     println!("\nLSC(mode) chooses:\n{}", lsc_plan.plan.explain(&q));
@@ -57,13 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let smem = Distribution::new([(12.0, 0.2), (25.0, 0.8)])?;
     let s_lsc = lsc::optimize_at(&sq, &model, smem.mode())?.0;
-    let s_lec = alg_c::optimize(
-        &sq,
-        &model,
-        &MemoryModel::Static(smem.clone()),
-        DpOptions::default(),
-    )?
-    .0;
+    let s_lec = alg_c::optimize(&sq, &model, &MemoryModel::Static(smem.clone()))?.0;
 
     let mut disk = Disk::new();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);

@@ -10,7 +10,6 @@
 //! environment (possibly a *sharpened* version of the compile-time belief)
 //! and re-cost the stored plans — no plan search.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::parametric::ParametricPlans;
 use lecopt::core::{alg_c, MemoryModel};
 use lecopt::cost::PaperCostModel;
@@ -48,13 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // How much did start-up picking give up vs a full re-optimization?
     for (name, observed) in [("day 1", day1), ("day 2", day2)] {
-        let fresh = alg_c::optimize(
-            &query,
-            &model,
-            &MemoryModel::Static(observed.clone()),
-            DpOptions::default(),
-        )?
-        .0;
+        let fresh = alg_c::optimize(&query, &model, &MemoryModel::Static(observed.clone()))?.0;
         let choice = set.pick(&query, &model, &observed)?;
         println!(
             "{name}: parametric pick {:.0} vs fresh optimization {:.0} (regret {:.3}x)",

@@ -8,7 +8,6 @@
 //! bucketed distribution, and compares the traditional (LSC) plan against
 //! the least-expected-cost (LEC) plan of Algorithm C.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::plan::{JoinPred, JoinQuery, KeyId, Relation};
@@ -55,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Algorithm C optimizes the expectation directly.
     let mem_model = MemoryModel::Static(memory);
-    let lec_plan = alg_c::optimize(&query, &model, &mem_model, DpOptions::default())?.0;
+    let lec_plan = alg_c::optimize(&query, &model, &mem_model)?.0;
     println!("LEC plan (Algorithm C):");
     println!("{}", lec_plan.plan.explain(&query));
 

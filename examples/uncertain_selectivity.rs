@@ -12,7 +12,6 @@
 
 use lecopt::catalog::SelectivityBelief;
 use lecopt::core::alg_d::{self, AlgDConfig, SizeModel};
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::plan::{JoinPred, JoinQuery, KeyId, Relation};
@@ -71,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AlgDConfig::default(),
     )?
     .0;
-    let c = alg_c::optimize(&query, &model, &mem_model, DpOptions::default())?.0;
+    let c = alg_c::optimize(&query, &model, &mem_model)?.0;
 
     println!(
         "\npoint-estimate (Algorithm C) plan:\n{}",

@@ -17,7 +17,6 @@
 //!     simulator (all joins must share one key).
 //! ```
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_a, alg_b, alg_c, evaluate, lsc, pareto, MemoryModel};
 use lecopt::cost::{CostModel, DetailedCostModel, PaperCostModel};
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -57,13 +56,7 @@ fn example11() -> Result<(), AnyError> {
     let mem = lecopt::workload::envs::example_1_1_memory();
     let model = PaperCostModel;
     let lsc_plan = lsc::optimize_at(&q, &model, mem.mode())?.0;
-    let lec = alg_c::optimize(
-        &q,
-        &model,
-        &MemoryModel::Static(mem.clone()),
-        DpOptions::default(),
-    )?
-    .0;
+    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))?.0;
     let phases = MemoryModel::Static(mem).table(q.n())?;
     println!("LSC(mode) plan:\n{}", lsc_plan.plan.explain(&q));
     println!(
@@ -185,7 +178,7 @@ fn optimize(args: &[String]) -> Result<(), AnyError> {
             let c: usize = f.get("top-c").map(|s| s.parse()).transpose()?.unwrap_or(3);
             alg_b::optimize(&q, &model, &mm, c)?.best
         }
-        "c" => alg_c::optimize(&q, &model, &mm, DpOptions::default())?.0,
+        "c" => alg_c::optimize(&q, &model, &mm)?.0,
         other => return Err(format!("unknown --alg `{other}`").into()),
     };
     println!("{}", optimized.plan.explain(&q));
@@ -208,13 +201,7 @@ fn execute(args: &[String]) -> Result<(), AnyError> {
     let runs: usize = f.get("runs").map(|s| s.parse()).transpose()?.unwrap_or(100);
     let model = PaperCostModel;
     let lsc_plan = lsc::optimize_at(&q, &model, mem.mode())?.0;
-    let lec = alg_c::optimize(
-        &q,
-        &model,
-        &MemoryModel::Static(mem.clone()),
-        DpOptions::default(),
-    )?
-    .0;
+    let lec = alg_c::optimize(&q, &model, &MemoryModel::Static(mem.clone()))?.0;
 
     let mut disk = Disk::new();
     let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -9,7 +9,6 @@
 //! from scanning the simulated tables, exactly as a DBMS would.
 
 use lecopt::catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -112,14 +111,9 @@ fn analyze_to_execution_pipeline() {
 
     // 4. Optimize under an uncertain memory environment.
     let mem = Distribution::new([(5.0, 0.4), (30.0, 0.6)]).unwrap();
-    let lec = alg_c::optimize(
-        &q,
-        &PaperCostModel,
-        &MemoryModel::Static(mem.clone()),
-        DpOptions::default(),
-    )
-    .unwrap()
-    .0;
+    let lec = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem.clone()))
+        .unwrap()
+        .0;
     lec.plan.validate(&q).unwrap();
 
     // 5. Execute the chosen plan; the realized result size tracks the

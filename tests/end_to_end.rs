@@ -1,7 +1,6 @@
 //! Integration tests: the full pipeline — generate data, optimize, execute
 //! in the page-level simulator, verify results and realized costs.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
@@ -55,14 +54,9 @@ fn star_setup(pages: &[usize], sel: f64, seed: u64) -> (JoinQuery, Disk, Vec<Rel
 fn optimized_plans_execute_correctly() {
     let (query, mut disk, base) = star_setup(&[40, 18, 10], 5e-3, 51);
     let mem = Distribution::new([(6.0, 0.4), (30.0, 0.6)]).unwrap();
-    let lec = alg_c::optimize(
-        &query,
-        &PaperCostModel,
-        &MemoryModel::Static(mem.clone()),
-        DpOptions::default(),
-    )
-    .unwrap()
-    .0;
+    let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(mem.clone()))
+        .unwrap()
+        .0;
 
     let mut env = ExecMemoryEnv::draw_once(mem, 99);
     let report = execute_plan(&lec.plan, &base, &mut disk, &mut env).unwrap();
@@ -120,14 +114,9 @@ fn lec_realized_io_not_worse_on_star_query() {
     let (query, mut disk, base) = star_setup(&[120, 60, 30], 1e-3, 55);
     let mem = Distribution::new([(7.0, 0.35), (40.0, 0.65)]).unwrap();
     let model = PaperCostModel;
-    let lec = alg_c::optimize(
-        &query,
-        &model,
-        &MemoryModel::Static(mem.clone()),
-        DpOptions::default(),
-    )
-    .unwrap()
-    .0;
+    let lec = alg_c::optimize(&query, &model, &MemoryModel::Static(mem.clone()))
+        .unwrap()
+        .0;
     let lsc_plan = lsc::optimize_at(&query, &model, mem.mode()).unwrap().0;
 
     let iters = 60;
@@ -157,14 +146,9 @@ fn lec_realized_io_not_worse_on_star_query() {
 fn phase_accounting_matches_plan_structure() {
     let (query, mut disk, base) = star_setup(&[30, 14, 9], 3e-3, 54);
     let mem = Distribution::new([(8.0, 0.5), (24.0, 0.5)]).unwrap();
-    let lec = alg_c::optimize(
-        &query,
-        &PaperCostModel,
-        &MemoryModel::Static(mem),
-        DpOptions::default(),
-    )
-    .unwrap()
-    .0;
+    let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(mem))
+        .unwrap()
+        .0;
     let chain = lecopt::stats::MarkovChain::random_walk(vec![8.0, 16.0, 32.0], 0.8).unwrap();
     let mut env = ExecMemoryEnv::markov(chain, vec![1.0, 0.0, 0.0], 5);
     let report = execute_plan(&lec.plan, &base, &mut disk, &mut env).unwrap();
@@ -172,4 +156,46 @@ fn phase_accounting_matches_plan_structure() {
     assert_eq!(report.phases[0].memory, 8, "walk starts at the first state");
     let sum: u64 = report.phases.iter().map(|p| p.io.total()).sum();
     assert_eq!(sum, report.total.total());
+}
+
+/// `execute_plan` is the full entry point with every selectivity at 1 and
+/// an empty fault schedule: identical I/O, phases and output tuples, no
+/// selection feedback, and one join observation per join phase whose last
+/// record covers every relation and counts the output rows.
+#[test]
+fn execute_plan_is_the_unfiltered_unfaulted_full_entry_point() {
+    use lecopt::exec::{execute_plan_with_faults, FaultSchedule};
+    let pages = [36, 16, 9];
+    let (query, mut plain_disk, plain_base) = star_setup(&pages, 4e-3, 56);
+    let (_, mut full_disk, full_base) = star_setup(&pages, 4e-3, 56);
+    let mem = Distribution::new([(6.0, 0.5), (28.0, 0.5)]).unwrap();
+    let lec = alg_c::optimize(&query, &PaperCostModel, &MemoryModel::Static(mem.clone()))
+        .unwrap()
+        .0;
+
+    let mut env = ExecMemoryEnv::draw_once(mem.clone(), 7);
+    let plain = execute_plan(&lec.plan, &plain_base, &mut plain_disk, &mut env).unwrap();
+    let mut env = ExecMemoryEnv::draw_once(mem, 7);
+    let (full, feedback) = execute_plan_with_faults(
+        &lec.plan,
+        &full_base,
+        &[1.0; 3],
+        &mut full_disk,
+        &mut env,
+        &mut FaultSchedule::empty(),
+    )
+    .unwrap();
+
+    assert_eq!(plain.total, full.total);
+    assert_eq!(plain.phases, full.phases);
+    let out = full_disk.all_tuples(full.output).unwrap();
+    assert!(multisets_equal(
+        plain_disk.all_tuples(plain.output).unwrap(),
+        out.clone()
+    ));
+    assert!(feedback.selections.is_empty());
+    assert_eq!(feedback.joins.len(), pages.len() - 1);
+    let last = feedback.joins.last().unwrap();
+    assert_eq!(last.rels, lecopt::plan::RelSet::full(pages.len()));
+    assert_eq!(last.out_rows, out.len());
 }

@@ -1,7 +1,6 @@
 //! Integration tests: every theorem and proposition in the paper, checked
 //! through the public facade against brute force.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::topc::{frontier_bound, frontier_merge, top_c_plans, MergeStrategy};
 use lecopt::core::{alg_a, alg_b, alg_c, evaluate, exhaustive, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
@@ -51,9 +50,7 @@ fn theorem_3_3_lec_optimality_static() {
     for seed in 0..6 {
         let q = query(4, 100 + seed, Topology::Chain);
         let mem = MemoryModel::Static(spread());
-        let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0;
         let phases = mem.table(q.n()).unwrap();
         let truth = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases)
             .unwrap()
@@ -74,9 +71,7 @@ fn theorem_3_4_lec_optimality_dynamic() {
         let q = query(4, 200 + seed, Topology::Chain);
         let chain = MarkovChain::random_walk(vec![20.0, 150.0, 1200.0], 0.5).unwrap();
         let mem = MemoryModel::dynamic(chain, vec![0.3, 0.4, 0.3]).unwrap();
-        let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0;
         let phases = mem.table(q.n()).unwrap();
         let truth = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases)
             .unwrap()
@@ -100,9 +95,7 @@ fn lec_dominates_every_specific_choice() {
         let dist = spread();
         let mem = MemoryModel::Static(dist.clone());
         let phases = mem.table(q.n()).unwrap();
-        let c = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-            .unwrap()
-            .0;
+        let c = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0;
         let b = alg_b::optimize(&q, &PaperCostModel, &mem, 4).unwrap();
         let a = alg_a::optimize(&q, &PaperCostModel, &mem).unwrap();
         let tol = 1e-9 * c.cost.max(1.0);
@@ -123,9 +116,7 @@ fn one_bucket_degenerates_to_system_r() {
         let q = query(5, 400 + seed, Topology::Chain);
         for m in [30.0, 500.0] {
             let mem = MemoryModel::Static(Distribution::point(m).unwrap());
-            let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-                .unwrap()
-                .0;
+            let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0;
             let std = lsc::optimize_at(&q, &PaperCostModel, m).unwrap().0;
             assert_eq!(lec.plan, std.plan, "seed {seed}, m {m}");
         }

@@ -7,7 +7,6 @@
 //! `debug_assertions`; this suite pins the contract from the outside so a
 //! release-built optimizer cannot silently drift either.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_a, alg_b, alg_c, alg_d, bushy, exhaustive, lsc, pareto, topc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::plan::{verify_frontier, verify_plan, KeyId, Plan, PlanError};
@@ -67,7 +66,7 @@ fn every_optimizer_family_member_emits_verifiable_plans() {
             ));
             emitted.push((
                 "alg_c",
-                alg_c::optimize(&q, &model, &static_mem, DpOptions::default())
+                alg_c::optimize(&q, &model, &static_mem)
                     .expect("alg_c")
                     .0
                     .plan,
@@ -219,15 +218,10 @@ fn mutated_plans_are_rejected() {
     let model = PaperCostModel;
     for seed in 0..10 {
         let q = query(Topology::Chain, 4, 200 + seed);
-        let good = alg_c::optimize(
-            &q,
-            &model,
-            &MemoryModel::Static(memory()),
-            DpOptions::default(),
-        )
-        .expect("alg_c")
-        .0
-        .plan;
+        let good = alg_c::optimize(&q, &model, &MemoryModel::Static(memory()))
+            .expect("alg_c")
+            .0
+            .plan;
         assert_eq!(verify_plan(&good, &q), Ok(()));
 
         // Wrong (or dropped) join key at the root.
@@ -300,10 +294,7 @@ fn verifier_accepts_required_order_completions() {
         )
         .expect("ordered query");
         let mem = MemoryModel::Static(memory());
-        let plan = alg_c::optimize(&q, &model, &mem, DpOptions::default())
-            .expect("alg_c")
-            .0
-            .plan;
+        let plan = alg_c::optimize(&q, &model, &mem).expect("alg_c").0.plan;
         assert_eq!(verify_plan(&plan, &q), Ok(()), "seed {seed}");
         let bushy_plan = bushy::optimize(&q, &model, &mem).expect("bushy").0.plan;
         assert_eq!(verify_plan(&bushy_plan, &q), Ok(()), "seed {seed} bushy");

@@ -1,7 +1,6 @@
 //! Cross-crate property tests: optimizer invariants over randomized
 //! queries and environments.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_b, alg_c, bucketing, evaluate, exhaustive, lsc, MemoryModel};
 use lecopt::cost::{DetailedCostModel, PaperCostModel};
 use lecopt::stats::Distribution;
@@ -36,7 +35,7 @@ proptest! {
     fn alg_c_exact_and_self_consistent(q in arb_query(), mem in arb_memory()) {
         let model = PaperCostModel;
         let mm = MemoryModel::Static(mem);
-        let lec = alg_c::optimize(&q, &model, &mm, DpOptions::default()).unwrap().0;
+        let lec = alg_c::optimize(&q, &model, &mm).unwrap().0;
         let phases = mm.table(q.n()).unwrap();
         let scored = evaluate::expected_cost(&q, &model, &lec.plan, &phases);
         prop_assert!((lec.cost - scored).abs() <= 1e-6 * scored.max(1.0));
@@ -52,7 +51,7 @@ proptest! {
     fn alg_c_optimal_under_detailed_model(q in arb_query(), mem in arb_memory()) {
         let model = DetailedCostModel;
         let mm = MemoryModel::Static(mem);
-        let lec = alg_c::optimize(&q, &model, &mm, DpOptions::default()).unwrap().0;
+        let lec = alg_c::optimize(&q, &model, &mm).unwrap().0;
         let phases = mm.table(q.n()).unwrap();
         for plan in exhaustive::enumerate_left_deep(&q) {
             let e = evaluate::expected_cost(&q, &model, &plan, &phases);
@@ -65,7 +64,7 @@ proptest! {
     fn family_ordering(q in arb_query(), mem in arb_memory(), c in 2usize..6) {
         let model = PaperCostModel;
         let mm = MemoryModel::Static(mem);
-        let cc = alg_c::optimize(&q, &model, &mm, DpOptions::default()).unwrap().0;
+        let cc = alg_c::optimize(&q, &model, &mm).unwrap().0;
         let bc = alg_b::optimize(&q, &model, &mm, c).unwrap();
         let b1 = alg_b::optimize(&q, &model, &mm, 1).unwrap();
         prop_assert!(cc.cost <= bc.best.cost + 1e-9 * cc.cost.max(1.0));
@@ -77,8 +76,8 @@ proptest! {
     fn level_set_bucketing_lossless(q in arb_query(), mem in arb_memory()) {
         let model = PaperCostModel;
         let coarse = bucketing::bucketize_memory(&q, &model, &mem).unwrap();
-        let fine_res = alg_c::optimize(&q, &model, &MemoryModel::Static(mem), DpOptions::default()).unwrap().0;
-        let coarse_res = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse), DpOptions::default()).unwrap().0;
+        let fine_res = alg_c::optimize(&q, &model, &MemoryModel::Static(mem)).unwrap().0;
+        let coarse_res = alg_c::optimize(&q, &model, &MemoryModel::Static(coarse)).unwrap().0;
         prop_assert!(
             (fine_res.cost - coarse_res.cost).abs() <= 1e-6 * fine_res.cost.max(1.0),
             "{} vs {}", fine_res.cost, coarse_res.cost
@@ -88,7 +87,7 @@ proptest! {
     /// The chosen plan always satisfies the query's order requirement.
     #[test]
     fn required_order_always_satisfied(q in arb_query(), mem in arb_memory()) {
-        let lec = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem), DpOptions::default()).unwrap().0;
+        let lec = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem)).unwrap().0;
         if let Some(k) = q.required_order() {
             prop_assert_eq!(lec.plan.output_order(), Some(k));
         }

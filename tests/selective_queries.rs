@@ -1,12 +1,10 @@
 //! Integration tests: queries with local selections, optimized end to end
 //! and executed with filtered scans.
 
-use lecopt::core::dp::DpOptions;
 use lecopt::core::{alg_c, evaluate, MemoryModel};
 use lecopt::cost::{AccessMethod, PaperCostModel};
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
-use lecopt::exec::executor::execute_plan_with_selections;
-use lecopt::exec::{Disk, ExecMemoryEnv, RelId};
+use lecopt::exec::{execute_plan_with_faults, Disk, ExecMemoryEnv, FaultSchedule, RelId};
 use lecopt::plan::{JoinPred, JoinQuery, KeyId, Plan, Relation};
 use lecopt::stats::Distribution;
 use rand::SeedableRng;
@@ -37,9 +35,7 @@ fn selective_query() -> JoinQuery {
 fn index_scan_chosen_for_selective_access() {
     let q = selective_query();
     let mem = MemoryModel::Static(Distribution::new([(6.0, 0.5), (40.0, 0.5)]).unwrap());
-    let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-        .unwrap()
-        .0;
+    let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0;
     // The selective relation must be accessed through the index: index cost
     // 2 + 3·16 = 50 beats full-scan 80 + 16 = 96.
     let mut found_index = false;
@@ -99,8 +95,15 @@ fn filtered_execution_matches_size_estimates() {
         Some(KeyId(0)),
     );
     let mut env = ExecMemoryEnv::Fixed(20);
-    let report =
-        execute_plan_with_selections(&plan, &base, &[0.2, 1.0], &mut disk, &mut env).unwrap();
+    let (report, _) = execute_plan_with_faults(
+        &plan,
+        &base,
+        &[0.2, 1.0],
+        &mut disk,
+        &mut env,
+        &mut FaultSchedule::empty(),
+    )
+    .unwrap();
 
     // Realized result rows ≈ filtered_rows(big) · rows(small) · sel.
     let got_rows = disk.tuples(report.output).unwrap() as f64;
@@ -119,9 +122,7 @@ fn filtered_execution_matches_size_estimates() {
 fn selective_access_costing_consistent() {
     let q = selective_query();
     let mem = MemoryModel::Static(Distribution::new([(6.0, 0.5), (40.0, 0.5)]).unwrap());
-    let lec = alg_c::optimize(&q, &PaperCostModel, &mem, DpOptions::default())
-        .unwrap()
-        .0;
+    let lec = alg_c::optimize(&q, &PaperCostModel, &mem).unwrap().0;
     let phases = mem.table(q.n()).unwrap();
     let scored = evaluate::expected_cost(&q, &PaperCostModel, &lec.plan, &phases);
     assert!((lec.cost - scored).abs() <= 1e-9 * scored.max(1.0));
@@ -142,5 +143,9 @@ fn misaligned_selections_error() {
     )];
     let plan = Plan::scan(0);
     let mut env = ExecMemoryEnv::Fixed(8);
-    assert!(execute_plan_with_selections(&plan, &base, &[0.5, 0.5], &mut disk, &mut env).is_err());
+    let mut faults = FaultSchedule::empty();
+    assert!(
+        execute_plan_with_faults(&plan, &base, &[0.5, 0.5], &mut disk, &mut env, &mut faults)
+            .is_err()
+    );
 }
