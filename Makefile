@@ -116,12 +116,12 @@ perfbench-replay:
 
 # Full local CI gate: formatting, clippy, the lec-lint pass and its audit
 # markers in results/LINT.json, rustdoc with warnings denied (no doc link
-# may point at a missing or private item), the whole test suite (unit +
-# integration + doc-tests), one untimed pass of every Criterion bench, the
-# X19/X20 runs that must leave well-formed results/BENCH_stats.json and
-# results/BENCH_serve.json behind, the fault/kernel/concurrent/rules/
-# sampling smokes above, then the perfbench replay oracle over all three
-# workloads.
+# may point at a missing or private item), the whole test suite (one
+# `cargo test --workspace` runs the unit, integration and doc-tests), one
+# untimed pass of every Criterion bench, the X19/X20 runs that must leave
+# well-formed results/BENCH_stats.json and results/BENCH_serve.json
+# behind, the fault/kernel/concurrent/rules/sampling smokes above, then
+# the perfbench replay oracle over all three workloads.
 ci:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -134,7 +134,6 @@ ci:
 	grep -q '"certify_roots": 0' results/LINT.json
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 	cargo test -q --workspace
-	cargo test -q --workspace --doc
 	$(MAKE) bench-smoke
 	cargo run --release -p lec-bench --bin xtable x19 > /dev/null
 	test -s results/BENCH_stats.json

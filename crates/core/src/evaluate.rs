@@ -189,15 +189,29 @@ pub fn cost_profile<M: CostModel + ?Sized>(
 /// The static-case cost distribution of a plan: the pushforward of the
 /// memory distribution through the plan's cost function. Equal costs from
 /// different memory values merge their mass.
+///
+/// Fails with [`CoreError::Stats`] when a cost is non-finite — e.g. a
+/// result size that overflowed to ∞ pages.
 pub fn cost_distribution_static<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     plan: &Plan,
     memory: &Distribution,
-) -> Distribution {
-    memory
-        .map(|m| plan_cost_at(query, model, plan, m))
-        .expect("finite costs from finite memory support") // lec-lint: allow(panic-reachability) — the cost model maps a finite memory support through finite arithmetic, so the min exists
+) -> Result<Distribution, CoreError> {
+    profile_distribution(memory, &cost_profile(query, model, plan, memory.values()))
+}
+
+/// The cost distribution of a cost *profile* (one cost per memory value,
+/// in `memory.values()` order): each cost carries its memory value's
+/// probability, and equal costs merge their mass. Fails with
+/// [`CoreError::Stats`] when a cost is non-finite.
+pub(crate) fn profile_distribution(
+    memory: &Distribution,
+    profile: &[f64],
+) -> Result<Distribution, CoreError> {
+    Ok(Distribution::new(
+        profile.iter().zip(memory.probs()).map(|(&c, &p)| (c, p)),
+    )?)
 }
 
 /// Renders a plan as an indented tree with each operator's *expected* step
@@ -538,7 +552,7 @@ mod tests {
         let mem = Distribution::new([(700.0, 0.2), (2000.0, 0.8)]).unwrap();
         let profile = cost_profile(&q, &m, &plan1(), mem.values());
         assert_eq!(profile, vec![5_603_000.0, 2_803_000.0]);
-        let dist = cost_distribution_static(&q, &m, &plan1(), &mem);
+        let dist = cost_distribution_static(&q, &m, &plan1(), &mem).unwrap();
         assert!(
             (dist.mean()
                 - mem
@@ -550,7 +564,7 @@ mod tests {
                 < 1e-6
         );
         // Plan 2's cost is memory-independent here: distribution collapses.
-        let dist2 = cost_distribution_static(&q, &m, &plan2(), &mem);
+        let dist2 = cost_distribution_static(&q, &m, &plan2(), &mem).unwrap();
         assert!(dist2.is_point());
     }
 

@@ -13,7 +13,7 @@
 //! | [`alg_c`] | §3.4–3.5, Thms 3.3/3.4 | DP directly on expected cost — the exact **LEC** plan, for static and dynamic (Markov) memory |
 //! | [`alg_d`] | §3.6 | Multi-parameter: relation sizes and selectivities are distributions too; result-size distributions propagate with §3.6.3 rebucketing |
 //! | [`exhaustive`] | — | Brute-force left-deep / bushy enumeration: ground truth for every theorem test |
-//! | [`pareto`] | PODS 2002 | Pareto-frontier DP over cost *profiles*: exact for any monotone utility; plus the scalar utility DP and the counterexample showing it is unsound for non-linear utilities |
+//! | [`pareto`] | PODS 2002 | One lattice sweep over cost *profiles* with two keep rules: the Pareto frontier (exact for any monotone utility) or the single best-scoring entry (the scalar utility DP, unsound for non-linear utilities — the X11 counterexample) |
 //! | [`rules`] | \[AHW15\]/PARQO | Rule-parameterized finalize over the frontier outputs: minmax regret, penalty-aware, CVaR — the `lec-rules` subsystem threaded through the optimizer |
 //! | [`bucketing`] | §3.7 | Level-set bucketing: memory buckets placed at the cost formulas' discontinuities |
 //! | [`bushy`] | §4 future work | Bushy-tree LEC dynamic programming (DPsub-style), exact under static memory |

@@ -20,15 +20,18 @@
 //!   counterexample generator (experiment X11 exhibits a deadline-utility
 //!   instance where it returns a strictly worse plan).
 //!
+//! Both are one lattice sweep over the [`QueryTables`] precompute that
+//! differs only in what each subset keeps: the whole Pareto frontier, or
+//! the single entry of least utility score. The rule-selection layer
+//! ([`crate::rules`]) finalizes over the same sweep's root frontier.
 //! Ground truth for both comes from [`exhaustive_utility`].
 
 use crate::dp::Optimized;
 use crate::error::CoreError;
-use crate::evaluate::{
-    access_choices, access_step, cost_distribution_static, join_step, sort_step,
-};
+use crate::evaluate::{cost_distribution_static, join_step, profile_distribution, sort_step};
 use crate::exhaustive::enumerate_left_deep;
 use crate::par;
+use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{CostModel, JoinMethod};
 use lec_plan::{JoinQuery, Plan, RelSet};
@@ -88,6 +91,17 @@ fn insert_frontier(frontier: &mut Vec<ProfEntry>, entry: ProfEntry) {
     frontier.push(entry);
 }
 
+/// What the sweep keeps at each subset of the lattice.
+#[derive(Debug, Clone, Copy)]
+enum Keep {
+    /// Every entry no other entry dominates (exact `<=`, see
+    /// [`dominates`]): the exact frontier DP.
+    Frontier,
+    /// The one entry of least `utility.score`, under strict `<` so the
+    /// first of tied entries wins: the scalar utility DP.
+    Best(Utility),
+}
+
 /// Exact expected-utility optimization over left-deep plans via the
 /// Pareto-frontier DP. Static memory only (profiles are per-value costs).
 ///
@@ -96,6 +110,9 @@ fn insert_frontier(frontier: &mut Vec<ProfEntry>, entry: ProfEntry) {
 /// method × extending relation), `entries_written` the singleton seeds
 /// plus every surviving frontier entry, and `frontier_per_rank` the
 /// largest frontier at any mask of each DP rank.
+///
+/// Fails with [`CoreError::Stats`] when a root profile is non-finite (a
+/// result size or cost that overflowed to ∞).
 ///
 /// # Examples
 ///
@@ -130,20 +147,15 @@ pub fn optimize<M: CostModel + ?Sized>(
     memory: &Distribution,
     utility: Utility,
 ) -> Result<(UtilityResult, OptStats), CoreError> {
-    let (roots, max_frontier, stats) = root_frontier_with_stats(query, model, memory)?;
+    let (roots, max_frontier, stats) = sweep(query, model, memory, Keep::Frontier)?;
     let best = roots
         .iter()
         .map(|e| {
-            let dist = Distribution::new(
-                memory
-                    .probs()
-                    .iter()
-                    .zip(e.profile.iter())
-                    .map(|(&p, &c)| (c, p)),
-            )
-            .expect("profile costs are finite"); // lec-lint: allow(panic-reachability) — profiles are finite mixtures of finite costs, so the min exists
-            (e, utility.score(&dist), dist)
+            let dist = profile_distribution(memory, &e.profile)?;
+            Ok((e, utility.score(&dist), dist))
         })
+        .collect::<Result<Vec<_>, CoreError>>()?
+        .into_iter()
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .ok_or(CoreError::NoPlanFound)?;
 
@@ -161,68 +173,97 @@ pub fn optimize<M: CostModel + ?Sized>(
     Ok((result, stats))
 }
 
-/// The frontier DP itself, stopping just short of the utility pick:
-/// returns the surviving *root* frontier (plans plus profiles), the
-/// largest frontier encountered anywhere, and the search counters. Both
-/// [`optimize`] and the rule-selection layer finalize from
-/// this — the table build is utility- and rule-independent, so a
-/// different selection rule costs one extra scoring pass, not a second
-/// enumeration.
-// lec-lint: allow(panic-reachability) — every relation set retains at least its full-scan frontier entry
-pub(crate) fn root_frontier_with_stats<M: CostModel + ?Sized>(
+/// The surviving *root* Pareto frontier (plans plus profiles), stopping
+/// just short of the utility pick. The rule-selection layer finalizes
+/// from this: the sweep is utility- and rule-independent, so a different
+/// selection rule costs one extra scoring pass, not a second enumeration.
+pub(crate) fn root_frontier<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &Distribution,
+) -> Result<Vec<ProfEntry>, CoreError> {
+    Ok(sweep(query, model, memory, Keep::Frontier)?.0)
+}
+
+/// The unsound scalar utility DP: keeps, at every dag node, the single
+/// subplan with the best utility score of its own cost distribution.
+/// Exact only for [`Utility::Linear`] (where it *is* Algorithm C).
+///
+/// Fails with [`CoreError::Stats`] when a subplan's profile is non-finite.
+pub fn scalar_dp<M: CostModel + ?Sized>(
+    query: &JoinQuery,
+    model: &M,
+    memory: &Distribution,
+    utility: Utility,
+) -> Result<UtilityResult, CoreError> {
+    let root = sweep(query, model, memory, Keep::Best(utility))?
+        .0
+        .pop()
+        .ok_or(CoreError::NoPlanFound)?;
+    let dist = profile_distribution(memory, &root.profile)?;
+    let score = utility.score(&dist);
+    crate::verify::debug_verify_plan(query, &root.plan, score);
+    Ok(UtilityResult {
+        best: Optimized {
+            plan: root.plan,
+            cost: score,
+        },
+        cost_distribution: dist,
+        max_frontier: 1,
+        frontier_profiles: vec![root.profile],
+    })
+}
+
+/// The one lattice sweep behind [`optimize`], [`root_frontier`] and
+/// [`scalar_dp`]: extends every subset's kept entries by one relation, in
+/// rank order, keeping per subset what `keep` says. Returns the root's
+/// kept entries, the largest kept list at any subset, and the search
+/// counters.
+///
+/// Access paths, result pages and join keys come from [`QueryTables`].
+/// Access cost is memory-independent, so each relation contributes its
+/// single cheapest access path. Complete plans that miss a required order
+/// get their root sort *before* they are offered to `keep`, so ordered and
+/// sorted alternatives compete fairly.
+fn sweep<M: CostModel + ?Sized>(
+    query: &JoinQuery,
+    model: &M,
+    memory: &Distribution,
+    keep: Keep,
 ) -> Result<(Vec<ProfEntry>, usize, OptStats), CoreError> {
     let n = query.n();
     let full = query.all();
+    let tabs = QueryTables::new(query);
     let values = memory.values();
-    let b = values.len();
     let mut table: Vec<Vec<ProfEntry>> = vec![Vec::new(); (full.bits() + 1) as usize];
     let mut max_frontier = 1usize;
     let mut stats = OptStats::new("pareto", n);
+    stats.precompute = tabs.sizes();
     stats.counters.entries_written = n as u64;
 
     for i in 0..n {
-        let rel = query.relation(i);
-        // Access cost is memory-independent: a single cheapest entry.
-        let (cost, method) = access_choices(rel)
-            .into_iter()
-            .map(|m| (access_step(rel, m).0, m))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least the full scan");
+        let (cost, method, _) = tabs.access(i);
         table[RelSet::single(i).bits() as usize] = vec![ProfEntry {
-            profile: vec![cost; b],
+            profile: vec![cost; values.len()],
             plan: Plan::Access { rel: i, method },
         }];
     }
 
-    // Rank-by-rank sweep: each mask depends only on strictly smaller
-    // subsets, so grouping by popcount is bit-identical to the flat
-    // numeric order while giving the stats layer per-rank wall times
-    // and frontier sizes.
     for rank in &par::ranks(n)[1..] {
         let mut rank_frontier = 0usize;
-        let ((), ns) = par::timed(|| {
+        let (swept, ns) = par::timed(|| -> Result<(), CoreError> {
             for &set in rank {
-                let out = query.result_pages(set);
-                let is_root = set == full;
-                let mut frontier: Vec<ProfEntry> = Vec::new();
+                let out = tabs.pages(set);
+                let root_order = query.required_order().filter(|_| set == full);
+                let mut kept: Vec<ProfEntry> = Vec::new();
+                let mut kept_score: Option<f64> = None;
                 for j in set.iter() {
                     let sub = set.remove(j);
-                    let left_out = query.result_pages(sub);
-                    let rel = query.relation(j);
-                    let (acc_cost, acc_out, acc_method) = access_choices(rel)
-                        .into_iter()
-                        .map(|m| {
-                            let (c, o) = access_step(rel, m);
-                            (c, o, m)
-                        })
-                        .min_by(|a, b| a.0.total_cmp(&b.0))
-                        .expect("at least the full scan");
-                    let key = query.join_key_between(sub, RelSet::single(j));
-                    // Borrow, don't clone: the sub-entry lives in a strictly
-                    // lower rank, so it is never written while `set` is.
+                    let left_out = tabs.pages(sub);
+                    let (acc_cost, acc_method, acc_out) = tabs.access(j);
+                    let key = tabs.join_key(sub, j);
+                    // Borrow, don't clone: the sub-entries live in a strictly
+                    // lower rank, so they are never written while `set` is.
                     let left_list = &table[sub.bits() as usize];
                     for method in JoinMethod::ALL {
                         let step: Vec<f64> = values
@@ -245,153 +286,44 @@ pub(crate) fn root_frontier_with_stats<M: CostModel + ?Sized>(
                                 method,
                                 key,
                             );
-                            // At the root, complete plans that miss a required order
-                            // *before* dominance pruning, so that ordered and sorted
-                            // alternatives compete fairly.
-                            if is_root {
-                                if let Some(required) = query.required_order() {
-                                    if plan.output_order() != Some(required) {
-                                        for (p, &m) in profile.iter_mut().zip(values) {
-                                            *p += sort_step(model, out, m);
-                                        }
-                                        plan = Plan::sort(plan, required);
+                            let missing = root_order.filter(|&r| plan.output_order() != Some(r));
+                            if let Some(required) = missing {
+                                for (p, &m) in profile.iter_mut().zip(values) {
+                                    *p += sort_step(model, out, m);
+                                }
+                                plan = Plan::sort(plan, required);
+                            }
+                            stats.counters.candidates_priced += 1;
+                            let entry = ProfEntry { profile, plan };
+                            match keep {
+                                Keep::Frontier => insert_frontier(&mut kept, entry),
+                                Keep::Best(utility) => {
+                                    let dist = profile_distribution(memory, &entry.profile)?;
+                                    let score = utility.score(&dist);
+                                    if kept_score.is_none_or(|s| score < s) {
+                                        kept_score = Some(score);
+                                        kept = vec![entry];
                                     }
                                 }
                             }
-                            stats.counters.candidates_priced += 1;
-                            insert_frontier(&mut frontier, ProfEntry { profile, plan });
                         }
                     }
                 }
                 stats.counters.masks_expanded += 1;
-                stats.counters.entries_written += frontier.len() as u64;
-                rank_frontier = rank_frontier.max(frontier.len());
-                max_frontier = max_frontier.max(frontier.len());
-                table[set.bits() as usize] = frontier;
+                stats.counters.entries_written += kept.len() as u64;
+                rank_frontier = rank_frontier.max(kept.len());
+                max_frontier = max_frontier.max(kept.len());
+                table[set.bits() as usize] = kept;
             }
+            Ok(())
         });
+        swept?;
         stats.counters.frontier_per_rank.push(rank_frontier);
         stats.rank_wall_ns.push(ns);
     }
 
     let roots = std::mem::take(&mut table[full.bits() as usize]);
     Ok((roots, max_frontier, stats))
-}
-
-/// The unsound scalar utility DP: keeps, at every dag node, the single
-/// subplan with the best utility score of its own cost distribution.
-/// Exact only for [`Utility::Linear`] (where it *is* Algorithm C).
-// lec-lint: allow(panic-reachability) — DP induction: singletons are seeded, subsets priced in rank order, and every candidate min covers at least the full scan of finite scalar costs
-pub fn scalar_dp<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-    utility: Utility,
-) -> Result<UtilityResult, CoreError> {
-    let n = query.n();
-    let full = query.all();
-    let values = memory.values();
-    let b = values.len();
-    let score_of = |profile: &[f64]| -> f64 {
-        let dist = Distribution::new(profile.iter().zip(memory.probs()).map(|(&c, &p)| (c, p)))
-            .expect("finite costs");
-        utility.score(&dist)
-    };
-    let mut table: Vec<Option<ProfEntry>> = vec![None; (full.bits() + 1) as usize];
-
-    for i in 0..n {
-        let rel = query.relation(i);
-        let (cost, method) = access_choices(rel)
-            .into_iter()
-            .map(|m| (access_step(rel, m).0, m))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least the full scan");
-        table[RelSet::single(i).bits() as usize] = Some(ProfEntry {
-            profile: vec![cost; b],
-            plan: Plan::Access { rel: i, method },
-        });
-    }
-
-    for set in RelSet::all_subsets(n) {
-        if set.len() < 2 {
-            continue;
-        }
-        let out = query.result_pages(set);
-        let is_root = set == full;
-        let mut best: Option<(f64, ProfEntry)> = None;
-        for j in set.iter() {
-            let sub = set.remove(j);
-            // Borrow, don't clone: sub-entries live in strictly lower ranks.
-            let left = table[sub.bits() as usize]
-                .as_ref()
-                .expect("subset computed");
-            let left_out = query.result_pages(sub);
-            let rel = query.relation(j);
-            let (acc_cost, acc_out, acc_method) = access_choices(rel)
-                .into_iter()
-                .map(|m| {
-                    let (c, o) = access_step(rel, m);
-                    (c, o, m)
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("at least the full scan");
-            let key = query.join_key_between(sub, RelSet::single(j));
-            for method in JoinMethod::ALL {
-                let mut profile: Vec<f64> = values
-                    .iter()
-                    .zip(&left.profile)
-                    .map(|(&m, l)| {
-                        l + acc_cost + join_step(model, method, left_out, acc_out, out, m)
-                    })
-                    .collect();
-                let mut plan = Plan::join(
-                    left.plan.clone(),
-                    Plan::Access {
-                        rel: j,
-                        method: acc_method,
-                    },
-                    method,
-                    key,
-                );
-                if is_root {
-                    if let Some(required) = query.required_order() {
-                        if plan.output_order() != Some(required) {
-                            for (p, &m) in profile.iter_mut().zip(values) {
-                                *p += sort_step(model, out, m);
-                            }
-                            plan = Plan::sort(plan, required);
-                        }
-                    }
-                }
-                let score = score_of(&profile);
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((score, ProfEntry { profile, plan }));
-                }
-            }
-        }
-        table[set.bits() as usize] = best.map(|(_, e)| e);
-    }
-
-    let root = table[full.bits() as usize]
-        .clone()
-        .ok_or(CoreError::NoPlanFound)?;
-    let dist = Distribution::new(
-        root.profile
-            .iter()
-            .zip(memory.probs())
-            .map(|(&c, &p)| (c, p)),
-    )?;
-    let score = utility.score(&dist);
-    crate::verify::debug_verify_plan(query, &root.plan, score);
-    Ok(UtilityResult {
-        best: Optimized {
-            plan: root.plan,
-            cost: score,
-        },
-        cost_distribution: dist,
-        max_frontier: 1,
-        frontier_profiles: vec![root.profile],
-    })
 }
 
 /// Brute-force expected-utility optimum over all left-deep plans.
@@ -404,15 +336,17 @@ pub fn exhaustive_utility<M: CostModel + ?Sized>(
     let best = enumerate_left_deep(query)
         .into_iter()
         .map(|plan| {
-            let dist = cost_distribution_static(query, model, &plan, memory);
+            let dist = cost_distribution_static(query, model, &plan, memory)?;
             let score = utility.score(&dist);
-            UtilityResult {
+            Ok(UtilityResult {
                 best: Optimized { plan, cost: score },
                 cost_distribution: dist,
                 max_frontier: 0,
                 frontier_profiles: Vec::new(),
-            }
+            })
         })
+        .collect::<Result<Vec<_>, CoreError>>()?
+        .into_iter()
         .min_by(|a, b| a.best.cost.total_cmp(&b.best.cost))
         .ok_or(CoreError::NoPlanFound)?;
     crate::verify::debug_verify_plan(query, &best.best.plan, best.best.cost);
@@ -424,8 +358,10 @@ mod tests {
     use super::*;
     use crate::alg_c;
     use crate::env::MemoryModel;
+    use crate::rules::optimize_with_rule;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
+    use lec_rules::Rule;
 
     fn query(n: usize, seed: u64) -> JoinQuery {
         // Deterministic pseudo-random sizes from a tiny LCG.
@@ -665,6 +601,52 @@ mod tests {
             matches!(frontier[0].plan, Plan::Access { rel: 0, .. }),
             "first-inserted entry wins an exact profile tie"
         );
+    }
+
+    #[test]
+    fn overflowing_profiles_are_errors_not_panics() {
+        // Two 1e200-page relations joined at selectivity 1: the result
+        // pages, and with them every join cost, overflow to ∞.
+        let q = JoinQuery::new(
+            vec![
+                Relation::new("a", 1e200, 1e201),
+                Relation::new("b", 1e200, 1e201),
+            ],
+            vec![JoinPred {
+                left: 0,
+                right: 1,
+                selectivity: 1.0,
+                key: KeyId(0),
+            }],
+            None,
+        )
+        .unwrap();
+        let mem = memory();
+        let is_stats = |r: Result<(), CoreError>| matches!(r, Err(CoreError::Stats(_)));
+        let utilities = [
+            Utility::Linear,
+            Utility::Exponential { gamma: 1e-5 },
+            Utility::Exponential { gamma: -1e-5 },
+            Utility::Deadline { threshold: 1e6 },
+        ];
+        for u in utilities {
+            let m = PaperCostModel;
+            assert!(is_stats(optimize(&q, &m, &mem, u).map(drop)), "{u:?}");
+            assert!(is_stats(scalar_dp(&q, &m, &mem, u).map(drop)), "{u:?}");
+            assert!(
+                is_stats(exhaustive_utility(&q, &m, &mem, u).map(drop)),
+                "{u:?}"
+            );
+        }
+        // The LEC rule runs Algorithm C, whose debug hook rejects the ∞
+        // cost by design; release builds must report the error instead.
+        let rules = Rule::all()
+            .into_iter()
+            .filter(|r| cfg!(not(debug_assertions)) || *r != Rule::LeastExpectedCost);
+        for rule in rules {
+            let r = optimize_with_rule(&q, &PaperCostModel, &mem, &rule).map(drop);
+            assert!(is_stats(r), "{rule}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Per-query memoization tables shared by every enumerator.
+//! Per-query memoization tables shared by every dynamic-programming
+//! enumerator.
 //!
 //! The DP inner loops used to recompute three quantities once per
 //! `(subset, relation)` visit that in fact depend only on the query:
@@ -6,7 +7,11 @@
 //! each subset, and the join key crossing from a subset to a relation.
 //! [`QueryTables`] materializes all three once, as flat vectors indexed
 //! by relation index or `RelSet::bits()`, so the hot loops become table
-//! lookups.
+//! lookups. Every lattice sweep reads them: the left-deep DP behind LSC
+//! and Algorithms C and D, top-`c`, bushy, the parametric precompute, and
+//! the one sweep behind the Pareto-frontier and scalar utility DPs. Only
+//! the brute-force ground-truth enumerators (`exhaustive`) price through
+//! the query directly.
 //!
 //! Fidelity matters more than speed here: each table entry is produced by
 //! *the same expression* the enumerators previously evaluated inline

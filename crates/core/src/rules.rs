@@ -31,7 +31,7 @@ use crate::alg_c;
 use crate::dp::Optimized;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::evaluate::cost_distribution_static;
+use crate::evaluate::{cost_distribution_static, profile_distribution};
 use crate::pareto;
 use lec_cost::CostModel;
 use lec_plan::JoinQuery;
@@ -96,7 +96,7 @@ pub fn optimize_with_rule<M: CostModel + ?Sized>(
         Rule::LeastExpectedCost => {
             debug_assert!(admission.scalar_ok());
             let best = alg_c::optimize(query, model, &MemoryModel::Static(memory.clone()))?.0;
-            let dist = cost_distribution_static(query, model, &best.plan, memory);
+            let dist = cost_distribution_static(query, model, &best.plan, memory)?;
             Ok(RuleResult {
                 expected_cost: best.cost,
                 cost_distribution: dist,
@@ -116,22 +116,21 @@ fn finalize_over_frontier<M: CostModel + ?Sized>(
     rule: &dyn SelectionRule,
     admission: RuleAdmission,
 ) -> Result<RuleResult, CoreError> {
-    let (roots, _max_frontier, _stats) = pareto::root_frontier_with_stats(query, model, memory)?;
+    let roots = pareto::root_frontier(query, model, memory)?;
+    // Convert before the debug hook, so a non-finite profile is an error
+    // rather than a verifier panic.
+    let mut dists = roots
+        .iter()
+        .map(|e| profile_distribution(memory, &e.profile))
+        .collect::<Result<Vec<_>, CoreError>>()?;
     let profiles: Vec<Vec<f64>> = roots.iter().map(|e| e.profile.clone()).collect();
     crate::verify::debug_verify_frontier(&profiles);
     let scores = rule.scores(&profiles, memory.probs());
     let idx = argmin(&scores).ok_or(CoreError::NoPlanFound)?;
-    let winner = &roots[idx];
-    let dist = Distribution::new(
-        memory
-            .probs()
-            .iter()
-            .zip(winner.profile.iter())
-            .map(|(&p, &c)| (c, p)),
-    )?;
+    let dist = dists.swap_remove(idx);
     let result = RuleResult {
         best: Optimized {
-            plan: winner.plan.clone(),
+            plan: roots[idx].plan.clone(),
             cost: scores[idx],
         },
         expected_cost: dist.mean(),

@@ -86,16 +86,8 @@ fn merge_mask<M: CostModel + ?Sized>(
         if left_list.is_empty() {
             continue;
         }
-        // The access output size depends only on `j` — hoist it out of the
-        // method loop instead of recomputing it per join method.
-        let acc_out = access_step(
-            query.relation(j),
-            match access[0].plan {
-                Plan::Access { method, .. } => method,
-                _ => unreachable!("depth-1 entries are accesses"), // lec-lint: allow(panic-reachability) — depth-1 plan-table entries are always access nodes by construction
-            },
-        )
-        .1;
+        // Every access path of `j` emits the relation's effective pages.
+        let acc_out = tabs.access(j).2;
         for method in JoinMethod::ALL {
             // One cost-formula evaluation per (j, method): identical for
             // every input combination.
