@@ -42,8 +42,9 @@ fault-smoke:
 	grep -q '"frontier_before_lsc": true' results/BENCH_faults.json
 
 # Kernel smoke: re-run X18 and check the machine-readable serial-DP
-# trajectory has its per-rank wall times and the serial-speedup block the
-# kernel rewrite is judged by.
+# trajectory has its per-rank wall times, the serial-speedup block the
+# kernel rewrite is judged by, and the parametric block the shared
+# scenario sweep is judged by.
 kernel-smoke:
 	cargo run --release -p lec-bench --bin xtable x18 > /dev/null
 	test -s results/BENCH_kernel.json
@@ -52,6 +53,9 @@ kernel-smoke:
 	grep -q '"rank_wall_ns"' results/BENCH_kernel.json
 	grep -q '"serial_speedup"' results/BENCH_kernel.json
 	grep -q '"min_speedup"' results/BENCH_kernel.json
+	grep -q '"parametric"' results/BENCH_kernel.json
+	grep -q '"one_by_one_median_ns"' results/BENCH_kernel.json
+	grep -q '"bit_identical": true' results/BENCH_kernel.json
 	grep -q '"self_asserted": true' results/BENCH_kernel.json
 	grep -q '"optimized_build": true' results/BENCH_kernel.json
 

@@ -10,15 +10,16 @@
 //! plan costing is linear in plan size, optimization is exponential in the
 //! join count — and run the cheapest.
 
-use crate::dp::{optimize_left_deep, ExpectedCoster, Optimized};
+use crate::dp::{optimize_left_deep, JoinInputs, Optimized, SweepCoster};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::evaluate::expected_cost;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
-use lec_plan::{JoinQuery, Plan};
+use lec_plan::{JoinQuery, Plan, RelSet};
 use lec_stats::Distribution;
+use std::cell::Cell;
 
 /// A compile-time-precomputed set of LEC plans, one per anticipated
 /// environment scenario.
@@ -66,8 +67,8 @@ pub struct StartupChoice {
 }
 
 impl ParametricPlans {
-    /// Compile-time phase: run the (expensive) LEC optimizer once per
-    /// scenario distribution.
+    /// Compile-time phase: find the LEC plan of every scenario
+    /// distribution, all scenarios in one (expensive) optimizer sweep.
     pub fn precompute<M: CostModel + ?Sized>(
         query: &JoinQuery,
         model: &M,
@@ -76,13 +77,18 @@ impl ParametricPlans {
         Ok(Self::precompute_with_stats(query, model, scenarios)?.0)
     }
 
-    /// [`precompute`](Self::precompute), also returning the aggregate
-    /// [`OptStats`] of the per-scenario optimizer runs (absorbed in
-    /// scenario order, so the aggregate is deterministic).
+    /// [`precompute`](Self::precompute), also returning the [`OptStats`]
+    /// of the one sweep that priced every scenario.
     ///
-    /// Every scenario runs Algorithm C's DP against one shared
-    /// [`QueryTables`], so the aggregate reports the table sizes once, not
-    /// once per scenario.
+    /// All scenarios share one run of the left-deep DP over one
+    /// [`QueryTables`]: each subset keeps an entry per scenario, each
+    /// candidate's join formulas are evaluated once per distinct memory
+    /// value, and a subset stays live while any scenario's bound keeps it.
+    /// Every scenario's plan and cost bits are those of a stand-alone
+    /// Algorithm C run under it; the counters count each subset and
+    /// candidate once, however many scenarios share it. A scenario whose
+    /// winner does not have a finite cost makes the call a
+    /// [`CoreError::Plan`], as [`from_parts`](Self::from_parts) would.
     pub fn precompute_with_stats<M: CostModel + ?Sized>(
         query: &JoinQuery,
         model: &M,
@@ -92,17 +98,11 @@ impl ParametricPlans {
             return Err(CoreError::BadParameter("need at least one scenario".into()));
         }
         let tabs = QueryTables::new(query);
-        let mut out = Vec::with_capacity(scenarios.len());
-        let mut aggregate = OptStats::new("parametric", query.n());
-        for s in scenarios {
-            let phases = MemoryModel::Static(s.clone()).table(query.n().max(2))?;
-            let coster = ExpectedCoster::new(model, &phases);
-            let (opt, stats) = optimize_left_deep(query, &tabs, &coster)?;
-            aggregate.absorb(&stats);
-            out.push((s.clone(), opt));
-        }
-        aggregate.precompute = tabs.sizes();
-        Ok((Self { scenarios: out }, aggregate))
+        let coster = ScenarioCoster::new(model, scenarios);
+        let (winners, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
+        stats.algorithm = "parametric";
+        let scenarios = scenarios.iter().cloned().zip(winners).collect();
+        Ok((Self { scenarios }, stats))
     }
 
     /// Rebuilds a set from already-optimized per-scenario plans (the
@@ -214,6 +214,121 @@ impl ParametricPlans {
     }
 }
 
+/// Prices every candidate for all scenarios at once. The join formulas are
+/// evaluated once per distinct memory value
+/// ([`CostModel::join_costs_at`]) and folded into each scenario's
+/// expectation in that scenario's bucket order, `acc += (formula + out) ·
+/// p`, exactly as [`CostModel::expected_join_steps`] sums it, so each
+/// scenario's costs keep the bits of a stand-alone
+/// [`ExpectedCoster`](crate::dp::ExpectedCoster) run under it.
+struct ScenarioCoster<'a, M: ?Sized> {
+    model: &'a M,
+    scenarios: &'a [Distribution],
+    /// The distinct memory values of all scenarios, in first-appearance
+    /// order.
+    values: Vec<f64>,
+    /// Per scenario, its buckets in order: the index of the bucket's value
+    /// in `values`, and its probability.
+    buckets: Vec<Vec<(usize, f64)>>,
+    /// The per-value formulas of the candidate being priced.
+    formulas: Cell<Vec<[f64; 3]>>,
+}
+
+impl<'a, M: CostModel + ?Sized> ScenarioCoster<'a, M> {
+    fn new(model: &'a M, scenarios: &'a [Distribution]) -> Self {
+        let mut values: Vec<f64> = Vec::new();
+        let buckets = scenarios
+            .iter()
+            .map(|d| {
+                d.values()
+                    .iter()
+                    .zip(d.probs())
+                    .map(|(&v, &p)| {
+                        let i = values
+                            .iter()
+                            .position(|u| u.to_bits() == v.to_bits())
+                            .unwrap_or_else(|| {
+                                values.push(v);
+                                values.len() - 1
+                            });
+                        (i, p)
+                    })
+                    .collect()
+            })
+            .collect();
+        let formulas = Cell::new(vec![[0.0; 3]; values.len()]);
+        ScenarioCoster {
+            model,
+            scenarios,
+            values,
+            buckets,
+            formulas,
+        }
+    }
+}
+
+impl<M: CostModel + ?Sized> SweepCoster for ScenarioCoster<'_, M> {
+    type Output = Vec<Optimized>;
+
+    fn scenarios(&self) -> usize {
+        self.scenarios.len()
+    }
+
+    fn join_each(&self, _phase: usize, bases: &[f64], join: JoinInputs, out: &mut [[f64; 3]]) {
+        let mut formulas = self.formulas.take();
+        self.model.join_costs_at(
+            join.left_pages,
+            join.right_pages,
+            &self.values,
+            &mut formulas,
+        );
+        let o = join.out_pages;
+        for ((buckets, &base), slot) in self.buckets.iter().zip(bases).zip(out) {
+            let mut acc = [0.0; 3];
+            for &(i, p) in buckets {
+                for (a, f) in acc.iter_mut().zip(formulas[i]) {
+                    *a += (f + o) * p;
+                }
+            }
+            *slot = acc.map(|step| base + step);
+        }
+        self.formulas.set(formulas);
+    }
+
+    fn join_one(&self, _phase: usize, s: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+        let Some(d) = self.scenarios.get(s) else {
+            return [f64::NAN; 3];
+        };
+        let mut formulas = self.formulas.take();
+        self.model
+            .join_costs_at(join.left_pages, join.right_pages, d.values(), &mut formulas);
+        let mut acc = [0.0; 3];
+        for (f, &p) in formulas.iter().zip(d.probs()) {
+            for (a, f) in acc.iter_mut().zip(f) {
+                *a += (f + join.out_pages) * p;
+            }
+        }
+        self.formulas.set(formulas);
+        acc.map(|step| base + step)
+    }
+
+    fn sort_one(&self, _phase: usize, s: usize, _set: RelSet, pages: f64) -> f64 {
+        self.scenarios.get(s).map_or(f64::NAN, |d| {
+            self.model.expected_sort_step(pages, d.values(), d.probs())
+        })
+    }
+
+    /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
+    /// and probabilities summing to one up to rounding.
+    fn step_floor(&self, out_pages: f64) -> f64 {
+        out_pages
+    }
+
+    fn output(winners: Vec<Optimized>) -> Result<Vec<Optimized>, CoreError> {
+        Ok(winners)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,17 +436,24 @@ mod tests {
         let (with_stats, stats) =
             ParametricPlans::precompute_with_stats(&q, &model, &scenarios()).unwrap();
         assert_eq!(stats.algorithm, "parametric");
-        // One alg_c run per scenario, absorbed in scenario order, with the
-        // same plan and cost bits as a stand-alone alg_c run.
-        let mut expected = OptStats::new("parametric", q.n());
+        // Each scenario's plan and cost bits are those of a stand-alone
+        // alg_c run under it.
+        let mut alone = Vec::new();
         for (s, (_, stored)) in scenarios().into_iter().zip(with_stats.scenarios()) {
             let mem = MemoryModel::Static(s);
             let (fresh, fresh_stats) = alg_c::optimize(&q, &model, &mem).unwrap();
             assert_eq!(fresh.plan, stored.plan);
             assert_eq!(fresh.cost.to_bits(), stored.cost.to_bits());
-            expected.absorb(&fresh_stats);
+            alone.push(fresh_stats.counters);
         }
-        assert_eq!(stats.counters, expected.counters);
+        // One sweep priced all three scenarios, counting each subset and
+        // candidate once: the one pair, formed two ways under three
+        // methods, as a single alg_c run counts it.
+        let c = &stats.counters;
+        assert_eq!((c.masks_expanded, c.masks_pruned), (1, 0));
+        assert_eq!(c.candidates_priced, 2 * 3);
+        assert_eq!(c.entries_written, 2 + 1);
+        assert!(alone.iter().all(|a| a == c));
         assert!(stats.counters.candidates_priced > 0);
         // The scenarios share one set of tables, reported once.
         assert_eq!(stats.precompute, QueryTables::new(&q).sizes());
@@ -340,5 +462,50 @@ mod tests {
             assert_eq!(os.cost.to_bits(), ow.cost.to_bits());
             assert_eq!(os.plan, ow.plan);
         }
+    }
+
+    /// A 3-relation chain whose two 1e200-page relations join at
+    /// selectivity 1: every plan's result overflows, so every winner costs
+    /// ∞. That is a typed error in every build, never an `Ok(∞)` (which
+    /// `from_parts` would refuse) and never a panic.
+    #[test]
+    fn non_finite_winners_are_typed_errors() {
+        let q = JoinQuery::new(
+            vec![
+                Relation::new("huge_a", 1e200, 1e200),
+                Relation::new("huge_b", 1e200, 1e200),
+                Relation::new("small", 10.0, 1e3),
+            ],
+            vec![
+                JoinPred {
+                    left: 0,
+                    right: 1,
+                    selectivity: 1.0,
+                    key: KeyId(0),
+                },
+                JoinPred {
+                    left: 1,
+                    right: 2,
+                    selectivity: 1.0,
+                    key: KeyId(1),
+                },
+            ],
+            None,
+        )
+        .unwrap();
+        let bad_cost = |r: Result<(), CoreError>| {
+            matches!(
+                r,
+                Err(CoreError::Plan(lec_plan::PlanError::BadCost { value, .. })) if value.is_infinite()
+            )
+        };
+        let model = PaperCostModel;
+        for s in scenarios() {
+            let mem = MemoryModel::Static(s);
+            assert!(bad_cost(alg_c::optimize(&q, &model, &mem).map(|_| ())));
+        }
+        assert!(bad_cost(
+            ParametricPlans::precompute(&q, &model, &scenarios()).map(|_| ())
+        ));
     }
 }

@@ -638,14 +638,17 @@ mod tests {
                 "{u:?}"
             );
         }
-        // The LEC rule runs Algorithm C, whose debug hook rejects the ∞
-        // cost by design; release builds must report the error instead.
-        let rules = Rule::all()
-            .into_iter()
-            .filter(|r| cfg!(not(debug_assertions)) || *r != Rule::LeastExpectedCost);
-        for rule in rules {
+        // The LEC rule runs Algorithm C, whose winner check rejects the ∞
+        // cost in every build before any profile is formed.
+        for rule in Rule::all() {
             let r = optimize_with_rule(&q, &PaperCostModel, &mem, &rule).map(drop);
-            assert!(is_stats(r), "{rule}");
+            if rule == Rule::LeastExpectedCost {
+                let bad_cost =
+                    matches!(r, Err(CoreError::Plan(lec_plan::PlanError::BadCost { .. })));
+                assert!(bad_cost, "{rule}");
+            } else {
+                assert!(is_stats(r), "{rule}");
+            }
         }
     }
 

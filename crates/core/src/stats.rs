@@ -152,10 +152,10 @@ pub struct OptStats {
     pub relations: usize,
     /// The deterministic search counters.
     pub counters: SearchCounters,
-    /// Sizes of the precomputed tables the run consumed. A call that runs
-    /// several DPs against one shared set of tables
-    /// (`ParametricPlans::precompute_with_stats`, one DP per scenario)
-    /// reports them once, not once per DP.
+    /// Sizes of the precomputed tables the run consumed, once per call.
+    /// `ParametricPlans::precompute_with_stats` prices all of its memory
+    /// scenarios in one sweep over one set of tables, so it reports them
+    /// once, like a single-scenario run.
     pub precompute: PrecomputeSizes,
     /// Plan-cache behavior, when the record comes from a caching layer
     /// (all zeros for a bare optimizer run).

@@ -134,6 +134,31 @@ pub trait CostModel {
         })
     }
 
+    /// Join formulas of all three methods at each memory value, in
+    /// [`JoinMethod::ALL`] order: `out[i][k]` is
+    /// `join_cost(ALL[k], left_pages, right_pages, mem_values[i])`, for
+    /// every `i` both slices cover.
+    ///
+    /// This is the per-value half of [`CostModel::expected_join_steps`]:
+    /// folding `acc += (out[i][k] + out_pages) · p` over a distribution's
+    /// buckets in slice order is bitwise identical to it. Distributions
+    /// that share memory values can therefore price a join once per
+    /// distinct value and each fold its own expectation. The default calls
+    /// [`CostModel::join_cost`]; overrides may hoist per-call invariants,
+    /// provided every entry keeps `join_cost`'s bits.
+    fn join_costs_at(
+        &self,
+        left_pages: f64,
+        right_pages: f64,
+        mem_values: &[f64],
+        out: &mut [[f64; 3]],
+    ) {
+        for (&m, slot) in mem_values.iter().zip(out) {
+            *slot =
+                JoinMethod::ALL.map(|method| self.join_cost(method, left_pages, right_pages, m));
+        }
+    }
+
     /// Expected join cost `E[Φ(method, |A|, |B|, M)]` over independent
     /// distributions of the input sizes `left` (`|A|`), `right` (`|B|`) and
     /// memory — Algorithm D's per-node expectation (§3.6), excluding output
@@ -198,6 +223,9 @@ impl<M: CostModel + ?Sized> CostModel for &M {
         mem_probs: &[f64],
     ) -> [f64; 3] {
         (**self).expected_join_steps(l, r, out, mem_values, mem_probs)
+    }
+    fn join_costs_at(&self, l: f64, r: f64, mem_values: &[f64], out: &mut [[f64; 3]]) {
+        (**self).join_costs_at(l, r, mem_values, out)
     }
     fn expected_join_dist(
         &self,

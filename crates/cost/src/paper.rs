@@ -190,6 +190,33 @@ impl CostModel for PaperCostModel {
         [sm, gh, nl]
     }
 
+    // The formulas at each memory value with the thresholds hoisted out of
+    // the loop: `pass_coefficient` takes the same correctly rounded square
+    // roots, so every entry keeps `join_cost`'s bits (pinned by
+    // `per_value_kernel_matches_join_cost_bitwise`).
+    fn join_costs_at(&self, a: f64, b: f64, mem_values: &[f64], out: &mut [[f64; 3]]) {
+        debug_assert!(a > 0.0 && b > 0.0);
+        let (sl, ss) = (a.max(b).sqrt(), a.min(b).sqrt());
+        let (ql, qs) = (sl.sqrt(), ss.sqrt());
+        let ab = a + b;
+        let nl_threshold = a.min(b) + 2.0;
+        let nl_quadratic = a + a * b;
+        // Each rung is a select, not a branch: which rung a memory value
+        // lands on follows no pattern across candidates.
+        let rung = |m: f64, s: f64, q: f64| {
+            let c = if m > q { 4.0 } else { 6.0 };
+            if m > s {
+                2.0
+            } else {
+                c
+            }
+        };
+        for (&m, slot) in mem_values.iter().zip(out) {
+            let nl = if m >= nl_threshold { ab } else { nl_quadratic };
+            *slot = [rung(m, sl, ql) * ab, rung(m, ss, qs) * ab, nl];
+        }
+    }
+
     // The §3.6.1/3.6.2 linear-time kernels: they sum in a different order,
     // so they match the default triple loop up to rounding, not bit for bit.
     fn expected_join_dist(
@@ -398,6 +425,26 @@ mod tests {
                     single.to_bits(),
                     "{method} fused lane drifted at ({a}, {b})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn per_value_kernel_matches_join_cost_bitwise() {
+        let m = PaperCostModel;
+        let mems = [3.0, 10.0, 31.0, 632.0, 633.0, 700.0, 1000.0, 2000.0, 1e6];
+        for (a, b) in [(A, B), (B, A), (10.0, 10.0), (123.0, 45_678.0), (7.5, 2.25)] {
+            let mut out = [[0.0; 3]; 9];
+            m.join_costs_at(a, b, &mems, &mut out);
+            for (&mem, costs) in mems.iter().zip(out) {
+                for (method, c) in JoinMethod::ALL.into_iter().zip(costs) {
+                    let direct = m.join_cost(method, a, b, mem);
+                    assert_eq!(
+                        c.to_bits(),
+                        direct.to_bits(),
+                        "{method} at ({a}, {b}, {mem})"
+                    );
+                }
             }
         }
     }

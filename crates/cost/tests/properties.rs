@@ -1,10 +1,12 @@
 //! Property tests: the fast expectation kernels agree exactly with the
 //! naive triple loop for arbitrary bucketed distributions, both cost
 //! models behave monotonically in memory, and their formulas are
-//! non-negative wherever the optimizer's dynamic program evaluates them.
+//! non-negative wherever the optimizer's dynamic program evaluates them,
+//! and the per-value join kernel folds to the expected-step kernel bit for
+//! bit.
 
 use lec_cost::fast_expect::{expected_join_fast, expected_join_naive};
-use lec_cost::{CostModel, DetailedCostModel, JoinMethod, PaperCostModel};
+use lec_cost::{CostModel, CountingModel, DetailedCostModel, JoinMethod, PaperCostModel};
 use lec_stats::Distribution;
 use proptest::prelude::*;
 
@@ -36,7 +38,119 @@ fn dp_memory() -> impl Strategy<Value = f64> {
     (-3.0f64..12.0).prop_map(|e| 10f64.powf(e))
 }
 
+/// How the memory supports of two scenarios relate.
+#[derive(Debug, Clone, Copy)]
+enum Supports {
+    /// No value in common.
+    Disjoint,
+    /// Some values in common.
+    Overlapping,
+    /// The same values, different probabilities.
+    Repeated,
+    /// The first scenario is a single point the second also holds.
+    OnePoint,
+}
+
+/// Two memory scenarios whose supports relate as `supports` says.
+fn arb_scenarios() -> impl Strategy<Value = (Supports, Distribution, Distribution)> {
+    let points = || prop::collection::vec((1u32..2500, 0.05f64..1.0), 1..=6);
+    (0u8..4, points(), points()).prop_map(|(case, a, b)| {
+        let supports = [
+            Supports::Disjoint,
+            Supports::Overlapping,
+            Supports::Repeated,
+            Supports::OnePoint,
+        ][usize::from(case)];
+        // Odd values for the first scenario, even for the second: disjoint
+        // until a case copies values across.
+        let a: Vec<(f64, f64)> = a.iter().map(|&(v, w)| (f64::from(2 * v + 1), w)).collect();
+        let mut b: Vec<(f64, f64)> = b.iter().map(|&(v, w)| (f64::from(2 * v), w)).collect();
+        let a = match supports {
+            Supports::Disjoint => a,
+            Supports::Overlapping => {
+                b.push(a[0]);
+                a
+            }
+            Supports::Repeated => {
+                b = a.iter().rev().map(|&(v, w)| (v, 1.05 - w)).collect();
+                a
+            }
+            Supports::OnePoint => {
+                b.push(a[0]);
+                vec![(a[0].0, 1.0)]
+            }
+        };
+        let dist =
+            |pts: Vec<(f64, f64)>| Distribution::from_weights(pts).expect("positive weights");
+        (supports, dist(a), dist(b))
+    })
+}
+
+/// Prices a join once per distinct memory value of `scenarios` with
+/// `join_costs_at`, folds each scenario's expectation in its own bucket
+/// order, and checks it against `expected_join_steps` bit for bit.
+fn check_per_value_fold<M: CostModel>(
+    model: &M,
+    (l, r, out): (f64, f64, f64),
+    scenarios: [&Distribution; 2],
+) -> Result<(), String> {
+    let mut union: Vec<f64> = Vec::new();
+    for d in scenarios {
+        for &v in d.values() {
+            if !union.iter().any(|u| u.to_bits() == v.to_bits()) {
+                union.push(v);
+            }
+        }
+    }
+    let mut per_value = vec![[0.0; 3]; union.len()];
+    model.join_costs_at(l, r, &union, &mut per_value);
+    for d in scenarios {
+        let mut acc = [0.0; 3];
+        for (&v, &p) in d.values().iter().zip(d.probs()) {
+            let i = union
+                .iter()
+                .position(|u| u.to_bits() == v.to_bits())
+                .expect("in union");
+            for (a, f) in acc.iter_mut().zip(per_value[i]) {
+                *a += (f + out) * p;
+            }
+        }
+        let fused = model.expected_join_steps(l, r, out, d.values(), d.probs());
+        if acc.map(f64::to_bits) != fused.map(f64::to_bits) {
+            return Err(format!(
+                "({l}, {r}, {out}) over {d:?}: fold {acc:?} vs {fused:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The per-value kernel is the shared half of the expected-step
+    /// kernel: each scenario's fold of it reproduces `expected_join_steps`
+    /// exactly, for the paper model's hoisted override, the detailed
+    /// model's default, the counting wrapper and the `&M` forwarding impl.
+    #[test]
+    fn per_value_fold_matches_expected_join_steps_bitwise(
+        l in 1.0f64..1e7,
+        r in 1.0f64..1e7,
+        out in 1.0f64..1e9,
+        (supports, a, b) in arb_scenarios(),
+    ) {
+        let sizes = (l, r, out);
+        let counting = CountingModel::new(PaperCostModel);
+        let checks = [
+            ("paper", check_per_value_fold(&PaperCostModel, sizes, [&a, &b])),
+            ("detailed", check_per_value_fold(&DetailedCostModel, sizes, [&a, &b])),
+            ("counting", check_per_value_fold(&counting, sizes, [&a, &b])),
+            ("&paper", check_per_value_fold(&&PaperCostModel, sizes, [&a, &b])),
+            ("&detailed", check_per_value_fold(&&DetailedCostModel, sizes, [&a, &b])),
+        ];
+        for (model, result) in checks {
+            prop_assert!(result.is_ok(), "{model} {supports:?}: {}", result.unwrap_err());
+        }
+    }
+
     /// The DP's lower bound charges every remaining step at least its
     /// output pages, which is exact only if no join or sort formula is
     /// negative (NaN fails `>= 0` too).

@@ -20,8 +20,10 @@
 //! the unbounded left-deep DP and hold unchanged under the bounded one, so
 //! any behavioural drift in a later restructuring shows up here as a
 //! changed decision digest. The search digests were re-captured when the
-//! DP began pruning subsets and counting them in `masks_pruned`. The
-//! streams carry at most one filter per table.
+//! DP began pruning subsets and counting them in `masks_pruned`, and again
+//! when parametric precompute began pricing all of its scenarios in one
+//! sweep, which counts each subset and candidate once instead of once per
+//! scenario. The streams carry at most one filter per table.
 //!
 //! The setups:
 //! (a) blending recalibration under selection and join drift;
@@ -291,7 +293,7 @@ fn blend_drift_golden() {
         digest,
         Golden {
             decision: 18_024_448_194_616_763_761,
-            search: 9_995_317_331_519_962_347,
+            search: 16_412_454_453_183_340_010,
         }
     );
 }
@@ -306,7 +308,7 @@ fn resample_drift_with_certificates_golden() {
         digest,
         Golden {
             decision: 17_631_924_984_941_643_382,
-            search: 4_238_426_831_279_148_819,
+            search: 11_409_300_180_797_385_584,
         }
     );
 }
@@ -325,7 +327,7 @@ fn faults_with_both_breakers_golden() {
         digest,
         Golden {
             decision: 7_589_919_011_174_441_643,
-            search: 14_838_487_816_861_750_041,
+            search: 9_022_672_295_908_692_399,
         }
     );
 }
@@ -339,7 +341,7 @@ fn minmax_regret_under_faults_golden() {
         digest,
         Golden {
             decision: 14_890_990_045_866_224_749,
-            search: 14_838_487_816_861_750_041,
+            search: 9_022_672_295_908_692_399,
         }
     );
 }
@@ -377,7 +379,7 @@ fn concurrent_four_workers_window_eight_golden() {
         digest,
         Golden {
             decision: 7_487_055_701_443_729_546,
-            search: 16_365_604_664_250_125_251,
+            search: 5_780_937_350_500_009_029,
         }
     );
 }

@@ -228,3 +228,43 @@ fn two_filters_on_one_table_never_recalibrate_under_exact_beliefs() {
     assert_eq!(svc.recalibrations(), 0);
     assert_eq!(svc.beliefs(), &cat);
 }
+
+/// Join formulas that overflow to ∞, as the paper model's do on inputs of
+/// 1e200 pages: every plan with a join costs ∞.
+struct OverflowingJoins;
+
+impl lec_cost::CostModel for OverflowingJoins {
+    fn join_cost(&self, _: lec_cost::JoinMethod, _: f64, _: f64, _: f64) -> f64 {
+        f64::INFINITY
+    }
+    fn sort_cost(&self, _: f64, _: f64) -> f64 {
+        0.0
+    }
+    fn join_breakpoints(&self, _: lec_cost::JoinMethod, _: f64, _: f64) -> Vec<f64> {
+        Vec::new()
+    }
+    fn sort_breakpoints(&self, _: f64) -> Vec<f64> {
+        Vec::new()
+    }
+}
+
+/// A miss whose optimizer winner costs ∞ is a typed optimizer error, in
+/// every build and never a panic, and leaves no cache entry behind (plan
+/// migration would refuse it later).
+#[test]
+fn an_infinite_winner_is_a_typed_error_and_is_never_cached() {
+    let cat = catalog(10, 18, 512, &UNIFORM);
+    let mut svc = QueryService::new(OverflowingJoins, cat.clone(), cat, config()).unwrap();
+    for _ in 0..2 {
+        match svc.serve(&request(12.5, 50.0)) {
+            Err(lec_serve::ServeError::Core(lec_core::CoreError::Plan(
+                lec_plan::PlanError::BadCost { value, .. },
+            ))) => assert!(value.is_infinite()),
+            other => panic!(
+                "expected a bad-cost error, got {:?}",
+                other.map(|s| s.cache_hit)
+            ),
+        }
+        assert_eq!(svc.cache_len(), 0);
+    }
+}
