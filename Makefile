@@ -124,8 +124,9 @@ perfbench-replay:
 # `cargo test --workspace` runs the unit, integration and doc-tests), one
 # untimed pass of every Criterion bench, the X19/X20 runs that must leave
 # well-formed results/BENCH_stats.json and results/BENCH_serve.json
-# behind, the fault/kernel/concurrent/rules/sampling smokes above, then
-# the perfbench replay oracle over all three workloads.
+# behind (the latter with its self-asserted `hit_path` block), the
+# fault/kernel/concurrent/rules/sampling smokes above, then the perfbench
+# replay oracle over all three workloads.
 ci:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -145,6 +146,9 @@ ci:
 	cargo run --release -p lec-bench --bin xtable x20 > /dev/null
 	test -s results/BENCH_serve.json
 	grep -q '"experiment": "x20_serve"' results/BENCH_serve.json
+	grep -q '"hit_path"' results/BENCH_serve.json
+	grep -q '"memo_hit_p50_ns"' results/BENCH_serve.json
+	grep -q '"self_asserted": true' results/BENCH_serve.json
 	$(MAKE) fault-smoke
 	$(MAKE) kernel-smoke
 	$(MAKE) serve-concurrent-smoke

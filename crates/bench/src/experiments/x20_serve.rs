@@ -17,6 +17,16 @@
 //!   the always-re-optimize-from-truth oracle. After the recalibration
 //!   settles, mean regret must fall below 5% while the service still
 //!   spends ≤ 10% as many optimizer invocations as the oracle.
+//!
+//! A third block, `hit_path`, times the plan-cache hit path. A warmed
+//! request's repeated hits find their prepared form (belief-side query and
+//! canonicalization) in the service's prepare memo; *renamings* of the same
+//! query — the table list permuted, the joins reordered or flipped — have
+//! the same fingerprint, so they also hit the plan cache, but each is new
+//! to the memo and is prepared from scratch. Both kinds alternate on fresh
+//! services; the memo hit's median must come out lower (self-asserted, up
+//! to three attempts), and both kinds must serve the warmed request's
+//! expected-cost bits.
 
 use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::table::Table;
@@ -28,6 +38,7 @@ use lec_serve::{DriftConfig, QueryRequest, QueryService, ServeConfig};
 use lec_stats::Distribution;
 use lec_workload::from_catalog::{query_from_catalog, FilterSpec, JoinSpec};
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Where the machine-readable record lands (workspace `results/`).
 /// Debug builds route to the gitignored `_debug` file.
@@ -109,6 +120,130 @@ fn templates() -> Vec<QueryRequest> {
             order_by: None,
         },
     ]
+}
+
+/// `cust ⋈ ord ⋈ item` with the drift victim's filter: the hit-path
+/// request.
+fn three_way() -> QueryRequest {
+    QueryRequest {
+        tables: vec!["cust".into(), "ord".into(), "item".into()],
+        joins: vec![
+            join("cust", "ck", "ord", "ok"),
+            join("cust", "ck", "item", "ik"),
+        ],
+        ..templates().swap_remove(0)
+    }
+}
+
+/// Every renaming of [`three_way`] but itself: each table order, each join
+/// order, each join written either way round.
+fn renamings() -> Vec<QueryRequest> {
+    let base = three_way();
+    let orders = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let flip = |j: &JoinSpec| {
+        join(
+            &j.right_table,
+            &j.right_column,
+            &j.left_table,
+            &j.left_column,
+        )
+    };
+    let mut out = Vec::new();
+    for order in orders {
+        for joins_reversed in [false, true] {
+            for flips in 0..4 {
+                let mut joins = base.joins.clone();
+                for (k, j) in joins.iter_mut().enumerate() {
+                    if flips & (1 << k) != 0 {
+                        *j = flip(j);
+                    }
+                }
+                if joins_reversed {
+                    joins.reverse();
+                }
+                let request = QueryRequest {
+                    tables: order.iter().map(|&i| base.tables[i].clone()).collect(),
+                    joins,
+                    ..base.clone()
+                };
+                if order != [0, 1, 2] || joins_reversed || flips != 0 {
+                    out.push(request);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Fresh services for [`hit_path`]; each sees every renaming once.
+const HIT_PATH_ROUNDS: usize = 8;
+
+/// The p50 of `walls` in nanoseconds.
+fn median(walls: &mut [u64]) -> u64 {
+    walls.sort_unstable();
+    walls[walls.len() / 2]
+}
+
+/// One attempt of the hit-path measurement: `(memo-hit walls, renamed
+/// walls)` in nanoseconds, one pair per renaming per round.
+fn hit_path_walls() -> (Vec<u64>, Vec<u64>) {
+    let warm = three_way();
+    let renamed = renamings();
+    let mut hits = Vec::with_capacity(HIT_PATH_ROUNDS * renamed.len());
+    let mut fresh = Vec::with_capacity(HIT_PATH_ROUNDS * renamed.len());
+    for _ in 0..HIT_PATH_ROUNDS {
+        let mut svc = QueryService::new(
+            PaperCostModel,
+            catalog(&UNIFORM),
+            catalog(&UNIFORM),
+            config(),
+        )
+        .expect("x20: hit-path service constructs from a validated config");
+        let first = svc.serve(&warm).expect("x20: warm-up request serves");
+        for request in &renamed {
+            for (req, walls) in [(&warm, &mut hits), (request, &mut fresh)] {
+                let t = Instant::now();
+                let served = svc.serve(req).expect("x20: hit-path request serves");
+                walls.push(t.elapsed().as_nanos() as u64);
+                assert!(served.cache_hit, "x20: a renaming must hit the plan cache");
+                assert_eq!(
+                    served.expected_cost.to_bits(),
+                    first.expected_cost.to_bits(),
+                    "x20: a hit serves the warmed request's expected cost"
+                );
+            }
+        }
+        assert_eq!(
+            svc.optimizer_invocations(),
+            1,
+            "x20: one class, one optimizer run"
+        );
+    }
+    (hits, fresh)
+}
+
+/// The hit-path block: `(samples per kind, memo-hit p50, renamed p50)`,
+/// self-asserted memo hit < renamed.
+fn hit_path() -> (usize, u64, u64) {
+    let mut last = (0, 0);
+    for _ in 0..3 {
+        let (mut hits, mut fresh) = hit_path_walls();
+        last = (median(&mut hits), median(&mut fresh));
+        if last.0 < last.1 {
+            return (hits.len(), last.0, last.1);
+        }
+    }
+    panic!(
+        "x20: a memoized hit's p50 ({} ns) must be below a renamed hit's ({} ns)",
+        last.0, last.1
+    );
 }
 
 /// Round-robin over the templates.
@@ -295,6 +430,20 @@ pub fn run() -> String {
     rt.row(phase("transient", &d.regrets[DRIFT_AT..RECOVERY_FROM]));
     rt.row(phase("recovered", &d.regrets[RECOVERY_FROM..]));
 
+    let (hit_samples, hit_p50, renamed_p50) = hit_path();
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut ht = Table::new(&["hit kind", "samples", "p50 µs"]);
+    ht.row(vec![
+        "warmed request (prepare memo hit)".into(),
+        hit_samples.to_string(),
+        format!("{:.1}", hit_p50 as f64 / 1e3),
+    ]);
+    ht.row(vec![
+        "unseen renaming (prepared afresh)".into(),
+        hit_samples.to_string(),
+        format!("{:.1}", renamed_p50 as f64 / 1e3),
+    ]);
+
     let regret_list = d
         .regrets
         .iter()
@@ -310,7 +459,11 @@ pub fn run() -> String {
          \"drift\": {{\"hits\": {}, \"misses\": {}, \"recalibrations\": {}, \
          \"invalidations\": {}, \"optimizer_invocations\": {}, \
          \"oracle_invocations\": {}, \"recovery_regret\": {:.6}}},\n  \
-         \"regret_trajectory\": [{regret_list}]\n}}\n",
+         \"regret_trajectory\": [{regret_list}],\n  \
+         \"hit_path\": {{\"renamings\": {}, \"rounds\": {HIT_PATH_ROUNDS}, \
+         \"samples\": {hit_samples}, \"memo_hit_p50_ns\": {hit_p50}, \
+         \"renamed_p50_ns\": {renamed_p50}, \"renamed_over_memo_hit\": {:.3}, \
+         \"nproc\": {nproc}, \"self_asserted\": true}}\n}}\n",
         cstats.cache.hits,
         cstats.cache.misses,
         control.recalibrations(),
@@ -323,6 +476,8 @@ pub fn run() -> String {
         d.optimizer_invocations,
         d.oracle_invocations,
         d.recovery_regret,
+        renamings().len(),
+        renamed_p50 as f64 / hit_p50.max(1) as f64,
     );
     let path = json_path();
     if let Some(dir) = path.parent() {
@@ -341,9 +496,15 @@ pub fn run() -> String {
          poisoned entries. Machine-readable copy written to \
          `results/BENCH_serve.json`.\n\n{}\n\
          Regret of each served plan against the always-re-optimize-from-\
-         truth oracle, priced under truth statistics:\n\n{}\n",
+         truth oracle, priced under truth statistics:\n\n{}\n\
+         The plan-cache hit path ({} renamings of a 3-table query, {HIT_PATH_ROUNDS} \
+         fresh services, {nproc} host threads): every request below is a \
+         plan-cache hit; only the warmed request finds its prepared form in \
+         the prepare memo.\n\n{}\n",
         t.render(),
-        rt.render()
+        rt.render(),
+        renamings().len(),
+        ht.render()
     )
 }
 
@@ -366,5 +527,16 @@ mod tests {
                                \"hit_rate\": 0.966667}"
         ));
         assert!(json.contains("\"recovery_regret\""));
+        assert!(json.contains("\"hit_path\": {\"renamings\": 47"));
+        assert!(md.contains("| warmed request (prepare memo hit) |"));
+    }
+
+    #[test]
+    fn renamings_are_distinct_and_exclude_the_warmed_request() {
+        let all = renamings();
+        for (i, r) in all.iter().enumerate() {
+            assert!(!all[..i].contains(r), "{r:?} repeats");
+        }
+        assert!(!all.contains(&three_way()));
     }
 }

@@ -3,12 +3,15 @@
 //! deduplication.
 //!
 //! A [`ConcurrentServer`] partitions a request stream across `N` workers
-//! by **cache-shard affinity**: a router canonicalizes each request once
-//! (against an immutable beliefs snapshot), the fingerprint picks a cache
-//! shard ([`shard_of`](crate::cache::shard_of)), and the shard picks the
-//! worker (`shard % workers`). Two requests can only race if they are
-//! isomorphic-or-co-sharded, and those are exactly the ones that
-//! serialize — against each other only — on one worker.
+//! by **cache-shard affinity**: a router prepares each distinct request
+//! once (against an immutable beliefs snapshot; requests are identified by
+//! the same digest-and-confirm key as a service's prepare memo), the
+//! fingerprint picks a cache shard ([`shard_of`](crate::cache::shard_of)),
+//! and the shard picks the worker (`shard % workers`). Workers serve with
+//! the router's prepared forms while their beliefs are unchanged. Two
+//! requests can only race if they are isomorphic-or-co-sharded, and those
+//! are exactly the ones that serialize — against each other only — on one
+//! worker.
 //!
 //! Each worker owns a full [`QueryService`] (same seeds, same catalogs, so
 //! identical generated data) and processes its share of the stream in
@@ -49,6 +52,7 @@ use lec_catalog::Catalog;
 use lec_core::{OptStats, ResilienceCounters};
 use lec_cost::CostModel;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Worker and batching knobs for a [`ConcurrentServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,13 +130,18 @@ struct WorkerRun {
 
 /// The multi-worker serving driver. See the module docs for the
 /// architecture and the determinism contract.
+///
+/// Its router prepares each distinct request of a stream once and hands the
+/// shared form to the owning worker with every occurrence; a worker whose
+/// beliefs have since recalibrated prepares through its own service's memo
+/// instead.
 pub struct ConcurrentServer<M: CostModel + Clone + Send + Sync> {
     services: Vec<QueryService<M>>,
-    /// The router's immutable beliefs snapshot: requests are canonicalized
+    /// The router's immutable beliefs snapshot: requests are prepared
     /// against it once, up front. Workers whose beliefs have since
-    /// recalibrated ignore the stale preparation and recompute their own
-    /// (version tag 0 vs. the service's bumped version); only routing
-    /// affinity, not correctness, degrades then.
+    /// recalibrated ignore the stale preparation and prepare through their
+    /// own memo (version tag 0 vs. the service's bumped version); only
+    /// routing affinity, not correctness, degrades then.
     router_beliefs: Catalog,
     cache_shards: usize,
     batch_window: usize,
@@ -208,22 +217,25 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
         let workers = self.services.len();
         let window = self.batch_window;
 
-        // Router pre-pass: one canonicalization per distinct request
-        // shape, memoized on the request's debug form (requests are plain
-        // data, so equal shapes print equally). Stream position `i` uses
+        // Router pre-pass: one preparation per distinct request, memoized
+        // on the request key a service's prepare memo uses, a key match
+        // confirmed field by field (a collision prepares the request
+        // again, unmemoized). Stream position `i` uses
         // `prepared[routed[i]]`, whose fingerprint's shard picks the
         // worker that owns it.
-        let mut memo: BTreeMap<String, usize> = BTreeMap::new();
-        let mut prepared: Vec<PreparedRequest> = Vec::new();
+        let mut memo: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut prepared: Vec<Arc<PreparedRequest>> = Vec::new();
         let mut routed: Vec<usize> = Vec::with_capacity(requests.len());
         let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); workers];
         for (ordinal, request) in requests.iter().enumerate() {
-            let key = format!("{request:?}");
-            let idx = match memo.get(&key) {
-                Some(&idx) => idx,
+            let key = request.key();
+            let known = memo.get(&key).copied();
+            let idx = match known.filter(|&idx| prepared[idx].request == *request) {
+                Some(idx) => idx,
                 None => {
-                    prepared.push(PreparedRequest::build(&self.router_beliefs, request, 0)?);
-                    memo.insert(key, prepared.len() - 1);
+                    let built = PreparedRequest::build(&self.router_beliefs, request, 0)?;
+                    prepared.push(Arc::new(built));
+                    memo.entry(key).or_insert(prepared.len() - 1);
                     prepared.len() - 1
                 }
             };
@@ -247,7 +259,7 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
                 while end < ordinals.len() && ordinals[end] / window == epoch {
                     end += 1;
                 }
-                let batch: Vec<(&QueryRequest, Option<&PreparedRequest>)> = ordinals[pos..end]
+                let batch: Vec<(&QueryRequest, Option<&Arc<PreparedRequest>>)> = ordinals[pos..end]
                     .iter()
                     .map(|&i| (&requests[i], Some(&prepared[routed[i]])))
                     .collect();

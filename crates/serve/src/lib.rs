@@ -11,7 +11,9 @@
 //!    fingerprint ([`lec_plan::fingerprint`]), so isomorphic requests (same
 //!    statistics, different relation numbering or predicate order) share
 //!    one cached [`ParametricPlans`](lec_core::parametric::ParametricPlans)
-//!    entry: one precomputed LEC plan per anticipated memory scenario.
+//!    entry: one precomputed LEC plan per anticipated memory scenario. A
+//!    request's prepared form (belief-side query and canonicalization) is
+//!    memoized per beliefs version, so a repeated hit only picks.
 //! 2. **Pick and verify** — the stored plans are re-*cost* (not
 //!    re-optimized) under the observed distribution, one is chosen by the
 //!    configured selection rule, and the plan-IR verifier checks it.

@@ -7,11 +7,18 @@
 //! through the same private stages, in this order:
 //!
 //! 1. **prepare** — build the belief-side query and canonicalize it (so
-//!    isomorphic queries share one cache entry), or reuse the caller's
-//!    prepared form while its beliefs version is current;
+//!    isomorphic queries share one cache entry). The result depends only on
+//!    the request and the beliefs, so it is built once per request and
+//!    beliefs version: a private memo of up to `cache_capacity` prepared
+//!    forms, keyed by a 64-bit digest of the request and confirmed field by
+//!    field (a digest collision costs a rebuild, never another request's
+//!    form), answers every later prepare until a recalibration clears it. A
+//!    prepared form the caller supplies is used instead while its beliefs
+//!    version is current;
 //! 2. **plan** — look the fingerprint up in the sharded [`PlanCache`] of
 //!    parametric plan sets; on a miss take a batch primer's plans or run
-//!    the optimizer;
+//!    the optimizer. Entries and plan sets are shared (`Arc`), so a hit
+//!    clones a pointer, not the plans;
 //! 3. **pick** — re-cost the stored per-scenario plans under the observed
 //!    memory distribution and choose one by the configured selection rule;
 //! 4. **verify** — run the pick through the plan-IR verifier in the
@@ -76,8 +83,8 @@ use lec_stats::Distribution;
 use lec_workload::from_catalog::{page_selectivity, query_from_catalog, FilterSpec, JoinSpec};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Configuration for a [`QueryService`].
 #[derive(Debug, Clone)]
@@ -181,7 +188,7 @@ impl ServeConfig {
 /// One incoming query, phrased against catalog names (the serving-layer
 /// analogue of SQL): which tables, which equi-joins, which range filters,
 /// and an optional interesting order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// Tables joined, in the request's own numbering.
     pub tables: Vec<String>,
@@ -193,17 +200,92 @@ pub struct QueryRequest {
     pub order_by: Option<usize>,
 }
 
+/// FNV-1a over bytes; strings are length-prefixed so adjacent fields
+/// cannot run into each other.
+struct Digest(u64);
+
+impl Digest {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+    }
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+impl QueryRequest {
+    /// A 64-bit digest over every field, floats by bit pattern: the key of
+    /// the service's prepare memo and of the concurrent router. Equal
+    /// requests get equal keys (bar a zero bound's sign, which is hashed: a
+    /// false miss), and a shared key is confirmed with `==` before anything
+    /// keyed by it is used. Every struct is destructured, so a new field
+    /// does not compile until it is hashed.
+    pub(crate) fn key(&self) -> u64 {
+        let QueryRequest {
+            tables,
+            joins,
+            filters,
+            order_by,
+        } = self;
+        let mut d = Digest(0xcbf29ce484222325);
+        d.word(tables.len() as u64);
+        for table in tables {
+            d.str(table);
+        }
+        d.word(joins.len() as u64);
+        for JoinSpec {
+            left_table,
+            left_column,
+            right_table,
+            right_column,
+        } in joins
+        {
+            for s in [left_table, left_column, right_table, right_column] {
+                d.str(s);
+            }
+        }
+        d.word(filters.len() as u64);
+        for FilterSpec {
+            table,
+            column,
+            lo,
+            hi,
+            indexed,
+        } in filters
+        {
+            d.str(table);
+            d.str(column);
+            d.word(lo.to_bits());
+            d.word(hi.to_bits());
+            d.word(u64::from(*indexed));
+        }
+        match order_by {
+            None => d.word(0),
+            Some(k) => {
+                d.word(1);
+                d.word(*k as u64);
+            }
+        }
+        d.0
+    }
+}
+
 /// A cached parametric entry plus the provenance the service needs to
-/// migrate or invalidate it.
-#[derive(Clone)]
+/// migrate or invalidate it. Both halves are shared: a hit, a primer pin
+/// and a primed miss each clone pointers, never plans.
 pub struct CacheEntry {
-    /// A representative request for this equivalence class (used to
-    /// rebuild the query after a recalibration).
-    request: QueryRequest,
-    /// Plans are stored in this canonical numbering.
-    plans: ParametricPlans,
-    /// Canonicalization of the representative request's query.
-    canon: Canonical,
+    /// The prepared form of a representative request for this equivalence
+    /// class: its request rebuilds the query after a recalibration, and
+    /// the plans are stored in its canonical numbering.
+    prepared: Arc<PreparedRequest>,
+    /// The per-scenario plans.
+    plans: Arc<ParametricPlans>,
 }
 
 /// What drift did to the service's state during one serve.
@@ -264,19 +346,23 @@ pub struct ServedQuery {
     pub certificate: Option<Certificate>,
 }
 
-/// A request pre-processed off the serving path: its belief-side query and
-/// canonicalization, tagged with the beliefs version they were computed
-/// under. The concurrent driver builds one per distinct request shape so
-/// routing (fingerprint → shard → worker) happens before any worker is
-/// involved. [`QueryService::serve_at`] and
-/// [`QueryService::prime_window`] trust a prepared request only while the
-/// service's beliefs version still matches — a recalibration in between
-/// invalidates it, and it is silently recomputed rather than served stale.
+/// A request together with its belief-side query and canonicalization,
+/// tagged with the beliefs version they were computed under. The service
+/// builds one per request and beliefs version and memoizes it (see the
+/// module docs, stage 1); cache entries share the form of the request that
+/// populated them. The concurrent driver builds one per distinct request
+/// shape so routing (fingerprint → shard → worker) happens before any
+/// worker is involved. [`QueryService::serve_at`] and
+/// [`QueryService::prime_window`] trust a caller's prepared request only
+/// while the service's beliefs version still matches — a recalibration in
+/// between invalidates it, and it is prepared afresh rather than served
+/// stale.
 ///
 /// A `PreparedRequest` must only ever be paired with the request it was
 /// built from (same tables, joins, filters, order).
 #[derive(Debug, Clone)]
 pub struct PreparedRequest {
+    pub(crate) request: QueryRequest,
     pub(crate) query: JoinQuery,
     pub(crate) canon: Canonical,
     pub(crate) version: u64,
@@ -292,6 +378,7 @@ impl PreparedRequest {
     ) -> Result<Self, ServeError> {
         let query = build_query(beliefs, request)?;
         Ok(PreparedRequest {
+            request: request.clone(),
             canon: canonicalize(&query),
             query,
             version,
@@ -323,8 +410,8 @@ impl PreparedRequest {
 /// priced under the old beliefs.
 pub struct BatchPrimer {
     version: u64,
-    plans: BTreeMap<Vec<u8>, ParametricPlans>,
-    /// Fingerprints whose primer entry is a *pin* — a pure clone of an
+    plans: BTreeMap<Vec<u8>, Arc<ParametricPlans>>,
+    /// Fingerprints whose primer entry is a *pin* — the shared plans of an
     /// entry resident in the cache at prime time. Pins cost no optimizer
     /// run, so their in-window repeats do not count as `dedup_saved`.
     pinned: BTreeSet<Vec<u8>>,
@@ -332,6 +419,59 @@ pub struct BatchPrimer {
     /// isomorphic request earlier in the same window had already primed
     /// their fingerprint.
     pub dedup_saved: u64,
+}
+
+/// The prepare stage's memo: the prepared forms of up to `capacity`
+/// requests under the current beliefs, keyed by [`QueryRequest::key`],
+/// least recently used evicted first. A key match is confirmed field by
+/// field, so a digest collision costs a rebuild and never serves another
+/// request's form — the plan cache's own "false miss, never false hit"
+/// rule. A recalibration clears it.
+struct PrepareMemo {
+    capacity: usize,
+    tick: u64,
+    /// `key → (prepared form, last use)`.
+    slots: BTreeMap<u64, (Arc<PreparedRequest>, u64)>,
+}
+
+impl PrepareMemo {
+    fn new(capacity: usize) -> Self {
+        PrepareMemo {
+            capacity,
+            tick: 0,
+            slots: BTreeMap::new(),
+        }
+    }
+
+    /// `request`'s memoized form, if the slot under `key` holds exactly
+    /// this request; refreshes its recency.
+    fn get(&mut self, key: u64, request: &QueryRequest) -> Option<Arc<PreparedRequest>> {
+        self.tick += 1;
+        let (prepared, last_used) = self.slots.get_mut(&key)?;
+        if prepared.request != *request {
+            return None;
+        }
+        *last_used = self.tick;
+        Some(Arc::clone(prepared))
+    }
+
+    /// Stores `prepared` under `key`, replacing whatever held the key (a
+    /// colliding request) or else evicting the least recently used slot
+    /// when full.
+    fn insert(&mut self, key: u64, prepared: Arc<PreparedRequest>) {
+        if !self.slots.contains_key(&key) && self.slots.len() >= self.capacity {
+            let victim = self
+                .slots
+                .iter()
+                .min_by_key(|(_, (_, t))| *t)
+                .map(|(k, _)| *k);
+            if let Some(victim) = victim {
+                self.slots.remove(&victim);
+            }
+        }
+        self.tick += 1;
+        self.slots.insert(key, (prepared, self.tick));
+    }
 }
 
 /// One rung of the fallback ladder, ready to execute in the request's
@@ -385,7 +525,9 @@ pub struct QueryService<M: CostModel + Sync> {
     disk: Disk,
     /// Each table's generated relation on `disk`.
     rels: BTreeMap<String, RelId>,
-    cache: PlanCache<CacheEntry>,
+    /// Prepared forms under the current beliefs (stage 1).
+    memo: PrepareMemo,
+    cache: PlanCache<Arc<CacheEntry>>,
     drift: DriftDetector,
     config: ServeConfig,
     recalibrator: Recalibrator,
@@ -442,6 +584,7 @@ impl<M: CostModel + Sync> QueryService<M> {
         Ok(QueryService {
             disk,
             rels,
+            memo: PrepareMemo::new(config.cache_capacity),
             cache: PlanCache::new(config.cache_shards, config.cache_capacity),
             drift: DriftDetector::new(config.drift),
             model,
@@ -471,10 +614,10 @@ impl<M: CostModel + Sync> QueryService<M> {
 
     /// Optimizes every *distinct would-miss* fingerprint in `window` exactly
     /// once, ahead of serving. Requests resident in the cache at prime time
-    /// are *pinned*: their entry is cloned into the primer by a pure read
-    /// ([`PlanCache::peek`] — no counters, no recency refresh), so that if
-    /// within-window inserts evict them, later occurrences serve from the
-    /// primer instead of re-optimizing. Isomorphic repeats of an optimized
+    /// are *pinned*: their entry's plans are shared into the primer by a
+    /// pure read ([`PlanCache::peek`] — no counters, no recency refresh),
+    /// so that if within-window inserts evict them, later occurrences serve
+    /// from the primer instead of re-optimizing. Isomorphic repeats of an optimized
     /// prime within the window are deduplicated (counted in the primer's
     /// `dedup_saved`). Priming runs the serve path's own prepare and
     /// optimize stages, so a window of one request leaves every counter
@@ -483,12 +626,13 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// one is optimized exactly once either way.
     ///
     /// Each `window` element pairs a request with its prepared form, if the
-    /// caller has one; stale or absent preparations are recomputed here.
+    /// caller has one; stale or absent preparations go through the prepare
+    /// stage's memo.
     ///
     /// [`serve`]: QueryService::serve
     pub fn prime_window(
         &mut self,
-        window: &[(&QueryRequest, Option<&PreparedRequest>)],
+        window: &[(&QueryRequest, Option<&Arc<PreparedRequest>>)],
     ) -> Result<BatchPrimer, ServeError> {
         let mut primer = BatchPrimer {
             version: self.beliefs_version,
@@ -509,9 +653,9 @@ impl<M: CostModel + Sync> QueryService<M> {
             let plans = match self.cache.peek(fingerprint) {
                 Some(entry) => {
                     primer.pinned.insert(key.to_vec());
-                    entry.plans
+                    Arc::clone(&entry.plans)
                 }
-                None => self.optimize(&prepared.canon)?,
+                None => Arc::new(self.optimize(&prepared.canon)?),
             };
             primer.plans.insert(key.to_vec(), plans);
         }
@@ -526,17 +670,18 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// the sequential loop's draws exactly. `prepared`, if given, must have
     /// been built from this same `request`; `primer` lets cache misses
     /// consume plans optimized ahead of the batch window. Both are ignored
-    /// (and recomputed fresh) when their beliefs version is stale.
+    /// when their beliefs version is stale: the request is then prepared
+    /// through the memo, and a miss optimizes fresh.
     pub fn serve_at(
         &mut self,
         ordinal: u64,
         request: &QueryRequest,
-        prepared: Option<&PreparedRequest>,
+        prepared: Option<&Arc<PreparedRequest>>,
         primer: Option<&BatchPrimer>,
     ) -> Result<ServedQuery, ServeError> {
         let prepared = self.prepare(request, prepared)?;
         let (query, canon) = (&prepared.query, &prepared.canon);
-        let (entry, cache_hit) = self.plan(request, canon, primer)?;
+        let (entry, cache_hit) = self.plan(&prepared, primer)?;
         let choice = entry.plans.pick_with_rule(
             &canon.query,
             &self.model,
@@ -580,19 +725,26 @@ impl<M: CostModel + Sync> QueryService<M> {
         })
     }
 
-    /// The prepare stage: the caller's prepared request while its beliefs
-    /// version is current, else one rebuilt from the live beliefs.
-    fn prepare<'p>(
-        &self,
+    /// The prepare stage, the one path every stage that needs a request's
+    /// query goes through: the caller's prepared request while its beliefs
+    /// version is current, else the memoized form, else one built from the
+    /// live beliefs and memoized.
+    fn prepare(
+        &mut self,
         request: &QueryRequest,
-        prepared: Option<&'p PreparedRequest>,
-    ) -> Result<Cow<'p, PreparedRequest>, ServeError> {
-        match prepared.filter(|p| p.version == self.beliefs_version) {
-            Some(p) => Ok(Cow::Borrowed(p)),
-            None => {
-                PreparedRequest::build(&self.beliefs, request, self.beliefs_version).map(Cow::Owned)
-            }
+        prepared: Option<&Arc<PreparedRequest>>,
+    ) -> Result<Arc<PreparedRequest>, ServeError> {
+        if let Some(p) = prepared.filter(|p| p.version == self.beliefs_version) {
+            return Ok(Arc::clone(p));
         }
+        let key = request.key();
+        if let Some(p) = self.memo.get(key, request) {
+            return Ok(p);
+        }
+        let built = PreparedRequest::build(&self.beliefs, request, self.beliefs_version)?;
+        let built = Arc::new(built);
+        self.memo.insert(key, Arc::clone(&built));
+        Ok(built)
     }
 
     /// The plan stage: the cached entry on a hit; on a miss, the primer's
@@ -601,10 +753,10 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// expected cost is bit-identical to the miss that populated it.
     fn plan(
         &mut self,
-        request: &QueryRequest,
-        canon: &Canonical,
+        prepared: &Arc<PreparedRequest>,
         primer: Option<&BatchPrimer>,
-    ) -> Result<(CacheEntry, bool), ServeError> {
+    ) -> Result<(Arc<CacheEntry>, bool), ServeError> {
+        let canon = &prepared.canon;
         if let Some(entry) = self.cache.get(&canon.fingerprint) {
             return Ok((entry, true));
         }
@@ -614,16 +766,15 @@ impl<M: CostModel + Sync> QueryService<M> {
         let plans = match primed {
             Some(plans) => {
                 self.primed_consumed += 1;
-                plans.clone()
+                Arc::clone(plans)
             }
-            None => self.optimize(canon)?,
+            None => Arc::new(self.optimize(canon)?),
         };
-        let entry = CacheEntry {
-            request: request.clone(),
+        let entry = Arc::new(CacheEntry {
+            prepared: Arc::clone(prepared),
             plans,
-            canon: canon.clone(),
-        };
-        self.cache.insert(&canon.fingerprint, entry.clone());
+        });
+        self.cache.insert(&canon.fingerprint, Arc::clone(&entry));
         Ok((entry, false))
     }
 
@@ -656,12 +807,12 @@ impl<M: CostModel + Sync> QueryService<M> {
             self.resilience.shard_breaker_trips += 1;
             let shards = self.cache.shard_count();
             self.cache
-                .invalidate_collect(|e| shard_of(&e.canon.fingerprint, shards) == shard);
+                .invalidate_collect(|e| shard_of(&e.prepared.canon.fingerprint, shards) == shard);
         } else if self.breaker.is_open(fp, fp_limit) {
             self.breaker.reset(fp);
             self.resilience.breaker_trips += 1;
             self.cache
-                .invalidate_collect(|e| e.canon.fingerprint.encoding() == fp);
+                .invalidate_collect(|e| e.prepared.canon.fingerprint.encoding() == fp);
         } else {
             return false;
         }
@@ -685,9 +836,9 @@ impl<M: CostModel + Sync> QueryService<M> {
         primary: LadderRung,
     ) -> Result<Executed, ServeError> {
         let canon = &prepared.canon;
-        let fp_key = canon.fingerprint.encoding().to_vec();
+        let fp_key = canon.fingerprint.encoding();
         let shard = self.cache.shard_index(&canon.fingerprint);
-        let tripped = self.trip_breakers(&fp_key, shard);
+        let tripped = self.trip_breakers(fp_key, shard);
         let (first, max_attempts) = if tripped {
             (self.lsc_rung(prepared, primary.scenario)?, 1)
         } else {
@@ -720,7 +871,7 @@ impl<M: CostModel + Sync> QueryService<M> {
             self.resilience.faults_injected += faults.trace().len() as u64;
             faults_seen.extend_from_slice(faults.trace());
             let Ok((report, feedback)) = executed else {
-                self.breaker.record_fault(fp_key.clone());
+                self.breaker.record_fault(fp_key.to_vec());
                 self.shard_breaker.record_fault(shard);
                 self.resilience.retries += 1;
                 continue;
@@ -953,16 +1104,19 @@ impl<M: CostModel + Sync> QueryService<M> {
         request: &QueryRequest,
         event: DriftEvent,
     ) -> Result<Recalibration, ServeError> {
+        // Anything prepared or primed under the old beliefs is stale from
+        // here on — also if the update below fails halfway.
+        self.beliefs_version += 1;
+        self.memo.slots.clear();
         self.recalibrator
             .apply(&mut self.beliefs, &self.truth, request, &event)?;
         self.recalibrations += 1;
-        // Anything prepared or primed under the old beliefs is now stale.
-        self.beliefs_version += 1;
 
         // Every cached entry optimized under the stale statistic is pulled.
         let affected: Vec<&str> = event.target.tables();
         let mut removed = self.cache.invalidate_collect(|e| {
-            e.request
+            e.prepared
+                .request
                 .tables
                 .iter()
                 .any(|t| affected.contains(&t.as_str()))
@@ -970,7 +1124,7 @@ impl<M: CostModel + Sync> QueryService<M> {
         // invalidate_collect's order follows shard/map layout; sort by the
         // entries' canonical encodings so migration re-inserts (and thus
         // future LRU ticks) are deterministic.
-        removed.sort_by_cached_key(|e| e.canon.fingerprint.encoding().to_vec());
+        removed.sort_by_cached_key(|e| e.prepared.canon.fingerprint.encoding().to_vec());
         let entries_invalidated = removed.len();
 
         let decision = self.decide(request, &event)?;
@@ -996,17 +1150,18 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// EVPI-based cache policy: is re-planning under the (now sharper)
     /// statistic worth a full optimizer run?
     fn decide(
-        &self,
+        &mut self,
         request: &QueryRequest,
         event: &DriftEvent,
     ) -> Result<RecalibrationDecision, ServeError> {
         // The exact joint analysis is exponential; beyond 4 relations the
         // conservative answer is to re-optimize.
-        let query = build_query(&self.beliefs, request)?;
+        let prepared = self.prepare(request, None)?;
+        let query = &prepared.query;
         if query.n() > 4 {
             return Ok(RecalibrationDecision::Reoptimize);
         }
-        let mut sizes = SizeModel::certain(&query)?;
+        let mut sizes = SizeModel::certain(query)?;
         // The drifted statistic's slot in the size model, and its estimated
         // and observed means in the query's units (pages for a relation,
         // page-domain selectivity for a join).
@@ -1053,7 +1208,7 @@ impl<M: CostModel + Sync> QueryService<M> {
             _ => return Ok(RecalibrationDecision::RecostOnly),
         }
         let memory = MemoryModel::Static(self.config.observed_memory.clone());
-        let report = voi::analyze(&query, &self.model, &memory, &sizes)?;
+        let report = voi::analyze(query, &self.model, &memory, &sizes)?;
         if report.sampling_worthwhile(self.config.reoptimize_cost) {
             Ok(RecalibrationDecision::Reoptimize)
         } else {
@@ -1061,19 +1216,20 @@ impl<M: CostModel + Sync> QueryService<M> {
         }
     }
 
-    /// Migrates one pulled entry under the updated beliefs: rebuilds its
-    /// query, re-canonicalizes, carries the stored plans across the two
-    /// numberings, and re-inserts. Returns `false` when a carried plan
-    /// fails the plan-IR verifier against the rebuilt query (the entry is
-    /// then dropped and will be re-optimized on its next request) — the
-    /// full verifier, not the weaker `Plan::validate`, so a migration can
-    /// never park a plan the serve path would refuse to run.
-    fn migrate(&mut self, entry: CacheEntry) -> Result<bool, ServeError> {
-        let canon = canonicalize(&build_query(&self.beliefs, &entry.request)?);
+    /// Migrates one pulled entry under the updated beliefs: prepares its
+    /// request afresh (seeding the memo), carries the stored plans across
+    /// the two canonical numberings, and re-inserts. Returns `false` when a
+    /// carried plan fails the plan-IR verifier against the rebuilt query
+    /// (the entry is then dropped and will be re-optimized on its next
+    /// request) — the full verifier, not the weaker `Plan::validate`, so a
+    /// migration can never park a plan the serve path would refuse to run.
+    fn migrate(&mut self, entry: Arc<CacheEntry>) -> Result<bool, ServeError> {
+        let prepared = self.prepare(&entry.prepared.request, None)?;
+        let canon = &prepared.canon;
         let mut scenarios = Vec::with_capacity(entry.plans.scenarios().len());
         for (dist, opt) in entry.plans.scenarios() {
             // Old canonical → the entry's request numbering → new canonical.
-            let in_request = entry.canon.plan_to_original(&opt.plan);
+            let in_request = entry.prepared.canon.plan_to_original(&opt.plan);
             let plan = canon.plan_to_canonical(&in_request);
             if lec_plan::verify_plan(&plan, &canon.query).is_err() {
                 return Ok(false);
@@ -1083,13 +1239,11 @@ impl<M: CostModel + Sync> QueryService<M> {
             let cost = opt.cost;
             scenarios.push((dist.clone(), lec_core::Optimized { plan, cost }));
         }
-        let plans = ParametricPlans::from_parts(scenarios)?;
         let migrated = CacheEntry {
-            request: entry.request,
-            plans,
-            canon: canon.clone(),
+            plans: Arc::new(ParametricPlans::from_parts(scenarios)?),
+            prepared: Arc::clone(&prepared),
         };
-        self.cache.insert(&canon.fingerprint, migrated);
+        self.cache.insert(&canon.fingerprint, Arc::new(migrated));
         Ok(true)
     }
 
@@ -1168,6 +1322,12 @@ impl<M: CostModel + Sync> QueryService<M> {
         self.cache.len()
     }
 
+    /// Requests whose prepared form is memoized under the current beliefs
+    /// (at most [`ServeConfig::cache_capacity`]).
+    pub fn memo_len(&self) -> usize {
+        self.memo.slots.len()
+    }
+
     /// Drift-triggered resampling rounds performed so far (always zero
     /// with [`ServeConfig::resample`] off or on a drift-quiet stream).
     pub fn resamples(&self) -> u64 {
@@ -1205,4 +1365,107 @@ fn build_query(beliefs: &Catalog, request: &QueryRequest) -> Result<JoinQuery, S
 fn verify(rung: &LadderRung, query: &JoinQuery, what: &str) -> Result<(), ServeError> {
     lec_plan::verify_plan(&rung.plan, query).map_err(ServeError::Verification)?;
     lec_plan::verify_costs(what, &[rung.expected_cost]).map_err(ServeError::Verification)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lec_catalog::{ColumnMeta, TableMeta};
+    use lec_cost::PaperCostModel;
+    use lec_exec::PAGE_CAPACITY;
+
+    fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        for (name, key, pages) in [("cust", "ck", 8), ("ord", "ok", 12)] {
+            c.register(
+                TableMeta::new(name, pages * PAGE_CAPACITY as u64, pages)
+                    .unwrap()
+                    .with_column(ColumnMeta::new(key, 512, 0.0, 511.0))
+                    .with_column(ColumnMeta::new("v", 800, 0.0, 100.0)),
+            )
+            .unwrap();
+        }
+        c
+    }
+
+    fn request(hi: f64) -> QueryRequest {
+        QueryRequest {
+            tables: vec!["cust".into(), "ord".into()],
+            joins: vec![JoinSpec {
+                left_table: "cust".into(),
+                left_column: "ck".into(),
+                right_table: "ord".into(),
+                right_column: "ok".into(),
+            }],
+            filters: vec![FilterSpec {
+                table: "cust".into(),
+                column: "v".into(),
+                lo: 0.0,
+                hi,
+                indexed: false,
+            }],
+            order_by: None,
+        }
+    }
+
+    fn service() -> QueryService<PaperCostModel> {
+        let config = ServeConfig::new(
+            vec![Distribution::new([(4.0, 0.5), (40.0, 0.5)]).unwrap()],
+            Distribution::new([(8.0, 0.5), (48.0, 0.5)]).unwrap(),
+        );
+        QueryService::new(PaperCostModel, catalog(), catalog(), config).unwrap()
+    }
+
+    #[test]
+    fn repeated_hits_reuse_one_prepared_form() {
+        let mut svc = service();
+        let req = request(25.0);
+        assert!(!svc.serve(&req).unwrap().cache_hit);
+        assert!(svc.serve(&req).unwrap().cache_hit);
+        assert!(svc.serve(&req).unwrap().cache_hit);
+        let first = svc.prepare(&req, None).unwrap();
+        let again = svc.prepare(&req, None).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        // The cache entry the miss populated shares that same form.
+        let entry = svc.cache.peek(&first.canon.fingerprint).unwrap();
+        assert!(Arc::ptr_eq(&entry.prepared, &first));
+        assert_eq!(svc.memo_len(), 1);
+    }
+
+    #[test]
+    fn a_digest_collision_rebuilds_instead_of_serving_another_form() {
+        let mut svc = service();
+        let (a, b) = (request(25.0), request(50.0));
+        assert_ne!(a.key(), b.key());
+        // Park `a`'s form under `b`'s key, as a digest collision would.
+        let form_a = svc.prepare(&a, None).unwrap();
+        svc.memo.insert(b.key(), Arc::clone(&form_a));
+        assert!(svc.memo.get(b.key(), &b).is_none());
+        let form_b = svc.prepare(&b, None).unwrap();
+        assert!(!Arc::ptr_eq(&form_a, &form_b));
+        assert_eq!(form_b.request, b);
+        let fresh = PreparedRequest::build(svc.beliefs(), &b, 0).unwrap();
+        assert_eq!(form_b.canon.fingerprint, fresh.canon.fingerprint);
+    }
+
+    #[test]
+    fn request_identity_covers_every_field() {
+        let base = request(25.0);
+        let mut variants = vec![base.clone(); 7];
+        variants[0].tables.reverse();
+        variants[1].joins[0].right_column = "v".into();
+        variants[2].filters[0].hi = f64::from_bits(25.0f64.to_bits() + 1);
+        variants[3].filters[0].indexed = true;
+        variants[4].order_by = Some(0);
+        variants[5].filters.clear();
+        variants[6].filters[0].column = "ck".into();
+        assert_eq!(base.key(), base.clone().key());
+        let mut signed_zero = base.clone();
+        signed_zero.filters[0].lo = -0.0;
+        assert_ne!(base.key(), signed_zero.key(), "floats are hashed by bits");
+        for v in &variants {
+            assert_ne!(base, *v);
+            assert_ne!(base.key(), v.key(), "{v:?}");
+        }
+    }
 }

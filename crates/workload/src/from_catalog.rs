@@ -13,7 +13,7 @@ use lec_plan::{JoinPred, JoinQuery, KeyId, PlanError, Relation};
 use std::fmt;
 
 /// A join between two named tables on named columns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Left table name.
     pub left_table: String,
@@ -26,7 +26,7 @@ pub struct JoinSpec {
 }
 
 /// A local range predicate on one table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterSpec {
     /// Table name.
     pub table: String,
