@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` is the tier-1 gate the CI driver
 # runs; the others are the fast local loops.
 
-.PHONY: verify test bench-smoke lint lint-strict xtable fault-smoke kernel-smoke serve-concurrent-smoke rules-smoke sampling-smoke perfbench-replay ci
+.PHONY: verify test bench-smoke lint lint-strict xtable fault-smoke kernel-smoke serve-concurrent-smoke rules-smoke objectives-smoke sampling-smoke perfbench-replay ci
 
 # Tier-1: release build + full test suite (what must never regress).
 verify:
@@ -90,6 +90,25 @@ rules-smoke:
 	grep -q '"p99_degradation"' results/BENCH_rules.json
 	grep -q '"optimized_build": true' results/BENCH_rules.json
 
+# Objectives smoke: re-run the experiments every objective path feeds —
+# X11 (utilities: frontier DP and the unsound scalar DP), X16 (frontier
+# growth) and X23 (selection rules) — and diff each section against the
+# committed results/xtable_all.md. All three are deterministic (no
+# timings), so any difference is a changed plan, score or counter.
+OBJECTIVE_SECTIONS = X11 X16 X23
+objectives-smoke:
+	mkdir -p target
+	cargo run --release -p lec-bench --bin xtable x11 x16 x23 > target/objectives-smoke.md
+	@for s in $(OBJECTIVE_SECTIONS); do \
+		awk -v s="## $$s " 'index($$0, s) == 1 {on = 1; print; next} /^## X/ {on = 0} on' \
+			results/xtable_all.md > target/objectives-want.$$s; \
+		awk -v s="## $$s " 'index($$0, s) == 1 {on = 1; print; next} /^## X/ {on = 0} on' \
+			target/objectives-smoke.md > target/objectives-got.$$s; \
+		test -s target/objectives-want.$$s || { echo "objectives smoke: no $$s section in results/xtable_all.md"; exit 1; }; \
+		diff -u target/objectives-want.$$s target/objectives-got.$$s || { echo "objectives smoke: $$s differs from results/xtable_all.md"; exit 1; }; \
+		echo "objectives smoke ok: $$s"; \
+	done
+
 # Sampling/certificate smoke: run X24 at a reduced draw count (X24_DRAWS
 # routes the artifact to the gitignored _smoke file, so the committed
 # full-draw BENCH_sampling.json is never overwritten here) and check the
@@ -125,8 +144,8 @@ perfbench-replay:
 # untimed pass of every Criterion bench, the X19/X20 runs that must leave
 # well-formed results/BENCH_stats.json and results/BENCH_serve.json
 # behind (the latter with its self-asserted `hit_path` block), the
-# fault/kernel/concurrent/rules/sampling smokes above, then the perfbench
-# replay oracle over all three workloads.
+# fault/kernel/concurrent/rules/objectives/sampling smokes above, then the
+# perfbench replay oracle over all three workloads.
 ci:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -153,5 +172,6 @@ ci:
 	$(MAKE) kernel-smoke
 	$(MAKE) serve-concurrent-smoke
 	$(MAKE) rules-smoke
+	$(MAKE) objectives-smoke
 	$(MAKE) sampling-smoke
 	$(MAKE) perfbench-replay

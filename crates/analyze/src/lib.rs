@@ -9,9 +9,10 @@
 //! too (`artifacts`): a `results/BENCH_*.json` claiming a speedup must
 //! carry the self-assertion markers its experiment verified before writing.
 //!
-//! The companion Layer 2 — the plan-IR verifier and utility-soundness gate —
-//! lives in `lec-plan::verify` and `lec-core::soundness`; this crate checks
-//! the *source text*, those check the *emitted plans*.
+//! The companion Layer 2 — the plan-IR verifier and the objective
+//! certifier — lives in `lec-plan::verify` and `lec-rules::certify`; this
+//! crate checks the *source text*, those check the *emitted plans* and the
+//! objectives admitted to each optimizer.
 
 pub mod artifacts;
 pub mod audit;

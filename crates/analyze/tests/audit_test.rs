@@ -317,7 +317,6 @@ fn every_enumerator_module_contributes_an_optimize_root() {
         "parametric",
         "pareto",
         "rules",
-        "soundness",
         "topc",
     ] {
         let path = format!("crates/core/src/{module}.rs");

@@ -63,7 +63,7 @@ fn pareto_vs_scalar(c: &mut Criterion) {
         let mem = spread_memory(b);
         group.bench_with_input(BenchmarkId::new("pareto_exact", b), &b, |bench, _| {
             bench.iter(|| {
-                pareto::optimize(black_box(&q), &PaperCostModel, &mem, Utility::Linear)
+                pareto::optimize(black_box(&q), &PaperCostModel, &mem, &Utility::Linear)
                     .unwrap()
                     .0
             })

@@ -33,7 +33,7 @@ pub fn run() -> String {
                 }
                 .generate(&mut ChaCha8Rng::seed_from_u64(1600 + seed));
                 let mem = envs::lognormal(250.0, 1.2, b);
-                let r = pareto::optimize(&q, &PaperCostModel, &mem, Utility::Linear)
+                let r = pareto::optimize(&q, &PaperCostModel, &mem, &Utility::Linear)
                     .expect("pareto")
                     .0;
                 worst = worst.max(r.max_frontier);
@@ -61,7 +61,7 @@ pub fn run() -> String {
     }
     .generate(&mut ChaCha8Rng::seed_from_u64(1605));
     let mem = envs::lognormal(250.0, 1.2, 8);
-    let r = pareto::optimize(&q, &PaperCostModel, &mem, Utility::Linear)
+    let r = pareto::optimize(&q, &PaperCostModel, &mem, &Utility::Linear)
         .expect("pareto")
         .0;
 

@@ -78,7 +78,7 @@ pub fn run() -> String {
             &q,
             &PaperCostModel,
             &mem,
-            Utility::Exponential { gamma: 1e-5 },
+            &Utility::Exponential { gamma: 1e-5 },
         )
         .expect("pareto with stats");
         let ranks = &stats.counters.frontier_per_rank;

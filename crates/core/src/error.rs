@@ -1,4 +1,11 @@
 //! Error type for the optimizer crate.
+//!
+//! Objective certification errors convert into it: a
+//! `lec_rules::RuleError::BadConfig` (an out-of-range rule slope, CVaR
+//! level, utility `γ` or deadline) becomes [`CoreError::BadParameter`],
+//! and a non-monotone rule [`CoreError::UnsoundRule`]. No utility is
+//! refused: the deadline utility, for which no scalar DP is exact, is
+//! certified for the frontier DP.
 
 use std::fmt;
 
@@ -13,22 +20,11 @@ pub enum CoreError {
     BadParameter(String),
     /// The search produced no plan (internal invariant violation).
     NoPlanFound,
-    /// The utility-soundness gate rejected a utility: its score does not
-    /// distribute over cost addition, so no dynamic-programming entry point
-    /// is sound for it (see `soundness::certify` and the X11
-    /// counterexample).
-    UnsoundUtility {
-        /// Debug rendering of the rejected utility.
-        utility: String,
-        /// `score(X ⊛ Y)` measured on the certification probe.
-        combined: f64,
-        /// `score(X) + score(Y)` on the same probe.
-        split: f64,
-    },
-    /// The rule-soundness gate rejected a selection rule (see
+    /// The objective gate rejected a selection rule (see
     /// `lec_rules::certify` and the `rules` module): its score is not
     /// monotone in per-scenario costs, so even Pareto-frontier pruning
-    /// may discard its optimum.
+    /// may discard its optimum. Out-of-range rule or utility parameters
+    /// are [`CoreError::BadParameter`] instead.
     UnsoundRule(lec_rules::RuleError),
 }
 
@@ -39,19 +35,6 @@ impl fmt::Display for CoreError {
             CoreError::Stats(e) => write!(f, "statistics error: {e}"),
             CoreError::BadParameter(msg) => write!(f, "bad parameter: {msg}"),
             CoreError::NoPlanFound => write!(f, "optimizer produced no plan"),
-            CoreError::UnsoundUtility {
-                utility,
-                combined,
-                split,
-            } => write!(
-                f,
-                "utility {utility} does not distribute over cost addition \
-                 (score(X+Y) = {combined} but score(X)+score(Y) = {split}), so scalar \
-                 dynamic programming is unsound for it — the paper's deadline \
-                 counterexample (experiment X11) exhibits a strictly worse plan; use \
-                 pareto::exhaustive_utility (exact brute force) or pareto::optimize \
-                 (exact Pareto-frontier DP for monotone utilities) instead"
-            ),
             CoreError::UnsoundRule(e) => write!(f, "selection-rule gate: {e}"),
         }
     }

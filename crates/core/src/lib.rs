@@ -13,8 +13,8 @@
 //! | [`alg_c`] | §3.4–3.5, Thms 3.3/3.4 | DP directly on expected cost — the exact **LEC** plan, for static and dynamic (Markov) memory |
 //! | [`alg_d`] | §3.6 | Multi-parameter: relation sizes and selectivities are distributions too; result-size distributions propagate with §3.6.3 rebucketing |
 //! | [`exhaustive`] | — | Brute-force left-deep / bushy enumeration: ground truth for every theorem test |
-//! | [`pareto`] | PODS 2002 | One lattice sweep over cost *profiles* with two keep rules: the Pareto frontier (exact for any monotone utility) or the single best-scoring entry (the scalar utility DP, unsound for non-linear utilities — the X11 counterexample) |
-//! | [`rules`] | \[AHW15\]/PARQO | Rule-parameterized finalize over the frontier outputs: minmax regret, penalty-aware, CVaR — the `lec-rules` subsystem threaded through the optimizer |
+//! | [`pareto`] | PODS 2002 | One lattice sweep over cost *profiles* with two keep rules: the Pareto frontier, finalized by any monotone selection rule or utility, or the single best-scoring entry (the scalar utility DP, unsound for non-linear utilities — the X11 counterexample) |
+//! | [`rules`] | \[AHW15\]/PARQO | The one objective entry point: certify a selection rule (expected cost, an expected utility, minmax regret, penalty-aware, CVaR) and run it on Algorithm C or the frontier DP |
 //! | [`bucketing`] | §3.7 | Level-set bucketing: memory buckets placed at the cost formulas' discontinuities |
 //! | [`bushy`] | §4 future work | Bushy-tree LEC dynamic programming (DPsub-style), exact under static memory |
 //! | [`certificate`] | DESIGN.md §11 | (ε, δ) suboptimality certificates: bound a chosen plan against the sampled-interval optimum |
@@ -32,11 +32,11 @@
 //! counters of the [`stats`] observability layer. [`par`] holds the
 //! lattice-rank and timing helpers.
 //!
-//! Two static-verification layers guard the family (DESIGN.md §7): every
-//! optimizer funnels its winners through the [`verify`] debug hooks (the
-//! `lec-plan` plan-IR verifier, compiled out in release builds), and the
-//! [`soundness`] gate certifies that a utility distributes over cost
-//! addition before admitting it to a DP entry point.
+//! Two static-verification layers guard the family (DESIGN.md §7, §9):
+//! every optimizer funnels its winners through the [`verify`] debug hooks
+//! (the `lec-plan` plan-IR verifier, compiled out in release builds), and
+//! [`rules::optimize_with_rule`] runs `lec_rules::certify` on every
+//! objective before admitting it to a DP entry point.
 //!
 //! ### Cost accounting
 //!
@@ -64,7 +64,6 @@ pub mod parametric;
 pub mod pareto;
 pub mod precompute;
 pub mod rules;
-pub mod soundness;
 pub mod stats;
 pub mod topc;
 pub mod verify;
@@ -76,7 +75,7 @@ pub use env::{MemoryModel, PhaseDists};
 pub use error::CoreError;
 pub use evaluate::{cost_distribution_static, expected_cost, plan_cost_at};
 pub use precompute::QueryTables;
-pub use rules::{optimize_with_rule, RuleResult};
+pub use rules::optimize_with_rule;
 pub use stats::{CacheCounters, OptStats, PrecomputeSizes, ResilienceCounters, SearchCounters};
 
 /// Convenience result alias for this crate.

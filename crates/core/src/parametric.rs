@@ -188,7 +188,7 @@ impl ParametricPlans {
         if matches!(rule, lec_rules::Rule::LeastExpectedCost) {
             return self.pick(query, model, observed);
         }
-        rule.certify()?;
+        lec_rules::certify(rule)?;
         // Deduplicate identical plans across scenarios before costing
         // (same convention as `pick`).
         let mut kept: Vec<(usize, &Plan)> = Vec::new();

@@ -1,20 +1,22 @@
-//! Expected *utility* optimization (the PODS 2002 extension).
+//! The frontier DP: optimization for any monotone selection rule,
+//! expected utilities included (the PODS 2002 extension).
 //!
 //! For the linear utility, expectation distributes over cost addition and
 //! the scalar DP of Algorithm C is exact (Theorem 3.3). For any other
 //! utility the scalar principle of optimality fails: the best plan for a
 //! subquery *by utility score* need not extend to the best overall plan,
 //! because `E[u(c₁ + c₂)] ≠ f(E[u(c₁)], E[u(c₂)])` when costs share the
-//! random parameter. Two remedies are implemented here:
+//! random parameter. Two enumerators are implemented here:
 //!
 //! * [`optimize`] — a **Pareto-frontier DP** over cost *profiles* (the
 //!   vector of plan costs, one per memory value). A subplan is kept unless
 //!   some other subplan is at least as cheap at *every* memory value;
 //!   since plan cost is componentwise monotone in subplan profiles, the
-//!   frontier retains an optimal subplan for every monotone utility. This
-//!   is exact, at the price of a frontier that can grow with the bucket
-//!   count (this is essentially parametric query optimization \[INSS92\]
-//!   with the discrete parameter space).
+//!   frontier retains an optimal subplan for every monotone selection
+//!   rule, which then scores the root frontier jointly and picks its
+//!   argmin. This is exact, at the price of a frontier that can grow with
+//!   the bucket count (this is essentially parametric query optimization
+//!   \[INSS92\] with the discrete parameter space).
 //! * [`scalar_dp`] — the naive "Algorithm C with `E[u(·)]` in place of
 //!   `E[·]`". Provably unsound for non-linear utilities; kept as the
 //!   counterexample generator (experiment X11 exhibits a deadline-utility
@@ -22,9 +24,9 @@
 //!
 //! Both are one lattice sweep over the [`QueryTables`] precompute that
 //! differs only in what each subset keeps: the whole Pareto frontier, or
-//! the single entry of least utility score. The rule-selection layer
-//! ([`crate::rules`]) finalizes over the same sweep's root frontier.
-//! Ground truth for both comes from [`exhaustive_utility`].
+//! the single entry of least utility score. [`crate::rules`] certifies an
+//! objective before choosing between Algorithm C and [`optimize`]. Ground
+//! truth for both comes from [`exhaustive_utility`].
 
 use crate::dp::Optimized;
 use crate::error::CoreError;
@@ -35,35 +37,40 @@ use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{CostModel, JoinMethod};
 use lec_plan::{JoinQuery, Plan, RelSet};
+use lec_rules::{argmin, SelectionRule};
 use lec_stats::{Distribution, Utility};
 
-/// Result of a utility optimization.
+/// What optimizing one objective — a selection rule or an expected
+/// utility — chose.
 #[derive(Debug, Clone)]
 pub struct UtilityResult {
-    /// The chosen plan; `cost` holds the utility *score* (lower is better;
-    /// for `Linear` this is the expected cost, for `Exponential` a
-    /// certainty equivalent, for `Deadline` a miss probability).
+    /// The chosen plan; `cost` holds the objective's *score* (lower is
+    /// better): for the linear utility and the expected-cost rule the
+    /// expected cost, for `Exponential` a certainty equivalent, for
+    /// `Deadline` a miss probability. An objective run on Algorithm C
+    /// reports Algorithm C's expected cost, to the bit.
     pub best: Optimized,
-    /// The chosen plan's full cost distribution.
+    /// The chosen plan's full cost distribution; its mean is what the
+    /// choice pays in expectation, whatever the objective.
     pub cost_distribution: Distribution,
     /// Largest Pareto frontier encountered at any dag node (1 for the
-    /// scalar DP); a measure of the extra work exactness costs.
+    /// scalar DP and Algorithm C); a measure of the extra work exactness
+    /// costs.
     pub max_frontier: usize,
     /// The root Pareto frontier's cost profiles (one cost per memory
-    /// value, in `memory.values()` order). [`optimize`] reports the full
-    /// surviving root frontier, [`scalar_dp`] its single root profile, and
+    /// value, in `memory.values()` order): the candidates the objective
+    /// scored. [`optimize`] reports the full surviving root frontier,
+    /// [`scalar_dp`] and Algorithm C the single chosen profile, and
     /// [`exhaustive_utility`] leaves this empty (it never builds one).
     pub frontier_profiles: Vec<Vec<f64>>,
 }
 
 /// A surviving frontier entry: a plan and its cost profile (one cost per
-/// memory value, in `memory.values()` order). Crate-visible so the
-/// rule-selection layer ([`crate::rules`]) can score the root frontier
-/// without re-enumerating.
+/// memory value, in `memory.values()` order).
 #[derive(Debug, Clone)]
-pub(crate) struct ProfEntry {
-    pub(crate) profile: Vec<f64>,
-    pub(crate) plan: Plan,
+struct ProfEntry {
+    profile: Vec<f64>,
+    plan: Plan,
 }
 
 /// `a` dominates `b` when it is at least as cheap at every parameter value.
@@ -102,8 +109,16 @@ enum Keep {
     Best(Utility),
 }
 
-/// Exact expected-utility optimization over left-deep plans via the
+/// Exact optimization under any monotone selection rule — an expected
+/// utility, a robust rule or a custom one — over left-deep plans via the
 /// Pareto-frontier DP. Static memory only (profiles are per-value costs).
+///
+/// The sweep is rule-independent; the rule scores the surviving root
+/// frontier jointly (so context-sensitive rules such as minmax regret see
+/// every candidate) and the first argmin wins. Exact for every rule
+/// [`lec_rules::certify`] accepts, since certification requires a score
+/// monotone in per-scenario costs; [`crate::rules::optimize_with_rule`]
+/// certifies first and sends only frontier-only objectives here.
 ///
 /// Also returns the deterministic [`OptStats`] search counters:
 /// `candidates_priced` counts frontier-insert attempts (subplan × join
@@ -111,8 +126,9 @@ enum Keep {
 /// plus every surviving frontier entry, and `frontier_per_rank` the
 /// largest frontier at any mask of each DP rank.
 ///
-/// Fails with [`CoreError::Stats`] when a root profile is non-finite (a
-/// result size or cost that overflowed to ∞).
+/// Fails with [`CoreError::BadParameter`] when the rule's parameters are
+/// out of range, and with [`CoreError::Stats`] when a root profile is
+/// non-finite (a result size or cost that overflowed to ∞).
 ///
 /// # Examples
 ///
@@ -135,54 +151,42 @@ enum Keep {
 ///     &query,
 ///     &PaperCostModel,
 ///     &memory,
-///     Utility::Exponential { gamma: 1e-4 },
+///     &Utility::Exponential { gamma: 1e-4 },
 /// )?;
 /// // The score is a certainty equivalent, at least the mean cost.
 /// assert!(averse.best.cost >= averse.cost_distribution.mean() - 1e-9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn optimize<M: CostModel + ?Sized>(
+pub fn optimize<M: CostModel + ?Sized, R: SelectionRule + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &Distribution,
-    utility: Utility,
+    rule: &R,
 ) -> Result<(UtilityResult, OptStats), CoreError> {
+    rule.validate()?;
     let (roots, max_frontier, stats) = sweep(query, model, memory, Keep::Frontier)?;
-    let best = roots
+    // Convert before the debug hook, so a non-finite profile is an error
+    // rather than a verifier panic.
+    let mut dists = roots
         .iter()
-        .map(|e| {
-            let dist = profile_distribution(memory, &e.profile)?;
-            Ok((e, utility.score(&dist), dist))
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?
-        .into_iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .ok_or(CoreError::NoPlanFound)?;
-
+        .map(|e| profile_distribution(memory, &e.profile))
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    let frontier_profiles: Vec<Vec<f64>> = roots.iter().map(|e| e.profile.clone()).collect();
+    crate::verify::debug_verify_frontier(&frontier_profiles);
+    let scores = rule.scores(&frontier_profiles, memory.probs());
+    let idx = argmin(&scores).ok_or(CoreError::NoPlanFound)?;
+    let cost_distribution = dists.swap_remove(idx);
+    crate::verify::debug_verify_plan(query, &roots[idx].plan, cost_distribution.mean());
     let result = UtilityResult {
         best: Optimized {
-            plan: best.0.plan.clone(),
-            cost: best.1,
+            plan: roots[idx].plan.clone(),
+            cost: scores[idx],
         },
-        cost_distribution: best.2,
+        cost_distribution,
         max_frontier,
-        frontier_profiles: roots.iter().map(|e| e.profile.clone()).collect(),
+        frontier_profiles,
     };
-    crate::verify::debug_verify_plan(query, &result.best.plan, result.best.cost);
-    crate::verify::debug_verify_frontier(&result.frontier_profiles);
     Ok((result, stats))
-}
-
-/// The surviving *root* Pareto frontier (plans plus profiles), stopping
-/// just short of the utility pick. The rule-selection layer finalizes
-/// from this: the sweep is utility- and rule-independent, so a different
-/// selection rule costs one extra scoring pass, not a second enumeration.
-pub(crate) fn root_frontier<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-) -> Result<Vec<ProfEntry>, CoreError> {
-    Ok(sweep(query, model, memory, Keep::Frontier)?.0)
 }
 
 /// The unsound scalar utility DP: keeps, at every dag node, the single
@@ -214,11 +218,10 @@ pub fn scalar_dp<M: CostModel + ?Sized>(
     })
 }
 
-/// The one lattice sweep behind [`optimize`], [`root_frontier`] and
-/// [`scalar_dp`]: extends every subset's kept entries by one relation, in
-/// rank order, keeping per subset what `keep` says. Returns the root's
-/// kept entries, the largest kept list at any subset, and the search
-/// counters.
+/// The one lattice sweep behind [`optimize`] and [`scalar_dp`]: extends
+/// every subset's kept entries by one relation, in rank order, keeping per
+/// subset what `keep` says. Returns the root's kept entries, the largest
+/// kept list at any subset, and the search counters.
 ///
 /// Access paths, result pages and join keys come from [`QueryTables`].
 /// Access cost is memory-independent, so each relation contributes its
@@ -395,7 +398,7 @@ mod tests {
         for seed in 0..5 {
             let q = query(4, seed);
             let mem = memory();
-            let p = optimize(&q, &PaperCostModel, &mem, Utility::Linear)
+            let p = optimize(&q, &PaperCostModel, &mem, &Utility::Linear)
                 .unwrap()
                 .0;
             let c = alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(mem))
@@ -421,7 +424,7 @@ mod tests {
             let q = query(4, seed);
             let mem = memory();
             for u in utilities {
-                let p = optimize(&q, &PaperCostModel, &mem, u).unwrap().0;
+                let p = optimize(&q, &PaperCostModel, &mem, &u).unwrap().0;
                 let e = exhaustive_utility(&q, &PaperCostModel, &mem, u).unwrap();
                 assert!(
                     (p.best.cost - e.best.cost).abs() <= 1e-6 * e.best.cost.abs().max(1e-9),
@@ -443,7 +446,7 @@ mod tests {
             let probe = exhaustive_utility(&q, &PaperCostModel, &mem, Utility::Linear).unwrap();
             let t = probe.cost_distribution.mean();
             let u = Utility::Deadline { threshold: t };
-            let p = optimize(&q, &PaperCostModel, &mem, u).unwrap().0;
+            let p = optimize(&q, &PaperCostModel, &mem, &u).unwrap().0;
             let e = exhaustive_utility(&q, &PaperCostModel, &mem, u).unwrap();
             assert!(
                 (p.best.cost - e.best.cost).abs() <= 1e-9,
@@ -509,7 +512,7 @@ mod tests {
             &q,
             &PaperCostModel,
             &mem,
-            Utility::Exponential { gamma: 1e-5 },
+            &Utility::Exponential { gamma: 1e-5 },
         )
         .unwrap()
         .0;
@@ -631,23 +634,33 @@ mod tests {
         ];
         for u in utilities {
             let m = PaperCostModel;
-            assert!(is_stats(optimize(&q, &m, &mem, u).map(drop)), "{u:?}");
+            assert!(is_stats(optimize(&q, &m, &mem, &u).map(drop)), "{u:?}");
             assert!(is_stats(scalar_dp(&q, &m, &mem, u).map(drop)), "{u:?}");
             assert!(
                 is_stats(exhaustive_utility(&q, &m, &mem, u).map(drop)),
                 "{u:?}"
             );
         }
-        // The LEC rule runs Algorithm C, whose winner check rejects the ∞
-        // cost in every build before any profile is formed.
+        // The LEC rule and the linear utility run Algorithm C, whose winner
+        // check rejects the ∞ cost in every build before any profile is
+        // formed.
+        let is_bad_cost = |r: Result<(), CoreError>| {
+            matches!(r, Err(CoreError::Plan(lec_plan::PlanError::BadCost { .. })))
+        };
         for rule in Rule::all() {
             let r = optimize_with_rule(&q, &PaperCostModel, &mem, &rule).map(drop);
             if rule == Rule::LeastExpectedCost {
-                let bad_cost =
-                    matches!(r, Err(CoreError::Plan(lec_plan::PlanError::BadCost { .. })));
-                assert!(bad_cost, "{rule}");
+                assert!(is_bad_cost(r), "{rule}");
             } else {
                 assert!(is_stats(r), "{rule}");
+            }
+        }
+        for u in utilities {
+            let r = optimize_with_rule(&q, &PaperCostModel, &mem, &u).map(drop);
+            if u == Utility::Linear {
+                assert!(is_bad_cost(r), "{u:?}");
+            } else {
+                assert!(is_stats(r), "{u:?}");
             }
         }
     }
@@ -660,7 +673,7 @@ mod tests {
             &q,
             &PaperCostModel,
             &mem,
-            Utility::Exponential { gamma: 1e-5 },
+            &Utility::Exponential { gamma: 1e-5 },
         )
         .unwrap();
         assert_eq!(stats.algorithm, "pareto");
@@ -685,7 +698,7 @@ mod tests {
             &q,
             &PaperCostModel,
             &mem,
-            Utility::Exponential { gamma: 1e-5 },
+            &Utility::Exponential { gamma: 1e-5 },
         )
         .unwrap()
         .0;

@@ -1,21 +1,21 @@
-//! Rule-parameterized plan selection: the `lec-rules` subsystem threaded
-//! through the optimizer family (DESIGN.md §9).
+//! The one objective entry point: certify a selection rule, then run it
+//! on the cheapest exact enumerator (DESIGN.md §9).
 //!
-//! The frontier DP in [`pareto`] already computes, per
-//! surviving plan, the full cost *profile* — one cost per memory value.
-//! The LEC criterion collapses that profile to its expectation; this
-//! module lets any certified [`SelectionRule`] do the collapsing instead,
-//! reusing the frontier outputs rather than re-enumerating:
+//! Every objective is a [`SelectionRule`] over per-scenario cost
+//! profiles: the paper's expected cost, an expected utility
+//! ([`lec_stats::Utility`]), minmax regret, PARQO's penalty rule, CVaR, or
+//! a custom rule. [`optimize_with_rule`] runs [`lec_rules::certify`] on it
+//! and dispatches on the admission:
 //!
-//! * [`optimize_with_rule`] — gated entry point for the shipped
-//!   [`Rule`]s. [`Rule::LeastExpectedCost`] dispatches to the *existing*
-//!   scalar path ([`alg_c`]) exactly like
-//!   [`soundness::optimize_gated`](crate::soundness::optimize_gated)
-//!   does for the linear utility, so the LEC rule is bit-identical to
-//!   the expected-cost optimizer by construction (the differential
-//!   battery in `tests/rule_equivalence.rs` holds it to `to_bits`
-//!   equality). Every other shipped rule is certified frontier-only and
-//!   finalizes over the root Pareto frontier.
+//! * [`RuleAdmission::ScalarPruning`] (expected cost, the linear utility)
+//!   → Algorithm C ([`alg_c`]), the existing scalar path, so
+//!   [`Rule::LeastExpectedCost`](lec_rules::Rule::LeastExpectedCost) is
+//!   bit-identical to the expected-cost optimizer by construction (the
+//!   differential battery in `tests/rule_equivalence.rs` holds it to
+//!   `to_bits` equality);
+//! * [`RuleAdmission::FrontierOnly`] (every other shipped rule, the
+//!   exponential and deadline utilities) → the Pareto-frontier DP
+//!   ([`pareto::optimize`]), which scores the root frontier with the rule.
 //!
 //! Frontier finalization is *exact* for every certified rule: dominance
 //! pruning only discards profiles that are componentwise no better, and
@@ -25,41 +25,30 @@
 //! the per-scenario optima the scores reference must not move when the
 //! candidate set shrinks to the frontier — and they do not, because each
 //! per-scenario minimum over all plans is itself attained by a frontier
-//! survivor.
+//! survivor. The deadline utility is admitted on the same grounds: no
+//! scalar DP is exact for it (`pareto::scalar_dp` is X11's
+//! counterexample), but its miss probability is monotone in every
+//! scenario's cost.
 
 use crate::alg_c;
-use crate::dp::Optimized;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::evaluate::{cost_distribution_static, profile_distribution};
-use crate::pareto;
+use crate::evaluate::{cost_profile, profile_distribution};
+use crate::pareto::{self, UtilityResult};
 use lec_cost::CostModel;
 use lec_plan::JoinQuery;
-use lec_rules::{argmin, Rule, RuleAdmission, SelectionRule};
+use lec_rules::{certify, RuleAdmission, SelectionRule};
 use lec_stats::Distribution;
 
-/// What a rule-parameterized optimization chose.
-#[derive(Debug, Clone)]
-pub struct RuleResult {
-    /// The chosen plan; `cost` holds the rule's *score* (for
-    /// [`Rule::LeastExpectedCost`] this is the expected cost, bit-equal
-    /// to the scalar path's).
-    pub best: Optimized,
-    /// Expected cost of the chosen plan under the belief distribution
-    /// (equals `best.cost` for the LEC rule; for other rules it shows
-    /// what the robust choice pays in expectation).
-    pub expected_cost: f64,
-    /// The chosen plan's full cost distribution under the beliefs.
-    pub cost_distribution: Distribution,
-    /// How the certification gate admitted the rule.
-    pub admission: RuleAdmission,
-    /// Number of root-frontier candidates the rule scored (1 for the
-    /// scalar-dispatched LEC rule).
-    pub candidates: usize,
-}
-
-/// Optimize under a shipped [`Rule`], dispatching each rule to the
-/// cheapest entry point its certification admits.
+/// Optimize under any selection rule — a shipped [`lec_rules::Rule`], an
+/// expected [`lec_stats::Utility`], or a custom rule — dispatching it to
+/// the cheapest entry point its certification admits. The result's
+/// `best.cost` is the rule's score; the mean of its `cost_distribution`
+/// is the chosen plan's expected cost.
+///
+/// Fails with [`CoreError::BadParameter`] for out-of-range rule
+/// parameters and [`CoreError::UnsoundRule`] for a rule whose score is
+/// not monotone in per-scenario costs.
 ///
 /// # Examples
 ///
@@ -68,7 +57,7 @@ pub struct RuleResult {
 /// use lec_cost::PaperCostModel;
 /// use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
 /// use lec_rules::Rule;
-/// use lec_stats::Distribution;
+/// use lec_stats::{Distribution, Utility};
 ///
 /// let query = JoinQuery::new(
 ///     vec![
@@ -82,73 +71,42 @@ pub struct RuleResult {
 /// let lec = optimize_with_rule(&query, &PaperCostModel, &memory, &Rule::LeastExpectedCost)?;
 /// let robust = optimize_with_rule(&query, &PaperCostModel, &memory, &Rule::MinmaxRegret)?;
 /// // The robust pick can never beat LEC at LEC's own game.
-/// assert!(robust.expected_cost >= lec.expected_cost - 1e-9);
+/// assert!(robust.cost_distribution.mean() >= lec.best.cost - 1e-9);
+/// // A deadline is one more objective, certified for the frontier DP.
+/// let deadline = Utility::Deadline { threshold: 2e5 };
+/// let on_time = optimize_with_rule(&query, &PaperCostModel, &memory, &deadline)?;
+/// assert!((0.0..=1.0).contains(&on_time.best.cost));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn optimize_with_rule<M: CostModel + ?Sized>(
+pub fn optimize_with_rule<M: CostModel + ?Sized, R: SelectionRule + ?Sized>(
     query: &JoinQuery,
     model: &M,
     memory: &Distribution,
-    rule: &Rule,
-) -> Result<RuleResult, CoreError> {
-    let admission = rule.certify()?;
-    match rule {
-        Rule::LeastExpectedCost => {
-            debug_assert!(admission.scalar_ok());
+    rule: &R,
+) -> Result<UtilityResult, CoreError> {
+    match certify(rule)? {
+        RuleAdmission::ScalarPruning => {
             let best = alg_c::optimize(query, model, &MemoryModel::Static(memory.clone()))?.0;
-            let dist = cost_distribution_static(query, model, &best.plan, memory)?;
-            Ok(RuleResult {
-                expected_cost: best.cost,
-                cost_distribution: dist,
-                admission,
-                candidates: 1,
+            let profile = cost_profile(query, model, &best.plan, memory.values());
+            Ok(UtilityResult {
+                cost_distribution: profile_distribution(memory, &profile)?,
                 best,
+                max_frontier: 1,
+                frontier_profiles: vec![profile],
             })
         }
-        _ => finalize_over_frontier(query, model, memory, rule, admission),
+        RuleAdmission::FrontierOnly { .. } => Ok(pareto::optimize(query, model, memory, rule)?.0),
     }
-}
-
-fn finalize_over_frontier<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-    rule: &dyn SelectionRule,
-    admission: RuleAdmission,
-) -> Result<RuleResult, CoreError> {
-    let roots = pareto::root_frontier(query, model, memory)?;
-    // Convert before the debug hook, so a non-finite profile is an error
-    // rather than a verifier panic.
-    let mut dists = roots
-        .iter()
-        .map(|e| profile_distribution(memory, &e.profile))
-        .collect::<Result<Vec<_>, CoreError>>()?;
-    let profiles: Vec<Vec<f64>> = roots.iter().map(|e| e.profile.clone()).collect();
-    crate::verify::debug_verify_frontier(&profiles);
-    let scores = rule.scores(&profiles, memory.probs());
-    let idx = argmin(&scores).ok_or(CoreError::NoPlanFound)?;
-    let dist = dists.swap_remove(idx);
-    let result = RuleResult {
-        best: Optimized {
-            plan: roots[idx].plan.clone(),
-            cost: scores[idx],
-        },
-        expected_cost: dist.mean(),
-        cost_distribution: dist,
-        admission,
-        candidates: roots.len(),
-    };
-    crate::verify::debug_verify_plan(query, &result.best.plan, result.expected_cost);
-    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::cost_profile;
     use crate::exhaustive::enumerate_left_deep;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
+    use lec_rules::Rule;
+    use lec_stats::Utility;
 
     fn query(n: usize, seed: u64) -> JoinQuery {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -188,7 +146,7 @@ mod tests {
                 .0;
             assert_eq!(via_rule.best.cost.to_bits(), direct.cost.to_bits());
             assert_eq!(via_rule.best.plan, direct.plan);
-            assert!(via_rule.admission.scalar_ok());
+            assert_eq!(via_rule.frontier_profiles.len(), 1);
         }
     }
 
@@ -218,8 +176,8 @@ mod tests {
                     via_frontier.best.cost,
                     truth
                 );
-                assert!(!via_frontier.admission.scalar_ok());
-                assert!(via_frontier.candidates >= 1);
+                assert!(!certify(&rule).unwrap().scalar_ok());
+                assert!(!via_frontier.frontier_profiles.is_empty());
             }
         }
     }
@@ -233,8 +191,9 @@ mod tests {
                 optimize_with_rule(&q, &PaperCostModel, &mem, &Rule::LeastExpectedCost).unwrap();
             for rule in Rule::all() {
                 let r = optimize_with_rule(&q, &PaperCostModel, &mem, &rule).unwrap();
+                let expected = r.cost_distribution.mean();
                 assert!(
-                    r.expected_cost >= lec.expected_cost - 1e-9 * lec.expected_cost.max(1.0),
+                    expected >= lec.best.cost - 1e-9 * lec.best.cost.max(1.0),
                     "seed {seed}, {rule}"
                 );
             }
@@ -249,5 +208,33 @@ mod tests {
             optimize_with_rule(&q, &PaperCostModel, &memory(), &bad_alpha),
             Err(CoreError::BadParameter(_))
         ));
+        for bad in [
+            Utility::Exponential { gamma: 0.0 },
+            Utility::Exponential { gamma: f64::NAN },
+            Utility::Deadline {
+                threshold: f64::INFINITY,
+            },
+        ] {
+            let via_rule = optimize_with_rule(&q, &PaperCostModel, &memory(), &bad);
+            assert!(
+                matches!(via_rule, Err(CoreError::BadParameter(_))),
+                "{bad:?}"
+            );
+            let direct = pareto::optimize(&q, &PaperCostModel, &memory(), &bad);
+            assert!(matches!(direct, Err(CoreError::BadParameter(_))), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn linear_utility_dispatches_to_algorithm_c_like_the_lec_rule() {
+        for seed in 0..4 {
+            let q = query(4, seed);
+            let mem = memory();
+            let linear = optimize_with_rule(&q, &PaperCostModel, &mem, &Utility::Linear).unwrap();
+            let lec =
+                optimize_with_rule(&q, &PaperCostModel, &mem, &Rule::LeastExpectedCost).unwrap();
+            assert_eq!(linear.best.cost.to_bits(), lec.best.cost.to_bits());
+            assert_eq!(linear.best.plan, lec.best.plan);
+        }
     }
 }

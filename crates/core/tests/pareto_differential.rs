@@ -1,8 +1,9 @@
 //! Differential battery for the utility DPs: `pareto::optimize`,
-//! `pareto::scalar_dp` and the frontier-rule finalize, all running on one
-//! shared lattice sweep over `QueryTables`, against verbatim copies of the
-//! two stand-alone sweeps they replaced (module `oracle` below; the four
-//! small access/join/sort step helpers they called are inlined there).
+//! `pareto::scalar_dp` and `optimize_with_rule` for the frontier-only
+//! utilities and selection rules, all running on one shared lattice sweep
+//! over `QueryTables`, against verbatim copies of the two stand-alone
+//! sweeps they replaced (module `oracle` below; the four small
+//! access/join/sort step helpers they called are inlined there).
 //!
 //! Every case must agree to the bit: the chosen plan, the score's and the
 //! cost distribution's `to_bits`, the root frontier's profiles in order,
@@ -161,10 +162,18 @@ fn check(q: &JoinQuery, mem: &Distribution, canary: Canary) -> Result<usize, Str
     ];
     let mut checked = 0;
     for u in utilities {
-        let (new, new_stats) = pareto::optimize(q, &model, mem, u).expect("pareto");
+        let (new, new_stats) = pareto::optimize(q, &model, mem, &u).expect("pareto");
         let (old, old_stats) = oracle::optimize(q, &model, mem, u, canary);
         if let Some(d) = diff_results(&new, &old).or_else(|| diff_stats(&new_stats, &old_stats)) {
             return Err(format!("{u:?}: pareto {d}"));
+        }
+        // Every frontier-only utility takes the same path through the
+        // certified entry point (the linear one runs Algorithm C instead).
+        if u != Utility::Linear {
+            let new = optimize_with_rule(q, &model, mem, &u).expect("utility rule");
+            if let Some(d) = diff_results(&new, &old) {
+                return Err(format!("{u:?}: optimize_with_rule {d}"));
+            }
         }
         let new = pareto::scalar_dp(q, &model, mem, u).expect("scalar");
         let old = oracle::scalar_dp(q, &model, mem, u, canary);
@@ -183,7 +192,7 @@ fn check(q: &JoinQuery, mem: &Distribution, canary: Canary) -> Result<usize, Str
         if new.best.plan != plan
             || new.best.cost.to_bits() != score.to_bits()
             || dist_bits(&new.cost_distribution) != dist_bits(&dist)
-            || new.candidates != candidates
+            || new.frontier_profiles.len() != candidates
         {
             return Err(format!("{rule}: frontier finalize"));
         }

@@ -133,7 +133,7 @@ proptest! {
             Utility::Deadline { threshold: probe.cost_distribution.mean() },
         ];
         for u in utilities {
-            let p = pareto::optimize(&q, &PaperCostModel, &mem, u).unwrap().0;
+            let p = pareto::optimize(&q, &PaperCostModel, &mem, &u).unwrap().0;
             let e = pareto::exhaustive_utility(&q, &PaperCostModel, &mem, u).unwrap();
             prop_assert!(
                 (p.best.cost - e.best.cost).abs() <= 1e-6 * e.best.cost.abs().max(1e-9),
@@ -161,8 +161,8 @@ proptest! {
         let base = build_permuted(&parts, &identity(n), ordered);
         let renum = build_permuted(&parts, &permutation(n, rot % n, swap), ordered);
 
-        let a = pareto::optimize(&base, &PaperCostModel, &mem, u).unwrap().0;
-        let b = pareto::optimize(&renum, &PaperCostModel, &mem, u).unwrap().0;
+        let a = pareto::optimize(&base, &PaperCostModel, &mem, &u).unwrap().0;
+        let b = pareto::optimize(&renum, &PaperCostModel, &mem, &u).unwrap().0;
 
         prop_assert!(close(a.best.cost, b.best.cost, 1e-9),
             "best score {} vs {}", a.best.cost, b.best.cost);

@@ -147,10 +147,13 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
             "{label}: LEC rule cost must be bit-identical to alg_c"
         );
         assert_eq!(via_rule.best.plan, direct.plan, "{label}: LEC rule plan");
-        assert_eq!(
-            via_rule.expected_cost.to_bits(),
-            direct.cost.to_bits(),
-            "{label}: LEC rule reports its score as the expected cost"
+        // The chosen plan's cost distribution sums its mean in bucket
+        // order, not in the DP's order: equal up to float re-association.
+        let mean = via_rule.cost_distribution.mean();
+        assert!(
+            (mean - direct.cost).abs() <= 1e-9 * direct.cost.max(1.0),
+            "{label}: LEC rule's cost distribution has mean {mean}, alg_c cost {}",
+            direct.cost
         );
 
         // Parametric start-up: pick_with_rule(LEC) vs pick, bit for bit.
@@ -179,7 +182,7 @@ fn frontier_finalized_lec_agrees_with_the_scalar_path() {
             .0;
         // Finalize the LEC criterion over the root Pareto frontier, the
         // path every other rule takes.
-        let frontier = lec_core::pareto::optimize(&q, &model, &mem, lec_stats::Utility::Linear)
+        let frontier = lec_core::pareto::optimize(&q, &model, &mem, &lec_stats::Utility::Linear)
             .expect("frontier LEC")
             .0;
         assert!(
@@ -209,7 +212,7 @@ fn minmax_and_tail_risk_provably_diverge_from_lec() {
         // worst-case regret can never exceed the LEC plan's.
         let lec_profile = cost_profile(&q, &model, &lec.best.plan, mem.values());
         let mm_profile = cost_profile(&q, &model, &minmax.best.plan, mem.values());
-        let frontier = lec_core::pareto::optimize(&q, &model, &mem, lec_stats::Utility::Linear)
+        let frontier = lec_core::pareto::optimize(&q, &model, &mem, &lec_stats::Utility::Linear)
             .expect("frontier")
             .0
             .frontier_profiles;

@@ -1,5 +1,6 @@
-//! Probe-based rule certification, mirroring the utility-soundness gate
-//! in `lec-core::soundness` (DESIGN.md §7/§9).
+//! Probe-based certification: the one gate every objective — shipped
+//! rule, expected utility or custom rule — passes before an optimizer
+//! entry point runs it (DESIGN.md §9).
 //!
 //! A dynamic program can prune with a selection rule at every dag node
 //! (*scalar pruning*, what Algorithm C does with expected cost) only if
@@ -8,10 +9,14 @@
 //! probabilities, and widening the candidate set. Instead of trusting a
 //! self-declared flag, [`certify`] *measures* each property on fixed
 //! numeric probes and returns the first counterexample as a
-//! [`PruningWitness`] — the same philosophy as the deadline-utility
-//! counterexample that guards the utility DP.
+//! [`PruningWitness`].
 //!
-//! Three probe families run, cheapest guarantee last:
+//! It first validates the rule's parameters
+//! ([`SelectionRule::validate`]), then scales every probe profile by
+//! [`SelectionRule::probe_scale`], so a rule whose score bends only at
+//! some cost magnitude (an exponential utility with `γ = 1e-9`, a
+//! deadline of `1e6`) is probed where its curvature shows. Three probe
+//! families run, cheapest guarantee last:
 //!
 //! 1. **Monotonicity** (mandatory): a componentwise-cheaper profile must
 //!    never score worse within the same candidate set. This is the
@@ -22,20 +27,24 @@
 //!    unrelated candidate joins the set (minmax regret fails: the
 //!    per-scenario optima move).
 //! 3. **Tail additivity and mixture linearity**: `score(x ⊕ t) =
-//!    score(x) + score(t)` for a common additive cost tail `t`, and
+//!    score(x) + score(t)` for a common additive cost tail `t` (added
+//!    within each scenario: the stages share the random parameter), and
 //!    linearity in the scenario probabilities (the Bellman property that
-//!    makes scalar DP exact; CVaR and the asymmetric penalty fail the
-//!    tail probe).
+//!    makes scalar DP exact; CVaR, the asymmetric penalty, and the
+//!    exponential and deadline utilities fail the tail probe).
 //!
-//! Passing all three admits the rule for scalar pruning; failing 2 or 3
-//! demotes it to frontier-only selection with the witness attached.
+//! Passing all three admits the rule for scalar pruning: it ranks plans
+//! as expected cost does, and hosts run it through Algorithm C. Failing 2
+//! or 3 demotes it to frontier-only selection with the witness attached.
+//! A deadline utility lands there too: no scalar DP is exact for it (the
+//! X11 counterexample), but its score is monotone, so the frontier DP is.
 
 use crate::SelectionRule;
 use std::fmt;
 
-/// Absolute tolerance for probe comparisons. Probe magnitudes are O(10),
-/// so anything beyond 1e-9 is a structural property violation, not float
-/// noise (same constant as the utility gate).
+/// Tolerance for probe comparisons, per unit of probe scale (at least 1).
+/// Unit-scale probe magnitudes are O(10), so anything beyond 1e-9 is a
+/// structural property violation, not float noise.
 pub(crate) const PROBE_TOLERANCE: f64 = 1e-9;
 
 /// What the certification gate admits a rule for.
@@ -62,8 +71,8 @@ impl RuleAdmission {
 }
 
 /// A numeric counterexample: `lhs` and `rhs` should agree (up to the
-/// gate's `1e-9` probe tolerance) for a scalar-pruning-sound rule but do
-/// not.
+/// gate's probe tolerance, 1e-9 per unit of probe scale) for a
+/// scalar-pruning-sound rule but do not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PruningWitness {
     /// Which probe failed, with the probe data spelled out.
@@ -120,28 +129,32 @@ impl std::error::Error for RuleError {}
 /// Fixed scenario probabilities shared by all probes.
 const PROBE_PROBS: [f64; 3] = [0.25, 0.5, 0.25];
 
-/// Base candidate profiles: mutually non-dominated, and chosen so the
-/// third candidate moves a *binding* per-scenario optimum. With the
-/// first two candidates alone the scenario optima are (0, 6, 5) and
-/// candidate 0's worst regret is 4 (scenario 1); adding the third drops
-/// the scenario-1 optimum to 0 and lifts that regret to 10 — the
-/// context shift regret-style rules must reveal to the probe.
-fn probe_candidates() -> Vec<Vec<f64>> {
-    vec![
-        vec![0.0, 10.0, 5.0],
-        vec![6.0, 6.0, 5.0],
-        vec![10.0, 0.0, 5.0],
-    ]
+/// Base candidate profiles at `scale`: mutually non-dominated, and chosen
+/// so the third candidate moves a *binding* per-scenario optimum. At unit
+/// scale, with the first two candidates alone the scenario optima are
+/// (0, 6, 5) and candidate 0's worst regret is 4 (scenario 1); adding the
+/// third drops the scenario-1 optimum to 0 and lifts that regret to 10 —
+/// the context shift regret-style rules must reveal to the probe.
+fn probe_candidates(scale: f64) -> Vec<Vec<f64>> {
+    [[0.0, 10.0, 5.0], [6.0, 6.0, 5.0], [10.0, 0.0, 5.0]]
+        .iter()
+        .map(|p| p.iter().map(|c| c * scale).collect())
+        .collect()
 }
 
-/// Certify `rule` against the probe battery. See the module docs for the
-/// probe families; returns [`RuleError::UnsoundRule`] when the mandatory
+/// Certify `rule`: validate its parameters ([`RuleError::BadConfig`] if
+/// they are out of range), then run the probe battery at its
+/// [`SelectionRule::probe_scale`]. See the module docs for the probe
+/// families; returns [`RuleError::UnsoundRule`] when the mandatory
 /// monotonicity probes fail, otherwise the appropriate [`RuleAdmission`].
-pub fn certify(rule: &dyn SelectionRule) -> Result<RuleAdmission, RuleError> {
-    monotone_probe(rule)?;
-    if let Some(witness) = context_probe(rule)
-        .or_else(|| tail_probe(rule))
-        .or_else(|| mixture_probe(rule))
+pub fn certify<R: SelectionRule + ?Sized>(rule: &R) -> Result<RuleAdmission, RuleError> {
+    rule.validate()?;
+    let scale = rule.probe_scale();
+    let tolerance = PROBE_TOLERANCE * scale.max(1.0);
+    monotone_probe(rule, scale)?;
+    if let Some(witness) = context_probe(rule, scale, tolerance)
+        .or_else(|| tail_probe(rule, scale, tolerance))
+        .or_else(|| mixture_probe(rule, scale, tolerance))
     {
         return Ok(RuleAdmission::FrontierOnly { witness });
     }
@@ -151,13 +164,11 @@ pub fn certify(rule: &dyn SelectionRule) -> Result<RuleAdmission, RuleError> {
 /// Mandatory probe: within one candidate set, a componentwise-dominated
 /// profile must never score strictly better than its dominator. Probes
 /// each base candidate against a copy worsened in a single scenario, at
-/// unit and 1e6 scale (to catch scale-dependent pathologies).
-fn monotone_probe(rule: &dyn SelectionRule) -> Result<(), RuleError> {
-    for scale in [1.0, 1e6] {
-        let base: Vec<Vec<f64>> = probe_candidates()
-            .into_iter()
-            .map(|p| p.iter().map(|c| c * scale).collect())
-            .collect();
+/// the probe scale and 1e6 times it (to catch scale-dependent
+/// pathologies).
+fn monotone_probe<R: SelectionRule + ?Sized>(rule: &R, probe_scale: f64) -> Result<(), RuleError> {
+    for scale in [probe_scale, 1e6 * probe_scale] {
+        let base = probe_candidates(scale);
         for i in 0..base.len() {
             for s in 0..PROBE_PROBS.len() {
                 let mut worse = base[i].clone();
@@ -185,12 +196,16 @@ fn monotone_probe(rule: &dyn SelectionRule) -> Result<(), RuleError> {
 }
 
 /// A candidate's score must not move when a new candidate joins the set.
-fn context_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
-    let base = probe_candidates();
+fn context_probe<R: SelectionRule + ?Sized>(
+    rule: &R,
+    scale: f64,
+    tolerance: f64,
+) -> Option<PruningWitness> {
+    let base = probe_candidates(scale);
     let narrow = rule.scores(&base[..2], &PROBE_PROBS);
     let wide = rule.scores(&base, &PROBE_PROBS);
     for i in 0..2 {
-        if (narrow[i] - wide[i]).abs() > PROBE_TOLERANCE {
+        if (narrow[i] - wide[i]).abs() > tolerance {
             return Some(PruningWitness {
                 probe: format!(
                     "score of profile {:?} changed when candidate {:?} joined the set \
@@ -209,16 +224,25 @@ fn context_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
 /// (the Bellman property scalar DP needs: subplan scores plus step costs
 /// compose). CVaR's witness doubles as the ranking-flip counterexample:
 /// with probs (.5,.5) and alpha .5, x=(0,10) scores 10 and t=(20,0)
-/// scores 20, but x⊕t=(20,10) scores 20 ≠ 30.
-fn tail_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
-    let tails = [vec![20.0, 0.0, 0.0], vec![4.0, 4.0, 9.0]];
-    for x in probe_candidates() {
+/// scores 20, but x⊕t=(20,10) scores 20 ≠ 30. A deadline at the probe
+/// scale misses with probability 0.75 on x=(0,10,5) and 1 on t=(4,4,9),
+/// but x⊕t=(4,14,14) misses with probability 1, not 1.75.
+fn tail_probe<R: SelectionRule + ?Sized>(
+    rule: &R,
+    scale: f64,
+    tolerance: f64,
+) -> Option<PruningWitness> {
+    let tails: Vec<Vec<f64>> = [[20.0, 0.0, 0.0], [4.0, 4.0, 9.0]]
+        .iter()
+        .map(|t| t.iter().map(|c| c * scale).collect())
+        .collect();
+    for x in probe_candidates(scale) {
         for t in &tails {
             let combined: Vec<f64> = x.iter().zip(t).map(|(a, b)| a + b).collect();
             let lhs = rule.scores(std::slice::from_ref(&combined), &PROBE_PROBS)[0];
             let rhs = rule.scores(std::slice::from_ref(&x), &PROBE_PROBS)[0]
                 + rule.scores(std::slice::from_ref(t), &PROBE_PROBS)[0];
-            if (lhs - rhs).abs() > PROBE_TOLERANCE {
+            if (lhs - rhs).abs() > tolerance {
                 return Some(PruningWitness {
                     probe: format!(
                         "score({combined:?}) != score({x:?}) + score({t:?}) \
@@ -235,8 +259,12 @@ fn tail_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
 
 /// Scores must be linear in the scenario probabilities: the score under a
 /// mixture of two belief vectors equals the mixture of the scores.
-fn mixture_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
-    let base = probe_candidates();
+fn mixture_probe<R: SelectionRule + ?Sized>(
+    rule: &R,
+    scale: f64,
+    tolerance: f64,
+) -> Option<PruningWitness> {
+    let base = probe_candidates(scale);
     let p = [0.6, 0.3, 0.1];
     let q = [0.1, 0.2, 0.7];
     let mix: Vec<f64> = p.iter().zip(&q).map(|(a, b)| 0.5 * a + 0.5 * b).collect();
@@ -245,7 +273,7 @@ fn mixture_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
     let sm = rule.scores(&base, &mix);
     for i in 0..base.len() {
         let blend = 0.5 * sp[i] + 0.5 * sq[i];
-        if (sm[i] - blend).abs() > PROBE_TOLERANCE {
+        if (sm[i] - blend).abs() > tolerance {
             return Some(PruningWitness {
                 probe: format!(
                     "score of {:?} under mixed beliefs {mix:?} is not the mixture of \
@@ -264,6 +292,7 @@ fn mixture_probe(rule: &dyn SelectionRule) -> Option<PruningWitness> {
 mod tests {
     use super::*;
     use crate::{LeastExpectedCost, MinmaxRegret, Penalty, Rule, TailRisk};
+    use lec_stats::Utility;
 
     #[test]
     fn expected_cost_is_admitted_for_scalar_pruning() {
@@ -272,7 +301,7 @@ mod tests {
             RuleAdmission::ScalarPruning
         );
         assert_eq!(
-            Rule::LeastExpectedCost.certify().unwrap(),
+            certify(&Rule::LeastExpectedCost).unwrap(),
             RuleAdmission::ScalarPruning
         );
     }
@@ -294,7 +323,7 @@ mod tests {
             Rule::PenaltyAware(Penalty::default()),
             Rule::TailRisk(TailRisk::default()),
         ] {
-            match rule.certify().unwrap() {
+            match certify(&rule).unwrap() {
                 RuleAdmission::FrontierOnly { witness } => {
                     assert!(
                         witness.probe.contains("common cost tail"),
@@ -349,11 +378,69 @@ mod tests {
     #[test]
     fn all_shipped_rules_certify() {
         for rule in Rule::all() {
-            let admission = rule.certify().unwrap();
+            let admission = certify(&rule).unwrap();
             match rule {
                 Rule::LeastExpectedCost => assert!(admission.scalar_ok()),
                 _ => assert!(!admission.scalar_ok(), "{rule} must be frontier-only"),
             }
+        }
+    }
+
+    #[test]
+    fn linear_utility_certifies_for_scalar_pruning() {
+        assert_eq!(
+            certify(&Utility::Linear).expect("linear certifies"),
+            RuleAdmission::ScalarPruning
+        );
+    }
+
+    #[test]
+    fn exponential_utility_certifies_for_the_frontier_only() {
+        for gamma in [1e-9, 1e-4, 0.5, 100.0, -1e-4, -0.5] {
+            match certify(&Utility::Exponential { gamma }).expect("exponential certifies") {
+                RuleAdmission::FrontierOnly { witness } => {
+                    assert!(witness.probe.contains("common cost tail"), "{witness:?}");
+                }
+                other => panic!("gamma = {gamma}: expected FrontierOnly, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_utility_is_frontier_only_with_a_numeric_witness() {
+        for threshold in [0.0, 1.0, 1e6, -5.0] {
+            match certify(&Utility::Deadline { threshold }).expect("deadline certifies") {
+                RuleAdmission::FrontierOnly { witness } => {
+                    assert!(witness.probe.contains("common cost tail"), "{witness:?}");
+                    assert!(
+                        (witness.lhs - witness.rhs).abs() > 0.1,
+                        "threshold = {threshold}: witness too weak: {witness:?}"
+                    );
+                }
+                other => panic!("threshold = {threshold}: expected FrontierOnly, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bad_utility_parameters_are_config_errors() {
+        for bad in [
+            Utility::Exponential { gamma: 0.0 },
+            Utility::Exponential { gamma: f64::NAN },
+            Utility::Exponential {
+                gamma: f64::INFINITY,
+            },
+            Utility::Deadline {
+                threshold: f64::INFINITY,
+            },
+            Utility::Deadline {
+                threshold: f64::NAN,
+            },
+        ] {
+            assert!(
+                matches!(certify(&bad), Err(RuleError::BadConfig(_))),
+                "{bad:?}"
+            );
         }
     }
 }

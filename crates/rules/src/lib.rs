@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Plan-*selection rules*: how to turn a per-scenario cost profile into a
-//! winner.
+//! winner. Every objective the optimizer family serves is one of them.
 //!
 //! The LEC criterion of the source paper is one scalarization of the
 //! per-scenario cost distributions the Pareto-frontier machinery in
@@ -9,28 +9,32 @@
 //! When the belief distribution is wrong, however, the selection rule —
 //! not just the estimates — determines how badly the chosen plan degrades
 //! (Alyoubi, Helmer & Wood's minmax-regret optimizer and PARQO's
-//! penalty-aware robust selection both make this point). This crate
-//! factors the rule out of the optimizer:
+//! penalty-aware robust selection both make this point), and a
+//! risk-averse or deadline-bound user wants an expected *utility* instead
+//! (the PODS 2002 question). This crate factors the objective out of the
+//! optimizer:
 //!
 //! * a candidate is a **cost profile** — one cost per environment
 //!   scenario, aligned with the scenario probabilities;
 //! * a [`SelectionRule`] scores the *whole candidate set at once* (rules
 //!   like minmax regret are context-sensitive: a candidate's score depends
 //!   on which other candidates are present) and the host picks the argmin;
-//! * [`certify`] probes a rule with numeric witnesses — mirroring the
-//!   utility-soundness gate in `lec-core::soundness` — and classifies it
-//!   as sound for scalar pruning ([`RuleAdmission::ScalarPruning`]) or
-//!   exact only on the surviving Pareto frontier
-//!   ([`RuleAdmission::FrontierOnly`]); rules whose score is not monotone
-//!   in per-scenario costs are rejected outright, because then even the
-//!   frontier may have pruned their optimum.
+//! * [`certify`], the one certifier, validates a rule's parameters and
+//!   probes it with numeric witnesses, classifying it as sound for scalar
+//!   pruning ([`RuleAdmission::ScalarPruning`]) or exact only on the
+//!   surviving Pareto frontier ([`RuleAdmission::FrontierOnly`]); rules
+//!   whose score is not monotone in per-scenario costs are rejected
+//!   outright, because then even the frontier may have pruned their
+//!   optimum.
 //!
 //! Four rules ship: [`LeastExpectedCost`] (the paper's criterion — hosts
 //! dispatch it to the existing scalar-DP path, so it stays bit-identical
 //! to `alg_c`), [`MinmaxRegret`], [`PenaltyAware`], and [`TailRisk`]
-//! (CVaR). All are deterministic: ties break toward the first candidate,
-//! comparisons use `f64::total_cmp`, and no ambient randomness exists
-//! anywhere in this crate.
+//! (CVaR). Each [`lec_stats::Utility`] is a rule too: the linear utility
+//! certifies for scalar pruning, the exponential and deadline utilities
+//! for the frontier only. All are deterministic: ties break toward the
+//! first candidate, comparisons use `f64::total_cmp`, and no ambient
+//! randomness exists anywhere in this crate.
 //!
 //! ```
 //! use lec_rules::{Rule, SelectionRule};
@@ -49,6 +53,8 @@
 mod certify;
 
 pub use certify::{certify, PruningWitness, RuleAdmission, RuleError};
+
+use lec_stats::{Distribution, Utility};
 
 /// A plan-selection rule: jointly scores a set of candidate cost profiles
 /// (lower is better).
@@ -72,6 +78,22 @@ pub trait SelectionRule {
     /// exact ties, `None` for an empty candidate set.
     fn select(&self, profiles: &[Vec<f64>], probs: &[f64]) -> Option<usize> {
         argmin(&self.scores(profiles, probs))
+    }
+
+    /// Check the rule's parameters without running the probes;
+    /// [`certify`] calls this first. Parameter-free rules keep the default.
+    fn validate(&self) -> Result<(), RuleError> {
+        Ok(())
+    }
+
+    /// The cost scale [`certify`] probes the rule at: every probe profile
+    /// is a unit-scale profile times this factor. A rule whose score bends
+    /// only at some cost magnitude (an exponential utility's `1/|γ|`, a
+    /// deadline's threshold) returns that magnitude, so the probes land
+    /// where its curvature shows. Called only after
+    /// [`SelectionRule::validate`] passes.
+    fn probe_scale(&self) -> f64 {
+        1.0
     }
 }
 
@@ -231,6 +253,10 @@ impl SelectionRule for PenaltyAware {
         "penalty-aware"
     }
 
+    fn validate(&self) -> Result<(), RuleError> {
+        self.penalty.validate()
+    }
+
     fn scores(&self, profiles: &[Vec<f64>], probs: &[f64]) -> Vec<f64> {
         profiles
             .iter()
@@ -270,17 +296,6 @@ impl TailRisk {
         let t = TailRisk { alpha };
         t.validate()?;
         Ok(t)
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), RuleError> {
-        if (0.0..1.0).contains(&self.alpha) {
-            Ok(())
-        } else {
-            Err(RuleError::BadConfig(format!(
-                "tail-risk alpha must lie in [0, 1), got {}",
-                self.alpha
-            )))
-        }
     }
 }
 
@@ -328,6 +343,17 @@ impl SelectionRule for TailRisk {
         "tail-risk"
     }
 
+    fn validate(&self) -> Result<(), RuleError> {
+        if (0.0..1.0).contains(&self.alpha) {
+            Ok(())
+        } else {
+            Err(RuleError::BadConfig(format!(
+                "tail-risk alpha must lie in [0, 1), got {}",
+                self.alpha
+            )))
+        }
+    }
+
     fn scores(&self, profiles: &[Vec<f64>], probs: &[f64]) -> Vec<f64> {
         profiles
             .iter()
@@ -337,8 +363,9 @@ impl SelectionRule for TailRisk {
 }
 
 /// Config-friendly closed set of the shipped rules (the form hosts store
-/// in `ServeConfig` and experiments iterate over). Custom rules implement
-/// [`SelectionRule`] directly and go through the frontier entry points.
+/// in `ServeConfig` and experiments iterate over). Utilities and custom
+/// rules implement [`SelectionRule`] directly and go through the same
+/// certified entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Rule {
     /// The paper's expected-cost criterion (hosts dispatch this to the
@@ -364,22 +391,6 @@ impl Rule {
             Rule::TailRisk(TailRisk::default()),
         ]
     }
-
-    /// Validate rule parameters (slopes, alpha) without running the
-    /// certification probes.
-    pub fn validate(&self) -> Result<(), RuleError> {
-        match self {
-            Rule::LeastExpectedCost | Rule::MinmaxRegret => Ok(()),
-            Rule::PenaltyAware(p) => p.validate(),
-            Rule::TailRisk(t) => t.validate(),
-        }
-    }
-
-    /// Validate parameters, then run the [`certify`] probe battery.
-    pub fn certify(&self) -> Result<RuleAdmission, RuleError> {
-        self.validate()?;
-        certify(self)
-    }
 }
 
 impl SelectionRule for Rule {
@@ -398,6 +409,74 @@ impl SelectionRule for Rule {
             Rule::MinmaxRegret => MinmaxRegret.scores(profiles, probs),
             Rule::PenaltyAware(p) => PenaltyAware { penalty: *p }.scores(profiles, probs),
             Rule::TailRisk(t) => t.scores(profiles, probs),
+        }
+    }
+
+    fn validate(&self) -> Result<(), RuleError> {
+        match self {
+            Rule::LeastExpectedCost | Rule::MinmaxRegret => Ok(()),
+            Rule::PenaltyAware(p) => p.validate(),
+            Rule::TailRisk(t) => t.validate(),
+        }
+    }
+}
+
+/// An expected (dis)utility is one more selection rule: a candidate's
+/// score is [`Utility::score`] of its cost profile read as a distribution,
+/// each cost carrying its scenario's probability. A profile that is no
+/// distribution (a non-finite cost) scores NaN, which [`argmin`] ranks
+/// last.
+///
+/// [`certify`] admits the linear utility for scalar pruning. The
+/// exponential and deadline utilities fail the tail-additivity probe — a
+/// common cost tail added within each scenario, which is the
+/// shared-parameter case — and are frontier-only: the Pareto-frontier DP
+/// is exact for them because their scores are monotone in every
+/// scenario's cost.
+impl SelectionRule for Utility {
+    fn name(&self) -> &'static str {
+        match self {
+            Utility::Linear => "linear-utility",
+            Utility::Exponential { .. } => "exponential-utility",
+            Utility::Deadline { .. } => "deadline-utility",
+        }
+    }
+
+    fn scores(&self, profiles: &[Vec<f64>], probs: &[f64]) -> Vec<f64> {
+        profiles
+            .iter()
+            .map(|profile| {
+                Distribution::new(profile.iter().zip(probs).map(|(&c, &p)| (c, p)))
+                    .map_or(f64::NAN, |costs| self.score(&costs))
+            })
+            .collect()
+    }
+
+    /// `gamma` must be finite and non-zero (zero is [`Utility::Linear`]),
+    /// and a deadline finite.
+    fn validate(&self) -> Result<(), RuleError> {
+        match *self {
+            Utility::Exponential { gamma } if !gamma.is_finite() || gamma == 0.0 => {
+                Err(RuleError::BadConfig(format!(
+                    "exponential utility gamma must be finite and non-zero, got {gamma}"
+                )))
+            }
+            Utility::Deadline { threshold } if !threshold.is_finite() => Err(RuleError::BadConfig(
+                format!("deadline threshold must be finite, got {threshold}"),
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// `1/|γ|` for the exponential utility (so `γ = 1e-9` is probed at
+    /// costs around `1e9`, where it is not yet linear), a positive
+    /// deadline itself (so the probe costs straddle it), 1 otherwise.
+    fn probe_scale(&self) -> f64 {
+        match *self {
+            Utility::Linear => 1.0,
+            Utility::Exponential { gamma } => 1.0 / gamma.abs().clamp(1e-300, 1e300),
+            Utility::Deadline { threshold } if threshold > 0.0 => threshold,
+            Utility::Deadline { .. } => 1.0,
         }
     }
 }
@@ -521,6 +600,27 @@ mod tests {
             assert!(!rule.to_string().is_empty());
         }
         assert_eq!(Rule::default(), Rule::LeastExpectedCost);
-        assert!(Rule::TailRisk(TailRisk { alpha: 2.0 }).certify().is_err());
+        assert!(certify(&Rule::TailRisk(TailRisk { alpha: 2.0 })).is_err());
+    }
+
+    #[test]
+    fn utility_scores_are_the_utility_of_the_profile_distribution() {
+        let profiles = vec![vec![100.0, 300.0], vec![200.0, 200.0]];
+        for u in [
+            Utility::Linear,
+            Utility::Exponential { gamma: 0.01 },
+            Utility::Deadline { threshold: 150.0 },
+        ] {
+            let scores = u.scores(&profiles, &PROBS);
+            for (profile, score) in profiles.iter().zip(&scores) {
+                let d = Distribution::new(profile.iter().zip(PROBS).map(|(&c, p)| (c, p)))
+                    .expect("valid profile");
+                assert_eq!(score.to_bits(), u.score(&d).to_bits(), "{u:?}");
+            }
+        }
+        // A non-finite cost is no distribution: it scores NaN, ranked last.
+        let scores = Utility::Linear.scores(&[vec![f64::INFINITY, 1.0], vec![5.0, 5.0]], &PROBS);
+        assert!(scores[0].is_nan());
+        assert_eq!(argmin(&scores), Some(1));
     }
 }

@@ -164,7 +164,9 @@ impl<V: Clone> PlanCache<V> {
             if let Some(victim) = shard
                 .entries
                 .iter()
-                .min_by_key(|(key, slot)| (slot.last_used, (*key).clone()))
+                .min_by(|(ka, a), (kb, b)| {
+                    (a.last_used, ka.as_slice()).cmp(&(b.last_used, kb.as_slice()))
+                })
                 .map(|(key, _)| key.clone())
             {
                 shard.entries.remove(&victim);
@@ -296,6 +298,25 @@ mod tests {
         assert_eq!(cache.get(&c), Some(3));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.capacity(), 2);
+
+        // Three entries: a `get` refreshes recency, so the victim is the
+        // least recently *used* entry, not the oldest insert.
+        let cache: PlanCache<u32> = PlanCache::new(1, 3);
+        let d = fp(40.0);
+        cache.insert(&a, 1);
+        cache.insert(&b, 2);
+        cache.insert(&c, 3);
+        assert_eq!(cache.get(&a), Some(1));
+        cache.insert(&d, 4);
+        assert_eq!(cache.get(&b), None, "b was least recently used");
+        assert_eq!(cache.get(&c), Some(3));
+        cache.insert(&b, 2);
+        assert_eq!(cache.get(&a), None, "a went stale after c was read");
+        assert_eq!(cache.get(&c), Some(3));
+        assert_eq!(cache.get(&d), Some(4));
+        assert_eq!(cache.get(&b), Some(2));
+        assert_eq!(cache.counters().evictions, 2);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

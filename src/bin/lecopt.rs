@@ -17,7 +17,7 @@
 //!     simulator (all joins must share one key).
 //! ```
 
-use lecopt::core::{alg_a, alg_b, alg_c, evaluate, lsc, pareto, MemoryModel};
+use lecopt::core::{alg_a, alg_b, alg_c, evaluate, lsc, optimize_with_rule, MemoryModel};
 use lecopt::cost::{CostModel, DetailedCostModel, PaperCostModel};
 use lecopt::exec::datagen::{domain_for_selectivity, generate, DataGenSpec};
 use lecopt::exec::{execute_plan, Disk, ExecMemoryEnv, RelId};
@@ -149,21 +149,17 @@ fn optimize(args: &[String]) -> Result<(), AnyError> {
     };
 
     if let Some(g) = f.get("gamma") {
-        let r = pareto::optimize(&q, &model, &mem, Utility::Exponential { gamma: g.parse()? })?.0;
+        let u = Utility::Exponential { gamma: g.parse()? };
+        let r = optimize_with_rule(&q, &model, &mem, &u)?;
         println!("{}", r.best.plan.explain(&q));
         println!("certainty-equivalent cost: {:.0}", r.best.cost);
         return Ok(());
     }
     if let Some(t) = f.get("deadline") {
-        let r = pareto::optimize(
-            &q,
-            &model,
-            &mem,
-            Utility::Deadline {
-                threshold: t.parse()?,
-            },
-        )?
-        .0;
+        let u = Utility::Deadline {
+            threshold: t.parse()?,
+        };
+        let r = optimize_with_rule(&q, &model, &mem, &u)?;
         println!("{}", r.best.plan.explain(&q));
         println!("deadline-miss probability: {:.3}", r.best.cost);
         return Ok(());

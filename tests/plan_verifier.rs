@@ -107,7 +107,7 @@ fn every_optimizer_family_member_emits_verifiable_plans() {
                 emitted.push(("topc", p.plan.clone()));
                 assert!(p.cost.is_finite() && p.cost >= 0.0, "topc cost {i}");
             }
-            let utility = pareto::optimize(&q, &model, &mem, Utility::Exponential { gamma: 1e-5 })
+            let utility = pareto::optimize(&q, &model, &mem, &Utility::Exponential { gamma: 1e-5 })
                 .expect("pareto")
                 .0;
             emitted.push(("pareto", utility.best.plan.clone()));

@@ -35,7 +35,7 @@ fn pareto_dp_is_exact_for_every_utility() {
                 threshold: deadline,
             },
         ] {
-            let p = pareto::optimize(&q, &model, &mem, u).unwrap().0;
+            let p = pareto::optimize(&q, &model, &mem, &u).unwrap().0;
             let t = pareto::exhaustive_utility(&q, &model, &mem, u).unwrap();
             assert!(
                 (p.best.cost - t.best.cost).abs() <= 1e-6 * t.best.cost.abs().max(1e-12),
@@ -83,7 +83,7 @@ fn risk_preferences_order_certainty_equivalents() {
     let model = PaperCostModel;
     let q = query(55);
     let mem = envs::lognormal(300.0, 1.2, 6);
-    let plan = pareto::optimize(&q, &model, &mem, Utility::Linear)
+    let plan = pareto::optimize(&q, &model, &mem, &Utility::Linear)
         .unwrap()
         .0;
     let d = &plan.cost_distribution;
@@ -100,38 +100,42 @@ fn risk_preferences_order_certainty_equivalents() {
 fn soundness_gate_admits_and_refuses_by_measured_algebra() {
     // The static gate must agree with what the DP-vs-exhaustive experiments
     // above demonstrate dynamically: linear → scalar DP, exponential →
-    // frontier DP, deadline → refused before any DP runs.
-    use lecopt::core::soundness::{self, DpAdmission};
-    use lecopt::core::CoreError;
+    // frontier DP, deadline → frontier DP, never the scalar DP.
+    use lecopt::core::optimize_with_rule;
+    use lecopt::rules::{certify, RuleAdmission};
 
     let model = PaperCostModel;
     let q = query(7);
     let mem = envs::lognormal(300.0, 1.0, 5);
 
-    let (linear, adm) = soundness::optimize_gated(&q, &model, &mem, Utility::Linear).unwrap();
-    assert_eq!(adm, DpAdmission::ScalarExpectedCost);
+    let linear = optimize_with_rule(&q, &model, &mem, &Utility::Linear).unwrap();
+    assert_eq!(certify(&Utility::Linear), Ok(RuleAdmission::ScalarPruning));
     let truth = pareto::exhaustive_utility(&q, &model, &mem, Utility::Linear).unwrap();
     assert!((linear.best.cost - truth.best.cost).abs() <= 1e-6 * truth.best.cost);
 
     let u = Utility::Exponential { gamma: 1e-5 };
-    let (averse, adm) = soundness::optimize_gated(&q, &model, &mem, u).unwrap();
-    assert_eq!(adm, DpAdmission::FrontierOnly);
+    let averse = optimize_with_rule(&q, &model, &mem, &u).unwrap();
+    assert!(matches!(
+        certify(&u),
+        Ok(RuleAdmission::FrontierOnly { .. })
+    ));
     let truth = pareto::exhaustive_utility(&q, &model, &mem, u).unwrap();
     assert!((averse.best.cost - truth.best.cost).abs() <= 1e-6 * truth.best.cost.abs());
 
-    // A step utility is refused statically, with the witness and fallbacks
-    // in the error — the scalar DP never gets a chance to return the
-    // silently-worse plan `scalar_dp_sound_iff_linear` exhibits.
-    let deadline = truth.cost_distribution.quantile(0.6).unwrap();
-    let err = soundness::optimize_gated(
-        &q,
-        &model,
-        &mem,
-        Utility::Deadline {
-            threshold: deadline,
-        },
-    )
-    .unwrap_err();
-    assert!(matches!(err, CoreError::UnsoundUtility { .. }), "{err:?}");
-    assert!(err.to_string().contains("exhaustive_utility"));
+    // A step utility fails the tail-additivity probe, with the witness in
+    // the admission, so it never reaches the scalar DP that
+    // `scalar_dp_sound_iff_linear` exhibits returning a silently-worse
+    // plan: the frontier DP answers it exactly instead.
+    let u = Utility::Deadline {
+        threshold: truth.cost_distribution.quantile(0.6).unwrap(),
+    };
+    match certify(&u) {
+        Ok(RuleAdmission::FrontierOnly { witness }) => {
+            assert!((witness.lhs - witness.rhs).abs() > 0.1, "{witness:?}")
+        }
+        other => panic!("deadline must be frontier-only: {other:?}"),
+    }
+    let on_time = optimize_with_rule(&q, &model, &mem, &u).unwrap();
+    let truth = pareto::exhaustive_utility(&q, &model, &mem, u).unwrap();
+    assert!((on_time.best.cost - truth.best.cost).abs() <= 1e-9);
 }
