@@ -28,7 +28,8 @@ pub struct AlgBResult {
 }
 
 /// Runs Algorithm B with `c` plans per bucket, reporting candidate and
-/// merge statistics.
+/// merge statistics. A winner whose expected cost is not finite is
+/// [`CoreError::Plan`] in every build.
 pub fn optimize<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
@@ -62,6 +63,7 @@ pub fn optimize<M: CostModel + ?Sized>(
         })
         .min_by(|a, b| a.cost.total_cmp(&b.cost))
         .ok_or(CoreError::NoPlanFound)?;
+    lec_plan::verify_costs("algorithm B winner", &[best.cost])?;
     crate::verify::debug_verify_plan(query, &best.plan, best.cost);
     Ok(AlgBResult {
         best,

@@ -14,7 +14,7 @@
 //! calls [`crate::verify::debug_verify_plan`]); this module adds no hook of
 //! its own.
 
-use crate::dp::{optimize_left_deep, ExpectedCoster, Optimized};
+use crate::dp::{optimize_left_deep, MemoryCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::precompute::QueryTables;
@@ -54,11 +54,12 @@ pub fn optimize<M: CostModel + ?Sized>(
     memory: &MemoryModel,
 ) -> Result<(Optimized, OptStats), CoreError> {
     // Phases: n-1 joins plus a possible root sort.
-    let phases = memory.table(query.n().max(2))?;
-    let coster = ExpectedCoster::new(model, &phases);
+    let phases = [memory.table(query.n().max(2))?];
+    let coster = MemoryCoster::new(model, &phases);
     let tabs = QueryTables::new(query);
-    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
+    let (winners, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
     stats.algorithm = "alg_c";
+    let best = winners.into_iter().next().ok_or(CoreError::NoPlanFound)?;
     Ok((best, stats))
 }
 

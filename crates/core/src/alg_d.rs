@@ -22,7 +22,7 @@
 //! left-deep DP ([`dp::optimize_left_deep`]) with a step coster that reads
 //! those distributions.
 
-use crate::dp::{self, JoinInputs, Optimized, StepCoster};
+use crate::dp::{self, JoinInputs, Optimized, SweepCoster};
 use crate::env::{MemoryModel, PhaseDists};
 use crate::error::CoreError;
 use crate::precompute::QueryTables;
@@ -144,8 +144,9 @@ pub fn optimize<M: CostModel + ?Sized>(
         node_sizes,
     };
     let tabs = QueryTables::with_access_pages(query, |i| sizes.rel_sizes[i].mean());
-    let (best, mut stats) = dp::optimize_left_deep(query, &tabs, &coster)?;
+    let (winners, mut stats) = dp::optimize_left_deep(query, &tabs, &coster)?;
     stats.algorithm = "alg_d";
+    let best = winners.into_iter().next().ok_or(CoreError::NoPlanFound)?;
     // One propagated size distribution per non-empty subset.
     stats.precompute.pages_entries = coster.node_sizes.len() - 1;
     let result_size = coster.node_sizes[query.all().bits() as usize].clone();
@@ -164,8 +165,8 @@ struct SizeDistCoster<'a, M: ?Sized> {
     means: Vec<f64>,
 }
 
-impl<M: CostModel + ?Sized> StepCoster for SizeDistCoster<'_, M> {
-    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+impl<M: CostModel + ?Sized> SweepCoster for SizeDistCoster<'_, M> {
+    fn join_one(&self, phase: usize, _s: usize, base: f64, join: JoinInputs) -> [f64; 3] {
         let mem = self.phases.at(phase);
         let left = &self.node_sizes[join.sub.bits() as usize];
         let right = &self.rel_sizes[join.j];
@@ -176,7 +177,7 @@ impl<M: CostModel + ?Sized> StepCoster for SizeDistCoster<'_, M> {
             .map(|method| base + self.model.expected_join_dist(method, left, right, mem) + e_out)
     }
 
-    fn sort(&self, phase: usize, set: RelSet, _pages: f64) -> f64 {
+    fn sort_one(&self, phase: usize, _s: usize, set: RelSet, _pages: f64) -> f64 {
         let idx = set.bits() as usize;
         expected_sort(self.model, &self.node_sizes[idx], self.phases.at(phase)) + self.means[idx]
     }

@@ -204,6 +204,7 @@ fn finalize<M: CostModel + ?Sized>(
             cost: root.cost,
         }
     };
+    lec_plan::verify_costs("bushy winner", &[best.cost])?;
     crate::verify::debug_verify_plan(query, &best.plan, best.cost);
     Ok(best)
 }
@@ -211,7 +212,8 @@ fn finalize<M: CostModel + ?Sized>(
 /// Computes the least-expected-cost *bushy* plan under static memory,
 /// with its search-space [`OptStats`]. `candidates_priced` counts
 /// (split × orientation × join-method) combinations — the `O(3^n)` term
-/// made observable.
+/// made observable. A winner whose cost is not finite is
+/// [`CoreError::Plan`] in every build.
 pub fn optimize<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,

@@ -2,19 +2,19 @@
 //!
 //! System R's LSC optimizer (Theorem 2.1), the LEC Algorithm C (Theorems
 //! 3.3/3.4) and Algorithm D (§3.6) are the *same* dynamic program
-//! instantiated with different step costers: LSC costs each join step at
-//! one fixed memory value, Algorithm C costs it in expectation over the
-//! phase's memory distribution, and Algorithm D also takes the expectation
-//! over the input-size distributions it propagates up the dag. Correctness
-//! of the DP only needs the step cost to be additive across the plan —
-//! which expectations are, by linearity (that is the entire content of the
-//! Theorem 3.3 proof).
+//! instantiated with different costers. Algorithm C prices each join step
+//! in expectation over the phase's memory distribution, and LSC is its
+//! one-point case; both run [`MemoryCoster`]. Algorithm D also takes the
+//! expectation over the input-size distributions it propagates up the dag.
+//! Correctness of the DP only needs the step cost to be additive across
+//! the plan — which expectations are, by linearity (that is the entire
+//! content of the Theorem 3.3 proof).
 //!
 //! [`optimize_left_deep`] is the one lattice loop. A [`SweepCoster`]
-//! prices one or several *scenarios* per candidate: every [`StepCoster`]
-//! is the one-scenario case, and parametric precompute prices all of its
-//! memory scenarios in one sweep. Each subset keeps one entry per
-//! scenario, and each scenario gets its own winner.
+//! prices one or several *scenarios* per candidate: LSC, Algorithm C and
+//! Algorithm D price one, and parametric precompute prices all of its
+//! memory scenarios in one sweep. Each subset keeps one entry per scenario,
+//! and each scenario gets its own winner.
 //!
 //! ### Interesting orders
 //!
@@ -35,7 +35,7 @@
 //!
 //! * **Incumbent.** Once every pair is priced, one complete plan is priced
 //!   greedily — the cheapest pair, then repeatedly the cheapest next step —
-//!   with the same [`StepCoster`] and base-add association, plus the root
+//!   with the same [`SweepCoster`] and base-add association, plus the root
 //!   handling (sort, or an ordered final sort-merge). Its cost is `U`. The
 //!   sweep reuses these priced steps wherever it prices the same candidate
 //!   from the same base.
@@ -43,7 +43,7 @@
 //!   `best(S)`, plus the access cost of every relation outside `S`, plus
 //!   `k − 1` floors of a step forming a result of at least one page, plus
 //!   the floor of the last step, which forms the full set's `pages(full)`
-//!   ([`StepCoster::join_floor`]). Every join step is its non-negative
+//!   ([`SweepCoster::step_floor`]). Every join step is its non-negative
 //!   formula plus its output pages (`evaluate::join_step`), every result
 //!   has at least one page, and a root sort costs at least zero, so every
 //!   complete plan through `S` costs at least `LB(S)`.
@@ -83,7 +83,9 @@
 //! ### Several scenarios in one sweep
 //!
 //! With several scenarios every live subset keeps one entry per scenario,
-//! and each candidate is priced once for all of them. The completion floor
+//! and each candidate is priced once for all of them ([`MemoryCoster`]
+//! evaluates its formulas once per distinct memory value of its phase, and
+//! each scenario folds its own expectation). The completion floor
 //! (access costs plus [`SweepCoster::step_floor`]) does not depend on the
 //! scenario and is shared; each scenario has its own greedy incumbent, its
 //! own `U` and its own test. Liveness is shared: a subset is dropped only
@@ -108,12 +110,12 @@
 
 use crate::env::PhaseDists;
 use crate::error::CoreError;
-use crate::evaluate::{join_step, sort_step};
 use crate::par;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{AccessMethod, CostModel, JoinMethod};
 use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
+use std::cell::Cell;
 
 /// An optimized plan with its (expected) cost under the optimizing
 /// objective.
@@ -146,162 +148,167 @@ pub struct JoinInputs {
     pub out_pages: f64,
 }
 
-/// Prices one plan *step* for the dynamic program. The phase index follows
-/// §3.5: the join forming a `k`-relation result is phase `k - 2`; a final
-/// sort is the last phase.
-pub trait StepCoster {
-    /// Candidate costs of the join `join`, one per method in
-    /// [`JoinMethod::ALL`] order. `base` is the cost of the best plan for
-    /// `join.sub` plus `join.j`'s access cost; the coster adds the join
-    /// step (join formula plus output materialization) onto it, so it also
-    /// fixes how the sum associates.
-    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3];
-
-    /// Cost of a final sort of `set`'s result (`pages` estimated pages),
-    /// including output materialization.
-    fn sort(&self, phase: usize, set: RelSet, pages: f64) -> f64;
-
-    /// A floor under every join step forming a result of at least
-    /// `out_pages` pages: each entry of [`join_all`](Self::join_all) is at
-    /// least `base + join_floor(join.out_pages)`, up to rounding within
-    /// the DP's relative pruning margin. It must be non-negative and
-    /// non-decreasing in `out_pages`. The default `0.0` is sound for any
-    /// coster whose steps are non-negative.
-    fn join_floor(&self, _out_pages: f64) -> f64 {
-        0.0
-    }
-}
-
-/// Step coster for a single fixed memory value (the LSC world).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedMemoryCoster<'a, M: ?Sized> {
-    model: &'a M,
-    memory: f64,
-}
-
-impl<'a, M: CostModel + ?Sized> FixedMemoryCoster<'a, M> {
-    /// Prices steps at the given memory value.
-    pub fn new(model: &'a M, memory: f64) -> Self {
-        Self { model, memory }
-    }
-}
-
-impl<M: CostModel + ?Sized> StepCoster for FixedMemoryCoster<'_, M> {
-    fn join_all(&self, _phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
-        let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
-        JoinMethod::ALL.map(|method| base + join_step(self.model, method, l, r, out, self.memory))
-    }
-
-    fn sort(&self, _phase: usize, _set: RelSet, pages: f64) -> f64 {
-        sort_step(self.model, pages, self.memory)
-    }
-
-    /// A step is its non-negative join formula plus `out_pages`.
-    fn join_floor(&self, out_pages: f64) -> f64 {
-        out_pages
-    }
-}
-
-/// Step coster taking expectations over per-phase memory distributions
-/// (Algorithm C; with a static table every phase shares one distribution).
-#[derive(Debug, Clone, Copy)]
-pub struct ExpectedCoster<'a, M: ?Sized> {
-    model: &'a M,
-    phases: &'a PhaseDists,
-}
-
-impl<'a, M: CostModel + ?Sized> ExpectedCoster<'a, M> {
-    /// Prices steps in expectation over `phases`.
-    pub fn new(model: &'a M, phases: &'a PhaseDists) -> Self {
-        Self { model, phases }
-    }
-}
-
-impl<M: CostModel + ?Sized> StepCoster for ExpectedCoster<'_, M> {
-    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
-        // Routed through the model's fused expectation kernel (bit-identical
-        // to `dist.expect(|m| join_step(...))` per method, with hoisted
-        // overrides for the paper model) — this is the x18 hot path.
-        let d = self.phases.at(phase);
-        let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
-        self.model
-            .expected_join_steps(l, r, out, d.values(), d.probs())
-            .map(|step| base + step)
-    }
-
-    fn sort(&self, phase: usize, _set: RelSet, pages: f64) -> f64 {
-        let d = self.phases.at(phase);
-        self.model.expected_sort_step(pages, d.values(), d.probs())
-    }
-
-    /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
-    /// and probabilities summing to one up to rounding.
-    fn join_floor(&self, out_pages: f64) -> f64 {
-        out_pages
-    }
-}
-
 /// What one lattice sweep prices: every live subset keeps one entry per
-/// *scenario*. Every [`StepCoster`] is the one-scenario case (a blanket
-/// impl); a coster over several memory scenarios prices each candidate once
-/// for all of them (parametric precompute), and the sweep returns one
-/// winner per scenario.
+/// *scenario*, and the sweep returns one winner per scenario. The phase
+/// index follows §3.5: the join forming a `k`-relation result is phase
+/// `k - 2`; a final sort is the last phase.
 pub trait SweepCoster {
-    /// What the sweep returns: the single winner of a [`StepCoster`], or
-    /// the per-scenario winners.
-    type Output;
-
     /// Number of scenarios priced per candidate (at least one).
-    fn scenarios(&self) -> usize;
-
-    /// Prices `join` for every scenario: `out[s]` receives scenario `s`'s
-    /// costs, one per method in [`JoinMethod::ALL`] order, each the base
-    /// `bases[s]` plus the step, as [`StepCoster::join_all`] adds them.
-    fn join_each(&self, phase: usize, bases: &[f64], join: JoinInputs, out: &mut [[f64; 3]]);
-
-    /// Prices `join` for scenario `s` alone, bit-identical to that
-    /// scenario's entry of [`join_each`](Self::join_each). The incumbents'
-    /// greedy walks use it.
-    fn join_one(&self, phase: usize, s: usize, base: f64, join: JoinInputs) -> [f64; 3];
-
-    /// Scenario `s`'s final sort, as [`StepCoster::sort`].
-    fn sort_one(&self, phase: usize, s: usize, set: RelSet, pages: f64) -> f64;
-
-    /// A floor under every scenario's join step, as
-    /// [`StepCoster::join_floor`]. Shared by all scenarios.
-    fn step_floor(&self, out_pages: f64) -> f64;
-
-    /// Packages the winners, in scenario order.
-    fn output(winners: Vec<Optimized>) -> Result<Self::Output, CoreError>;
-}
-
-impl<C: StepCoster> SweepCoster for C {
-    type Output = Optimized;
-
     fn scenarios(&self) -> usize {
         1
     }
 
+    /// Prices `join` for every scenario: `out[s]` receives scenario `s`'s
+    /// costs, as [`join_one`](Self::join_one) prices them. The default
+    /// prices each scenario on its own; a coster whose scenarios share
+    /// work overrides it.
     fn join_each(&self, phase: usize, bases: &[f64], join: JoinInputs, out: &mut [[f64; 3]]) {
-        if let (Some(&base), Some(slot)) = (bases.first(), out.first_mut()) {
-            *slot = self.join_all(phase, base, join);
+        for (s, (&base, slot)) in bases.iter().zip(out).enumerate() {
+            *slot = self.join_one(phase, s, base, join);
         }
     }
 
-    fn join_one(&self, phase: usize, _s: usize, base: f64, join: JoinInputs) -> [f64; 3] {
-        self.join_all(phase, base, join)
+    /// Scenario `s`'s costs of the join `join`, one per method in
+    /// [`JoinMethod::ALL`] order. `base` is the cost of the best plan for
+    /// `join.sub` plus `join.j`'s access cost; the coster adds the join
+    /// step (join formula plus output materialization) onto it, so it also
+    /// fixes how the sum associates.
+    fn join_one(&self, phase: usize, s: usize, base: f64, join: JoinInputs) -> [f64; 3];
+
+    /// Scenario `s`'s cost of a final sort of `set`'s result (`pages`
+    /// estimated pages), including output materialization.
+    fn sort_one(&self, phase: usize, s: usize, set: RelSet, pages: f64) -> f64;
+
+    /// A floor under every scenario's join step forming a result of at
+    /// least `out_pages` pages: each entry of [`join_one`](Self::join_one)
+    /// is at least `base + step_floor(join.out_pages)`, up to rounding
+    /// within the DP's relative pruning margin. It must be non-negative and
+    /// non-decreasing in `out_pages`. The default `0.0` is sound for any
+    /// coster whose steps are non-negative.
+    fn step_floor(&self, _out_pages: f64) -> f64 {
+        0.0
+    }
+}
+
+/// One phase of every scenario: the distinct memory values, in
+/// first-appearance order, and per scenario its buckets in order, as the
+/// index of the bucket's value and its probability.
+type PhaseTable = (Vec<f64>, Vec<Vec<(usize, f64)>>);
+
+/// The memory coster of LSC, Algorithm C and parametric precompute: each
+/// scenario is a [`PhaseDists`], and each join step is priced in
+/// expectation over the scenario's memory distribution in that step's
+/// phase (Theorems 3.3/3.4). LSC is the one-point case, Algorithm C one
+/// scenario, parametric precompute one scenario per stored distribution.
+///
+/// A candidate's join formulas are evaluated once per distinct memory value
+/// of its phase, over all scenarios ([`CostModel::join_costs_at`]), and
+/// each scenario folds them in its own bucket order, `acc += (formula +
+/// out) · p`, exactly as [`CostModel::expected_join_step`] sums each
+/// method. With one point, `0 + (formula + out) · 1` is `formula + out`,
+/// so LSC keeps the bits of a step priced at its one memory value.
+pub struct MemoryCoster<'a, M: ?Sized> {
+    model: &'a M,
+    scenarios: &'a [PhaseDists],
+    /// Per phase, clamped to the last, so a static model has one.
+    phases: Vec<PhaseTable>,
+    /// The per-value formulas of the candidate being priced.
+    formulas: Cell<Vec<[f64; 3]>>,
+}
+
+impl<'a, M: CostModel + ?Sized> MemoryCoster<'a, M> {
+    /// Prices steps in expectation over each scenario's phases.
+    pub fn new(model: &'a M, scenarios: &'a [PhaseDists]) -> Self {
+        let stored = scenarios.iter().map(|d| d.stored().len()).max();
+        let phases: Vec<_> = (0..stored.unwrap_or(1))
+            .map(|phase| {
+                let mut values: Vec<f64> = Vec::new();
+                let buckets = scenarios
+                    .iter()
+                    .map(|d| {
+                        let d = d.at(phase);
+                        d.values()
+                            .iter()
+                            .zip(d.probs())
+                            .map(|(&v, &p)| {
+                                let i = values
+                                    .iter()
+                                    .position(|u| u.to_bits() == v.to_bits())
+                                    .unwrap_or_else(|| {
+                                        values.push(v);
+                                        values.len() - 1
+                                    });
+                                (i, p)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (values, buckets)
+            })
+            .collect();
+        let widest = phases.iter().map(|(v, _)| v.len()).max().unwrap_or(0);
+        MemoryCoster {
+            model,
+            scenarios,
+            phases,
+            formulas: Cell::new(vec![[0.0; 3]; widest]),
+        }
+    }
+}
+
+impl<M: CostModel + ?Sized> SweepCoster for MemoryCoster<'_, M> {
+    fn scenarios(&self) -> usize {
+        self.scenarios.len()
     }
 
-    fn sort_one(&self, phase: usize, _s: usize, set: RelSet, pages: f64) -> f64 {
-        self.sort(phase, set, pages)
+    fn join_each(&self, phase: usize, bases: &[f64], join: JoinInputs, out: &mut [[f64; 3]]) {
+        let Some((values, buckets)) = self.phases.get(phase).or(self.phases.last()) else {
+            return;
+        };
+        let mut formulas = self.formulas.take();
+        self.model
+            .join_costs_at(join.left_pages, join.right_pages, values, &mut formulas);
+        let o = join.out_pages;
+        for ((buckets, &base), slot) in buckets.iter().zip(bases).zip(out) {
+            let mut acc = [0.0; 3];
+            for &(i, p) in buckets {
+                for (a, f) in acc.iter_mut().zip(formulas[i]) {
+                    *a += (f + o) * p;
+                }
+            }
+            *slot = acc.map(|step| base + step);
+        }
+        self.formulas.set(formulas);
     }
 
+    fn join_one(&self, phase: usize, s: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+        let Some(d) = self.scenarios.get(s).map(|d| d.at(phase)) else {
+            return [f64::NAN; 3];
+        };
+        let mut formulas = self.formulas.take();
+        self.model
+            .join_costs_at(join.left_pages, join.right_pages, d.values(), &mut formulas);
+        let mut acc = [0.0; 3];
+        for (f, &p) in formulas.iter().zip(d.probs()) {
+            for (a, f) in acc.iter_mut().zip(f) {
+                *a += (f + join.out_pages) * p;
+            }
+        }
+        self.formulas.set(formulas);
+        acc.map(|step| base + step)
+    }
+
+    fn sort_one(&self, phase: usize, s: usize, _set: RelSet, pages: f64) -> f64 {
+        self.scenarios.get(s).map_or(f64::NAN, |d| {
+            let d = d.at(phase);
+            self.model.expected_sort_step(pages, d.values(), d.probs())
+        })
+    }
+
+    /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
+    /// and probabilities summing to one up to rounding.
     fn step_floor(&self, out_pages: f64) -> f64 {
-        self.join_floor(out_pages)
-    }
-
-    fn output(winners: Vec<Optimized>) -> Result<Optimized, CoreError> {
-        winners.into_iter().next().ok_or(CoreError::NoPlanFound)
+        out_pages
     }
 }
 
@@ -321,14 +328,16 @@ enum Choice {
 
 /// The DP table: a row of one entry per scenario for every subset. A row
 /// is all present (the subset is live) or all absent (pruned or not
-/// reached).
-struct Table {
+/// reached). `ONE` marks a one-scenario table, whose rows the compiler
+/// then sizes at compile time, so a one-scenario sweep (LSC, Algorithm C,
+/// Algorithm D) folds its per-scenario loops away.
+struct Table<const ONE: bool> {
     /// Scenarios per row.
     k: usize,
     slots: Vec<Option<Entry>>,
 }
 
-impl Table {
+impl<const ONE: bool> Table<ONE> {
     fn new(full: RelSet, k: usize) -> Self {
         Table {
             k,
@@ -336,32 +345,37 @@ impl Table {
         }
     }
 
-    /// `set`'s row; `k` is the table's scenario count, passed in so the
-    /// hot loop can use the coster's compile-time count.
-    fn row(&self, set: RelSet, k: usize) -> &[Option<Entry>] {
-        let start = set.bits() as usize * k;
+    /// Scenarios per row.
+    fn k(&self) -> usize {
+        if ONE {
+            1
+        } else {
+            self.k
+        }
+    }
+
+    fn row(&self, set: RelSet) -> &[Option<Entry>] {
+        let (k, start) = (self.k(), set.bits() as usize * self.k());
         self.slots.get(start..start + k).unwrap_or_default()
     }
 
     fn row_mut(&mut self, set: RelSet) -> &mut [Option<Entry>] {
-        let start = set.bits() as usize * self.k;
-        self.slots
-            .get_mut(start..start + self.k)
-            .unwrap_or_default()
+        let (k, start) = (self.k(), set.bits() as usize * self.k());
+        self.slots.get_mut(start..start + k).unwrap_or_default()
     }
 
     fn live(&self, set: RelSet) -> bool {
-        self.row(set, self.k).first().is_some_and(Option::is_some)
+        self.row(set).first().is_some_and(Option::is_some)
     }
 
     fn entry(&self, set: RelSet, s: usize) -> Option<Entry> {
-        self.row(set, self.k).get(s).copied().flatten()
+        self.row(set).get(s).copied().flatten()
     }
 }
 
 /// Fills the depth-1 rows (best access path per relation) from the
 /// precomputed tables.
-fn seed_singletons(tabs: &QueryTables, n: usize, table: &mut Table) {
+fn seed_singletons<const ONE: bool>(tabs: &QueryTables, n: usize, table: &mut Table<ONE>) {
     for i in 0..n {
         let (cost, method, _) = tabs.access(i);
         table.row_mut(RelSet::single(i)).fill(Some(Entry {
@@ -520,18 +534,16 @@ impl Scratch {
 /// all scenarios first and each scenario then picks its winner in a pass
 /// of its own, so the per-scenario loops run over candidates, not inside
 /// them.
-fn cost_mask<C: SweepCoster>(
+fn cost_mask<C: SweepCoster, const ONE: bool>(
     tabs: &QueryTables,
     coster: &C,
-    table: &Table,
+    table: &Table<ONE>,
     set: RelSet,
     bound: &Bound,
     required: Option<KeyId>,
     sc: &mut Scratch,
 ) -> (bool, u64) {
-    // The scenario count comes from the coster, not the table, so a
-    // one-scenario coster compiles to straight-line code.
-    let k = coster.scenarios();
+    let k = table.k();
     let Scratch {
         live,
         bases,
@@ -548,7 +560,7 @@ fn cost_mask<C: SweepCoster>(
         if let Some(slot) = live.get_mut(count) {
             *slot = j;
         }
-        let left = table.row(set.remove(j), k);
+        let left = table.row(set.remove(j));
         count += usize::from(left.first().is_some_and(Option::is_some));
     }
     let live = live.get(..count).unwrap_or_default();
@@ -561,7 +573,7 @@ fn cost_mask<C: SweepCoster>(
     for s in 0..k {
         let mut cheapest = f64::INFINITY;
         for (i, &j) in live.iter().enumerate() {
-            let entry = table.row(set.remove(j), k).get(s).copied().flatten();
+            let entry = table.row(set.remove(j)).get(s).copied().flatten();
             let base = entry.map_or(f64::INFINITY, |e| e.cost) + tabs.access(j).0;
             if let Some(slot) = bases.get_mut(i * k + s) {
                 *slot = base;
@@ -649,11 +661,11 @@ fn cost_mask<C: SweepCoster>(
 /// its priced steps and the candidates priced. The scenario's optimum can
 /// only be cheaper: every entry on this plan's path is a candidate the
 /// sweep prices from an entry at least as cheap.
-fn incumbent<C: SweepCoster>(
+fn incumbent<C: SweepCoster, const ONE: bool>(
     query: &JoinQuery,
     tabs: &QueryTables,
     coster: &C,
-    table: &Table,
+    table: &Table<ONE>,
     pairs: &[RelSet],
     s: usize,
 ) -> (f64, Vec<IncumbentStep>, u64) {
@@ -725,11 +737,11 @@ fn incumbent<C: SweepCoster>(
 /// the final join or through an explicit sort, then reconstruct the
 /// winning plan. A winner whose cost is not finite and non-negative is a
 /// typed error in every build.
-fn finalize<C: SweepCoster>(
+fn finalize<C: SweepCoster, const ONE: bool>(
     query: &JoinQuery,
     tabs: &QueryTables,
     coster: &C,
-    table: &Table,
+    table: &Table<ONE>,
     s: usize,
     best_ordered: Option<Entry>,
 ) -> Result<Optimized, CoreError> {
@@ -762,11 +774,10 @@ fn finalize<C: SweepCoster>(
 }
 
 /// Runs the bounded left-deep dynamic program with the given coster
-/// against caller-built [`QueryTables`], returning the winner — one per
-/// scenario for a multi-scenario [`SweepCoster`] — and its search-space
-/// [`OptStats`]. This is the only left-deep lattice loop: LSC, Algorithm C
-/// and Algorithm D run it with one scenario, parametric precompute with
-/// all of its scenarios at once.
+/// against caller-built [`QueryTables`], returning one winner per scenario,
+/// in scenario order, and the search-space [`OptStats`]. This is the only
+/// left-deep lattice loop: LSC, Algorithm C and Algorithm D run it with one
+/// scenario, parametric precompute with all of its scenarios at once.
 ///
 /// The subset sweep walks the lattice rank by rank (every subset still
 /// precedes its supersets, so DP order is preserved) so per-rank wall time
@@ -782,11 +793,24 @@ pub fn optimize_left_deep<C: SweepCoster>(
     query: &JoinQuery,
     tabs: &QueryTables,
     coster: &C,
-) -> Result<(C::Output, OptStats), CoreError> {
+) -> Result<(Vec<Optimized>, OptStats), CoreError> {
+    match coster.scenarios() {
+        0 => Err(CoreError::BadParameter("need at least one scenario".into())),
+        1 => sweep::<C, true>(query, tabs, coster, 1),
+        k => sweep::<C, false>(query, tabs, coster, k),
+    }
+}
+
+/// [`optimize_left_deep`] over `k` scenarios; `ONE` is `k == 1`.
+fn sweep<C: SweepCoster, const ONE: bool>(
+    query: &JoinQuery,
+    tabs: &QueryTables,
+    coster: &C,
+    k: usize,
+) -> Result<(Vec<Optimized>, OptStats), CoreError> {
     let n = query.n();
-    let k = coster.scenarios().max(1);
     let full = query.all();
-    let mut table = Table::new(full, k);
+    let mut table: Table<ONE> = Table::new(full, k);
     seed_singletons(tabs, n, &mut table);
 
     // Per scenario, the best full-set plan whose final join is a
@@ -845,7 +869,7 @@ pub fn optimize_left_deep<C: SweepCoster>(
                 }
                 for &pair in &rank {
                     let rest = bound.completion(tabs, pair);
-                    let row = table.row(pair, k);
+                    let row = table.row(pair);
                     let kept = row
                         .iter()
                         .enumerate()
@@ -870,15 +894,15 @@ pub fn optimize_left_deep<C: SweepCoster>(
         .enumerate()
         .map(|(s, &ordered)| finalize(query, tabs, coster, &table, s, ordered))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((C::output(winners)?, stats))
+    Ok((winners, stats))
 }
 
 /// Rebuilds scenario `s`'s plan tree from backpointers; `override_root`
 /// substitutes a different final-join choice (the ordered alternative).
 // lec-lint: allow(panic-reachability) — reconstruction only walks entries the forward pass has filled; singletons decompose to their only relation
-fn reconstruct(
+fn reconstruct<const ONE: bool>(
     tabs: &QueryTables,
-    table: &Table,
+    table: &Table<ONE>,
     s: usize,
     set: RelSet,
     override_root: Option<Entry>,
@@ -910,9 +934,11 @@ fn reconstruct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::MemoryModel;
     use crate::evaluate::plan_cost_at;
     use lec_cost::PaperCostModel;
     use lec_plan::{JoinPred, KeyId, Relation};
+    use lec_stats::Distribution;
 
     fn chain_query(n: usize) -> JoinQuery {
         let relations = (0..n)
@@ -929,8 +955,15 @@ mod tests {
         JoinQuery::new(relations, predicates, None).unwrap()
     }
 
-    fn run<C: StepCoster>(q: &JoinQuery, coster: &C) -> (Optimized, OptStats) {
-        optimize_left_deep(q, &QueryTables::new(q), coster).unwrap()
+    /// The LSC run at `memory`: one scenario of one point.
+    fn run(q: &JoinQuery, model: &PaperCostModel, memory: f64) -> (Optimized, OptStats) {
+        let phases = [MemoryModel::Static(Distribution::point(memory).unwrap())
+            .table(q.n().max(2))
+            .unwrap()];
+        let coster = MemoryCoster::new(model, &phases);
+        let (mut winners, stats) = optimize_left_deep(q, &QueryTables::new(q), &coster).unwrap();
+        assert_eq!(winners.len(), 1);
+        (winners.remove(0), stats)
     }
 
     #[test]
@@ -938,8 +971,7 @@ mod tests {
         let q = chain_query(4);
         let model = PaperCostModel;
         for memory in [5.0, 50.0, 500.0] {
-            let coster = FixedMemoryCoster::new(&model, memory);
-            let (opt, _) = run(&q, &coster);
+            let (opt, _) = run(&q, &model, memory);
             let evaluated = plan_cost_at(&q, &model, &opt.plan, memory);
             assert!(
                 (opt.cost - evaluated).abs() < 1e-6 * evaluated.max(1.0),
@@ -955,8 +987,7 @@ mod tests {
     fn single_relation_query() {
         let q = JoinQuery::new(vec![Relation::new("only", 50.0, 500.0)], vec![], None).unwrap();
         let model = PaperCostModel;
-        let coster = FixedMemoryCoster::new(&model, 100.0);
-        let (opt, _) = run(&q, &coster);
+        let (opt, _) = run(&q, &model, 100.0);
         assert_eq!(opt.plan, Plan::scan(0));
         assert_eq!(opt.cost, 0.0);
     }
@@ -978,8 +1009,7 @@ mod tests {
         )
         .unwrap();
         let model = PaperCostModel;
-        let coster = FixedMemoryCoster::new(&model, 50.0);
-        let (opt, _) = run(&q, &coster);
+        let (opt, _) = run(&q, &model, 50.0);
         // Whatever the winner, it must produce the required order.
         assert_eq!(opt.plan.output_order(), Some(KeyId(0)));
     }
@@ -988,8 +1018,7 @@ mod tests {
     fn stats_count_the_lattice() {
         let q = chain_query(5);
         let model = PaperCostModel;
-        let coster = FixedMemoryCoster::new(&model, 50.0);
-        let (_, stats) = run(&q, &coster);
+        let (_, stats) = run(&q, &model, 50.0);
 
         // 2^5 - 1 subsets, minus 5 singletons, each expanded or pruned;
         // one entry per seed and per expanded mask.

@@ -56,11 +56,11 @@ impl MemoryModel {
     }
 
     /// Precomputes per-phase marginal distributions for plans with up to
-    /// `phases` phases.
+    /// `phases` phases. A static model's phases share its one distribution.
     pub fn table(&self, phases: usize) -> Result<PhaseDists, CoreError> {
         let phases = phases.max(1);
         let dists = match self {
-            MemoryModel::Static(d) => vec![d.clone(); phases],
+            MemoryModel::Static(d) => vec![d.clone()],
             MemoryModel::Dynamic { chain, initial } => {
                 let mut out = Vec::with_capacity(phases);
                 let mut probs = initial.clone();
@@ -73,7 +73,7 @@ impl MemoryModel {
                 out
             }
         };
-        Ok(PhaseDists { dists })
+        Ok(PhaseDists { dists, phases })
     }
 
     /// The phase-0 distribution (what an LSC optimizer would summarize).
@@ -83,10 +83,14 @@ impl MemoryModel {
 }
 
 /// Per-phase memory distributions, indexed by phase (clamped to the last
-/// computed phase, so asking beyond the table is safe).
+/// computed phase, so asking beyond the table is safe). A static model
+/// stores its one distribution once, for every phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseDists {
+    /// One distribution per phase, or a single one shared by every phase.
     dists: Vec<Distribution>,
+    /// Number of phases.
+    phases: usize,
 }
 
 impl PhaseDists {
@@ -99,7 +103,13 @@ impl PhaseDists {
 
     /// Number of precomputed phases.
     pub fn len(&self) -> usize {
-        self.dists.len()
+        self.phases
+    }
+
+    /// The stored distributions: phase `p` reads entry `min(p, len − 1)`
+    /// of this slice, which has one entry for a static model.
+    pub(crate) fn stored(&self) -> &[Distribution] {
+        &self.dists
     }
 
     /// Never true: at least one phase is always present.

@@ -5,15 +5,19 @@
 //! mean or modal value" (§1) — [`optimize_at`] at `dist.mean()` or
 //! `dist.mode()` is exactly those two baselines.
 
-use crate::dp::{optimize_left_deep, FixedMemoryCoster, Optimized};
+use crate::alg_c;
+use crate::dp::Optimized;
+use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
 use lec_plan::JoinQuery;
+use lec_stats::Distribution;
 
 /// The LSC left-deep plan for a specific memory value (Theorem 2.1), with
-/// its search-space [`OptStats`].
+/// its search-space [`OptStats`]. It is Algorithm C under the one-point
+/// distribution at `memory`: each step's expectation `0 + (formula + out)
+/// · 1` is the step priced at `memory`, bit for bit.
 pub fn optimize_at<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
@@ -24,9 +28,8 @@ pub fn optimize_at<M: CostModel + ?Sized>(
             "memory must be positive, got {memory}"
         )));
     }
-    let coster = FixedMemoryCoster::new(model, memory);
-    let tabs = QueryTables::new(query);
-    let (best, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
+    let point = MemoryModel::Static(Distribution::point(memory)?);
+    let (best, mut stats) = alg_c::optimize(query, model, &point)?;
     stats.algorithm = "lsc";
     Ok((best, stats))
 }

@@ -9,17 +9,21 @@
 //! optimizer, re-*cost* the stored plans under the observed distribution —
 //! plan costing is linear in plan size, optimization is exponential in the
 //! join count — and run the cheapest.
+//!
+//! Precompute prices every scenario in one left-deep sweep with
+//! [`MemoryCoster`], the coster behind LSC and Algorithm C: each scenario
+//! is a static memory model, and each scenario's plan is the one Algorithm
+//! C finds under it alone.
 
-use crate::dp::{optimize_left_deep, JoinInputs, Optimized, SweepCoster};
+use crate::dp::{optimize_left_deep, MemoryCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::evaluate::expected_cost;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
-use lec_plan::{JoinQuery, Plan, RelSet};
+use lec_plan::{JoinQuery, Plan};
 use lec_stats::Distribution;
-use std::cell::Cell;
 
 /// A compile-time-precomputed set of LEC plans, one per anticipated
 /// environment scenario.
@@ -94,11 +98,12 @@ impl ParametricPlans {
         model: &M,
         scenarios: &[Distribution],
     ) -> Result<(Self, OptStats), CoreError> {
-        if scenarios.is_empty() {
-            return Err(CoreError::BadParameter("need at least one scenario".into()));
-        }
+        let phases = scenarios
+            .iter()
+            .map(|d| MemoryModel::Static(d.clone()).table(query.n().max(2)))
+            .collect::<Result<Vec<_>, _>>()?;
         let tabs = QueryTables::new(query);
-        let coster = ScenarioCoster::new(model, scenarios);
+        let coster = MemoryCoster::new(model, &phases);
         let (winners, mut stats) = optimize_left_deep(query, &tabs, &coster)?;
         stats.algorithm = "parametric";
         let scenarios = scenarios.iter().cloned().zip(winners).collect();
@@ -178,6 +183,10 @@ impl ParametricPlans {
     /// reported `expected_cost` is always the plan's expected cost under
     /// `observed`, whatever the rule optimized, so callers can account
     /// the robustness premium.
+    ///
+    /// The rule's parameters are validated on every call, but the rule is
+    /// not certified here: a host certifies its rule once, when it is
+    /// configured, with [`lec_rules::certify`].
     pub fn pick_with_rule<M: CostModel + ?Sized>(
         &self,
         query: &JoinQuery,
@@ -188,7 +197,7 @@ impl ParametricPlans {
         if matches!(rule, lec_rules::Rule::LeastExpectedCost) {
             return self.pick(query, model, observed);
         }
-        lec_rules::certify(rule)?;
+        lec_rules::SelectionRule::validate(rule)?;
         // Deduplicate identical plans across scenarios before costing
         // (same convention as `pick`).
         let mut kept: Vec<(usize, &Plan)> = Vec::new();
@@ -211,121 +220,6 @@ impl ParametricPlans {
             plan: plan.clone(),
             expected_cost: expected_cost(query, model, plan, &phases),
         })
-    }
-}
-
-/// Prices every candidate for all scenarios at once. The join formulas are
-/// evaluated once per distinct memory value
-/// ([`CostModel::join_costs_at`]) and folded into each scenario's
-/// expectation in that scenario's bucket order, `acc += (formula + out) ·
-/// p`, exactly as [`CostModel::expected_join_steps`] sums it, so each
-/// scenario's costs keep the bits of a stand-alone
-/// [`ExpectedCoster`](crate::dp::ExpectedCoster) run under it.
-struct ScenarioCoster<'a, M: ?Sized> {
-    model: &'a M,
-    scenarios: &'a [Distribution],
-    /// The distinct memory values of all scenarios, in first-appearance
-    /// order.
-    values: Vec<f64>,
-    /// Per scenario, its buckets in order: the index of the bucket's value
-    /// in `values`, and its probability.
-    buckets: Vec<Vec<(usize, f64)>>,
-    /// The per-value formulas of the candidate being priced.
-    formulas: Cell<Vec<[f64; 3]>>,
-}
-
-impl<'a, M: CostModel + ?Sized> ScenarioCoster<'a, M> {
-    fn new(model: &'a M, scenarios: &'a [Distribution]) -> Self {
-        let mut values: Vec<f64> = Vec::new();
-        let buckets = scenarios
-            .iter()
-            .map(|d| {
-                d.values()
-                    .iter()
-                    .zip(d.probs())
-                    .map(|(&v, &p)| {
-                        let i = values
-                            .iter()
-                            .position(|u| u.to_bits() == v.to_bits())
-                            .unwrap_or_else(|| {
-                                values.push(v);
-                                values.len() - 1
-                            });
-                        (i, p)
-                    })
-                    .collect()
-            })
-            .collect();
-        let formulas = Cell::new(vec![[0.0; 3]; values.len()]);
-        ScenarioCoster {
-            model,
-            scenarios,
-            values,
-            buckets,
-            formulas,
-        }
-    }
-}
-
-impl<M: CostModel + ?Sized> SweepCoster for ScenarioCoster<'_, M> {
-    type Output = Vec<Optimized>;
-
-    fn scenarios(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    fn join_each(&self, _phase: usize, bases: &[f64], join: JoinInputs, out: &mut [[f64; 3]]) {
-        let mut formulas = self.formulas.take();
-        self.model.join_costs_at(
-            join.left_pages,
-            join.right_pages,
-            &self.values,
-            &mut formulas,
-        );
-        let o = join.out_pages;
-        for ((buckets, &base), slot) in self.buckets.iter().zip(bases).zip(out) {
-            let mut acc = [0.0; 3];
-            for &(i, p) in buckets {
-                for (a, f) in acc.iter_mut().zip(formulas[i]) {
-                    *a += (f + o) * p;
-                }
-            }
-            *slot = acc.map(|step| base + step);
-        }
-        self.formulas.set(formulas);
-    }
-
-    fn join_one(&self, _phase: usize, s: usize, base: f64, join: JoinInputs) -> [f64; 3] {
-        let Some(d) = self.scenarios.get(s) else {
-            return [f64::NAN; 3];
-        };
-        let mut formulas = self.formulas.take();
-        self.model
-            .join_costs_at(join.left_pages, join.right_pages, d.values(), &mut formulas);
-        let mut acc = [0.0; 3];
-        for (f, &p) in formulas.iter().zip(d.probs()) {
-            for (a, f) in acc.iter_mut().zip(f) {
-                *a += (f + join.out_pages) * p;
-            }
-        }
-        self.formulas.set(formulas);
-        acc.map(|step| base + step)
-    }
-
-    fn sort_one(&self, _phase: usize, s: usize, _set: RelSet, pages: f64) -> f64 {
-        self.scenarios.get(s).map_or(f64::NAN, |d| {
-            self.model.expected_sort_step(pages, d.values(), d.probs())
-        })
-    }
-
-    /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
-    /// and probabilities summing to one up to rounding.
-    fn step_floor(&self, out_pages: f64) -> f64 {
-        out_pages
-    }
-
-    fn output(winners: Vec<Optimized>) -> Result<Vec<Optimized>, CoreError> {
-        Ok(winners)
     }
 }
 
@@ -462,50 +356,5 @@ mod tests {
             assert_eq!(os.cost.to_bits(), ow.cost.to_bits());
             assert_eq!(os.plan, ow.plan);
         }
-    }
-
-    /// A 3-relation chain whose two 1e200-page relations join at
-    /// selectivity 1: every plan's result overflows, so every winner costs
-    /// ∞. That is a typed error in every build, never an `Ok(∞)` (which
-    /// `from_parts` would refuse) and never a panic.
-    #[test]
-    fn non_finite_winners_are_typed_errors() {
-        let q = JoinQuery::new(
-            vec![
-                Relation::new("huge_a", 1e200, 1e200),
-                Relation::new("huge_b", 1e200, 1e200),
-                Relation::new("small", 10.0, 1e3),
-            ],
-            vec![
-                JoinPred {
-                    left: 0,
-                    right: 1,
-                    selectivity: 1.0,
-                    key: KeyId(0),
-                },
-                JoinPred {
-                    left: 1,
-                    right: 2,
-                    selectivity: 1.0,
-                    key: KeyId(1),
-                },
-            ],
-            None,
-        )
-        .unwrap();
-        let bad_cost = |r: Result<(), CoreError>| {
-            matches!(
-                r,
-                Err(CoreError::Plan(lec_plan::PlanError::BadCost { value, .. })) if value.is_infinite()
-            )
-        };
-        let model = PaperCostModel;
-        for s in scenarios() {
-            let mem = MemoryModel::Static(s);
-            assert!(bad_cost(alg_c::optimize(&q, &model, &mem).map(|_| ())));
-        }
-        assert!(bad_cost(
-            ParametricPlans::precompute(&q, &model, &scenarios()).map(|_| ())
-        ));
     }
 }

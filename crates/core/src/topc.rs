@@ -201,6 +201,7 @@ fn finalize_topc<M: CostModel + ?Sized>(
         })
         .collect();
     for p in &plans {
+        lec_plan::verify_costs("top-c plan", &[p.cost])?;
         crate::verify::debug_verify_plan(query, &p.plan, p.cost);
     }
     Ok(TopCResult {
@@ -214,7 +215,8 @@ fn finalize_topc<M: CostModel + ?Sized>(
 /// (Theorem 3.2: roughly a constant factor over the single-plan DP), with
 /// the search-space [`OptStats`]: `candidates_priced` equals the merge's
 /// `combos_examined`, and `entries_written` counts the list entries
-/// actually kept per node.
+/// actually kept per node. A returned plan whose cost is not finite is
+/// [`CoreError::Plan`] in every build.
 pub fn top_c_plans<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,

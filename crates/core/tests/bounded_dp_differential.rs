@@ -1,19 +1,25 @@
 //! Differential battery for the bounded left-deep DP: `dp::optimize_left_deep`
-//! (an incumbent plus an exact lower bound that prunes subsets) against a
-//! verbatim copy of the unbounded sweep it replaced (module `oracle` below).
+//! (an incumbent plus an exact lower bound that prunes subsets) priced by
+//! the one memory coster `dp::MemoryCoster`, against a verbatim copy of the
+//! unbounded sweep it replaced priced by verbatim copies of the step
+//! costers it replaced (module `oracle` below).
 //!
-//! Pruning must never change a result, so every case asserts the same plan
-//! and the same `cost.to_bits()` as the oracle, that no more candidates
-//! were priced than the oracle priced, and the counter identities
-//! `masks_expanded + masks_pruned = 2ⁿ − n − 1` and
-//! `entries_written = n + masks_expanded`.
+//! Neither pruning nor the coster may change a result, so every case
+//! asserts the same plan and the same `cost.to_bits()` as the oracle, that
+//! no more candidates were priced than the oracle priced, and the counter
+//! identities `masks_expanded + masks_pruned = 2ⁿ − n − 1` and
+//! `entries_written = n + masks_expanded`. On queries of up to eight
+//! relations every join step and root sort the two costers price is also
+//! compared bit for bit.
 //!
 //! Cases:
 //! - seeded chain, star, cycle and clique queries with n = 2–13, with and
-//!   without a required order, under static and random-walk memory;
-//! - step costers: `FixedMemoryCoster`, `ExpectedCoster` (paper and
-//!   detailed models), and a forwarding coster that keeps the default
-//!   zero `join_floor`, the floor Algorithm D's coster uses (Algorithm D
+//!   without a required order, under static and random-walk memory (from
+//!   a uniform and from a skewed start);
+//! - costers: `MemoryCoster` against the old `ExpectedCoster` (paper and
+//!   detailed models) and, on one-point memory, against the old
+//!   `FixedMemoryCoster`; and a forwarding coster that keeps the default
+//!   zero `step_floor`, the floor Algorithm D's coster uses (Algorithm D
 //!   itself is checked against its stand-alone implementation in
 //!   `alg_d_differential.rs`);
 //! - a zero-formula cost model, under which the lower bound is tight: a
@@ -21,24 +27,33 @@
 //!   high, has no rounding margin, or prunes on ties shows up here;
 //! - adversarial queries: an optimum that joins a cross product first,
 //!   many exact cost ties, and relations so large that every cost is ∞.
+//!
+//! The battery is checked against two mutations of the coster: folding a
+//! step as `formula · p + out · p`, and pricing every phase with phase 0's
+//! distribution. Each makes some case here fail.
 
-use lec_core::dp::{self, ExpectedCoster, FixedMemoryCoster, JoinInputs, StepCoster};
+use lec_core::dp::{self, JoinInputs, MemoryCoster, SweepCoster};
 use lec_core::exhaustive;
-use lec_core::{expected_cost, MemoryModel, OptStats, Optimized, QueryTables};
+use lec_core::{expected_cost, MemoryModel, OptStats, Optimized, PhaseDists, QueryTables};
 use lec_cost::{CostModel, DetailedCostModel, JoinMethod, PaperCostModel};
 use lec_plan::{JoinPred, JoinQuery, KeyId, Plan, RelSet, Relation};
-use lec_stats::MarkovChain;
+use lec_stats::{Distribution, MarkovChain};
 use lec_workload::{envs, QueryGen, Topology};
+use oracle::StepCoster;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// The memory world of the cases: a 4-bucket lognormal (mean 300, cv 0.8),
-/// held static or walked between phases.
-fn memories() -> [MemoryModel; 2] {
+/// held static or walked between phases. Its buckets are equally likely
+/// and stay so under the walk, so a third model walks the same support
+/// from a skewed start: probabilities that are no powers of two, and that
+/// change from phase to phase.
+fn memories() -> [MemoryModel; 3] {
     let d = envs::lognormal(300.0, 0.8, 4);
     let chain = MarkovChain::random_walk(d.values().to_vec(), 0.4).expect("valid walk");
-    let dynamic = MemoryModel::dynamic(chain, d.probs().to_vec()).expect("matching initial");
-    [MemoryModel::Static(d), dynamic]
+    let dynamic = MemoryModel::dynamic(chain.clone(), d.probs().to_vec()).expect("matching");
+    let skewed = MemoryModel::dynamic(chain, vec![0.1, 0.2, 0.3, 0.4]).expect("matching");
+    [MemoryModel::Static(d), dynamic, skewed]
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -98,23 +113,36 @@ impl CostModel for FreeSteps {
 }
 
 /// Forwards a coster's prices but keeps the trait's default (zero)
-/// `join_floor`, as Algorithm D's coster does.
+/// `step_floor`, as Algorithm D's coster does.
 struct NoFloor<C>(C);
 
-impl<C: StepCoster> StepCoster for NoFloor<C> {
-    fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
-        self.0.join_all(phase, base, join)
+impl<C: SweepCoster> SweepCoster for NoFloor<C> {
+    fn scenarios(&self) -> usize {
+        self.0.scenarios()
     }
-    fn sort(&self, phase: usize, set: RelSet, pages: f64) -> f64 {
-        self.0.sort(phase, set, pages)
+    fn join_each(&self, phase: usize, bases: &[f64], join: JoinInputs, out: &mut [[f64; 3]]) {
+        self.0.join_each(phase, bases, join, out)
+    }
+    fn join_one(&self, phase: usize, s: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+        self.0.join_one(phase, s, base, join)
+    }
+    fn sort_one(&self, phase: usize, s: usize, set: RelSet, pages: f64) -> f64 {
+        self.0.sort_one(phase, s, set, pages)
     }
 }
 
-/// Runs the bounded DP and the oracle on `q` and asserts identical results,
-/// consistent counters, and no more candidates priced than the oracle
-/// priced; returns the bounded run's stats.
-fn check<C: StepCoster>(q: &JoinQuery, coster: &C, label: &str) -> OptStats {
-    let (stats, oracle_stats) = check_results(q, coster, label);
+/// The one-scenario memory table of a fixed memory value: the LSC world.
+fn point(memory: f64, n: usize) -> PhaseDists {
+    let d = Distribution::point(memory).expect("positive memory");
+    MemoryModel::Static(d).table(n.max(2)).expect("phases")
+}
+
+/// Runs the bounded DP with the live coster and the oracle with the old
+/// one on `q` and asserts identical results, consistent counters, and no
+/// more candidates priced than the oracle priced; returns the bounded
+/// run's stats.
+fn check<C: SweepCoster, O: StepCoster>(q: &JoinQuery, live: &C, old: &O, label: &str) -> OptStats {
+    let (stats, oracle_stats) = check_results(q, live, old, label);
     assert!(
         stats.counters.candidates_priced <= oracle_stats.counters.candidates_priced,
         "{label}: {} candidates priced vs the oracle's {}",
@@ -125,12 +153,24 @@ fn check<C: StepCoster>(q: &JoinQuery, coster: &C, label: &str) -> OptStats {
 }
 
 /// [`check`] without the work comparison: the plan, the cost bits and the
-/// counter identities. Returns the bounded and the oracle stats.
-fn check_results<C: StepCoster>(q: &JoinQuery, coster: &C, label: &str) -> (OptStats, OptStats) {
+/// counter identities, plus every step of both costers on small queries.
+/// Returns the bounded and the oracle stats.
+fn check_results<C: SweepCoster, O: StepCoster>(
+    q: &JoinQuery,
+    live: &C,
+    old: &O,
+    label: &str,
+) -> (OptStats, OptStats) {
     let tabs = QueryTables::new(q);
-    let (new, stats) = dp::optimize_left_deep(q, &tabs, coster).expect("bounded");
-    let (old, old_stats) = oracle::optimize_left_deep(q, &tabs, coster).expect("oracle");
-    assert_same(&new, &old, label);
+    if q.n() <= 8 {
+        check_steps(q, &tabs, live, old, label);
+    }
+    let (new, stats) = dp::optimize_left_deep(q, &tabs, live).expect("bounded");
+    let [new] = new.as_slice() else {
+        panic!("{label}: {} winners for one scenario", new.len());
+    };
+    let (old, old_stats) = oracle::optimize_left_deep(q, &tabs, old).expect("oracle");
+    assert_same(new, &old, label);
     let n = q.n() as u64;
     let c = &stats.counters;
     let lattice = (1u64 << n) - n - 1;
@@ -138,6 +178,51 @@ fn check_results<C: StepCoster>(q: &JoinQuery, coster: &C, label: &str) -> (OptS
     assert_eq!(c.masks_expanded + c.masks_pruned, lattice, "{label}: masks");
     assert_eq!(c.entries_written, n + c.masks_expanded, "{label}: entries");
     (stats, old_stats)
+}
+
+/// Every join step of the lattice, from a fractional base, and a root sort
+/// of every subset at every phase: the live coster (through both
+/// `join_one` and `join_each`) and the old one price them to the same bits.
+fn check_steps<C: SweepCoster, O: StepCoster>(
+    q: &JoinQuery,
+    tabs: &QueryTables,
+    live: &C,
+    old: &O,
+    label: &str,
+) {
+    for set in RelSet::all_subsets(q.n()).filter(|s| s.len() >= 2) {
+        let phase = set.len() - 2;
+        for j in set.iter() {
+            let sub = set.remove(j);
+            let join = JoinInputs {
+                sub,
+                j,
+                set,
+                left_pages: tabs.pages(sub),
+                right_pages: tabs.access(j).2,
+                out_pages: tabs.pages(set),
+            };
+            let base = 1.0 / 3.0 + tabs.access(j).0;
+            let want = old.join_all(phase, base, join).map(f64::to_bits);
+            let mut each = [[f64::NAN; 3]];
+            live.join_each(phase, &[base], join, &mut each);
+            assert_eq!(
+                each[0].map(f64::to_bits),
+                want,
+                "{label}: join_each {set:?}/{j}"
+            );
+            let one = live.join_one(phase, 0, base, join).map(f64::to_bits);
+            assert_eq!(one, want, "{label}: join_one {set:?}/{j}");
+        }
+        let pages = tabs.pages(set);
+        for phase in 0..q.n() {
+            assert_eq!(
+                live.sort_one(phase, 0, set, pages).to_bits(),
+                old.sort(phase, set, pages).to_bits(),
+                "{label}: sort {set:?} at phase {phase}"
+            );
+        }
+    }
 }
 
 fn assert_same(new: &Optimized, old: &Optimized, label: &str) {
@@ -151,41 +236,47 @@ fn assert_same(new: &Optimized, old: &Optimized, label: &str) {
     );
 }
 
-/// Every coster of the battery on `q`: the expected-cost costers under
-/// both memory models, the fixed-memory ones at the lognormal's extreme
-/// buckets. Returns the masks pruned over all of them.
+/// Every coster of the battery on `q`: the memory coster against the old
+/// expected-cost costers under both memory models, and against the old
+/// fixed-memory ones at the lognormal's extreme buckets. Returns the masks
+/// pruned over all of them.
 fn check_all_costers(q: &JoinQuery, label: &str) -> u64 {
     let mut pruned = 0;
     for (m, memory) in memories().iter().enumerate() {
-        let phases = memory.table(q.n().max(2)).expect("phases");
+        let phases = [memory.table(q.n().max(2)).expect("phases")];
         let label = format!("{label} memory#{m}");
-        let paper = ExpectedCoster::new(&PaperCostModel, &phases);
+        let paper = MemoryCoster::new(&PaperCostModel, &phases);
+        let old_paper = oracle::ExpectedCoster::new(&PaperCostModel, &phases[0]);
         let runs = [
-            check(q, &paper, &format!("{label} expected/paper")),
-            check(q, &NoFloor(paper), &format!("{label} no-floor")),
+            check(q, &paper, &old_paper, &format!("{label} expected/paper")),
+            check(q, &NoFloor(paper), &old_paper, &format!("{label} no-floor")),
             check(
                 q,
-                &ExpectedCoster::new(&DetailedCostModel, &phases),
+                &MemoryCoster::new(&DetailedCostModel, &phases),
+                &oracle::ExpectedCoster::new(&DetailedCostModel, &phases[0]),
                 &format!("{label} expected/detailed"),
             ),
             check(
                 q,
-                &ExpectedCoster::new(&FreeSteps, &phases),
+                &MemoryCoster::new(&FreeSteps, &phases),
+                &oracle::ExpectedCoster::new(&FreeSteps, &phases[0]),
                 &format!("{label} expected/free"),
             ),
         ];
         pruned += runs.iter().map(|s| s.counters.masks_pruned).sum::<u64>();
     }
-    let [memory, _] = memories();
+    let [memory, ..] = memories();
     let values = memory.table(1).expect("phases").at(0).values().to_vec();
     for m in [values[0], values[values.len() - 1]] {
+        let phases = [point(m, q.n())];
         for (name, model) in [
             ("paper", &PaperCostModel as &dyn CostModel),
             ("free", &FreeSteps),
         ] {
             let stats = check(
                 q,
-                &FixedMemoryCoster::new(model, m),
+                &MemoryCoster::new(model, &phases),
+                &oracle::FixedMemoryCoster::new(model, m),
                 &format!("{label} fixed/{name} m={m}"),
             );
             pruned += stats.counters.masks_pruned;
@@ -236,6 +327,15 @@ fn with_selections(q: &JoinQuery, seed: u64) -> JoinQuery {
 /// the sum of its access costs, zero for plain scans.
 struct FreeJoins;
 
+impl SweepCoster for FreeJoins {
+    fn join_one(&self, _phase: usize, _s: usize, base: f64, _join: JoinInputs) -> [f64; 3] {
+        [base; 3]
+    }
+    fn sort_one(&self, _phase: usize, _s: usize, _set: RelSet, _pages: f64) -> f64 {
+        0.0
+    }
+}
+
 impl StepCoster for FreeJoins {
     fn join_all(&self, _phase: usize, base: f64, _join: JoinInputs) -> [f64; 3] {
         [base; 3]
@@ -263,20 +363,27 @@ fn tight_bound_never_prunes_the_winner() {
         let n = 3 + (seed as usize / 4) % 6;
         let plain = query(shape, n, seed % 3 == 0, 0x71 + seed);
         let label = format!("{shape:?} n={n} seed={seed}");
-        check(&plain, &FreeJoins, &format!("{label} free"));
+        check(&plain, &FreeJoins, &FreeJoins, &format!("{label} free"));
         let q = with_selections(&plain, seed);
-        check_results(&q, &FreeJoins, &format!("{label} free/selected"));
+        check_results(
+            &q,
+            &FreeJoins,
+            &FreeJoins,
+            &format!("{label} free/selected"),
+        );
         for memory in memories() {
-            let phases = memory.table(n).expect("phases");
+            let phases = [memory.table(n).expect("phases")];
             check(
                 &q,
-                &ExpectedCoster::new(&FreeSteps, &phases),
+                &MemoryCoster::new(&FreeSteps, &phases),
+                &oracle::ExpectedCoster::new(&FreeSteps, &phases[0]),
                 &format!("{label} expected"),
             );
-            for &m in phases.at(0).values() {
+            for &m in phases[0].at(0).values() {
                 check(
                     &q,
-                    &FixedMemoryCoster::new(&FreeSteps, m),
+                    &MemoryCoster::new(&FreeSteps, &[point(m, n)]),
+                    &oracle::FixedMemoryCoster::new(&FreeSteps, m),
                     &format!("{label} fixed m={m}"),
                 );
             }
@@ -313,15 +420,18 @@ fn an_optimal_cross_product_is_kept() {
         None,
     )
     .expect("query");
-    let [memory, _] = memories();
-    let phases = memory.table(q.n()).expect("phases");
-    let coster = ExpectedCoster::new(&PaperCostModel, &phases);
-    check(&q, &coster, "cross product");
+    let [memory, ..] = memories();
+    let phases = [memory.table(q.n()).expect("phases")];
+    let coster = MemoryCoster::new(&PaperCostModel, &phases);
+    let old = oracle::ExpectedCoster::new(&PaperCostModel, &phases[0]);
+    check(&q, &coster, &old, "cross product");
     let tabs = QueryTables::new(&q);
-    let (best, _) = dp::optimize_left_deep(&q, &tabs, &coster).unwrap();
-    let (truth, _) = exhaustive::exhaustive_lec(&q, &PaperCostModel, &phases).expect("oracle");
+    let (winners, _) = dp::optimize_left_deep(&q, &tabs, &coster).unwrap();
+    let best = &winners[0];
+    let phases = &phases[0];
+    let (truth, _) = exhaustive::exhaustive_lec(&q, &PaperCostModel, phases).expect("oracle");
     assert_eq!(
-        expected_cost(&q, &PaperCostModel, &best.plan, &phases).to_bits(),
+        expected_cost(&q, &PaperCostModel, &best.plan, phases).to_bits(),
         truth.cost.to_bits()
     );
     let Plan::Join { left, .. } = &best.plan else {
@@ -385,14 +495,18 @@ fn infinite_costs_prune_nothing() {
                 .collect();
             let q = JoinQuery::new(relations, q.predicates().to_vec(), q.required_order())
                 .expect("query");
-            let [memory, _] = memories();
-            let phases = memory.table(n).expect("phases");
-            let coster = ExpectedCoster::new(&PaperCostModel, &phases);
+            let [memory, ..] = memories();
+            let phases = [memory.table(n).expect("phases")];
+            let old_coster = oracle::ExpectedCoster::new(&PaperCostModel, &phases[0]);
             let tabs = QueryTables::new(&q);
             let label = format!("n={n} pages={pages}");
-            let new = std::panic::catch_unwind(|| dp::optimize_left_deep(&q, &tabs, &coster))
-                .unwrap_or_else(|_| panic!("{label}: the bounded sweep panicked"));
-            let old = std::panic::catch_unwind(|| oracle::optimize_left_deep(&q, &tabs, &coster));
+            let new = std::panic::catch_unwind(|| {
+                let coster = MemoryCoster::new(&PaperCostModel, &phases);
+                dp::optimize_left_deep(&q, &tabs, &coster)
+            })
+            .unwrap_or_else(|_| panic!("{label}: the bounded sweep panicked"));
+            let old =
+                std::panic::catch_unwind(|| oracle::optimize_left_deep(&q, &tabs, &old_coster));
             let old = match old {
                 Ok(old) => Some(old.expect("oracle").0),
                 Err(_) if cfg!(debug_assertions) => None,
@@ -405,7 +519,7 @@ fn infinite_costs_prune_nothing() {
                 "{label}: the case lost its point"
             );
             match (new, old) {
-                (Ok((new, _)), Some(old)) if oracle_finite => assert_same(&new, &old, &label),
+                (Ok((new, _)), Some(old)) if oracle_finite => assert_same(&new[0], &old, &label),
                 (Err(lec_core::CoreError::Plan(lec_plan::PlanError::BadCost { value, .. })), _)
                     if !oracle_finite =>
                 {
@@ -418,17 +532,198 @@ fn infinite_costs_prune_nothing() {
 }
 
 mod oracle {
-    //! The left-deep DP as it stood before it bounded its search, copied
-    //! verbatim except for what living outside the crate needs: public-API
-    //! imports, a crate-visible entry point and no lint pragmas.
+    //! The left-deep DP as it stood before it bounded its search, and the
+    //! step costers it ran before one memory coster replaced them
+    //! (`StepCoster`, `FixedMemoryCoster`, `ExpectedCoster`, and the cost
+    //! model's fused `expected_join_steps` with the paper model's
+    //! override), copied verbatim except for what living outside the crates
+    //! needs: public-API imports, crate-visible items, the fused kernel as
+    //! an extension trait, and no lint pragmas.
 
-    use lec_core::dp::{JoinInputs, Optimized, StepCoster};
+    use lec_core::dp::{JoinInputs, Optimized};
     use lec_core::error::CoreError;
     use lec_core::par;
     use lec_core::precompute::QueryTables;
     use lec_core::stats::OptStats;
-    use lec_cost::{AccessMethod, JoinMethod};
+    use lec_core::PhaseDists;
+    use lec_cost::{AccessMethod, CostModel, DetailedCostModel, JoinMethod, PaperCostModel};
     use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
+
+    /// Prices one plan *step* for the dynamic program. The phase index follows
+    /// §3.5: the join forming a `k`-relation result is phase `k - 2`; a final
+    /// sort is the last phase.
+    pub(crate) trait StepCoster {
+        /// Candidate costs of the join `join`, one per method in
+        /// [`JoinMethod::ALL`] order. `base` is the cost of the best plan for
+        /// `join.sub` plus `join.j`'s access cost; the coster adds the join
+        /// step (join formula plus output materialization) onto it, so it also
+        /// fixes how the sum associates.
+        fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3];
+
+        /// Cost of a final sort of `set`'s result (`pages` estimated pages),
+        /// including output materialization.
+        fn sort(&self, phase: usize, set: RelSet, pages: f64) -> f64;
+    }
+
+    /// Join step cost: the join formula plus materializing the output.
+    fn join_step<M: CostModel + ?Sized>(
+        model: &M,
+        method: lec_cost::JoinMethod,
+        left_pages: f64,
+        right_pages: f64,
+        out_pages: f64,
+        memory: f64,
+    ) -> f64 {
+        model.join_cost(method, left_pages, right_pages, memory) + out_pages
+    }
+
+    /// Sort step cost: the sort formula plus materializing the output.
+    fn sort_step<M: CostModel + ?Sized>(model: &M, pages: f64, memory: f64) -> f64 {
+        model.sort_cost(pages, memory) + pages
+    }
+
+    /// Step coster for a single fixed memory value (the LSC world).
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct FixedMemoryCoster<'a, M: ?Sized> {
+        model: &'a M,
+        memory: f64,
+    }
+
+    impl<'a, M: CostModel + ?Sized> FixedMemoryCoster<'a, M> {
+        /// Prices steps at the given memory value.
+        pub(crate) fn new(model: &'a M, memory: f64) -> Self {
+            Self { model, memory }
+        }
+    }
+
+    impl<M: CostModel + ?Sized> StepCoster for FixedMemoryCoster<'_, M> {
+        fn join_all(&self, _phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+            let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
+            JoinMethod::ALL
+                .map(|method| base + join_step(self.model, method, l, r, out, self.memory))
+        }
+
+        fn sort(&self, _phase: usize, _set: RelSet, pages: f64) -> f64 {
+            sort_step(self.model, pages, self.memory)
+        }
+    }
+
+    /// Step coster taking expectations over per-phase memory distributions
+    /// (Algorithm C; with a static table every phase shares one distribution).
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct ExpectedCoster<'a, M: ?Sized> {
+        model: &'a M,
+        phases: &'a PhaseDists,
+    }
+
+    impl<'a, M: CostModel + ?Sized> ExpectedCoster<'a, M> {
+        /// Prices steps in expectation over `phases`.
+        pub(crate) fn new(model: &'a M, phases: &'a PhaseDists) -> Self {
+            Self { model, phases }
+        }
+    }
+
+    impl<M: ExpectedJoinSteps + ?Sized> StepCoster for ExpectedCoster<'_, M> {
+        fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+            // Routed through the model's fused expectation kernel (bit-identical
+            // to `dist.expect(|m| join_step(...))` per method, with hoisted
+            // overrides for the paper model) — this is the x18 hot path.
+            let d = self.phases.at(phase);
+            let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
+            self.model
+                .expected_join_steps(l, r, out, d.values(), d.probs())
+                .map(|step| base + step)
+        }
+
+        fn sort(&self, phase: usize, _set: RelSet, pages: f64) -> f64 {
+            let d = self.phases.at(phase);
+            self.model.expected_sort_step(pages, d.values(), d.probs())
+        }
+    }
+
+    /// `CostModel::expected_join_steps`: the trait default, overridden by
+    /// the paper model.
+    pub(crate) trait ExpectedJoinSteps: CostModel {
+        /// Expected join-step costs for **all three** join methods at once, in
+        /// [`JoinMethod::ALL`] order. The default defers to
+        /// [`CostModel::expected_join_step`] per method; models may override
+        /// with a single fused bucket pass, provided each method's accumulator
+        /// receives exactly the per-method sequence of adds (bit-identity, as
+        /// above). The DP inner loop prices every candidate under all three
+        /// methods, so fusing shares the bucket loads and loop overhead.
+        fn expected_join_steps(
+            &self,
+            left_pages: f64,
+            right_pages: f64,
+            out_pages: f64,
+            mem_values: &[f64],
+            mem_probs: &[f64],
+        ) -> [f64; 3] {
+            JoinMethod::ALL.map(|method| {
+                self.expected_join_step(
+                    method,
+                    left_pages,
+                    right_pages,
+                    out_pages,
+                    mem_values,
+                    mem_probs,
+                )
+            })
+        }
+    }
+
+    impl ExpectedJoinSteps for DetailedCostModel {}
+    impl ExpectedJoinSteps for super::FreeSteps {}
+
+    impl ExpectedJoinSteps for PaperCostModel {
+        fn expected_join_steps(
+            &self,
+            a: f64,
+            b: f64,
+            out: f64,
+            mem_values: &[f64],
+            mem_probs: &[f64],
+        ) -> [f64; 3] {
+            debug_assert!(a > 0.0 && b > 0.0);
+            // One fused bucket pass. Each accumulator sees exactly the adds its
+            // per-method kernel would produce, in the same order, so the result
+            // is bit-identical to three separate `expected_join_step` calls
+            // (pinned by `fused_join_steps_match_per_method_bitwise`).
+            let l = a.max(b);
+            let (sl, ss) = (l.sqrt(), a.min(b).sqrt());
+            let (ql, qs) = (sl.sqrt(), ss.sqrt());
+            let ab = a + b;
+            let nl_threshold = a.min(b) + 2.0;
+            let nl_cached = a + b;
+            let nl_quadratic = a + a * b;
+            let (mut sm, mut gh, mut nl) = (0.0, 0.0, 0.0);
+            for (&m, &p) in mem_values.iter().zip(mem_probs) {
+                let c_sm = if m > sl {
+                    2.0
+                } else if m > ql {
+                    4.0
+                } else {
+                    6.0
+                };
+                sm += (c_sm * ab + out) * p;
+                let c_gh = if m > ss {
+                    2.0
+                } else if m > qs {
+                    4.0
+                } else {
+                    6.0
+                };
+                gh += (c_gh * ab + out) * p;
+                let c_nl = if m >= nl_threshold {
+                    nl_cached
+                } else {
+                    nl_quadratic
+                };
+                nl += (c_nl + out) * p;
+            }
+            [sm, gh, nl]
+        }
+    }
 
     /// One DP table entry: best cost plus the backpointer to reconstruct the
     /// plan (`j` joined last with `method`).

@@ -20,16 +20,24 @@
 //! one-point scenario; and multi-bucket scenarios whose supports overlap in
 //! part, where a fold in the wrong order rounds differently.
 //!
-//! The battery is checked against two mutations of the sweep: folding a
-//! scenario's per-value costs in reversed bucket order, and pruning a
-//! subset as soon as *any* scenario's bound rules it out instead of when
-//! all do. Each makes some case here fail.
+//! The sweep's coster, `dp::MemoryCoster`, also prices phased scenarios:
+//! random-walk memory, alone or mixed with static scenarios in one sweep.
+//! Those cases run the sweep directly and check every scenario's winner,
+//! and every join step the coster prices for all scenarios at once,
+//! against the old `ExpectedCoster` run on that scenario alone.
+//!
+//! The battery is checked against four mutations of the sweep: folding a
+//! scenario's per-value costs in reversed bucket order, folding a step as
+//! `formula · p + out · p`, pricing every phase with phase 0's
+//! distribution, and pruning a subset as soon as *any* scenario's bound
+//! rules it out instead of when all do. Each makes some case here fail.
 
+use lec_core::dp::{self, JoinInputs, MemoryCoster, SweepCoster};
 use lec_core::parametric::ParametricPlans;
-use lec_core::{OptStats, Optimized};
+use lec_core::{MemoryModel, OptStats, Optimized, PhaseDists, QueryTables};
 use lec_cost::PaperCostModel;
-use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
-use lec_stats::Distribution;
+use lec_plan::{JoinPred, JoinQuery, KeyId, RelSet, Relation};
+use lec_stats::{Distribution, MarkovChain};
 use lec_workload::{envs, QueryGen, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -236,26 +244,292 @@ fn miss_storm_shapes_match_the_per_scenario_loop_bitwise() {
     );
 }
 
+/// A random walk over `values`, started from `initial`.
+fn walk(values: &[f64], stay: f64, initial: &[f64]) -> MemoryModel {
+    let chain = MarkovChain::random_walk(values.to_vec(), stay).expect("valid walk");
+    MemoryModel::dynamic(chain, initial.to_vec()).expect("matching initial")
+}
+
+/// The phased scenario sets, by name: random walks alone, and random walks
+/// mixed with static scenarios, whose phases share one distribution.
+fn phased_sets() -> Vec<(&'static str, Vec<MemoryModel>)> {
+    let lognormal = envs::lognormal(300.0, 0.8, 4);
+    let walks = vec![
+        walk(&[4.0, 40.0], 0.3, &[0.6, 0.4]),
+        walk(&[16.0, 80.0], 0.5, &[0.5, 0.5]),
+        walk(lognormal.values(), 0.4, lognormal.probs()),
+    ];
+    let mixed = vec![
+        MemoryModel::Static(dist(&[(4.0, 0.6), (40.0, 0.4)])),
+        walk(&[4.0, 16.0, 40.0, 80.0], 0.6, &[0.1, 0.2, 0.3, 0.4]),
+        MemoryModel::Static(lognormal),
+        walk(&[16.0, 80.0], 0.5, &[1.0, 0.0]),
+    ];
+    vec![("walks", walks), ("mixed", mixed)]
+}
+
+/// Runs one sweep over every phased scenario of `models` and the old
+/// coster on each scenario alone, asserting identical winners; on queries
+/// of up to eight relations also compares every join step the sweep's
+/// coster prices for all scenarios at once. Returns the masks pruned.
+fn check_phased(q: &JoinQuery, models: &[MemoryModel], label: &str) -> u64 {
+    let phases: Vec<PhaseDists> = models
+        .iter()
+        .map(|m| m.table(q.n().max(2)).expect("phases"))
+        .collect();
+    let tabs = QueryTables::new(q);
+    let coster = MemoryCoster::new(&PaperCostModel, &phases);
+    if q.n() <= 8 {
+        check_phased_steps(q, &tabs, &coster, &phases, label);
+    }
+    let (winners, stats) = dp::optimize_left_deep(q, &tabs, &coster).expect("shared");
+    let alone = oracle::per_scenario(q, &PaperCostModel, &phases).expect("oracle");
+    assert_eq!(winners.len(), phases.len(), "{label}");
+    for (s, (new, old)) in winners.iter().zip(&alone).enumerate() {
+        assert_same(new, old, &format!("{label} scenario {s}"));
+    }
+    let n = q.n() as u64;
+    let c = &stats.counters;
+    assert_eq!(
+        c.masks_expanded + c.masks_pruned,
+        (1u64 << n) - n - 1,
+        "{label}"
+    );
+    c.masks_pruned
+}
+
+/// Every join step of the lattice, priced for all scenarios by
+/// `join_each` and for each alone by `join_one`, against the old coster
+/// on that scenario, to the bit.
+fn check_phased_steps(
+    q: &JoinQuery,
+    tabs: &QueryTables,
+    coster: &MemoryCoster<'_, PaperCostModel>,
+    phases: &[PhaseDists],
+    label: &str,
+) {
+    use oracle::StepCoster;
+    let old: Vec<_> = phases
+        .iter()
+        .map(|p| oracle::ExpectedCoster::new(&PaperCostModel, p))
+        .collect();
+    let bases: Vec<f64> = (0..phases.len()).map(|s| 0.1 * (s + 1) as f64).collect();
+    let mut each = vec![[f64::NAN; 3]; phases.len()];
+    for set in RelSet::all_subsets(q.n()).filter(|s| s.len() >= 2) {
+        let phase = set.len() - 2;
+        for j in set.iter() {
+            let sub = set.remove(j);
+            let join = JoinInputs {
+                sub,
+                j,
+                set,
+                left_pages: tabs.pages(sub),
+                right_pages: tabs.access(j).2,
+                out_pages: tabs.pages(set),
+            };
+            coster.join_each(phase, &bases, join, &mut each);
+            for (s, (old, &base)) in old.iter().zip(&bases).enumerate() {
+                let want = old.join_all(phase, base, join).map(f64::to_bits);
+                let got = each[s].map(f64::to_bits);
+                assert_eq!(got, want, "{label}: join_each {set:?}/{j} scenario {s}");
+                let one = coster.join_one(phase, s, base, join).map(f64::to_bits);
+                assert_eq!(one, want, "{label}: join_one {set:?}/{j} scenario {s}");
+            }
+        }
+    }
+}
+
+#[test]
+fn phased_scenarios_match_the_old_coster_bitwise() {
+    let mut seed = 0xFA5E;
+    for shape in [Shape::Chain, Shape::Star, Shape::Cycle, Shape::Clique] {
+        let mut pruned = 0;
+        for n in 2..=10 {
+            for require_order in [false, true] {
+                seed += 1;
+                let q = generated(shape, n, require_order, seed);
+                for (name, models) in phased_sets() {
+                    let label = format!("{shape:?} n={n} ordered={require_order} {name}");
+                    pruned += check_phased(&q, &models, &label);
+                }
+            }
+        }
+        assert!(pruned > 0, "{shape:?}: the bound never pruned");
+    }
+    for shape in [Shape::Chain, Shape::Star, Shape::Cycle] {
+        for n in [8, 10] {
+            let q = miss_storm(shape, n, n == 8, 1);
+            for (name, models) in phased_sets() {
+                check_phased(&q, &models, &format!("miss_storm {shape:?} n={n} {name}"));
+            }
+        }
+    }
+}
+
 mod oracle {
     //! Parametric precompute as it stood before its scenarios shared one
     //! sweep: one bounded left-deep DP per scenario with `ExpectedCoster`,
-    //! each copied verbatim except for what living outside the crate needs:
-    //! public-API imports, crate-visible entry points and no lint pragmas.
+    //! each copied verbatim, with the step-coster trait, `ExpectedCoster`
+    //! and the paper model's fused `expected_join_steps` kernel as they
+    //! stood before one memory coster replaced them, except for what living
+    //! outside the crates needs: public-API imports, crate-visible items,
+    //! the fused kernel as an extension trait, and no lint pragmas.
 
-    use lec_core::dp::{ExpectedCoster, JoinInputs, Optimized, StepCoster};
+    use lec_core::dp::{JoinInputs, Optimized};
     use lec_core::error::CoreError;
     use lec_core::par;
     use lec_core::precompute::QueryTables;
     use lec_core::stats::OptStats;
-    use lec_core::MemoryModel;
-    use lec_cost::{AccessMethod, CostModel, JoinMethod};
+    use lec_core::{MemoryModel, PhaseDists};
+    use lec_cost::{AccessMethod, CostModel, JoinMethod, PaperCostModel};
     use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
     use lec_stats::Distribution;
+
+    /// Prices one plan *step* for the dynamic program. The phase index follows
+    /// §3.5: the join forming a `k`-relation result is phase `k - 2`; a final
+    /// sort is the last phase.
+    pub(crate) trait StepCoster {
+        /// Candidate costs of the join `join`, one per method in
+        /// [`JoinMethod::ALL`] order. `base` is the cost of the best plan for
+        /// `join.sub` plus `join.j`'s access cost; the coster adds the join
+        /// step (join formula plus output materialization) onto it, so it also
+        /// fixes how the sum associates.
+        fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3];
+
+        /// Cost of a final sort of `set`'s result (`pages` estimated pages),
+        /// including output materialization.
+        fn sort(&self, phase: usize, set: RelSet, pages: f64) -> f64;
+
+        /// A floor under every join step forming a result of at least
+        /// `out_pages` pages: each entry of [`join_all`](Self::join_all) is at
+        /// least `base + join_floor(join.out_pages)`, up to rounding within
+        /// the DP's relative pruning margin. It must be non-negative and
+        /// non-decreasing in `out_pages`. The default `0.0` is sound for any
+        /// coster whose steps are non-negative.
+        fn join_floor(&self, _out_pages: f64) -> f64 {
+            0.0
+        }
+    }
+
+    /// Step coster taking expectations over per-phase memory distributions
+    /// (Algorithm C; with a static table every phase shares one distribution).
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct ExpectedCoster<'a, M: ?Sized> {
+        model: &'a M,
+        phases: &'a PhaseDists,
+    }
+
+    impl<'a, M: CostModel + ?Sized> ExpectedCoster<'a, M> {
+        /// Prices steps in expectation over `phases`.
+        pub(crate) fn new(model: &'a M, phases: &'a PhaseDists) -> Self {
+            Self { model, phases }
+        }
+    }
+
+    impl<M: ExpectedJoinSteps + ?Sized> StepCoster for ExpectedCoster<'_, M> {
+        fn join_all(&self, phase: usize, base: f64, join: JoinInputs) -> [f64; 3] {
+            // Routed through the model's fused expectation kernel (bit-identical
+            // to `dist.expect(|m| join_step(...))` per method, with hoisted
+            // overrides for the paper model) — this is the x18 hot path.
+            let d = self.phases.at(phase);
+            let (l, r, out) = (join.left_pages, join.right_pages, join.out_pages);
+            self.model
+                .expected_join_steps(l, r, out, d.values(), d.probs())
+                .map(|step| base + step)
+        }
+
+        fn sort(&self, phase: usize, _set: RelSet, pages: f64) -> f64 {
+            let d = self.phases.at(phase);
+            self.model.expected_sort_step(pages, d.values(), d.probs())
+        }
+
+        /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
+        /// and probabilities summing to one up to rounding.
+        fn join_floor(&self, out_pages: f64) -> f64 {
+            out_pages
+        }
+    }
+
+    /// `CostModel::expected_join_steps` as the paper model overrode it.
+    pub(crate) trait ExpectedJoinSteps: CostModel {
+        fn expected_join_steps(
+            &self,
+            a: f64,
+            b: f64,
+            out: f64,
+            mem_values: &[f64],
+            mem_probs: &[f64],
+        ) -> [f64; 3];
+    }
+
+    impl ExpectedJoinSteps for PaperCostModel {
+        fn expected_join_steps(
+            &self,
+            a: f64,
+            b: f64,
+            out: f64,
+            mem_values: &[f64],
+            mem_probs: &[f64],
+        ) -> [f64; 3] {
+            debug_assert!(a > 0.0 && b > 0.0);
+            // One fused bucket pass. Each accumulator sees exactly the adds its
+            // per-method kernel would produce, in the same order, so the result
+            // is bit-identical to three separate `expected_join_step` calls
+            // (pinned by `fused_join_steps_match_per_method_bitwise`).
+            let l = a.max(b);
+            let (sl, ss) = (l.sqrt(), a.min(b).sqrt());
+            let (ql, qs) = (sl.sqrt(), ss.sqrt());
+            let ab = a + b;
+            let nl_threshold = a.min(b) + 2.0;
+            let nl_cached = a + b;
+            let nl_quadratic = a + a * b;
+            let (mut sm, mut gh, mut nl) = (0.0, 0.0, 0.0);
+            for (&m, &p) in mem_values.iter().zip(mem_probs) {
+                let c_sm = if m > sl {
+                    2.0
+                } else if m > ql {
+                    4.0
+                } else {
+                    6.0
+                };
+                sm += (c_sm * ab + out) * p;
+                let c_gh = if m > ss {
+                    2.0
+                } else if m > qs {
+                    4.0
+                } else {
+                    6.0
+                };
+                gh += (c_gh * ab + out) * p;
+                let c_nl = if m >= nl_threshold {
+                    nl_cached
+                } else {
+                    nl_quadratic
+                };
+                nl += (c_nl + out) * p;
+            }
+            [sm, gh, nl]
+        }
+    }
+
+    /// The loop below over caller-built phase tables: one bounded sweep per
+    /// scenario with the old coster, returning each scenario's winner.
+    pub(crate) fn per_scenario(
+        query: &JoinQuery,
+        model: &PaperCostModel,
+        phases: &[PhaseDists],
+    ) -> Result<Vec<Optimized>, CoreError> {
+        let tabs = QueryTables::new(query);
+        phases
+            .iter()
+            .map(|p| optimize_left_deep(query, &tabs, &ExpectedCoster::new(model, p)).map(|r| r.0))
+            .collect()
+    }
 
     /// The per-scenario loop of `ParametricPlans::precompute_with_stats`,
     /// returning the scenarios with their plans and the aggregate stats.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn precompute_with_stats<M: CostModel + ?Sized>(
+    pub(crate) fn precompute_with_stats<M: ExpectedJoinSteps + ?Sized>(
         query: &JoinQuery,
         model: &M,
         scenarios: &[Distribution],

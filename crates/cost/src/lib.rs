@@ -107,43 +107,17 @@ pub trait CostModel {
         acc
     }
 
-    /// Expected join-step costs for **all three** join methods at once, in
-    /// [`JoinMethod::ALL`] order. The default defers to
-    /// [`CostModel::expected_join_step`] per method; models may override
-    /// with a single fused bucket pass, provided each method's accumulator
-    /// receives exactly the per-method sequence of adds (bit-identity, as
-    /// above). The DP inner loop prices every candidate under all three
-    /// methods, so fusing shares the bucket loads and loop overhead.
-    fn expected_join_steps(
-        &self,
-        left_pages: f64,
-        right_pages: f64,
-        out_pages: f64,
-        mem_values: &[f64],
-        mem_probs: &[f64],
-    ) -> [f64; 3] {
-        JoinMethod::ALL.map(|method| {
-            self.expected_join_step(
-                method,
-                left_pages,
-                right_pages,
-                out_pages,
-                mem_values,
-                mem_probs,
-            )
-        })
-    }
-
     /// Join formulas of all three methods at each memory value, in
     /// [`JoinMethod::ALL`] order: `out[i][k]` is
     /// `join_cost(ALL[k], left_pages, right_pages, mem_values[i])`, for
     /// every `i` both slices cover.
     ///
-    /// This is the per-value half of [`CostModel::expected_join_steps`]:
+    /// This is the per-value half of [`CostModel::expected_join_step`]:
     /// folding `acc += (out[i][k] + out_pages) · p` over a distribution's
-    /// buckets in slice order is bitwise identical to it. Distributions
-    /// that share memory values can therefore price a join once per
-    /// distinct value and each fold its own expectation. The default calls
+    /// buckets in slice order is bitwise identical to it for every method.
+    /// The left-deep DP prices every join this way, so distributions that
+    /// share memory values price a join once per distinct value and each
+    /// fold its own expectation. The default calls
     /// [`CostModel::join_cost`]; overrides may hoist per-call invariants,
     /// provided every entry keeps `join_cost`'s bits.
     fn join_costs_at(
@@ -213,16 +187,6 @@ impl<M: CostModel + ?Sized> CostModel for &M {
         mem_probs: &[f64],
     ) -> f64 {
         (**self).expected_join_step(method, l, r, out, mem_values, mem_probs)
-    }
-    fn expected_join_steps(
-        &self,
-        l: f64,
-        r: f64,
-        out: f64,
-        mem_values: &[f64],
-        mem_probs: &[f64],
-    ) -> [f64; 3] {
-        (**self).expected_join_steps(l, r, out, mem_values, mem_probs)
     }
     fn join_costs_at(&self, l: f64, r: f64, mem_values: &[f64], out: &mut [[f64; 3]]) {
         (**self).join_costs_at(l, r, mem_values, out)

@@ -142,54 +142,6 @@ impl CostModel for PaperCostModel {
         acc
     }
 
-    fn expected_join_steps(
-        &self,
-        a: f64,
-        b: f64,
-        out: f64,
-        mem_values: &[f64],
-        mem_probs: &[f64],
-    ) -> [f64; 3] {
-        debug_assert!(a > 0.0 && b > 0.0);
-        // One fused bucket pass. Each accumulator sees exactly the adds its
-        // per-method kernel would produce, in the same order, so the result
-        // is bit-identical to three separate `expected_join_step` calls
-        // (pinned by `fused_join_steps_match_per_method_bitwise`).
-        let l = a.max(b);
-        let (sl, ss) = (l.sqrt(), a.min(b).sqrt());
-        let (ql, qs) = (sl.sqrt(), ss.sqrt());
-        let ab = a + b;
-        let nl_threshold = a.min(b) + 2.0;
-        let nl_cached = a + b;
-        let nl_quadratic = a + a * b;
-        let (mut sm, mut gh, mut nl) = (0.0, 0.0, 0.0);
-        for (&m, &p) in mem_values.iter().zip(mem_probs) {
-            let c_sm = if m > sl {
-                2.0
-            } else if m > ql {
-                4.0
-            } else {
-                6.0
-            };
-            sm += (c_sm * ab + out) * p;
-            let c_gh = if m > ss {
-                2.0
-            } else if m > qs {
-                4.0
-            } else {
-                6.0
-            };
-            gh += (c_gh * ab + out) * p;
-            let c_nl = if m >= nl_threshold {
-                nl_cached
-            } else {
-                nl_quadratic
-            };
-            nl += (c_nl + out) * p;
-        }
-        [sm, gh, nl]
-    }
-
     // The formulas at each memory value with the thresholds hoisted out of
     // the loop: `pass_coefficient` takes the same correctly rounded square
     // roots, so every entry keeps `join_cost`'s bits (pinned by
@@ -412,18 +364,27 @@ mod tests {
     }
 
     #[test]
-    fn fused_join_steps_match_per_method_bitwise() {
+    fn per_value_fold_matches_per_method_steps_bitwise() {
+        // The DP prices a join as the per-value kernel folded over the
+        // buckets; each method's lane must be its `expected_join_step`.
         let m = PaperCostModel;
         let mems = [3.0, 10.0, 632.0, 633.0, 700.0, 1000.0, 2000.0];
         let probs = [0.1, 0.1, 0.1, 0.2, 0.2, 0.2, 0.1];
         for (a, b, out) in [(A, B, RESULT), (B, A, RESULT), (12.5, 480.0, 3.0)] {
-            let fused = m.expected_join_steps(a, b, out, &mems, &probs);
+            let mut formulas = [[0.0; 3]; 7];
+            m.join_costs_at(a, b, &mems, &mut formulas);
+            let mut folded = [0.0; 3];
+            for (f, &p) in formulas.iter().zip(&probs) {
+                for (acc, f) in folded.iter_mut().zip(f) {
+                    *acc += (f + out) * p;
+                }
+            }
             for (k, method) in JoinMethod::ALL.into_iter().enumerate() {
                 let single = m.expected_join_step(method, a, b, out, &mems, &probs);
                 assert_eq!(
-                    fused[k].to_bits(),
+                    folded[k].to_bits(),
                     single.to_bits(),
-                    "{method} fused lane drifted at ({a}, {b})"
+                    "{method} folded lane drifted at ({a}, {b})"
                 );
             }
         }

@@ -88,7 +88,7 @@ fn arb_scenarios() -> impl Strategy<Value = (Supports, Distribution, Distributio
 
 /// Prices a join once per distinct memory value of `scenarios` with
 /// `join_costs_at`, folds each scenario's expectation in its own bucket
-/// order, and checks it against `expected_join_steps` bit for bit.
+/// order, and checks each method against `expected_join_step` bit for bit.
 fn check_per_value_fold<M: CostModel>(
     model: &M,
     (l, r, out): (f64, f64, f64),
@@ -115,10 +115,11 @@ fn check_per_value_fold<M: CostModel>(
                 *a += (f + out) * p;
             }
         }
-        let fused = model.expected_join_steps(l, r, out, d.values(), d.probs());
-        if acc.map(f64::to_bits) != fused.map(f64::to_bits) {
+        let steps = JoinMethod::ALL
+            .map(|method| model.expected_join_step(method, l, r, out, d.values(), d.probs()));
+        if acc.map(f64::to_bits) != steps.map(f64::to_bits) {
             return Err(format!(
-                "({l}, {r}, {out}) over {d:?}: fold {acc:?} vs {fused:?}"
+                "({l}, {r}, {out}) over {d:?}: fold {acc:?} vs {steps:?}"
             ));
         }
     }
@@ -127,11 +128,12 @@ fn check_per_value_fold<M: CostModel>(
 
 proptest! {
     /// The per-value kernel is the shared half of the expected-step
-    /// kernel: each scenario's fold of it reproduces `expected_join_steps`
-    /// exactly, for the paper model's hoisted override, the detailed
-    /// model's default, the counting wrapper and the `&M` forwarding impl.
+    /// kernel: each scenario's fold of it reproduces every method's
+    /// `expected_join_step` exactly, for the paper model's hoisted
+    /// override, the detailed model's default, the counting wrapper and the
+    /// `&M` forwarding impl.
     #[test]
-    fn per_value_fold_matches_expected_join_steps_bitwise(
+    fn per_value_fold_matches_expected_join_step_bitwise(
         l in 1.0f64..1e7,
         r in 1.0f64..1e7,
         out in 1.0f64..1e9,

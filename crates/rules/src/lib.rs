@@ -111,7 +111,7 @@ pub fn argmin(scores: &[f64]) -> Option<usize> {
 
 /// Probability-weighted mean of one profile (`Σ_s probs[s]·profile[s]`,
 /// summed in scenario order — deterministic, but *not* necessarily the
-/// same float as the fused expected-cost kernels in `lec-core`; hosts
+/// same float as the expected-cost kernels in `lec-core`; hosts
 /// that promise bit-identity dispatch [`LeastExpectedCost`] to the
 /// existing scalar path instead of calling this).
 fn profile_mean(profile: &[f64], probs: &[f64]) -> f64 {

@@ -553,7 +553,10 @@ pub struct QueryService<M: CostModel + Sync> {
 
 impl<M: CostModel + Sync> QueryService<M> {
     /// Builds a service: generates the simulated data from `truth` and
-    /// starts with an empty cache and quiet drift windows.
+    /// starts with an empty cache and quiet drift windows. A configuration
+    /// that cannot serve — no scenario, an empty cache, a blend outside
+    /// `(0, 1]`, or a selection rule [`lec_rules::certify`] rejects — is
+    /// [`ServeError::Config`].
     pub fn new(
         model: M,
         beliefs: Catalog,
@@ -579,6 +582,14 @@ impl<M: CostModel + Sync> QueryService<M> {
                 config.drift.blend
             )));
         }
+        // The rule is fixed for the service's lifetime, so it is certified
+        // once here; every pick then only validates it.
+        lec_rules::certify(&config.selection_rule).map_err(|e| {
+            ServeError::Config(format!(
+                "selection rule {}: {e}",
+                config.selection_rule.name()
+            ))
+        })?;
         let recalibrator = Recalibrator::new(config.resample, config.drift.blend)?;
         let (disk, rels) = generate_tables(&truth, config.exec_seed);
         Ok(QueryService {

@@ -13,12 +13,21 @@
 //!    rule's served expected cost is never below the LEC-served expected
 //!    cost for the same request (LEC is by definition minimal in
 //!    expectation over the same stored plans).
+//! 4. **A rule is certified once, when the service is built**: every rule
+//!    on the parameter grid that validates also certifies, so a pick that
+//!    only validates decides as one that certified; a rule that does not
+//!    validate is refused by `QueryService::new` and by
+//!    `ParametricPlans::pick_with_rule`.
 
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
+use lec_core::parametric::ParametricPlans;
+use lec_core::CoreError;
 use lec_cost::PaperCostModel;
 use lec_exec::{FaultKind, PAGE_CAPACITY};
+use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
 use lec_serve::{
-    DriftConfig, FaultInjection, QueryRequest, QueryService, Rule, ServeConfig, ServedQuery,
+    DriftConfig, FaultInjection, Penalty, QueryRequest, QueryService, Rule, SelectionRule,
+    ServeConfig, ServeError, ServedQuery, TailRisk,
 };
 use lec_stats::Distribution;
 use lec_workload::from_catalog::{FilterSpec, JoinSpec};
@@ -171,5 +180,109 @@ fn robust_rules_never_serve_below_the_lec_expected_cost() {
                 l.expected_cost
             );
         }
+    }
+}
+
+/// The shipped rules with their defaults (x23's rules) plus every
+/// penalty-slope pair on a 0.05 grid and CVaR levels across `[0, 1]`,
+/// valid or not.
+fn rule_grid() -> Vec<Rule> {
+    let steps = |k: u32| (0..=k).map(move |i| f64::from(i) / f64::from(k));
+    let mut rules = Rule::all().to_vec();
+    for under in steps(20) {
+        for over in steps(20) {
+            rules.push(Rule::PenaltyAware(Penalty { under, over }));
+        }
+    }
+    for alpha in steps(20).chain([0.99, 0.999, -0.1, f64::NAN]) {
+        rules.push(Rule::TailRisk(TailRisk { alpha }));
+    }
+    rules.push(Rule::PenaltyAware(Penalty {
+        under: f64::INFINITY,
+        over: 0.0,
+    }));
+    rules
+}
+
+#[test]
+fn every_rule_that_validates_also_certifies() {
+    let (mut valid, mut invalid) = (0, 0);
+    for rule in rule_grid() {
+        if rule.validate().is_ok() {
+            valid += 1;
+            assert!(
+                lec_rules::certify(&rule).is_ok(),
+                "{rule:?} validates but does not certify"
+            );
+        } else {
+            invalid += 1;
+            assert!(lec_rules::certify(&rule).is_err(), "{rule:?}");
+        }
+    }
+    assert!(
+        valid > 100 && invalid > 100,
+        "{valid} valid, {invalid} invalid"
+    );
+}
+
+#[test]
+fn an_invalid_rule_is_refused_at_construction_and_at_pick() {
+    let invalid = [
+        Rule::PenaltyAware(Penalty {
+            under: 0.2,
+            over: 0.6,
+        }),
+        Rule::PenaltyAware(Penalty {
+            under: 0.7,
+            over: 0.4,
+        }),
+        Rule::TailRisk(TailRisk { alpha: 1.0 }),
+    ];
+    let query = JoinQuery::new(
+        vec![
+            Relation::new("a", 5_000.0, 2.5e5),
+            Relation::new("b", 800.0, 4e4),
+        ],
+        vec![JoinPred {
+            left: 0,
+            right: 1,
+            selectivity: 1e-4,
+            key: KeyId(0),
+        }],
+        None,
+    )
+    .unwrap();
+    let scenarios = config(Rule::LeastExpectedCost).scenarios;
+    let plans = ParametricPlans::precompute(&query, &PaperCostModel, &scenarios).unwrap();
+    let observed = Distribution::new([(8.0, 0.5), (48.0, 0.5)]).unwrap();
+    for rule in invalid {
+        let built = QueryService::new(
+            PaperCostModel,
+            catalog(10, 18, &[0.125; 8]),
+            catalog(10, 18, &[0.125; 8]),
+            config(rule),
+        );
+        assert!(
+            matches!(built, Err(ServeError::Config(_))),
+            "{rule:?}: built {:?}",
+            built.err()
+        );
+        let picked = plans.pick_with_rule(&query, &PaperCostModel, &observed, &rule);
+        assert!(
+            matches!(picked, Err(CoreError::BadParameter(_))),
+            "{rule:?}: picked {picked:?}"
+        );
+    }
+    for rule in Rule::all() {
+        let built = QueryService::new(
+            PaperCostModel,
+            catalog(10, 18, &[0.125; 8]),
+            catalog(10, 18, &[0.125; 8]),
+            config(rule),
+        );
+        assert!(built.is_ok(), "{rule:?}");
+        assert!(plans
+            .pick_with_rule(&query, &PaperCostModel, &observed, &rule)
+            .is_ok());
     }
 }
