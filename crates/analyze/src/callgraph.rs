@@ -413,6 +413,34 @@ mod tests {
     }
 
     #[test]
+    fn turbofish_type_qualifier_resolves_to_its_impl() {
+        let w = ws(&[(
+            "crates/core/src/a.rs",
+            "struct Table<const ONE: bool>; struct Other;\n\
+             impl<const ONE: bool> Table<ONE> { fn new() {} }\n\
+             impl Other { fn new() {} }\n\
+             fn top() { Table::<ONE>::new(); }\n",
+        )]);
+        let top = id_of(&w, "top");
+        assert_eq!(w.edges[top].len(), 1);
+        let (callee, _) = w.edges[top][0];
+        assert_eq!(w.item(callee).impl_type.as_deref(), Some("Table"));
+    }
+
+    #[test]
+    fn qualified_self_type_over_approximates() {
+        let w = ws(&[(
+            "crates/core/src/a.rs",
+            "struct A; struct B;\n\
+             impl A { fn new() {} }\n\
+             impl B { fn new() {} }\n\
+             fn top() { <A as Make>::new(); }\n",
+        )]);
+        let top = id_of(&w, "top");
+        assert_eq!(w.edges[top].len(), 2);
+    }
+
+    #[test]
     fn crate_qualifier_crosses_crates() {
         let w = ws(&[
             (

@@ -450,21 +450,63 @@ fn call_context(text: &str, name_start: usize) -> (Option<String>, bool) {
         }
         Some((i, b':')) if i > 0 && bytes[i - 1] == b':' => {
             match prev_sig(bytes, i - 1) {
-                Some((j, b)) if is_ident_byte(b) => {
-                    let mut s = j;
-                    while s > 0 && is_ident_byte(bytes[s - 1]) {
-                        s -= 1;
+                Some((j, b)) if is_ident_byte(b) => (Some(ident_ending_at(text, j)), false),
+                // `Type::<T>::name(`: the type before the turbofish is the
+                // qualifier. `<T as Trait>::name(` and friends: unknown
+                // receiver type — treat like a method call (resolve by
+                // name, over-approx).
+                Some((close, b'>')) => {
+                    let open = matching_angle_back(bytes, close);
+                    match open.and_then(|open| prev_sig(bytes, open)) {
+                        Some((c, b':')) if c > 0 && bytes[c - 1] == b':' => {
+                            match prev_sig(bytes, c - 1) {
+                                Some((j, b)) if is_ident_byte(b) => {
+                                    (Some(ident_ending_at(text, j)), false)
+                                }
+                                _ => (None, true),
+                            }
+                        }
+                        _ => (None, true),
                     }
-                    (Some(text[s..j + 1].to_string()), false)
                 }
-                // `<T as Trait>::name(` and friends: unknown receiver type —
-                // treat like a method call (resolve by name, over-approx).
-                Some((_, b'>')) => (None, true),
                 _ => (None, false),
             }
         }
         _ => (None, false),
     }
+}
+
+/// The identifier whose last byte is at `end`.
+fn ident_ending_at(text: &str, end: usize) -> String {
+    let bytes = text.as_bytes();
+    let mut s = end;
+    while s > 0 && is_ident_byte(bytes[s - 1]) {
+        s -= 1;
+    }
+    text[s..end + 1].to_string()
+}
+
+/// The `<` opening the balanced `<…>` that the `>` at `close` ends, if
+/// any; an `->` inside is an arrow, not a bracket. Gives up at a statement
+/// or block boundary.
+fn matching_angle_back(bytes: &[u8], close: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut i = close + 1;
+    while i > 0 {
+        i -= 1;
+        match bytes[i] {
+            b'>' if i == 0 || bytes[i - 1] != b'-' => depth += 1,
+            b'<' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+            b';' | b'{' | b'}' => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Keywords that can directly precede a `[`: what follows is an array
@@ -812,6 +854,26 @@ mod tests {
         assert_eq!(crate_ident_of("crates/compat-rand/src/lib.rs"), "rand");
         assert_eq!(module_of("crates/core/src/dp.rs"), "dp");
         assert_eq!(module_of("crates/core/src/lib.rs"), "lec_core");
+    }
+
+    #[test]
+    fn turbofish_type_is_the_qualifier() {
+        let src = "fn f() { Table::<ONE>::new(k); Map::<u8, Vec<fn() -> u8>>::with(k); }\n";
+        let items = parse(src);
+        let quals: Vec<Option<&str>> = items.fns[0]
+            .calls
+            .iter()
+            .map(|c| c.qualifier.as_deref())
+            .collect();
+        assert_eq!(quals, vec![Some("Table"), Some("Map")]);
+        assert!(items.fns[0].calls.iter().all(|c| !c.is_method));
+    }
+
+    #[test]
+    fn qualified_self_type_stays_a_method_call() {
+        let items = parse("fn f() { <T as Trait>::new(k); }\n");
+        let call = &items.fns[0].calls[0];
+        assert_eq!((call.qualifier.as_deref(), call.is_method), (None, true));
     }
 
     #[test]

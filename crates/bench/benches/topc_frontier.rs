@@ -1,9 +1,9 @@
 //! Proposition 3.1 timing (experiment X4's timing half): frontier merge vs
-//! naive all-pairs merge, and the top-c DP end to end.
+//! naive all-pairs merge on bare cost lists, and the top-c DP end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lec_bench::fixtures::{chain_query, SEED};
-use lec_core::topc::{frontier_merge, top_c_plans, MergeStrategy};
+use lec_core::topc::{frontier_merge, top_c_plans};
 use lec_cost::PaperCostModel;
 use std::hint::black_box;
 
@@ -36,28 +36,9 @@ fn topc_dp(c: &mut Criterion) {
     for cc in [1usize, 4, 16] {
         group.bench_with_input(BenchmarkId::new("frontier", cc), &cc, |b, _| {
             b.iter(|| {
-                top_c_plans(
-                    black_box(&q),
-                    &PaperCostModel,
-                    90.0,
-                    cc,
-                    MergeStrategy::Frontier,
-                )
-                .unwrap()
-                .0
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("naive", cc), &cc, |b, _| {
-            b.iter(|| {
-                top_c_plans(
-                    black_box(&q),
-                    &PaperCostModel,
-                    90.0,
-                    cc,
-                    MergeStrategy::Naive,
-                )
-                .unwrap()
-                .0
+                top_c_plans(black_box(&q), &PaperCostModel, 90.0, cc)
+                    .unwrap()
+                    .0
             })
         });
     }

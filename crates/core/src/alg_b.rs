@@ -10,7 +10,7 @@ use crate::dp::Optimized;
 use crate::env::MemoryModel;
 use crate::error::CoreError;
 use crate::evaluate::expected_cost;
-use crate::topc::{top_c_plans, MergeStrategy};
+use crate::topc::top_c_plans;
 use lec_cost::CostModel;
 use lec_plan::JoinQuery;
 
@@ -42,7 +42,7 @@ pub fn optimize<M: CostModel + ?Sized>(
     let mut combos_examined = 0;
     let mut combos_naive = 0;
     for &m_i in initial.values() {
-        let res = top_c_plans(query, model, m_i, c, MergeStrategy::Frontier)?.0;
+        let res = top_c_plans(query, model, m_i, c)?.0;
         combos_examined += res.combos_examined;
         combos_naive += res.combos_naive;
         for p in res.plans {

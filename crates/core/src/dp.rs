@@ -10,11 +10,37 @@
 //! the plan — which expectations are, by linearity (that is the entire
 //! content of the Theorem 3.3 proof).
 //!
-//! [`optimize_left_deep`] is the one lattice loop. A [`SweepCoster`]
-//! prices one or several *scenarios* per candidate: LSC, Algorithm C and
-//! Algorithm D price one, and parametric precompute prices all of its
-//! memory scenarios in one sweep. Each subset keeps one entry per scenario,
-//! and each scenario gets its own winner.
+//! ### What a subset keeps
+//!
+//! One rank loop walks the lattice for every left-deep enumerator; they
+//! differ only in what a subset keeps:
+//!
+//! * **Per-scenario best** ([`optimize_left_deep`]): one entry per scenario
+//!   of a [`SweepCoster`] — one for LSC and Algorithms C and D, one per
+//!   memory scenario for parametric precompute — bounded by each
+//!   scenario's incumbent (below).
+//! * **Frontier** ([`crate::pareto::optimize`]): every profile no other is
+//!   `<=` at every memory value; of an exact tie the first is kept.
+//! * **Best score** ([`crate::pareto::scalar_dp`]): the one entry of least
+//!   utility score, strict `<`.
+//! * **Top `c`** ([`crate::topc::top_c_plans`]): the `c` cheapest, by a
+//!   stable sort then truncate. Left entry `i` pairs with `j`'s access path
+//!   `k`, both cost-sorted, only on Proposition 3.1's cut `(i + 1)(k + 1)
+//!   ≤ c`.
+//!
+//! The last three are *list keeps*, priced through [`MemoryCoster`] with
+//! one point scenario per memory value: a step is priced once per value
+//! with zero bases (`0 + (formula + out) · 1` keeps the step's bits) and
+//! added to each pair's `left + access`. They run unbounded: the incumbent
+//! bound is proved for one entry per scenario only. A list entry is its
+//! profile plus a backpointer: its left entry's index in `set \ {j}`'s
+//! list, `j`, the access method and the join method. A per-scenario entry
+//! stores only `j` and the join method: its left entry is the same
+//! scenario's, and `j` is read through its cheapest access path. Plans are
+//! built from backpointers once, at the root. There, with a required
+//! order, the frontier and best-score keeps sort every candidate not
+//! ending in a sort-merge on the key before keeping it; top-`c` sorts its
+//! `c` cheapest and lets the `c` cheapest ordered candidates compete.
 //!
 //! ### Interesting orders
 //!
@@ -108,13 +134,15 @@
 //! against a verbatim copy of the per-scenario loop the shared sweep
 //! replaced.
 
-use crate::env::PhaseDists;
+use crate::env::{MemoryModel, PhaseDists};
 use crate::error::CoreError;
+use crate::evaluate::{access_choices, access_step, profile_distribution};
 use crate::par;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::{AccessMethod, CostModel, JoinMethod};
 use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
+use lec_stats::{Distribution, Utility};
 use std::cell::Cell;
 
 /// An optimized plan with its (expected) cost under the optimizing
@@ -313,7 +341,7 @@ impl<M: CostModel + ?Sized> SweepCoster for MemoryCoster<'_, M> {
 }
 
 /// One DP table entry: best cost plus the backpointer to reconstruct the
-/// plan (`j` joined last with `method`).
+/// plan (`j` joined last with `method`), a compact [`Back`].
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     cost: f64,
@@ -370,18 +398,6 @@ impl<const ONE: bool> Table<ONE> {
 
     fn entry(&self, set: RelSet, s: usize) -> Option<Entry> {
         self.row(set).get(s).copied().flatten()
-    }
-}
-
-/// Fills the depth-1 rows (best access path per relation) from the
-/// precomputed tables.
-fn seed_singletons<const ONE: bool>(tabs: &QueryTables, n: usize, table: &mut Table<ONE>) {
-    for i in 0..n {
-        let (cost, method, _) = tabs.access(i);
-        table.row_mut(RelSet::single(i)).fill(Some(Entry {
-            cost,
-            choice: Choice::Access(method),
-        }));
     }
 }
 
@@ -748,25 +764,30 @@ fn finalize<C: SweepCoster, const ONE: bool>(
     let n = query.n();
     let full = query.all();
     let root = table.entry(full, s).ok_or(CoreError::NoPlanFound)?;
-
-    let best = if let Some(key) = query.required_order() {
-        let sorted_cost =
-            root.cost + coster.sort_one(n.saturating_sub(1), s, full, tabs.pages(full));
-        match best_ordered {
-            Some(ord) if ord.cost <= sorted_cost => Optimized {
-                plan: reconstruct(tabs, table, s, full, Some(ord)),
-                cost: ord.cost,
-            },
-            _ => Optimized {
-                plan: Plan::sort(reconstruct(tabs, table, s, full, None), key),
-                cost: sorted_cost,
-            },
+    let (entry, sort) = match query.required_order() {
+        Some(key) => {
+            let sorted =
+                root.cost + coster.sort_one(n.saturating_sub(1), s, full, tabs.pages(full));
+            match best_ordered {
+                Some(ord) if ord.cost <= sorted => (ord, None),
+                _ => (root, Some((key, sorted))),
+            }
         }
-    } else {
-        Optimized {
-            plan: reconstruct(tabs, table, s, full, None),
-            cost: root.cost,
-        }
+        None => (root, None),
+    };
+    let lookup = |set, s| table.back(tabs, set, s, table.entry(set, s)?);
+    let plan = table.back(tabs, full, s, entry);
+    let plan = plan.and_then(|back| reconstruct(tabs, full, back, &lookup));
+    let plan = plan.ok_or(CoreError::NoPlanFound)?;
+    let best = match sort {
+        Some((key, cost)) => Optimized {
+            plan: Plan::sort(plan, key),
+            cost,
+        },
+        None => Optimized {
+            plan,
+            cost: entry.cost,
+        },
     };
     lec_plan::verify_costs("left-deep winner", &[best.cost])?;
     crate::verify::debug_verify_plan(query, &best.plan, best.cost);
@@ -775,20 +796,17 @@ fn finalize<C: SweepCoster, const ONE: bool>(
 
 /// Runs the bounded left-deep dynamic program with the given coster
 /// against caller-built [`QueryTables`], returning one winner per scenario,
-/// in scenario order, and the search-space [`OptStats`]. This is the only
-/// left-deep lattice loop: LSC, Algorithm C and Algorithm D run it with one
-/// scenario, parametric precompute with all of its scenarios at once.
+/// in scenario order, and the search-space [`OptStats`]. LSC, Algorithm C
+/// and Algorithm D run it with one scenario, parametric precompute with all
+/// of its scenarios at once; every subset keeps one entry per scenario.
 ///
-/// The subset sweep walks the lattice rank by rank (every subset still
-/// precedes its supersets, so DP order is preserved) so per-rank wall time
-/// can be recorded. Once the pairs are priced, each scenario's greedy
-/// incumbent sets its bound, and every later subset that every scenario's
-/// bound exceeds is pruned (see the module docs); each scenario's winner,
-/// its cost and its plan are those of the unbounded sweep. A winner whose
-/// cost is not finite is [`CoreError::Plan`]. Counters are sums over the
-/// lattice, so they do not depend on the visiting order within a rank, and
-/// count each candidate once however many scenarios share it;
-/// `masks_expanded + masks_pruned` is always `2ⁿ − n − 1`.
+/// Once the pairs are priced, each scenario's greedy incumbent sets its
+/// bound, and every later subset that every scenario's bound exceeds is
+/// pruned (see the module docs); each scenario's winner, its cost and its
+/// plan are those of the unbounded sweep. A winner whose cost is not
+/// finite is [`CoreError::Plan`]. Counters count each candidate once
+/// however many scenarios share it; `masks_expanded + masks_pruned` is
+/// always `2ⁿ − n − 1`.
 pub fn optimize_left_deep<C: SweepCoster>(
     query: &JoinQuery,
     tabs: &QueryTables,
@@ -810,30 +828,73 @@ fn sweep<C: SweepCoster, const ONE: bool>(
 ) -> Result<(Vec<Optimized>, OptStats), CoreError> {
     let n = query.n();
     let full = query.all();
-    let mut table: Table<ONE> = Table::new(full, k);
-    seed_singletons(tabs, n, &mut table);
+    let mut rows: Scenarios<C, ONE> = Scenarios {
+        coster,
+        table: Table::new(full, k),
+        bound: Bound::new(tabs, coster, full, k),
+        sc: Scratch::new(n, k),
+        required: query.required_order(),
+        ordered: vec![None; k],
+    };
+    for i in 0..n {
+        let (cost, method, _) = tabs.access(i);
+        let choice = Choice::Access(method);
+        rows.table
+            .row_mut(RelSet::single(i))
+            .fill(Some(Entry { cost, choice }));
+    }
+    let stats = walk(query, tabs, &mut rows, "dp", false)?;
+    let winners = rows
+        .ordered
+        .iter()
+        .enumerate()
+        .map(|(s, &ordered)| finalize(query, tabs, coster, &rows.table, s, ordered))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((winners, stats))
+}
 
-    // Per scenario, the best full-set plan whose final join is a
-    // sort-merge on the required key (satisfies the ORDER BY for free).
-    let required = query.required_order();
-    let mut best_ordered: Vec<Option<Entry>> = vec![None; k];
-    let mut bound = Bound::new(tabs, coster, full, k);
-    let mut sc = Scratch::new(n, k);
+/// What one sweep keeps at each subset: the per-scenario rows of
+/// [`optimize_left_deep`] or the lists of [`sweep_lists`], which `walk`
+/// drives through the lattice.
+trait Rows {
+    /// Prices every way of forming `set` from the rows one rank down and
+    /// stores what `set` keeps. Returns the candidates priced.
+    fn expand(&mut self, tabs: &QueryTables, set: RelSet) -> Result<u64, CoreError>;
 
-    let mut stats = OptStats::new("dp", n);
+    /// Entries kept at `set`: zero when it is pruned or not reached.
+    fn entries(&self, set: RelSet) -> usize;
+
+    /// Runs once the pairs are priced, when `n > 2`; returns the candidates
+    /// priced.
+    fn pairs_priced(&mut self, _query: &JoinQuery, _tabs: &QueryTables, _pairs: &[RelSet]) -> u64 {
+        0
+    }
+}
+
+/// The one left-deep rank loop. From the seeded singletons it visits, rank
+/// by rank, only the one-relation extensions of the live subsets one rank
+/// down (a subset with no live input is pruned unvisited), times each rank
+/// and counts the search; with `widths` it records each rank's longest row
+/// in `frontier_per_rank`. A subset's entries depend only on the rank
+/// below, so the visiting order within a rank changes nothing.
+fn walk<R: Rows>(
+    query: &JoinQuery,
+    tabs: &QueryTables,
+    rows: &mut R,
+    algorithm: &'static str,
+    widths: bool,
+) -> Result<OptStats, CoreError> {
+    let n = query.n();
+    let full = query.all();
+    let mut stats = OptStats::new(algorithm, n);
     stats.precompute = tabs.sizes();
-    stats.counters.entries_written = n as u64; // depth-1 seeds
-
-    // Rank by rank, visit only the one-relation extensions of the live
-    // masks one rank down: a subset with no live input has nothing to price
-    // and is pruned unvisited. A mask's entries depend only on the rank
-    // below, so the visiting order within a rank changes nothing.
     let mut frontier: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+    stats.counters.entries_written = frontier.iter().map(|&s| rows.entries(s) as u64).sum();
     let mut queued = vec![false; (full.bits() + 1) as usize];
     let mut rank_size = n as u64; // C(n, size), starting at size 1
     for size in 2..=n {
         rank_size = rank_size * (n + 1 - size) as u64 / size as u64;
-        let ((), elapsed) = par::timed(|| {
+        let (rank, elapsed) = par::timed(|| -> Result<Vec<RelSet>, CoreError> {
             let mut rank = Vec::new();
             for &sub in &frontier {
                 for j in RelSet::from_bits(full.bits() & !sub.bits()).iter() {
@@ -844,91 +905,388 @@ fn sweep<C: SweepCoster, const ONE: bool>(
                 }
             }
             for &set in &rank {
-                let (kept, candidates) =
-                    cost_mask(tabs, coster, &table, set, &bound, required, &mut sc);
-                if kept {
-                    for (slot, best) in table.row_mut(set).iter_mut().zip(&sc.best) {
-                        *slot = *best;
-                    }
-                    for (slot, ordered) in best_ordered.iter_mut().zip(&sc.ordered) {
-                        if ordered.is_some() {
-                            *slot = *ordered;
+                stats.counters.candidates_priced += rows.expand(tabs, set)?;
+            }
+            if size == 2 && n > 2 {
+                stats.counters.candidates_priced += rows.pairs_priced(query, tabs, &rank);
+            }
+            let (mut written, mut widest) = (0, 0);
+            rank.retain(|&set| {
+                let entries = rows.entries(set);
+                written += entries as u64;
+                widest = widest.max(entries);
+                entries > 0
+            });
+            let kept = rank.len() as u64;
+            stats.counters.masks_expanded += kept;
+            stats.counters.entries_written += written;
+            stats.counters.masks_pruned += rank_size - kept;
+            if widths {
+                stats.counters.frontier_per_rank.push(widest);
+            }
+            Ok(rank)
+        });
+        frontier = rank?;
+        stats.rank_wall_ns.push(elapsed);
+    }
+    Ok(stats)
+}
+
+/// The per-scenario rows: one best entry per scenario at every live
+/// subset, bounded by each scenario's incumbent.
+struct Scenarios<'a, C, const ONE: bool> {
+    coster: &'a C,
+    table: Table<ONE>,
+    bound: Bound,
+    sc: Scratch,
+    required: Option<KeyId>,
+    /// Per scenario, the best full-set entry whose final join is a
+    /// sort-merge on the required key (satisfies the ORDER BY for free).
+    ordered: Vec<Option<Entry>>,
+}
+
+impl<C: SweepCoster, const ONE: bool> Rows for Scenarios<'_, C, ONE> {
+    fn expand(&mut self, tabs: &QueryTables, set: RelSet) -> Result<u64, CoreError> {
+        let (kept, candidates) = cost_mask(
+            tabs,
+            self.coster,
+            &self.table,
+            set,
+            &self.bound,
+            self.required,
+            &mut self.sc,
+        );
+        if kept {
+            for (slot, best) in self.table.row_mut(set).iter_mut().zip(&self.sc.best) {
+                *slot = *best;
+            }
+            for (slot, ordered) in self.ordered.iter_mut().zip(&self.sc.ordered) {
+                if ordered.is_some() {
+                    *slot = *ordered;
+                }
+            }
+        }
+        Ok(candidates)
+    }
+
+    fn entries(&self, set: RelSet) -> usize {
+        usize::from(self.table.live(set))
+    }
+
+    /// Seeds each scenario's bound from its incumbent and drops the pairs
+    /// every bound rules out.
+    fn pairs_priced(&mut self, query: &JoinQuery, tabs: &QueryTables, pairs: &[RelSet]) -> u64 {
+        let mut candidates = 0;
+        for s in 0..self.table.k() {
+            let (limit, steps, priced) = incumbent(query, tabs, self.coster, &self.table, pairs, s);
+            self.bound.seed(s, limit, steps);
+            candidates += priced;
+        }
+        for &pair in pairs {
+            let rest = self.bound.completion(tabs, pair);
+            let kept = self
+                .table
+                .row(pair)
+                .iter()
+                .enumerate()
+                .any(|(s, e)| e.is_some_and(|e| !self.bound.prunes(s, e.cost, rest)));
+            if !kept {
+                self.table.row_mut(pair).fill(None);
+            }
+        }
+        candidates
+    }
+}
+
+/// A backpointer: how an entry was formed. A seed (`join` is `None`)
+/// reads relation `last` through `access`; any other entry joins entry
+/// `left` of `set \ {last}` with `last` read through `access`, by `join`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Back {
+    left: usize,
+    last: usize,
+    access: AccessMethod,
+    join: Option<JoinMethod>,
+}
+
+impl<const ONE: bool> Table<ONE> {
+    /// Scenario `s`'s `entry` of `set` as a [`Back`].
+    fn back(&self, tabs: &QueryTables, set: RelSet, s: usize, entry: Entry) -> Option<Back> {
+        let (last, access, join) = match entry.choice {
+            Choice::Access(access) => (set.iter().next()?, access, None),
+            Choice::Join { last, method } => (last, tabs.access(last).1, Some(method)),
+        };
+        Some(Back {
+            left: s,
+            last,
+            access,
+            join,
+        })
+    }
+}
+
+/// Builds the plan of the entry of `set` formed as `back`; `lookup(sub, i)`
+/// is entry `i` of `sub`'s backpointer. It follows one entry per rank, so
+/// each returned plan is built once, at the root. `None` when a backpointer
+/// names an entry the sweep did not keep.
+fn reconstruct(
+    tabs: &QueryTables,
+    set: RelSet,
+    back: Back,
+    lookup: &impl Fn(RelSet, usize) -> Option<Back>,
+) -> Option<Plan> {
+    let right = Plan::Access {
+        rel: back.last,
+        method: back.access,
+    };
+    let Some(method) = back.join else {
+        return Some(right);
+    };
+    let sub = set.remove(back.last);
+    let left = reconstruct(tabs, sub, lookup(sub, back.left)?, lookup)?;
+    let key = tabs.join_key(sub, back.last);
+    Some(Plan::join(left, right, method, key))
+}
+
+/// What each subset keeps in a list sweep (see "What a subset keeps").
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ListKeep<'a> {
+    /// Every entry no other entry [`dominates`].
+    Frontier,
+    /// The entry of least utility score over the memory distribution.
+    BestScore(Utility, &'a Distribution),
+    /// The `c` cheapest entries.
+    TopC(usize),
+}
+
+/// A list entry: its cost profile (one cost per scenario) and backpointer.
+#[derive(Debug, Clone)]
+struct Kept {
+    profile: Vec<f64>,
+    back: Back,
+}
+
+/// The `c` entries of least first cost: a stable sort, then truncate.
+fn cheapest(mut list: Vec<Kept>, c: usize) -> Vec<Kept> {
+    let first = |e: &Kept| e.profile.first().copied().unwrap_or(f64::NAN);
+    list.sort_by(|a, b| first(a).total_cmp(&first(b)));
+    list.truncate(c);
+    list
+}
+
+/// `a` dominates `b` when it is at least as cheap at every memory value.
+/// The comparison is exact (an epsilon breaks antisymmetry), so two
+/// profiles dominate each other only when equal, [`insert_frontier`] keeps
+/// the first of them, and the frontier is insertion-order independent as a
+/// set of profiles.
+fn dominates(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| *x <= *y)
+}
+
+fn insert_frontier(frontier: &mut Vec<Kept>, entry: Kept) {
+    if frontier
+        .iter()
+        .any(|e| dominates(&e.profile, &entry.profile))
+    {
+        return;
+    }
+    frontier.retain(|e| !dominates(&entry.profile, &e.profile));
+    frontier.push(entry);
+}
+
+/// The list rows: every subset keeps the list its [`ListKeep`] says, one
+/// cost per scenario of `coster`, indexed by `RelSet::bits()`. Unbounded.
+struct Lists<'a, C> {
+    coster: &'a C,
+    keep: ListKeep<'a>,
+    full: RelSet,
+    required: Option<KeyId>,
+    lists: Vec<Vec<Kept>>,
+    /// Top-`c` at the full set: every candidate whose final join is a
+    /// sort-merge on the required key.
+    pool: Vec<Kept>,
+    /// Top-`c`'s `combos_naive`: per `(set, j, join method)`, the left
+    /// list's length times `j`'s access list's.
+    naive: u64,
+}
+
+impl<C: SweepCoster> Rows for Lists<'_, C> {
+    /// Offers every pair of a left entry of `set \ {j}` and an access path
+    /// of `j` under each join method to the keep, in the order `j`, method,
+    /// access path, left entry. Each step is priced once with zero bases
+    /// and added to every pair's `left + access`.
+    fn expand(&mut self, tabs: &QueryTables, set: RelSet) -> Result<u64, CoreError> {
+        let width = self.coster.scenarios();
+        let out = tabs.pages(set);
+        let root_order = self.required.filter(|_| set == self.full);
+        let cut = match self.keep {
+            ListKeep::TopC(c) => Some(c),
+            ListKeep::Frontier | ListKeep::BestScore(..) => None,
+        };
+        let (zeros, mut steps) = (vec![0.0; width], vec![[0.0; 3]; width]);
+        let (mut kept, mut best) = (Vec::new(), None);
+        let mut candidates = 0;
+        for j in set.iter() {
+            let sub = set.remove(j);
+            let left = &self.lists[sub.bits() as usize];
+            let right = &self.lists[RelSet::single(j).bits() as usize];
+            if left.is_empty() {
+                continue;
+            }
+            let join = JoinInputs {
+                sub,
+                j,
+                set,
+                left_pages: tabs.pages(sub),
+                right_pages: tabs.access(j).2,
+                out_pages: out,
+            };
+            self.coster
+                .join_each(set.len() - 2, &zeros, join, &mut steps);
+            let key = tabs.join_key(sub, j);
+            for (m, method) in JoinMethod::ALL.into_iter().enumerate() {
+                self.naive += (left.len() * right.len()) as u64;
+                let ordered = method == JoinMethod::SortMerge && key == root_order;
+                for (k, access) in right.iter().enumerate() {
+                    for (i, l) in left.iter().enumerate() {
+                        // Proposition 3.1: with both lists cost-sorted, a
+                        // pair outside `(i + 1)(k + 1) ≤ c` has at least
+                        // `c` pairs at least as cheap.
+                        if cut.is_some_and(|c| (i + 1) * (k + 1) > c) {
+                            break;
+                        }
+                        candidates += 1;
+                        let profile = l.profile.iter().zip(&access.profile).zip(&steps);
+                        let mut entry = Kept {
+                            profile: profile.map(|((l, a), step)| l + a + step[m]).collect(),
+                            back: Back {
+                                left: i,
+                                last: j,
+                                access: access.back.access,
+                                join: Some(method),
+                            },
+                        };
+                        if let ListKeep::TopC(_) = self.keep {
+                            if root_order.is_some() && ordered {
+                                self.pool.push(entry.clone());
+                            }
+                            kept.push(entry);
+                            continue;
+                        }
+                        if root_order.is_some() && !ordered {
+                            for (s, p) in entry.profile.iter_mut().enumerate() {
+                                *p += self.coster.sort_one(set.len() - 1, s, set, out);
+                            }
+                        }
+                        match self.keep {
+                            ListKeep::BestScore(utility, memory) => {
+                                let score =
+                                    utility.score(&profile_distribution(memory, &entry.profile)?);
+                                if best.is_none_or(|best| score < best) {
+                                    best = Some(score);
+                                    kept = vec![entry];
+                                }
+                            }
+                            _ => insert_frontier(&mut kept, entry),
                         }
                     }
                 }
-                stats.counters.candidates_priced += candidates;
             }
-            if size == 2 && n > 2 {
-                // The pairs are priced: seed each scenario's bound from its
-                // incumbent and drop the pairs every bound rules out.
-                for s in 0..k {
-                    let (limit, steps, candidates) =
-                        incumbent(query, tabs, coster, &table, &rank, s);
-                    bound.seed(s, limit, steps);
-                    stats.counters.candidates_priced += candidates;
-                }
-                for &pair in &rank {
-                    let rest = bound.completion(tabs, pair);
-                    let row = table.row(pair);
-                    let kept = row
-                        .iter()
-                        .enumerate()
-                        .any(|(s, e)| e.is_some_and(|e| !bound.prunes(s, e.cost, rest)));
-                    if !kept {
-                        table.row_mut(pair).fill(None);
-                    }
-                }
-            }
-            rank.retain(|s| table.live(*s));
-            let kept = rank.len() as u64;
-            stats.counters.masks_expanded += kept;
-            stats.counters.entries_written += kept;
-            stats.counters.masks_pruned += rank_size - kept;
-            frontier = rank;
-        });
-        stats.rank_wall_ns.push(elapsed);
+        }
+        if let Some(c) = cut {
+            kept = cheapest(kept, c);
+        }
+        self.lists[set.bits() as usize] = kept;
+        Ok(candidates)
     }
 
-    let winners = best_ordered
-        .iter()
-        .enumerate()
-        .map(|(s, &ordered)| finalize(query, tabs, coster, &table, s, ordered))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((winners, stats))
+    fn entries(&self, set: RelSet) -> usize {
+        self.lists[set.bits() as usize].len()
+    }
 }
 
-/// Rebuilds scenario `s`'s plan tree from backpointers; `override_root`
-/// substitutes a different final-join choice (the ordered alternative).
-// lec-lint: allow(panic-reachability) — reconstruction only walks entries the forward pass has filled; singletons decompose to their only relation
-fn reconstruct<const ONE: bool>(
-    tabs: &QueryTables,
-    table: &Table<ONE>,
-    s: usize,
-    set: RelSet,
-    override_root: Option<Entry>,
-) -> Plan {
-    let entry = override_root.unwrap_or_else(|| table.entry(set, s).expect("entry exists"));
-    match entry.choice {
-        Choice::Access(method) => {
-            let rel = set.iter().next().expect("singleton");
-            Plan::Access { rel, method }
-        }
-        Choice::Join { last, method } => {
-            let sub = set.remove(last);
-            let left = reconstruct(tabs, table, s, sub, None);
-            let (_, access, _) = tabs.access(last);
-            let key = tabs.join_key(sub, last);
-            Plan::join(
-                left,
-                Plan::Access {
-                    rel: last,
-                    method: access,
-                },
-                method,
-                key,
-            )
-        }
+/// A list sweep's root entries, in order: each plan and its cost profile.
+pub(crate) type Roots = Vec<(Plan, Vec<f64>)>;
+
+/// Runs a list keep over `query`'s left-deep lattice with one point
+/// scenario per memory value of `values`. Returns the root's entries in
+/// order, each a plan and its cost profile (root sort included), top-`c`'s
+/// `combos_naive`, and the search counters: `candidates_priced` counts
+/// every candidate offered to the keep. Seeds are each relation's access
+/// paths, cost-sorted and truncated to `c` for top-`c`, to the cheapest
+/// otherwise.
+pub(crate) fn sweep_lists<M: CostModel + ?Sized>(
+    query: &JoinQuery,
+    model: &M,
+    values: &[f64],
+    keep: ListKeep<'_>,
+) -> Result<(Roots, u64, OptStats), CoreError> {
+    let points = values
+        .iter()
+        .map(|&v| MemoryModel::Static(Distribution::point(v)?).table(1))
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    let coster = MemoryCoster::new(model, &points);
+    let full = query.all();
+    let tabs = QueryTables::new(query);
+    let (seeds, algorithm, widths) = match keep {
+        ListKeep::TopC(c) => (c, "topc", false),
+        ListKeep::Frontier | ListKeep::BestScore(..) => (1, "pareto", true),
+    };
+    let mut lists = vec![Vec::new(); (full.bits() + 1) as usize];
+    for i in 0..query.n() {
+        let rel = query.relation(i);
+        let seed = access_choices(rel).into_iter().map(|access| Kept {
+            profile: vec![access_step(rel, access).0; values.len()],
+            back: Back {
+                left: 0,
+                last: i,
+                access,
+                join: None,
+            },
+        });
+        lists[RelSet::single(i).bits() as usize] = cheapest(seed.collect(), seeds);
     }
+    let mut rows = Lists {
+        coster: &coster,
+        keep,
+        full,
+        required: query.required_order(),
+        lists,
+        pool: Vec::new(),
+        naive: 0,
+    };
+    let stats = walk(query, &tabs, &mut rows, algorithm, widths)?;
+
+    let mut root = std::mem::take(&mut rows.lists[full.bits() as usize]);
+    if let (ListKeep::TopC(c), Some(_)) = (keep, rows.required) {
+        let sort = coster.sort_one(query.n() - 1, 0, full, tabs.pages(full));
+        for e in &mut root {
+            let ordered = e.back.join == Some(JoinMethod::SortMerge)
+                && tabs.join_key(full.remove(e.back.last), e.back.last) == rows.required;
+            if !ordered {
+                e.profile.iter_mut().for_each(|p| *p += sort);
+            }
+        }
+        for e in cheapest(std::mem::take(&mut rows.pool), c) {
+            if !root.iter().any(|r| r.back == e.back) {
+                root.push(e);
+            }
+        }
+        root = cheapest(root, c);
+    }
+    let lookup = |set: RelSet, i: usize| Some(rows.lists[set.bits() as usize].get(i)?.back);
+    let roots = root
+        .into_iter()
+        .map(|e| {
+            let plan = reconstruct(&tabs, full, e.back, &lookup).ok_or(CoreError::NoPlanFound)?;
+            let plan = match rows.required {
+                Some(key) if plan.output_order() != Some(key) => Plan::sort(plan, key),
+                _ => plan,
+            };
+            Ok((plan, e.profile))
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    Ok((roots, rows.naive, stats))
 }
 
 #[cfg(test)]
@@ -1035,5 +1393,82 @@ mod tests {
         assert_eq!(stats.precompute.adjacency_entries, 8);
         assert_eq!(stats.rank_wall_ns.len(), 4); // ranks 2..=5
         assert!(stats.counters.frontier_per_rank.is_empty());
+    }
+
+    fn seed(rel: usize, profile: &[f64]) -> Kept {
+        Kept {
+            profile: profile.to_vec(),
+            back: Back {
+                left: 0,
+                last: rel,
+                access: AccessMethod::FullScan,
+                join: None,
+            },
+        }
+    }
+
+    fn sorted_profiles(frontier: &[Kept]) -> Vec<Vec<f64>> {
+        let mut v: Vec<Vec<f64>> = frontier.iter().map(|e| e.profile.clone()).collect();
+        v.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        v
+    }
+
+    #[test]
+    fn frontier_is_insertion_order_independent() {
+        // Near-tied incomparable profiles. Under the old epsilon-tolerant
+        // dominance each "dominated" the other, so whichever was inserted
+        // first evicted the second and the frontier — hence the chosen
+        // plan — depended on insertion order. Exact dominance keeps both.
+        let a = [1.0, 2.0 + 1e-13];
+        let c = [1.0 + 1e-13, 2.0];
+        // A genuinely dominated profile must still be evicted either way.
+        let d = [1.5, 2.5];
+
+        let mut fwd = Vec::new();
+        for (i, p) in [&a, &c, &d].into_iter().enumerate() {
+            insert_frontier(&mut fwd, seed(i, p));
+        }
+        let mut rev = Vec::new();
+        for (i, p) in [&d, &c, &a].into_iter().enumerate() {
+            insert_frontier(&mut rev, seed(i, p));
+        }
+
+        assert_eq!(fwd.len(), 2, "near-ties are incomparable, both survive");
+        assert_eq!(sorted_profiles(&fwd), sorted_profiles(&rev));
+
+        // With identical frontier contents, the root pick (min utility
+        // score with a total-order comparator) is order-independent too.
+        let pick = |f: &[Kept]| {
+            f.iter()
+                .map(|e| e.profile.iter().sum::<f64>())
+                .min_by(f64::total_cmp)
+                .unwrap()
+        };
+        assert_eq!(pick(&fwd).to_bits(), pick(&rev).to_bits());
+    }
+
+    #[test]
+    fn frontier_keeps_first_inserted_of_exact_ties() {
+        let p = [3.0, 4.0];
+        let mut frontier = Vec::new();
+        insert_frontier(&mut frontier, seed(0, &p));
+        insert_frontier(&mut frontier, seed(1, &p));
+        assert_eq!(frontier.len(), 1);
+        assert_eq!(
+            frontier[0].back.last, 0,
+            "first-inserted entry wins an exact profile tie"
+        );
+    }
+
+    #[test]
+    fn cheapest_is_a_stable_sort_then_truncate() {
+        let list = [5.0, 2.0, 5.0, 1.0, 2.0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, cost)| seed(i, &[cost]))
+            .collect();
+        let top = cheapest(list, 4);
+        let order: Vec<usize> = top.iter().map(|e| e.back.last).collect();
+        assert_eq!(order, [3, 1, 4, 0]);
     }
 }

@@ -13,7 +13,7 @@
 //! | [`alg_c`] | §3.4–3.5, Thms 3.3/3.4 | DP directly on expected cost — the exact **LEC** plan, for static and dynamic (Markov) memory |
 //! | [`alg_d`] | §3.6 | Multi-parameter: relation sizes and selectivities are distributions too; result-size distributions propagate with §3.6.3 rebucketing |
 //! | [`exhaustive`] | — | Brute-force left-deep / bushy enumeration: ground truth for every theorem test |
-//! | [`pareto`] | PODS 2002 | One lattice sweep over cost *profiles* with two keep rules: the Pareto frontier, finalized by any monotone selection rule or utility, or the single best-scoring entry (the scalar utility DP, unsound for non-linear utilities — the X11 counterexample) |
+//! | [`pareto`] | PODS 2002 | The left-deep DP over cost *profiles*, keeping the Pareto frontier (finalized by any monotone selection rule or utility) or the single best-scoring entry (the scalar utility DP, unsound for non-linear utilities — the X11 counterexample) |
 //! | [`rules`] | \[AHW15\]/PARQO | The one objective entry point: certify a selection rule (expected cost, an expected utility, minmax regret, penalty-aware, CVaR) and run it on Algorithm C or the frontier DP |
 //! | [`bucketing`] | §3.7 | Level-set bucketing: memory buckets placed at the cost formulas' discontinuities |
 //! | [`bushy`] | §4 future work | Bushy-tree LEC dynamic programming (DPsub-style), exact under static memory |
@@ -23,8 +23,9 @@
 //!
 //! The shared machinery lives in [`env`](mod@env) (static / Markov-dynamic memory
 //! models), [`evaluate`] (costing *given* plans: per-value, expected,
-//! profiles, distributions) and [`dp`] (the generic left-deep dynamic
-//! program all scalar algorithms instantiate). Each enumerator has exactly
+//! profiles, distributions) and [`dp`] (the one left-deep rank loop: the
+//! scalar algorithms keep one entry per scenario, the frontier, scalar
+//! utility and top-`c` DPs keep lists). Each enumerator has exactly
 //! one entry point, a serial dynamic program (or enumeration) taking its
 //! options as explicit arguments; the DP enumerators (`lsc`, `alg_c`,
 //! `alg_d`, `bushy`, `topc`, `pareto`, `exhaustive`, `parametric`) return

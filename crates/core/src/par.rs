@@ -11,6 +11,8 @@
 /// [`OptStats::rank_wall_ns`](crate::stats::OptStats::rank_wall_ns).
 /// Timing is the *only* non-deterministic quantity the stats layer
 /// records; everything else is accumulated in mask order.
+// Inlined so a rank body compiles into its driver (outlined, the DP slowed).
+#[inline]
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, u64) {
     // lec-lint: allow(no-wallclock-or-ambient-rng) — observability-only wall time; feeds OptStats::rank_wall_ns, never a plan choice
     let start = std::time::Instant::now();

@@ -22,21 +22,19 @@
 //!   counterexample generator (experiment X11 exhibits a deadline-utility
 //!   instance where it returns a strictly worse plan).
 //!
-//! Both are one lattice sweep over the [`QueryTables`] precompute that
-//! differs only in what each subset keeps: the whole Pareto frontier, or
-//! the single entry of least utility score. [`crate::rules`] certifies an
-//! objective before choosing between Algorithm C and [`optimize`]. Ground
-//! truth for both comes from [`exhaustive_utility`].
+//! Both are the left-deep DP ([`crate::dp`]) keeping, per subset, the
+//! whole Pareto frontier or the single entry of least utility score.
+//! [`crate::rules`] certifies an objective before choosing between
+//! Algorithm C and [`optimize`]. Ground truth for both comes from
+//! [`exhaustive_utility`].
 
-use crate::dp::Optimized;
+use crate::dp::{sweep_lists, ListKeep, Optimized};
 use crate::error::CoreError;
-use crate::evaluate::{cost_distribution_static, join_step, profile_distribution, sort_step};
+use crate::evaluate::{cost_distribution_static, profile_distribution};
 use crate::exhaustive::enumerate_left_deep;
-use crate::par;
-use crate::precompute::QueryTables;
 use crate::stats::OptStats;
-use lec_cost::{CostModel, JoinMethod};
-use lec_plan::{JoinQuery, Plan, RelSet};
+use lec_cost::CostModel;
+use lec_plan::{JoinQuery, Plan};
 use lec_rules::{argmin, SelectionRule};
 use lec_stats::{Distribution, Utility};
 
@@ -63,50 +61,6 @@ pub struct UtilityResult {
     /// [`scalar_dp`] and Algorithm C the single chosen profile, and
     /// [`exhaustive_utility`] leaves this empty (it never builds one).
     pub frontier_profiles: Vec<Vec<f64>>,
-}
-
-/// A surviving frontier entry: a plan and its cost profile (one cost per
-/// memory value, in `memory.values()` order).
-#[derive(Debug, Clone)]
-struct ProfEntry {
-    profile: Vec<f64>,
-    plan: Plan,
-}
-
-/// `a` dominates `b` when it is at least as cheap at every parameter value.
-///
-/// The comparison is *exact*: an earlier implementation allowed `a` to
-/// exceed `b` by an epsilon per component, which breaks antisymmetry
-/// (near-tied profiles could each "dominate" the other), making the
-/// surviving frontier — and hence the chosen plan — depend on insertion
-/// order. With exact `<=`, two profiles dominate each other only when
-/// they are equal, and [`insert_frontier`] keeps the first-inserted of an
-/// exactly-equal pair, so the frontier is insertion-order independent as
-/// a set of profiles.
-fn dominates(a: &[f64], b: &[f64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| *x <= *y)
-}
-
-fn insert_frontier(frontier: &mut Vec<ProfEntry>, entry: ProfEntry) {
-    if frontier
-        .iter()
-        .any(|e| dominates(&e.profile, &entry.profile))
-    {
-        return;
-    }
-    frontier.retain(|e| !dominates(&entry.profile, &e.profile));
-    frontier.push(entry);
-}
-
-/// What the sweep keeps at each subset of the lattice.
-#[derive(Debug, Clone, Copy)]
-enum Keep {
-    /// Every entry no other entry dominates (exact `<=`, see
-    /// [`dominates`]): the exact frontier DP.
-    Frontier,
-    /// The one entry of least `utility.score`, under strict `<` so the
-    /// first of tied entries wins: the scalar utility DP.
-    Best(Utility),
 }
 
 /// Exact optimization under any monotone selection rule — an expected
@@ -164,26 +118,28 @@ pub fn optimize<M: CostModel + ?Sized, R: SelectionRule + ?Sized>(
     rule: &R,
 ) -> Result<(UtilityResult, OptStats), CoreError> {
     rule.validate()?;
-    let (roots, max_frontier, stats) = sweep(query, model, memory, Keep::Frontier)?;
+    let (roots, _, stats) = sweep_lists(query, model, memory.values(), ListKeep::Frontier)?;
+    let (mut plans, frontier_profiles): (Vec<Plan>, Vec<Vec<f64>>) = roots.into_iter().unzip();
     // Convert before the debug hook, so a non-finite profile is an error
     // rather than a verifier panic.
-    let mut dists = roots
+    let mut dists = frontier_profiles
         .iter()
-        .map(|e| profile_distribution(memory, &e.profile))
+        .map(|p| profile_distribution(memory, p))
         .collect::<Result<Vec<_>, CoreError>>()?;
-    let frontier_profiles: Vec<Vec<f64>> = roots.iter().map(|e| e.profile.clone()).collect();
     crate::verify::debug_verify_frontier(&frontier_profiles);
     let scores = rule.scores(&frontier_profiles, memory.probs());
     let idx = argmin(&scores).ok_or(CoreError::NoPlanFound)?;
     let cost_distribution = dists.swap_remove(idx);
-    crate::verify::debug_verify_plan(query, &roots[idx].plan, cost_distribution.mean());
+    let plan = plans.swap_remove(idx);
+    crate::verify::debug_verify_plan(query, &plan, cost_distribution.mean());
+    let widest = stats.counters.frontier_per_rank.iter().max();
     let result = UtilityResult {
         best: Optimized {
-            plan: roots[idx].plan.clone(),
+            plan,
             cost: scores[idx],
         },
         cost_distribution,
-        max_frontier,
+        max_frontier: widest.map_or(1, |&w| w.max(1)),
         frontier_profiles,
     };
     Ok((result, stats))
@@ -200,133 +156,18 @@ pub fn scalar_dp<M: CostModel + ?Sized>(
     memory: &Distribution,
     utility: Utility,
 ) -> Result<UtilityResult, CoreError> {
-    let root = sweep(query, model, memory, Keep::Best(utility))?
-        .0
-        .pop()
-        .ok_or(CoreError::NoPlanFound)?;
-    let dist = profile_distribution(memory, &root.profile)?;
+    let keep = ListKeep::BestScore(utility, memory);
+    let (mut roots, _, _) = sweep_lists(query, model, memory.values(), keep)?;
+    let (plan, profile) = roots.pop().ok_or(CoreError::NoPlanFound)?;
+    let dist = profile_distribution(memory, &profile)?;
     let score = utility.score(&dist);
-    crate::verify::debug_verify_plan(query, &root.plan, score);
+    crate::verify::debug_verify_plan(query, &plan, score);
     Ok(UtilityResult {
-        best: Optimized {
-            plan: root.plan,
-            cost: score,
-        },
+        best: Optimized { plan, cost: score },
         cost_distribution: dist,
         max_frontier: 1,
-        frontier_profiles: vec![root.profile],
+        frontier_profiles: vec![profile],
     })
-}
-
-/// The one lattice sweep behind [`optimize`] and [`scalar_dp`]: extends
-/// every subset's kept entries by one relation, in rank order, keeping per
-/// subset what `keep` says. Returns the root's kept entries, the largest
-/// kept list at any subset, and the search counters.
-///
-/// Access paths, result pages and join keys come from [`QueryTables`].
-/// Access cost is memory-independent, so each relation contributes its
-/// single cheapest access path. Complete plans that miss a required order
-/// get their root sort *before* they are offered to `keep`, so ordered and
-/// sorted alternatives compete fairly.
-fn sweep<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    memory: &Distribution,
-    keep: Keep,
-) -> Result<(Vec<ProfEntry>, usize, OptStats), CoreError> {
-    let n = query.n();
-    let full = query.all();
-    let tabs = QueryTables::new(query);
-    let values = memory.values();
-    let mut table: Vec<Vec<ProfEntry>> = vec![Vec::new(); (full.bits() + 1) as usize];
-    let mut max_frontier = 1usize;
-    let mut stats = OptStats::new("pareto", n);
-    stats.precompute = tabs.sizes();
-    stats.counters.entries_written = n as u64;
-
-    for i in 0..n {
-        let (cost, method, _) = tabs.access(i);
-        table[RelSet::single(i).bits() as usize] = vec![ProfEntry {
-            profile: vec![cost; values.len()],
-            plan: Plan::Access { rel: i, method },
-        }];
-    }
-
-    for rank in &par::ranks(n)[1..] {
-        let mut rank_frontier = 0usize;
-        let (swept, ns) = par::timed(|| -> Result<(), CoreError> {
-            for &set in rank {
-                let out = tabs.pages(set);
-                let root_order = query.required_order().filter(|_| set == full);
-                let mut kept: Vec<ProfEntry> = Vec::new();
-                let mut kept_score: Option<f64> = None;
-                for j in set.iter() {
-                    let sub = set.remove(j);
-                    let left_out = tabs.pages(sub);
-                    let (acc_cost, acc_method, acc_out) = tabs.access(j);
-                    let key = tabs.join_key(sub, j);
-                    // Borrow, don't clone: the sub-entries live in a strictly
-                    // lower rank, so they are never written while `set` is.
-                    let left_list = &table[sub.bits() as usize];
-                    for method in JoinMethod::ALL {
-                        let step: Vec<f64> = values
-                            .iter()
-                            .map(|&m| join_step(model, method, left_out, acc_out, out, m))
-                            .collect();
-                        for left in left_list {
-                            let mut profile: Vec<f64> = left
-                                .profile
-                                .iter()
-                                .zip(&step)
-                                .map(|(l, s)| l + acc_cost + s)
-                                .collect();
-                            let mut plan = Plan::join(
-                                left.plan.clone(),
-                                Plan::Access {
-                                    rel: j,
-                                    method: acc_method,
-                                },
-                                method,
-                                key,
-                            );
-                            let missing = root_order.filter(|&r| plan.output_order() != Some(r));
-                            if let Some(required) = missing {
-                                for (p, &m) in profile.iter_mut().zip(values) {
-                                    *p += sort_step(model, out, m);
-                                }
-                                plan = Plan::sort(plan, required);
-                            }
-                            stats.counters.candidates_priced += 1;
-                            let entry = ProfEntry { profile, plan };
-                            match keep {
-                                Keep::Frontier => insert_frontier(&mut kept, entry),
-                                Keep::Best(utility) => {
-                                    let dist = profile_distribution(memory, &entry.profile)?;
-                                    let score = utility.score(&dist);
-                                    if kept_score.is_none_or(|s| score < s) {
-                                        kept_score = Some(score);
-                                        kept = vec![entry];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                stats.counters.masks_expanded += 1;
-                stats.counters.entries_written += kept.len() as u64;
-                rank_frontier = rank_frontier.max(kept.len());
-                max_frontier = max_frontier.max(kept.len());
-                table[set.bits() as usize] = kept;
-            }
-            Ok(())
-        });
-        swept?;
-        stats.counters.frontier_per_rank.push(rank_frontier);
-        stats.rank_wall_ns.push(ns);
-    }
-
-    let roots = std::mem::take(&mut table[full.bits() as usize]);
-    Ok((roots, max_frontier, stats))
 }
 
 /// Brute-force expected-utility optimum over all left-deep plans.
@@ -520,90 +361,6 @@ mod tests {
         assert!(matches!(averse.best.plan, Plan::Sort { .. }));
         assert!(averse.max_frontier >= 1);
         assert!(!averse.frontier_profiles.is_empty());
-    }
-
-    fn leaf(rel: usize) -> Plan {
-        Plan::Access {
-            rel,
-            method: lec_cost::AccessMethod::FullScan,
-        }
-    }
-
-    fn sorted_profiles(frontier: &[ProfEntry]) -> Vec<Vec<f64>> {
-        let mut v: Vec<Vec<f64>> = frontier.iter().map(|e| e.profile.clone()).collect();
-        v.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        v
-    }
-
-    #[test]
-    fn frontier_is_insertion_order_independent() {
-        // Near-tied incomparable profiles. Under the old epsilon-tolerant
-        // dominance each "dominated" the other, so whichever was inserted
-        // first evicted the second and the frontier — hence the chosen
-        // plan — depended on insertion order. Exact dominance keeps both.
-        let a = vec![1.0, 2.0 + 1e-13];
-        let c = vec![1.0 + 1e-13, 2.0];
-        // A genuinely dominated profile must still be evicted either way.
-        let d = vec![1.5, 2.5];
-
-        let mut fwd = Vec::new();
-        for (i, p) in [&a, &c, &d].into_iter().enumerate() {
-            insert_frontier(
-                &mut fwd,
-                ProfEntry {
-                    profile: p.clone(),
-                    plan: leaf(i),
-                },
-            );
-        }
-        let mut rev = Vec::new();
-        for (i, p) in [&d, &c, &a].into_iter().enumerate() {
-            insert_frontier(
-                &mut rev,
-                ProfEntry {
-                    profile: p.clone(),
-                    plan: leaf(i),
-                },
-            );
-        }
-
-        assert_eq!(fwd.len(), 2, "near-ties are incomparable, both survive");
-        assert_eq!(sorted_profiles(&fwd), sorted_profiles(&rev));
-
-        // With identical frontier contents, the root pick (min utility
-        // score with a total-order comparator) is order-independent too.
-        let pick = |f: &[ProfEntry]| {
-            f.iter()
-                .map(|e| e.profile.iter().sum::<f64>())
-                .min_by(f64::total_cmp)
-                .unwrap()
-        };
-        assert_eq!(pick(&fwd).to_bits(), pick(&rev).to_bits());
-    }
-
-    #[test]
-    fn frontier_keeps_first_inserted_of_exact_ties() {
-        let p = vec![3.0, 4.0];
-        let mut frontier = Vec::new();
-        insert_frontier(
-            &mut frontier,
-            ProfEntry {
-                profile: p.clone(),
-                plan: leaf(0),
-            },
-        );
-        insert_frontier(
-            &mut frontier,
-            ProfEntry {
-                profile: p.clone(),
-                plan: leaf(1),
-            },
-        );
-        assert_eq!(frontier.len(), 1);
-        assert!(
-            matches!(frontier[0].plan, Plan::Access { rel: 0, .. }),
-            "first-inserted entry wins an exact profile tie"
-        );
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! each subset, and the join key crossing from a subset to a relation.
 //! [`QueryTables`] materializes all three once, as flat vectors indexed
 //! by relation index or `RelSet::bits()`, so the hot loops become table
-//! lookups. Every lattice sweep reads them: the left-deep DP behind LSC
-//! and Algorithms C and D, top-`c`, bushy, the parametric precompute, and
-//! the one sweep behind the Pareto-frontier and scalar utility DPs. Only
+//! lookups. Every lattice sweep reads them: the left-deep DP behind LSC,
+//! Algorithms C and D, the parametric precompute, top-`c` and the
+//! Pareto-frontier and scalar utility DPs, and bushy. Only
 //! the brute-force ground-truth enumerators (`exhaustive`) price through
 //! the query directly.
 //!

@@ -9,26 +9,16 @@
 //! shows the top `c` sums lie on the frontier `i·k ≤ c` of the sorted×sorted
 //! grid: at most `c + c·ln c` combinations need examining instead of `c²`.
 //!
-//! This module records how many combinations each merge examined so that
-//! experiment X4 can compare the measured count against the bound.
+//! [`top_c_plans`] is the left-deep DP ([`crate::dp`]) keeping the top `c`
+//! per subset. It records how many combinations each merge examined, and
+//! how many an all-pairs merge would, so that experiment X4 can compare
+//! the measured count against the bound.
 
-use crate::dp::Optimized;
+use crate::dp::{sweep_lists, ListKeep, Optimized};
 use crate::error::CoreError;
-use crate::evaluate::{access_choices, access_step, join_step, sort_step};
-use crate::par;
-use crate::precompute::QueryTables;
 use crate::stats::OptStats;
-use lec_cost::{CostModel, JoinMethod};
-use lec_plan::{JoinQuery, Plan, RelSet};
-
-/// How to merge the sorted input lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeStrategy {
-    /// Proposition 3.1's frontier: only pairs with `i · k ≤ c` (1-indexed).
-    Frontier,
-    /// All `c · k` pairs (the naive reference).
-    Naive,
-}
+use lec_cost::CostModel;
+use lec_plan::JoinQuery;
 
 /// Result of the top-`c` search at one fixed memory value.
 #[derive(Debug, Clone)]
@@ -38,177 +28,8 @@ pub struct TopCResult {
     pub plans: Vec<Optimized>,
     /// Total `(subplan, access)` combinations examined across all merges.
     pub combos_examined: u64,
-    /// What the naive strategy would have examined.
+    /// What merging every pair would have examined.
     pub combos_naive: u64,
-}
-
-#[derive(Debug, Clone)]
-struct TcEntry {
-    cost: f64,
-    plan: Plan,
-}
-
-/// The per-mask unit of work: every way of forming `set` by a last join,
-/// merged and truncated to the top `c`, with its combination counters
-/// (summed in mask order by the driver).
-struct MaskMerge {
-    merged: Vec<TcEntry>,
-    /// Full-set candidates whose final join already produces the required
-    /// order (empty below the full set).
-    ordered: Vec<TcEntry>,
-    examined: u64,
-    naive: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merge_mask<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    tabs: &QueryTables,
-    memory: f64,
-    c: usize,
-    strategy: MergeStrategy,
-    table: &[Vec<TcEntry>],
-    set: RelSet,
-    full: RelSet,
-) -> MaskMerge {
-    let out = tabs.pages(set);
-    let mut merged: Vec<TcEntry> = Vec::new();
-    let mut ordered: Vec<TcEntry> = Vec::new();
-    let mut examined = 0u64;
-    let mut naive = 0u64;
-    for j in set.iter() {
-        let sub = set.remove(j);
-        let left_out = tabs.pages(sub);
-        let key = tabs.join_key(sub, j);
-        let access = &table[RelSet::single(j).bits() as usize];
-        let left_list = &table[sub.bits() as usize];
-        if left_list.is_empty() {
-            continue;
-        }
-        // Every access path of `j` emits the relation's effective pages.
-        let acc_out = tabs.access(j).2;
-        for method in JoinMethod::ALL {
-            // One cost-formula evaluation per (j, method): identical for
-            // every input combination.
-            let step = join_step(model, method, left_out, acc_out, out, memory);
-            naive += (left_list.len() * access.len()) as u64;
-            for (k, acc) in access.iter().enumerate() {
-                for (i, left) in left_list.iter().enumerate() {
-                    if strategy == MergeStrategy::Frontier && (i + 1) * (k + 1) > c {
-                        break;
-                    }
-                    examined += 1;
-                    let entry = TcEntry {
-                        cost: left.cost + acc.cost + step,
-                        plan: Plan::join(left.plan.clone(), acc.plan.clone(), method, key),
-                    };
-                    if set == full
-                        && method == JoinMethod::SortMerge
-                        && query.required_order().is_some()
-                        && key == query.required_order()
-                    {
-                        ordered.push(entry.clone());
-                    }
-                    merged.push(entry);
-                }
-            }
-        }
-    }
-    merged.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    merged.truncate(c);
-    MaskMerge {
-        merged,
-        ordered,
-        examined,
-        naive,
-    }
-}
-
-fn validate_topc(memory: f64, c: usize) -> Result<(), CoreError> {
-    if c == 0 {
-        return Err(CoreError::BadParameter("top-c needs c >= 1".into()));
-    }
-    if !(memory.is_finite() && memory > 0.0) {
-        return Err(CoreError::BadParameter(format!("bad memory {memory}")));
-    }
-    Ok(())
-}
-
-/// Depth 1: all access paths, sorted by cost (there are at most 2, so
-/// the top-c list is just all of them).
-fn seed_access_lists(query: &JoinQuery, c: usize, table: &mut [Vec<TcEntry>]) {
-    for i in 0..query.n() {
-        let rel = query.relation(i);
-        let mut entries: Vec<TcEntry> = access_choices(rel)
-            .into_iter()
-            .map(|method| TcEntry {
-                cost: access_step(rel, method).0,
-                plan: Plan::Access { rel: i, method },
-            })
-            .collect();
-        entries.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        entries.truncate(c);
-        table[RelSet::single(i).bits() as usize] = entries;
-    }
-}
-
-/// Root handling: sort completion and the ordered candidate pool.
-#[allow(clippy::too_many_arguments)]
-fn finalize_topc<M: CostModel + ?Sized>(
-    query: &JoinQuery,
-    model: &M,
-    tabs: &QueryTables,
-    memory: f64,
-    c: usize,
-    table: &[Vec<TcEntry>],
-    mut ordered_roots: Vec<TcEntry>,
-    combos_examined: u64,
-    combos_naive: u64,
-) -> Result<TopCResult, CoreError> {
-    let full = query.all();
-    let mut roots = table[full.bits() as usize].clone();
-    if roots.is_empty() {
-        return Err(CoreError::NoPlanFound);
-    }
-    // Complete plans that miss a required order with a root sort, then let
-    // the naturally ordered candidates (final SM on the required key)
-    // compete; without this second pool an ordered plan that ranks below
-    // the unordered top-c could still beat every completed candidate.
-    if let Some(required) = query.required_order() {
-        for entry in &mut roots {
-            if entry.plan.output_order() != Some(required) {
-                entry.cost += sort_step(model, tabs.pages(full), memory);
-                entry.plan =
-                    Plan::sort(std::mem::replace(&mut entry.plan, Plan::scan(0)), required);
-            }
-        }
-        ordered_roots.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        ordered_roots.truncate(c);
-        for candidate in ordered_roots {
-            if !roots.iter().any(|r| r.plan == candidate.plan) {
-                roots.push(candidate);
-            }
-        }
-        roots.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        roots.truncate(c);
-    }
-    let plans: Vec<Optimized> = roots
-        .into_iter()
-        .map(|e| Optimized {
-            plan: e.plan,
-            cost: e.cost,
-        })
-        .collect();
-    for p in &plans {
-        lec_plan::verify_costs("top-c plan", &[p.cost])?;
-        crate::verify::debug_verify_plan(query, &p.plan, p.cost);
-    }
-    Ok(TopCResult {
-        plans,
-        combos_examined,
-        combos_naive,
-    })
 }
 
 /// Computes the top-`c` left-deep plans for one fixed memory value
@@ -222,57 +43,31 @@ pub fn top_c_plans<M: CostModel + ?Sized>(
     model: &M,
     memory: f64,
     c: usize,
-    strategy: MergeStrategy,
 ) -> Result<(TopCResult, OptStats), CoreError> {
-    validate_topc(memory, c)?;
-    let n = query.n();
-    let full = query.all();
-    let tabs = QueryTables::new(query);
-    let mut table: Vec<Vec<TcEntry>> = vec![Vec::new(); (full.bits() + 1) as usize];
-    let mut combos_examined = 0u64;
-    let mut combos_naive = 0u64;
-    // Full-set candidates whose final join already produces the required
-    // order: kept separately so sort completion competes fairly (same
-    // two-way comparison the single-plan DP makes at the root).
-    let mut ordered_roots: Vec<TcEntry> = Vec::new();
-
-    seed_access_lists(query, c, &mut table);
-
-    let mut stats = OptStats::new("topc", n);
-    stats.precompute = tabs.sizes();
-    stats.counters.entries_written = (0..n)
-        .map(|i| table[RelSet::single(i).bits() as usize].len() as u64)
-        .sum();
-
-    let ranks = par::ranks(n);
-    for rank in &ranks[1..] {
-        let ((), elapsed) = par::timed(|| {
-            for &set in rank {
-                let mut result =
-                    merge_mask(query, model, &tabs, memory, c, strategy, &table, set, full);
-                combos_examined += result.examined;
-                combos_naive += result.naive;
-                ordered_roots.append(&mut result.ordered);
-                stats.counters.masks_expanded += 1;
-                stats.counters.candidates_priced += result.examined;
-                stats.counters.entries_written += result.merged.len() as u64;
-                table[set.bits() as usize] = result.merged;
-            }
-        });
-        stats.rank_wall_ns.push(elapsed);
+    if c == 0 {
+        return Err(CoreError::BadParameter("top-c needs c >= 1".into()));
     }
-
-    let result = finalize_topc(
-        query,
-        model,
-        &tabs,
-        memory,
-        c,
-        &table,
-        ordered_roots,
-        combos_examined,
+    if !(memory.is_finite() && memory > 0.0) {
+        return Err(CoreError::BadParameter(format!("bad memory {memory}")));
+    }
+    let (roots, combos_naive, stats) = sweep_lists(query, model, &[memory], ListKeep::TopC(c))?;
+    let plans = roots
+        .into_iter()
+        .map(|(plan, profile)| {
+            let cost = profile.first().copied().ok_or(CoreError::NoPlanFound)?;
+            lec_plan::verify_costs("top-c plan", &[cost])?;
+            crate::verify::debug_verify_plan(query, &plan, cost);
+            Ok(Optimized { plan, cost })
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    if plans.is_empty() {
+        return Err(CoreError::NoPlanFound);
+    }
+    let result = TopCResult {
+        plans,
+        combos_examined: stats.counters.candidates_priced,
         combos_naive,
-    )?;
+    };
     Ok((result, stats))
 }
 
@@ -341,9 +136,7 @@ mod tests {
         let q = query(4);
         let model = PaperCostModel;
         for memory in [15.0, 80.0, 600.0] {
-            let top = top_c_plans(&q, &model, memory, 1, MergeStrategy::Frontier)
-                .unwrap()
-                .0;
+            let top = top_c_plans(&q, &model, memory, 1).unwrap().0;
             let (single, _) = lsc::optimize_at(&q, &model, memory).unwrap();
             assert_eq!(top.plans.len(), 1);
             assert!((top.plans[0].cost - single.cost).abs() < 1e-9 * single.cost.max(1.0));
@@ -355,9 +148,7 @@ mod tests {
         let q = query(4);
         let model = PaperCostModel;
         let memory = 90.0;
-        let top = top_c_plans(&q, &model, memory, 5, MergeStrategy::Frontier)
-            .unwrap()
-            .0;
+        let top = top_c_plans(&q, &model, memory, 5).unwrap().0;
         assert!(top.plans.windows(2).all(|w| w[0].cost <= w[1].cost));
         for p in &top.plans {
             p.plan.validate(&q).unwrap();
@@ -371,24 +162,27 @@ mod tests {
     }
 
     #[test]
-    fn frontier_equals_naive_merge() {
-        // Proposition 3.1: the frontier loses nothing.
+    fn frontier_equals_exhaustive_top_c() {
+        // Proposition 3.1: the frontier loses nothing. The reference is
+        // every left-deep plan priced by the evaluator, sorted.
         let q = query(5);
         let model = PaperCostModel;
+        let mut all: Vec<f64> = exhaustive::enumerate_left_deep(&q)
+            .iter()
+            .map(|p| plan_cost_at(&q, &model, p, 70.0))
+            .collect();
+        all.sort_by(f64::total_cmp);
         for c in [2, 3, 8] {
-            let frontier = top_c_plans(&q, &model, 70.0, c, MergeStrategy::Frontier)
-                .unwrap()
-                .0;
-            let naive = top_c_plans(&q, &model, 70.0, c, MergeStrategy::Naive)
-                .unwrap()
-                .0;
+            let frontier = top_c_plans(&q, &model, 70.0, c).unwrap().0;
             let fc: Vec<f64> = frontier.plans.iter().map(|p| p.cost).collect();
-            let nc: Vec<f64> = naive.plans.iter().map(|p| p.cost).collect();
-            assert_eq!(fc.len(), nc.len());
-            for (a, b) in fc.iter().zip(&nc) {
-                assert!((a - b).abs() < 1e-9 * a.max(1.0), "c={c}: {fc:?} vs {nc:?}");
+            assert_eq!(fc.len(), c);
+            for (a, b) in fc.iter().zip(&all) {
+                assert!(
+                    (a - b).abs() < 1e-9 * a.max(1.0),
+                    "c={c}: {fc:?} vs {all:?}"
+                );
             }
-            assert!(frontier.combos_examined <= naive.combos_examined);
+            assert!(frontier.combos_examined <= frontier.combos_naive);
         }
     }
 
@@ -400,9 +194,7 @@ mod tests {
         let model = PaperCostModel;
         let memory = 45.0;
         let c = 4;
-        let top = top_c_plans(&q, &model, memory, c, MergeStrategy::Frontier)
-            .unwrap()
-            .0;
+        let top = top_c_plans(&q, &model, memory, c).unwrap().0;
         let mut all: Vec<f64> = exhaustive::enumerate_left_deep(&q)
             .iter()
             .map(|p| plan_cost_at(&q, &model, p, memory))
@@ -447,9 +239,7 @@ mod tests {
         .unwrap();
         let model = PaperCostModel;
         for memory in [12.0, 95.0, 800.0, 6000.0] {
-            let top = top_c_plans(&q, &model, memory, 1, MergeStrategy::Frontier)
-                .unwrap()
-                .0;
+            let top = top_c_plans(&q, &model, memory, 1).unwrap().0;
             let (single, _) = lsc::optimize_at(&q, &model, memory).unwrap();
             assert!(
                 (top.plans[0].cost - single.cost).abs() < 1e-9 * single.cost.max(1.0),
@@ -484,9 +274,7 @@ mod tests {
             Some(KeyId(1)),
         )
         .unwrap();
-        let top = top_c_plans(&q, &PaperCostModel, 40.0, 6, MergeStrategy::Frontier)
-            .unwrap()
-            .0;
+        let top = top_c_plans(&q, &PaperCostModel, 40.0, 6).unwrap().0;
         for p in &top.plans {
             assert_eq!(p.plan.output_order(), Some(KeyId(1)));
         }
@@ -496,7 +284,7 @@ mod tests {
     fn stats_track_combo_counters() {
         let q = query(6);
         let model = PaperCostModel;
-        let (serial, sstats) = top_c_plans(&q, &model, 70.0, 4, MergeStrategy::Frontier).unwrap();
+        let (serial, sstats) = top_c_plans(&q, &model, 70.0, 4).unwrap();
         assert_eq!(sstats.counters.candidates_priced, serial.combos_examined);
         assert_eq!(sstats.counters.masks_expanded, (1 << 6) - 1 - 6);
         assert!(sstats.counters.entries_written > 0);
@@ -505,8 +293,8 @@ mod tests {
     #[test]
     fn rejects_bad_parameters() {
         let q = query(3);
-        assert!(top_c_plans(&q, &PaperCostModel, 50.0, 0, MergeStrategy::Frontier).is_err());
-        assert!(top_c_plans(&q, &PaperCostModel, -5.0, 2, MergeStrategy::Frontier).is_err());
+        assert!(top_c_plans(&q, &PaperCostModel, 50.0, 0).is_err());
+        assert!(top_c_plans(&q, &PaperCostModel, -5.0, 2).is_err());
     }
 
     #[test]

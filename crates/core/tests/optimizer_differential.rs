@@ -24,7 +24,7 @@
 
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::evaluate::expected_cost;
-use lec_core::topc::{self, MergeStrategy};
+use lec_core::topc;
 use lec_core::{alg_a, alg_b, alg_c, bushy, exhaustive, lsc, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_plan::{JoinPred, JoinQuery, KeyId, Plan, Relation};
@@ -233,7 +233,7 @@ fn heuristics_obey_the_exact_oracle_sandwich() {
         );
 
         // Top-c at the mode: every ranked plan is a legal left-deep plan.
-        let ranked = topc::top_c_plans(&q, &model, mem.mode(), 3, MergeStrategy::Frontier)
+        let ranked = topc::top_c_plans(&q, &model, mem.mode(), 3)
             .expect("topc")
             .0;
         for (i, p) in ranked.plans.iter().enumerate() {

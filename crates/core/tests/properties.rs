@@ -5,7 +5,7 @@
 
 use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::parametric::ParametricPlans;
-use lec_core::topc::{self, MergeStrategy};
+use lec_core::topc;
 use lec_core::{alg_c, bushy, evaluate, exhaustive, voi, MemoryModel};
 use lec_cost::{CostModel, JoinMethod, PaperCostModel};
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
@@ -244,7 +244,7 @@ proptest! {
         b.plan.validate(&q).unwrap();
 
         let (ranked, tstats) =
-            topc::top_c_plans(&q, &PaperCostModel, lo, 3, MergeStrategy::Frontier).unwrap();
+            topc::top_c_plans(&q, &PaperCostModel, lo, 3).unwrap();
         prop_assert_eq!(tstats.counters.candidates_priced, ranked.combos_examined);
         for p in &ranked.plans {
             p.plan.validate(&q).unwrap();

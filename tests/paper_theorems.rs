@@ -1,7 +1,7 @@
 //! Integration tests: every theorem and proposition in the paper, checked
 //! through the public facade against brute force.
 
-use lecopt::core::topc::{frontier_bound, frontier_merge, top_c_plans, MergeStrategy};
+use lecopt::core::topc::{frontier_bound, frontier_merge, top_c_plans};
 use lecopt::core::{alg_a, alg_b, alg_c, evaluate, exhaustive, lsc, MemoryModel};
 use lecopt::cost::PaperCostModel;
 use lecopt::stats::{Distribution, MarkovChain};
@@ -141,19 +141,23 @@ fn proposition_3_1_frontier() {
         assert_eq!(fast, naive, "c = {c}");
         assert!(examined as f64 <= frontier_bound(c) + 1e-9);
     }
-    // DP level: frontier and naive top-c DP agree.
+    // DP level: the top-c DP's costs are the c cheapest of every
+    // left-deep plan priced by the evaluator.
     let q = query(4, 777, Topology::Chain);
+    let mut all: Vec<f64> = exhaustive::enumerate_left_deep(&q)
+        .iter()
+        .map(|p| evaluate::plan_cost_at(&q, &PaperCostModel, p, 90.0))
+        .collect();
+    all.sort_by(f64::total_cmp);
     for c in [2usize, 6] {
-        let f = top_c_plans(&q, &PaperCostModel, 90.0, c, MergeStrategy::Frontier)
-            .unwrap()
-            .0;
-        let n = top_c_plans(&q, &PaperCostModel, 90.0, c, MergeStrategy::Naive)
-            .unwrap()
-            .0;
+        let f = top_c_plans(&q, &PaperCostModel, 90.0, c).unwrap().0;
         let fc: Vec<f64> = f.plans.iter().map(|p| p.cost).collect();
-        let nc: Vec<f64> = n.plans.iter().map(|p| p.cost).collect();
-        for (a, b) in fc.iter().zip(&nc) {
-            assert!((a - b).abs() < 1e-9 * a.max(1.0));
+        assert_eq!(fc.len(), c);
+        for (a, b) in fc.iter().zip(&all) {
+            assert!(
+                (a - b).abs() < 1e-9 * a.max(1.0),
+                "c={c}: {fc:?} vs {all:?}"
+            );
         }
     }
 }

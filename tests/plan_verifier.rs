@@ -100,7 +100,7 @@ fn every_optimizer_family_member_emits_verifiable_plans() {
                     .0
                     .plan,
             ));
-            let topc = topc::top_c_plans(&q, &model, mem.mode(), 3, topc::MergeStrategy::Frontier)
+            let topc = topc::top_c_plans(&q, &model, mem.mode(), 3)
                 .expect("topc")
                 .0;
             for (i, p) in topc.plans.iter().enumerate() {
