@@ -11,6 +11,7 @@ use crate::table::{num, ratio, Table};
 use lec_core::parametric::ParametricPlans;
 use lec_core::{alg_c, MemoryModel};
 use lec_cost::{CountingModel, PaperCostModel};
+use lec_serve::Rule;
 use lec_stats::Distribution;
 use lec_workload::queries;
 
@@ -59,7 +60,9 @@ pub fn run() -> String {
 
     for (name, observed) in &observations {
         model.reset();
-        let choice = set.pick(&q, &model, observed).expect("pick");
+        let choice = set
+            .pick_with_rule(&q, &model, observed, &Rule::LeastExpectedCost)
+            .expect("pick");
         let pick_evals = model.evaluations();
         model.reset();
         let fresh = alg_c::optimize(&q, &model, &MemoryModel::Static(observed.clone()))

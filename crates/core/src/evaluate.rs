@@ -1,9 +1,10 @@
 //! Costing *given* plans: deterministic, phased, expected, and full cost
 //! distributions.
 //!
-//! These evaluators and the dynamic programs share the same step-accounting
-//! helpers, so a plan's DP cost and its evaluated cost agree exactly — a
-//! property the theorem tests rely on.
+//! Every evaluator charges a plan step the same way — its formula plus
+//! materializing its output, added after the children's costs — so a
+//! plan's DP cost and its evaluated cost agree exactly, a property the
+//! theorem tests rely on.
 
 use crate::alg_d::SizeModel;
 use crate::env::PhaseDists;
@@ -50,26 +51,9 @@ pub(crate) fn access_choices(rel: &Relation) -> Vec<AccessMethod> {
     v
 }
 
-/// Join step cost on top of the children: the join formula plus
-/// materializing the output.
-pub(crate) fn join_step<M: CostModel + ?Sized>(
-    model: &M,
-    method: lec_cost::JoinMethod,
-    left_pages: f64,
-    right_pages: f64,
-    out_pages: f64,
-    memory: f64,
-) -> f64 {
-    model.join_cost(method, left_pages, right_pages, memory) + out_pages
-}
-
-/// Sort step cost: the sort formula plus materializing the output.
-pub(crate) fn sort_step<M: CostModel + ?Sized>(model: &M, pages: f64, memory: f64) -> f64 {
-    model.sort_cost(pages, memory) + pages
-}
-
 /// Cost of `plan` when every phase sees memory `mem_of(phase)`. Phases are
-/// numbered in post-order over join and sort operators (§3.5).
+/// numbered in post-order over join and sort operators (§3.5); a step costs
+/// its formula plus materializing its output, on top of its children.
 pub fn plan_cost_phased<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
@@ -96,13 +80,13 @@ pub fn plan_cost_phased<M: CostModel + ?Sized>(
                 let out = query.result_pages(plan.rel_set());
                 let m = mem_of(*phase);
                 *phase += 1;
-                (lc + rc + join_step(model, *method, lp, rp, out, m), out)
+                (lc + rc + (model.join_cost(*method, lp, rp, m) + out), out)
             }
             Plan::Sort { input, .. } => {
                 let (ic, ip) = walk(query, model, input, phase, mem_of);
                 let m = mem_of(*phase);
                 *phase += 1;
-                (ic + sort_step(model, ip, m), ip)
+                (ic + (model.sort_cost(ip, m) + ip), ip)
             }
         }
     }
@@ -133,43 +117,85 @@ pub fn expected_cost<M: CostModel + ?Sized>(
     plan: &Plan,
     phases: &PhaseDists,
 ) -> f64 {
-    fn walk<M: CostModel + ?Sized>(
-        query: &JoinQuery,
-        model: &M,
-        plan: &Plan,
-        phase: &mut usize,
-        phases: &PhaseDists,
-    ) -> (f64, f64) {
-        match plan {
-            Plan::Access { rel, method } => access_step(query.relation(*rel), *method),
-            Plan::Join {
-                left,
-                right,
-                method,
-                ..
-            } => {
-                let (lc, lp) = walk(query, model, left, phase, phases);
-                let (rc, rp) = walk(query, model, right, phase, phases);
-                let out = query.result_pages(plan.rel_set());
-                let dist = phases.at(*phase);
-                *phase += 1;
-                let step =
-                    model.expected_join_step(*method, lp, rp, out, dist.values(), dist.probs());
-                (lc + rc + step, out)
+    expected_walk(query, model, plan, &mut 0, phases, None).0
+}
+
+/// [`expected_cost`]'s walk over `plan`, its phases numbered from `phase`:
+/// returns the expected cost and output pages. With a `(depth, text)`
+/// sink it also renders each operator at `depth`, above its children, for
+/// [`explain_with_costs`].
+fn expected_walk<M: CostModel + ?Sized>(
+    query: &JoinQuery,
+    model: &M,
+    plan: &Plan,
+    phase: &mut usize,
+    phases: &PhaseDists,
+    text: Option<(usize, &mut String)>,
+) -> (f64, f64) {
+    use std::fmt::Write;
+    // Children render after their operator's line, so their text is staged.
+    let (mut first, mut second) = (String::new(), String::new());
+    let child = text.as_ref().map(|(depth, _)| depth + 1);
+    let pad = text.as_ref().map(|(depth, _)| "  ".repeat(*depth));
+    let mut walk = |plan: &Plan, staged: &mut String| {
+        expected_walk(
+            query,
+            model,
+            plan,
+            phase,
+            phases,
+            child.map(|d| (d, staged)),
+        )
+    };
+    match plan {
+        Plan::Access { rel, method } => {
+            let r = query.relation(*rel);
+            let (cost, pages) = access_step(r, *method);
+            if let (Some((_, out)), Some(pad)) = (text, pad) {
+                let name = &r.name;
+                let _ = writeln!(
+                    out,
+                    "{pad}{method} {name}  [cost {cost:.0}, out {pages:.0} pages]"
+                );
             }
-            Plan::Sort { input, .. } => {
-                let (ic, ip) = walk(query, model, input, phase, phases);
-                let dist = phases.at(*phase);
-                *phase += 1;
-                (
-                    ic + model.expected_sort_step(ip, dist.values(), dist.probs()),
-                    ip,
-                )
+            (cost, pages)
+        }
+        Plan::Join {
+            left,
+            right,
+            method,
+            key,
+        } => {
+            let (lc, lp) = walk(left, &mut first);
+            let (rc, rp) = walk(right, &mut second);
+            let pages = query.result_pages(plan.rel_set());
+            let dist = phases.at(*phase);
+            *phase += 1;
+            let step =
+                model.expected_join_step(*method, lp, rp, pages, dist.values(), dist.probs());
+            if let (Some((_, out)), Some(pad)) = (text, pad) {
+                let on = key.map_or("(cross)".to_string(), |k| format!("on {k}"));
+                let _ = writeln!(
+                    out,
+                    "{pad}join[{method}] {on}  [E[step] {step:.0}, out {pages:.0} pages]"
+                );
+                out.push_str(&first);
+                out.push_str(&second);
             }
+            (lc + rc + step, pages)
+        }
+        Plan::Sort { input, key } => {
+            let (ic, pages) = walk(input, &mut first);
+            let dist = phases.at(*phase);
+            *phase += 1;
+            let step = model.expected_sort_step(pages, dist.values(), dist.probs());
+            if let (Some((_, out)), Some(pad)) = (text, pad) {
+                let _ = writeln!(out, "{pad}sort by {key}  [E[step] {step:.0}]");
+                out.push_str(&first);
+            }
+            (ic + step, pages)
         }
     }
-    let mut phase = 0;
-    walk(query, model, plan, &mut phase, phases).0
 }
 
 /// The static-case cost *profile*: the plan's cost at each memory value, in
@@ -184,6 +210,75 @@ pub fn cost_profile<M: CostModel + ?Sized>(
         .iter()
         .map(|&m| plan_cost_at(query, model, plan, m))
         .collect()
+}
+
+/// A plan's [`cost_profile`] at `memory`'s values and its
+/// [`expected_cost`] under `MemoryModel::Static(memory)`, bit for bit, from
+/// one walk that evaluates each step's formula once per value, as
+/// [`expected_cost`] alone does: a node adds its children before its own
+/// step, and a step's expectation folds `acc += (formula + output) · p` in
+/// bucket order (the [`CostModel::expected_join_step`] contract).
+pub fn profile_and_expected_cost<M: CostModel + ?Sized>(
+    query: &JoinQuery,
+    model: &M,
+    plan: &Plan,
+    memory: &Distribution,
+) -> (Vec<f64>, f64) {
+    /// Writes the subtree's cost at each memory value to `out`, each right
+    /// subtree's to the next slice of `spare`; returns its expected cost
+    /// and output pages.
+    fn walk<M: CostModel + ?Sized>(
+        query: &JoinQuery,
+        model: &M,
+        plan: &Plan,
+        memory: &Distribution,
+        out: &mut [f64],
+        spare: &mut [f64],
+    ) -> (f64, f64) {
+        let buckets = memory.values().iter().zip(memory.probs());
+        match plan {
+            Plan::Access { rel, method } => {
+                let (cost, pages) = access_step(query.relation(*rel), *method);
+                out.fill(cost);
+                (cost, pages)
+            }
+            Plan::Join {
+                left,
+                right,
+                method,
+                ..
+            } => {
+                let (lc, lp) = walk(query, model, left, memory, out, spare);
+                let (right_out, spare) = spare.split_at_mut(out.len());
+                let (rc, rp) = walk(query, model, right, memory, right_out, spare);
+                let pages = query.result_pages(plan.rel_set());
+                let mut acc = 0.0;
+                for ((cost, &rcost), (&m, &p)) in out.iter_mut().zip(&*right_out).zip(buckets) {
+                    let step = model.join_cost(*method, lp, rp, m) + pages;
+                    *cost = *cost + rcost + step;
+                    acc += step * p;
+                }
+                (lc + rc + acc, pages)
+            }
+            Plan::Sort { input, .. } => {
+                let (ic, pages) = walk(query, model, input, memory, out, spare);
+                let mut acc = 0.0;
+                for (cost, (&m, &p)) in out.iter_mut().zip(buckets) {
+                    let step = model.sort_cost(pages, m) + pages;
+                    *cost += step;
+                    acc += step * p;
+                }
+                (ic + acc, pages)
+            }
+        }
+    }
+    // One allocation: the profile, then a buffer per join for the right
+    // subtrees (a path holds at most every join).
+    let mut costs = vec![0.0; memory.len() * (1 + plan.phase_count())];
+    let (profile, spare) = costs.split_at_mut(memory.len());
+    let (expected, _) = walk(query, model, plan, memory, profile, spare);
+    costs.truncate(memory.len());
+    (costs, expected)
 }
 
 /// The static-case cost distribution of a plan: the pushforward of the
@@ -215,91 +310,17 @@ pub(crate) fn profile_distribution(
 }
 
 /// Renders a plan as an indented tree with each operator's *expected* step
-/// cost and estimated output size — EXPLAIN with uncertainty-aware numbers.
+/// cost and estimated output size — EXPLAIN with uncertainty-aware numbers,
+/// summed by [`expected_cost`]'s own walk.
 pub fn explain_with_costs<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     plan: &Plan,
     phases: &PhaseDists,
 ) -> String {
-    fn walk<M: CostModel + ?Sized>(
-        query: &JoinQuery,
-        model: &M,
-        plan: &Plan,
-        phase: &mut usize,
-        phases: &PhaseDists,
-        depth: usize,
-        out: &mut String,
-    ) -> (f64, f64) {
-        use std::fmt::Write;
-        let pad = "  ".repeat(depth);
-        match plan {
-            Plan::Access { rel, method } => {
-                let r = query.relation(*rel);
-                let (cost, pages) = access_step(r, *method);
-                let _ = writeln!(
-                    out,
-                    "{pad}{method} {}  [cost {cost:.0}, out {pages:.0} pages]",
-                    r.name
-                );
-                (cost, pages)
-            }
-            Plan::Join {
-                left,
-                right,
-                method,
-                key,
-            } => {
-                // Children are rendered after the operator line, so stage
-                // the subtree text.
-                let mut left_txt = String::new();
-                let (lc, lp) = walk(query, model, left, phase, phases, depth + 1, &mut left_txt);
-                let mut right_txt = String::new();
-                let (rc, rp) = walk(
-                    query,
-                    model,
-                    right,
-                    phase,
-                    phases,
-                    depth + 1,
-                    &mut right_txt,
-                );
-                let out_pages = query.result_pages(plan.rel_set());
-                let dist = phases.at(*phase);
-                *phase += 1;
-                let step = model.expected_join_step(
-                    *method,
-                    lp,
-                    rp,
-                    out_pages,
-                    dist.values(),
-                    dist.probs(),
-                );
-                let on = key.map_or("(cross)".to_string(), |k| format!("on {k}"));
-                let _ = writeln!(
-                    out,
-                    "{pad}join[{method}] {on}  [E[step] {step:.0}, out {out_pages:.0} pages]"
-                );
-                out.push_str(&left_txt);
-                out.push_str(&right_txt);
-                (lc + rc + step, out_pages)
-            }
-            Plan::Sort { input, key } => {
-                let mut in_txt = String::new();
-                let (ic, ip) = walk(query, model, input, phase, phases, depth + 1, &mut in_txt);
-                let dist = phases.at(*phase);
-                *phase += 1;
-                let step = model.expected_sort_step(ip, dist.values(), dist.probs());
-                let _ = writeln!(out, "{pad}sort by {key}  [E[step] {step:.0}]");
-                out.push_str(&in_txt);
-                (ic + step, ip)
-            }
-        }
-    }
-    let mut out = String::new();
-    let mut phase = 0;
-    let (total, _) = walk(query, model, plan, &mut phase, phases, 0, &mut out);
     use std::fmt::Write;
+    let mut out = String::new();
+    let (total, _) = expected_walk(query, model, plan, &mut 0, phases, Some((0, &mut out)));
     let _ = writeln!(out, "total expected cost: {total:.0}");
     out
 }
@@ -566,6 +587,107 @@ mod tests {
         // Plan 2's cost is memory-independent here: distribution collapses.
         let dist2 = cost_distribution_static(&q, &m, &plan2(), &mem).unwrap();
         assert!(dist2.is_point());
+
+        // The one-walk pricer keeps both evaluators' bits and evaluates as
+        // many formulas as `expected_cost`, on plans with sorts, index
+        // scans, filtered scans and a bushy join.
+        let filtered = JoinQuery::new(
+            vec![
+                Relation::new("A", 91_337.0, 5e6)
+                    .with_local_selectivity(0.0317)
+                    .with_index(),
+                Relation::new("B", 40_123.0, 2e6).with_local_selectivity(0.413),
+                Relation::new("C", 713.0, 3e4),
+                Relation::new("D", 12_007.0, 6e5)
+                    .with_local_selectivity(0.197)
+                    .with_index(),
+            ],
+            (0..3)
+                .map(|i| JoinPred {
+                    left: i,
+                    right: i + 1,
+                    selectivity: 1.3e-5 * (i + 1) as f64 + 1e-7,
+                    key: KeyId(i),
+                })
+                .collect(),
+            Some(KeyId(1)),
+        )
+        .unwrap();
+        let index = |rel| Plan::Access {
+            rel,
+            method: AccessMethod::IndexScan,
+        };
+        let left_deep = Plan::sort(
+            Plan::join(
+                Plan::join(
+                    Plan::join(
+                        index(0),
+                        Plan::scan(1),
+                        JoinMethod::GraceHash,
+                        Some(KeyId(0)),
+                    ),
+                    Plan::scan(2),
+                    JoinMethod::NestedLoop,
+                    Some(KeyId(1)),
+                ),
+                index(3),
+                JoinMethod::SortMerge,
+                Some(KeyId(2)),
+            ),
+            KeyId(1),
+        );
+        let bushy = Plan::join(
+            Plan::join(
+                index(0),
+                Plan::scan(1),
+                JoinMethod::SortMerge,
+                Some(KeyId(0)),
+            ),
+            Plan::sort(
+                Plan::join(
+                    Plan::scan(2),
+                    index(3),
+                    JoinMethod::GraceHash,
+                    Some(KeyId(2)),
+                ),
+                KeyId(2),
+            ),
+            JoinMethod::SortMerge,
+            Some(KeyId(1)),
+        );
+        let counting = lec_cost::CountingModel::new(PaperCostModel);
+        let memories = [
+            mem,
+            Distribution::new([(13.0, 0.13), (97.0, 0.29), (451.0, 0.37), (3989.0, 0.21)]).unwrap(),
+            Distribution::point(150.0).unwrap(),
+        ];
+        for (query, plan) in [
+            (&q, plan1()),
+            (&q, plan2()),
+            (&filtered, left_deep),
+            (&filtered, bushy),
+        ] {
+            plan.validate(query).unwrap();
+            for memory in &memories {
+                let phases = MemoryModel::Static(memory.clone())
+                    .table(query.n().max(2))
+                    .unwrap();
+                counting.reset();
+                let expected = expected_cost(query, &counting, &plan, &phases);
+                let kernel_evals = counting.evaluations();
+                counting.reset();
+                let (profile, one_walk) =
+                    profile_and_expected_cost(query, &counting, &plan, memory);
+                assert_eq!(counting.evaluations(), kernel_evals, "{plan:?}");
+                assert_eq!(one_walk.to_bits(), expected.to_bits(), "{plan:?}");
+                // The paper model's hoisted kernels keep the same bits.
+                let hoisted = expected_cost(query, &m, &plan, &phases);
+                assert_eq!(hoisted.to_bits(), expected.to_bits(), "{plan:?}");
+                let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                let direct = cost_profile(query, &m, &plan, memory.values());
+                assert_eq!(bits(&profile), bits(&direct), "{plan:?}");
+            }
+        }
     }
 
     #[test]

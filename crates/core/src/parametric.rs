@@ -18,7 +18,7 @@
 use crate::dp::{optimize_left_deep, MemoryCoster, Optimized};
 use crate::env::MemoryModel;
 use crate::error::CoreError;
-use crate::evaluate::expected_cost;
+use crate::evaluate::profile_and_expected_cost;
 use crate::precompute::QueryTables;
 use crate::stats::OptStats;
 use lec_cost::CostModel;
@@ -34,6 +34,7 @@ use lec_stats::Distribution;
 /// use lec_core::parametric::ParametricPlans;
 /// use lec_cost::PaperCostModel;
 /// use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
+/// use lec_rules::Rule;
 /// use lec_stats::Distribution;
 ///
 /// let query = JoinQuery::new(
@@ -50,7 +51,7 @@ use lec_stats::Distribution;
 ///
 /// // Start-up: re-cost stored plans under what was actually observed.
 /// let observed = Distribution::new([(20.0, 0.5), (200.0, 0.5)])?;
-/// let choice = set.pick(&query, &PaperCostModel, &observed)?;
+/// let choice = set.pick_with_rule(&query, &PaperCostModel, &observed, &Rule::LeastExpectedCost)?;
 /// assert!(choice.expected_cost > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -113,8 +114,8 @@ impl ParametricPlans {
     /// Rebuilds a set from already-optimized per-scenario plans (the
     /// `lec-serve` cache-entry *migration* path: after a recalibration
     /// judged not worth a re-optimization, stored plans are carried over
-    /// and re-cost at the next [`pick`](Self::pick) — their stored costs
-    /// are allowed to be stale, `pick` never reads them).
+    /// and re-cost at the next [`ranked`](Self::ranked) — their stored
+    /// costs are allowed to be stale, the start-up pick never reads them).
     pub fn from_parts(scenarios: Vec<(Distribution, Optimized)>) -> Result<Self, CoreError> {
         if scenarios.is_empty() {
             return Err(CoreError::BadParameter("need at least one scenario".into()));
@@ -143,50 +144,39 @@ impl ParametricPlans {
         &self.scenarios
     }
 
-    /// Start-up phase: re-cost every stored plan under the observed
-    /// distribution (cheap — no plan search) and return the best.
-    pub fn pick<M: CostModel + ?Sized>(
+    /// Start-up phase: re-cost every distinct stored plan under the
+    /// observed distribution (cheap — no plan search), one [`Candidate`]
+    /// per plan in first-occurrence scenario order, and [`rank`] them by
+    /// `rule`. The rule is validated here; a host certifies it once, when
+    /// it is configured, with [`lec_rules::certify`].
+    pub fn ranked<M: CostModel + ?Sized>(
         &self,
         query: &JoinQuery,
         model: &M,
         observed: &Distribution,
-    ) -> Result<StartupChoice, CoreError> {
-        let phases = MemoryModel::Static(observed.clone()).table(query.n().max(2))?;
-        let mut best: Option<StartupChoice> = None;
-        // Deduplicate identical plans across scenarios before costing.
-        let mut seen: Vec<&Plan> = Vec::new();
-        for (idx, (_, opt)) in self.scenarios.iter().enumerate() {
-            if seen.iter().any(|p| **p == opt.plan) {
+        rule: &lec_rules::Rule,
+    ) -> Result<Vec<Candidate<'_>>, CoreError> {
+        lec_rules::SelectionRule::validate(rule)?;
+        let mut candidates: Vec<Candidate<'_>> = Vec::new();
+        for (scenario, (_, opt)) in self.scenarios.iter().enumerate() {
+            if candidates.iter().any(|c| *c.plan == opt.plan) {
                 continue;
             }
-            seen.push(&opt.plan);
-            let e = expected_cost(query, model, &opt.plan, &phases);
-            if best.as_ref().is_none_or(|b| e < b.expected_cost) {
-                best = Some(StartupChoice {
-                    scenario: idx,
-                    plan: opt.plan.clone(),
-                    expected_cost: e,
-                });
-            }
+            let (profile, expected_cost) =
+                profile_and_expected_cost(query, model, &opt.plan, observed);
+            candidates.push(Candidate {
+                scenario,
+                plan: &opt.plan,
+                profile,
+                expected_cost,
+                score: f64::NAN,
+            });
         }
-        best.ok_or(CoreError::NoPlanFound)
+        Ok(rank(candidates, rule, observed.probs()))
     }
 
-    /// [`pick`](Self::pick) under a configurable selection rule.
-    ///
-    /// [`lec_rules::Rule::LeastExpectedCost`] dispatches to [`pick`](Self::pick)
-    /// itself — same code path, bit-identical choice. Any other rule
-    /// scores the stored plans' cost *profiles* under the observed
-    /// distribution jointly (regret-style rules are context-sensitive)
-    /// and keeps the argmin, first-wins on ties in scenario order — the
-    /// same dedup and tie conventions as the expected-cost path. The
-    /// reported `expected_cost` is always the plan's expected cost under
-    /// `observed`, whatever the rule optimized, so callers can account
-    /// the robustness premium.
-    ///
-    /// The rule's parameters are validated on every call, but the rule is
-    /// not certified here: a host certifies its rule once, when it is
-    /// configured, with [`lec_rules::certify`].
+    /// The first of [`ranked`](Self::ranked): the plan to run under
+    /// `rule`, with its expected cost under `observed`.
     pub fn pick_with_rule<M: CostModel + ?Sized>(
         &self,
         query: &JoinQuery,
@@ -194,33 +184,58 @@ impl ParametricPlans {
         observed: &Distribution,
         rule: &lec_rules::Rule,
     ) -> Result<StartupChoice, CoreError> {
-        if matches!(rule, lec_rules::Rule::LeastExpectedCost) {
-            return self.pick(query, model, observed);
-        }
-        lec_rules::SelectionRule::validate(rule)?;
-        // Deduplicate identical plans across scenarios before costing
-        // (same convention as `pick`).
-        let mut kept: Vec<(usize, &Plan)> = Vec::new();
-        for (idx, (_, opt)) in self.scenarios.iter().enumerate() {
-            if kept.iter().any(|(_, p)| **p == opt.plan) {
-                continue;
-            }
-            kept.push((idx, &opt.plan));
-        }
-        let profiles: Vec<Vec<f64>> = kept
-            .iter()
-            .map(|(_, plan)| crate::evaluate::cost_profile(query, model, plan, observed.values()))
-            .collect();
-        let scores = lec_rules::SelectionRule::scores(rule, &profiles, observed.probs());
-        let win = lec_rules::argmin(&scores).ok_or(CoreError::NoPlanFound)?;
-        let (scenario, plan) = kept[win];
-        let phases = MemoryModel::Static(observed.clone()).table(query.n().max(2))?;
+        let mut ranked = self.ranked(query, model, observed, rule)?.into_iter();
+        let best = ranked.next().ok_or(CoreError::NoPlanFound)?;
         Ok(StartupChoice {
-            scenario,
-            plan: plan.clone(),
-            expected_cost: expected_cost(query, model, plan, &phases),
+            scenario: best.scenario,
+            plan: best.plan.clone(),
+            expected_cost: best.expected_cost,
         })
     }
+}
+
+/// A stored plan priced by one walk under an observed memory distribution.
+#[derive(Debug, Clone)]
+pub struct Candidate<'a> {
+    /// The first scenario that stored this plan.
+    pub scenario: usize,
+    /// The plan.
+    pub plan: &'a Plan,
+    /// Its cost at each observed memory value: what a rule scores.
+    pub profile: Vec<f64>,
+    /// Its expected cost, reported whatever the rule optimized, so callers
+    /// can account the robustness premium.
+    pub expected_cost: f64,
+    /// Its score among the candidates [`rank`] ranked it with.
+    pub score: f64,
+}
+
+/// Orders `candidates` best first by `rule`'s joint scores of their
+/// profiles (a context-sensitive rule scores a subset among itself):
+/// ascending under `total_cmp`, ties by scenario index. LEC's score, the
+/// profile mean, sums per memory value, and `expected_cost` per plan step,
+/// so the two can disagree on near-ties; the reported bits stay the
+/// per-step sum, which every served cost and decision digest is built on.
+pub fn rank<'a, R: lec_rules::SelectionRule + ?Sized>(
+    mut candidates: Vec<Candidate<'a>>,
+    rule: &R,
+    probs: &[f64],
+) -> Vec<Candidate<'a>> {
+    let profiles: Vec<Vec<f64>> = candidates
+        .iter_mut()
+        .map(|c| std::mem::take(&mut c.profile))
+        .collect();
+    let scores = rule.scores(&profiles, probs);
+    for ((c, profile), score) in candidates.iter_mut().zip(profiles).zip(scores) {
+        c.profile = profile;
+        c.score = score;
+    }
+    candidates.sort_by(|a, b| {
+        a.score
+            .total_cmp(&b.score)
+            .then(a.scenario.cmp(&b.scenario))
+    });
+    candidates
 }
 
 #[cfg(test)]
@@ -229,6 +244,7 @@ mod tests {
     use crate::alg_c;
     use lec_cost::{CountingModel, PaperCostModel};
     use lec_plan::{JoinPred, KeyId, Relation};
+    use lec_rules::Rule;
 
     fn query() -> JoinQuery {
         JoinQuery::new(
@@ -265,7 +281,9 @@ mod tests {
         let set = ParametricPlans::precompute(&q, &model, &scenarios()).unwrap();
         assert_eq!(set.len(), 3);
         for s in scenarios() {
-            let choice = set.pick(&q, &model, &s).unwrap();
+            let choice = set
+                .pick_with_rule(&q, &model, &s, &Rule::LeastExpectedCost)
+                .unwrap();
             let (fresh, _) = alg_c::optimize(&q, &model, &MemoryModel::Static(s)).unwrap();
             assert!(
                 (choice.expected_cost - fresh.cost).abs() <= 1e-9 * fresh.cost,
@@ -283,7 +301,9 @@ mod tests {
         let set = ParametricPlans::precompute(&q, &model, &scenarios()).unwrap();
         // An observed distribution between the stored scenarios.
         let observed = Distribution::new([(600.0, 0.3), (2100.0, 0.7)]).unwrap();
-        let choice = set.pick(&q, &model, &observed).unwrap();
+        let choice = set
+            .pick_with_rule(&q, &model, &observed, &Rule::LeastExpectedCost)
+            .unwrap();
         let (fresh, _) = alg_c::optimize(&q, &model, &MemoryModel::Static(observed)).unwrap();
         // Never better than fresh, and on this family the stored plans
         // cover the space, so it should tie.
@@ -298,7 +318,8 @@ mod tests {
         let set = ParametricPlans::precompute(&q, &model, &scenarios()).unwrap();
         let observed = Distribution::new([(500.0, 0.5), (1500.0, 0.5)]).unwrap();
         model.reset();
-        set.pick(&q, &model, &observed).unwrap();
+        set.pick_with_rule(&q, &model, &observed, &Rule::LeastExpectedCost)
+            .unwrap();
         let pick_evals = model.evaluations();
         model.reset();
         alg_c::optimize(&q, &model, &MemoryModel::Static(observed)).unwrap();

@@ -9,6 +9,7 @@ use lec_core::topc;
 use lec_core::{alg_c, bushy, evaluate, exhaustive, voi, MemoryModel};
 use lec_cost::{CostModel, JoinMethod, PaperCostModel};
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
+use lec_rules::Rule;
 use lec_stats::{Distribution, MarkovChain};
 use proptest::prelude::*;
 
@@ -262,7 +263,9 @@ proptest! {
             ];
             let set = ParametricPlans::precompute(&q, &PaperCostModel, &scenarios).unwrap();
             let observed = Distribution::new([(lo, 0.5), (hi, 0.5)]).unwrap();
-            let choice = set.pick(&q, &PaperCostModel, &observed).unwrap();
+            let choice = set
+                .pick_with_rule(&q, &PaperCostModel, &observed, &Rule::LeastExpectedCost)
+                .unwrap();
             prop_assert_eq!(&choice.plan, &set.scenarios()[choice.scenario].1.plan);
         }
 

@@ -6,14 +6,17 @@
 //!   plan and the same cost *bits* as the existing expected-cost
 //!   optimizers — both the fresh-optimization path (`alg_c` via
 //!   [`rules::optimize_with_rule`]) and the parametric start-up path
-//!   ([`ParametricPlans::pick_with_rule`] vs [`ParametricPlans::pick`]).
-//!   The rule dispatches to the existing code, and this battery is what
-//!   keeps that dispatch honest.
+//!   ([`ParametricPlans::pick_with_rule`] vs `oracle::pick`, a verbatim
+//!   copy of the stand-alone expected-cost pick it replaced). The start-up
+//!   pick ranks every rule, LEC included, by its score on the plans' cost
+//!   profiles; LEC's score (the profile mean) sums in a different order
+//!   from the reported expected cost, so the battery also checks that the
+//!   winner's expected cost is within 1e-12 of every candidate's: the two
+//!   sums can only disagree on near-ties.
 //! * **Frontier agreement**: finalizing the LEC criterion over the
 //!   Pareto frontier (the path every *other* rule takes) lands on the
 //!   same expected cost as the scalar DP, up to float-summation-order
-//!   tolerance — the two paths genuinely sum in different orders, which
-//!   is exactly why bit-identity requires dispatch rather than rescoring.
+//!   tolerance — the two paths genuinely sum in different orders.
 //! * **Divergence**: on at least one seeded environment apiece,
 //!   `MinmaxRegret` and `TailRisk` provably pick a *different* plan than
 //!   LEC, and every such minmax divergence strictly reduces the
@@ -28,6 +31,46 @@ use lec_cost::PaperCostModel;
 use lec_plan::{JoinPred, JoinQuery, KeyId, Relation};
 use lec_rules::{Rule, TailRisk};
 use lec_stats::Distribution;
+
+/// The expected-cost start-up pick that `pick_with_rule` replaced, kept
+/// verbatim as the oracle.
+mod oracle {
+    use lec_core::evaluate::expected_cost;
+    use lec_core::parametric::{ParametricPlans, StartupChoice};
+    use lec_core::{CoreError, MemoryModel};
+    use lec_cost::CostModel;
+    use lec_plan::{JoinQuery, Plan};
+    use lec_stats::Distribution;
+
+    /// Start-up phase: re-cost every stored plan under the observed
+    /// distribution (cheap — no plan search) and return the best.
+    pub(crate) fn pick<M: CostModel + ?Sized>(
+        set: &ParametricPlans,
+        query: &JoinQuery,
+        model: &M,
+        observed: &Distribution,
+    ) -> Result<StartupChoice, CoreError> {
+        let phases = MemoryModel::Static(observed.clone()).table(query.n().max(2))?;
+        let mut best: Option<StartupChoice> = None;
+        // Deduplicate identical plans across scenarios before costing.
+        let mut seen: Vec<&Plan> = Vec::new();
+        for (idx, (_, opt)) in set.scenarios().iter().enumerate() {
+            if seen.iter().any(|p| **p == opt.plan) {
+                continue;
+            }
+            seen.push(&opt.plan);
+            let e = expected_cost(query, model, &opt.plan, &phases);
+            if best.as_ref().is_none_or(|b| e < b.expected_cost) {
+                best = Some(StartupChoice {
+                    scenario: idx,
+                    plan: opt.plan.clone(),
+                    expected_cost: e,
+                });
+            }
+        }
+        best.ok_or(CoreError::NoPlanFound)
+    }
+}
 
 /// splitmix64: the battery's only randomness (identical to the generator
 /// in `optimizer_differential.rs`, so both batteries stress the same
@@ -156,10 +199,11 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
             direct.cost
         );
 
-        // Parametric start-up: pick_with_rule(LEC) vs pick, bit for bit.
+        // Parametric start-up: pick_with_rule(LEC) vs the old pick, bit
+        // for bit.
         let scenarios = scenario_set(i as u64, &mem);
         let set = ParametricPlans::precompute(&q, &model, &scenarios).expect("precompute");
-        let plain = set.pick(&q, &model, &mem).expect("pick");
+        let plain = oracle::pick(&set, &q, &model, &mem).expect("pick");
         let ruled = set
             .pick_with_rule(&q, &model, &mem, &Rule::LeastExpectedCost)
             .expect("pick_with_rule");
@@ -170,6 +214,20 @@ fn lec_rule_is_bit_identical_to_the_expected_cost_optimizers() {
             plain.expected_cost.to_bits(),
             "{label}: startup cost bits"
         );
+        // The profile-mean ranking can only swap near-ties of the kernel's
+        // expected costs.
+        let ranked = set
+            .ranked(&q, &model, &mem, &Rule::LeastExpectedCost)
+            .expect("ranked");
+        for c in &ranked {
+            assert!(
+                ruled.expected_cost <= c.expected_cost * (1.0 + 1e-12),
+                "{label}: LEC winner {} above candidate {} (scenario {})",
+                ruled.expected_cost,
+                c.expected_cost,
+                c.scenario
+            );
+        }
     }
 }
 

@@ -27,9 +27,10 @@
 //!   outright, because then even the frontier may have pruned their
 //!   optimum.
 //!
-//! Four rules ship: [`LeastExpectedCost`] (the paper's criterion — hosts
-//! dispatch it to the existing scalar-DP path, so it stays bit-identical
-//! to `alg_c`), [`MinmaxRegret`], [`PenaltyAware`], and [`TailRisk`]
+//! Four rules ship: [`LeastExpectedCost`] (the paper's criterion — a
+//! host's optimizer sends it to the scalar DP, which is exact for it, and
+//! a host ranking stored plans scores it like every other rule),
+//! [`MinmaxRegret`], [`PenaltyAware`], and [`TailRisk`]
 //! (CVaR). Each [`lec_stats::Utility`] is a rule too: the linear utility
 //! certifies for scalar pruning, the exponential and deadline utilities
 //! for the frontier only. All are deterministic: ties break toward the
@@ -111,9 +112,9 @@ pub fn argmin(scores: &[f64]) -> Option<usize> {
 
 /// Probability-weighted mean of one profile (`Σ_s probs[s]·profile[s]`,
 /// summed in scenario order — deterministic, but *not* necessarily the
-/// same float as the expected-cost kernels in `lec-core`; hosts
-/// that promise bit-identity dispatch [`LeastExpectedCost`] to the
-/// existing scalar path instead of calling this).
+/// same float as the expected-cost kernels in `lec-core`, which sum per
+/// plan step; the two agree up to rounding, so ranking by this mean can
+/// only reorder near-ties of the kernels' costs).
 fn profile_mean(profile: &[f64], probs: &[f64]) -> f64 {
     profile.iter().zip(probs).map(|(c, p)| c * p).sum()
 }
@@ -368,8 +369,9 @@ impl SelectionRule for TailRisk {
 /// certified entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Rule {
-    /// The paper's expected-cost criterion (hosts dispatch this to the
-    /// existing scalar-DP path, keeping it bit-identical to `alg_c`).
+    /// The paper's expected-cost criterion (scored by the profile mean;
+    /// a host's optimizer sends it to the scalar DP, which is exact for
+    /// it).
     #[default]
     LeastExpectedCost,
     /// Minimize the worst-case regret versus the per-scenario optimum.

@@ -53,7 +53,8 @@ impl DriftTarget {
 /// Thresholds for the drift detector.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftConfig {
-    /// Mean relative estimation error above which a window fires.
+    /// Mean relative estimation error above which a window fires. `+∞`
+    /// never fires; a service refuses NaN.
     pub error_threshold: f64,
     /// Observations a window needs before it may fire.
     pub min_observations: usize,

@@ -1,16 +1,17 @@
 //! The recalibrate stage: how a fired drift event updates the belief
 //! catalog, and the sampled confidence intervals certificates range over.
 //!
-//! The service builds one [`Recalibrator`] from
-//! [`ServeConfig::resample`](crate::ServeConfig::resample) and keeps it for
-//! its lifetime. `Blend` folds the drift window's observed mean into the
-//! belief statistic: a filtered column's histogram takes a synthesized
-//! sample realizing the observed fraction, and a join's binding distinct
-//! count moves toward the count the observed selectivity implies. It
-//! consumes no randomness and certifies nothing. `Resample` replaces the
-//! statistic with a fresh row sample from the truth catalog, keeps the
-//! sample's confidence interval, and builds the interval box the certify
-//! stage bounds a served plan's suboptimality over.
+//! A service without a [`Sampler`] *blends*: it folds the drift window's
+//! observed mean into the belief statistic (a filtered column's histogram
+//! takes a synthesized sample realizing the observed fraction, and a
+//! join's binding distinct count moves toward the count the observed
+//! selectivity implies), consumes no randomness and certifies nothing. A
+//! service built with
+//! [`ServeConfig::resample`](crate::ServeConfig::resample) holds a
+//! `Sampler`: it replaces the statistic with a fresh row sample from the
+//! truth catalog, keeps the sample's confidence interval, and builds the
+//! interval box the certify stage bounds a served plan's suboptimality
+//! over.
 
 use crate::drift::{DriftEvent, DriftTarget};
 use crate::error::ServeError;
@@ -24,23 +25,10 @@ use rand_chacha::rand_core::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 
-/// How a fired drift event updates the belief catalog, and whether served
-/// plans carry a certificate. Built once from
-/// [`ServeConfig::resample`](crate::ServeConfig::resample).
-pub(crate) enum Recalibrator {
-    /// Blend the drift window's observed mean into the belief statistic
-    /// with this weight
-    /// ([`DriftConfig::blend`](crate::DriftConfig::blend)). Certifies
-    /// nothing and consumes no randomness.
-    Blend(f64),
-    /// Replace the belief statistic with a fresh row sample from the truth
-    /// catalog, and certify served plans against the sampled intervals.
-    Resample(Box<Sampler>),
-}
-
 /// The resampling state: the sampling config, the RNG behind every draw,
 /// and the cached confidence interval per sampled statistic (row-domain for
-/// joins).
+/// joins). A service that resamples holds one, built from
+/// [`ServeConfig::resample`](crate::ServeConfig::resample).
 pub(crate) struct Sampler {
     config: ResampleConfig,
     rng: ChaCha8Rng,
@@ -49,106 +37,97 @@ pub(crate) struct Sampler {
     pub(crate) resamples: u64,
 }
 
-impl Recalibrator {
-    /// `Blend` at weight `blend` when `resample` is `None`, else a
-    /// `Resample` seeded from its config.
-    pub(crate) fn new(resample: Option<ResampleConfig>, blend: f64) -> Result<Self, ServeError> {
-        let Some(config) = resample else {
-            return Ok(Recalibrator::Blend(blend));
-        };
-        if config.draws == 0 || config.initial_draws == 0 {
-            return Err(ServeError::Config(
-                "resample draw counts must be positive".into(),
-            ));
+/// Updates the drifted statistic in `beliefs`: replaced by a fresh sample
+/// from `truth` when the service has a `sampler`, else blended toward the
+/// observed mean with weight `blend`
+/// ([`DriftConfig::blend`](crate::DriftConfig::blend)), which consumes no
+/// randomness.
+pub(crate) fn update_beliefs(
+    sampler: &mut Option<Sampler>,
+    blend: f64,
+    beliefs: &mut Catalog,
+    truth: &Catalog,
+    request: &QueryRequest,
+    event: &DriftEvent,
+) -> Result<(), ServeError> {
+    match &event.target {
+        DriftTarget::Selection { table, column } => {
+            let filter = request
+                .filters
+                .iter()
+                .find(|f| f.table == *table && f.column == *column)
+                .ok_or_else(|| {
+                    ServeError::Config(format!(
+                        "drift on `{table}.{column}` without a matching filter"
+                    ))
+                })?;
+            match sampler {
+                None => blend_selection(
+                    belief_column(beliefs, table, column)?,
+                    filter,
+                    event.mean_observed,
+                    blend,
+                )?,
+                Some(s) => {
+                    s.sample(truth, &event.target, &filter_stat(filter).1, s.config.draws)?;
+                    // The belief column's histogram is rebuilt from the
+                    // same fresh sample budget, so subsequent estimates
+                    // track truth instead of blending toward it.
+                    let hist = s
+                        .estimator(truth, s.config.draws)
+                        .sample_histogram(table, column)?;
+                    belief_column(beliefs, table, column)?.histogram = Some(hist);
+                }
+            }
         }
-        if !(config.delta.is_finite() && config.delta > 0.0 && config.delta < 1.0) {
+        DriftTarget::Join {
+            left_table,
+            left_column,
+            right_table,
+            right_column,
+        } => {
+            // A resample replaces the statistic outright: weight 1.
+            let (observed, weight) = match sampler {
+                None => (event.mean_observed, blend),
+                Some(s) => {
+                    let pred = join_predicate(left_table, left_column, right_table, right_column);
+                    let sampled = s.sample(truth, &event.target, &pred, s.config.draws)?;
+                    (sampled.point, 1.0)
+                }
+            };
+            // System R containment: `sel = 1 / max(d_left, d_right)`,
+            // so only the larger side's distinct count is read; move it
+            // to the count the observed selectivity implies.
+            let implied = (1.0 / observed.max(1e-12)).round().max(1.0);
+            let col = binding_column(beliefs, left_table, left_column, right_table, right_column)?;
+            let old = col.distinct as f64;
+            col.distinct = ((1.0 - weight) * old + weight * implied).round().max(1.0) as u64;
+        }
+    }
+    if let Some(s) = sampler {
+        s.resamples += 1;
+    }
+    Ok(())
+}
+
+impl Sampler {
+    /// A sampler seeded from `config`, which must give positive draw
+    /// counts and bucket count and a `delta` in `(0, 1)`.
+    pub(crate) fn new(config: ResampleConfig) -> Result<Self, ServeError> {
+        let delta_ok = config.delta > 0.0 && config.delta < 1.0;
+        if config.draws == 0 || config.initial_draws == 0 || config.buckets == 0 || !delta_ok {
             return Err(ServeError::Config(format!(
-                "resample delta {} outside (0, 1)",
-                config.delta
+                "resample needs positive draw and bucket counts and a delta in (0, 1): {config:?}"
             )));
         }
-        Ok(Recalibrator::Resample(Box::new(Sampler {
+        Ok(Sampler {
             config,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             intervals: BTreeMap::new(),
             resamples: 0,
-        })))
+        })
     }
 
-    /// Updates the drifted statistic in `beliefs`: blended toward the
-    /// observed mean, or replaced by a fresh sample from `truth`.
-    pub(crate) fn apply(
-        &mut self,
-        beliefs: &mut Catalog,
-        truth: &Catalog,
-        request: &QueryRequest,
-        event: &DriftEvent,
-    ) -> Result<(), ServeError> {
-        match &event.target {
-            DriftTarget::Selection { table, column } => {
-                let filter = request
-                    .filters
-                    .iter()
-                    .find(|f| f.table == *table && f.column == *column)
-                    .ok_or_else(|| {
-                        ServeError::Config(format!(
-                            "drift on `{table}.{column}` without a matching filter"
-                        ))
-                    })?;
-                match self {
-                    Recalibrator::Blend(blend) => blend_selection(
-                        belief_column(beliefs, table, column)?,
-                        filter,
-                        event.mean_observed,
-                        *blend,
-                    )?,
-                    Recalibrator::Resample(s) => {
-                        s.sample(truth, &event.target, &filter_stat(filter).1, s.config.draws)?;
-                        // The belief column's histogram is rebuilt from the
-                        // same fresh sample budget, so subsequent estimates
-                        // track truth instead of blending toward it.
-                        let hist = s
-                            .estimator(truth, s.config.draws)
-                            .sample_histogram(table, column)?;
-                        belief_column(beliefs, table, column)?.histogram = Some(hist);
-                    }
-                }
-            }
-            DriftTarget::Join {
-                left_table,
-                left_column,
-                right_table,
-                right_column,
-            } => {
-                let observed = match self {
-                    Recalibrator::Blend(_) => event.mean_observed,
-                    Recalibrator::Resample(s) => {
-                        let pred =
-                            join_predicate(left_table, left_column, right_table, right_column);
-                        s.sample(truth, &event.target, &pred, s.config.draws)?.point
-                    }
-                };
-                // System R containment: `sel = 1 / max(d_left, d_right)`,
-                // so only the larger side's distinct count is read; move it
-                // to the count the observed selectivity implies.
-                let implied = (1.0 / observed.max(1e-12)).round().max(1.0);
-                let col =
-                    binding_column(beliefs, left_table, left_column, right_table, right_column)?;
-                let old = col.distinct as f64;
-                col.distinct = match self {
-                    Recalibrator::Blend(b) => ((1.0 - *b) * old + *b * implied).round().max(1.0),
-                    Recalibrator::Resample(_) => implied,
-                } as u64;
-            }
-        }
-        if let Recalibrator::Resample(s) = self {
-            s.resamples += 1;
-        }
-        Ok(())
-    }
-}
-
-impl Sampler {
     /// An estimator over `truth` at `draws` rows, seeded from the RNG.
     fn estimator<'t>(&mut self, truth: &'t Catalog, draws: u64) -> SampleEstimator<'t> {
         let cfg = SampleConfig {

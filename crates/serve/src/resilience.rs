@@ -5,9 +5,10 @@
 //! The LEC pitch is pricing plans under uncertainty; this module is what
 //! happens when an execution *actually* goes bad. On an injected fault the
 //! service walks a **fallback ladder**: the primary pick first, then the
-//! remaining distinct scenario plans from the cached parametric entry
-//! (re-cost under the observed memory distribution and sorted — the
-//! "next-best from the frontier" rungs), and finally the LSC baseline plan
+//! pick's other candidates — the remaining distinct scenario plans from the
+//! cached parametric entry, as the pick priced them under the observed
+//! memory distribution, ranked among themselves by the selection rule (the
+//! "next-best from the frontier" rungs) — and finally the LSC baseline plan
 //! (System R at the mean grant) as the robust last resort. The final
 //! allowed attempt always runs with an empty [`FaultSchedule`], so a
 //! request under injection is degraded or retried, never errored out.
@@ -122,10 +123,10 @@ impl FaultInjection {
 pub enum ServeRoute {
     /// The pick's winning plan.
     Primary,
-    /// The `rank`-th next-best distinct scenario plan, by re-cost order
-    /// (rank 0 is the closest runner-up).
+    /// The `rank`-th next-best distinct scenario plan (rank 0 is the
+    /// closest runner-up).
     Frontier {
-        /// Position in the re-cost ordering of the remaining plans.
+        /// Position among the remaining plans, ranked among themselves.
         rank: usize,
     },
     /// The LSC baseline (System R at the mean observed grant) — the last

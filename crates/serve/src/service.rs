@@ -19,16 +19,19 @@
 //!    parametric plan sets; on a miss take a batch primer's plans or run
 //!    the optimizer. Entries and plan sets are shared (`Arc`), so a hit
 //!    clones a pointer, not the plans;
-//! 3. **pick** — re-cost the stored per-scenario plans under the observed
-//!    memory distribution and choose one by the configured selection rule;
+//! 3. **pick** — re-cost the distinct stored plans under the observed
+//!    memory distribution and rank them by the configured selection rule
+//!    ([`ParametricPlans::ranked`]); the first is served;
 //! 4. **verify** — run the pick through the plan-IR verifier in the
 //!    request's numbering (always on);
-//! 5. **execute** — walk the fallback ladder (primary pick, next-best
-//!    frontier plans, LSC baseline) on `lec-exec`. A tripped circuit
-//!    breaker starts the ladder at its LSC rung, fault-free;
-//! 6. **certify** — under resampling, attach an (ε, δ) certificate computed
-//!    from the intervals the plan was served under. This runs before
-//!    feedback, which may resample and refresh those intervals;
+//! 5. **execute** — walk the fallback ladder (primary pick, the pick's
+//!    other candidates ranked among themselves, LSC baseline) on
+//!    `lec-exec`. A tripped circuit breaker starts the ladder at its LSC
+//!    rung, fault-free;
+//! 6. **certify** — when the service resamples, attach an (ε, δ)
+//!    certificate computed from the intervals the plan was served under.
+//!    This runs before feedback, which may resample and refresh those
+//!    intervals;
 //! 7. **feedback** — feed observed selection and join cardinalities to the
 //!    [`DriftDetector`];
 //! 8. **recalibrate** — for each fired drift event, update the belief
@@ -38,12 +41,12 @@
 //!    scratch on their next request or migrated (plans carried over,
 //!    re-cost at pick time).
 //!
-//! A private `Recalibrator` is built once from [`ServeConfig::resample`]:
-//! `Blend` folds the drift window's observed mean into the belief
-//! statistic and certifies nothing; `Resample` replaces the statistic with
-//! a fresh row sample from the truth catalog, keeps a confidence interval
-//! per sampled statistic, and certifies every serve the breaker did not
-//! reroute.
+//! [`ServeConfig::resample`] decides whether the service holds a private
+//! sampler. Without one, recalibration folds the drift window's observed
+//! mean into the belief statistic and no serve is certified. With one,
+//! recalibration replaces the statistic with a fresh row sample from the
+//! truth catalog, keeps a confidence interval per sampled statistic, and
+//! every serve the breaker did not reroute is certified.
 //!
 //! ### Determinism contract
 //!
@@ -63,14 +66,15 @@
 use crate::cache::{shard_of, PlanCache};
 use crate::drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
-use crate::recalibrate::{filter_stat, join_stat, Recalibrator};
+use crate::recalibrate::{filter_stat, join_stat, update_beliefs, Sampler};
 use crate::resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
 use lec_catalog::sampling::{BoundKind, StatInterval};
 use lec_catalog::Catalog;
 use lec_core::alg_d::SizeModel;
 use lec_core::certificate::{certify_plan, Certificate};
-use lec_core::parametric::ParametricPlans;
-use lec_core::{expected_cost, lsc, voi, MemoryModel, OptStats, ResilienceCounters};
+use lec_core::evaluate::profile_and_expected_cost;
+use lec_core::parametric::{rank, Candidate, ParametricPlans};
+use lec_core::{lsc, voi, CoreError, MemoryModel, OptStats, ResilienceCounters};
 use lec_cost::CostModel;
 use lec_exec::datagen::{generate, DataGenSpec};
 use lec_exec::{
@@ -104,6 +108,7 @@ pub struct ServeConfig {
     pub drift: DriftConfig,
     /// Cost (in the cost model's units) of a full re-optimization; drift
     /// triggers one only when the EVPI of the drifted statistic exceeds it.
+    /// `+∞` never re-optimizes; NaN is refused.
     pub reoptimize_cost: f64,
     /// Base seed for data generation and per-execution memory draws.
     pub exec_seed: u64,
@@ -114,13 +119,13 @@ pub struct ServeConfig {
     /// an empty fault schedule.
     pub fault_injection: FaultInjection,
     /// How the start-up pick and the fallback-ladder ordering choose
-    /// among the cached per-scenario plans. The default,
-    /// [`Rule::LeastExpectedCost`], dispatches to the pre-rules code
-    /// path and is bit-identical to it; robust rules (minmax regret,
-    /// penalty-aware, CVaR) trade expected cost for degradation
-    /// guarantees when the observed beliefs are wrong. Drift detection,
-    /// recalibration, and the resilience ladder all run under whichever
-    /// rule is configured.
+    /// among the cached per-scenario plans: every rule ranks the plans'
+    /// cost profiles under the observed memory distribution. The default,
+    /// [`Rule::LeastExpectedCost`], ranks by the profile mean; robust
+    /// rules (minmax regret, penalty-aware, CVaR) trade expected cost for
+    /// degradation guarantees when the observed beliefs are wrong. Drift
+    /// detection, recalibration, and the resilience ladder all run under
+    /// whichever rule is configured.
     pub selection_rule: Rule,
     /// How drift recalibrates the beliefs. `None` (the default) *blends*
     /// each drift window's observed mean into the belief statistic and
@@ -530,7 +535,8 @@ pub struct QueryService<M: CostModel + Sync> {
     cache: PlanCache<Arc<CacheEntry>>,
     drift: DriftDetector,
     config: ServeConfig,
-    recalibrator: Recalibrator,
+    /// Present when the service resamples (see the module docs).
+    sampler: Option<Sampler>,
     stats: OptStats,
     /// Fault strikes per fingerprint encoding.
     breaker: Breaker<Vec<u8>>,
@@ -555,7 +561,9 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// Builds a service: generates the simulated data from `truth` and
     /// starts with an empty cache and quiet drift windows. A configuration
     /// that cannot serve — no scenario, an empty cache, a blend outside
-    /// `(0, 1]`, or a selection rule [`lec_rules::certify`] rejects — is
+    /// `(0, 1]`, a NaN drift threshold or re-optimization cost, a
+    /// selection rule [`lec_rules::certify`] rejects, or a resample config
+    /// without draws, buckets or a `delta` in `(0, 1)` — is
     /// [`ServeError::Config`].
     pub fn new(
         model: M,
@@ -573,14 +581,17 @@ impl<M: CostModel + Sync> QueryService<M> {
                 "cache capacity and shard count must be positive".into(),
             ));
         }
-        if !(config.drift.blend.is_finite()
-            && config.drift.blend > 0.0
-            && config.drift.blend <= 1.0)
-        {
+        if !(config.drift.blend > 0.0 && config.drift.blend <= 1.0) {
             return Err(ServeError::Config(format!(
                 "drift blend {} outside (0, 1]",
                 config.drift.blend
             )));
+        }
+        // NaN fails every comparison: each window would fire, no EVPI re-optimize.
+        if config.drift.error_threshold.is_nan() || config.reoptimize_cost.is_nan() {
+            return Err(ServeError::Config(
+                "drift error threshold and re-optimization cost must not be NaN".into(),
+            ));
         }
         // The rule is fixed for the service's lifetime, so it is certified
         // once here; every pick then only validates it.
@@ -590,7 +601,7 @@ impl<M: CostModel + Sync> QueryService<M> {
                 config.selection_rule.name()
             ))
         })?;
-        let recalibrator = Recalibrator::new(config.resample, config.drift.blend)?;
+        let sampler = config.resample.map(Sampler::new).transpose()?;
         let (disk, rels) = generate_tables(&truth, config.exec_seed);
         Ok(QueryService {
             disk,
@@ -602,7 +613,7 @@ impl<M: CostModel + Sync> QueryService<M> {
             beliefs,
             truth,
             config,
-            recalibrator,
+            sampler,
             stats: OptStats::new("serve", 0),
             breaker: Breaker::default(),
             shard_breaker: Breaker::default(),
@@ -693,25 +704,29 @@ impl<M: CostModel + Sync> QueryService<M> {
         let prepared = self.prepare(request, prepared)?;
         let (query, canon) = (&prepared.query, &prepared.canon);
         let (entry, cache_hit) = self.plan(&prepared, primer)?;
-        let choice = entry.plans.pick_with_rule(
-            &canon.query,
-            &self.model,
-            &self.config.observed_memory,
-            &self.config.selection_rule,
-        )?;
+        let mut ranked = entry
+            .plans
+            .ranked(
+                &canon.query,
+                &self.model,
+                &self.config.observed_memory,
+                &self.config.selection_rule,
+            )?
+            .into_iter();
+        let best = ranked.next().ok_or(CoreError::NoPlanFound)?;
         let primary = LadderRung {
-            plan: canon.plan_to_original(&choice.plan),
-            expected_cost: choice.expected_cost,
-            scenario: choice.scenario,
+            plan: canon.plan_to_original(best.plan),
+            expected_cost: best.expected_cost,
+            scenario: best.scenario,
             route: ServeRoute::Primary,
         };
         verify(&primary, query, "served expected cost")?;
-        let executed = self.execute_ladder(ordinal, request, &prepared, &entry, primary)?;
+        let executed = self.execute_ladder(ordinal, request, &prepared, primary, ranked)?;
         // Certify against the intervals the plan was served under, before
         // this serve's own feedback can resample them. A breaker reroute
         // is already degraded and makes no certificate claim.
-        let certificate = match &mut self.recalibrator {
-            Recalibrator::Resample(s) if !executed.resilience.breaker_tripped => {
+        let certificate = match &mut self.sampler {
+            Some(s) if !executed.resilience.breaker_tripped => {
                 let intervals = s.interval_box(&self.beliefs, &self.truth, request, query)?;
                 let memory = MemoryModel::Static(self.config.observed_memory.clone());
                 let plan = &executed.rung.plan;
@@ -832,19 +847,19 @@ impl<M: CostModel + Sync> QueryService<M> {
 
     /// The execute stage: the fallback ladder. Attempt 0 runs `first` (the
     /// primary pick, or the LSC rung after a breaker trip); attempt k runs
-    /// fallback rung k-1 (next-best frontier plans by rule order, then the
-    /// LSC baseline, clamped at the last rung). The final allowed attempt
-    /// always executes with an empty schedule, so under injection every
-    /// request is served — degraded or retried, never errored out. A
+    /// fallback rung k-1 (the pick's `rest` of candidates in rule order,
+    /// then the LSC baseline, clamped at the last rung). The final allowed
+    /// attempt always executes with an empty schedule, so under injection
+    /// every request is served — degraded or retried, never errored out. A
     /// tripped serve gets exactly one attempt. Fallback rungs are built
-    /// lazily: a fault-free serve never prices or verifies them.
+    /// lazily: a fault-free serve never ranks, remaps or verifies them.
     fn execute_ladder(
         &mut self,
         ordinal: u64,
         request: &QueryRequest,
         prepared: &PreparedRequest,
-        entry: &CacheEntry,
         primary: LadderRung,
+        mut rest: std::vec::IntoIter<Candidate<'_>>,
     ) -> Result<Executed, ServeError> {
         let canon = &prepared.canon;
         let fp_key = canon.fingerprint.encoding();
@@ -862,7 +877,7 @@ impl<M: CostModel + Sync> QueryService<M> {
         let mut faults_seen = Vec::new();
         for attempt in 0..max_attempts {
             if attempt == 1 {
-                let fallbacks = self.fallback_rungs(prepared, entry, primary_scenario)?;
+                let fallbacks = self.fallback_rungs(prepared, rest.by_ref(), primary_scenario)?;
                 rungs.extend(fallbacks);
             }
             let idx = (attempt as usize).min(rungs.len() - 1);
@@ -913,62 +928,24 @@ impl<M: CostModel + Sync> QueryService<M> {
         ))
     }
 
-    /// Prices the fallback rungs for one request: the entry's distinct
-    /// scenario plans other than the primary pick, re-cost under the
-    /// observed memory distribution and ordered by the configured selection
-    /// rule (for the default LEC rule, expected cost ascending; for robust
-    /// rules, their joint rule score — ties broken by scenario index either
-    /// way), followed by the LSC baseline as the last resort. The LSC rung
-    /// reports the primary's scenario (it belongs to none).
-    fn fallback_rungs(
+    /// The fallback rungs: the pick's other candidates, ranked among
+    /// themselves by the configured rule (minmax regret scores them against
+    /// each other, not the primary), then the LSC baseline as the last
+    /// resort, which reports the primary's scenario (it belongs to none).
+    fn fallback_rungs<'a>(
         &self,
         prepared: &PreparedRequest,
-        entry: &CacheEntry,
+        rest: impl Iterator<Item = Candidate<'a>>,
         primary_scenario: usize,
     ) -> Result<Vec<LadderRung>, ServeError> {
-        let canon = &prepared.canon;
-        let phases = self.observed_phases(canon)?;
-        let scenarios = entry.plans.scenarios();
-        let primary = scenarios.get(primary_scenario).map(|(_, opt)| &opt.plan);
-        let mut priced: Vec<(Plan, f64, usize)> = Vec::new();
-        for (idx, (_, opt)) in scenarios.iter().enumerate() {
-            if Some(&opt.plan) == primary || priced.iter().any(|(p, _, _)| *p == opt.plan) {
-                continue;
-            }
-            let cost = expected_cost(&canon.query, &self.model, &opt.plan, &phases);
-            priced.push((opt.plan.clone(), cost, idx));
-        }
-        // The default rule orders by expected cost; robust rules by their
-        // own (joint) score, so a fallback under minmax regret walks the
-        // *regret* frontier. Rung expected costs still report expected
-        // cost — the comparable currency across routes.
-        let keys: Vec<f64> = if matches!(self.config.selection_rule, Rule::LeastExpectedCost) {
-            priced.iter().map(|(_, cost, _)| *cost).collect()
-        } else {
-            let observed = &self.config.observed_memory;
-            let profiles: Vec<Vec<f64>> = priced
-                .iter()
-                .map(|(p, _, _)| {
-                    let values = observed.values();
-                    lec_core::evaluate::cost_profile(&canon.query, &self.model, p, values)
-                })
-                .collect();
-            let rule = &self.config.selection_rule;
-            rule.scores(&profiles, observed.probs())
-        };
-        let mut order: Vec<usize> = (0..priced.len()).collect();
-        order.sort_by(|&a, &b| {
-            keys[a]
-                .total_cmp(&keys[b])
-                .then(priced[a].2.cmp(&priced[b].2))
-        });
-        let mut rungs = Vec::with_capacity(priced.len() + 1);
-        for (rank, i) in order.into_iter().enumerate() {
-            let (cplan, cost, scenario) = &priced[i];
+        let probs = self.config.observed_memory.probs();
+        let ranked = rank(rest.collect(), &self.config.selection_rule, probs);
+        let mut rungs = Vec::with_capacity(ranked.len() + 1);
+        for (rank, candidate) in ranked.into_iter().enumerate() {
             let rung = LadderRung {
-                plan: canon.plan_to_original(cplan),
-                expected_cost: *cost,
-                scenario: *scenario,
+                plan: prepared.canon.plan_to_original(candidate.plan),
+                expected_cost: candidate.expected_cost,
+                scenario: candidate.scenario,
                 route: ServeRoute::Frontier { rank },
             };
             verify(&rung, &prepared.query, "fallback expected cost")?;
@@ -989,21 +966,17 @@ impl<M: CostModel + Sync> QueryService<M> {
         let canon = &prepared.canon;
         let mean = self.config.observed_memory.mean();
         let (optimized, _) = lsc::optimize_at(&canon.query, &self.model, mean)?;
-        let phases = self.observed_phases(canon)?;
+        let observed = &self.config.observed_memory;
+        let (_, expected_cost) =
+            profile_and_expected_cost(&canon.query, &self.model, &optimized.plan, observed);
         let rung = LadderRung {
-            expected_cost: expected_cost(&canon.query, &self.model, &optimized.plan, &phases),
+            expected_cost,
             plan: canon.plan_to_original(&optimized.plan),
             scenario,
             route: ServeRoute::LscBaseline,
         };
         verify(&rung, &prepared.query, "lsc baseline expected cost")?;
         Ok(rung)
-    }
-
-    /// The observed memory distribution as a per-phase table for `canon`.
-    fn observed_phases(&self, canon: &Canonical) -> Result<lec_core::PhaseDists, ServeError> {
-        Ok(MemoryModel::Static(self.config.observed_memory.clone())
-            .table(canon.query.n().max(2))?)
     }
 
     /// Executes `plan` over the generated data, realizing the *truth*
@@ -1119,8 +1092,9 @@ impl<M: CostModel + Sync> QueryService<M> {
         // here on — also if the update below fails halfway.
         self.beliefs_version += 1;
         self.memo.slots.clear();
-        self.recalibrator
-            .apply(&mut self.beliefs, &self.truth, request, &event)?;
+        let blend = self.config.drift.blend;
+        let (beliefs, truth) = (&mut self.beliefs, &self.truth);
+        update_beliefs(&mut self.sampler, blend, beliefs, truth, request, &event)?;
         self.recalibrations += 1;
 
         // Every cached entry optimized under the stale statistic is pulled.
@@ -1245,7 +1219,7 @@ impl<M: CostModel + Sync> QueryService<M> {
             if lec_plan::verify_plan(&plan, &canon.query).is_err() {
                 return Ok(false);
             }
-            // The carried cost is stale by design: `pick` re-costs, never
+            // The carried cost is stale by design: the pick re-costs, never
             // reads it.
             let cost = opt.cost;
             scenarios.push((dist.clone(), lec_core::Optimized { plan, cost }));
@@ -1342,19 +1316,13 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// Drift-triggered resampling rounds performed so far (always zero
     /// with [`ServeConfig::resample`] off or on a drift-quiet stream).
     pub fn resamples(&self) -> u64 {
-        match &self.recalibrator {
-            Recalibrator::Blend(_) => 0,
-            Recalibrator::Resample(s) => s.resamples,
-        }
+        self.sampler.as_ref().map_or(0, |s| s.resamples)
     }
 
     /// The cached confidence interval for one statistic, if it has been
     /// sampled (row-domain for joins).
     pub fn stat_interval(&self, target: &DriftTarget) -> Option<StatInterval> {
-        match &self.recalibrator {
-            Recalibrator::Blend(_) => None,
-            Recalibrator::Resample(s) => s.intervals.get(target).copied(),
-        }
+        self.sampler.as_ref()?.intervals.get(target).copied()
     }
 }
 
@@ -1425,6 +1393,104 @@ mod tests {
             Distribution::new([(8.0, 0.5), (48.0, 0.5)]).unwrap(),
         );
         QueryService::new(PaperCostModel, catalog(), catalog(), config).unwrap()
+    }
+
+    #[test]
+    fn construction_refuses_every_config_that_cannot_serve() {
+        fn resample(edit: fn(&mut ResampleConfig)) -> Option<ResampleConfig> {
+            let mut rc = ResampleConfig::default();
+            edit(&mut rc);
+            Some(rc)
+        }
+        type Edit = fn(&mut ServeConfig);
+        let refusals: [(&str, Edit); 15] = [
+            ("no scenario", |c| c.scenarios.clear()),
+            ("no cache capacity", |c| c.cache_capacity = 0),
+            ("no cache shards", |c| c.cache_shards = 0),
+            ("zero blend", |c| c.drift.blend = 0.0),
+            ("blend above 1", |c| c.drift.blend = 1.5),
+            ("NaN blend", |c| c.drift.blend = f64::NAN),
+            ("NaN drift threshold", |c| {
+                c.drift.error_threshold = f64::NAN
+            }),
+            ("NaN re-optimization cost", |c| c.reoptimize_cost = f64::NAN),
+            ("invalid rule", |c| {
+                c.selection_rule = Rule::TailRisk(lec_rules::TailRisk { alpha: 1.5 })
+            }),
+            ("no draws", |c| c.resample = resample(|r| r.draws = 0)),
+            ("no initial draws", |c| {
+                c.resample = resample(|r| r.initial_draws = 0)
+            }),
+            ("no buckets", |c| c.resample = resample(|r| r.buckets = 0)),
+            ("zero delta", |c| c.resample = resample(|r| r.delta = 0.0)),
+            ("delta of 1", |c| c.resample = resample(|r| r.delta = 1.0)),
+            ("NaN delta", |c| {
+                c.resample = resample(|r| r.delta = f64::NAN)
+            }),
+        ];
+        let build = |edit: Edit| {
+            let mut config = service().config;
+            edit(&mut config);
+            QueryService::new(PaperCostModel, catalog(), catalog(), config)
+        };
+        for (what, edit) in refusals {
+            assert!(
+                matches!(build(edit), Err(ServeError::Config(_))),
+                "{what} was not refused"
+            );
+        }
+        // Infinite thresholds mean "never" and stay legal.
+        let never: Edit = |c| {
+            c.drift.error_threshold = f64::INFINITY;
+            c.reoptimize_cost = f64::INFINITY;
+            c.resample = Some(ResampleConfig::default());
+        };
+        assert!(build(never).is_ok());
+    }
+
+    #[test]
+    fn the_ladder_reranks_the_remaining_candidates_among_themselves() {
+        let mut svc = service();
+        svc.config.selection_rule = Rule::MinmaxRegret;
+        let prepared = svc.prepare(&request(25.0), None).unwrap();
+        let key = prepared.canon.query.predicates()[0].key;
+        let plans: Vec<Plan> = lec_cost::JoinMethod::ALL
+            .iter()
+            .map(|&m| Plan::join(Plan::scan(0), Plan::scan(1), m, Some(key)))
+            .collect();
+        // Among all three, regrets against the per-scenario optimum (0, 0)
+        // rank C (2), A (4), B (5); C held the optimum in the second
+        // scenario, so among A and B alone the optimum is (0, 4) and B
+        // (regret 1) beats A (regret 3).
+        let candidate = |scenario: usize, profile: [f64; 2]| Candidate {
+            scenario,
+            plan: &plans[scenario],
+            profile: profile.to_vec(),
+            expected_cost: 10.0,
+            score: f64::NAN,
+        };
+        let all = vec![
+            candidate(0, [3.0, 4.0]),
+            candidate(1, [0.0, 5.0]),
+            candidate(2, [2.0, 0.0]),
+        ];
+        let probs = svc.config.observed_memory.probs();
+        let ranked = rank(all, &svc.config.selection_rule, probs);
+        let order: Vec<usize> = ranked.iter().map(|c| c.scenario).collect();
+        assert_eq!(order, [2, 0, 1]);
+        let rungs = svc
+            .fallback_rungs(&prepared, ranked.into_iter().skip(1), 2)
+            .unwrap();
+        let routes: Vec<(usize, ServeRoute)> =
+            rungs.iter().map(|r| (r.scenario, r.route)).collect();
+        assert_eq!(
+            routes,
+            [
+                (1, ServeRoute::Frontier { rank: 0 }),
+                (0, ServeRoute::Frontier { rank: 1 }),
+                (2, ServeRoute::LscBaseline),
+            ]
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Serving-layer properties of the configurable selection rule.
 //!
 //! 1. **Default ≡ explicit LEC, bit for bit**: `ServeConfig::new` defaults
-//!    `selection_rule` to [`Rule::LeastExpectedCost`], which dispatches to
-//!    the pre-rules pick path — a full drift + fault stream served under
-//!    the default must be indistinguishable (plans, cost bits, scenarios,
-//!    counters, routes) from one served under the explicit LEC rule.
+//!    `selection_rule` to [`Rule::LeastExpectedCost`], which ranks the
+//!    stored plans through the same pick and ladder as every rule — a full
+//!    drift + fault stream served under the default must be
+//!    indistinguishable (plans, cost bits, scenarios, counters, routes)
+//!    from one served under the explicit LEC rule.
 //! 2. **Every rule serves the full loop**: under belief-miscalibrated
 //!    catalogs with fault injection on, every shipped rule serves every
 //!    request, fires the drift detector, and recalibrates — robustness

@@ -13,6 +13,7 @@
 use lecopt::core::parametric::ParametricPlans;
 use lecopt::core::{alg_c, MemoryModel};
 use lecopt::cost::PaperCostModel;
+use lecopt::rules::Rule;
 use lecopt::stats::Distribution;
 use lecopt::workload::{envs, queries};
 
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Start-up, day 1: the compile-time belief holds.
     let day1 = envs::example_1_1_memory();
-    let pick = set.pick(&query, &model, &day1)?;
+    let pick = set.pick_with_rule(&query, &model, &day1, &Rule::LeastExpectedCost)?;
     println!(
         "day 1 (compile-time belief): scenario #{}, E[cost] {:.0}",
         pick.scenario, pick.expected_cost
@@ -39,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Start-up, day 2: monitoring says the system is busy — condition the
     // belief on "memory below 1000 pages" and re-pick.
     let day2 = day1.condition(|m| m < 1000.0)?;
-    let pick2 = set.pick(&query, &model, &day2)?;
+    let pick2 = set.pick_with_rule(&query, &model, &day2, &Rule::LeastExpectedCost)?;
     println!(
         "day 2 (observed busy, belief sharpened to <1000 pages): scenario #{}, E[cost] {:.0}",
         pick2.scenario, pick2.expected_cost
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // How much did start-up picking give up vs a full re-optimization?
     for (name, observed) in [("day 1", day1), ("day 2", day2)] {
         let fresh = alg_c::optimize(&query, &model, &MemoryModel::Static(observed.clone()))?.0;
-        let choice = set.pick(&query, &model, &observed)?;
+        let choice = set.pick_with_rule(&query, &model, &observed, &Rule::LeastExpectedCost)?;
         println!(
             "{name}: parametric pick {:.0} vs fresh optimization {:.0} (regret {:.3}x)",
             choice.expected_cost,
