@@ -140,7 +140,8 @@ perfbench-replay:
 	done
 
 # Full local CI gate: formatting, clippy, the lec-lint pass and its audit
-# markers in results/LINT.json, rustdoc with warnings denied (no doc link
+# markers in results/LINT.json (panic-free root groups, and no
+# concurrency-determinism finding even under a pragma), rustdoc with warnings denied (no doc link
 # may point at a missing or private item), the whole test suite (one
 # `cargo test --workspace` runs the unit, integration and doc-tests), one
 # untimed pass of every Criterion bench, the X19/X20 runs that must leave
@@ -158,6 +159,7 @@ ci:
 	grep -q '"optimize_roots": 0' results/LINT.json
 	grep -q '"sample_roots": 0' results/LINT.json
 	grep -q '"certify_roots": 0' results/LINT.json
+	grep -q '"concurrency_determinism": {"violations": 0, "allowed": 0}' results/LINT.json
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 	cargo test -q --workspace
 	$(MAKE) bench-smoke

@@ -12,10 +12,16 @@
 //!   type. A qualifier matching *nothing* in the workspace (`String`, `fs`,
 //!   `thread`) is external and produces no edge — this is what keeps
 //!   `String::new()` from aliasing every workspace `new`.
-//! - `.name(…)` method calls resolve to **every** workspace method of that
-//!   name (any impl type) — the trait-dispatch over-approximation: a
-//!   `dyn Rule::score(…)` call reaches every `score` method.
-//! - Bare `name(…)` calls resolve to every workspace function of that name.
+//! - `.name(…)` method calls resolve to **every** trait-impl method of that
+//!   name, in any crate — the trait-dispatch over-approximation: a
+//!   `dyn Rule::score(…)` call reaches every `score` impl, including impls
+//!   in crates downstream of the caller — and to every inherent method of
+//!   that name the caller's crate can name (next item).
+//! - Bare `name(…)` calls resolve to every workspace function of that name
+//!   *that the caller's crate can name*: its own crate and its dependency
+//!   closure, read from the packages' `Cargo.toml` `[dependencies]` (plus
+//!   `[dev-dependencies]` for test code). A crate with no manifest in view
+//!   can name the whole workspace.
 //!
 //! The over-approximation is sound in the direction reachability passes
 //! need: a panic can be reported reachable when it is not, never missed
@@ -24,6 +30,7 @@
 //! production reachability.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::path::Path;
 
 use crate::items::{self, FileItems, FnItem};
 use crate::lexer::{self, FileLex};
@@ -81,9 +88,69 @@ pub struct Workspace {
     impl_types: BTreeSet<String>,
 }
 
+/// The crates each crate can name, itself included: `(library code, test
+/// code)` closures over the manifests' dependency tables, keyed by crate
+/// identifier.
+type Closures = BTreeMap<String, (BTreeSet<String>, BTreeSet<String>)>;
+
+/// The `[dependencies]` and `[dev-dependencies]` of every manifest, as
+/// crate identifiers (`lec-core` → `lec_core`), keyed by the crate
+/// identifier of the manifest's package. Packages that share an identifier
+/// (the root package and `perfbench`) are merged.
+fn dependency_closures(manifests: &[(String, String)]) -> Closures {
+    let mut direct: BTreeMap<String, [BTreeSet<String>; 2]> = BTreeMap::new();
+    for (path, text) in manifests {
+        let dir = Path::new(path)
+            .parent()
+            .and_then(Path::to_str)
+            .unwrap_or("");
+        let src = if dir.is_empty() {
+            "src/lib.rs".to_string()
+        } else {
+            format!("{dir}/src/lib.rs")
+        };
+        let deps = direct.entry(items::crate_ident_of(&src)).or_default();
+        let mut table = None;
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                table = match line {
+                    "[dependencies]" => Some(0),
+                    "[dev-dependencies]" => Some(1),
+                    _ => None,
+                };
+            } else if let (Some(t), Some(name)) = (table, line.split(['=', '.']).next()) {
+                let name = name.trim();
+                if !name.is_empty() && !name.starts_with('#') {
+                    deps[t].insert(name.replace('-', "_"));
+                }
+            }
+        }
+    }
+    let closure = |start: &BTreeSet<String>, own: &str| {
+        let mut seen: BTreeSet<String> = BTreeSet::from([own.to_string()]);
+        let mut queue: Vec<&String> = start.iter().collect();
+        while let Some(name) = queue.pop() {
+            if seen.insert(name.clone()) {
+                queue.extend(direct.get(name).into_iter().flat_map(|d| &d[0]));
+            }
+        }
+        seen
+    };
+    direct
+        .iter()
+        .map(|(name, [deps, dev])| {
+            let lib = closure(deps, name);
+            let test = closure(&deps.union(dev).cloned().collect(), name);
+            (name.clone(), (lib, test))
+        })
+        .collect()
+}
+
 impl Workspace {
-    /// Build the workspace from `(relative_path, source_text)` pairs.
-    pub fn build(sources: &[(String, String)]) -> Workspace {
+    /// Build the workspace from `(relative_path, source_text)` pairs and
+    /// the `(relative_path, text)` of the packages' `Cargo.toml` manifests,
+    /// which bound bare-call resolution (see the module docs).
+    pub fn build(sources: &[(String, String)], manifests: &[(String, String)]) -> Workspace {
         let mut files = Vec::with_capacity(sources.len());
         for (rel, text) in sources {
             let lex = lexer::lex(text);
@@ -120,6 +187,7 @@ impl Workspace {
             }
         }
 
+        let closures = dependency_closures(manifests);
         let resolver = Resolver {
             files: &files,
             fns: &fns,
@@ -127,6 +195,7 @@ impl Workspace {
             crate_idents: &crate_idents,
             module_names: &module_names,
             impl_types: &impl_types,
+            closures: &closures,
         };
         let edges: Vec<Vec<(usize, usize)>> =
             (0..fns.len()).map(|id| resolver.edges_of(id)).collect();
@@ -270,6 +339,7 @@ struct Resolver<'a> {
     crate_idents: &'a BTreeSet<String>,
     module_names: &'a BTreeSet<String>,
     impl_types: &'a BTreeSet<String>,
+    closures: &'a Closures,
 }
 
 impl Resolver<'_> {
@@ -287,8 +357,9 @@ impl Resolver<'_> {
         let caller_file = &self.files[loc.file];
         let caller = &caller_file.items.fns[loc.item];
         let mut out: Vec<(usize, usize)> = Vec::new();
+        let test_code = caller_file.file_is_test || caller.is_test;
         for call in &caller.calls {
-            for callee in self.resolve_call(&caller_file.items, caller, call) {
+            for callee in self.resolve_call(&caller_file.items, caller, test_code, call) {
                 if callee != id {
                     out.push((callee, call.line));
                 }
@@ -299,7 +370,13 @@ impl Resolver<'_> {
         out
     }
 
-    fn resolve_call(&self, file: &FileItems, caller: &FnItem, call: &items::Call) -> Vec<usize> {
+    fn resolve_call(
+        &self,
+        file: &FileItems,
+        caller: &FnItem,
+        test_code: bool,
+        call: &items::Call,
+    ) -> Vec<usize> {
         let Some(cands) = self.by_name.get(call.name.as_str()) else {
             return Vec::new();
         };
@@ -332,12 +409,28 @@ impl Resolver<'_> {
                 // Unknown qualifier: external item (std, core, …); no edge.
                 Vec::new()
             }
-            None if call.is_method => {
-                // Trait-dispatch over-approximation: any method of the name.
-                keep(&|id| self.item(id).impl_type.is_some())
-            }
-            None => cands.clone(),
+            // Trait dispatch can reach a trait impl of the name in any
+            // crate, downstream ones included; an inherent method needs a
+            // receiver type the caller's crate can name.
+            None if call.is_method => keep(&|id| {
+                let f = self.item(id);
+                f.impl_type.is_some()
+                    && (f.trait_name.is_some() || self.visible(file, test_code, id))
+            }),
+            None => keep(&|id| self.visible(file, test_code, id)),
         }
+    }
+
+    /// True when `id` lives in a crate the caller's crate (`file`'s) can
+    /// name: itself or its dependency closure, dev-dependencies included
+    /// for test code. Everything is visible to a crate without a manifest.
+    fn visible(&self, file: &FileItems, test_code: bool, id: usize) -> bool {
+        self.closures
+            .get(&file.crate_ident)
+            .is_none_or(|(lib, test)| {
+                let names = if test_code { test } else { lib };
+                names.contains(&self.file_items(id).crate_ident)
+            })
     }
 
     /// Resolve a scope name against crates, then modules, then impl types.
@@ -382,7 +475,7 @@ mod tests {
             .iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect();
-        Workspace::build(&sources)
+        Workspace::build(&sources, &[])
     }
 
     fn id_of(ws: &Workspace, name: &str) -> usize {
@@ -507,5 +600,96 @@ mod tests {
         let ping = id_of(&w, "ping");
         let reach = w.reachable_from(&[ping]);
         assert_eq!(reach.len(), 2);
+    }
+
+    #[test]
+    fn bare_calls_resolve_within_the_dependency_closure() {
+        // lec-exec depends on lec-core; both define `walk`. lec-core's bare
+        // `walk()` cannot name lec-exec's, lec-exec's may name either, and
+        // lec-core's tests, which dev-depend on lec-exec, may too.
+        let sources: Vec<(String, String)> = [
+            (
+                "crates/core/src/dp.rs",
+                "pub fn walk() {}\nfn core_top() { walk(); }\n",
+            ),
+            (
+                "crates/exec/src/executor.rs",
+                "pub fn walk() {}\nfn exec_top() { walk(); }\n",
+            ),
+            ("crates/core/tests/t.rs", "fn test_top() { walk(); }\n"),
+        ]
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+        let manifests: Vec<(String, String)> = [
+            (
+                "crates/core/Cargo.toml",
+                "[package]\nname = \"lec-core\"\n\n[dependencies]\n# none\n\n\
+                 [dev-dependencies]\nlec-exec.workspace = true\n",
+            ),
+            (
+                "crates/exec/Cargo.toml",
+                "[dependencies]\nlec-core = { path = \"../core\" }\n\n[lints]\nworkspace = true\n",
+            ),
+        ]
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+        let w = Workspace::build(&sources, &manifests);
+        let walks: Vec<usize> = (0..w.fns.len())
+            .filter(|&id| w.item(id).name == "walk")
+            .collect();
+        let crate_of = |id: usize| w.files[w.fns[id].file].items.crate_ident.clone();
+        let targets = |caller: &str| -> Vec<String> {
+            w.edges[id_of(&w, caller)]
+                .iter()
+                .map(|&(callee, _)| crate_of(callee))
+                .collect()
+        };
+        assert_eq!(walks.len(), 2);
+        assert_eq!(targets("core_top"), ["lec_core"]);
+        assert_eq!(targets("exec_top"), ["lec_core", "lec_exec"]);
+        assert_eq!(targets("test_top"), ["lec_core", "lec_exec"]);
+
+        // Without manifests every crate is in view.
+        let unbounded = Workspace::build(&sources, &[]);
+        let core_top = id_of(&unbounded, "core_top");
+        assert_eq!(unbounded.edges[core_top].len(), 2);
+    }
+
+    #[test]
+    fn inherent_methods_need_a_nameable_receiver_trait_impls_do_not() {
+        // lec-core cannot name lec-exec's `Writer`, so `w.push()` cannot
+        // reach its inherent `push`; a `Render` impl in lec-exec is still
+        // reachable through trait dispatch.
+        let sources: Vec<(String, String)> = [
+            (
+                "crates/core/src/a.rs",
+                "fn core_top() { w.push(); p.render(); }\n",
+            ),
+            (
+                "crates/exec/src/b.rs",
+                "impl Writer { fn push(&self) {} }\nimpl Render for Page { fn render(&self) {} }\n",
+            ),
+        ]
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+        let manifests = vec![
+            (
+                "crates/core/Cargo.toml".to_string(),
+                "[dependencies]\n".to_string(),
+            ),
+            (
+                "crates/exec/Cargo.toml".to_string(),
+                "[dependencies]\nlec-core.workspace = true\n".to_string(),
+            ),
+        ];
+        let w = Workspace::build(&sources, &manifests);
+        let callees: Vec<&str> = w.edges[id_of(&w, "core_top")]
+            .iter()
+            .map(|&(callee, _)| w.item(callee).name.as_str())
+            .collect();
+        assert_eq!(callees, ["render"]);
     }
 }

@@ -100,6 +100,20 @@ const SKIP_DIRS: [&str; 4] = ["target", ".git", "results", "crates/analyze/tests
 /// Collect every `.rs` file under `root`, sorted, as workspace-relative
 /// forward-slash paths. Deterministic regardless of filesystem order.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {
+    collect_files(root, |rel| rel.ends_with(".rs"))
+}
+
+/// Collect every package manifest (`Cargo.toml`) under `root`, sorted, as
+/// workspace-relative paths.
+pub fn collect_manifests(root: &Path) -> std::io::Result<Vec<String>> {
+    collect_files(root, |rel| {
+        rel == "Cargo.toml" || rel.ends_with("/Cargo.toml")
+    })
+}
+
+/// Every file under `root` whose workspace-relative path satisfies `keep`,
+/// sorted, skipping [`SKIP_DIRS`].
+fn collect_files(root: &Path, keep: fn(&str) -> bool) -> std::io::Result<Vec<String>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -117,7 +131,7 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {
                     continue;
                 }
                 stack.push(path);
-            } else if rel.ends_with(".rs") {
+            } else if keep(&rel) {
                 out.push(rel);
             }
         }
@@ -164,7 +178,13 @@ pub fn run(opts: &RunOptions) -> Result<Report, String> {
     // Call-graph audit passes (panic-reachability, concurrency-determinism,
     // float-order, invariant conformance) over the same source set.
     let audit_summary = if opts.audit {
-        let ws = callgraph::Workspace::build(&sources);
+        let mut manifests = Vec::new();
+        for rel in collect_manifests(&opts.root).map_err(|e| format!("scan failed: {e}"))? {
+            let text = std::fs::read_to_string(opts.root.join(&rel))
+                .map_err(|e| format!("read {rel}: {e}"))?;
+            manifests.push((rel, text));
+        }
+        let ws = callgraph::Workspace::build(&sources, &manifests);
         let outcome = audit::run_audit(&ws, &ratchet);
         diagnostics.extend(outcome.diagnostics);
         Some(outcome.summary)

@@ -14,7 +14,7 @@ fn ws(files: &[(&str, &str)]) -> Workspace {
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    Workspace::build(&sources)
+    Workspace::build(&sources, &[])
 }
 
 fn violations<'a>(diags: &'a [Diagnostic], rule: &str) -> Vec<&'a Diagnostic> {
@@ -303,7 +303,7 @@ fn every_enumerator_module_contributes_an_optimize_root() {
             (rel, text)
         })
         .collect();
-    let w = Workspace::build(&sources);
+    let w = Workspace::build(&sources, &[]);
     let roots = w.find_fns(lec_analyze::audit::panic::is_optimize_root);
     for module in [
         "alg_a",
@@ -332,5 +332,42 @@ fn every_enumerator_module_contributes_an_optimize_root() {
             names.iter().any(|n| n.ends_with(want)),
             "no `{want}` root in {names:?}"
         );
+    }
+}
+
+/// The real workspace's call graph resolves bare calls within each crate's
+/// Cargo dependency closure: lec-core does not depend on lec-exec, so no
+/// lec-core function may have an edge into it (lec-exec's executor `walk`
+/// once shadowed lec-core's own `walk` helpers).
+#[test]
+fn real_workspace_core_has_no_edge_into_exec() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..");
+    let read = |paths: Vec<String>| -> Vec<(String, String)> {
+        paths
+            .into_iter()
+            .map(|rel| {
+                let text = std::fs::read_to_string(root.join(&rel)).expect("read file");
+                (rel, text)
+            })
+            .collect()
+    };
+    let sources = read(lec_analyze::collect_sources(&root).expect("scan sources"));
+    let manifests = read(lec_analyze::collect_manifests(&root).expect("scan manifests"));
+    let w = Workspace::build(&sources, &manifests);
+    let core = w.find_fns(|path, _| path.starts_with("crates/core/src"));
+    assert!(!core.is_empty());
+    for caller in core {
+        for &(callee, line) in &w.edges[caller] {
+            assert!(
+                !w.path_of(callee).starts_with("crates/exec/"),
+                "{} ({}:{}) calls into lec-exec: {}",
+                w.qualified_name(caller),
+                w.path_of(caller),
+                line + 1,
+                w.qualified_name(callee)
+            );
+        }
     }
 }

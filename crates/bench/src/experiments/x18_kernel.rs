@@ -19,8 +19,8 @@
 //! X18), so parallelism lives only across independent queries.
 //!
 //! The run **self-asserts** before writing: the serial median at
-//! `n = 13` must not regress below the recorded baseline
-//! (`serial_speedup ≥ 1.0`), and the shared precompute must be no slower
+//! `n = 13` must stay at least 10× faster than the recorded pre-kernel
+//! baseline (`serial_speedup ≥ 10.0`), and the shared precompute must be no slower
 //! than the scenarios run one by one and return their plans and cost bits,
 //! so a regression panics `make kernel-smoke` rather than being silently
 //! written to the artifact. Debug builds (e.g.
@@ -55,15 +55,21 @@ const SPEEDUP_N: usize = 13;
 /// serial median against this number.
 const BASELINE_SERIAL_NS: u128 = 6_626_720;
 
-/// The serial path must never regress below the pre-kernel baseline: the
-/// run panics (failing `make kernel-smoke`) instead of silently writing a
-/// sub-1.0 serial speedup into the artifact. A committed artifact once
+/// The serial path must keep most of the kernel rewrite's gain over the
+/// pre-kernel baseline: the run panics (failing `make kernel-smoke`)
+/// instead of silently writing a serial speedup below the floor into the
+/// artifact. A committed artifact once
 /// recorded 0.1396 here — an unoptimized debug-build test run (~0.14× is
 /// exactly debug-vs-release for this kernel) that clobbered the release
 /// artifact, while the docs kept quoting the healthy number. Two guards
 /// make that class of artifact impossible to commit: this assertion, and
 /// `json_path` routing debug builds to a separate gitignored file.
-const MIN_SERIAL_SPEEDUP: f64 = 1.0;
+///
+/// The floor sits at 10×, not 1×: the kernel rewrite's committed row reads
+/// 25.19× (263,083 ns at n = 13), so a 1× floor only caught a 25× collapse.
+/// With the recorded ±30% run-to-run spread, 10× still leaves room for
+/// noise; only a slowdown of 2.5× or more against that row trips it.
+const MIN_SERIAL_SPEEDUP: f64 = 10.0;
 
 /// Samples per median. High enough that a transient stall on a busy box
 /// cannot drag the median of an unchanged code path below its floor.
@@ -316,6 +322,6 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn serial_floor_is_not_loosened() {
-        assert!(MIN_SERIAL_SPEEDUP >= 1.0);
+        assert!(MIN_SERIAL_SPEEDUP >= 10.0);
     }
 }

@@ -6,7 +6,7 @@
 //! by **cache-shard affinity**: a router prepares each distinct request
 //! once (against an immutable beliefs snapshot; requests are identified by
 //! the same digest-and-confirm key as a service's prepare memo), the
-//! fingerprint picks a cache shard ([`shard_of`](crate::cache::shard_of)),
+//! fingerprint picks a cache shard ([`shard_of`]),
 //! and the shard picks the worker (`shard % workers`). Workers serve with
 //! the router's prepared forms while their beliefs are unchanged. Two
 //! requests can only race if they are isomorphic-or-co-sharded, and those
@@ -16,11 +16,13 @@
 //! Each worker owns a full [`QueryService`] (same seeds, same catalogs, so
 //! identical generated data) and processes its share of the stream in
 //! global-ordinal order, in **epochs** of `batch_window` consecutive
-//! ordinals: the worker first [primes](QueryService::prime_window) the
-//! epoch's misses — one optimizer run per distinct would-miss fingerprint,
-//! isomorphic repeats deduplicated — then serves each request through
-//! [`QueryService::serve_at`] with its *global* ordinal, so memory draws
-//! and fault schedules reproduce the sequential loop's exactly.
+//! ordinals: the worker first primes the epoch's misses — one optimizer
+//! run per distinct would-miss fingerprint, isomorphic repeats
+//! deduplicated — then serves each request at its *global* ordinal, so
+//! memory draws and fault schedules reproduce the sequential loop's
+//! exactly. Priming and serving at an ordinal are the service's
+//! crate-private batch-window protocol; [`ConcurrentServer::serve_stream`]
+//! and [`ConcurrentServer::serve_stream_collect`] are its only users.
 //!
 //! ### Determinism contract
 //!
@@ -42,9 +44,11 @@
 //!   points than the single-worker run; [`StreamOutcome`] reports the
 //!   recalibration count so callers can assert the quiet case.
 //!
-//! Workers share no mutable state at all, so no locks or barriers are
-//! involved; the only synchronization is the final join.
+//! Workers share no mutable state at all — each owns its service, and with
+//! it its plan cache, memo, breakers and counters — so no locks, atomics
+//! or barriers are involved; the only synchronization is the final join.
 
+use crate::cache::shard_of;
 use crate::error::ServeError;
 use crate::service::{PreparedRequest, QueryRequest, QueryService, ServeConfig, ServedQuery};
 use crate::ServeRoute;
@@ -124,9 +128,10 @@ struct WorkerRun {
     served: Vec<(usize, RequestOutcome, Option<ServedQuery>)>,
     dedup_saved: u64,
     windows: u64,
-    /// First failure, with the global ordinal it happened at.
-    error: Option<(usize, ServeError)>,
 }
+
+/// A worker's first failure, with the global ordinal it happened at.
+type WorkerError = (usize, ServeError);
 
 /// The multi-worker serving driver. See the module docs for the
 /// architecture and the determinism contract.
@@ -240,17 +245,19 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
                 }
             };
             routed.push(idx);
-            worklists[prepared[idx].shard(self.cache_shards) % workers].push(ordinal);
+            let shard = shard_of(&prepared[idx].canon.fingerprint, self.cache_shards);
+            worklists[shard % workers].push(ordinal);
         }
 
         // One worker's whole run: epoch by epoch, prime then serve. No
         // shared mutable state, so workers need no coordination at all.
-        let run_worker = |svc: &mut QueryService<M>, ordinals: &[usize]| -> WorkerRun {
+        let run_worker = |svc: &mut QueryService<M>,
+                          ordinals: &[usize]|
+         -> Result<WorkerRun, WorkerError> {
             let mut run = WorkerRun {
                 served: Vec::with_capacity(ordinals.len()),
                 dedup_saved: 0,
                 windows: 0,
-                error: None,
             };
             let mut pos = 0;
             while pos < ordinals.len() {
@@ -265,49 +272,38 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
                     .collect();
                 // lec-lint: allow(no-wallclock-or-ambient-rng) — observability-only wall time; feeds RequestOutcome::wall_ns, never a plan choice
                 let t = std::time::Instant::now();
-                let primer = match svc.prime_window(&batch) {
-                    Ok(primer) => primer,
-                    Err(e) => {
-                        run.error = Some((ordinals[pos], e));
-                        return run;
-                    }
-                };
+                let primer = svc.prime_window(&batch).map_err(|e| (ordinals[pos], e))?;
                 let prime_share = t.elapsed().as_nanos() as u64 / (end - pos) as u64;
                 run.dedup_saved += primer.dedup_saved;
                 run.windows += 1;
                 for &ordinal in &ordinals[pos..end] {
                     // lec-lint: allow(no-wallclock-or-ambient-rng) — observability-only wall time; feeds RequestOutcome::wall_ns, never a plan choice
                     let t = std::time::Instant::now();
-                    match svc.serve_at(
-                        ordinal as u64,
-                        &requests[ordinal],
-                        Some(&prepared[routed[ordinal]]),
-                        Some(&primer),
-                    ) {
-                        Ok(served) => {
-                            let outcome = RequestOutcome {
-                                wall_ns: t.elapsed().as_nanos() as u64 + prime_share,
-                                cache_hit: served.cache_hit,
-                                degraded: served.resilience.degraded,
-                                route: served.resilience.route,
-                                attempts: served.resilience.attempts,
-                                expected_cost: served.expected_cost,
-                            };
-                            run.served
-                                .push((ordinal, outcome, collect.then_some(served)));
-                        }
-                        Err(e) => {
-                            run.error = Some((ordinal, e));
-                            return run;
-                        }
-                    }
+                    let served = svc
+                        .serve_at(
+                            ordinal as u64,
+                            &requests[ordinal],
+                            Some(&prepared[routed[ordinal]]),
+                            Some(&primer),
+                        )
+                        .map_err(|e| (ordinal, e))?;
+                    let outcome = RequestOutcome {
+                        wall_ns: t.elapsed().as_nanos() as u64 + prime_share,
+                        cache_hit: served.cache_hit,
+                        degraded: served.resilience.degraded,
+                        route: served.resilience.route,
+                        attempts: served.resilience.attempts,
+                        expected_cost: served.expected_cost,
+                    };
+                    run.served
+                        .push((ordinal, outcome, collect.then_some(served)));
                 }
                 pos = end;
             }
-            run
+            Ok(run)
         };
 
-        let runs: Vec<WorkerRun> = if workers == 1 {
+        let runs: Vec<Result<WorkerRun, WorkerError>> = if workers == 1 {
             vec![run_worker(&mut self.services[0], &worklists[0])]
         } else {
             let run_worker = &run_worker;
@@ -316,7 +312,7 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
             // short-circuiting collect would panic anyway. Gathering all the
             // `thread::Result`s first turns a worker panic into a
             // `ServeError` instead of tearing down the caller.
-            let joined: Vec<std::thread::Result<WorkerRun>> = std::thread::scope(|scope| {
+            let joined: Vec<std::thread::Result<_>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .services
                     .iter_mut()
@@ -336,17 +332,20 @@ impl<M: CostModel + Clone + Send + Sync> ConcurrentServer<M> {
         // global ordinal so the error is scheduling-independent.
         let mut dedup_saved = 0;
         let mut windows = 0;
-        let mut first_error: Option<(usize, ServeError)> = None;
+        let mut first_error: Option<WorkerError> = None;
         let mut merged: Vec<(usize, RequestOutcome, Option<ServedQuery>)> = Vec::new();
         for run in runs {
-            dedup_saved += run.dedup_saved;
-            windows += run.windows;
-            if let Some((ordinal, e)) = run.error {
-                if first_error.as_ref().is_none_or(|(o, _)| ordinal < *o) {
+            match run {
+                Ok(run) => {
+                    dedup_saved += run.dedup_saved;
+                    windows += run.windows;
+                    merged.extend(run.served);
+                }
+                Err((ordinal, e)) if first_error.as_ref().is_none_or(|(o, _)| ordinal < *o) => {
                     first_error = Some((ordinal, e));
                 }
+                Err(_) => {}
             }
-            merged.extend(run.served);
         }
         if let Some((_, e)) = first_error {
             return Err(e);

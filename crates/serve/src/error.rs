@@ -3,7 +3,7 @@
 use lec_catalog::CatalogError;
 use lec_core::CoreError;
 use lec_exec::ExecError;
-use lec_workload::from_catalog::BuildError;
+use lec_workload::from_catalog::{BuildError, FilterSpec};
 use std::fmt;
 
 /// Errors surfaced by [`crate::QueryService`].
@@ -19,6 +19,11 @@ pub enum ServeError {
     Build(BuildError),
     /// The service configuration was invalid.
     Config(String),
+    /// A request's filter has a NaN bound. The range estimators would drop
+    /// the bound and plan an unbounded range, so the request is refused
+    /// before it is planned. (±∞ bounds are legal.) Boxed so the error
+    /// stays as small as before: every serve-path `Result` carries it.
+    NanFilterBound(Box<FilterSpec>),
     /// A serve worker thread panicked. The stream result is discarded
     /// rather than re-raising: the panic already aborted that worker's
     /// batch, and the caller (bench driver or test harness) decides whether
@@ -44,6 +49,9 @@ impl fmt::Display for ServeError {
             ServeError::Catalog(e) => write!(f, "catalog: {e}"),
             ServeError::Build(e) => write!(f, "query build: {e}"),
             ServeError::Config(msg) => write!(f, "configuration: {msg}"),
+            ServeError::NanFilterBound(s) => {
+                write!(f, "filter on `{}.{}` has a NaN bound", s.table, s.column)
+            }
             ServeError::WorkerPanicked { worker } => {
                 write!(f, "serve worker {worker} panicked; stream result discarded")
             }
@@ -61,7 +69,7 @@ impl std::error::Error for ServeError {
             ServeError::Exec(e) => Some(e),
             ServeError::Catalog(e) => Some(e),
             ServeError::Build(e) => Some(e),
-            ServeError::Config(_) => None,
+            ServeError::Config(_) | ServeError::NanFilterBound(_) => None,
             ServeError::WorkerPanicked { .. } => None,
             ServeError::Verification(e) => Some(e),
         }

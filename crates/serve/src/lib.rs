@@ -4,8 +4,9 @@
 //!
 //! The paper optimizes one query at a time under *assumed* distributions;
 //! this crate closes the loop a deployed optimizer actually runs in. Every
-//! request runs the same straight-line sequence of stages in
-//! [`QueryService::serve_at`] (see the [`service`] module docs):
+//! request runs the same straight-line sequence of stages, whether it
+//! enters through [`QueryService::serve`] or
+//! [`ConcurrentServer::serve_stream`] (see the [`service`] module docs):
 //!
 //! 1. **Prepare and plan** — incoming queries are keyed by a canonical
 //!    fingerprint ([`lec_plan::fingerprint`]), so isomorphic requests (same
@@ -32,13 +33,17 @@
 //!    migrated and re-cost.
 //!
 //! Everything is deterministic for a given request stream — including the
-//! cache and recalibration counters.
+//! cache and recalibration counters. Each stage that keeps state owns it
+//! (prepare, plan, execute, recalibrate), and each service owns its stages,
+//! so no mutable state is shared between threads and nothing is locked.
 //!
 //! The [`concurrent`] module scales the loop out: a [`ConcurrentServer`]
 //! partitions one logical stream across shard-affine workers with bounded
 //! batch windows and in-window miss deduplication, preserving the
 //! sequential loop's counters and served plans bit for bit (see the module
-//! docs for the exact contract).
+//! docs for the exact contract). Each worker owns a whole service; the
+//! batch-window protocol between the driver and its workers is private to
+//! this crate.
 
 pub mod cache;
 pub mod concurrent;
@@ -54,8 +59,8 @@ pub use drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
 pub use error::ServeError;
 pub use resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
 pub use service::{
-    BatchPrimer, PreparedRequest, QueryRequest, QueryService, Recalibration, RecalibrationDecision,
-    ResampleConfig, ServeConfig, ServedQuery,
+    QueryRequest, QueryService, Recalibration, RecalibrationDecision, ResampleConfig, ServeConfig,
+    ServedQuery,
 };
 // Re-exported so callers can inspect certificates and intervals without
 // naming lec-core/lec-catalog directly.

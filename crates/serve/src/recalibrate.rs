@@ -1,5 +1,6 @@
-//! The recalibrate stage: how a fired drift event updates the belief
-//! catalog, and the sampled confidence intervals certificates range over.
+//! The feedback and recalibrate stages: which drift windows execution
+//! feedback feeds, how a fired drift event updates the belief catalog,
+//! and the sampled confidence intervals certificates range over.
 //!
 //! A service without a [`Sampler`] *blends*: it folds the drift window's
 //! observed mean into the belief statistic (a filtered column's histogram
@@ -13,17 +14,152 @@
 //! interval box the certify stage bounds a served plan's suboptimality
 //! over.
 
-use crate::drift::{DriftEvent, DriftTarget};
+use crate::drift::{DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
 use crate::service::{QueryRequest, ResampleConfig};
 use lec_catalog::sampling::{SampleConfig, SampleEstimator, StatInterval};
 use lec_catalog::{Catalog, ColumnMeta, Histogram, Predicate};
 use lec_core::certificate::QueryIntervals;
-use lec_plan::JoinQuery;
+use lec_exec::ExecFeedback;
+use lec_plan::{JoinQuery, RelSet};
 use lec_workload::from_catalog::{page_selectivity, FilterSpec, JoinSpec};
 use rand_chacha::rand_core::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+
+/// The recalibrate stage's state: the drift detector the feedback stage
+/// feeds, the sampler when the service resamples, and the recalibration
+/// and decision counters.
+pub(crate) struct RecalibrateStage {
+    pub(crate) drift: DriftDetector,
+    pub(crate) sampler: Option<Sampler>,
+    pub(crate) recalibrations: u64,
+    pub(crate) reoptimize_decisions: u64,
+    pub(crate) recost_decisions: u64,
+}
+
+impl RecalibrateStage {
+    /// The feedback stage: feeds execution observations to the drift
+    /// detector and returns the events it fires. `query` is the
+    /// belief-side query the request was planned under (its estimates are
+    /// what the observations refute).
+    pub(crate) fn observe(
+        &mut self,
+        beliefs: &Catalog,
+        request: &QueryRequest,
+        query: &JoinQuery,
+        feedback: &ExecFeedback,
+    ) -> Result<Vec<DriftEvent>, ServeError> {
+        // (statistic, estimated, observed) for every attributable
+        // observation, selections first.
+        let mut observed = Vec::new();
+        for obs in &feedback.selections {
+            // Attribute the relation's observed shrinkage to its first
+            // filter (a relation with several filters gets one composite
+            // window; the recalibration re-spreads mass over all of them).
+            let table = &request.tables[obs.rel];
+            if let Some(filter) = request.filters.iter().find(|f| f.table == *table) {
+                let estimated = query.relation(obs.rel).local_selectivity;
+                observed.push((filter_stat(filter).0, estimated, obs.observed_selectivity()));
+            }
+        }
+        let position = |t: &String| request.tables.iter().position(|x| x == t);
+        for obs in &feedback.joins {
+            // Only leaf joins (output covering exactly two base relations)
+            // isolate a single predicate's selectivity.
+            let leaf = request.joins.iter().find(|j| {
+                matches!((position(&j.left_table), position(&j.right_table)),
+                    (Some(l), Some(r)) if RelSet::single(l).insert(r) == obs.rels)
+            });
+            if let Some(spec) = leaf {
+                let (target, pred) = join_stat(spec);
+                let estimated = pred.estimate(beliefs)?;
+                observed.push((target, estimated, obs.observed_selectivity()));
+            }
+        }
+        Ok(observed
+            .into_iter()
+            .filter_map(|(target, estimated, obs)| self.drift.observe(target, estimated, obs))
+            .collect())
+    }
+
+    /// Updates the drifted statistic in `beliefs`: replaced by a fresh
+    /// sample from `truth` when the stage has a sampler, else blended
+    /// toward the observed mean with weight `blend`
+    /// ([`DriftConfig::blend`](crate::DriftConfig::blend)), which consumes
+    /// no randomness. Counts the recalibration once the update succeeds.
+    pub(crate) fn update_beliefs(
+        &mut self,
+        blend: f64,
+        beliefs: &mut Catalog,
+        truth: &Catalog,
+        request: &QueryRequest,
+        event: &DriftEvent,
+    ) -> Result<(), ServeError> {
+        let sampler = &mut self.sampler;
+        match &event.target {
+            DriftTarget::Selection { table, column } => {
+                let filter = request
+                    .filters
+                    .iter()
+                    .find(|f| f.table == *table && f.column == *column)
+                    .ok_or_else(|| {
+                        ServeError::Config(format!(
+                            "drift on `{table}.{column}` without a matching filter"
+                        ))
+                    })?;
+                match sampler {
+                    None => blend_selection(
+                        belief_column(beliefs, table, column)?,
+                        filter,
+                        event.mean_observed,
+                        blend,
+                    )?,
+                    Some(s) => {
+                        s.sample(truth, &event.target, &filter_stat(filter).1, s.config.draws)?;
+                        // The belief column's histogram is rebuilt from the
+                        // same fresh sample budget, so subsequent estimates
+                        // track truth instead of blending toward it.
+                        let hist = s
+                            .estimator(truth, s.config.draws)
+                            .sample_histogram(table, column)?;
+                        belief_column(beliefs, table, column)?.histogram = Some(hist);
+                    }
+                }
+            }
+            DriftTarget::Join {
+                left_table,
+                left_column,
+                right_table,
+                right_column,
+            } => {
+                // A resample replaces the statistic outright: weight 1.
+                let (observed, weight) = match sampler {
+                    None => (event.mean_observed, blend),
+                    Some(s) => {
+                        let pred =
+                            join_predicate(left_table, left_column, right_table, right_column);
+                        let sampled = s.sample(truth, &event.target, &pred, s.config.draws)?;
+                        (sampled.point, 1.0)
+                    }
+                };
+                // System R containment: `sel = 1 / max(d_left, d_right)`,
+                // so only the larger side's distinct count is read; move it
+                // to the count the observed selectivity implies.
+                let implied = (1.0 / observed.max(1e-12)).round().max(1.0);
+                let col =
+                    binding_column(beliefs, left_table, left_column, right_table, right_column)?;
+                let old = col.distinct as f64;
+                col.distinct = ((1.0 - weight) * old + weight * implied).round().max(1.0) as u64;
+            }
+        }
+        if let Some(s) = sampler {
+            s.resamples += 1;
+        }
+        self.recalibrations += 1;
+        Ok(())
+    }
+}
 
 /// The resampling state: the sampling config, the RNG behind every draw,
 /// and the cached confidence interval per sampled statistic (row-domain for
@@ -35,79 +171,6 @@ pub(crate) struct Sampler {
     pub(crate) intervals: BTreeMap<DriftTarget, StatInterval>,
     /// Drift-triggered resampling rounds performed so far.
     pub(crate) resamples: u64,
-}
-
-/// Updates the drifted statistic in `beliefs`: replaced by a fresh sample
-/// from `truth` when the service has a `sampler`, else blended toward the
-/// observed mean with weight `blend`
-/// ([`DriftConfig::blend`](crate::DriftConfig::blend)), which consumes no
-/// randomness.
-pub(crate) fn update_beliefs(
-    sampler: &mut Option<Sampler>,
-    blend: f64,
-    beliefs: &mut Catalog,
-    truth: &Catalog,
-    request: &QueryRequest,
-    event: &DriftEvent,
-) -> Result<(), ServeError> {
-    match &event.target {
-        DriftTarget::Selection { table, column } => {
-            let filter = request
-                .filters
-                .iter()
-                .find(|f| f.table == *table && f.column == *column)
-                .ok_or_else(|| {
-                    ServeError::Config(format!(
-                        "drift on `{table}.{column}` without a matching filter"
-                    ))
-                })?;
-            match sampler {
-                None => blend_selection(
-                    belief_column(beliefs, table, column)?,
-                    filter,
-                    event.mean_observed,
-                    blend,
-                )?,
-                Some(s) => {
-                    s.sample(truth, &event.target, &filter_stat(filter).1, s.config.draws)?;
-                    // The belief column's histogram is rebuilt from the
-                    // same fresh sample budget, so subsequent estimates
-                    // track truth instead of blending toward it.
-                    let hist = s
-                        .estimator(truth, s.config.draws)
-                        .sample_histogram(table, column)?;
-                    belief_column(beliefs, table, column)?.histogram = Some(hist);
-                }
-            }
-        }
-        DriftTarget::Join {
-            left_table,
-            left_column,
-            right_table,
-            right_column,
-        } => {
-            // A resample replaces the statistic outright: weight 1.
-            let (observed, weight) = match sampler {
-                None => (event.mean_observed, blend),
-                Some(s) => {
-                    let pred = join_predicate(left_table, left_column, right_table, right_column);
-                    let sampled = s.sample(truth, &event.target, &pred, s.config.draws)?;
-                    (sampled.point, 1.0)
-                }
-            };
-            // System R containment: `sel = 1 / max(d_left, d_right)`,
-            // so only the larger side's distinct count is read; move it
-            // to the count the observed selectivity implies.
-            let implied = (1.0 / observed.max(1e-12)).round().max(1.0);
-            let col = binding_column(beliefs, left_table, left_column, right_table, right_column)?;
-            let old = col.distinct as f64;
-            col.distinct = ((1.0 - weight) * old + weight * implied).round().max(1.0) as u64;
-        }
-    }
-    if let Some(s) = sampler {
-        s.resamples += 1;
-    }
-    Ok(())
 }
 
 impl Sampler {

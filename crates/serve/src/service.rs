@@ -3,7 +3,7 @@
 //!
 //! A [`QueryService`] owns two catalogs. The **belief** catalog is what the
 //! optimizer sees; the **truth** catalog describes the data actually on the
-//! simulated disk. [`serve_at`](QueryService::serve_at) runs each request
+//! simulated disk. [`serve`](QueryService::serve) runs each request
 //! through the same private stages, in this order:
 //!
 //! 1. **prepare** — build the belief-side query and canonicalize it (so
@@ -13,12 +13,11 @@
 //!    forms, keyed by a 64-bit digest of the request and confirmed field by
 //!    field (a digest collision costs a rebuild, never another request's
 //!    form), answers every later prepare until a recalibration clears it. A
-//!    prepared form the caller supplies is used instead while its beliefs
-//!    version is current;
+//!    NaN filter bound is refused here ([`ServeError::NanFilterBound`]);
 //! 2. **plan** — look the fingerprint up in the sharded [`PlanCache`] of
-//!    parametric plan sets; on a miss take a batch primer's plans or run
-//!    the optimizer. Entries and plan sets are shared (`Arc`), so a hit
-//!    clones a pointer, not the plans;
+//!    parametric plan sets; on a miss take the batch window's primed plans
+//!    or run the optimizer. Entries and plan sets are shared (`Arc`), so a
+//!    hit clones a pointer, not the plans;
 //! 3. **pick** — re-cost the distinct stored plans under the observed
 //!    memory distribution and rank them by the configured selection rule
 //!    ([`ParametricPlans::ranked`]); the first is served;
@@ -41,7 +40,17 @@
 //!    scratch on their next request or migrated (plans carried over,
 //!    re-cost at pick time).
 //!
-//! [`ServeConfig::resample`] decides whether the service holds a private
+//! Every piece of state a request leaves behind has one owner, a private
+//! stage type that [`QueryService::new`] builds once: prepare owns the
+//! memo and the beliefs version; plan owns the cache, the optimizer
+//! statistics and the invocation and primed-miss counters; execute owns
+//! the simulated disk, both circuit breakers and the resilience counters;
+//! recalibrate owns the drift detector, the sampler and the recalibration
+//! and decision counters. Pick and verify keep nothing between requests.
+//! The service itself keeps the model, the catalogs, the config, and the
+//! stream ordinal [`queries_served`](QueryService::queries_served).
+//!
+//! [`ServeConfig::resample`] decides whether the recalibrate stage holds a
 //! sampler. Without one, recalibration folds the drift window's observed
 //! mean into the belief statistic and no serve is certified. With one,
 //! recalibration replaces the statistic with a fresh row sample from the
@@ -56,17 +65,16 @@
 //! catalogs. The optimizer is a serial dynamic program, so one service has
 //! no internal concurrency at all.
 //!
-//! [`serve_at`](QueryService::serve_at) takes the stream position
-//! explicitly, so the concurrent driver ([`crate::concurrent`]) can
-//! partition one logical stream across several services while reproducing
-//! the sequential loop's memory draws and fault schedules exactly;
-//! [`prime_window`](QueryService::prime_window) runs the prepare and
-//! optimize stages ahead of a window without perturbing any counter.
+//! The concurrent driver ([`crate::concurrent`]) reaches the same stages
+//! through a crate-private batch-window protocol: it serves each request at
+//! its *global* stream position, reproducing the sequential loop's memory
+//! draws and fault schedules exactly, and runs the prepare and optimize
+//! stages ahead of each window without perturbing any counter.
 
 use crate::cache::{shard_of, PlanCache};
 use crate::drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
-use crate::recalibrate::{filter_stat, join_stat, update_beliefs, Sampler};
+use crate::recalibrate::{filter_stat, RecalibrateStage, Sampler};
 use crate::resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
 use lec_catalog::sampling::{BoundKind, StatInterval};
 use lec_catalog::Catalog;
@@ -81,7 +89,7 @@ use lec_exec::{
     execute_plan_with_faults, Disk, ExecError, ExecFeedback, ExecMemoryEnv, ExecReport,
     FaultSchedule, RelId,
 };
-use lec_plan::{canonicalize, Canonical, JoinQuery, Plan, RelSet};
+use lec_plan::{canonicalize, Canonical, JoinQuery, Plan};
 use lec_rules::{Rule, SelectionRule};
 use lec_stats::Distribution;
 use lec_workload::from_catalog::{page_selectivity, query_from_catalog, FilterSpec, JoinSpec};
@@ -102,7 +110,7 @@ pub struct ServeConfig {
     pub observed_memory: Distribution,
     /// Total plan-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
+    /// Number of cache shards.
     pub cache_shards: usize,
     /// Drift-detection thresholds.
     pub drift: DriftConfig,
@@ -284,7 +292,7 @@ impl QueryRequest {
 /// A cached parametric entry plus the provenance the service needs to
 /// migrate or invalidate it. Both halves are shared: a hit, a primer pin
 /// and a primed miss each clone pointers, never plans.
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// The prepared form of a representative request for this equivalence
     /// class: its request rebuilds the query after a recalibration, and
     /// the plans are stored in its canonical numbering.
@@ -352,21 +360,19 @@ pub struct ServedQuery {
 }
 
 /// A request together with its belief-side query and canonicalization,
-/// tagged with the beliefs version they were computed under. The service
-/// builds one per request and beliefs version and memoizes it (see the
-/// module docs, stage 1); cache entries share the form of the request that
-/// populated them. The concurrent driver builds one per distinct request
-/// shape so routing (fingerprint → shard → worker) happens before any
-/// worker is involved. [`QueryService::serve_at`] and
-/// [`QueryService::prime_window`] trust a caller's prepared request only
-/// while the service's beliefs version still matches — a recalibration in
-/// between invalidates it, and it is prepared afresh rather than served
-/// stale.
+/// tagged with the beliefs version they were computed under. The prepare
+/// stage builds one per request and beliefs version and memoizes it; cache
+/// entries share the form of the request that populated them. The
+/// concurrent driver builds one per distinct request shape so routing
+/// (fingerprint → shard → worker) happens before any worker is involved.
+/// A caller's prepared request is trusted only while the service's beliefs
+/// version still matches — a recalibration in between invalidates it, and
+/// it is prepared afresh rather than served stale.
 ///
 /// A `PreparedRequest` must only ever be paired with the request it was
 /// built from (same tables, joins, filters, order).
 #[derive(Debug, Clone)]
-pub struct PreparedRequest {
+pub(crate) struct PreparedRequest {
     pub(crate) request: QueryRequest,
     pub(crate) query: JoinQuery,
     pub(crate) canon: Canonical,
@@ -375,25 +381,30 @@ pub struct PreparedRequest {
 
 impl PreparedRequest {
     /// Builds `request`'s query from `beliefs` and canonicalizes it,
-    /// tagged with the beliefs `version`.
+    /// tagged with the beliefs `version`. A NaN filter bound is refused:
+    /// the range estimators would drop it and plan an unbounded range, and
+    /// the request would never equal itself, so no memo could confirm it.
     pub(crate) fn build(
         beliefs: &Catalog,
         request: &QueryRequest,
         version: u64,
     ) -> Result<Self, ServeError> {
-        let query = build_query(beliefs, request)?;
+        let nan_bound = request
+            .filters
+            .iter()
+            .find(|f| f.lo.is_nan() || f.hi.is_nan());
+        if let Some(filter) = nan_bound {
+            return Err(ServeError::NanFilterBound(Box::new(filter.clone())));
+        }
+        let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
+        let (joins, filters) = (&request.joins, &request.filters);
+        let query = query_from_catalog(beliefs, &tables, joins, filters, request.order_by)?;
         Ok(PreparedRequest {
             request: request.clone(),
             canon: canonicalize(&query),
             query,
             version,
         })
-    }
-
-    /// The cache shard the prepared fingerprint maps to under `shards`-way
-    /// splitting — the concurrent driver's routing key.
-    pub fn shard(&self, shards: usize) -> usize {
-        shard_of(&self.canon.fingerprint, shards)
     }
 }
 
@@ -403,17 +414,21 @@ impl PreparedRequest {
 /// [`QueryService::prime_window`] walks a window of requests and optimizes
 /// each *distinct would-miss* fingerprint exactly once; isomorphic
 /// requests later in the window find the entry already primed and are
-/// counted in [`dedup_saved`](BatchPrimer::dedup_saved). Primed entries
-/// are **not** consume-once: under unchanged beliefs re-reading one is
-/// semantically identical to re-optimizing, so a window whose entries get
-/// evicted between serves (capacity thrash) still pays one optimization
-/// per class per window instead of one per request.
+/// counted in [`dedup_saved`](BatchPrimer::dedup_saved). A fingerprint
+/// resident in the cache at prime time is *pinned* instead: its entry's
+/// plans are shared in by a pure [`PlanCache::peek`] (no counters, no
+/// recency refresh), so if within-window inserts evict it, later
+/// occurrences serve from the primer rather than re-optimizing. Primed
+/// entries are **not** consume-once: under unchanged beliefs re-reading
+/// one is semantically identical to re-optimizing, so a window whose
+/// entries get evicted between serves (capacity thrash) still pays one
+/// optimization per class per window instead of one per request.
 ///
 /// Like a prepared request, a primer is version-tagged: a recalibration
 /// mid-window bumps the service's beliefs version and the remaining
 /// serves fall back to fresh optimization instead of consuming plans
 /// priced under the old beliefs.
-pub struct BatchPrimer {
+pub(crate) struct BatchPrimer {
     version: u64,
     plans: BTreeMap<Vec<u8>, Arc<ParametricPlans>>,
     /// Fingerprints whose primer entry is a *pin* — the shared plans of an
@@ -423,29 +438,47 @@ pub struct BatchPrimer {
     /// Window requests whose optimization was skipped because an
     /// isomorphic request earlier in the same window had already primed
     /// their fingerprint.
-    pub dedup_saved: u64,
+    pub(crate) dedup_saved: u64,
 }
 
-/// The prepare stage's memo: the prepared forms of up to `capacity`
-/// requests under the current beliefs, keyed by [`QueryRequest::key`],
-/// least recently used evicted first. A key match is confirmed field by
-/// field, so a digest collision costs a rebuild and never serves another
-/// request's form — the plan cache's own "false miss, never false hit"
-/// rule. A recalibration clears it.
-struct PrepareMemo {
+/// The prepare stage: the prepared forms of up to `capacity` requests
+/// under the current beliefs, keyed by [`QueryRequest::key`], least
+/// recently used evicted first, and the beliefs version they were built
+/// under. A key match is confirmed field by field, so a digest collision
+/// costs a rebuild and never serves another request's form — the plan
+/// cache's own "false miss, never false hit" rule. A recalibration bumps
+/// the version and clears the memo.
+struct PrepareStage {
+    /// Bumped on every recalibration; prepared requests and batch primers
+    /// carry the version they were computed under and are ignored once it
+    /// goes stale.
+    version: u64,
     capacity: usize,
     tick: u64,
     /// `key → (prepared form, last use)`.
     slots: BTreeMap<u64, (Arc<PreparedRequest>, u64)>,
 }
 
-impl PrepareMemo {
-    fn new(capacity: usize) -> Self {
-        PrepareMemo {
-            capacity,
-            tick: 0,
-            slots: BTreeMap::new(),
+impl PrepareStage {
+    /// The one path every stage that needs a request's query goes through:
+    /// the caller's prepared request while its beliefs version is current,
+    /// else the memoized form, else one built from `beliefs` and memoized.
+    fn form(
+        &mut self,
+        beliefs: &Catalog,
+        request: &QueryRequest,
+        supplied: Option<&Arc<PreparedRequest>>,
+    ) -> Result<Arc<PreparedRequest>, ServeError> {
+        if let Some(p) = supplied.filter(|p| p.version == self.version) {
+            return Ok(Arc::clone(p));
         }
+        let key = request.key();
+        if let Some(p) = self.get(key, request) {
+            return Ok(p);
+        }
+        let built = Arc::new(PreparedRequest::build(beliefs, request, self.version)?);
+        self.insert(key, Arc::clone(&built));
+        Ok(built)
     }
 
     /// `request`'s memoized form, if the slot under `key` holds exactly
@@ -477,6 +510,227 @@ impl PrepareMemo {
         self.tick += 1;
         self.slots.insert(key, (prepared, self.tick));
     }
+
+    /// Makes everything prepared or primed so far stale.
+    fn invalidate(&mut self) {
+        self.version += 1;
+        self.slots.clear();
+    }
+}
+
+/// The plan stage: the plan cache, the optimizer statistics every run is
+/// absorbed into, and its two counters.
+struct PlanStage {
+    cache: PlanCache<Arc<CacheEntry>>,
+    stats: OptStats,
+    /// Full optimizer runs (misses and primes).
+    invocations: u64,
+    /// Cache misses answered from a batch primer instead of a fresh
+    /// optimizer run.
+    primed_consumed: u64,
+}
+
+impl PlanStage {
+    /// The cached entry on a hit; on a miss, the primer's plans or a fresh
+    /// optimizer run, inserted into the cache. Both paths store and cost
+    /// plans against the canonical query, so a hit's expected cost is
+    /// bit-identical to the miss that populated it.
+    fn lookup<M: CostModel + Sync>(
+        &mut self,
+        prepared: &Arc<PreparedRequest>,
+        primer: Option<&BatchPrimer>,
+        model: &M,
+        scenarios: &[Distribution],
+    ) -> Result<(Arc<CacheEntry>, bool), ServeError> {
+        let canon = &prepared.canon;
+        if let Some(entry) = self.cache.get(&canon.fingerprint) {
+            return Ok((entry, true));
+        }
+        let primed = primer.and_then(|p| p.plans.get(canon.fingerprint.encoding()));
+        let plans = match primed {
+            Some(plans) => {
+                self.primed_consumed += 1;
+                Arc::clone(plans)
+            }
+            None => Arc::new(self.optimize(canon, model, scenarios)?),
+        };
+        let entry = Arc::new(CacheEntry {
+            prepared: Arc::clone(prepared),
+            plans,
+        });
+        self.cache.insert(&canon.fingerprint, Arc::clone(&entry));
+        Ok((entry, false))
+    }
+
+    /// Primes one window request: a fingerprint already in `primer` is an
+    /// isomorphic repeat (`dedup_saved` unless it is a pin); one resident
+    /// in the cache is pinned by a pure [`PlanCache::peek`]; any other is
+    /// optimized.
+    fn prime<M: CostModel + Sync>(
+        &mut self,
+        primer: &mut BatchPrimer,
+        canon: &Canonical,
+        model: &M,
+        scenarios: &[Distribution],
+    ) -> Result<(), ServeError> {
+        let key = canon.fingerprint.encoding();
+        if primer.plans.contains_key(key) {
+            primer.dedup_saved += u64::from(!primer.pinned.contains(key));
+            return Ok(());
+        }
+        let plans = match self.cache.peek(&canon.fingerprint) {
+            Some(entry) => {
+                primer.pinned.insert(key.to_vec());
+                Arc::clone(&entry.plans)
+            }
+            None => Arc::new(self.optimize(canon, model, scenarios)?),
+        };
+        primer.plans.insert(key.to_vec(), plans);
+        Ok(())
+    }
+
+    /// One full optimizer run against a canonical query, with stats
+    /// absorbed and the invocation counter moved — the single chokepoint
+    /// both the miss path and the batch primer go through.
+    fn optimize<M: CostModel + Sync>(
+        &mut self,
+        canon: &Canonical,
+        model: &M,
+        scenarios: &[Distribution],
+    ) -> Result<ParametricPlans, ServeError> {
+        let (plans, pstats) =
+            ParametricPlans::precompute_with_stats(&canon.query, model, scenarios)?;
+        self.stats.absorb(&pstats);
+        self.invocations += 1;
+        Ok(plans)
+    }
+}
+
+/// The execute stage: the simulated disk holding the generated base
+/// tables, the two circuit breakers, and the resilience counters.
+struct ExecuteStage {
+    disk: Disk,
+    /// Each table's generated relation on `disk`.
+    rels: BTreeMap<String, RelId>,
+    /// Fault strikes per fingerprint encoding.
+    breaker: Breaker<Vec<u8>>,
+    /// Fault strikes per cache shard.
+    shard_breaker: Breaker<usize>,
+    counters: ResilienceCounters,
+}
+
+impl ExecuteStage {
+    /// Generates the simulated base data: one relation per table in
+    /// `truth`, in name order. The simulator joins on the single shared key
+    /// attribute; its domain is taken from each table's *first* column (the
+    /// store's join-key convention).
+    fn new(truth: &Catalog, seed: u64) -> Self {
+        let mut disk = Disk::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rels = BTreeMap::new();
+        for meta in truth.iter() {
+            let key_domain = meta
+                .columns
+                .first()
+                .map(|c| c.distinct.max(1))
+                .unwrap_or(meta.rows.max(1));
+            let spec = DataGenSpec {
+                pages: meta.pages as usize,
+                key_domain,
+            };
+            rels.insert(meta.name.clone(), generate(&mut disk, &mut rng, &spec));
+        }
+        ExecuteStage {
+            disk,
+            rels,
+            breaker: Breaker::default(),
+            shard_breaker: Breaker::default(),
+            counters: ResilienceCounters::default(),
+        }
+    }
+
+    /// The circuit breakers. The shard breaker is checked first — a shard
+    /// whose fingerprints have *collectively* accumulated enough faults is
+    /// flushed wholesale, which invalidates strictly more state; otherwise
+    /// a fingerprint with enough faults has its own entry dropped. Either
+    /// way the tripped breaker's strikes are reset, the dropped entries
+    /// reoptimize on their next request, and `true` tells the ladder to
+    /// start at the LSC rung.
+    fn trip_breakers(
+        &mut self,
+        config: &ServeConfig,
+        cache: &mut PlanCache<Arc<CacheEntry>>,
+        fp: &[u8],
+        shard: usize,
+    ) -> bool {
+        let policy = config.resilience;
+        let (fp_limit, shard_limit) = (policy.breaker_threshold, policy.shard_breaker_threshold);
+        if self.shard_breaker.is_open(&shard, shard_limit) {
+            self.shard_breaker.reset(&shard);
+            self.counters.shard_breaker_trips += 1;
+            let shards = config.cache_shards;
+            cache.invalidate_collect(|e| shard_of(&e.prepared.canon.fingerprint, shards) == shard);
+        } else if self.breaker.is_open(fp, fp_limit) {
+            self.breaker.reset(fp);
+            self.counters.breaker_trips += 1;
+            cache.invalidate_collect(|e| e.prepared.canon.fingerprint.encoding() == fp);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Executes `plan` over the generated data, realizing the *truth*
+    /// catalog's filter selectivities. `ordinal` is the request's position
+    /// in the logical stream: it seeds the memory draw, so concurrent
+    /// drivers replaying a partition of the stream draw what the
+    /// sequential loop would.
+    fn run(
+        &mut self,
+        config: &ServeConfig,
+        truth: &Catalog,
+        ordinal: u64,
+        request: &QueryRequest,
+        plan: &Plan,
+        faults: &mut FaultSchedule,
+    ) -> Result<(ExecReport, ExecFeedback), ServeError> {
+        let base = request
+            .tables
+            .iter()
+            .map(|t| {
+                self.rels
+                    .get(t)
+                    .copied()
+                    .ok_or_else(|| ServeError::Config(format!("table `{t}` has no generated data")))
+            })
+            .collect::<Result<Vec<RelId>, ServeError>>()?;
+        let mut selections = vec![1.0; request.tables.len()];
+        for f in &request.filters {
+            let idx = request
+                .tables
+                .iter()
+                .position(|t| *t == f.table)
+                .ok_or_else(|| {
+                    ServeError::Config(format!("filter on `{}` not in table list", f.table))
+                })?;
+            selections[idx] *= filter_stat(f).1.estimate(truth)?.clamp(1e-9, 1.0);
+        }
+        // Seeded by the request ordinal, not the attempt: every rung of the
+        // ladder faces the same memory draw, so a retry is a pure plan
+        // switch.
+        let mut env = ExecMemoryEnv::draw_once(
+            config.observed_memory.clone(),
+            config.exec_seed.wrapping_add(ordinal),
+        );
+        // Everything the execution writes (filtered scans, sort runs,
+        // partitions, the result) is dropped again, on success and on
+        // error, so a long-lived service holds only its base data.
+        let mark = self.disk.relation_count();
+        let executed =
+            execute_plan_with_faults(plan, &base, &selections, &mut self.disk, &mut env, faults);
+        self.disk.drop_from(mark);
+        Ok(executed?)
+    }
 }
 
 /// One rung of the fallback ladder, ready to execute in the request's
@@ -497,64 +751,19 @@ struct Executed {
     resilience: ResilienceReport,
 }
 
-/// Generates the simulated base data: one relation per table in `truth`,
-/// in name order. The simulator joins on the single shared key attribute;
-/// its domain is taken from each table's *first* column (the store's
-/// join-key convention).
-fn generate_tables(truth: &Catalog, seed: u64) -> (Disk, BTreeMap<String, RelId>) {
-    let mut disk = Disk::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut rels = BTreeMap::new();
-    for meta in truth.iter() {
-        let key_domain = meta
-            .columns
-            .first()
-            .map(|c| c.distinct.max(1))
-            .unwrap_or(meta.rows.max(1));
-        let spec = DataGenSpec {
-            pages: meta.pages as usize,
-            key_domain,
-        };
-        rels.insert(meta.name.clone(), generate(&mut disk, &mut rng, &spec));
-    }
-    (disk, rels)
-}
-
 /// The serving loop. See the module docs for the stage sequence.
 pub struct QueryService<M: CostModel + Sync> {
     model: M,
     beliefs: Catalog,
     truth: Catalog,
-    /// The simulated disk, holding the generated base tables between
-    /// serves.
-    disk: Disk,
-    /// Each table's generated relation on `disk`.
-    rels: BTreeMap<String, RelId>,
-    /// Prepared forms under the current beliefs (stage 1).
-    memo: PrepareMemo,
-    cache: PlanCache<Arc<CacheEntry>>,
-    drift: DriftDetector,
     config: ServeConfig,
-    /// Present when the service resamples (see the module docs).
-    sampler: Option<Sampler>,
-    stats: OptStats,
-    /// Fault strikes per fingerprint encoding.
-    breaker: Breaker<Vec<u8>>,
-    /// Fault strikes per cache shard.
-    shard_breaker: Breaker<usize>,
-    resilience: ResilienceCounters,
-    optimizer_invocations: u64,
-    recalibrations: u64,
-    reoptimize_decisions: u64,
-    recost_decisions: u64,
+    prepare: PrepareStage,
+    plan: PlanStage,
+    execute: ExecuteStage,
+    recalibrate: RecalibrateStage,
+    /// Requests served so far: the stream ordinal of the next
+    /// [`serve`](QueryService::serve).
     queries_served: u64,
-    /// Bumped on every recalibration; prepared requests and batch primers
-    /// carry the version they were computed under and are ignored once it
-    /// goes stale.
-    beliefs_version: u64,
-    /// Cache misses answered from a batch primer instead of a fresh
-    /// optimizer run.
-    primed_consumed: u64,
 }
 
 impl<M: CostModel + Sync> QueryService<M> {
@@ -601,30 +810,32 @@ impl<M: CostModel + Sync> QueryService<M> {
                 config.selection_rule.name()
             ))
         })?;
-        let sampler = config.resample.map(Sampler::new).transpose()?;
-        let (disk, rels) = generate_tables(&truth, config.exec_seed);
         Ok(QueryService {
-            disk,
-            rels,
-            memo: PrepareMemo::new(config.cache_capacity),
-            cache: PlanCache::new(config.cache_shards, config.cache_capacity),
-            drift: DriftDetector::new(config.drift),
+            recalibrate: RecalibrateStage {
+                sampler: config.resample.map(Sampler::new).transpose()?,
+                drift: DriftDetector::new(config.drift),
+                recalibrations: 0,
+                reoptimize_decisions: 0,
+                recost_decisions: 0,
+            },
+            execute: ExecuteStage::new(&truth, config.exec_seed),
+            prepare: PrepareStage {
+                version: 0,
+                capacity: config.cache_capacity,
+                tick: 0,
+                slots: BTreeMap::new(),
+            },
+            plan: PlanStage {
+                cache: PlanCache::new(config.cache_shards, config.cache_capacity),
+                stats: OptStats::new("serve", 0),
+                invocations: 0,
+                primed_consumed: 0,
+            },
             model,
             beliefs,
             truth,
             config,
-            sampler,
-            stats: OptStats::new("serve", 0),
-            breaker: Breaker::default(),
-            shard_breaker: Breaker::default(),
-            resilience: ResilienceCounters::default(),
-            optimizer_invocations: 0,
-            recalibrations: 0,
-            reoptimize_decisions: 0,
-            recost_decisions: 0,
             queries_served: 0,
-            beliefs_version: 0,
-            primed_consumed: 0,
         })
     }
 
@@ -634,52 +845,30 @@ impl<M: CostModel + Sync> QueryService<M> {
         self.serve_at(self.queries_served, request, None, None)
     }
 
-    /// Optimizes every *distinct would-miss* fingerprint in `window` exactly
-    /// once, ahead of serving. Requests resident in the cache at prime time
-    /// are *pinned*: their entry's plans are shared into the primer by a
-    /// pure read ([`PlanCache::peek`] — no counters, no recency refresh),
-    /// so that if within-window inserts evict them, later occurrences serve
-    /// from the primer instead of re-optimizing. Isomorphic repeats of an optimized
-    /// prime within the window are deduplicated (counted in the primer's
-    /// `dedup_saved`). Priming runs the serve path's own prepare and
-    /// optimize stages, so a window of one request leaves every counter
-    /// exactly where plain [`serve`] would — a resident request's pin is
-    /// never consulted (its serve hits the cache first), and a non-resident
-    /// one is optimized exactly once either way.
-    ///
+    /// Primes `window` ahead of serving it (see [`BatchPrimer`]) through
+    /// the serve path's own prepare and optimize stages, so a window of one
+    /// request leaves every counter exactly where plain [`serve`] would: a
+    /// resident request's pin is never consulted (its serve hits the cache
+    /// first), and a non-resident one is optimized exactly once either way.
     /// Each `window` element pairs a request with its prepared form, if the
-    /// caller has one; stale or absent preparations go through the prepare
-    /// stage's memo.
+    /// caller has one.
     ///
     /// [`serve`]: QueryService::serve
-    pub fn prime_window(
+    pub(crate) fn prime_window(
         &mut self,
         window: &[(&QueryRequest, Option<&Arc<PreparedRequest>>)],
     ) -> Result<BatchPrimer, ServeError> {
         let mut primer = BatchPrimer {
-            version: self.beliefs_version,
+            version: self.prepare.version,
             plans: BTreeMap::new(),
             pinned: BTreeSet::new(),
             dedup_saved: 0,
         };
-        for (request, prepared) in window {
-            let prepared = self.prepare(request, *prepared)?;
-            let fingerprint = &prepared.canon.fingerprint;
-            let key = fingerprint.encoding();
-            if primer.plans.contains_key(key) {
-                if !primer.pinned.contains(key) {
-                    primer.dedup_saved += 1;
-                }
-                continue;
-            }
-            let plans = match self.cache.peek(fingerprint) {
-                Some(entry) => {
-                    primer.pinned.insert(key.to_vec());
-                    Arc::clone(&entry.plans)
-                }
-                None => Arc::new(self.optimize(&prepared.canon)?),
-            };
-            primer.plans.insert(key.to_vec(), plans);
+        for (request, supplied) in window {
+            let prepared = self.prepare.form(&self.beliefs, request, *supplied)?;
+            let scenarios = &self.config.scenarios;
+            self.plan
+                .prime(&mut primer, &prepared.canon, &self.model, scenarios)?;
         }
         Ok(primer)
     }
@@ -694,16 +883,18 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// consume plans optimized ahead of the batch window. Both are ignored
     /// when their beliefs version is stale: the request is then prepared
     /// through the memo, and a miss optimizes fresh.
-    pub fn serve_at(
+    pub(crate) fn serve_at(
         &mut self,
         ordinal: u64,
         request: &QueryRequest,
         prepared: Option<&Arc<PreparedRequest>>,
         primer: Option<&BatchPrimer>,
     ) -> Result<ServedQuery, ServeError> {
-        let prepared = self.prepare(request, prepared)?;
+        let prepared = self.prepare.form(&self.beliefs, request, prepared)?;
         let (query, canon) = (&prepared.query, &prepared.canon);
-        let (entry, cache_hit) = self.plan(&prepared, primer)?;
+        let (plan, scenarios) = (&mut self.plan, &self.config.scenarios);
+        let primer = primer.filter(|p| p.version == self.prepare.version);
+        let (entry, cache_hit) = plan.lookup(&prepared, primer, &self.model, scenarios)?;
         let mut ranked = entry
             .plans
             .ranked(
@@ -725,18 +916,24 @@ impl<M: CostModel + Sync> QueryService<M> {
         // Certify against the intervals the plan was served under, before
         // this serve's own feedback can resample them. A breaker reroute
         // is already degraded and makes no certificate claim.
-        let certificate = match &mut self.sampler {
+        let certificate = match &mut self.recalibrate.sampler {
             Some(s) if !executed.resilience.breaker_tripped => {
                 let intervals = s.interval_box(&self.beliefs, &self.truth, request, query)?;
                 let memory = MemoryModel::Static(self.config.observed_memory.clone());
                 let plan = &executed.rung.plan;
                 let cert = certify_plan(query, &self.model, &memory, plan, &intervals)?;
-                self.stats.certificate = Some(cert.clone());
+                self.plan.stats.certificate = Some(cert.clone());
                 Some(cert)
             }
             _ => None,
         };
-        let recalibrations = self.ingest_feedback(request, query, &executed.feedback)?;
+        let events = self
+            .recalibrate
+            .observe(&self.beliefs, request, query, &executed.feedback)?;
+        let recalibrations = events
+            .into_iter()
+            .map(|event| self.on_drift(request, event))
+            .collect::<Result<Vec<_>, _>>()?;
         self.queries_served += 1;
         Ok(ServedQuery {
             plan: executed.rung.plan,
@@ -751,101 +948,7 @@ impl<M: CostModel + Sync> QueryService<M> {
         })
     }
 
-    /// The prepare stage, the one path every stage that needs a request's
-    /// query goes through: the caller's prepared request while its beliefs
-    /// version is current, else the memoized form, else one built from the
-    /// live beliefs and memoized.
-    fn prepare(
-        &mut self,
-        request: &QueryRequest,
-        prepared: Option<&Arc<PreparedRequest>>,
-    ) -> Result<Arc<PreparedRequest>, ServeError> {
-        if let Some(p) = prepared.filter(|p| p.version == self.beliefs_version) {
-            return Ok(Arc::clone(p));
-        }
-        let key = request.key();
-        if let Some(p) = self.memo.get(key, request) {
-            return Ok(p);
-        }
-        let built = PreparedRequest::build(&self.beliefs, request, self.beliefs_version)?;
-        let built = Arc::new(built);
-        self.memo.insert(key, Arc::clone(&built));
-        Ok(built)
-    }
-
-    /// The plan stage: the cached entry on a hit; on a miss, the primer's
-    /// plans or a fresh optimizer run, inserted into the cache. Both paths
-    /// store and cost plans against the canonical query, so a hit's
-    /// expected cost is bit-identical to the miss that populated it.
-    fn plan(
-        &mut self,
-        prepared: &Arc<PreparedRequest>,
-        primer: Option<&BatchPrimer>,
-    ) -> Result<(Arc<CacheEntry>, bool), ServeError> {
-        let canon = &prepared.canon;
-        if let Some(entry) = self.cache.get(&canon.fingerprint) {
-            return Ok((entry, true));
-        }
-        let primed = primer
-            .filter(|p| p.version == self.beliefs_version)
-            .and_then(|p| p.plans.get(canon.fingerprint.encoding()));
-        let plans = match primed {
-            Some(plans) => {
-                self.primed_consumed += 1;
-                Arc::clone(plans)
-            }
-            None => Arc::new(self.optimize(canon)?),
-        };
-        let entry = Arc::new(CacheEntry {
-            prepared: Arc::clone(prepared),
-            plans,
-        });
-        self.cache.insert(&canon.fingerprint, Arc::clone(&entry));
-        Ok((entry, false))
-    }
-
-    /// One full optimizer run against a canonical query, with stats
-    /// absorbed and the invocation counter moved — the single chokepoint
-    /// both the miss path and the batch primer go through.
-    fn optimize(&mut self, canon: &Canonical) -> Result<ParametricPlans, ServeError> {
-        let (plans, pstats) = ParametricPlans::precompute_with_stats(
-            &canon.query,
-            &self.model,
-            &self.config.scenarios,
-        )?;
-        self.stats.absorb(&pstats);
-        self.optimizer_invocations += 1;
-        Ok(plans)
-    }
-
-    /// The circuit breakers. The shard breaker is checked first — a shard
-    /// whose fingerprints have *collectively* accumulated enough faults is
-    /// flushed wholesale, which invalidates strictly more state; otherwise a
-    /// fingerprint with enough faults has its own entry dropped. Either way
-    /// the tripped breaker's strikes are reset, the dropped entries
-    /// reoptimize on their next request, and `true` tells the execute stage
-    /// to start at the LSC rung.
-    fn trip_breakers(&mut self, fp: &[u8], shard: usize) -> bool {
-        let policy = self.config.resilience;
-        let (fp_limit, shard_limit) = (policy.breaker_threshold, policy.shard_breaker_threshold);
-        if self.shard_breaker.is_open(&shard, shard_limit) {
-            self.shard_breaker.reset(&shard);
-            self.resilience.shard_breaker_trips += 1;
-            let shards = self.cache.shard_count();
-            self.cache
-                .invalidate_collect(|e| shard_of(&e.prepared.canon.fingerprint, shards) == shard);
-        } else if self.breaker.is_open(fp, fp_limit) {
-            self.breaker.reset(fp);
-            self.resilience.breaker_trips += 1;
-            self.cache
-                .invalidate_collect(|e| e.prepared.canon.fingerprint.encoding() == fp);
-        } else {
-            return false;
-        }
-        true
-    }
-
-    /// The execute stage: the fallback ladder. Attempt 0 runs `first` (the
+    /// The execute stage's fallback ladder. Attempt 0 runs `first` (the
     /// primary pick, or the LSC rung after a breaker trip); attempt k runs
     /// fallback rung k-1 (the pick's `rest` of candidates in rule order,
     /// then the LSC baseline, clamped at the last rung). The final allowed
@@ -861,15 +964,16 @@ impl<M: CostModel + Sync> QueryService<M> {
         primary: LadderRung,
         mut rest: std::vec::IntoIter<Candidate<'_>>,
     ) -> Result<Executed, ServeError> {
-        let canon = &prepared.canon;
-        let fp_key = canon.fingerprint.encoding();
-        let shard = self.cache.shard_index(&canon.fingerprint);
-        let tripped = self.trip_breakers(fp_key, shard);
+        let (model, config) = (&self.model, &self.config);
+        let fingerprint = &prepared.canon.fingerprint;
+        let fp_key = fingerprint.encoding();
+        let shard = shard_of(fingerprint, config.cache_shards);
+        let stage = &mut self.execute;
+        let tripped = stage.trip_breakers(config, &mut self.plan.cache, fp_key, shard);
         let (first, max_attempts) = if tripped {
-            (self.lsc_rung(prepared, primary.scenario)?, 1)
+            (lsc_rung(model, config, prepared, primary.scenario)?, 1)
         } else {
-            let retries = self.config.resilience.max_retries;
-            (primary, retries.saturating_add(1))
+            (primary, config.resilience.max_retries.saturating_add(1))
         };
         let primary_scenario = first.scenario;
         let mut rungs = vec![first];
@@ -877,7 +981,8 @@ impl<M: CostModel + Sync> QueryService<M> {
         let mut faults_seen = Vec::new();
         for attempt in 0..max_attempts {
             if attempt == 1 {
-                let fallbacks = self.fallback_rungs(prepared, rest.by_ref(), primary_scenario)?;
+                let fallbacks =
+                    fallback_rungs(model, config, prepared, rest.by_ref(), primary_scenario)?;
                 rungs.extend(fallbacks);
             }
             let idx = (attempt as usize).min(rungs.len() - 1);
@@ -886,24 +991,26 @@ impl<M: CostModel + Sync> QueryService<M> {
             let mut faults = if attempt + 1 == max_attempts {
                 FaultSchedule::empty()
             } else {
-                self.config.fault_injection.schedule_for(ordinal, attempt)
+                config.fault_injection.schedule_for(ordinal, attempt)
             };
-            let executed = match self.execute(ordinal, request, &rungs[idx].plan, &mut faults) {
+            let plan = &rungs[idx].plan;
+            let executed = match stage.run(config, &self.truth, ordinal, request, plan, &mut faults)
+            {
                 Err(e) if !matches!(e, ServeError::Exec(ExecError::InjectedFault { .. })) => {
                     return Err(e)
                 }
                 executed => executed,
             };
-            self.resilience.faults_injected += faults.trace().len() as u64;
+            stage.counters.faults_injected += faults.trace().len() as u64;
             faults_seen.extend_from_slice(faults.trace());
             let Ok((report, feedback)) = executed else {
-                self.breaker.record_fault(fp_key.to_vec());
-                self.shard_breaker.record_fault(shard);
-                self.resilience.retries += 1;
+                stage.breaker.record_fault(fp_key.to_vec());
+                stage.shard_breaker.record_fault(shard);
+                stage.counters.retries += 1;
                 continue;
             };
             let degraded = route != ServeRoute::Primary;
-            let counters = &mut self.resilience;
+            let counters = &mut stage.counters;
             counters.degraded_serves += u64::from(degraded);
             counters.frontier_fallbacks += u64::from(matches!(route, ServeRoute::Frontier { .. }));
             counters.lsc_fallbacks += u64::from(route == ServeRoute::LscBaseline);
@@ -928,178 +1035,25 @@ impl<M: CostModel + Sync> QueryService<M> {
         ))
     }
 
-    /// The fallback rungs: the pick's other candidates, ranked among
-    /// themselves by the configured rule (minmax regret scores them against
-    /// each other, not the primary), then the LSC baseline as the last
-    /// resort, which reports the primary's scenario (it belongs to none).
-    fn fallback_rungs<'a>(
-        &self,
-        prepared: &PreparedRequest,
-        rest: impl Iterator<Item = Candidate<'a>>,
-        primary_scenario: usize,
-    ) -> Result<Vec<LadderRung>, ServeError> {
-        let probs = self.config.observed_memory.probs();
-        let ranked = rank(rest.collect(), &self.config.selection_rule, probs);
-        let mut rungs = Vec::with_capacity(ranked.len() + 1);
-        for (rank, candidate) in ranked.into_iter().enumerate() {
-            let rung = LadderRung {
-                plan: prepared.canon.plan_to_original(candidate.plan),
-                expected_cost: candidate.expected_cost,
-                scenario: candidate.scenario,
-                route: ServeRoute::Frontier { rank },
-            };
-            verify(&rung, &prepared.query, "fallback expected cost")?;
-            rungs.push(rung);
-        }
-        rungs.push(self.lsc_rung(prepared, primary_scenario)?);
-        Ok(rungs)
-    }
-
-    /// The robust last resort: System R (LSC) at the mean observed grant,
-    /// re-priced as an expected cost under the observed distribution so its
-    /// rung is comparable to the frontier rungs.
-    fn lsc_rung(
-        &self,
-        prepared: &PreparedRequest,
-        scenario: usize,
-    ) -> Result<LadderRung, ServeError> {
-        let canon = &prepared.canon;
-        let mean = self.config.observed_memory.mean();
-        let (optimized, _) = lsc::optimize_at(&canon.query, &self.model, mean)?;
-        let observed = &self.config.observed_memory;
-        let (_, expected_cost) =
-            profile_and_expected_cost(&canon.query, &self.model, &optimized.plan, observed);
-        let rung = LadderRung {
-            expected_cost,
-            plan: canon.plan_to_original(&optimized.plan),
-            scenario,
-            route: ServeRoute::LscBaseline,
-        };
-        verify(&rung, &prepared.query, "lsc baseline expected cost")?;
-        Ok(rung)
-    }
-
-    /// Executes `plan` over the generated data, realizing the *truth*
-    /// catalog's filter selectivities. `ordinal` is the request's position
-    /// in the logical stream: it seeds the memory draw, so concurrent
-    /// drivers replaying a partition of the stream draw what the
-    /// sequential loop would.
-    fn execute(
-        &mut self,
-        ordinal: u64,
-        request: &QueryRequest,
-        plan: &Plan,
-        faults: &mut FaultSchedule,
-    ) -> Result<(ExecReport, ExecFeedback), ServeError> {
-        let base = request
-            .tables
-            .iter()
-            .map(|t| {
-                self.rels
-                    .get(t)
-                    .copied()
-                    .ok_or_else(|| ServeError::Config(format!("table `{t}` has no generated data")))
-            })
-            .collect::<Result<Vec<RelId>, ServeError>>()?;
-        let mut selections = vec![1.0; request.tables.len()];
-        for f in &request.filters {
-            let idx = request
-                .tables
-                .iter()
-                .position(|t| *t == f.table)
-                .ok_or_else(|| {
-                    ServeError::Config(format!("filter on `{}` not in table list", f.table))
-                })?;
-            selections[idx] *= filter_stat(f).1.estimate(&self.truth)?.clamp(1e-9, 1.0);
-        }
-        // Seeded by the request ordinal, not the attempt: every rung of the
-        // ladder faces the same memory draw, so a retry is a pure plan
-        // switch.
-        let mut env = ExecMemoryEnv::draw_once(
-            self.config.observed_memory.clone(),
-            self.config.exec_seed.wrapping_add(ordinal),
-        );
-        // Everything the execution writes (filtered scans, sort runs,
-        // partitions, the result) is dropped again, on success and on
-        // error, so a long-lived service holds only its base data.
-        let mark = self.disk.relation_count();
-        let executed =
-            execute_plan_with_faults(plan, &base, &selections, &mut self.disk, &mut env, faults);
-        self.disk.drop_from(mark);
-        Ok(executed?)
-    }
-
-    /// The feedback stage: feeds execution observations to the drift
-    /// detector and recalibrates on every event it fires. `query` is the
-    /// belief-side query the request was planned under (its estimates are
-    /// what the observations refute).
-    fn ingest_feedback(
-        &mut self,
-        request: &QueryRequest,
-        query: &JoinQuery,
-        feedback: &ExecFeedback,
-    ) -> Result<Vec<Recalibration>, ServeError> {
-        // (statistic, estimated, observed) for every attributable
-        // observation, selections first.
-        let mut observed = Vec::new();
-        for obs in &feedback.selections {
-            // Attribute the relation's observed shrinkage to its first
-            // filter (a relation with several filters gets one composite
-            // window; the recalibration re-spreads mass over all of them).
-            let table = &request.tables[obs.rel];
-            if let Some(filter) = request.filters.iter().find(|f| f.table == *table) {
-                let estimated = query.relation(obs.rel).local_selectivity;
-                observed.push((filter_stat(filter).0, estimated, obs.observed_selectivity()));
-            }
-        }
-        let position = |t: &String| request.tables.iter().position(|x| x == t);
-        for obs in &feedback.joins {
-            // Only leaf joins (output covering exactly two base relations)
-            // isolate a single predicate's selectivity.
-            let leaf = request.joins.iter().find(|j| {
-                matches!((position(&j.left_table), position(&j.right_table)),
-                    (Some(l), Some(r)) if RelSet::single(l).insert(r) == obs.rels)
-            });
-            if let Some(spec) = leaf {
-                let (target, pred) = join_stat(spec);
-                observed.push((
-                    target,
-                    pred.estimate(&self.beliefs)?,
-                    obs.observed_selectivity(),
-                ));
-            }
-        }
-        let events: Vec<DriftEvent> = observed
-            .into_iter()
-            .filter_map(|(target, estimated, obs)| self.drift.observe(target, estimated, obs))
-            .collect();
-        events
-            .into_iter()
-            .map(|event| self.recalibrate(request, event))
-            .collect()
-    }
-
     /// The recalibrate stage for one drift event: updates the belief
     /// statistic, pulls the affected cache entries, and decides (via EVPI)
     /// whether they are dropped for re-optimization or migrated for
     /// re-costing.
-    fn recalibrate(
+    fn on_drift(
         &mut self,
         request: &QueryRequest,
         event: DriftEvent,
     ) -> Result<Recalibration, ServeError> {
         // Anything prepared or primed under the old beliefs is stale from
         // here on — also if the update below fails halfway.
-        self.beliefs_version += 1;
-        self.memo.slots.clear();
+        self.prepare.invalidate();
         let blend = self.config.drift.blend;
-        let (beliefs, truth) = (&mut self.beliefs, &self.truth);
-        update_beliefs(&mut self.sampler, blend, beliefs, truth, request, &event)?;
-        self.recalibrations += 1;
+        self.recalibrate
+            .update_beliefs(blend, &mut self.beliefs, &self.truth, request, &event)?;
 
         // Every cached entry optimized under the stale statistic is pulled.
         let affected: Vec<&str> = event.target.tables();
-        let mut removed = self.cache.invalidate_collect(|e| {
+        let mut removed = self.plan.cache.invalidate_collect(|e| {
             e.prepared
                 .request
                 .tables
@@ -1115,9 +1069,9 @@ impl<M: CostModel + Sync> QueryService<M> {
         let decision = self.decide(request, &event)?;
         let mut entries_migrated = 0;
         match decision {
-            RecalibrationDecision::Reoptimize => self.reoptimize_decisions += 1,
+            RecalibrationDecision::Reoptimize => self.recalibrate.reoptimize_decisions += 1,
             RecalibrationDecision::RecostOnly => {
-                self.recost_decisions += 1;
+                self.recalibrate.recost_decisions += 1;
                 for entry in removed {
                     entries_migrated += self.migrate(entry)? as usize;
                 }
@@ -1141,7 +1095,7 @@ impl<M: CostModel + Sync> QueryService<M> {
     ) -> Result<RecalibrationDecision, ServeError> {
         // The exact joint analysis is exponential; beyond 4 relations the
         // conservative answer is to re-optimize.
-        let prepared = self.prepare(request, None)?;
+        let prepared = self.prepare.form(&self.beliefs, request, None)?;
         let query = &prepared.query;
         if query.n() > 4 {
             return Ok(RecalibrationDecision::Reoptimize);
@@ -1209,7 +1163,9 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// request) — the full verifier, not the weaker `Plan::validate`, so a
     /// migration can never park a plan the serve path would refuse to run.
     fn migrate(&mut self, entry: Arc<CacheEntry>) -> Result<bool, ServeError> {
-        let prepared = self.prepare(&entry.prepared.request, None)?;
+        let prepared = self
+            .prepare
+            .form(&self.beliefs, &entry.prepared.request, None)?;
         let canon = &prepared.canon;
         let mut scenarios = Vec::with_capacity(entry.plans.scenarios().len());
         for (dist, opt) in entry.plans.scenarios() {
@@ -1228,22 +1184,24 @@ impl<M: CostModel + Sync> QueryService<M> {
             plans: Arc::new(ParametricPlans::from_parts(scenarios)?),
             prepared: Arc::clone(&prepared),
         };
-        self.cache.insert(&canon.fingerprint, Arc::new(migrated));
+        self.plan
+            .cache
+            .insert(&canon.fingerprint, Arc::new(migrated));
         Ok(true)
     }
 
     /// Aggregate optimizer statistics with the live cache counters folded
     /// in.
     pub fn stats(&self) -> OptStats {
-        let mut s = self.stats.clone();
-        s.cache = self.cache.counters();
-        s.resilience = self.resilience;
+        let mut s = self.plan.stats.clone();
+        s.cache = self.plan.cache.counters();
+        s.resilience = self.execute.counters;
         s
     }
 
     /// Live fault/retry/degradation counters.
     pub fn resilience_counters(&self) -> ResilienceCounters {
-        self.resilience
+        self.execute.counters
     }
 
     /// The belief catalog (what the optimizer currently assumes).
@@ -1265,17 +1223,20 @@ impl<M: CostModel + Sync> QueryService<M> {
 
     /// Number of full optimizer invocations (cache misses) so far.
     pub fn optimizer_invocations(&self) -> u64 {
-        self.optimizer_invocations
+        self.plan.invocations
     }
 
     /// Number of recalibration rounds performed so far.
     pub fn recalibrations(&self) -> u64 {
-        self.recalibrations
+        self.recalibrate.recalibrations
     }
 
     /// `(reoptimize, recost-only)` decision counts so far.
     pub fn decisions(&self) -> (u64, u64) {
-        (self.reoptimize_decisions, self.recost_decisions)
+        (
+            self.recalibrate.reoptimize_decisions,
+            self.recalibrate.recost_decisions,
+        )
     }
 
     /// Requests served so far.
@@ -1286,56 +1247,101 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// Current beliefs version (bumped once per recalibration). Prepared
     /// requests and batch primers tagged with an older version are ignored.
     pub fn beliefs_version(&self) -> u64 {
-        self.beliefs_version
+        self.prepare.version
     }
 
     /// Cache misses answered from a batch primer instead of a fresh
     /// optimizer run.
     pub fn primed_consumed(&self) -> u64 {
-        self.primed_consumed
+        self.plan.primed_consumed
     }
 
     /// Relations on the service's simulated disk. Executions reclaim their
     /// temporaries, so between serves this is the number of generated base
     /// tables.
     pub fn stored_relations(&self) -> usize {
-        self.disk.relation_count()
+        self.execute.disk.relation_count()
     }
 
     /// Live cache size in entries.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.plan.cache.len()
     }
 
     /// Requests whose prepared form is memoized under the current beliefs
     /// (at most [`ServeConfig::cache_capacity`]).
     pub fn memo_len(&self) -> usize {
-        self.memo.slots.len()
+        self.prepare.slots.len()
     }
 
     /// Drift-triggered resampling rounds performed so far (always zero
     /// with [`ServeConfig::resample`] off or on a drift-quiet stream).
     pub fn resamples(&self) -> u64 {
-        self.sampler.as_ref().map_or(0, |s| s.resamples)
+        self.recalibrate.sampler.as_ref().map_or(0, |s| s.resamples)
     }
 
     /// The cached confidence interval for one statistic, if it has been
     /// sampled (row-domain for joins).
     pub fn stat_interval(&self, target: &DriftTarget) -> Option<StatInterval> {
-        self.sampler.as_ref()?.intervals.get(target).copied()
+        self.recalibrate
+            .sampler
+            .as_ref()?
+            .intervals
+            .get(target)
+            .copied()
     }
 }
 
-/// Builds the optimizer query for `request` from `beliefs`.
-fn build_query(beliefs: &Catalog, request: &QueryRequest) -> Result<JoinQuery, ServeError> {
-    let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
-    Ok(query_from_catalog(
-        beliefs,
-        &tables,
-        &request.joins,
-        &request.filters,
-        request.order_by,
-    )?)
+/// The fallback rungs: the pick's other candidates, ranked among
+/// themselves by the configured rule (minmax regret scores them against
+/// each other, not the primary), then the LSC baseline as the last resort,
+/// which reports the primary's scenario (it belongs to none).
+fn fallback_rungs<'a, M: CostModel>(
+    model: &M,
+    config: &ServeConfig,
+    prepared: &PreparedRequest,
+    rest: impl Iterator<Item = Candidate<'a>>,
+    primary_scenario: usize,
+) -> Result<Vec<LadderRung>, ServeError> {
+    let probs = config.observed_memory.probs();
+    let ranked = rank(rest.collect(), &config.selection_rule, probs);
+    let mut rungs = Vec::with_capacity(ranked.len() + 1);
+    for (rank, candidate) in ranked.into_iter().enumerate() {
+        let rung = LadderRung {
+            plan: prepared.canon.plan_to_original(candidate.plan),
+            expected_cost: candidate.expected_cost,
+            scenario: candidate.scenario,
+            route: ServeRoute::Frontier { rank },
+        };
+        verify(&rung, &prepared.query, "fallback expected cost")?;
+        rungs.push(rung);
+    }
+    rungs.push(lsc_rung(model, config, prepared, primary_scenario)?);
+    Ok(rungs)
+}
+
+/// The robust last resort: System R (LSC) at the mean observed grant,
+/// re-priced as an expected cost under the observed distribution so its
+/// rung is comparable to the frontier rungs.
+fn lsc_rung<M: CostModel>(
+    model: &M,
+    config: &ServeConfig,
+    prepared: &PreparedRequest,
+    scenario: usize,
+) -> Result<LadderRung, ServeError> {
+    let canon = &prepared.canon;
+    let observed = &config.observed_memory;
+    let (optimized, _) = lsc::optimize_at(&canon.query, model, observed.mean())?;
+    let (_, expected_cost) =
+        profile_and_expected_cost(&canon.query, model, &optimized.plan, observed);
+    let rung = LadderRung {
+        expected_cost,
+        plan: canon.plan_to_original(&optimized.plan),
+        scenario,
+        route: ServeRoute::LscBaseline,
+    };
+    verify(&rung, &prepared.query, "lsc baseline expected cost")?;
+    Ok(rung)
 }
 
 /// The verify stage for one ladder rung: the plan-IR verifier in the
@@ -1452,7 +1458,10 @@ mod tests {
     fn the_ladder_reranks_the_remaining_candidates_among_themselves() {
         let mut svc = service();
         svc.config.selection_rule = Rule::MinmaxRegret;
-        let prepared = svc.prepare(&request(25.0), None).unwrap();
+        let prepared = svc
+            .prepare
+            .form(&svc.beliefs, &request(25.0), None)
+            .unwrap();
         let key = prepared.canon.query.predicates()[0].key;
         let plans: Vec<Plan> = lec_cost::JoinMethod::ALL
             .iter()
@@ -1478,9 +1487,8 @@ mod tests {
         let ranked = rank(all, &svc.config.selection_rule, probs);
         let order: Vec<usize> = ranked.iter().map(|c| c.scenario).collect();
         assert_eq!(order, [2, 0, 1]);
-        let rungs = svc
-            .fallback_rungs(&prepared, ranked.into_iter().skip(1), 2)
-            .unwrap();
+        let rest = ranked.into_iter().skip(1);
+        let rungs = fallback_rungs(&svc.model, &svc.config, &prepared, rest, 2).unwrap();
         let routes: Vec<(usize, ServeRoute)> =
             rungs.iter().map(|r| (r.scenario, r.route)).collect();
         assert_eq!(
@@ -1500,11 +1508,11 @@ mod tests {
         assert!(!svc.serve(&req).unwrap().cache_hit);
         assert!(svc.serve(&req).unwrap().cache_hit);
         assert!(svc.serve(&req).unwrap().cache_hit);
-        let first = svc.prepare(&req, None).unwrap();
-        let again = svc.prepare(&req, None).unwrap();
+        let first = svc.prepare.form(&svc.beliefs, &req, None).unwrap();
+        let again = svc.prepare.form(&svc.beliefs, &req, None).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         // The cache entry the miss populated shares that same form.
-        let entry = svc.cache.peek(&first.canon.fingerprint).unwrap();
+        let entry = svc.plan.cache.peek(&first.canon.fingerprint).unwrap();
         assert!(Arc::ptr_eq(&entry.prepared, &first));
         assert_eq!(svc.memo_len(), 1);
     }
@@ -1515,10 +1523,10 @@ mod tests {
         let (a, b) = (request(25.0), request(50.0));
         assert_ne!(a.key(), b.key());
         // Park `a`'s form under `b`'s key, as a digest collision would.
-        let form_a = svc.prepare(&a, None).unwrap();
-        svc.memo.insert(b.key(), Arc::clone(&form_a));
-        assert!(svc.memo.get(b.key(), &b).is_none());
-        let form_b = svc.prepare(&b, None).unwrap();
+        let form_a = svc.prepare.form(&svc.beliefs, &a, None).unwrap();
+        svc.prepare.insert(b.key(), Arc::clone(&form_a));
+        assert!(svc.prepare.get(b.key(), &b).is_none());
+        let form_b = svc.prepare.form(&svc.beliefs, &b, None).unwrap();
         assert!(!Arc::ptr_eq(&form_a, &form_b));
         assert_eq!(form_b.request, b);
         let fresh = PreparedRequest::build(svc.beliefs(), &b, 0).unwrap();

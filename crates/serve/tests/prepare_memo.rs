@@ -9,12 +9,15 @@
 //!    under the new beliefs: it serves what a fresh service built on the
 //!    recalibrated beliefs serves.
 //! 3. The memo holds at most `cache_capacity` requests.
+//! 4. A NaN filter bound is refused before anything is planned, through
+//!    the service and through the concurrent router; infinite bounds serve.
 
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
 use lec_cost::PaperCostModel;
 use lec_exec::PAGE_CAPACITY;
 use lec_serve::{
-    DriftConfig, QueryRequest, QueryService, RecalibrationDecision, ServeConfig, ServedQuery,
+    ConcurrencyConfig, ConcurrentServer, DriftConfig, QueryRequest, QueryService,
+    RecalibrationDecision, ServeConfig, ServeError, ServedQuery,
 };
 use lec_stats::Distribution;
 use lec_workload::from_catalog::{FilterSpec, JoinSpec};
@@ -232,4 +235,58 @@ fn the_memo_holds_at_most_cache_capacity_requests() {
     let served = svc.serve(&requests[0]).unwrap();
     assert_same_pick(&served, &fresh(&cat, &cat, &requests[0]), "evicted request");
     assert_eq!(svc.memo_len(), capacity);
+}
+
+#[test]
+fn nan_filter_bounds_are_refused_and_infinite_bounds_serve() {
+    let cat = catalog(&UNIFORM);
+    let refused = |what: &str, result: Result<(), ServeError>| match result {
+        Err(ServeError::NanFilterBound(filter)) => {
+            assert_eq!(
+                (filter.table.as_str(), filter.column.as_str()),
+                ("cust", "v")
+            )
+        }
+        other => panic!("{what}: a NaN bound must be refused, got {other:?}"),
+    };
+    for (lo, hi) in [(f64::NAN, 25.0), (0.0, f64::NAN), (f64::NAN, f64::NAN)] {
+        let mut request = chain(3, hi);
+        request.filters[0].lo = lo;
+
+        let mut svc =
+            QueryService::new(PaperCostModel, cat.clone(), cat.clone(), config()).unwrap();
+        refused("serve", svc.serve(&request).map(|_| ()));
+        assert_eq!(svc.queries_served(), 0);
+        assert_eq!(svc.optimizer_invocations(), 0);
+        assert_eq!(svc.memo_len(), 0);
+
+        let concurrency = ConcurrencyConfig {
+            workers: 2,
+            batch_window: 4,
+        };
+        let mut server = ConcurrentServer::new(
+            PaperCostModel,
+            cat.clone(),
+            cat.clone(),
+            config(),
+            concurrency,
+        )
+        .unwrap();
+        let stream = [chain(3, 25.0), request];
+        refused("serve_stream", server.serve_stream(&stream).map(|_| ()));
+        assert_eq!(server.queries_served(), 0, "the router refuses up front");
+    }
+
+    // ±∞ stays legal: an unbounded range serves like no filter at all.
+    let mut open = chain(3, f64::INFINITY);
+    open.filters[0].lo = f64::NEG_INFINITY;
+    let mut svc = QueryService::new(PaperCostModel, cat.clone(), cat.clone(), config()).unwrap();
+    let served = svc.serve(&open).unwrap();
+    assert_same_pick(&served, &fresh(&cat, &cat, &open), "infinite bounds");
+    assert!(svc.serve(&open).unwrap().cache_hit);
+    assert_eq!(
+        svc.memo_len(),
+        1,
+        "an infinite bound confirms against the memo"
+    );
 }
