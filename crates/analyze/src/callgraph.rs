@@ -12,11 +12,14 @@
 //!   type. A qualifier matching *nothing* in the workspace (`String`, `fs`,
 //!   `thread`) is external and produces no edge — this is what keeps
 //!   `String::new()` from aliasing every workspace `new`.
-//! - `.name(…)` method calls resolve to **every** trait-impl method of that
+//!   A trait name as qualifier (`Rule::score(…)`) reaches the trait's
+//!   default body and every impl of the trait.
+//! - `.name(…)` method calls resolve to **every** trait method of that
 //!   name, in any crate — the trait-dispatch over-approximation: a
-//!   `dyn Rule::score(…)` call reaches every `score` impl, including impls
-//!   in crates downstream of the caller — and to every inherent method of
-//!   that name the caller's crate can name (next item).
+//!   `dyn Rule::score(…)` call reaches every `score` impl and trait
+//!   default body, including those in crates downstream of the caller —
+//!   and to every inherent method of that name the caller's crate can
+//!   name (next item).
 //! - Bare `name(…)` calls resolve to every workspace function of that name
 //!   *that the caller's crate can name*: its own crate and its dependency
 //!   closure, read from the packages' `Cargo.toml` `[dependencies]` (plus
@@ -458,7 +461,11 @@ impl Resolver<'_> {
                 cands
                     .iter()
                     .copied()
-                    .filter(|&id| self.item(id).impl_type.as_deref() == Some(name))
+                    .filter(|&id| {
+                        let f = self.item(id);
+                        f.impl_type.as_deref() == Some(name)
+                            || f.trait_name.as_deref() == Some(name)
+                    })
                     .collect(),
             );
         }
@@ -558,6 +565,31 @@ mod tests {
         )]);
         let top = id_of(&w, "top");
         assert_eq!(w.edges[top].len(), 2);
+    }
+
+    #[test]
+    fn trait_default_bodies_are_call_targets() {
+        let w = ws(&[(
+            "crates/core/src/a.rs",
+            "trait T { fn with_default(&self) { x.unwrap(); } }\n\
+             struct A;\n\
+             impl T for A { fn with_default(&self) {} }\n\
+             fn top() { y.with_default(); }\n\
+             fn qualified() { T::with_default(&y); }\n",
+        )]);
+        let default = (0..w.fns.len())
+            .find(|&id| w.item(id).impl_type.as_deref() == Some("T"))
+            .expect("default body parsed");
+        let top = id_of(&w, "top");
+        let qualified = id_of(&w, "qualified");
+        // Both reach the default body and the impl's override.
+        assert_eq!(w.edges[top].len(), 2);
+        assert!(w.edges[top].iter().any(|&(callee, _)| callee == default));
+        assert_eq!(w.edges[qualified].len(), 2);
+        assert!(w.edges[qualified]
+            .iter()
+            .any(|&(callee, _)| callee == default));
+        assert_eq!(w.qualified_name(default), "T::with_default");
     }
 
     #[test]

@@ -74,9 +74,11 @@ pub struct Call {
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// Self type of the enclosing `impl` block, if any.
+    /// Self type of the enclosing `impl` block, if any; for a default
+    /// method body in a `trait` block, the trait's name.
     pub impl_type: Option<String>,
-    /// Trait name when the enclosing block is `impl Trait for Type`.
+    /// Trait name when the enclosing block is `impl Trait for Type` or the
+    /// `trait` block itself.
     pub trait_name: Option<String>,
     /// Zero-based line of the `fn` keyword.
     pub sig_line: usize,
@@ -172,6 +174,7 @@ pub fn parse_items(rel_path: &str, lx: &FileLex) -> FileItems {
     let mut pending_fn: Option<PendingFn> = None;
     let mut pending_mod: Option<()> = None;
     let mut pending_impl: Option<usize> = None;
+    let mut pending_trait: Option<String> = None;
     let mut impl_stack: Vec<(Option<String>, Option<String>, i32)> = Vec::new();
     let mut open_fns: Vec<OpenFn> = Vec::new();
     let mut depth: i32 = 0;
@@ -201,6 +204,14 @@ pub fn parse_items(rel_path: &str, lx: &FileLex) -> FileItems {
                 }
                 "impl" if pending_fn.is_none() && pending_impl.is_none() && open_fns.is_empty() => {
                     pending_impl = Some(i);
+                }
+                "trait"
+                    if pending_fn.is_none() && pending_impl.is_none() && open_fns.is_empty() =>
+                {
+                    if let Some((name, end)) = next_ident(&text, i) {
+                        pending_trait = Some(name);
+                        i = end;
+                    }
                 }
                 "use" if open_fns.is_empty() && pending_fn.is_none() => {
                     let end = bytes[i..]
@@ -287,6 +298,9 @@ pub fn parse_items(rel_path: &str, lx: &FileLex) -> FileItems {
                 } else if let Some(hdr_start) = pending_impl.take() {
                     let (self_ty, trait_name) = parse_impl_header(&text[hdr_start..i]);
                     impl_stack.push((self_ty, trait_name, depth));
+                } else if let Some(name) = pending_trait.take() {
+                    // Default method bodies belong to the trait.
+                    impl_stack.push((Some(name.clone()), Some(name), depth));
                 } else if pending_mod.take().is_some() {
                     // In-file modules only matter for the test flag, which
                     // the lexer already tracks; nothing else to record.
@@ -349,6 +363,7 @@ pub fn parse_items(rel_path: &str, lx: &FileLex) -> FileItems {
                     }
                 }
                 pending_mod = None;
+                pending_trait = None;
             }
             _ => {}
         }
@@ -830,6 +845,17 @@ mod tests {
         let items = parse(src);
         let names: Vec<&str> = items.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["with_default"]);
+    }
+
+    #[test]
+    fn default_method_bodies_belong_to_their_trait() {
+        let src =
+            "pub trait Rule: Sized {\n    fn sig(&self);\n    fn pick(&self) { x.unwrap(); }\n}\n\
+                   fn free() {}\n";
+        let items = parse(src);
+        assert_eq!(items.fns[0].impl_type.as_deref(), Some("Rule"));
+        assert_eq!(items.fns[0].trait_name.as_deref(), Some("Rule"));
+        assert_eq!(items.fns[1].impl_type, None);
     }
 
     #[test]

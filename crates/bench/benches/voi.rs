@@ -1,5 +1,5 @@
-//! EVPI analysis timing (`voi::analyze`): one left-deep enumeration plus a
-//! plan pricing per (plan, joint assignment).
+//! EVPI analysis timing (`voi::analyze`): every left-deep plan priced per
+//! joint assignment from shared join-order prefixes.
 //!
 //! Two shapes:
 //! - `serve`: what the serving loop's recalibration asks on a drift event —

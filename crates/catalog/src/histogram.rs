@@ -29,6 +29,14 @@ impl Histogram {
         Self::build(values, buckets, true)
     }
 
+    /// Sorts the values, places the boundaries (equal-width steps from
+    /// the minimum, or quantiles whose duplicates collapse into one
+    /// boundary), and counts rows and distinct values per bucket in one
+    /// pass over the sorted values. Distinct means distinct bits: the
+    /// values are finite and `total_cmp`-sorted, so equal bits sit side by
+    /// side and each run of them adds one distinct value to its bucket
+    /// (`-0.0` and `+0.0` are two values, like any other pair of
+    /// bit patterns).
     fn build(values: &[f64], buckets: usize, depth: bool) -> Result<Self, CatalogError> {
         if values.is_empty() {
             return Err(CatalogError::MalformedHistogram("no values".into()));
@@ -40,7 +48,9 @@ impl Histogram {
             return Err(CatalogError::MalformedHistogram("non-finite value".into()));
         }
         let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
+        // `total_cmp` ties only identical bits, so an unstable sort gives
+        // the same slice as a stable one.
+        sorted.sort_unstable_by(f64::total_cmp);
         let (lo, hi) = (sorted[0], *sorted.last().expect("non-empty")); // lec-lint: allow(panic-reachability) — `values` emptiness is rejected at fn entry, so `sorted` is non-empty here
 
         let boundaries: Vec<f64> = if depth {
@@ -67,18 +77,21 @@ impl Histogram {
 
         let nb = boundaries.len() - 1;
         let mut counts = vec![0u64; nb];
-        let mut uniques: Vec<std::collections::BTreeSet<u64>> =
-            vec![std::collections::BTreeSet::new(); nb];
+        let mut distinct = vec![0u64; nb];
+        let mut prev = None;
         for &v in &sorted {
             let b = bucket_of(&boundaries, v);
             counts[b] += 1;
-            uniques[b].insert(v.to_bits());
+            if prev != Some(v.to_bits()) {
+                distinct[b] += 1;
+                prev = Some(v.to_bits());
+            }
         }
         let n = sorted.len() as f64;
         Ok(Self {
             boundaries,
             fractions: counts.iter().map(|&c| c as f64 / n).collect(),
-            distinct: uniques.iter().map(|u| u.len() as u64).collect(),
+            distinct,
         })
     }
 

@@ -237,7 +237,7 @@ impl<'a> SampleEstimator<'a> {
                 lo,
                 hi,
             } => {
-                let col = self.truth.table(table)?.column(column)?.clone();
+                let col = ValueModel::new(self.truth.table(table)?.column(column)?);
                 for _ in 0..draws {
                     let v = self.draw_value(&col);
                     if *lo <= v && v <= *hi {
@@ -250,7 +250,7 @@ impl<'a> SampleEstimator<'a> {
                 column,
                 value,
             } => {
-                let col = self.truth.table(table)?.column(column)?.clone();
+                let col = ValueModel::new(self.truth.table(table)?.column(column)?);
                 for _ in 0..draws {
                     if self.draw_eq_hit(&col, *value) {
                         successes += 1;
@@ -348,7 +348,7 @@ impl<'a> SampleEstimator<'a> {
         table: &str,
         column: &str,
     ) -> Result<Histogram, CatalogError> {
-        let col = self.truth.table(table)?.column(column)?.clone();
+        let col = ValueModel::new(self.truth.table(table)?.column(column)?);
         let draws = self.config.draws.max(1);
         let mut values = Vec::with_capacity(draws as usize);
         for _ in 0..draws {
@@ -359,22 +359,26 @@ impl<'a> SampleEstimator<'a> {
     }
 
     /// One row draw from a column's value model.
-    fn draw_value(&mut self, col: &ColumnMeta) -> f64 {
+    fn draw_value(&mut self, model: &ValueModel) -> f64 {
+        let col = model.col;
         match &col.histogram {
             Some(h) => {
                 let u: f64 = self.rng.gen();
-                let mut acc = 0.0;
+                // The first bucket whose cumulative fraction exceeds `u`;
+                // the last bucket takes any rounding shortfall.
+                let Some(i) = model
+                    .cdf
+                    .iter()
+                    .position(|&acc| u < acc)
+                    .or(model.cdf.len().checked_sub(1))
+                else {
+                    return col.min;
+                };
                 let bounds = h.boundaries();
-                for (i, f) in h.fractions().iter().enumerate() {
-                    acc += f;
-                    if u < acc || i + 1 == h.buckets() {
-                        let lo = bounds.get(i).copied().unwrap_or(col.min);
-                        let hi = bounds.get(i + 1).copied().unwrap_or(col.max);
-                        let w: f64 = self.rng.gen();
-                        return lo + (hi - lo) * w;
-                    }
-                }
-                col.min
+                let lo = bounds.get(i).copied().unwrap_or(col.min);
+                let hi = bounds.get(i + 1).copied().unwrap_or(col.max);
+                let w: f64 = self.rng.gen();
+                lo + (hi - lo) * w
             }
             None => {
                 let w: f64 = self.rng.gen();
@@ -387,10 +391,11 @@ impl<'a> SampleEstimator<'a> {
     /// and then on the specific value with probability `1/distinct_bucket`
     /// (matching `Histogram::selectivity_eq`), or `1/distinct` without a
     /// histogram (matching the coarse estimate).
-    fn draw_eq_hit(&mut self, col: &ColumnMeta, value: f64) -> bool {
+    fn draw_eq_hit(&mut self, model: &ValueModel, value: f64) -> bool {
+        let col = model.col;
         match &col.histogram {
             Some(h) => {
-                let v = self.draw_value(col);
+                let v = self.draw_value(model);
                 let bounds = h.boundaries();
                 let bucket = bucket_index(bounds, value);
                 if bucket != bucket_index(bounds, v) {
@@ -404,6 +409,30 @@ impl<'a> SampleEstimator<'a> {
                 self.rng.gen_range(0..d) == 0
             }
         }
+    }
+}
+
+/// A truth column's value model, borrowed for one sampled statistic: the
+/// column and its histogram's cumulative bucket fractions, summed once in
+/// bucket order (`acc += f`) rather than on every draw.
+struct ValueModel<'c> {
+    col: &'c ColumnMeta,
+    cdf: Vec<f64>,
+}
+
+impl<'c> ValueModel<'c> {
+    fn new(col: &'c ColumnMeta) -> Self {
+        let mut acc = 0.0;
+        let cdf = col.histogram.as_ref().map_or_else(Vec::new, |h| {
+            h.fractions()
+                .iter()
+                .map(|f| {
+                    acc += f;
+                    acc
+                })
+                .collect()
+        });
+        ValueModel { col, cdf }
     }
 }
 

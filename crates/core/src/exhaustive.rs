@@ -9,26 +9,29 @@ use crate::error::CoreError;
 use crate::evaluate::{access_choices, expected_cost};
 use crate::par;
 use crate::stats::OptStats;
-use lec_cost::{CostModel, JoinMethod};
+use lec_cost::{AccessMethod, CostModel, JoinMethod};
 use lec_plan::{JoinQuery, Plan, RelSet};
 
 /// All left-deep plans for the query: every join permutation, every join-
 /// method assignment, every access-path choice; when the query requires an
 /// order, plans that do not already produce it are wrapped in a root sort.
+///
+/// Listed per join order, then per method combination (join 0's method
+/// varying fastest), then per access mask.
 pub fn enumerate_left_deep(query: &JoinQuery) -> Vec<Plan> {
-    let n = query.n();
+    let space = LeftDeepSpace::new(query);
     let mut plans = Vec::new();
-    if n == 1 {
-        for method in access_choices(query.relation(0)) {
-            plans.push(Plan::Access { rel: 0, method });
-        }
-        return plans;
-    }
-    let mut perm: Vec<usize> = (0..n).collect();
-    permute(&mut perm, 0, &mut |order| {
-        enumerate_methods_for_order(query, order, &mut plans);
+    for_each_join_order(query.n(), |order| {
+        plans.extend((0..space.len()).map(|index| space.plan(query, order, index)));
     });
     plans
+}
+
+/// Visits every join order of `n` relations, in the order
+/// [`enumerate_left_deep`] lists them.
+pub(crate) fn for_each_join_order(n: usize, mut visit: impl FnMut(&[usize])) {
+    let mut perm: Vec<usize> = (0..n).collect();
+    permute(&mut perm, 0, &mut visit);
 }
 
 /// Heap-style recursive permutation generator.
@@ -44,56 +47,78 @@ fn permute(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
-fn enumerate_methods_for_order(query: &JoinQuery, order: &[usize], plans: &mut Vec<Plan>) {
-    let n = order.len();
-    let joins = n - 1;
-    let method_combos = 3usize.pow(joins as u32);
-    for combo in 0..method_combos {
-        let mut methods = Vec::with_capacity(joins);
-        let mut c = combo;
-        for _ in 0..joins {
-            methods.push(JoinMethod::ALL[c % 3]);
-            c /= 3;
-        }
-        enumerate_access_variants(query, order, &methods, plans);
-    }
+/// The left-deep plans of one join order, numbered. Plan `index` is
+/// `combo · variants() + mask`: method combination `combo` gives join `j`
+/// (the one adding `order[j + 1]`) the method
+/// `JoinMethod::ALL[(combo / 3^j) % 3]`, so join 0 varies fastest, and
+/// access mask bit `b` picks the second access choice of the `b`-th
+/// relation (in index order) that has two. [`enumerate_left_deep`] and the
+/// EVPI analysis both read plans through this numbering, and both build
+/// them with [`LeftDeepSpace::plan`].
+pub(crate) struct LeftDeepSpace {
+    /// Each relation's access choices, each with the mask bit that picks
+    /// it (none for the first).
+    choices: Vec<Vec<(AccessMethod, usize)>>,
+    variants: usize,
+    len: usize,
 }
 
-fn enumerate_access_variants(
-    query: &JoinQuery,
-    order: &[usize],
-    methods: &[JoinMethod],
-    plans: &mut Vec<Plan>,
-) {
-    // Relations with two access choices get a bit in the variant mask.
-    let choice_rels: Vec<usize> = (0..query.n())
-        .filter(|&i| access_choices(query.relation(i)).len() > 1)
-        .collect();
-    let variants = 1usize << choice_rels.len();
-    for mask in 0..variants {
-        let access_of = |rel: usize| {
-            let choices = access_choices(query.relation(rel));
-            match choice_rels.iter().position(|&r| r == rel) {
-                Some(bit) if (mask >> bit) & 1 == 1 => choices[1],
-                _ => choices[0],
-            }
+impl LeftDeepSpace {
+    pub(crate) fn new(query: &JoinQuery) -> Self {
+        let mut variants = 1;
+        let choices = query
+            .relations()
+            .iter()
+            .map(|rel| {
+                let methods = access_choices(rel);
+                let second = variants;
+                if methods.len() > 1 {
+                    variants *= 2;
+                }
+                methods.into_iter().zip([0, second]).collect()
+            })
+            .collect();
+        LeftDeepSpace {
+            choices,
+            variants,
+            len: 3usize.pow(query.n().saturating_sub(1) as u32) * variants,
+        }
+    }
+
+    /// Plans per join order.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Access masks per method combination.
+    pub(crate) fn variants(&self) -> usize {
+        self.variants
+    }
+
+    /// `rel`'s access choices, each with the mask bit that picks it.
+    pub(crate) fn choices(&self, rel: usize) -> &[(AccessMethod, usize)] {
+        &self.choices[rel]
+    }
+
+    /// Plan `index` of join order `order`.
+    pub(crate) fn plan(&self, query: &JoinQuery, order: &[usize], index: usize) -> Plan {
+        let (mut combo, mask) = (index / self.variants, index % self.variants);
+        let access = |rel: usize| {
+            // The last choice whose bit the mask holds; the first has none.
+            let (method, _) = self.choices[rel]
+                .iter()
+                .rev()
+                .find(|&&(_, bit)| mask & bit == bit)
+                .copied()
+                .unwrap_or((AccessMethod::FullScan, 0));
+            Plan::Access { rel, method }
         };
         let mut set = RelSet::single(order[0]);
-        let mut plan = Plan::Access {
-            rel: order[0],
-            method: access_of(order[0]),
-        };
-        for (k, &rel) in order[1..].iter().enumerate() {
+        let mut plan = access(order[0]);
+        for &rel in &order[1..] {
             let key = query.join_key_between(set, RelSet::single(rel));
-            plan = Plan::join(
-                plan,
-                Plan::Access {
-                    rel,
-                    method: access_of(rel),
-                },
-                methods[k],
-                key,
-            );
+            plan = Plan::join(plan, access(rel), JoinMethod::ALL[combo % 3], key);
+            combo /= 3;
             set = set.insert(rel);
         }
         if let Some(required) = query.required_order() {
@@ -101,7 +126,7 @@ fn enumerate_access_variants(
                 plan = Plan::sort(plan, required);
             }
         }
-        plans.push(plan);
+        plan
     }
 }
 

@@ -9,12 +9,15 @@
 //! must agree to the bit on every reported cost and on the committed plan,
 //! across chain, star and clique queries with access-path and sort
 //! variants, 1–3 uncertain parameters of 1–3 buckets, and static and
-//! dynamic memory.
+//! dynamic memory; on the serving loop's drift-event shape; and on a query
+//! whose cheapest plans tie to the bit, which pins the committed plan to
+//! the first minimum in `enumerate_left_deep`'s order.
 //!
-//! Mutation check: weighting a partial's collapsed parameter by its own
+//! Mutation checks: weighting a partial's collapsed parameter by its own
 //! bucket probability instead of exactly 1.0 (the mass of
 //! `Distribution::point`) makes `single_pass_matches_per_conditioning_oracle`
-//! fail.
+//! fail; committing on `<=`, or visiting join orders lexicographically,
+//! makes `committed_tie_break_is_first_in_enumeration_order` fail.
 
 use lec_core::alg_d::SizeModel;
 use lec_core::env::PhaseDists;
@@ -379,6 +382,149 @@ fn serve_shape_matches_oracle() {
     sizes.selectivities[1] = Distribution::new([(s, 0.5), (s * 3.0, 0.5)]).unwrap();
     let memory = MemoryModel::Static(Distribution::new([(30.0, 0.5), (400.0, 0.5)]).unwrap());
     assert_bit_identical(&query, &memory, &sizes).unwrap();
+}
+
+/// The drift-event shape: a 4-relation chain or star with one filtered,
+/// indexed relation (two access choices), one statistic widened to a
+/// two-point distribution (the estimate and the observed value, as the
+/// serving loop builds it), static two-bucket memory, and half the time a
+/// required order.
+fn drift_event_case(seed: u64) -> (JoinQuery, SizeModel, MemoryModel) {
+    let mut rng = SplitMix64(seed);
+    let n = 4;
+    let filtered = rng.below(n);
+    let relations = (0..n)
+        .map(|i| {
+            let pages = rng.uniform(40.0, 9_000.0).round();
+            let rel = Relation::new(format!("r{i}"), pages, pages * 40.0);
+            if i == filtered {
+                rel.with_local_selectivity(rng.uniform(0.05, 0.6))
+                    .with_index()
+            } else {
+                rel
+            }
+        })
+        .collect();
+    let star = rng.below(2) == 1;
+    let predicates: Vec<JoinPred> = (1..n)
+        .map(|i| JoinPred {
+            left: if star { 0 } else { i - 1 },
+            right: i,
+            selectivity: rng.uniform(1e-4, 1e-2),
+            key: KeyId(i - 1),
+        })
+        .collect();
+    let required = (rng.below(2) == 0).then(|| KeyId(rng.below(n - 1)));
+    let query = JoinQuery::new(relations, predicates, required).expect("valid query");
+    let mut sizes = SizeModel::certain(&query).expect("point model");
+    let k = rng.below(n + n - 1);
+    let slot = if k < n {
+        &mut sizes.rel_sizes[k]
+    } else {
+        &mut sizes.selectivities[k - n]
+    };
+    let est = slot.mean();
+    let obs = if k < n {
+        (est * rng.uniform(0.1, 8.0)).max(1.0)
+    } else {
+        (est * rng.uniform(0.1, 8.0)).min(1.0)
+    };
+    *slot = Distribution::new([(est, 0.5), (obs, 0.5)]).expect("two-point");
+    let low = rng.uniform(4.0, 60.0).round();
+    let memory = MemoryModel::Static(
+        Distribution::new([(low, 0.5), (low + rng.uniform(20.0, 400.0).round(), 0.5)])
+            .expect("two-bucket memory"),
+    );
+    (query, sizes, memory)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Drift events, one uncertain statistic each, match the oracle.
+    #[test]
+    fn drift_event_shapes_match_oracle(seed in any::<u64>()) {
+        let (query, sizes, memory) = drift_event_case(seed);
+        assert_bit_identical(&query, &memory, &sizes)?;
+    }
+}
+
+/// A star around relation 0 whose spokes 1 and 2 are identical, so
+/// swapping them in a join order gives a plan of bit-identical cost
+/// under every assignment. The cheapest plans join 0 and 3 first, then
+/// the spokes: `[0, 3, 2, 1]` comes before its twin `[0, 3, 1, 2]` in
+/// `enumerate_left_deep`'s order, but after it in lexicographic order.
+/// The committed plan must be the first minimum in enumeration order.
+///
+/// Mutation check: committing on `<=` (the last minimum), or visiting
+/// join orders lexicographically (a depth-first walk over shared
+/// prefixes) instead of in `enumerate_left_deep`'s order, commits the
+/// twin and fails this test.
+#[test]
+fn committed_tie_break_is_first_in_enumeration_order() {
+    let spoke = |name: &str| Relation::new(name, 5_000.0, 2e5);
+    let query = JoinQuery::new(
+        vec![
+            Relation::new("hub", 2_000.0, 8e4),
+            spoke("s1"),
+            spoke("s2"),
+            Relation::new("dim", 3_000.0, 1.2e5)
+                .with_local_selectivity(0.0625)
+                .with_index(),
+        ],
+        vec![
+            JoinPred {
+                left: 0,
+                right: 1,
+                selectivity: 1e-3,
+                key: KeyId(0),
+            },
+            JoinPred {
+                left: 0,
+                right: 2,
+                selectivity: 1e-3,
+                key: KeyId(1),
+            },
+            JoinPred {
+                left: 0,
+                right: 3,
+                selectivity: 1e-5,
+                key: KeyId(2),
+            },
+        ],
+        None,
+    )
+    .unwrap();
+    let mut sizes = SizeModel::certain(&query).unwrap();
+    sizes.selectivities[2] = Distribution::new([(1e-5, 0.5), (4e-5, 0.5)]).unwrap();
+    let memory = MemoryModel::Static(Distribution::new([(16.0, 0.5), (200.0, 0.5)]).unwrap());
+    assert_bit_identical(&query, &memory, &sizes).unwrap();
+
+    // The tie is real: at least two plans share the minimum, and the
+    // committed one comes first.
+    let phases = memory.table(query.n()).unwrap();
+    let report = voi::analyze(&query, &PaperCostModel, &memory, &sizes).unwrap();
+    let tied: Vec<Plan> = enumerate_left_deep(&query)
+        .into_iter()
+        .filter(|plan| {
+            let cost = oracle_expected_cost_joint(&query, &PaperCostModel, plan, &sizes, &phases);
+            cost.to_bits() == report.committed_cost.to_bits()
+        })
+        .collect();
+    assert!(tied.len() >= 2, "{} plans at the minimum", tied.len());
+    assert_eq!(report.committed_plan, tied[0]);
+    fn order(plan: &Plan) -> Vec<usize> {
+        match plan {
+            Plan::Access { rel, .. } => vec![*rel],
+            Plan::Join { left, right, .. } => [order(left), order(right)].concat(),
+            Plan::Sort { input, .. } => order(input),
+        }
+    }
+    assert_eq!(order(&tied[0]), vec![0, 3, 2, 1]);
+    assert!(
+        tied.iter().any(|p| order(p) < order(&tied[0])),
+        "a lexicographically earlier twin is tied"
+    );
 }
 
 /// A finite size whose rescale to raw pages (`value / local_selectivity`)
