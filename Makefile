@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` is the tier-1 gate the CI driver
 # runs; the others are the fast local loops.
 
-.PHONY: verify test bench-smoke lint lint-strict xtable fault-smoke kernel-smoke serve-concurrent-smoke rules-smoke objectives-smoke sampling-smoke perfbench-replay ci
+.PHONY: verify test bench-smoke lint lint-strict xtable fault-smoke kernel-smoke serve-concurrent-smoke rules-smoke objectives-smoke search-smoke sampling-smoke perfbench-replay ci
 
 # Tier-1: release build + full test suite (what must never regress).
 verify:
@@ -112,6 +112,23 @@ objectives-smoke:
 		echo "objectives smoke ok: $$s"; \
 	done
 
+# Search smoke: re-run X19 (Algorithm C's search counters on chain
+# queries, and the Pareto DP's frontier sizes) and diff its section
+# against the committed results/xtable_all.md with the `wall` column
+# blanked. Everything else in it is deterministic, so any difference is a
+# changed count of masks expanded or pruned, candidates priced, entries
+# written or table sizes: the enumeration regression oracle X19 promises.
+search-smoke:
+	mkdir -p target
+	cargo run --release -p lec-bench --bin xtable x19 > target/search-smoke.md
+	@for f in want:results/xtable_all.md got:target/search-smoke.md; do \
+		awk -F'|' -v OFS='|' 'index($$0, "## X19 ") == 1 {on = 1; print; next} /^## X/ {on = 0} on {if (NF == 9) $$8 = ""; print}' \
+			$${f#*:} > target/search-$${f%%:*}.X19; \
+	done
+	@test -s target/search-want.X19 || { echo "search smoke: no X19 section in results/xtable_all.md"; exit 1; }
+	@diff -u target/search-want.X19 target/search-got.X19 || { echo "search smoke: X19 counters differ from results/xtable_all.md"; exit 1; }
+	@echo "search smoke ok: X19"
+
 # Sampling/certificate smoke: run X24 at a reduced draw count (X24_DRAWS
 # routes the artifact to the gitignored _smoke file, so the committed
 # full-draw BENCH_sampling.json is never overwritten here) and check the
@@ -145,9 +162,10 @@ perfbench-replay:
 # concurrency-determinism finding even under a pragma), rustdoc with warnings denied (no doc link
 # may point at a missing or private item), the whole test suite (one
 # `cargo test --workspace` runs the unit, integration and doc-tests), one
-# untimed pass of every Criterion bench, the X19/X20 runs that must leave
-# well-formed results/BENCH_stats.json and results/BENCH_serve.json
-# behind (the latter with its self-asserted `hit_path` block), the
+# untimed pass of every Criterion bench, the X19 search smoke (which
+# leaves results/BENCH_stats.json behind) and the X20 run that must leave
+# a well-formed results/BENCH_serve.json (with its self-asserted
+# `hit_path` block), the
 # fault/kernel/concurrent/rules/objectives/sampling smokes above, then the
 # perfbench replay oracle over all three workloads.
 ci:
@@ -164,7 +182,7 @@ ci:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 	cargo test -q --workspace
 	$(MAKE) bench-smoke
-	cargo run --release -p lec-bench --bin xtable x19 > /dev/null
+	$(MAKE) search-smoke
 	test -s results/BENCH_stats.json
 	grep -q '"experiment": "x19_stats"' results/BENCH_stats.json
 	cargo run --release -p lec-bench --bin xtable x20 > /dev/null

@@ -12,7 +12,8 @@
 //! under the serving benchmark's two memory scenarios: the median of one
 //! shared precompute (one sweep prices both scenarios) next to the summed
 //! medians of Algorithm C run once per scenario, which is what the
-//! precompute cost before its scenarios shared a sweep.
+//! precompute cost before its scenarios shared a sweep, with the shared
+//! precompute's candidates priced and masks pruned.
 //!
 //! The optimizer is serial by design: a rank-parallel wavefront was
 //! measured against it on a 2-CPU host and never paid (EXPERIMENTS.md
@@ -32,7 +33,7 @@ use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
 use crate::fixtures::{chain_query, spread_memory, static_mem, SEED};
 use crate::table::{ratio, Table};
 use lec_core::parametric::ParametricPlans;
-use lec_core::{alg_c, MemoryModel};
+use lec_core::{alg_c, MemoryModel, SearchCounters};
 use lec_cost::PaperCostModel;
 use lec_plan::JoinQuery;
 use lec_stats::Distribution;
@@ -94,9 +95,11 @@ fn bench_scenarios() -> Vec<Distribution> {
 
 /// One row of the parametric block: the shared precompute's median and the
 /// summed medians of one Algorithm C run per scenario, after asserting
-/// that both give every scenario the same plan and cost bits.
-fn parametric_row(q: &JoinQuery, scenarios: &[Distribution]) -> (u128, u128) {
-    let shared = ParametricPlans::precompute(q, &PaperCostModel, scenarios).expect("precompute");
+/// that both give every scenario the same plan and cost bits, and the
+/// shared precompute's search counters.
+fn parametric_row(q: &JoinQuery, scenarios: &[Distribution]) -> (u128, u128, SearchCounters) {
+    let (shared, stats) =
+        ParametricPlans::precompute_with_stats(q, &PaperCostModel, scenarios).expect("precompute");
     let mems: Vec<MemoryModel> = scenarios.iter().cloned().map(MemoryModel::Static).collect();
     for ((_, stored), mem) in shared.scenarios().iter().zip(&mems) {
         let (alone, _) = alg_c::optimize(q, &PaperCostModel, mem).expect("alg_c");
@@ -130,7 +133,11 @@ fn parametric_row(q: &JoinQuery, scenarios: &[Distribution]) -> (u128, u128) {
             }
         }
     }
-    (median(shared_ns), separate_ns.into_iter().map(median).sum())
+    (
+        median(shared_ns),
+        separate_ns.into_iter().map(median).sum(),
+        stats.counters,
+    )
 }
 
 /// The median of `samples`.
@@ -230,17 +237,24 @@ pub fn run() -> String {
         ));
     }
     let scenarios = bench_scenarios();
-    let mut pt = Table::new(&["n", "shared precompute", "one by one", "speedup"]);
+    let mut pt = Table::new(&[
+        "n",
+        "shared precompute",
+        "one by one",
+        "speedup",
+        "candidates",
+        "pruned",
+    ]);
     let mut parametric_rows = Vec::new();
     for n in PARAMETRIC_SIZES {
         let q = chain_query(n, SEED + n as u64);
-        let (mut shared, mut separate) = parametric_row(&q, &scenarios);
+        let (mut shared, mut separate, counters) = parametric_row(&q, &scenarios);
         // As for the headline: only a miss on every attempt is real.
         for _ in 1..ATTEMPTS {
             if !OPTIMIZED_BUILD || shared <= separate {
                 break;
             }
-            (shared, separate) = parametric_row(&q, &scenarios);
+            (shared, separate, _) = parametric_row(&q, &scenarios);
         }
         assert!(
             !OPTIMIZED_BUILD || shared <= separate,
@@ -248,15 +262,19 @@ pub fn run() -> String {
              than the {separate} ns of its scenarios run one by one on all {ATTEMPTS} \
              measurement attempts — refusing to write the artifact"
         );
+        let (candidates, pruned) = (counters.candidates_priced, counters.masks_pruned);
         pt.row(vec![
             n.to_string(),
             format!("{:.3} ms", shared as f64 / 1e6),
             format!("{:.3} ms", separate as f64 / 1e6),
             ratio(separate as f64 / shared as f64),
+            candidates.to_string(),
+            pruned.to_string(),
         ]);
         parametric_rows.push(format!(
             "      {{\"n\": {n}, \"shared_median_ns\": {shared}, \
-             \"one_by_one_median_ns\": {separate}, \"speedup\": {:.4}}}",
+             \"one_by_one_median_ns\": {separate}, \"speedup\": {:.4}, \
+             \"candidates_priced\": {candidates}, \"masks_pruned\": {pruned}}}",
             separate as f64 / shared as f64
         ));
     }
@@ -289,7 +307,8 @@ pub fn run() -> String {
          Parametric precompute on the same chains under the serving \
          benchmark's two memory scenarios: the median of one shared \
          precompute against the summed medians of Algorithm C run once \
-         per scenario (plans and cost bits asserted identical).\n\n{}\n",
+         per scenario (plans and cost bits asserted identical), and the \
+         shared precompute's candidates priced and masks pruned.\n\n{}\n",
         t.render(),
         pt.render()
     )
@@ -316,6 +335,8 @@ mod tests {
         assert!(json.contains("\"min_speedup\""));
         assert!(json.contains("\"parametric\""));
         assert!(json.contains("\"one_by_one_median_ns\""));
+        assert!(json.contains("\"candidates_priced\""));
+        assert!(json.contains("\"masks_pruned\""));
         assert!(json.contains("\"bit_identical\": true"));
     }
 

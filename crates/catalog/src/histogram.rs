@@ -72,7 +72,21 @@ impl Histogram {
             vec![lo, hi]
         } else {
             let width = (hi - lo) / buckets as f64;
-            (0..=buckets).map(|i| lo + width * i as f64).collect()
+            if width.is_finite() {
+                (0..=buckets).map(|i| lo + width * i as f64).collect()
+            } else {
+                // The span overflows, so `lo` and `hi` have opposite signs:
+                // each end's share of a boundary is finite, and so is their
+                // sum. The ends stay exact.
+                let n = buckets as f64;
+                (0..=buckets)
+                    .map(|i| match i {
+                        0 => lo,
+                        i if i == buckets => hi,
+                        i => lo / n * (buckets - i) as f64 + hi / n * i as f64,
+                    })
+                    .collect()
+            }
         };
 
         let nb = boundaries.len() - 1;
@@ -246,8 +260,12 @@ impl Histogram {
                 } else {
                     0.0
                 }
-            } else {
+            } else if width.is_finite() {
                 ((overlap_hi - overlap_lo) / width).clamp(0.0, 1.0)
+            } else {
+                // A bucket wider than `f64::MAX`: halving both ends keeps
+                // both differences finite.
+                ((overlap_hi / 2.0 - overlap_lo / 2.0) / (bh / 2.0 - bl / 2.0)).clamp(0.0, 1.0)
             };
             total += self.fractions[i] * frac_of_bucket;
         }

@@ -272,15 +272,23 @@ fn collapsing_equi_depth_matches_oracle() {
     }
 }
 
+/// Values whose equi-width span `hi − lo` overflows to ∞.
+const OVERFLOWING: [f64; 8] = [
+    1e300, -1e300, 5e299, 1e300, 7.5e299, -1e300, 1.7e308, -1.7e308,
+];
+
 /// Huge magnitudes (the equi-width step near 1e300) and subnormals (a
-/// step that underflows).
+/// step that underflows). Over a span that overflows, equi-depth
+/// boundaries are still sample values and match the oracle; equi-width
+/// ones are checked by `overflowing_equi_width_span_stays_finite`, since
+/// the oracle's are NaN there.
 #[test]
 fn extreme_magnitudes_match_oracle() {
-    let huge = [
-        1e300, -1e300, 5e299, 1e300, 7.5e299, -1e300, 1.7e308, -1.7e308,
-    ];
-    check_both(&huge, 4);
-    check_both(&huge, 7);
+    let finite_span = &OVERFLOWING[..6];
+    check_both(finite_span, 4);
+    check_both(finite_span, 7);
+    check(&OVERFLOWING, 4, true);
+    check(&OVERFLOWING, 7, true);
     let tiny = f64::from_bits(1);
     let sub = [
         tiny,
@@ -295,4 +303,35 @@ fn extreme_magnitudes_match_oracle() {
     check_both(&sub, 3);
     check_both(&sub, 8);
     check_both(&[0.0, tiny, tiny, 0.0], 8);
+}
+
+/// An equi-width histogram over a span wider than `f64::MAX` has finite,
+/// non-decreasing boundaries with exact ends, puts each extreme value in
+/// its end bucket, and estimates finite range selectivities: the whole
+/// span selects every row.
+#[test]
+fn overflowing_equi_width_span_stays_finite() {
+    let (lo, hi) = (-1.7e308, 1.7e308);
+    assert_eq!(hi - lo, f64::INFINITY);
+    for buckets in [1, 2, 4, 7, 1_000] {
+        let h = Histogram::equi_width(&OVERFLOWING, buckets).unwrap();
+        let b = h.boundaries();
+        assert_eq!(b.len(), buckets + 1);
+        assert!(b.iter().all(|x| x.is_finite()), "{buckets}: {b:?}");
+        assert!(b.windows(2).all(|w| w[0] <= w[1]), "{buckets}: {b:?}");
+        assert_eq!((b[0], b[buckets]), (lo, hi));
+        let f = h.fractions();
+        assert!(
+            f[0] >= 1.0 / 8.0 && f[buckets - 1] >= 1.0 / 8.0,
+            "{buckets}: {f:?}"
+        );
+        assert!(
+            (f.iter().sum::<f64>() - 1.0).abs() < 1e-12,
+            "{buckets}: {f:?}"
+        );
+        let middle = h.selectivity_range(-1.0, 1.0);
+        assert!((0.0..=1.0).contains(&middle), "{buckets}: {middle}");
+        let all = h.selectivity_range(lo, hi);
+        assert!((all - 1.0).abs() < 1e-12, "{buckets}: {all}");
+    }
 }

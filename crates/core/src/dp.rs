@@ -65,23 +65,34 @@
 //!   handling (sort, or an ordered final sort-merge). Its cost is `U`. The
 //!   sweep reuses these priced steps wherever it prices the same candidate
 //!   from the same base.
-//! * **Lower bound.** For a subset `S` missing `k` relations, `LB(S)` is
-//!   `best(S)`, plus the access cost of every relation outside `S`, plus
-//!   `k − 1` floors of a step forming a result of at least one page, plus
-//!   the floor of the last step, which forms the full set's `pages(full)`
-//!   ([`SweepCoster::step_floor`]). Every join step is its non-negative
-//!   formula plus its output pages (`evaluate::join_step`), every result
-//!   has at least one page, and a root sort costs at least zero, so every
-//!   complete plan through `S` costs at least `LB(S)`.
+//! * **Lower bound.** Every join step is its formula plus its output pages
+//!   (`evaluate::join_step`), and every formula is at least the model's
+//!   [`CostModel::join_floor`] of its inputs: every method reads both
+//!   (`l + r` for the paper and detailed models). [`SweepCoster::step_floor`]
+//!   `(l, r, o)` floors a step; it splits into a left-input, a right-input
+//!   and an output part, and is non-decreasing in each. For a subset `S`
+//!   missing `k` relations, a plan through `S` completes with `k` steps:
+//!   the first reads `S`'s result of `pages(S)` pages, each later one a
+//!   result of at least one page (`QueryTables` clamps result pages); each
+//!   relation outside `S` is read once, through its cheapest access path,
+//!   as one step's right input of `access(j).out` pages (possibly below a
+//!   page); every step but the last forms a result of at least one page,
+//!   and the last forms `pages(full)`. So `LB(S)` is `best(S)`, plus, per
+//!   relation outside `S`, its access cost and the right-input floor of its
+//!   output, plus the left-input floor of `pages(S)` and `k − 1` of one
+//!   page, plus `k − 1` output floors of one page and the output floor of
+//!   `pages(full)`. A root sort costs at least zero, so every complete plan
+//!   through `S` costs at least `LB(S)`.
 //! * **Pruning.** A subset with `LB(S) > U · (1 + PRUNE_MARGIN)` keeps no
 //!   entry. Before pricing `S`, the same test runs with `min over live
-//!   subsets (best(sub) + access(j))` plus the floor of the step forming
-//!   `S` in place of `best(S)`, so hopeless subsets are never priced; only
-//!   candidates whose left input is live are priced. Each rank visits only
-//!   the one-relation extensions of the rank below's live subsets, so a
-//!   subset with no live input is pruned without being visited. The full
-//!   set is never pruned. Every test is a `>` comparison, so NaN or an
-//!   infinite `U` prunes nothing.
+//!   subsets (best(sub) + access(j) + step_floor(pages(sub), access(j).out,
+//!   pages(S)))` — a floor under every candidate it would price — in place
+//!   of `best(S)`, so hopeless subsets are never priced; only candidates
+//!   whose left input is live are priced. Each rank visits only the
+//!   one-relation extensions of the rank below's live subsets, so a subset
+//!   with no live input is pruned without being visited. The full set is
+//!   never pruned. Every test is a `>` comparison, so NaN or an infinite
+//!   `U` prunes nothing.
 //!
 //! **The winner's prefixes are never pruned**, by induction on rank. Let
 //! the unbounded sweep's winner (the plan `finalize` returns, root
@@ -94,12 +105,16 @@
 //! candidates through pruned subsets are skipped, so under strict-`<`
 //! first-minimum `P_k` gets the same entry. Its bound satisfies
 //! `LB(P_k) ≤ W ≤ U` in real arithmetic: `W` is one completion through
-//! `P_k`, and the incumbent is a plan whose every step the unbounded sweep
-//! prices from an entry at least as cheap. The floating-point bound can
-//! exceed that real sum only by rounding — its summation order differs
-//! from the DP's, and memory probabilities sum to one only up to rounding,
-//! which shaves the `out · Σp` term of an expected step — and
-//! `PRUNE_MARGIN` (a relative 1e-9) absorbs it, so `P_k` survives. At the
+//! `P_k`, whose steps the lower bound floors term by term (each remaining
+//! step is at least its `step_floor`, which is at least its three parts,
+//! and each part at least the one `LB` charges for it), and the incumbent
+//! is a plan whose every step the unbounded sweep prices from an entry at
+//! least as cheap. The pre-pricing test floors `P_k`'s own winning
+//! candidate the same way. The floating-point bound can exceed that real
+//! sum only by rounding — its summation order differs from the DP's, and
+//! memory probabilities sum to one only up to rounding, which shaves the
+//! `(formula + out) · Σp` of an expected step — and `PRUNE_MARGIN` (a
+//! relative 1e-9) absorbs it, so `P_k` survives. At the
 //! root the sorted alternative is computed from the same root entry; the
 //! ordered alternative is the same candidate when it wins, and can only be
 //! costlier when it loses. Plans and costs are therefore bit-identical to
@@ -207,13 +222,19 @@ pub trait SweepCoster {
     /// estimated pages), including output materialization.
     fn sort_one(&self, phase: usize, s: usize, set: RelSet, pages: f64) -> f64;
 
-    /// A floor under every scenario's join step forming a result of at
-    /// least `out_pages` pages: each entry of [`join_one`](Self::join_one)
-    /// is at least `base + step_floor(join.out_pages)`, up to rounding
-    /// within the DP's relative pruning margin. It must be non-negative and
-    /// non-decreasing in `out_pages`. The default `0.0` is sound for any
-    /// coster whose steps are non-negative.
-    fn step_floor(&self, _out_pages: f64) -> f64 {
+    /// A floor under every scenario's join step from a left input of at
+    /// least `left_pages >= 1` pages and a right input of at least
+    /// `right_pages` pages to a result of at least `out_pages` pages: each
+    /// entry of [`join_one`](Self::join_one) is at least `base +
+    /// step_floor(join.left_pages, join.right_pages, join.out_pages)`, up
+    /// to rounding within the DP's relative pruning margin. It must be
+    /// non-negative, non-decreasing in each argument (also at `0`), and
+    /// split into its three parts: `step_floor(l, r, o) >= step_floor(l, 0,
+    /// 0) + step_floor(0, r, 0) + step_floor(0, 0, o)`, so the lower bound
+    /// can charge a plan's remaining left inputs, right inputs and outputs
+    /// each on its own. The default `0.0` is sound for any coster whose
+    /// steps are non-negative.
+    fn step_floor(&self, _left_pages: f64, _right_pages: f64, _out_pages: f64) -> f64 {
         0.0
     }
 }
@@ -333,10 +354,11 @@ impl<M: CostModel + ?Sized> SweepCoster for MemoryCoster<'_, M> {
         })
     }
 
-    /// A step is `Σ (formula + out_pages) · p` with non-negative formulas
-    /// and probabilities summing to one up to rounding.
-    fn step_floor(&self, out_pages: f64) -> f64 {
-        out_pages
+    /// A step is `Σ (formula + out_pages) · p` with every formula at least
+    /// [`CostModel::join_floor`] and probabilities summing to one up to
+    /// rounding. The model's floor splits, so this one does.
+    fn step_floor(&self, left_pages: f64, right_pages: f64, out_pages: f64) -> f64 {
+        self.model.join_floor(left_pages, right_pages) + out_pages
     }
 }
 
@@ -426,10 +448,14 @@ struct Bound {
     limits: Vec<f64>,
     /// Whether any limit is finite, so a subset can be pruned at all.
     active: bool,
-    /// `tail[k]`: floor of the `k` join steps that complete a plan from a
-    /// subset missing `k` relations: `k − 1` steps forming results of at
-    /// least one page, then the step forming the full set.
+    /// `tail[k]`: the parts of the floor of the `k` join steps completing
+    /// a plan from a subset missing `k` relations that depend only on `k`:
+    /// every left input after the first (at least one page each), and every
+    /// output (at least one page each, then `pages(full)`).
     tail: Vec<f64>,
+    /// Per relation, the floor it adds while outside a subset: its access
+    /// cost plus the right-input part of the step that joins it.
+    outside: Vec<f64>,
     full: RelSet,
     /// Per scenario, its incumbent's steps by prefix size − 2.
     steps: Vec<Vec<IncumbentStep>>,
@@ -437,17 +463,25 @@ struct Bound {
 
 impl Bound {
     fn new<C: SweepCoster>(tabs: &QueryTables, coster: &C, full: RelSet, k: usize) -> Self {
-        let step = coster.step_floor(1.0);
+        let step = coster.step_floor(1.0, 0.0, 0.0) + coster.step_floor(0.0, 0.0, 1.0);
         let mut tail = vec![0.0];
-        let mut floor = coster.step_floor(tabs.pages(full));
+        let mut floor = coster.step_floor(0.0, 0.0, tabs.pages(full));
         for _ in 0..full.len() {
             tail.push(floor);
             floor += step;
         }
+        let outside = full
+            .iter()
+            .map(|j| {
+                let (cost, _, out) = tabs.access(j);
+                cost + coster.step_floor(0.0, out, 0.0)
+            })
+            .collect();
         Bound {
             limits: vec![f64::INFINITY; k],
             active: false,
             tail,
+            outside,
             full,
             steps: vec![Vec::new(); k],
         }
@@ -462,17 +496,25 @@ impl Bound {
     }
 
     /// Floor of completing a plan from `set`: the access cost of every
-    /// relation outside it plus the floors of the remaining join steps.
-    /// `None` when nothing can be pruned (no finite incumbent yet, or `set`
-    /// is the full set, whose best entries are the answers).
-    fn completion(&self, tabs: &QueryTables, set: RelSet) -> Option<f64> {
+    /// relation outside it plus the floors of the remaining join steps —
+    /// the next step reads `set`'s result, every later step a result of at
+    /// least one page, and each relation outside `set` is one step's right
+    /// input. `None` when nothing can be pruned (no finite incumbent yet,
+    /// or `set` is the full set, whose best entries are the answers).
+    fn completion<C: SweepCoster>(
+        &self,
+        tabs: &QueryTables,
+        coster: &C,
+        set: RelSet,
+    ) -> Option<f64> {
         if !self.active || set == self.full {
             return None;
         }
         let outside = RelSet::from_bits(self.full.bits() & !set.bits());
-        let mut floor = self.tail.get(outside.len()).copied()?;
+        let mut floor =
+            self.tail.get(outside.len()).copied()? + coster.step_floor(tabs.pages(set), 0.0, 0.0);
         for j in outside.iter() {
-            floor += tabs.access(j).0;
+            floor += self.outside.get(j).copied()?;
         }
         Some(floor)
     }
@@ -541,7 +583,7 @@ impl Scratch {
 /// combinations priced, counted once however many scenarios share them.
 ///
 /// Before pricing, `set` is pruned when for every scenario even its
-/// cheapest live input plus the floor of the join forming it cannot beat
+/// cheapest live input plus the floor of its join forming `set` cannot beat
 /// that scenario's incumbent; after pricing, when no scenario's best entry
 /// can. A candidate every scenario's incumbent already priced from the
 /// same bases is reused, not priced again. Iteration order is fixed —
@@ -581,26 +623,29 @@ fn cost_mask<C: SweepCoster, const ONE: bool>(
     }
     let live = live.get(..count).unwrap_or_default();
     let out = tabs.pages(set);
-    let rest = bound.completion(tabs, set);
-    let floor = coster.step_floor(out);
-    // Each scenario's bases and pre-pricing test. A NaN base is sticky in
-    // `cheapest`, so it never prunes.
+    let rest = bound.completion(tabs, coster, set);
+    // Each scenario's bases and pre-pricing test: the cheapest base plus
+    // the floor of its step. A NaN bound is sticky in `cheapest`, so it
+    // never prunes.
     let mut open = false;
     for s in 0..k {
         let mut cheapest = f64::INFINITY;
         for (i, &j) in live.iter().enumerate() {
-            let entry = table.row(set.remove(j)).get(s).copied().flatten();
-            let base = entry.map_or(f64::INFINITY, |e| e.cost) + tabs.access(j).0;
+            let sub = set.remove(j);
+            let (access, _, right) = tabs.access(j);
+            let entry = table.row(sub).get(s).copied().flatten();
+            let base = entry.map_or(f64::INFINITY, |e| e.cost) + access;
             if let Some(slot) = bases.get_mut(i * k + s) {
                 *slot = base;
             }
-            cheapest = if base < cheapest || base.is_nan() {
-                base
+            let lower = base + coster.step_floor(tabs.pages(sub), right, out);
+            cheapest = if lower < cheapest || lower.is_nan() {
+                lower
             } else {
                 cheapest
             };
         }
-        open |= !bound.prunes(s, cheapest + floor, rest);
+        open |= !bound.prunes(s, cheapest, rest);
     }
     if !open {
         return (false, 0);
@@ -983,7 +1028,7 @@ impl<C: SweepCoster, const ONE: bool> Rows for Scenarios<'_, C, ONE> {
             candidates += priced;
         }
         for &pair in pairs {
-            let rest = self.bound.completion(tabs, pair);
+            let rest = self.bound.completion(tabs, self.coster, pair);
             let kept = self
                 .table
                 .row(pair)

@@ -17,11 +17,14 @@
 //!   without a required order, under static and random-walk memory (from
 //!   a uniform and from a skewed start);
 //! - costers: `MemoryCoster` against the old `ExpectedCoster` (paper and
-//!   detailed models) and, on one-point memory, against the old
-//!   `FixedMemoryCoster`; and a forwarding coster that keeps the default
-//!   zero `step_floor`, the floor Algorithm D's coster uses (Algorithm D
-//!   itself is checked against its stand-alone implementation in
-//!   `alg_d_differential.rs`);
+//!   detailed models, both of which state a join floor) and, on one-point
+//!   memory, against the old `FixedMemoryCoster`; and a forwarding coster
+//!   with a zero `step_floor`, the floor Algorithm D's coster uses
+//!   (Algorithm D itself is checked against its stand-alone implementation
+//!   in `alg_d_differential.rs`);
+//! - the join floor against the output-only floor it replaced and the zero
+//!   floor, on filtered queries: each prunes at least as much as the next,
+//!   and the join floor strictly more somewhere;
 //! - a zero-formula cost model, under which the lower bound is tight: a
 //!   step costs exactly its output pages, so a bound that is a page too
 //!   high, has no rounding margin, or prunes on ties shows up here;
@@ -112,11 +115,21 @@ impl CostModel for FreeSteps {
     }
 }
 
-/// Forwards a coster's prices but keeps the trait's default (zero)
-/// `step_floor`, as Algorithm D's coster does.
-struct NoFloor<C>(C);
+/// Forwards a coster's prices but floors each step with its own
+/// `step_floor`: [`no_floor`], the zero floor Algorithm D's coster keeps,
+/// or [`output_floor`], the memory coster's floor before cost models
+/// stated a join floor.
+struct Floored<C>(C, fn(f64, f64, f64) -> f64);
 
-impl<C: SweepCoster> SweepCoster for NoFloor<C> {
+fn no_floor(_left: f64, _right: f64, _out: f64) -> f64 {
+    0.0
+}
+
+fn output_floor(_left: f64, _right: f64, out: f64) -> f64 {
+    out
+}
+
+impl<C: SweepCoster> SweepCoster for Floored<C> {
     fn scenarios(&self) -> usize {
         self.0.scenarios()
     }
@@ -128,6 +141,9 @@ impl<C: SweepCoster> SweepCoster for NoFloor<C> {
     }
     fn sort_one(&self, phase: usize, s: usize, set: RelSet, pages: f64) -> f64 {
         self.0.sort_one(phase, s, set, pages)
+    }
+    fn step_floor(&self, left: f64, right: f64, out: f64) -> f64 {
+        (self.1)(left, right, out)
     }
 }
 
@@ -249,7 +265,12 @@ fn check_all_costers(q: &JoinQuery, label: &str) -> u64 {
         let old_paper = oracle::ExpectedCoster::new(&PaperCostModel, &phases[0]);
         let runs = [
             check(q, &paper, &old_paper, &format!("{label} expected/paper")),
-            check(q, &NoFloor(paper), &old_paper, &format!("{label} no-floor")),
+            check(
+                q,
+                &Floored(paper, no_floor),
+                &old_paper,
+                &format!("{label} no-floor"),
+            ),
             check(
                 q,
                 &MemoryCoster::new(&DetailedCostModel, &phases),
@@ -389,6 +410,85 @@ fn tight_bound_never_prunes_the_winner() {
             }
         }
     }
+}
+
+/// The join floor against the floors it tightens, under `model` and the
+/// skewed random-walk memory of [`memories`]: the memory coster's own
+/// floor (`join_floor + out`), the output-only floor and the zero floor all
+/// give the oracle's plan and cost bits. The incumbent does not depend on
+/// the floor and a tighter floor only raises every bound, so no floor keeps
+/// a subset a looser one prunes, nor prices a candidate it does not.
+/// Returns whether the join floor pruned strictly more than the output
+/// floor.
+fn check_floors<M: oracle::ExpectedJoinSteps>(q: &JoinQuery, model: &M, label: &str) -> bool {
+    let [.., skewed] = memories();
+    let phases = [skewed.table(q.n()).expect("phases")];
+    let old = &oracle::ExpectedCoster::new(model, &phases[0]);
+    let coster = || MemoryCoster::new(model, &phases);
+    let joined = check(q, &coster(), old, &format!("{label} join floor"));
+    let output = check(
+        q,
+        &Floored(coster(), output_floor),
+        old,
+        &format!("{label} output floor"),
+    );
+    let zero = check(
+        q,
+        &Floored(coster(), no_floor),
+        old,
+        &format!("{label} no floor"),
+    );
+    for (tight, loose) in [(&joined, &output), (&output, &zero)] {
+        let (t, l) = (&tight.counters, &loose.counters);
+        assert!(
+            t.masks_pruned >= l.masks_pruned,
+            "{label}: pruned {} < {}",
+            t.masks_pruned,
+            l.masks_pruned
+        );
+        assert!(
+            t.candidates_priced <= l.candidates_priced,
+            "{label}: priced {} > {}",
+            t.candidates_priced,
+            l.candidates_priced
+        );
+    }
+    joined.counters.masks_pruned > output.counters.masks_pruned
+}
+
+/// Filtered chains, stars, cycles and cliques of 5 to 11 relations, one of
+/// whose relations a filter cuts below one page (its access path emits the
+/// one page `effective_pages` clamps that to): the paper and detailed
+/// models' join floor prunes at least as much as the output floor on every
+/// case and strictly more on some, with the zero floor as the control.
+#[test]
+fn join_floor_prunes_more_than_the_output_floor() {
+    let (mut paper_gains, mut detailed_gains) = (0, 0);
+    for seed in 0..28u64 {
+        let shape = [Shape::Chain, Shape::Star, Shape::Cycle, Shape::Clique][seed as usize % 4];
+        let n = 5 + (seed as usize / 4) % 7;
+        let q = with_selections(&query(shape, n, seed % 2 == 0, 0xF1 + seed), seed);
+        let tiny = seed as usize % n;
+        let mut relations = q.relations().to_vec();
+        relations[tiny] = Relation::new("tiny", 4.0, 200.0).with_local_selectivity(0.05);
+        let q =
+            JoinQuery::new(relations, q.predicates().to_vec(), q.required_order()).expect("query");
+        let filtered = q.relation(tiny);
+        assert!(filtered.pages * filtered.local_selectivity < 1.0);
+        assert_eq!(QueryTables::new(&q).access(tiny).2, 1.0);
+        let label = format!("{shape:?} n={n} seed={seed}");
+        paper_gains += usize::from(check_floors(&q, &PaperCostModel, &format!("{label} paper")));
+        detailed_gains += usize::from(check_floors(
+            &q,
+            &DetailedCostModel,
+            &format!("{label} detailed"),
+        ));
+    }
+    assert!(paper_gains > 0, "the paper join floor never pruned more");
+    assert!(
+        detailed_gains > 0,
+        "the detailed join floor never pruned more"
+    );
 }
 
 /// Two one-page dimensions around a large fact table, with predicates that

@@ -83,6 +83,17 @@ impl CostModel for DetailedCostModel {
         }
     }
 
+    /// Every method reads both inputs: `l + r`, which splits exactly.
+    /// Sound for `l >= 1`, positive `r` and finite memory, in floating
+    /// point: a streamed sort reads its input at least once, so sort-merge
+    /// costs at least `l + r`; Grace hash costs `(2d + 1) · (l + r)` with
+    /// `d >= 0`; block nested loops cost `l + ⌈l / block⌉ · r`, and `l >= 1`
+    /// over a finite block is a positive quotient, which rounds up to at
+    /// least one block.
+    fn join_floor(&self, l: f64, r: f64) -> f64 {
+        l + r
+    }
+
     fn sort_cost(&self, pages: f64, memory: f64) -> f64 {
         debug_assert!(pages > 0.0 && memory > 0.0);
         if pages <= memory {

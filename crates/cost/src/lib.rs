@@ -64,9 +64,37 @@ pub trait CostModel {
     ///
     /// Must be non-negative (never NaN) for page counts `>= 1`, including
     /// `∞`, and any positive memory. The left-deep DP's lower bound charges
-    /// each remaining join step at least its output pages and prunes on
-    /// that; a negative formula would let it prune the optimum.
+    /// each remaining join step at least its output pages plus
+    /// [`CostModel::join_floor`] and prunes on that; a formula below the
+    /// floor would let it prune the optimum.
     fn join_cost(&self, method: JoinMethod, left_pages: f64, right_pages: f64, memory: f64) -> f64;
+
+    /// A floor under every join formula, which the left-deep DP's lower
+    /// bound charges each remaining join step on top of its output pages.
+    ///
+    /// Contract, for `left_pages >= 1` (including `∞`), any positive
+    /// `right_pages`, also below one page, and any finite positive memory
+    /// `m`:
+    ///
+    /// * **Sound:** `join_floor(l, r) <= join_cost(method, l, r, m)` for
+    ///   every method, in floating point;
+    /// * **Monotone:** non-negative and non-decreasing in both arguments
+    ///   (also at `0`);
+    /// * **Splits:** `join_floor(l, r) >= join_floor(l, 0) + join_floor(0,
+    ///   r)`, so the floors of the steps that complete a plan sum to at
+    ///   least the left inputs' part plus the right inputs' part, each
+    ///   summed on its own. `l + r` splits exactly.
+    ///
+    /// The DP's left input is the result of a subset, which
+    /// `QueryTables` clamps to at least one page; its right input is an
+    /// access path's output, which the contract does not require to be a
+    /// whole page. The default `0.0`
+    /// is sound for any non-negative formula; it is the floor the DP used
+    /// before models could state one, and what [`CountingModel`] keeps, so
+    /// the DP searches a counted model exactly as it always has.
+    fn join_floor(&self, _left_pages: f64, _right_pages: f64) -> f64 {
+        0.0
+    }
 
     /// Cost of sorting a materialized input of `pages` pages under `memory`
     /// pages of buffer (zero when it fits in memory). Non-negative under
@@ -167,6 +195,9 @@ pub trait CostModel {
 impl<M: CostModel + ?Sized> CostModel for &M {
     fn join_cost(&self, method: JoinMethod, l: f64, r: f64, m: f64) -> f64 {
         (**self).join_cost(method, l, r, m)
+    }
+    fn join_floor(&self, l: f64, r: f64) -> f64 {
+        (**self).join_floor(l, r)
     }
     fn sort_cost(&self, pages: f64, memory: f64) -> f64 {
         (**self).sort_cost(pages, memory)

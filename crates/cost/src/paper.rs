@@ -64,6 +64,16 @@ impl CostModel for PaperCostModel {
         }
     }
 
+    /// Every method reads both inputs: `l + r`, which splits exactly.
+    /// Sound for `l >= 1`, in floating point: sort-merge and Grace hash
+    /// cost `c · (l + r)` with `c >= 2`; nested loops cost `l + r` when
+    /// the smaller input fits and `l + l · r` otherwise, and `l >= 1` gives
+    /// `l · r >= r`, so `l + l · r >= l + r` (rounding is monotone). The
+    /// right input may be below one page: nothing here needs `r >= 1`.
+    fn join_floor(&self, l: f64, r: f64) -> f64 {
+        l + r
+    }
+
     fn sort_cost(&self, pages: f64, memory: f64) -> f64 {
         debug_assert!(pages > 0.0 && memory > 0.0);
         if pages <= memory {

@@ -3,7 +3,7 @@
 //! models behave monotonically in memory, and their formulas are
 //! non-negative wherever the optimizer's dynamic program evaluates them,
 //! and the per-value join kernel folds to the expected-step kernel bit for
-//! bit.
+//! bit, and every model's join floor is sound, monotone and splits.
 
 use lec_cost::fast_expect::{expected_join_fast, expected_join_naive};
 use lec_cost::{CostModel, CountingModel, DetailedCostModel, JoinMethod, PaperCostModel};
@@ -36,6 +36,76 @@ fn dp_pages() -> impl Strategy<Value = f64> {
 /// Memory values: any positive size, from a fraction of a page up.
 fn dp_memory() -> impl Strategy<Value = f64> {
     (-3.0f64..12.0).prop_map(|e| 10f64.powf(e))
+}
+
+/// Left inputs the DP hands a join: a subset's result, at least one page
+/// (exactly one for a clamped result), up to ∞.
+fn floor_left() -> impl Strategy<Value = f64> {
+    (0.0f64..12.0, 0u8..8).prop_map(|(e, k)| match k {
+        0 => 1.0,
+        1 => f64::INFINITY,
+        _ => 10f64.powf(e),
+    })
+}
+
+/// Right inputs: an access path's output, which a filter can push below
+/// one page.
+fn floor_right() -> impl Strategy<Value = f64> {
+    (-4.0f64..12.0, 0u8..8).prop_map(|(e, k)| match k {
+        0 => 1.0,
+        1 => f64::INFINITY,
+        _ => 10f64.powf(e),
+    })
+}
+
+/// Memory values at, just below and just above every rung of the paper
+/// formulas for inputs `l` and `r` — nested loops' `min + 2`, sort-merge's
+/// `√max` and `⁴√max`, Grace hash's `√min` and `⁴√min` — plus `m`. The
+/// detailed model's steps sit near the same values.
+fn memory_probes(l: f64, r: f64, m: f64) -> Vec<f64> {
+    let (lo, hi) = (l.min(r), l.max(r));
+    let rungs = [
+        lo + 2.0,
+        hi.sqrt(),
+        hi.sqrt().sqrt(),
+        lo.sqrt(),
+        lo.sqrt().sqrt(),
+    ];
+    let mut probes = vec![m];
+    for t in rungs.into_iter().filter(|t| t.is_finite()) {
+        probes.extend([t.next_down(), t, t.next_up()]);
+    }
+    probes
+}
+
+/// `model`'s floor against every method at every probe, and its
+/// monotonicity and split at `(l, r)`.
+fn check_join_floor(model: &dyn CostModel, l: f64, r: f64, m: f64) -> Result<(), String> {
+    let floor = model.join_floor(l, r);
+    for mem in memory_probes(l, r, m) {
+        for method in JoinMethod::ALL {
+            let cost = model.join_cost(method, l, r, mem);
+            let sound = floor <= cost;
+            if !sound {
+                return Err(format!(
+                    "{method}({l}, {r}, {mem}) = {cost} < floor {floor}"
+                ));
+            }
+        }
+    }
+    let split = model.join_floor(l, 0.0) + model.join_floor(0.0, r);
+    let splits = floor >= split;
+    if !splits {
+        return Err(format!("floor({l}, {r}) = {floor} < split {split}"));
+    }
+    let parts = [model.join_floor(0.0, 0.0), model.join_floor(1.0, 0.0)];
+    if !(parts[0] >= 0.0 && parts[1] >= parts[0] && model.join_floor(l, 0.0) >= parts[1]) {
+        return Err(format!("left part not non-decreasing from 0: {parts:?}"));
+    }
+    if !(model.join_floor(0.0, r) >= parts[0] && model.join_floor(l, r / 2.0) <= floor) {
+        return Err(format!("right part not non-decreasing at {r}"));
+    }
+    Ok(())
 }
 
 /// How the memory supports of two scenarios relate.
@@ -170,6 +240,30 @@ proptest! {
             let c = model.sort_cost(a, m);
             prop_assert!(c >= 0.0, "sort({a}, {m}) = {c}");
         }
+    }
+
+    /// Every model that states a join floor keeps it under every method,
+    /// on both sides of every memory rung, for left inputs of at least a
+    /// page and right inputs on both sides of one page; the floor splits
+    /// and grows in both inputs. The `&M` impl forwards the floor, and the
+    /// counting wrapper keeps the default zero.
+    #[test]
+    fn join_floor_is_sound_monotone_and_splits(
+        l in floor_left(),
+        r in floor_right(),
+        m in dp_memory(),
+    ) {
+        for (name, model) in [
+            ("paper", &PaperCostModel as &dyn CostModel),
+            ("detailed", &DetailedCostModel),
+        ] {
+            let checked = check_join_floor(model, l, r, m);
+            prop_assert!(checked.is_ok(), "{name}: {}", checked.unwrap_err());
+            prop_assert_eq!(model.join_floor(l, r).to_bits(), (l + r).to_bits());
+        }
+        let forwarded = CostModel::join_floor(&&PaperCostModel, l, r);
+        prop_assert_eq!(forwarded.to_bits(), (l + r).to_bits());
+        prop_assert_eq!(CountingModel::new(PaperCostModel).join_floor(l, r), 0.0);
     }
 
     #[test]

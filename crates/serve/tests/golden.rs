@@ -23,7 +23,9 @@
 //! DP began pruning subsets and counting them in `masks_pruned`, and again
 //! when parametric precompute began pricing all of its scenarios in one
 //! sweep, which counts each subset and candidate once instead of once per
-//! scenario. The streams carry at most one filter per table.
+//! scenario, and once more (blend drift only) when the DP's lower bound
+//! began charging every remaining join for reading both of its inputs.
+//! The streams carry at most one filter per table.
 //!
 //! The setups:
 //! (a) blending recalibration under selection and join drift;
@@ -293,7 +295,7 @@ fn blend_drift_golden() {
         digest,
         Golden {
             decision: 18_024_448_194_616_763_761,
-            search: 16_412_454_453_183_340_010,
+            search: 3_376_052_090_836_775_066,
         }
     );
 }
