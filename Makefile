@@ -12,8 +12,11 @@ test:
 	cargo test --workspace
 
 # Compile and run every Criterion bench once in test mode (no measurement).
+# `cargo bench` also runs the library test harnesses in the optimized
+# bench profile, so lec-bench's experiment tests write release artifacts:
+# XTABLE_SMOKE routes them to the gitignored _smoke files.
 bench-smoke:
-	cargo bench --workspace -- --test
+	XTABLE_SMOKE=1 cargo bench --workspace -- --test
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -44,20 +47,22 @@ fault-smoke:
 # Kernel smoke: re-run X18 and check the machine-readable serial-DP
 # trajectory has its per-rank wall times, the serial-speedup block the
 # kernel rewrite is judged by, and the parametric block the shared
-# scenario sweep is judged by.
+# scenario sweep is judged by. XTABLE_SMOKE routes the artifact to the
+# gitignored _smoke file, so the committed BENCH_kernel.json (whose wall
+# times change on every run) is never overwritten here.
 kernel-smoke:
-	cargo run --release -p lec-bench --bin xtable x18 > /dev/null
-	test -s results/BENCH_kernel.json
-	grep -q '"experiment": "x18_kernel"' results/BENCH_kernel.json
-	grep -q '"host_threads"' results/BENCH_kernel.json
-	grep -q '"rank_wall_ns"' results/BENCH_kernel.json
-	grep -q '"serial_speedup"' results/BENCH_kernel.json
-	grep -q '"min_speedup"' results/BENCH_kernel.json
-	grep -q '"parametric"' results/BENCH_kernel.json
-	grep -q '"one_by_one_median_ns"' results/BENCH_kernel.json
-	grep -q '"bit_identical": true' results/BENCH_kernel.json
-	grep -q '"self_asserted": true' results/BENCH_kernel.json
-	grep -q '"optimized_build": true' results/BENCH_kernel.json
+	XTABLE_SMOKE=1 cargo run --release -p lec-bench --bin xtable x18 > /dev/null
+	test -s results/BENCH_kernel_smoke.json
+	grep -q '"experiment": "x18_kernel"' results/BENCH_kernel_smoke.json
+	grep -q '"host_threads"' results/BENCH_kernel_smoke.json
+	grep -q '"rank_wall_ns"' results/BENCH_kernel_smoke.json
+	grep -q '"serial_speedup"' results/BENCH_kernel_smoke.json
+	grep -q '"min_speedup"' results/BENCH_kernel_smoke.json
+	grep -q '"parametric"' results/BENCH_kernel_smoke.json
+	grep -q '"one_by_one_median_ns"' results/BENCH_kernel_smoke.json
+	grep -q '"bit_identical": true' results/BENCH_kernel_smoke.json
+	grep -q '"self_asserted": true' results/BENCH_kernel_smoke.json
+	grep -q '"optimized_build": true' results/BENCH_kernel_smoke.json
 
 # Concurrent-serving smoke: run X22 on a short stream (X22_REQUESTS
 # redirects the artifact to the _smoke file, so the committed full-length
@@ -118,9 +123,11 @@ objectives-smoke:
 # blanked. Everything else in it is deterministic, so any difference is a
 # changed count of masks expanded or pruned, candidates priced, entries
 # written or table sizes: the enumeration regression oracle X19 promises.
+# XTABLE_SMOKE routes X19's artifact (which records wall times) to the
+# gitignored results/BENCH_stats_smoke.json.
 search-smoke:
 	mkdir -p target
-	cargo run --release -p lec-bench --bin xtable x19 > target/search-smoke.md
+	XTABLE_SMOKE=1 cargo run --release -p lec-bench --bin xtable x19 > target/search-smoke.md
 	@for f in want:results/xtable_all.md got:target/search-smoke.md; do \
 		awk -F'|' -v OFS='|' 'index($$0, "## X19 ") == 1 {on = 1; print; next} /^## X/ {on = 0} on {if (NF == 9) $$8 = ""; print}' \
 			$${f#*:} > target/search-$${f%%:*}.X19; \
@@ -163,11 +170,14 @@ perfbench-replay:
 # may point at a missing or private item), the whole test suite (one
 # `cargo test --workspace` runs the unit, integration and doc-tests), one
 # untimed pass of every Criterion bench, the X19 search smoke (which
-# leaves results/BENCH_stats.json behind) and the X20 run that must leave
-# a well-formed results/BENCH_serve.json (with its self-asserted
-# `hit_path` block), the
+# leaves results/BENCH_stats_smoke.json behind) and the X20 run that must
+# leave a well-formed results/BENCH_serve_smoke.json (with its
+# self-asserted `hit_path` block), the
 # fault/kernel/concurrent/rules/objectives/sampling smokes above, then the
-# perfbench replay oracle over all three workloads.
+# perfbench replay oracle over all three workloads. Timed artifacts go to
+# gitignored _smoke files, and the run ends by requiring that it changed
+# nothing under results/: committed measurements change only when an
+# experiment is re-run on purpose.
 ci:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -183,14 +193,14 @@ ci:
 	cargo test -q --workspace
 	$(MAKE) bench-smoke
 	$(MAKE) search-smoke
-	test -s results/BENCH_stats.json
-	grep -q '"experiment": "x19_stats"' results/BENCH_stats.json
-	cargo run --release -p lec-bench --bin xtable x20 > /dev/null
-	test -s results/BENCH_serve.json
-	grep -q '"experiment": "x20_serve"' results/BENCH_serve.json
-	grep -q '"hit_path"' results/BENCH_serve.json
-	grep -q '"memo_hit_p50_ns"' results/BENCH_serve.json
-	grep -q '"self_asserted": true' results/BENCH_serve.json
+	test -s results/BENCH_stats_smoke.json
+	grep -q '"experiment": "x19_stats"' results/BENCH_stats_smoke.json
+	XTABLE_SMOKE=1 cargo run --release -p lec-bench --bin xtable x20 > /dev/null
+	test -s results/BENCH_serve_smoke.json
+	grep -q '"experiment": "x20_serve"' results/BENCH_serve_smoke.json
+	grep -q '"hit_path"' results/BENCH_serve_smoke.json
+	grep -q '"memo_hit_p50_ns"' results/BENCH_serve_smoke.json
+	grep -q '"self_asserted": true' results/BENCH_serve_smoke.json
 	$(MAKE) fault-smoke
 	$(MAKE) kernel-smoke
 	$(MAKE) serve-concurrent-smoke
@@ -198,3 +208,4 @@ ci:
 	$(MAKE) objectives-smoke
 	$(MAKE) sampling-smoke
 	$(MAKE) perfbench-replay
+	@test -z "$$(git status --porcelain results/)" || { git status --porcelain results/; echo "ci: the run changed committed results/ files"; exit 1; }

@@ -10,6 +10,11 @@
 //! artifact records `"optimized_build"` so a stray debug record is
 //! machine-detectable (`lec-analyze` flags it) even if it lands on the
 //! wrong path.
+//!
+//! CI smoke passes re-run experiments whose artifacts record wall times;
+//! with `XTABLE_SMOKE` set in the environment, every artifact goes to a
+//! gitignored `_smoke`-suffixed file instead, so a CI run never rewrites
+//! a committed measurement.
 
 use std::path::PathBuf;
 
@@ -20,12 +25,20 @@ use std::path::PathBuf;
 /// artifact with their wall times.
 pub const OPTIMIZED_BUILD: bool = !cfg!(debug_assertions);
 
-/// Resolves `results/BENCH_<stem>.json` in the workspace, routing debug
-/// builds to the gitignored `results/BENCH_<stem>_debug.json` instead.
+/// Whether this run is a CI smoke pass (`XTABLE_SMOKE` is set): its
+/// artifacts land on gitignored `_smoke` paths.
+fn smoke_run() -> bool {
+    std::env::var_os("XTABLE_SMOKE").is_some()
+}
+
+/// Resolves `results/BENCH_<stem>.json` in the workspace, routing smoke
+/// runs to the gitignored `results/BENCH_<stem>_smoke.json` and debug
+/// builds to the gitignored `results/BENCH_<stem>[_smoke]_debug.json`.
 pub fn artifact_path(stem: &str) -> PathBuf {
+    let smoke = if smoke_run() { "_smoke" } else { "" };
     let suffix = if OPTIMIZED_BUILD { "" } else { "_debug" };
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../../results/BENCH_{stem}{suffix}.json"))
+        .join(format!("../../results/BENCH_{stem}{smoke}{suffix}.json"))
 }
 
 /// Resolves `results/<stem>.md` in the workspace, routing debug builds
@@ -56,10 +69,11 @@ mod tests {
     fn path_routes_on_build_profile() {
         let p = artifact_path("stats");
         let name = p.file_name().unwrap().to_str().unwrap();
+        let smoke = if smoke_run() { "_smoke" } else { "" };
         if OPTIMIZED_BUILD {
-            assert_eq!(name, "BENCH_stats.json");
+            assert_eq!(name, format!("BENCH_stats{smoke}.json"));
         } else {
-            assert_eq!(name, "BENCH_stats_debug.json");
+            assert_eq!(name, format!("BENCH_stats{smoke}_debug.json"));
         }
         assert!(p.to_str().unwrap().contains("results"));
     }

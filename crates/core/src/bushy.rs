@@ -42,27 +42,75 @@ struct Entry {
     choice: Choice,
 }
 
+/// The DP table: one entry per relation subset, absent until its rank is
+/// priced. Every read and write goes through [`get`](Table::get) and
+/// [`put`](Table::put), so a subset the table does not hold reads as
+/// absent instead of panicking.
+struct Table {
+    slots: Vec<Option<Entry>>,
+}
+
+impl Table {
+    /// An empty table over the subsets of `full`, with every singleton
+    /// seeded from its cheapest access path.
+    fn seeded(tabs: &QueryTables, full: RelSet) -> Self {
+        let mut table = Table {
+            slots: vec![None; full.bits() as usize + 1],
+        };
+        for i in full.iter() {
+            let (cost, method, _) = tabs.access(i);
+            let entry = Entry {
+                cost,
+                choice: Choice::Access(method),
+            };
+            table.put(RelSet::single(i), entry);
+        }
+        table
+    }
+
+    fn get(&self, set: RelSet) -> Option<Entry> {
+        self.slots.get(set.bits() as usize).copied().flatten()
+    }
+
+    fn put(&mut self, set: RelSet, entry: Entry) {
+        if let Some(slot) = self.slots.get_mut(set.bits() as usize) {
+            *slot = Some(entry);
+        }
+    }
+}
+
+/// What pricing one subset yields: its best entry, the best split whose
+/// join is a sort-merge on the required key (only at the full set of an
+/// ordered query), and the candidates priced.
+struct Priced {
+    best: Entry,
+    ordered: Option<Entry>,
+    candidates: u64,
+}
+
 /// Prices every 2-partition of `set` against the filled lower ranks and
 /// returns the best entry, plus (at the full set, when an order is
 /// required) the best split whose join is a sort-merge on the required
 /// key. Submask order and the strict-`<` winner rule fix the result.
-// lec-lint: allow(panic-reachability) — DP induction: both halves of every split are priced in rank order before this set, and the candidate min covers at least one split
+/// `None` only if a half of some split was never priced or `set` has no
+/// split — neither happens when ranks are priced in order and `set` has at
+/// least two members.
 fn cost_mask_bushy<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     tabs: &QueryTables,
     mem: &Distribution,
-    table: &[Option<Entry>],
+    table: &Table,
     set: RelSet,
     full: RelSet,
-) -> (Entry, Option<Entry>, u64) {
+) -> Option<Priced> {
     let out = tabs.pages(set);
     let mut best: Option<Entry> = None;
     let mut best_ordered: Option<Entry> = None;
     let mut candidates = 0u64;
     // Enumerate 2-partitions: submasks containing the lowest member
     // (each unordered split once); both orientations are priced.
-    let lowest = set.iter().next().expect("non-empty");
+    let lowest = set.iter().next()?;
     let bits = set.bits();
     let rest = set.remove(lowest).bits();
     let mut sub = rest;
@@ -70,8 +118,7 @@ fn cost_mask_bushy<M: CostModel + ?Sized>(
         let left = RelSet::from_bits(sub | (1 << lowest));
         let right = RelSet::from_bits(bits & !left.bits());
         if !right.is_empty() {
-            let le = table[left.bits() as usize].expect("computed");
-            let re = table[right.bits() as usize].expect("computed");
+            let (le, re) = (table.get(left)?, table.get(right)?);
             let (lp, rp) = (tabs.pages(left), tabs.pages(right));
             let key = query.join_key_between(left, right);
             for method in JoinMethod::ALL {
@@ -108,43 +155,36 @@ fn cost_mask_bushy<M: CostModel + ?Sized>(
         }
         sub = (sub - 1) & rest;
     }
-    (
-        best.expect("set has at least two members"),
-        best_ordered,
+    Some(Priced {
+        best: best?,
+        ordered: best_ordered,
         candidates,
-    )
+    })
 }
 
-/// Plan reconstruction from backpointers.
-// lec-lint: allow(panic-reachability) — plan_for only walks entries the forward pass has filled; singletons decompose to their only relation
-fn plan_for(
-    query: &JoinQuery,
-    table: &[Option<Entry>],
-    set: RelSet,
-    override_root: Option<&Entry>,
-) -> Plan {
-    let entry = override_root
-        .or(table[set.bits() as usize].as_ref())
-        .expect("entry exists");
-    match entry.choice {
-        Choice::Access(method) => Plan::Access {
-            rel: set.iter().next().expect("singleton"),
+/// Plan reconstruction from backpointers: `root`, the entry of `set`,
+/// and below it the table's entries. `None` if a backpointer names a
+/// subset the forward pass did not fill, or a seed's set is empty.
+fn plan_for(query: &JoinQuery, table: &Table, set: RelSet, root: Entry) -> Option<Plan> {
+    match root.choice {
+        Choice::Access(method) => Some(Plan::Access {
+            rel: set.iter().next()?,
             method,
-        },
+        }),
         Choice::Join {
             left,
             method,
             left_first,
         } => {
             let right = RelSet::from_bits(set.bits() & !left.bits());
-            let lp = plan_for(query, table, left, None);
-            let rp = plan_for(query, table, right, None);
+            let lp = plan_for(query, table, left, table.get(left)?)?;
+            let rp = plan_for(query, table, right, table.get(right)?)?;
             let key = query.join_key_between(left, right);
-            if left_first {
+            Some(if left_first {
                 Plan::join(lp, rp, method, key)
             } else {
                 Plan::join(rp, lp, method, key)
-            }
+            })
         }
     }
 }
@@ -160,49 +200,35 @@ fn static_memory(memory: &MemoryModel) -> Result<&Distribution, CoreError> {
     }
 }
 
-fn seed_singletons(tabs: &QueryTables, n: usize, table: &mut [Option<Entry>]) {
-    for i in 0..n {
-        let (cost, method, _) = tabs.access(i);
-        table[RelSet::single(i).bits() as usize] = Some(Entry {
-            cost,
-            choice: Choice::Access(method),
-        });
-    }
-}
-
 fn finalize<M: CostModel + ?Sized>(
     query: &JoinQuery,
     model: &M,
     tabs: &QueryTables,
     mem: &Distribution,
-    table: &[Option<Entry>],
+    table: &Table,
     best_ordered: Option<Entry>,
 ) -> Result<Optimized, CoreError> {
     let full = query.all();
-    let root = table[full.bits() as usize]
-        .as_ref()
-        .ok_or(CoreError::NoPlanFound)?;
-    let best = if query.required_order().is_some() {
-        let out = tabs.pages(full);
-        let sorted_cost = root.cost + model.expected_sort_step(out, mem.values(), mem.probs());
-        match &best_ordered {
-            Some(ord) if ord.cost <= sorted_cost => Optimized {
-                plan: plan_for(query, table, full, Some(ord)),
-                cost: ord.cost,
-            },
-            _ => {
-                let key = query.required_order().expect("checked"); // lec-lint: allow(panic-reachability) — this arm only runs when required_order().is_some() held above
-                Optimized {
-                    plan: Plan::sort(plan_for(query, table, full, None), key),
-                    cost: sorted_cost,
+    let root = table.get(full).ok_or(CoreError::NoPlanFound)?;
+    let (plan, cost) = match query.required_order() {
+        None => (plan_for(query, table, full, root), root.cost),
+        Some(key) => {
+            let out = tabs.pages(full);
+            let sorted_cost = root.cost + model.expected_sort_step(out, mem.values(), mem.probs());
+            match best_ordered {
+                Some(ord) if ord.cost <= sorted_cost => {
+                    (plan_for(query, table, full, ord), ord.cost)
                 }
+                _ => (
+                    plan_for(query, table, full, root).map(|p| Plan::sort(p, key)),
+                    sorted_cost,
+                ),
             }
         }
-    } else {
-        Optimized {
-            plan: plan_for(query, table, full, None),
-            cost: root.cost,
-        }
+    };
+    let best = Optimized {
+        plan: plan.ok_or(CoreError::NoPlanFound)?,
+        cost,
     };
     lec_plan::verify_costs("bushy winner", &[best.cost])?;
     crate::verify::debug_verify_plan(query, &best.plan, best.cost);
@@ -223,8 +249,7 @@ pub fn optimize<M: CostModel + ?Sized>(
     let n = query.n();
     let full = query.all();
     let tabs = QueryTables::new(query);
-    let mut table: Vec<Option<Entry>> = vec![None; (full.bits() + 1) as usize];
-    seed_singletons(&tabs, n, &mut table);
+    let mut table = Table::seeded(&tabs, full);
 
     let mut stats = OptStats::new("bushy", n);
     stats.precompute = tabs.sizes();
@@ -233,19 +258,21 @@ pub fn optimize<M: CostModel + ?Sized>(
     let mut best_ordered: Option<Entry> = None;
     let ranks = par::ranks(n);
     for rank in &ranks[1..] {
-        let ((), elapsed) = par::timed(|| {
+        let (priced, elapsed) = par::timed(|| {
             for &set in rank {
-                let (best, ordered, candidates) =
-                    cost_mask_bushy(query, model, &tabs, mem, &table, set, full);
-                table[set.bits() as usize] = Some(best);
-                if let Some(ord) = ordered {
+                let priced = cost_mask_bushy(query, model, &tabs, mem, &table, set, full)
+                    .ok_or(CoreError::NoPlanFound)?;
+                table.put(set, priced.best);
+                if let Some(ord) = priced.ordered {
                     best_ordered = Some(ord);
                 }
                 stats.counters.masks_expanded += 1;
-                stats.counters.candidates_priced += candidates;
+                stats.counters.candidates_priced += priced.candidates;
                 stats.counters.entries_written += 1;
             }
+            Ok::<(), CoreError>(())
         });
+        priced?;
         stats.rank_wall_ns.push(elapsed);
     }
 
@@ -340,6 +367,36 @@ mod tests {
         let ordered_splits = 3u64.pow(n) - 2u64.pow(n + 1) + 1;
         assert_eq!(sstats.counters.candidates_priced, ordered_splits * 3);
         assert_eq!(sstats.counters.masks_expanded, (1 << n) - 1 - n as u64);
+    }
+
+    #[test]
+    fn an_unpriced_subset_reads_as_absent_instead_of_panicking() {
+        let q = query(3, 0, false);
+        let tabs = QueryTables::new(&q);
+        let mem = Distribution::new([(90.0, 1.0)]).unwrap();
+        let full = q.all();
+        let price = |table: &Table, set: RelSet| {
+            cost_mask_bushy(&q, &PaperCostModel, &tabs, &mem, table, set, full)
+        };
+        // No singleton priced: every split of the full set misses a half.
+        let empty = Table {
+            slots: vec![None; full.bits() as usize + 1],
+        };
+        assert!(price(&empty, full).is_none());
+        // The empty set has no split; a subset past the table is absent.
+        let seeded = Table::seeded(&tabs, full);
+        assert!(price(&seeded, RelSet::from_bits(0)).is_none());
+        assert!(seeded.get(RelSet::single(5)).is_none());
+        // A backpointer into an unpriced pair reconstructs no plan.
+        let join = Entry {
+            cost: 1.0,
+            choice: Choice::Join {
+                left: RelSet::single(0).insert(1),
+                method: JoinMethod::ALL[0],
+                left_first: true,
+            },
+        };
+        assert!(plan_for(&q, &seeded, full, join).is_none());
     }
 
     #[test]

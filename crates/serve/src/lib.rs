@@ -49,6 +49,7 @@ pub mod cache;
 pub mod concurrent;
 pub mod drift;
 pub mod error;
+mod lru;
 mod recalibrate;
 pub mod resilience;
 pub mod service;

@@ -13,32 +13,148 @@
 //! truth catalog, keeps the sample's confidence interval, and builds the
 //! interval box the certify stage bounds a served plan's suboptimality
 //! over.
+//!
+//! The certify stage is [`RecalibrateStage::certify`]: it owns a memo of
+//! finished certificates (see its docs), so a request whose query, served
+//! plan and interval box have not moved since its last certificate is not
+//! certified again.
 
 use crate::drift::{DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
-use crate::service::{QueryRequest, ResampleConfig};
+use crate::lru::Lru;
+use crate::service::{PreparedRequest, QueryRequest, ResampleConfig};
 use lec_catalog::sampling::{SampleConfig, SampleEstimator, StatInterval};
 use lec_catalog::{Catalog, ColumnMeta, Histogram, Predicate};
-use lec_core::certificate::QueryIntervals;
+use lec_core::certificate::{certify_plan, Certificate, QueryIntervals};
+use lec_core::MemoryModel;
+use lec_cost::CostModel;
 use lec_exec::ExecFeedback;
-use lec_plan::{JoinQuery, RelSet};
+use lec_plan::{JoinQuery, Plan, RelSet};
+use lec_stats::Distribution;
 use lec_workload::from_catalog::{page_selectivity, FilterSpec, JoinSpec};
 use rand_chacha::rand_core::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The recalibrate stage's state: the drift detector the feedback stage
-/// feeds, the sampler when the service resamples, and the recalibration
-/// and decision counters.
+/// feeds, the sampler when the service resamples, the certificate memo,
+/// and the recalibration and decision counters.
 pub(crate) struct RecalibrateStage {
     pub(crate) drift: DriftDetector,
     pub(crate) sampler: Option<Sampler>,
+    /// Finished certificates by [`QueryRequest::key`], at most
+    /// `cache_capacity` of them (see [`certify`](RecalibrateStage::certify)).
+    pub(crate) certificates: Lru<Certified>,
+    /// Serves whose certificate the memo answered.
+    pub(crate) certificate_hits: u64,
     pub(crate) recalibrations: u64,
     pub(crate) reoptimize_decisions: u64,
     pub(crate) recost_decisions: u64,
 }
 
+/// One memoized certificate with every input it was computed from. The
+/// model and the observed memory distribution are the service's, fixed
+/// for its lifetime, so these three inputs determine the certificate.
+pub(crate) struct Certified {
+    /// The request and its belief-side query, shared with the prepare
+    /// stage.
+    prepared: Arc<PreparedRequest>,
+    /// The served plan, in the request's numbering.
+    plan: Plan,
+    intervals: QueryIntervals,
+    certificate: Certificate,
+}
+
+impl Certified {
+    /// Whether this entry was computed from exactly these inputs. The
+    /// request and query compare with `==`, the intervals by bit pattern.
+    /// `==` can only blur a signed zero, and none reaches the certificate
+    /// through the query or the plan: a plan holds no float, and
+    /// [`JoinQuery::new`] admits only finite, positive statistics, so two
+    /// queries that compare equal are equal bit for bit. (The request's
+    /// filter bounds reach the certificate only through the query.) The
+    /// intervals may hold zeros, and `delta` is copied into the
+    /// certificate, so they are compared by bits.
+    fn confirms(&self, prepared: &Arc<PreparedRequest>, plan: &Plan, iv: &QueryIntervals) -> bool {
+        let same_form = Arc::ptr_eq(&self.prepared, prepared)
+            || (self.prepared.request == prepared.request && self.prepared.query == prepared.query);
+        same_form && self.plan == *plan && same_bits(&self.intervals, iv)
+    }
+}
+
+/// Bit-pattern equality of two interval boxes.
+fn same_bits(a: &QueryIntervals, b: &QueryIntervals) -> bool {
+    fn bits(v: &[(f64, f64)]) -> impl Iterator<Item = (u64, u64)> + '_ {
+        v.iter().map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+    }
+    a.delta.to_bits() == b.delta.to_bits()
+        && bits(&a.relation_selectivity).eq(bits(&b.relation_selectivity))
+        && bits(&a.predicate_selectivity).eq(bits(&b.predicate_selectivity))
+}
+
 impl RecalibrateStage {
+    /// The certify stage: the (ε, δ) certificate of `plan`, served for
+    /// `prepared`'s request, over the sampler's current interval box;
+    /// `None` when the service does not resample.
+    ///
+    /// [`certify_plan`] is a pure function of the belief query, the plan
+    /// and the interval box, given the service's fixed model and observed
+    /// memory. So finished certificates are memoized by request key and
+    /// each hit is confirmed against all three inputs (and the request)
+    /// field by field ([`Certified::confirms`]): a changed statistic, a
+    /// resampled interval or a ladder rung's different plan is a miss,
+    /// recertified and stored over the old entry. A recalibration does not
+    /// clear the memo: a drift on one table leaves the certificates of
+    /// requests that do not read it valid, and their next serve confirms
+    /// them. The interval box is built on every serve, hit or miss, so
+    /// first-touch samples draw exactly when they always did.
+    ///
+    /// Kept out of line: the serve path of a service without a sampler
+    /// only calls it.
+    #[inline(never)]
+    pub(crate) fn certify<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        observed_memory: &Distribution,
+        beliefs: &Catalog,
+        truth: &Catalog,
+        prepared: &Arc<PreparedRequest>,
+        plan: &Plan,
+    ) -> Result<Option<Certificate>, ServeError> {
+        let Some(sampler) = &mut self.sampler else {
+            return Ok(None);
+        };
+        let (request, query) = (&prepared.request, &prepared.query);
+        let intervals = sampler.interval_box(beliefs, truth, request, query)?;
+        let key = request.key();
+        let hit = self
+            .certificates
+            .get(key, |c| c.confirms(prepared, plan, &intervals));
+        if let Some(hit) = hit {
+            // A hit confirmed against a form prepared after a
+            // recalibration takes that form, so the memo does not keep the
+            // superseded one alive.
+            if !Arc::ptr_eq(&hit.prepared, prepared) {
+                hit.prepared = Arc::clone(prepared);
+            }
+            self.certificate_hits += 1;
+            return Ok(Some(hit.certificate.clone()));
+        }
+        let memory = MemoryModel::Static(observed_memory.clone());
+        let certificate = certify_plan(query, model, &memory, plan, &intervals)?;
+        self.certificates.insert(
+            key,
+            Certified {
+                prepared: Arc::clone(prepared),
+                plan: plan.clone(),
+                intervals,
+                certificate: certificate.clone(),
+            },
+        );
+        Ok(Some(certificate))
+    }
+
     /// The feedback stage: feeds execution observations to the drift
     /// detector and returns the events it fires. `query` is the
     /// belief-side query the request was planned under (its estimates are

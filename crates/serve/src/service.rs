@@ -30,7 +30,13 @@
 //! 6. **certify** — when the service resamples, attach an (ε, δ)
 //!    certificate computed from the intervals the plan was served under.
 //!    This runs before feedback, which may resample and refresh those
-//!    intervals;
+//!    intervals. Certificates are memoized: up to `cache_capacity` of
+//!    them, keyed by the request digest, each hit confirmed against every
+//!    input the certificate is a function of (request, belief query,
+//!    served plan, and the interval box by bit pattern), so the bushy DP
+//!    behind the bound runs only when one of them moved. A recalibration
+//!    leaves the memo alone: entries whose statistics it changed fail
+//!    their confirmation, and the rest stay valid;
 //! 7. **feedback** — feed observed selection and join cardinalities to the
 //!    [`DriftDetector`];
 //! 8. **recalibrate** — for each fired drift event, update the belief
@@ -45,10 +51,12 @@
 //! memo and the beliefs version; plan owns the cache, the optimizer
 //! statistics and the invocation and primed-miss counters; execute owns
 //! the simulated disk, both circuit breakers and the resilience counters;
-//! recalibrate owns the drift detector, the sampler and the recalibration
-//! and decision counters. Pick and verify keep nothing between requests.
-//! The service itself keeps the model, the catalogs, the config, and the
-//! stream ordinal [`queries_served`](QueryService::queries_served).
+//! recalibrate owns the drift detector, the sampler, the certificate memo
+//! and the recalibration and decision counters (certify is one of its
+//! methods, since it reads the sampler). Pick and verify keep nothing
+//! between requests. The service itself keeps the model, the catalogs,
+//! the config, and the stream ordinal
+//! [`queries_served`](QueryService::queries_served).
 //!
 //! [`ServeConfig::resample`] decides whether the recalibrate stage holds a
 //! sampler. Without one, recalibration folds the drift window's observed
@@ -74,12 +82,13 @@
 use crate::cache::{shard_of, PlanCache};
 use crate::drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
+use crate::lru::Lru;
 use crate::recalibrate::{filter_stat, RecalibrateStage, Sampler};
 use crate::resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
 use lec_catalog::sampling::{BoundKind, StatInterval};
 use lec_catalog::Catalog;
 use lec_core::alg_d::SizeModel;
-use lec_core::certificate::{certify_plan, Certificate};
+use lec_core::certificate::Certificate;
 use lec_core::evaluate::profile_and_expected_cost;
 use lec_core::parametric::{rank, Candidate, ParametricPlans};
 use lec_core::{lsc, voi, CoreError, MemoryModel, OptStats, ResilienceCounters};
@@ -441,10 +450,10 @@ pub(crate) struct BatchPrimer {
     pub(crate) dedup_saved: u64,
 }
 
-/// The prepare stage: the prepared forms of up to `capacity` requests
-/// under the current beliefs, keyed by [`QueryRequest::key`], least
-/// recently used evicted first, and the beliefs version they were built
-/// under. A key match is confirmed field by field, so a digest collision
+/// The prepare stage: the prepared forms of up to `cache_capacity`
+/// requests under the current beliefs, in an [`Lru`] keyed by
+/// [`QueryRequest::key`], and the beliefs version they were built under. A
+/// key match is confirmed with `==` on the request, so a digest collision
 /// costs a rebuild and never serves another request's form — the plan
 /// cache's own "false miss, never false hit" rule. A recalibration bumps
 /// the version and clears the memo.
@@ -453,10 +462,7 @@ struct PrepareStage {
     /// carry the version they were computed under and are ignored once it
     /// goes stale.
     version: u64,
-    capacity: usize,
-    tick: u64,
-    /// `key → (prepared form, last use)`.
-    slots: BTreeMap<u64, (Arc<PreparedRequest>, u64)>,
+    memo: Lru<Arc<PreparedRequest>>,
 }
 
 impl PrepareStage {
@@ -473,48 +479,18 @@ impl PrepareStage {
             return Ok(Arc::clone(p));
         }
         let key = request.key();
-        if let Some(p) = self.get(key, request) {
-            return Ok(p);
+        if let Some(p) = self.memo.get(key, |p| p.request == *request) {
+            return Ok(Arc::clone(p));
         }
         let built = Arc::new(PreparedRequest::build(beliefs, request, self.version)?);
-        self.insert(key, Arc::clone(&built));
+        self.memo.insert(key, Arc::clone(&built));
         Ok(built)
-    }
-
-    /// `request`'s memoized form, if the slot under `key` holds exactly
-    /// this request; refreshes its recency.
-    fn get(&mut self, key: u64, request: &QueryRequest) -> Option<Arc<PreparedRequest>> {
-        self.tick += 1;
-        let (prepared, last_used) = self.slots.get_mut(&key)?;
-        if prepared.request != *request {
-            return None;
-        }
-        *last_used = self.tick;
-        Some(Arc::clone(prepared))
-    }
-
-    /// Stores `prepared` under `key`, replacing whatever held the key (a
-    /// colliding request) or else evicting the least recently used slot
-    /// when full.
-    fn insert(&mut self, key: u64, prepared: Arc<PreparedRequest>) {
-        if !self.slots.contains_key(&key) && self.slots.len() >= self.capacity {
-            let victim = self
-                .slots
-                .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                self.slots.remove(&victim);
-            }
-        }
-        self.tick += 1;
-        self.slots.insert(key, (prepared, self.tick));
     }
 
     /// Makes everything prepared or primed so far stale.
     fn invalidate(&mut self) {
         self.version += 1;
-        self.slots.clear();
+        self.memo.clear();
     }
 }
 
@@ -814,6 +790,8 @@ impl<M: CostModel + Sync> QueryService<M> {
             recalibrate: RecalibrateStage {
                 sampler: config.resample.map(Sampler::new).transpose()?,
                 drift: DriftDetector::new(config.drift),
+                certificates: Lru::new(config.cache_capacity),
+                certificate_hits: 0,
                 recalibrations: 0,
                 reoptimize_decisions: 0,
                 recost_decisions: 0,
@@ -821,9 +799,7 @@ impl<M: CostModel + Sync> QueryService<M> {
             execute: ExecuteStage::new(&truth, config.exec_seed),
             prepare: PrepareStage {
                 version: 0,
-                capacity: config.cache_capacity,
-                tick: 0,
-                slots: BTreeMap::new(),
+                memo: Lru::new(config.cache_capacity),
             },
             plan: PlanStage {
                 cache: PlanCache::new(config.cache_shards, config.cache_capacity),
@@ -916,17 +892,21 @@ impl<M: CostModel + Sync> QueryService<M> {
         // Certify against the intervals the plan was served under, before
         // this serve's own feedback can resample them. A breaker reroute
         // is already degraded and makes no certificate claim.
-        let certificate = match &mut self.recalibrate.sampler {
-            Some(s) if !executed.resilience.breaker_tripped => {
-                let intervals = s.interval_box(&self.beliefs, &self.truth, request, query)?;
-                let memory = MemoryModel::Static(self.config.observed_memory.clone());
-                let plan = &executed.rung.plan;
-                let cert = certify_plan(query, &self.model, &memory, plan, &intervals)?;
-                self.plan.stats.certificate = Some(cert.clone());
-                Some(cert)
-            }
-            _ => None,
+        let certificate = if executed.resilience.breaker_tripped {
+            None
+        } else {
+            self.recalibrate.certify(
+                &self.model,
+                &self.config.observed_memory,
+                &self.beliefs,
+                &self.truth,
+                &prepared,
+                &executed.rung.plan,
+            )?
         };
+        if let Some(cert) = &certificate {
+            self.plan.stats.certificate = Some(cert.clone());
+        }
         let events = self
             .recalibrate
             .observe(&self.beliefs, request, query, &executed.feedback)?;
@@ -1271,7 +1251,14 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// Requests whose prepared form is memoized under the current beliefs
     /// (at most [`ServeConfig::cache_capacity`]).
     pub fn memo_len(&self) -> usize {
-        self.prepare.slots.len()
+        self.prepare.memo.len()
+    }
+
+    /// Requests whose certificate is memoized (at most
+    /// [`ServeConfig::cache_capacity`]; always zero with
+    /// [`ServeConfig::resample`] off).
+    pub fn certificate_memo_len(&self) -> usize {
+        self.recalibrate.certificates.len()
     }
 
     /// Drift-triggered resampling rounds performed so far (always zero
@@ -1524,13 +1511,100 @@ mod tests {
         assert_ne!(a.key(), b.key());
         // Park `a`'s form under `b`'s key, as a digest collision would.
         let form_a = svc.prepare.form(&svc.beliefs, &a, None).unwrap();
-        svc.prepare.insert(b.key(), Arc::clone(&form_a));
-        assert!(svc.prepare.get(b.key(), &b).is_none());
+        svc.prepare.memo.insert(b.key(), Arc::clone(&form_a));
+        assert!(svc.prepare.memo.get(b.key(), |p| p.request == b).is_none());
         let form_b = svc.prepare.form(&svc.beliefs, &b, None).unwrap();
         assert!(!Arc::ptr_eq(&form_a, &form_b));
         assert_eq!(form_b.request, b);
         let fresh = PreparedRequest::build(svc.beliefs(), &b, 0).unwrap();
         assert_eq!(form_b.canon.fingerprint, fresh.canon.fingerprint);
+    }
+
+    #[test]
+    fn a_recalibration_keeps_the_certificates_it_does_not_touch() {
+        use lec_catalog::Histogram;
+        // `cust.v` is believed uniform but truly piled below 25, so `a`
+        // drifts; `b` reads none of `a`'s tables.
+        let catalog = |cust_hot: bool| {
+            let mut c = Catalog::new();
+            for (name, key, pages) in [("cust", "ck", 8), ("ord", "ok", 12), ("item", "ik", 6)] {
+                let mass = if cust_hot && name == "cust" {
+                    [0.7, 0.1, 0.04, 0.04, 0.03, 0.03, 0.03, 0.03]
+                } else {
+                    [0.125; 8]
+                };
+                let values: Vec<f64> = (0..8)
+                    .flat_map(|b| {
+                        let n = (mass[b] * 800.0f64).round() as usize;
+                        (0..n).map(move |i| b as f64 * 12.5 + 12.5 * (i as f64 + 0.5) / n as f64)
+                    })
+                    .collect();
+                let v = ColumnMeta::new("v", 800, 0.0, 100.0)
+                    .with_histogram(Histogram::equi_width(&values, 8).unwrap());
+                c.register(
+                    TableMeta::new(name, pages * PAGE_CAPACITY as u64, pages)
+                        .unwrap()
+                        .with_column(ColumnMeta::new(key, 512, 0.0, 511.0))
+                        .with_column(v),
+                )
+                .unwrap();
+            }
+            c.register(
+                TableMeta::new("part", 10 * PAGE_CAPACITY as u64, 10)
+                    .unwrap()
+                    .with_column(ColumnMeta::new("pk", 512, 0.0, 511.0)),
+            )
+            .unwrap();
+            c
+        };
+        let pair = |left: &str, lk: &str, right: &str, rk: &str| {
+            let mut r = request(25.0);
+            r.tables = vec![left.into(), right.into()];
+            r.joins[0] = JoinSpec {
+                left_table: left.into(),
+                left_column: lk.into(),
+                right_table: right.into(),
+                right_column: rk.into(),
+            };
+            r.filters[0].table = left.into();
+            r
+        };
+        let (a, b) = (
+            pair("cust", "ck", "ord", "ok"),
+            pair("item", "ik", "part", "pk"),
+        );
+        let mut config = service().config;
+        config.resample = Some(ResampleConfig::default());
+        config.drift.error_threshold = 0.5;
+        config.drift.min_observations = 3;
+        let mut svc =
+            QueryService::new(PaperCostModel, catalog(false), catalog(true), config).unwrap();
+
+        let first = svc.serve(&b).unwrap().certificate.unwrap();
+        assert_eq!(
+            svc.recalibrate.certificate_hits, 0,
+            "a first serve certifies"
+        );
+        assert_eq!(svc.serve(&b).unwrap().certificate.unwrap(), first);
+        assert_eq!(
+            svc.recalibrate.certificate_hits, 1,
+            "a repeat is a memo hit"
+        );
+        let drifted = (0..40).any(|_| !svc.serve(&a).unwrap().recalibrations.is_empty());
+        assert!(drifted, "the hot truth must drift `cust.v`");
+        assert!(
+            svc.recalibrate.certificate_hits > 1,
+            "`a`'s repeats hit too"
+        );
+
+        // The recalibration moved `cust` only: `b`'s certificate is still
+        // memoized and confirmed, while `a`'s query moved and recertifies.
+        let hits = svc.recalibrate.certificate_hits;
+        assert_eq!(svc.serve(&b).unwrap().certificate.unwrap(), first);
+        assert_eq!(svc.recalibrate.certificate_hits, hits + 1);
+        svc.serve(&a).unwrap();
+        assert_eq!(svc.recalibrate.certificate_hits, hits + 1);
+        assert_eq!(svc.certificate_memo_len(), 2);
     }
 
     #[test]
