@@ -167,9 +167,6 @@ pub struct OptStats {
     /// of cardinality `k + 2`; a single entry for non-lattice enumerators).
     /// Scheduling-dependent: excluded from all determinism comparisons.
     pub rank_wall_ns: Vec<u64>,
-    /// The (ε, δ) suboptimality certificate attached by a sample-backed
-    /// optimization run (`None` for point-estimate runs).
-    pub certificate: Option<crate::certificate::Certificate>,
 }
 
 impl OptStats {
@@ -217,9 +214,6 @@ impl OptStats {
         self.resilience.frontier_fallbacks += other.resilience.frontier_fallbacks;
         self.resilience.lsc_fallbacks += other.resilience.lsc_fallbacks;
         extend_add(&mut self.rank_wall_ns, &other.rank_wall_ns);
-        if self.certificate.is_none() {
-            self.certificate = other.certificate.clone();
-        }
     }
 
     /// Renders the record as a multi-line footer for an EXPLAIN: callers
@@ -270,9 +264,6 @@ impl OptStats {
                 self.resilience.frontier_fallbacks,
                 self.resilience.lsc_fallbacks
             );
-        }
-        if let Some(cert) = &self.certificate {
-            let _ = writeln!(out, "{}", cert.render());
         }
         if !self.counters.frontier_per_rank.is_empty() {
             let _ = writeln!(

@@ -50,7 +50,8 @@
 
 use crate::cache::shard_of;
 use crate::error::ServeError;
-use crate::service::{PreparedRequest, QueryRequest, QueryService, ServeConfig, ServedQuery};
+use crate::prepare::PreparedRequest;
+use crate::service::{QueryRequest, QueryService, ServeConfig, ServedQuery};
 use crate::ServeRoute;
 use lec_catalog::Catalog;
 use lec_core::{OptStats, ResilienceCounters};

@@ -49,7 +49,10 @@ pub mod cache;
 pub mod concurrent;
 pub mod drift;
 pub mod error;
+mod execute;
 mod lru;
+mod plan;
+mod prepare;
 mod recalibrate;
 pub mod resilience;
 pub mod service;

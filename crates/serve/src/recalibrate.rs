@@ -1,6 +1,7 @@
-//! The feedback and recalibrate stages: which drift windows execution
-//! feedback feeds, how a fired drift event updates the belief catalog,
-//! and the sampled confidence intervals certificates range over.
+//! The certify, feedback and recalibrate stages: the sampled confidence
+//! intervals certificates range over, which drift windows execution
+//! feedback feeds, and how a fired drift event updates the belief catalog
+//! and the plan cache.
 //!
 //! A service without a [`Sampler`] *blends*: it folds the drift window's
 //! observed mean into the belief statistic (a filtered column's histogram
@@ -13,20 +14,23 @@
 //! truth catalog, keeps the sample's confidence interval, and builds the
 //! interval box the certify stage bounds a served plan's suboptimality
 //! over.
-//!
-//! The certify stage is [`RecalibrateStage::certify`]: it owns a memo of
-//! finished certificates (see its docs), so a request whose query, served
-//! plan and interval box have not moved since its last certificate is not
-//! certified again.
 
+use crate::cache::PlanCache;
 use crate::drift::{DriftDetector, DriftEvent, DriftTarget};
 use crate::error::ServeError;
+use crate::execute::Executed;
 use crate::lru::Lru;
-use crate::service::{PreparedRequest, QueryRequest, ResampleConfig};
+use crate::plan::CacheEntry;
+use crate::prepare::{PrepareStage, PreparedRequest};
+use crate::service::{
+    QueryRequest, Recalibration, RecalibrationDecision, ResampleConfig, ServeConfig,
+};
 use lec_catalog::sampling::{SampleConfig, SampleEstimator, StatInterval};
 use lec_catalog::{Catalog, ColumnMeta, Histogram, Predicate};
+use lec_core::alg_d::SizeModel;
 use lec_core::certificate::{certify_plan, Certificate, QueryIntervals};
-use lec_core::MemoryModel;
+use lec_core::parametric::ParametricPlans;
+use lec_core::{voi, MemoryModel};
 use lec_cost::CostModel;
 use lec_exec::ExecFeedback;
 use lec_plan::{JoinQuery, Plan, RelSet};
@@ -37,26 +41,33 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The recalibrate stage's state: the drift detector the feedback stage
-/// feeds, the sampler when the service resamples, the certificate memo,
-/// and the recalibration and decision counters.
-pub(crate) struct RecalibrateStage {
-    pub(crate) drift: DriftDetector,
-    pub(crate) sampler: Option<Sampler>,
-    /// Finished certificates by [`QueryRequest::key`], at most
-    /// `cache_capacity` of them (see [`certify`](RecalibrateStage::certify)).
-    pub(crate) certificates: Lru<Certified>,
-    /// Serves whose certificate the memo answered.
-    pub(crate) certificate_hits: u64,
+/// The recalibrate stage's counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RecalibrateCounters {
+    /// Belief updates (each one a resample when the stage has a sampler).
     pub(crate) recalibrations: u64,
     pub(crate) reoptimize_decisions: u64,
     pub(crate) recost_decisions: u64,
+    /// Serves whose certificate the memo answered.
+    pub(crate) certificate_hits: u64,
+}
+
+/// The recalibrate stage's state: the drift detector the feedback stage
+/// feeds, the sampler when the service resamples, the certificate memo,
+/// and its counters.
+pub(crate) struct RecalibrateStage {
+    drift: DriftDetector,
+    sampler: Option<Sampler>,
+    /// Finished certificates by [`QueryRequest::key`], at most
+    /// `cache_capacity` of them (see [`certify`](RecalibrateStage::certify)).
+    certificates: Lru<Certified>,
+    counters: RecalibrateCounters,
 }
 
 /// One memoized certificate with every input it was computed from. The
 /// model and the observed memory distribution are the service's, fixed
 /// for its lifetime, so these three inputs determine the certificate.
-pub(crate) struct Certified {
+struct Certified {
     /// The request and its belief-side query, shared with the prepare
     /// stage.
     prepared: Arc<PreparedRequest>,
@@ -94,9 +105,22 @@ fn same_bits(a: &QueryIntervals, b: &QueryIntervals) -> bool {
 }
 
 impl RecalibrateStage {
-    /// The certify stage: the (ε, δ) certificate of `plan`, served for
-    /// `prepared`'s request, over the sampler's current interval box;
-    /// `None` when the service does not resample.
+    /// A stage with quiet drift windows, an empty certificate memo, and a
+    /// sampler when `config` resamples (refused unless it is valid).
+    pub(crate) fn new(config: &ServeConfig) -> Result<Self, ServeError> {
+        Ok(RecalibrateStage {
+            sampler: config.resample.map(Sampler::new).transpose()?,
+            drift: DriftDetector::new(config.drift),
+            certificates: Lru::new(config.cache_capacity),
+            counters: RecalibrateCounters::default(),
+        })
+    }
+
+    /// The certify stage: the (ε, δ) certificate of the plan `executed`
+    /// served for `prepared`'s request, over the sampler's current interval
+    /// box. `None` when the service does not resample, or when the breaker
+    /// rerouted the serve: that serve is already degraded and makes no
+    /// certificate claim.
     ///
     /// [`certify_plan`] is a pure function of the belief query, the plan
     /// and the interval box, given the service's fixed model and observed
@@ -120,11 +144,15 @@ impl RecalibrateStage {
         beliefs: &Catalog,
         truth: &Catalog,
         prepared: &Arc<PreparedRequest>,
-        plan: &Plan,
+        executed: &Executed,
     ) -> Result<Option<Certificate>, ServeError> {
         let Some(sampler) = &mut self.sampler else {
             return Ok(None);
         };
+        if executed.resilience.breaker_tripped {
+            return Ok(None);
+        }
+        let plan = &executed.rung.plan;
         let (request, query) = (&prepared.request, &prepared.query);
         let intervals = sampler.interval_box(beliefs, truth, request, query)?;
         let key = request.key();
@@ -138,7 +166,7 @@ impl RecalibrateStage {
             if !Arc::ptr_eq(&hit.prepared, prepared) {
                 hit.prepared = Arc::clone(prepared);
             }
-            self.certificate_hits += 1;
+            self.counters.certificate_hits += 1;
             return Ok(Some(hit.certificate.clone()));
         }
         let memory = MemoryModel::Static(observed_memory.clone());
@@ -204,7 +232,7 @@ impl RecalibrateStage {
     /// toward the observed mean with weight `blend`
     /// ([`DriftConfig::blend`](crate::DriftConfig::blend)), which consumes
     /// no randomness. Counts the recalibration once the update succeeds.
-    pub(crate) fn update_beliefs(
+    fn update_beliefs(
         &mut self,
         blend: f64,
         beliefs: &mut Catalog,
@@ -269,30 +297,198 @@ impl RecalibrateStage {
                 col.distinct = ((1.0 - weight) * old + weight * implied).round().max(1.0) as u64;
             }
         }
-        if let Some(s) = sampler {
-            s.resamples += 1;
-        }
-        self.recalibrations += 1;
+        self.counters.recalibrations += 1;
         Ok(())
     }
+
+    /// The recalibrate stage for one drift event: updates the belief
+    /// statistic, pulls the affected entries from `cache`, and decides (via
+    /// EVPI) whether they are dropped for re-optimization or migrated for
+    /// re-costing.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn on_drift<M: CostModel>(
+        &mut self,
+        prepare: &mut PrepareStage,
+        cache: &mut PlanCache<Arc<CacheEntry>>,
+        beliefs: &mut Catalog,
+        truth: &Catalog,
+        model: &M,
+        config: &ServeConfig,
+        request: &QueryRequest,
+        event: DriftEvent,
+    ) -> Result<Recalibration, ServeError> {
+        // Anything prepared or primed under the old beliefs is stale from
+        // here on — also if the update below fails halfway.
+        prepare.invalidate();
+        self.update_beliefs(config.drift.blend, beliefs, truth, request, &event)?;
+
+        // Every cached entry optimized under the stale statistic is pulled.
+        let affected: Vec<&str> = event.target.tables();
+        let mut removed = cache.invalidate_collect(|e| {
+            e.prepared
+                .request
+                .tables
+                .iter()
+                .any(|t| affected.contains(&t.as_str()))
+        });
+        // invalidate_collect's order follows shard/map layout; sort by the
+        // entries' canonical encodings so migration re-inserts (and thus
+        // future LRU ticks) are deterministic.
+        removed.sort_by_cached_key(|e| e.prepared.canon.fingerprint.encoding().to_vec());
+        let entries_invalidated = removed.len();
+
+        let decision = decide(prepare, beliefs, model, config, request, &event)?;
+        let mut entries_migrated = 0;
+        match decision {
+            RecalibrationDecision::Reoptimize => self.counters.reoptimize_decisions += 1,
+            RecalibrationDecision::RecostOnly => {
+                self.counters.recost_decisions += 1;
+                for entry in removed {
+                    entries_migrated += migrate(prepare, cache, beliefs, entry)? as usize;
+                }
+            }
+        }
+
+        Ok(Recalibration {
+            event,
+            decision,
+            entries_invalidated,
+            entries_migrated,
+        })
+    }
+
+    pub(crate) fn counters(&self) -> RecalibrateCounters {
+        self.counters
+    }
+
+    pub(crate) fn certificate_memo_len(&self) -> usize {
+        self.certificates.len()
+    }
+
+    pub(crate) fn stat_interval(&self, target: &DriftTarget) -> Option<StatInterval> {
+        self.sampler.as_ref()?.intervals.get(target).copied()
+    }
+}
+
+/// EVPI-based cache policy: is re-planning under the (now sharper)
+/// statistic worth a full optimizer run?
+fn decide<M: CostModel>(
+    prepare: &mut PrepareStage,
+    beliefs: &Catalog,
+    model: &M,
+    config: &ServeConfig,
+    request: &QueryRequest,
+    event: &DriftEvent,
+) -> Result<RecalibrationDecision, ServeError> {
+    // The exact joint analysis is exponential; beyond 4 relations the
+    // conservative answer is to re-optimize.
+    let prepared = prepare.form(beliefs, request, None)?;
+    let query = &prepared.query;
+    if query.n() > 4 {
+        return Ok(RecalibrationDecision::Reoptimize);
+    }
+    let mut sizes = SizeModel::certain(query)?;
+    // The drifted statistic's slot in the size model, and its estimated
+    // and observed means in the query's units (pages for a relation,
+    // page-domain selectivity for a join).
+    let (slot, est, obs) = match &event.target {
+        DriftTarget::Selection { table, .. } => {
+            let Some(idx) = request.tables.iter().position(|t| t == table) else {
+                return Ok(RecalibrationDecision::Reoptimize);
+            };
+            let pages = query.relation(idx).pages;
+            (
+                &mut sizes.rel_sizes[idx],
+                pages * event.mean_estimated,
+                pages * event.mean_observed,
+            )
+        }
+        DriftTarget::Join {
+            left_table,
+            right_table,
+            ..
+        } => {
+            let Some(k) = request
+                .joins
+                .iter()
+                .position(|j| j.left_table == *left_table && j.right_table == *right_table)
+            else {
+                return Ok(RecalibrationDecision::Reoptimize);
+            };
+            let (lt, rt) = (beliefs.table(left_table)?, beliefs.table(right_table)?);
+            (
+                &mut sizes.selectivities[k],
+                page_selectivity(lt, rt, event.mean_estimated),
+                page_selectivity(lt, rt, event.mean_observed),
+            )
+        }
+    };
+    let (a, b) = (est.max(1e-12), obs.max(1e-12));
+    match Distribution::new([(a, 0.5), (b, 0.5)]) {
+        Ok(two_point) if (a - b).abs() > 1e-9 * a.max(b) => *slot = two_point,
+        // The statistic barely moved: nothing an optimizer run could
+        // exploit.
+        _ => return Ok(RecalibrationDecision::RecostOnly),
+    }
+    let memory = MemoryModel::Static(config.observed_memory.clone());
+    let report = voi::analyze(query, model, &memory, &sizes)?;
+    if report.sampling_worthwhile(config.reoptimize_cost) {
+        Ok(RecalibrationDecision::Reoptimize)
+    } else {
+        Ok(RecalibrationDecision::RecostOnly)
+    }
+}
+
+/// Migrates one pulled entry under the updated beliefs: prepares its
+/// request afresh (seeding the memo), carries the stored plans across the
+/// two canonical numberings, and re-inserts. Returns `false` when a carried
+/// plan fails the plan-IR verifier against the rebuilt query (the entry is
+/// then dropped and will be re-optimized on its next request) — the full
+/// verifier, not the weaker `Plan::validate`, so a migration can never park
+/// a plan the serve path would refuse to run.
+fn migrate(
+    prepare: &mut PrepareStage,
+    cache: &mut PlanCache<Arc<CacheEntry>>,
+    beliefs: &Catalog,
+    entry: Arc<CacheEntry>,
+) -> Result<bool, ServeError> {
+    let prepared = prepare.form(beliefs, &entry.prepared.request, None)?;
+    let canon = &prepared.canon;
+    let mut scenarios = Vec::with_capacity(entry.plans.scenarios().len());
+    for (dist, opt) in entry.plans.scenarios() {
+        // Old canonical → the entry's request numbering → new canonical.
+        let in_request = entry.prepared.canon.plan_to_original(&opt.plan);
+        let plan = canon.plan_to_canonical(&in_request);
+        if lec_plan::verify_plan(&plan, &canon.query).is_err() {
+            return Ok(false);
+        }
+        // The carried cost is stale by design: the pick re-costs, never
+        // reads it.
+        let cost = opt.cost;
+        scenarios.push((dist.clone(), lec_core::Optimized { plan, cost }));
+    }
+    let migrated = CacheEntry {
+        plans: Arc::new(ParametricPlans::from_parts(scenarios)?),
+        prepared: Arc::clone(&prepared),
+    };
+    cache.insert(&canon.fingerprint, Arc::new(migrated));
+    Ok(true)
 }
 
 /// The resampling state: the sampling config, the RNG behind every draw,
 /// and the cached confidence interval per sampled statistic (row-domain for
 /// joins). A service that resamples holds one, built from
 /// [`ServeConfig::resample`](crate::ServeConfig::resample).
-pub(crate) struct Sampler {
+struct Sampler {
     config: ResampleConfig,
     rng: ChaCha8Rng,
-    pub(crate) intervals: BTreeMap<DriftTarget, StatInterval>,
-    /// Drift-triggered resampling rounds performed so far.
-    pub(crate) resamples: u64,
+    intervals: BTreeMap<DriftTarget, StatInterval>,
 }
 
 impl Sampler {
     /// A sampler seeded from `config`, which must give positive draw
     /// counts and bucket count and a `delta` in `(0, 1)`.
-    pub(crate) fn new(config: ResampleConfig) -> Result<Self, ServeError> {
+    fn new(config: ResampleConfig) -> Result<Self, ServeError> {
         let delta_ok = config.delta > 0.0 && config.delta < 1.0;
         if config.draws == 0 || config.initial_draws == 0 || config.buckets == 0 || !delta_ok {
             return Err(ServeError::Config(format!(
@@ -303,7 +499,6 @@ impl Sampler {
             config,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             intervals: BTreeMap::new(),
-            resamples: 0,
         })
     }
 
@@ -355,7 +550,7 @@ impl Sampler {
     /// point estimate (coverage only grows), and join intervals are mapped
     /// from the row domain to the page domain the query's predicates live
     /// in.
-    pub(crate) fn interval_box(
+    fn interval_box(
         &mut self,
         beliefs: &Catalog,
         truth: &Catalog,
@@ -427,7 +622,7 @@ pub(crate) fn filter_stat(f: &FilterSpec) -> (DriftTarget, Predicate) {
 
 /// The statistic a join estimates: its drift target and equi-join
 /// predicate.
-pub(crate) fn join_stat(j: &JoinSpec) -> (DriftTarget, Predicate) {
+fn join_stat(j: &JoinSpec) -> (DriftTarget, Predicate) {
     (
         DriftTarget::Join {
             left_table: j.left_table.clone(),

@@ -3,60 +3,39 @@
 //!
 //! A [`QueryService`] owns two catalogs. The **belief** catalog is what the
 //! optimizer sees; the **truth** catalog describes the data actually on the
-//! simulated disk. [`serve`](QueryService::serve) runs each request
-//! through the same private stages, in this order:
+//! simulated disk. [`serve`](QueryService::serve) runs each request through
+//! the same private stages, in this order, one call each:
 //!
-//! 1. **prepare** — build the belief-side query and canonicalize it (so
-//!    isomorphic queries share one cache entry). The result depends only on
-//!    the request and the beliefs, so it is built once per request and
-//!    beliefs version: a private memo of up to `cache_capacity` prepared
-//!    forms, keyed by a 64-bit digest of the request and confirmed field by
-//!    field (a digest collision costs a rebuild, never another request's
-//!    form), answers every later prepare until a recalibration clears it. A
-//!    NaN filter bound is refused here ([`ServeError::NanFilterBound`]);
-//! 2. **plan** — look the fingerprint up in the sharded [`PlanCache`] of
-//!    parametric plan sets; on a miss take the batch window's primed plans
-//!    or run the optimizer. Entries and plan sets are shared (`Arc`), so a
-//!    hit clones a pointer, not the plans;
-//! 3. **pick** — re-cost the distinct stored plans under the observed
-//!    memory distribution and rank them by the configured selection rule
-//!    ([`ParametricPlans::ranked`]); the first is served;
-//! 4. **verify** — run the pick through the plan-IR verifier in the
-//!    request's numbering (always on);
-//! 5. **execute** — walk the fallback ladder (primary pick, the pick's
-//!    other candidates ranked among themselves, LSC baseline) on
-//!    `lec-exec`. A tripped circuit breaker starts the ladder at its LSC
-//!    rung, fault-free;
-//! 6. **certify** — when the service resamples, attach an (ε, δ)
-//!    certificate computed from the intervals the plan was served under.
-//!    This runs before feedback, which may resample and refresh those
-//!    intervals. Certificates are memoized: up to `cache_capacity` of
-//!    them, keyed by the request digest, each hit confirmed against every
-//!    input the certificate is a function of (request, belief query,
-//!    served plan, and the interval box by bit pattern), so the bushy DP
-//!    behind the bound runs only when one of them moved. A recalibration
-//!    leaves the memo alone: entries whose statistics it changed fail
-//!    their confirmation, and the rest stay valid;
-//! 7. **feedback** — feed observed selection and join cardinalities to the
-//!    [`DriftDetector`];
-//! 8. **recalibrate** — for each fired drift event, update the belief
-//!    statistic (blend or resample, see below), pull the affected cache
-//!    entries, and let a value-of-information analysis
-//!    ([`lec_core::voi`]) decide whether they are re-optimized from
-//!    scratch on their next request or migrated (plans carried over,
-//!    re-cost at pick time).
+//! 1. **prepare** — the belief-side query and its canonicalization, so
+//!    isomorphic queries share one cache entry, memoized per request and
+//!    beliefs version (`prepare.rs`);
+//! 2. **plan** — the cached parametric plan set, or on a miss the batch
+//!    window's primed plans or one optimizer run (`plan.rs`);
+//! 3. **pick** — the distinct stored plans re-cost under the observed
+//!    memory distribution and ranked by the configured selection rule;
+//! 4. **verify** — the plan-IR verifier on the pick, in the request's
+//!    numbering (always on);
+//! 5. **execute** — the fallback ladder on `lec-exec`: the pick, its other
+//!    candidates, the LSC baseline; a tripped circuit breaker starts at the
+//!    LSC rung (`execute.rs` holds pick, verify and execute);
+//! 6. **certify** — with a sampler, an (ε, δ) certificate over the
+//!    intervals the plan was served under, before feedback can resample
+//!    them;
+//! 7. **feedback** — observed cardinalities into the
+//!    [`DriftDetector`](crate::DriftDetector);
+//! 8. **recalibrate** — per fired drift event, the belief update, the
+//!    affected cache entries pulled, and a value-of-information analysis
+//!    ([`lec_core::voi`]) deciding whether they re-optimize or migrate
+//!    (`recalibrate.rs` holds certify, feedback and recalibrate).
 //!
-//! Every piece of state a request leaves behind has one owner, a private
-//! stage type that [`QueryService::new`] builds once: prepare owns the
-//! memo and the beliefs version; plan owns the cache, the optimizer
-//! statistics and the invocation and primed-miss counters; execute owns
-//! the simulated disk, both circuit breakers and the resilience counters;
-//! recalibrate owns the drift detector, the sampler, the certificate memo
-//! and the recalibration and decision counters (certify is one of its
-//! methods, since it reads the sampler). Pick and verify keep nothing
-//! between requests. The service itself keeps the model, the catalogs,
-//! the config, and the stream ordinal
-//! [`queries_served`](QueryService::queries_served).
+//! Every piece of state a request leaves behind has one owner, a stage type
+//! whose fields are private to its module and which [`QueryService::new`]
+//! builds once. The service itself keeps the model, the catalogs, the
+//! config, the plan cache, and the stream ordinal
+//! [`queries_served`](QueryService::queries_served). Shared state is lent
+//! to each stage call as an explicit borrow: the plan stage fills the
+//! cache, the ladder's breakers read it and pull tripped entries, and
+//! drift handling borrows the prepare stage, the cache and the beliefs.
 //!
 //! [`ServeConfig::resample`] decides whether the recalibrate stage holds a
 //! sampler. Without one, recalibration folds the drift window's observed
@@ -79,32 +58,24 @@
 //! draws and fault schedules exactly, and runs the prepare and optimize
 //! stages ahead of each window without perturbing any counter.
 
-use crate::cache::{shard_of, PlanCache};
-use crate::drift::{DriftConfig, DriftDetector, DriftEvent, DriftTarget};
+use crate::cache::PlanCache;
+use crate::drift::{DriftConfig, DriftEvent, DriftTarget};
 use crate::error::ServeError;
-use crate::lru::Lru;
-use crate::recalibrate::{filter_stat, RecalibrateStage, Sampler};
-use crate::resilience::{Breaker, FaultInjection, ResiliencePolicy, ResilienceReport, ServeRoute};
+use crate::execute::{pick, verify, ExecuteStage};
+use crate::plan::{BatchPrimer, CacheEntry, PlanStage};
+use crate::prepare::{PrepareStage, PreparedRequest};
+use crate::recalibrate::RecalibrateStage;
+use crate::resilience::{FaultInjection, ResiliencePolicy, ResilienceReport};
 use lec_catalog::sampling::{BoundKind, StatInterval};
 use lec_catalog::Catalog;
-use lec_core::alg_d::SizeModel;
 use lec_core::certificate::Certificate;
-use lec_core::evaluate::profile_and_expected_cost;
-use lec_core::parametric::{rank, Candidate, ParametricPlans};
-use lec_core::{lsc, voi, CoreError, MemoryModel, OptStats, ResilienceCounters};
+use lec_core::{OptStats, ResilienceCounters};
 use lec_cost::CostModel;
-use lec_exec::datagen::{generate, DataGenSpec};
-use lec_exec::{
-    execute_plan_with_faults, Disk, ExecError, ExecFeedback, ExecMemoryEnv, ExecReport,
-    FaultSchedule, RelId,
-};
-use lec_plan::{canonicalize, Canonical, JoinQuery, Plan};
+use lec_exec::{ExecFeedback, ExecReport};
+use lec_plan::Plan;
 use lec_rules::{Rule, SelectionRule};
 use lec_stats::Distribution;
-use lec_workload::from_catalog::{page_selectivity, query_from_catalog, FilterSpec, JoinSpec};
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use lec_workload::from_catalog::{FilterSpec, JoinSpec};
 use std::sync::Arc;
 
 /// Configuration for a [`QueryService`].
@@ -298,18 +269,6 @@ impl QueryRequest {
     }
 }
 
-/// A cached parametric entry plus the provenance the service needs to
-/// migrate or invalidate it. Both halves are shared: a hit, a primer pin
-/// and a primed miss each clone pointers, never plans.
-pub(crate) struct CacheEntry {
-    /// The prepared form of a representative request for this equivalence
-    /// class: its request rebuilds the query after a recalibration, and
-    /// the plans are stored in its canonical numbering.
-    prepared: Arc<PreparedRequest>,
-    /// The per-scenario plans.
-    plans: Arc<ParametricPlans>,
-}
-
 /// What drift did to the service's state during one serve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecalibrationDecision {
@@ -368,371 +327,15 @@ pub struct ServedQuery {
     pub certificate: Option<Certificate>,
 }
 
-/// A request together with its belief-side query and canonicalization,
-/// tagged with the beliefs version they were computed under. The prepare
-/// stage builds one per request and beliefs version and memoizes it; cache
-/// entries share the form of the request that populated them. The
-/// concurrent driver builds one per distinct request shape so routing
-/// (fingerprint → shard → worker) happens before any worker is involved.
-/// A caller's prepared request is trusted only while the service's beliefs
-/// version still matches — a recalibration in between invalidates it, and
-/// it is prepared afresh rather than served stale.
-///
-/// A `PreparedRequest` must only ever be paired with the request it was
-/// built from (same tables, joins, filters, order).
-#[derive(Debug, Clone)]
-pub(crate) struct PreparedRequest {
-    pub(crate) request: QueryRequest,
-    pub(crate) query: JoinQuery,
-    pub(crate) canon: Canonical,
-    pub(crate) version: u64,
-}
-
-impl PreparedRequest {
-    /// Builds `request`'s query from `beliefs` and canonicalizes it,
-    /// tagged with the beliefs `version`. A NaN filter bound is refused:
-    /// the range estimators would drop it and plan an unbounded range, and
-    /// the request would never equal itself, so no memo could confirm it.
-    pub(crate) fn build(
-        beliefs: &Catalog,
-        request: &QueryRequest,
-        version: u64,
-    ) -> Result<Self, ServeError> {
-        let nan_bound = request
-            .filters
-            .iter()
-            .find(|f| f.lo.is_nan() || f.hi.is_nan());
-        if let Some(filter) = nan_bound {
-            return Err(ServeError::NanFilterBound(Box::new(filter.clone())));
-        }
-        let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
-        let (joins, filters) = (&request.joins, &request.filters);
-        let query = query_from_catalog(beliefs, &tables, joins, filters, request.order_by)?;
-        Ok(PreparedRequest {
-            request: request.clone(),
-            canon: canonicalize(&query),
-            query,
-            version,
-        })
-    }
-}
-
-/// Parametric plan sets optimized ahead of one batch window, keyed by
-/// canonical fingerprint encoding.
-///
-/// [`QueryService::prime_window`] walks a window of requests and optimizes
-/// each *distinct would-miss* fingerprint exactly once; isomorphic
-/// requests later in the window find the entry already primed and are
-/// counted in [`dedup_saved`](BatchPrimer::dedup_saved). A fingerprint
-/// resident in the cache at prime time is *pinned* instead: its entry's
-/// plans are shared in by a pure [`PlanCache::peek`] (no counters, no
-/// recency refresh), so if within-window inserts evict it, later
-/// occurrences serve from the primer rather than re-optimizing. Primed
-/// entries are **not** consume-once: under unchanged beliefs re-reading
-/// one is semantically identical to re-optimizing, so a window whose
-/// entries get evicted between serves (capacity thrash) still pays one
-/// optimization per class per window instead of one per request.
-///
-/// Like a prepared request, a primer is version-tagged: a recalibration
-/// mid-window bumps the service's beliefs version and the remaining
-/// serves fall back to fresh optimization instead of consuming plans
-/// priced under the old beliefs.
-pub(crate) struct BatchPrimer {
-    version: u64,
-    plans: BTreeMap<Vec<u8>, Arc<ParametricPlans>>,
-    /// Fingerprints whose primer entry is a *pin* — the shared plans of an
-    /// entry resident in the cache at prime time. Pins cost no optimizer
-    /// run, so their in-window repeats do not count as `dedup_saved`.
-    pinned: BTreeSet<Vec<u8>>,
-    /// Window requests whose optimization was skipped because an
-    /// isomorphic request earlier in the same window had already primed
-    /// their fingerprint.
-    pub(crate) dedup_saved: u64,
-}
-
-/// The prepare stage: the prepared forms of up to `cache_capacity`
-/// requests under the current beliefs, in an [`Lru`] keyed by
-/// [`QueryRequest::key`], and the beliefs version they were built under. A
-/// key match is confirmed with `==` on the request, so a digest collision
-/// costs a rebuild and never serves another request's form — the plan
-/// cache's own "false miss, never false hit" rule. A recalibration bumps
-/// the version and clears the memo.
-struct PrepareStage {
-    /// Bumped on every recalibration; prepared requests and batch primers
-    /// carry the version they were computed under and are ignored once it
-    /// goes stale.
-    version: u64,
-    memo: Lru<Arc<PreparedRequest>>,
-}
-
-impl PrepareStage {
-    /// The one path every stage that needs a request's query goes through:
-    /// the caller's prepared request while its beliefs version is current,
-    /// else the memoized form, else one built from `beliefs` and memoized.
-    fn form(
-        &mut self,
-        beliefs: &Catalog,
-        request: &QueryRequest,
-        supplied: Option<&Arc<PreparedRequest>>,
-    ) -> Result<Arc<PreparedRequest>, ServeError> {
-        if let Some(p) = supplied.filter(|p| p.version == self.version) {
-            return Ok(Arc::clone(p));
-        }
-        let key = request.key();
-        if let Some(p) = self.memo.get(key, |p| p.request == *request) {
-            return Ok(Arc::clone(p));
-        }
-        let built = Arc::new(PreparedRequest::build(beliefs, request, self.version)?);
-        self.memo.insert(key, Arc::clone(&built));
-        Ok(built)
-    }
-
-    /// Makes everything prepared or primed so far stale.
-    fn invalidate(&mut self) {
-        self.version += 1;
-        self.memo.clear();
-    }
-}
-
-/// The plan stage: the plan cache, the optimizer statistics every run is
-/// absorbed into, and its two counters.
-struct PlanStage {
-    cache: PlanCache<Arc<CacheEntry>>,
-    stats: OptStats,
-    /// Full optimizer runs (misses and primes).
-    invocations: u64,
-    /// Cache misses answered from a batch primer instead of a fresh
-    /// optimizer run.
-    primed_consumed: u64,
-}
-
-impl PlanStage {
-    /// The cached entry on a hit; on a miss, the primer's plans or a fresh
-    /// optimizer run, inserted into the cache. Both paths store and cost
-    /// plans against the canonical query, so a hit's expected cost is
-    /// bit-identical to the miss that populated it.
-    fn lookup<M: CostModel + Sync>(
-        &mut self,
-        prepared: &Arc<PreparedRequest>,
-        primer: Option<&BatchPrimer>,
-        model: &M,
-        scenarios: &[Distribution],
-    ) -> Result<(Arc<CacheEntry>, bool), ServeError> {
-        let canon = &prepared.canon;
-        if let Some(entry) = self.cache.get(&canon.fingerprint) {
-            return Ok((entry, true));
-        }
-        let primed = primer.and_then(|p| p.plans.get(canon.fingerprint.encoding()));
-        let plans = match primed {
-            Some(plans) => {
-                self.primed_consumed += 1;
-                Arc::clone(plans)
-            }
-            None => Arc::new(self.optimize(canon, model, scenarios)?),
-        };
-        let entry = Arc::new(CacheEntry {
-            prepared: Arc::clone(prepared),
-            plans,
-        });
-        self.cache.insert(&canon.fingerprint, Arc::clone(&entry));
-        Ok((entry, false))
-    }
-
-    /// Primes one window request: a fingerprint already in `primer` is an
-    /// isomorphic repeat (`dedup_saved` unless it is a pin); one resident
-    /// in the cache is pinned by a pure [`PlanCache::peek`]; any other is
-    /// optimized.
-    fn prime<M: CostModel + Sync>(
-        &mut self,
-        primer: &mut BatchPrimer,
-        canon: &Canonical,
-        model: &M,
-        scenarios: &[Distribution],
-    ) -> Result<(), ServeError> {
-        let key = canon.fingerprint.encoding();
-        if primer.plans.contains_key(key) {
-            primer.dedup_saved += u64::from(!primer.pinned.contains(key));
-            return Ok(());
-        }
-        let plans = match self.cache.peek(&canon.fingerprint) {
-            Some(entry) => {
-                primer.pinned.insert(key.to_vec());
-                Arc::clone(&entry.plans)
-            }
-            None => Arc::new(self.optimize(canon, model, scenarios)?),
-        };
-        primer.plans.insert(key.to_vec(), plans);
-        Ok(())
-    }
-
-    /// One full optimizer run against a canonical query, with stats
-    /// absorbed and the invocation counter moved — the single chokepoint
-    /// both the miss path and the batch primer go through.
-    fn optimize<M: CostModel + Sync>(
-        &mut self,
-        canon: &Canonical,
-        model: &M,
-        scenarios: &[Distribution],
-    ) -> Result<ParametricPlans, ServeError> {
-        let (plans, pstats) =
-            ParametricPlans::precompute_with_stats(&canon.query, model, scenarios)?;
-        self.stats.absorb(&pstats);
-        self.invocations += 1;
-        Ok(plans)
-    }
-}
-
-/// The execute stage: the simulated disk holding the generated base
-/// tables, the two circuit breakers, and the resilience counters.
-struct ExecuteStage {
-    disk: Disk,
-    /// Each table's generated relation on `disk`.
-    rels: BTreeMap<String, RelId>,
-    /// Fault strikes per fingerprint encoding.
-    breaker: Breaker<Vec<u8>>,
-    /// Fault strikes per cache shard.
-    shard_breaker: Breaker<usize>,
-    counters: ResilienceCounters,
-}
-
-impl ExecuteStage {
-    /// Generates the simulated base data: one relation per table in
-    /// `truth`, in name order. The simulator joins on the single shared key
-    /// attribute; its domain is taken from each table's *first* column (the
-    /// store's join-key convention).
-    fn new(truth: &Catalog, seed: u64) -> Self {
-        let mut disk = Disk::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut rels = BTreeMap::new();
-        for meta in truth.iter() {
-            let key_domain = meta
-                .columns
-                .first()
-                .map(|c| c.distinct.max(1))
-                .unwrap_or(meta.rows.max(1));
-            let spec = DataGenSpec {
-                pages: meta.pages as usize,
-                key_domain,
-            };
-            rels.insert(meta.name.clone(), generate(&mut disk, &mut rng, &spec));
-        }
-        ExecuteStage {
-            disk,
-            rels,
-            breaker: Breaker::default(),
-            shard_breaker: Breaker::default(),
-            counters: ResilienceCounters::default(),
-        }
-    }
-
-    /// The circuit breakers. The shard breaker is checked first — a shard
-    /// whose fingerprints have *collectively* accumulated enough faults is
-    /// flushed wholesale, which invalidates strictly more state; otherwise
-    /// a fingerprint with enough faults has its own entry dropped. Either
-    /// way the tripped breaker's strikes are reset, the dropped entries
-    /// reoptimize on their next request, and `true` tells the ladder to
-    /// start at the LSC rung.
-    fn trip_breakers(
-        &mut self,
-        config: &ServeConfig,
-        cache: &mut PlanCache<Arc<CacheEntry>>,
-        fp: &[u8],
-        shard: usize,
-    ) -> bool {
-        let policy = config.resilience;
-        let (fp_limit, shard_limit) = (policy.breaker_threshold, policy.shard_breaker_threshold);
-        if self.shard_breaker.is_open(&shard, shard_limit) {
-            self.shard_breaker.reset(&shard);
-            self.counters.shard_breaker_trips += 1;
-            let shards = config.cache_shards;
-            cache.invalidate_collect(|e| shard_of(&e.prepared.canon.fingerprint, shards) == shard);
-        } else if self.breaker.is_open(fp, fp_limit) {
-            self.breaker.reset(fp);
-            self.counters.breaker_trips += 1;
-            cache.invalidate_collect(|e| e.prepared.canon.fingerprint.encoding() == fp);
-        } else {
-            return false;
-        }
-        true
-    }
-
-    /// Executes `plan` over the generated data, realizing the *truth*
-    /// catalog's filter selectivities. `ordinal` is the request's position
-    /// in the logical stream: it seeds the memory draw, so concurrent
-    /// drivers replaying a partition of the stream draw what the
-    /// sequential loop would.
-    fn run(
-        &mut self,
-        config: &ServeConfig,
-        truth: &Catalog,
-        ordinal: u64,
-        request: &QueryRequest,
-        plan: &Plan,
-        faults: &mut FaultSchedule,
-    ) -> Result<(ExecReport, ExecFeedback), ServeError> {
-        let base = request
-            .tables
-            .iter()
-            .map(|t| {
-                self.rels
-                    .get(t)
-                    .copied()
-                    .ok_or_else(|| ServeError::Config(format!("table `{t}` has no generated data")))
-            })
-            .collect::<Result<Vec<RelId>, ServeError>>()?;
-        let mut selections = vec![1.0; request.tables.len()];
-        for f in &request.filters {
-            let idx = request
-                .tables
-                .iter()
-                .position(|t| *t == f.table)
-                .ok_or_else(|| {
-                    ServeError::Config(format!("filter on `{}` not in table list", f.table))
-                })?;
-            selections[idx] *= filter_stat(f).1.estimate(truth)?.clamp(1e-9, 1.0);
-        }
-        // Seeded by the request ordinal, not the attempt: every rung of the
-        // ladder faces the same memory draw, so a retry is a pure plan
-        // switch.
-        let mut env = ExecMemoryEnv::draw_once(
-            config.observed_memory.clone(),
-            config.exec_seed.wrapping_add(ordinal),
-        );
-        // Everything the execution writes (filtered scans, sort runs,
-        // partitions, the result) is dropped again, on success and on
-        // error, so a long-lived service holds only its base data.
-        let mark = self.disk.relation_count();
-        let executed =
-            execute_plan_with_faults(plan, &base, &selections, &mut self.disk, &mut env, faults);
-        self.disk.drop_from(mark);
-        Ok(executed?)
-    }
-}
-
-/// One rung of the fallback ladder, ready to execute in the request's
-/// numbering.
-struct LadderRung {
-    plan: Plan,
-    expected_cost: f64,
-    scenario: usize,
-    route: ServeRoute,
-}
-
-/// What the execute stage hands on: the rung that served, its execution,
-/// and what the resilience layer did to get there.
-struct Executed {
-    rung: LadderRung,
-    report: ExecReport,
-    feedback: ExecFeedback,
-    resilience: ResilienceReport,
-}
-
 /// The serving loop. See the module docs for the stage sequence.
 pub struct QueryService<M: CostModel + Sync> {
     model: M,
     beliefs: Catalog,
     truth: Catalog,
     config: ServeConfig,
+    /// The plan cache: filled by the plan stage, lent to the execute
+    /// stage's breakers and the recalibrate stage's invalidations.
+    cache: PlanCache<Arc<CacheEntry>>,
     prepare: PrepareStage,
     plan: PlanStage,
     execute: ExecuteStage,
@@ -787,26 +390,11 @@ impl<M: CostModel + Sync> QueryService<M> {
             ))
         })?;
         Ok(QueryService {
-            recalibrate: RecalibrateStage {
-                sampler: config.resample.map(Sampler::new).transpose()?,
-                drift: DriftDetector::new(config.drift),
-                certificates: Lru::new(config.cache_capacity),
-                certificate_hits: 0,
-                recalibrations: 0,
-                reoptimize_decisions: 0,
-                recost_decisions: 0,
-            },
+            recalibrate: RecalibrateStage::new(&config)?,
             execute: ExecuteStage::new(&truth, config.exec_seed),
-            prepare: PrepareStage {
-                version: 0,
-                memo: Lru::new(config.cache_capacity),
-            },
-            plan: PlanStage {
-                cache: PlanCache::new(config.cache_shards, config.cache_capacity),
-                stats: OptStats::new("serve", 0),
-                invocations: 0,
-                primed_consumed: 0,
-            },
+            prepare: PrepareStage::new(config.cache_capacity),
+            cache: PlanCache::new(config.cache_shards, config.cache_capacity),
+            plan: PlanStage::new(),
             model,
             beliefs,
             truth,
@@ -834,17 +422,13 @@ impl<M: CostModel + Sync> QueryService<M> {
         &mut self,
         window: &[(&QueryRequest, Option<&Arc<PreparedRequest>>)],
     ) -> Result<BatchPrimer, ServeError> {
-        let mut primer = BatchPrimer {
-            version: self.prepare.version,
-            plans: BTreeMap::new(),
-            pinned: BTreeSet::new(),
-            dedup_saved: 0,
-        };
+        let mut primer = BatchPrimer::new(self.prepare.version());
         for (request, supplied) in window {
             let prepared = self.prepare.form(&self.beliefs, request, *supplied)?;
             let scenarios = &self.config.scenarios;
+            let (cache, model) = (&self.cache, &self.model);
             self.plan
-                .prime(&mut primer, &prepared.canon, &self.model, scenarios)?;
+                .prime(cache, &mut primer, &prepared.canon, model, scenarios)?;
         }
         Ok(primer)
     }
@@ -866,53 +450,36 @@ impl<M: CostModel + Sync> QueryService<M> {
         prepared: Option<&Arc<PreparedRequest>>,
         primer: Option<&BatchPrimer>,
     ) -> Result<ServedQuery, ServeError> {
+        let (model, config, truth) = (&self.model, &self.config, &self.truth);
         let prepared = self.prepare.form(&self.beliefs, request, prepared)?;
-        let (query, canon) = (&prepared.query, &prepared.canon);
-        let (plan, scenarios) = (&mut self.plan, &self.config.scenarios);
-        let primer = primer.filter(|p| p.version == self.prepare.version);
-        let (entry, cache_hit) = plan.lookup(&prepared, primer, &self.model, scenarios)?;
-        let mut ranked = entry
-            .plans
-            .ranked(
-                &canon.query,
-                &self.model,
-                &self.config.observed_memory,
-                &self.config.selection_rule,
-            )?
-            .into_iter();
-        let best = ranked.next().ok_or(CoreError::NoPlanFound)?;
-        let primary = LadderRung {
-            plan: canon.plan_to_original(best.plan),
-            expected_cost: best.expected_cost,
-            scenario: best.scenario,
-            route: ServeRoute::Primary,
-        };
-        verify(&primary, query, "served expected cost")?;
-        let executed = self.execute_ladder(ordinal, request, &prepared, primary, ranked)?;
-        // Certify against the intervals the plan was served under, before
-        // this serve's own feedback can resample them. A breaker reroute
-        // is already degraded and makes no certificate claim.
-        let certificate = if executed.resilience.breaker_tripped {
-            None
-        } else {
-            self.recalibrate.certify(
-                &self.model,
-                &self.config.observed_memory,
-                &self.beliefs,
-                &self.truth,
-                &prepared,
-                &executed.rung.plan,
-            )?
-        };
-        if let Some(cert) = &certificate {
-            self.plan.stats.certificate = Some(cert.clone());
-        }
+        let scenarios = &config.scenarios;
+        let cache = &mut self.cache;
+        let (entry, cache_hit) = self
+            .plan
+            .lookup(cache, &prepared, primer, model, scenarios)?;
+        let (primary, rest) = pick(&entry, &prepared, model, config)?;
+        verify(&primary, &prepared.query, "served expected cost")?;
+        let executed = self.execute.ladder(
+            cache, model, config, truth, ordinal, &prepared, primary, rest,
+        )?;
+        let (beliefs, observed) = (&self.beliefs, &config.observed_memory);
+        let certificate = self
+            .recalibrate
+            .certify(model, observed, beliefs, truth, &prepared, &executed)?;
+        let feedback = &executed.feedback;
         let events = self
             .recalibrate
-            .observe(&self.beliefs, request, query, &executed.feedback)?;
+            .observe(beliefs, request, &prepared.query, feedback)?;
         let recalibrations = events
             .into_iter()
-            .map(|event| self.on_drift(request, event))
+            .map(|event| {
+                let (prepare, cache, beliefs) =
+                    (&mut self.prepare, &mut self.cache, &mut self.beliefs);
+                let recalibrate = &mut self.recalibrate;
+                recalibrate.on_drift(
+                    prepare, cache, beliefs, truth, model, config, request, event,
+                )
+            })
             .collect::<Result<Vec<_>, _>>()?;
         self.queries_served += 1;
         Ok(ServedQuery {
@@ -928,260 +495,18 @@ impl<M: CostModel + Sync> QueryService<M> {
         })
     }
 
-    /// The execute stage's fallback ladder. Attempt 0 runs `first` (the
-    /// primary pick, or the LSC rung after a breaker trip); attempt k runs
-    /// fallback rung k-1 (the pick's `rest` of candidates in rule order,
-    /// then the LSC baseline, clamped at the last rung). The final allowed
-    /// attempt always executes with an empty schedule, so under injection
-    /// every request is served — degraded or retried, never errored out. A
-    /// tripped serve gets exactly one attempt. Fallback rungs are built
-    /// lazily: a fault-free serve never ranks, remaps or verifies them.
-    fn execute_ladder(
-        &mut self,
-        ordinal: u64,
-        request: &QueryRequest,
-        prepared: &PreparedRequest,
-        primary: LadderRung,
-        mut rest: std::vec::IntoIter<Candidate<'_>>,
-    ) -> Result<Executed, ServeError> {
-        let (model, config) = (&self.model, &self.config);
-        let fingerprint = &prepared.canon.fingerprint;
-        let fp_key = fingerprint.encoding();
-        let shard = shard_of(fingerprint, config.cache_shards);
-        let stage = &mut self.execute;
-        let tripped = stage.trip_breakers(config, &mut self.plan.cache, fp_key, shard);
-        let (first, max_attempts) = if tripped {
-            (lsc_rung(model, config, prepared, primary.scenario)?, 1)
-        } else {
-            (primary, config.resilience.max_retries.saturating_add(1))
-        };
-        let primary_scenario = first.scenario;
-        let mut rungs = vec![first];
-        let mut attempted = Vec::new();
-        let mut faults_seen = Vec::new();
-        for attempt in 0..max_attempts {
-            if attempt == 1 {
-                let fallbacks =
-                    fallback_rungs(model, config, prepared, rest.by_ref(), primary_scenario)?;
-                rungs.extend(fallbacks);
-            }
-            let idx = (attempt as usize).min(rungs.len() - 1);
-            let route = rungs[idx].route;
-            attempted.push(route);
-            let mut faults = if attempt + 1 == max_attempts {
-                FaultSchedule::empty()
-            } else {
-                config.fault_injection.schedule_for(ordinal, attempt)
-            };
-            let plan = &rungs[idx].plan;
-            let executed = match stage.run(config, &self.truth, ordinal, request, plan, &mut faults)
-            {
-                Err(e) if !matches!(e, ServeError::Exec(ExecError::InjectedFault { .. })) => {
-                    return Err(e)
-                }
-                executed => executed,
-            };
-            stage.counters.faults_injected += faults.trace().len() as u64;
-            faults_seen.extend_from_slice(faults.trace());
-            let Ok((report, feedback)) = executed else {
-                stage.breaker.record_fault(fp_key.to_vec());
-                stage.shard_breaker.record_fault(shard);
-                stage.counters.retries += 1;
-                continue;
-            };
-            let degraded = route != ServeRoute::Primary;
-            let counters = &mut stage.counters;
-            counters.degraded_serves += u64::from(degraded);
-            counters.frontier_fallbacks += u64::from(matches!(route, ServeRoute::Frontier { .. }));
-            counters.lsc_fallbacks += u64::from(route == ServeRoute::LscBaseline);
-            return Ok(Executed {
-                rung: rungs.swap_remove(idx),
-                report,
-                feedback,
-                resilience: ResilienceReport {
-                    attempts: attempt + 1,
-                    faults: faults_seen,
-                    attempted,
-                    route,
-                    degraded,
-                    breaker_tripped: tripped,
-                },
-            });
-        }
-        // Unreachable: the final attempt runs fault-free, so the loop
-        // either served above or propagated a real error.
-        Err(ServeError::Config(
-            "resilience ladder exhausted without serving".into(),
-        ))
-    }
-
-    /// The recalibrate stage for one drift event: updates the belief
-    /// statistic, pulls the affected cache entries, and decides (via EVPI)
-    /// whether they are dropped for re-optimization or migrated for
-    /// re-costing.
-    fn on_drift(
-        &mut self,
-        request: &QueryRequest,
-        event: DriftEvent,
-    ) -> Result<Recalibration, ServeError> {
-        // Anything prepared or primed under the old beliefs is stale from
-        // here on — also if the update below fails halfway.
-        self.prepare.invalidate();
-        let blend = self.config.drift.blend;
-        self.recalibrate
-            .update_beliefs(blend, &mut self.beliefs, &self.truth, request, &event)?;
-
-        // Every cached entry optimized under the stale statistic is pulled.
-        let affected: Vec<&str> = event.target.tables();
-        let mut removed = self.plan.cache.invalidate_collect(|e| {
-            e.prepared
-                .request
-                .tables
-                .iter()
-                .any(|t| affected.contains(&t.as_str()))
-        });
-        // invalidate_collect's order follows shard/map layout; sort by the
-        // entries' canonical encodings so migration re-inserts (and thus
-        // future LRU ticks) are deterministic.
-        removed.sort_by_cached_key(|e| e.prepared.canon.fingerprint.encoding().to_vec());
-        let entries_invalidated = removed.len();
-
-        let decision = self.decide(request, &event)?;
-        let mut entries_migrated = 0;
-        match decision {
-            RecalibrationDecision::Reoptimize => self.recalibrate.reoptimize_decisions += 1,
-            RecalibrationDecision::RecostOnly => {
-                self.recalibrate.recost_decisions += 1;
-                for entry in removed {
-                    entries_migrated += self.migrate(entry)? as usize;
-                }
-            }
-        }
-
-        Ok(Recalibration {
-            event,
-            decision,
-            entries_invalidated,
-            entries_migrated,
-        })
-    }
-
-    /// EVPI-based cache policy: is re-planning under the (now sharper)
-    /// statistic worth a full optimizer run?
-    fn decide(
-        &mut self,
-        request: &QueryRequest,
-        event: &DriftEvent,
-    ) -> Result<RecalibrationDecision, ServeError> {
-        // The exact joint analysis is exponential; beyond 4 relations the
-        // conservative answer is to re-optimize.
-        let prepared = self.prepare.form(&self.beliefs, request, None)?;
-        let query = &prepared.query;
-        if query.n() > 4 {
-            return Ok(RecalibrationDecision::Reoptimize);
-        }
-        let mut sizes = SizeModel::certain(query)?;
-        // The drifted statistic's slot in the size model, and its estimated
-        // and observed means in the query's units (pages for a relation,
-        // page-domain selectivity for a join).
-        let (slot, est, obs) = match &event.target {
-            DriftTarget::Selection { table, .. } => {
-                let Some(idx) = request.tables.iter().position(|t| t == table) else {
-                    return Ok(RecalibrationDecision::Reoptimize);
-                };
-                let pages = query.relation(idx).pages;
-                (
-                    &mut sizes.rel_sizes[idx],
-                    pages * event.mean_estimated,
-                    pages * event.mean_observed,
-                )
-            }
-            DriftTarget::Join {
-                left_table,
-                right_table,
-                ..
-            } => {
-                let Some(k) = request
-                    .joins
-                    .iter()
-                    .position(|j| j.left_table == *left_table && j.right_table == *right_table)
-                else {
-                    return Ok(RecalibrationDecision::Reoptimize);
-                };
-                let (lt, rt) = (
-                    self.beliefs.table(left_table)?,
-                    self.beliefs.table(right_table)?,
-                );
-                (
-                    &mut sizes.selectivities[k],
-                    page_selectivity(lt, rt, event.mean_estimated),
-                    page_selectivity(lt, rt, event.mean_observed),
-                )
-            }
-        };
-        let (a, b) = (est.max(1e-12), obs.max(1e-12));
-        match Distribution::new([(a, 0.5), (b, 0.5)]) {
-            Ok(two_point) if (a - b).abs() > 1e-9 * a.max(b) => *slot = two_point,
-            // The statistic barely moved: nothing an optimizer run could
-            // exploit.
-            _ => return Ok(RecalibrationDecision::RecostOnly),
-        }
-        let memory = MemoryModel::Static(self.config.observed_memory.clone());
-        let report = voi::analyze(query, &self.model, &memory, &sizes)?;
-        if report.sampling_worthwhile(self.config.reoptimize_cost) {
-            Ok(RecalibrationDecision::Reoptimize)
-        } else {
-            Ok(RecalibrationDecision::RecostOnly)
-        }
-    }
-
-    /// Migrates one pulled entry under the updated beliefs: prepares its
-    /// request afresh (seeding the memo), carries the stored plans across
-    /// the two canonical numberings, and re-inserts. Returns `false` when a
-    /// carried plan fails the plan-IR verifier against the rebuilt query
-    /// (the entry is then dropped and will be re-optimized on its next
-    /// request) — the full verifier, not the weaker `Plan::validate`, so a
-    /// migration can never park a plan the serve path would refuse to run.
-    fn migrate(&mut self, entry: Arc<CacheEntry>) -> Result<bool, ServeError> {
-        let prepared = self
-            .prepare
-            .form(&self.beliefs, &entry.prepared.request, None)?;
-        let canon = &prepared.canon;
-        let mut scenarios = Vec::with_capacity(entry.plans.scenarios().len());
-        for (dist, opt) in entry.plans.scenarios() {
-            // Old canonical → the entry's request numbering → new canonical.
-            let in_request = entry.prepared.canon.plan_to_original(&opt.plan);
-            let plan = canon.plan_to_canonical(&in_request);
-            if lec_plan::verify_plan(&plan, &canon.query).is_err() {
-                return Ok(false);
-            }
-            // The carried cost is stale by design: the pick re-costs, never
-            // reads it.
-            let cost = opt.cost;
-            scenarios.push((dist.clone(), lec_core::Optimized { plan, cost }));
-        }
-        let migrated = CacheEntry {
-            plans: Arc::new(ParametricPlans::from_parts(scenarios)?),
-            prepared: Arc::clone(&prepared),
-        };
-        self.plan
-            .cache
-            .insert(&canon.fingerprint, Arc::new(migrated));
-        Ok(true)
-    }
-
     /// Aggregate optimizer statistics with the live cache counters folded
     /// in.
     pub fn stats(&self) -> OptStats {
-        let mut s = self.plan.stats.clone();
-        s.cache = self.plan.cache.counters();
-        s.resilience = self.execute.counters;
+        let mut s = self.plan.stats().clone();
+        s.cache = self.cache.counters();
+        s.resilience = self.execute.counters();
         s
     }
 
     /// Live fault/retry/degradation counters.
     pub fn resilience_counters(&self) -> ResilienceCounters {
-        self.execute.counters
+        self.execute.counters()
     }
 
     /// The belief catalog (what the optimizer currently assumes).
@@ -1203,20 +528,18 @@ impl<M: CostModel + Sync> QueryService<M> {
 
     /// Number of full optimizer invocations (cache misses) so far.
     pub fn optimizer_invocations(&self) -> u64 {
-        self.plan.invocations
+        self.plan.counters().invocations
     }
 
     /// Number of recalibration rounds performed so far.
     pub fn recalibrations(&self) -> u64 {
-        self.recalibrate.recalibrations
+        self.recalibrate.counters().recalibrations
     }
 
     /// `(reoptimize, recost-only)` decision counts so far.
     pub fn decisions(&self) -> (u64, u64) {
-        (
-            self.recalibrate.reoptimize_decisions,
-            self.recalibrate.recost_decisions,
-        )
+        let c = self.recalibrate.counters();
+        (c.reoptimize_decisions, c.recost_decisions)
     }
 
     /// Requests served so far.
@@ -1227,126 +550,64 @@ impl<M: CostModel + Sync> QueryService<M> {
     /// Current beliefs version (bumped once per recalibration). Prepared
     /// requests and batch primers tagged with an older version are ignored.
     pub fn beliefs_version(&self) -> u64 {
-        self.prepare.version
+        self.prepare.version()
     }
 
     /// Cache misses answered from a batch primer instead of a fresh
     /// optimizer run.
     pub fn primed_consumed(&self) -> u64 {
-        self.plan.primed_consumed
+        self.plan.counters().primed_consumed
     }
 
     /// Relations on the service's simulated disk. Executions reclaim their
     /// temporaries, so between serves this is the number of generated base
     /// tables.
     pub fn stored_relations(&self) -> usize {
-        self.execute.disk.relation_count()
+        self.execute.stored_relations()
     }
 
     /// Live cache size in entries.
     pub fn cache_len(&self) -> usize {
-        self.plan.cache.len()
+        self.cache.len()
     }
 
     /// Requests whose prepared form is memoized under the current beliefs
     /// (at most [`ServeConfig::cache_capacity`]).
     pub fn memo_len(&self) -> usize {
-        self.prepare.memo.len()
+        self.prepare.memo_len()
     }
 
     /// Requests whose certificate is memoized (at most
     /// [`ServeConfig::cache_capacity`]; always zero with
     /// [`ServeConfig::resample`] off).
     pub fn certificate_memo_len(&self) -> usize {
-        self.recalibrate.certificates.len()
+        self.recalibrate.certificate_memo_len()
     }
 
     /// Drift-triggered resampling rounds performed so far (always zero
     /// with [`ServeConfig::resample`] off or on a drift-quiet stream).
+    /// The recalibrate stage samples exactly when `resample` is set, and
+    /// then every recalibration is a resample.
     pub fn resamples(&self) -> u64 {
-        self.recalibrate.sampler.as_ref().map_or(0, |s| s.resamples)
+        let recalibrations = self.recalibrate.counters().recalibrations;
+        self.config.resample.map_or(0, |_| recalibrations)
     }
 
     /// The cached confidence interval for one statistic, if it has been
     /// sampled (row-domain for joins).
     pub fn stat_interval(&self, target: &DriftTarget) -> Option<StatInterval> {
-        self.recalibrate
-            .sampler
-            .as_ref()?
-            .intervals
-            .get(target)
-            .copied()
+        self.recalibrate.stat_interval(target)
     }
-}
-
-/// The fallback rungs: the pick's other candidates, ranked among
-/// themselves by the configured rule (minmax regret scores them against
-/// each other, not the primary), then the LSC baseline as the last resort,
-/// which reports the primary's scenario (it belongs to none).
-fn fallback_rungs<'a, M: CostModel>(
-    model: &M,
-    config: &ServeConfig,
-    prepared: &PreparedRequest,
-    rest: impl Iterator<Item = Candidate<'a>>,
-    primary_scenario: usize,
-) -> Result<Vec<LadderRung>, ServeError> {
-    let probs = config.observed_memory.probs();
-    let ranked = rank(rest.collect(), &config.selection_rule, probs);
-    let mut rungs = Vec::with_capacity(ranked.len() + 1);
-    for (rank, candidate) in ranked.into_iter().enumerate() {
-        let rung = LadderRung {
-            plan: prepared.canon.plan_to_original(candidate.plan),
-            expected_cost: candidate.expected_cost,
-            scenario: candidate.scenario,
-            route: ServeRoute::Frontier { rank },
-        };
-        verify(&rung, &prepared.query, "fallback expected cost")?;
-        rungs.push(rung);
-    }
-    rungs.push(lsc_rung(model, config, prepared, primary_scenario)?);
-    Ok(rungs)
-}
-
-/// The robust last resort: System R (LSC) at the mean observed grant,
-/// re-priced as an expected cost under the observed distribution so its
-/// rung is comparable to the frontier rungs.
-fn lsc_rung<M: CostModel>(
-    model: &M,
-    config: &ServeConfig,
-    prepared: &PreparedRequest,
-    scenario: usize,
-) -> Result<LadderRung, ServeError> {
-    let canon = &prepared.canon;
-    let observed = &config.observed_memory;
-    let (optimized, _) = lsc::optimize_at(&canon.query, model, observed.mean())?;
-    let (_, expected_cost) =
-        profile_and_expected_cost(&canon.query, model, &optimized.plan, observed);
-    let rung = LadderRung {
-        expected_cost,
-        plan: canon.plan_to_original(&optimized.plan),
-        scenario,
-        route: ServeRoute::LscBaseline,
-    };
-    verify(&rung, &prepared.query, "lsc baseline expected cost")?;
-    Ok(rung)
-}
-
-/// The verify stage for one ladder rung: the plan-IR verifier in the
-/// request's numbering (so the canonical↔request remapping is inside the
-/// verified surface), and a finite non-negative expected cost.
-fn verify(rung: &LadderRung, query: &JoinQuery, what: &str) -> Result<(), ServeError> {
-    lec_plan::verify_plan(&rung.plan, query).map_err(ServeError::Verification)?;
-    lec_plan::verify_costs(what, &[rung.expected_cost]).map_err(ServeError::Verification)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lec_catalog::{ColumnMeta, TableMeta};
     use lec_cost::PaperCostModel;
     use lec_exec::PAGE_CAPACITY;
 
-    fn catalog() -> Catalog {
+    pub(crate) fn catalog() -> Catalog {
         let mut c = Catalog::new();
         for (name, key, pages) in [("cust", "ck", 8), ("ord", "ok", 12)] {
             c.register(
@@ -1360,7 +621,7 @@ mod tests {
         c
     }
 
-    fn request(hi: f64) -> QueryRequest {
+    pub(crate) fn request(hi: f64) -> QueryRequest {
         QueryRequest {
             tables: vec!["cust".into(), "ord".into()],
             joins: vec![JoinSpec {
@@ -1380,12 +641,15 @@ mod tests {
         }
     }
 
-    fn service() -> QueryService<PaperCostModel> {
-        let config = ServeConfig::new(
+    pub(crate) fn service_config() -> ServeConfig {
+        ServeConfig::new(
             vec![Distribution::new([(4.0, 0.5), (40.0, 0.5)]).unwrap()],
             Distribution::new([(8.0, 0.5), (48.0, 0.5)]).unwrap(),
-        );
-        QueryService::new(PaperCostModel, catalog(), catalog(), config).unwrap()
+        )
+    }
+
+    fn service() -> QueryService<PaperCostModel> {
+        QueryService::new(PaperCostModel, catalog(), catalog(), service_config()).unwrap()
     }
 
     #[test]
@@ -1422,7 +686,7 @@ mod tests {
             }),
         ];
         let build = |edit: Edit| {
-            let mut config = service().config;
+            let mut config = service_config();
             edit(&mut config);
             QueryService::new(PaperCostModel, catalog(), catalog(), config)
         };
@@ -1442,53 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn the_ladder_reranks_the_remaining_candidates_among_themselves() {
-        let mut svc = service();
-        svc.config.selection_rule = Rule::MinmaxRegret;
-        let prepared = svc
-            .prepare
-            .form(&svc.beliefs, &request(25.0), None)
-            .unwrap();
-        let key = prepared.canon.query.predicates()[0].key;
-        let plans: Vec<Plan> = lec_cost::JoinMethod::ALL
-            .iter()
-            .map(|&m| Plan::join(Plan::scan(0), Plan::scan(1), m, Some(key)))
-            .collect();
-        // Among all three, regrets against the per-scenario optimum (0, 0)
-        // rank C (2), A (4), B (5); C held the optimum in the second
-        // scenario, so among A and B alone the optimum is (0, 4) and B
-        // (regret 1) beats A (regret 3).
-        let candidate = |scenario: usize, profile: [f64; 2]| Candidate {
-            scenario,
-            plan: &plans[scenario],
-            profile: profile.to_vec(),
-            expected_cost: 10.0,
-            score: f64::NAN,
-        };
-        let all = vec![
-            candidate(0, [3.0, 4.0]),
-            candidate(1, [0.0, 5.0]),
-            candidate(2, [2.0, 0.0]),
-        ];
-        let probs = svc.config.observed_memory.probs();
-        let ranked = rank(all, &svc.config.selection_rule, probs);
-        let order: Vec<usize> = ranked.iter().map(|c| c.scenario).collect();
-        assert_eq!(order, [2, 0, 1]);
-        let rest = ranked.into_iter().skip(1);
-        let rungs = fallback_rungs(&svc.model, &svc.config, &prepared, rest, 2).unwrap();
-        let routes: Vec<(usize, ServeRoute)> =
-            rungs.iter().map(|r| (r.scenario, r.route)).collect();
-        assert_eq!(
-            routes,
-            [
-                (1, ServeRoute::Frontier { rank: 0 }),
-                (0, ServeRoute::Frontier { rank: 1 }),
-                (2, ServeRoute::LscBaseline),
-            ]
-        );
-    }
-
-    #[test]
     fn repeated_hits_reuse_one_prepared_form() {
         let mut svc = service();
         let req = request(25.0);
@@ -1499,25 +716,9 @@ mod tests {
         let again = svc.prepare.form(&svc.beliefs, &req, None).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         // The cache entry the miss populated shares that same form.
-        let entry = svc.plan.cache.peek(&first.canon.fingerprint).unwrap();
+        let entry = svc.cache.peek(&first.canon.fingerprint).unwrap();
         assert!(Arc::ptr_eq(&entry.prepared, &first));
         assert_eq!(svc.memo_len(), 1);
-    }
-
-    #[test]
-    fn a_digest_collision_rebuilds_instead_of_serving_another_form() {
-        let mut svc = service();
-        let (a, b) = (request(25.0), request(50.0));
-        assert_ne!(a.key(), b.key());
-        // Park `a`'s form under `b`'s key, as a digest collision would.
-        let form_a = svc.prepare.form(&svc.beliefs, &a, None).unwrap();
-        svc.prepare.memo.insert(b.key(), Arc::clone(&form_a));
-        assert!(svc.prepare.memo.get(b.key(), |p| p.request == b).is_none());
-        let form_b = svc.prepare.form(&svc.beliefs, &b, None).unwrap();
-        assert!(!Arc::ptr_eq(&form_a, &form_b));
-        assert_eq!(form_b.request, b);
-        let fresh = PreparedRequest::build(svc.beliefs(), &b, 0).unwrap();
-        assert_eq!(form_b.canon.fingerprint, fresh.canon.fingerprint);
     }
 
     #[test]
@@ -1573,7 +774,7 @@ mod tests {
             pair("cust", "ck", "ord", "ok"),
             pair("item", "ik", "part", "pk"),
         );
-        let mut config = service().config;
+        let mut config = service_config();
         config.resample = Some(ResampleConfig::default());
         config.drift.error_threshold = 0.5;
         config.drift.min_observations = 3;
@@ -1582,28 +783,30 @@ mod tests {
 
         let first = svc.serve(&b).unwrap().certificate.unwrap();
         assert_eq!(
-            svc.recalibrate.certificate_hits, 0,
+            svc.recalibrate.counters().certificate_hits,
+            0,
             "a first serve certifies"
         );
         assert_eq!(svc.serve(&b).unwrap().certificate.unwrap(), first);
         assert_eq!(
-            svc.recalibrate.certificate_hits, 1,
+            svc.recalibrate.counters().certificate_hits,
+            1,
             "a repeat is a memo hit"
         );
         let drifted = (0..40).any(|_| !svc.serve(&a).unwrap().recalibrations.is_empty());
         assert!(drifted, "the hot truth must drift `cust.v`");
         assert!(
-            svc.recalibrate.certificate_hits > 1,
+            svc.recalibrate.counters().certificate_hits > 1,
             "`a`'s repeats hit too"
         );
 
         // The recalibration moved `cust` only: `b`'s certificate is still
         // memoized and confirmed, while `a`'s query moved and recertifies.
-        let hits = svc.recalibrate.certificate_hits;
+        let hits = svc.recalibrate.counters().certificate_hits;
         assert_eq!(svc.serve(&b).unwrap().certificate.unwrap(), first);
-        assert_eq!(svc.recalibrate.certificate_hits, hits + 1);
+        assert_eq!(svc.recalibrate.counters().certificate_hits, hits + 1);
         svc.serve(&a).unwrap();
-        assert_eq!(svc.recalibrate.certificate_hits, hits + 1);
+        assert_eq!(svc.recalibrate.counters().certificate_hits, hits + 1);
         assert_eq!(svc.certificate_memo_len(), 2);
     }
 

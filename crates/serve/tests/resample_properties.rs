@@ -201,6 +201,11 @@ fn forced_drift_resamples_and_tightens_the_certificate() {
     let fresh = fresh_eps.expect("stream must continue past the resample");
 
     assert!(svc.resamples() >= 1, "drift must trigger resampling");
+    assert_eq!(
+        svc.resamples(),
+        svc.recalibrations(),
+        "every recalibration of a resampling service resamples"
+    );
     // The drifted statistic now carries a full-budget interval...
     let iv = svc.stat_interval(&selection_target()).unwrap();
     assert_eq!(iv.draws, rc.draws);
