@@ -142,7 +142,11 @@ search-smoke:
 # self-assertion markers landed. X24 itself asserts per-env certificate
 # soundness (truth-in-box ⇒ the (ε, δ) bound holds) and per-group
 # validity ≥ 1−δ before writing anything; only the full-draw tightness
-# assert is skipped in smoke mode.
+# assert is skipped in smoke mode. Then run X24 at full draws (XTABLE_SMOKE
+# routes its artifact to the same _smoke file) and diff its section against
+# the committed results/xtable_all.md. Every number in it descends from
+# seeded draws, so any difference is a moved RNG word, bucket pick or
+# sampled histogram; only the line naming the artifact's path may differ.
 sampling-smoke:
 	X24_DRAWS=256 cargo run --release -p lec-bench --bin xtable x24 > /dev/null
 	test -s results/BENCH_sampling_smoke.json
@@ -150,6 +154,16 @@ sampling-smoke:
 	grep -q '"self_asserted": true' results/BENCH_sampling_smoke.json
 	grep -q '"certificate_validity"' results/BENCH_sampling_smoke.json
 	grep -q '"optimized_build": true' results/BENCH_sampling_smoke.json
+	mkdir -p target
+	XTABLE_SMOKE=1 cargo run --release -p lec-bench --bin xtable x24 > target/sampling-smoke.md
+	@for f in want:results/xtable_all.md got:target/sampling-smoke.md; do \
+		awk 'index($$0, "## X24 ") == 1 {on = 1; print; next} /^## X/ {on = 0} on' $${f#*:} \
+			| sed 's/^Machine-readable copy written to .*/Machine-readable copy written to (path)./' \
+			> target/sampling-$${f%%:*}.X24; \
+	done
+	@test -s target/sampling-want.X24 || { echo "sampling smoke: no X24 section in results/xtable_all.md"; exit 1; }
+	@diff -u target/sampling-want.X24 target/sampling-got.X24 || { echo "sampling smoke: X24 differs from results/xtable_all.md"; exit 1; }
+	@echo "sampling smoke ok: X24"
 
 # Serve-loop replay oracle: perfbench's traced run replays every request
 # through `Mirror`, an independent copy of the serving loop, and fails any

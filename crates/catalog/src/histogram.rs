@@ -47,10 +47,12 @@ impl Histogram {
         if values.iter().any(|v| !v.is_finite()) {
             return Err(CatalogError::MalformedHistogram("non-finite value".into()));
         }
-        let mut sorted = values.to_vec();
-        // `total_cmp` ties only identical bits, so an unstable sort gives
-        // the same slice as a stable one.
-        sorted.sort_unstable_by(f64::total_cmp);
+        // `total_key` maps `total_cmp` order onto `u64` order one to one,
+        // and equal keys are identical bits, so sorting the keys (stable or
+        // not) and mapping them back gives the `total_cmp`-sorted slice.
+        let mut keys: Vec<u64> = values.iter().map(|&v| total_key(v)).collect();
+        keys.sort_unstable();
+        let sorted: Vec<f64> = keys.into_iter().map(from_total_key).collect();
         let (lo, hi) = (sorted[0], *sorted.last().expect("non-empty")); // lec-lint: allow(panic-reachability) — `values` emptiness is rejected at fn entry, so `sorted` is non-empty here
 
         let boundaries: Vec<f64> = if depth {
@@ -211,19 +213,29 @@ impl Histogram {
 
         let nb = self.buckets();
         let mut observed = vec![0.0f64; nb];
-        let mut uniques: Vec<std::collections::BTreeSet<u64>> =
-            vec![std::collections::BTreeSet::new(); nb];
         for &(v, c) in observations {
             if c == 0 {
                 continue;
             }
-            let b = bucket_of(&self.boundaries, v);
-            observed[b] += c as f64 / total as f64;
-            uniques[b].insert(v.to_bits());
+            observed[bucket_of(&self.boundaries, v)] += c as f64 / total as f64;
+        }
+        // Distinct observed bits per bucket, as `build` counts them: sorted
+        // bits put equal values side by side, and each run of them adds
+        // one distinct value to its bucket.
+        let mut seen: Vec<u64> = observations
+            .iter()
+            .filter(|&&(_, c)| c > 0)
+            .map(|&(v, _)| v.to_bits())
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let mut uniques = vec![0u64; nb];
+        for bits in seen {
+            uniques[bucket_of(&self.boundaries, f64::from_bits(bits))] += 1;
         }
         for i in 0..nb {
             self.fractions[i] = (1.0 - blend) * self.fractions[i] + blend * observed[i];
-            self.distinct[i] = self.distinct[i].max(uniques[i].len() as u64);
+            self.distinct[i] = self.distinct[i].max(uniques[i]);
         }
         // Blending two unit vectors is a unit vector up to rounding; pin
         // the invariant exactly so repeated merges cannot drift.
@@ -271,6 +283,21 @@ impl Histogram {
         }
         total.clamp(0.0, 1.0)
     }
+}
+
+/// `v`'s bits as an unsigned key whose order is `f64::total_cmp`'s: a
+/// positive value's sign bit is set, a negative value's bits are all
+/// flipped, so more negative values get smaller keys.
+fn total_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    let sign = ((bits as i64) >> 63) as u64;
+    bits ^ (sign | (1 << 63))
+}
+
+/// The inverse of [`total_key`].
+fn from_total_key(key: u64) -> f64 {
+    let sign = (!((key as i64) >> 63)) as u64;
+    f64::from_bits(key ^ (sign | (1 << 63)))
 }
 
 /// Index of the bucket containing `v` (clamped to the ends).
