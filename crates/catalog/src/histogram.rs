@@ -213,29 +213,19 @@ impl Histogram {
 
         let nb = self.buckets();
         let mut observed = vec![0.0f64; nb];
+        let mut uniques: Vec<std::collections::BTreeSet<u64>> =
+            vec![std::collections::BTreeSet::new(); nb];
         for &(v, c) in observations {
             if c == 0 {
                 continue;
             }
-            observed[bucket_of(&self.boundaries, v)] += c as f64 / total as f64;
-        }
-        // Distinct observed bits per bucket, as `build` counts them: sorted
-        // bits put equal values side by side, and each run of them adds
-        // one distinct value to its bucket.
-        let mut seen: Vec<u64> = observations
-            .iter()
-            .filter(|&&(_, c)| c > 0)
-            .map(|&(v, _)| v.to_bits())
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        let mut uniques = vec![0u64; nb];
-        for bits in seen {
-            uniques[bucket_of(&self.boundaries, f64::from_bits(bits))] += 1;
+            let b = bucket_of(&self.boundaries, v);
+            observed[b] += c as f64 / total as f64;
+            uniques[b].insert(v.to_bits());
         }
         for i in 0..nb {
             self.fractions[i] = (1.0 - blend) * self.fractions[i] + blend * observed[i];
-            self.distinct[i] = self.distinct[i].max(uniques[i]);
+            self.distinct[i] = self.distinct[i].max(uniques[i].len() as u64);
         }
         // Blending two unit vectors is a unit vector up to rounding; pin
         // the invariant exactly so repeated merges cannot drift.

@@ -38,7 +38,7 @@ use crate::table::ColumnMeta;
 use lec_stats::families::{interval_widened, normal_quantile};
 use lec_stats::Distribution;
 use rand::Rng;
-use rand_chacha::rand_core::{RngCore, SeedableRng};
+use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Which concentration bound converts a sampled proportion into a
@@ -224,13 +224,6 @@ impl<'a> SampleEstimator<'a> {
         self.draws_made
     }
 
-    /// The next 64-bit word the estimator's generator would produce, read
-    /// from a copy: the estimator does not advance. Pins the exact stream
-    /// position an estimate leaves behind.
-    pub fn peek_u64(&self) -> u64 {
-        self.rng.clone().next_u64()
-    }
-
     /// Samples the selectivity of `pred`: `draws` Bernoulli indicator
     /// draws whose success probability equals the truth catalog's
     /// selectivity for the predicate, summarized as a [`StatInterval`].
@@ -368,18 +361,23 @@ impl<'a> SampleEstimator<'a> {
     /// One row draw from a column's value model.
     fn draw_value(&mut self, model: &ValueModel) -> f64 {
         let col = model.col;
-        if col.histogram.is_none() {
-            let w: f64 = self.rng.gen();
-            return col.min + (col.max - col.min) * w;
+        match &col.histogram {
+            Some(h) => {
+                let u: f64 = self.rng.gen();
+                let Some(i) = sample_bucket(&model.cdf, u) else {
+                    return col.min;
+                };
+                let bounds = h.boundaries();
+                let lo = bounds.get(i).copied().unwrap_or(col.min);
+                let hi = bounds.get(i + 1).copied().unwrap_or(col.max);
+                let w: f64 = self.rng.gen();
+                lo + (hi - lo) * w
+            }
+            None => {
+                let w: f64 = self.rng.gen();
+                col.min + (col.max - col.min) * w
+            }
         }
-        let u: f64 = self.rng.gen();
-        let Some((lo, span)) =
-            sample_bucket(&model.cdf, u).and_then(|i| model.spans.get(i).copied())
-        else {
-            return col.min;
-        };
-        let w: f64 = self.rng.gen();
-        lo + span * w
     }
 
     /// One equality-indicator draw: lands in the value's histogram bucket
@@ -414,45 +412,32 @@ impl<'a> SampleEstimator<'a> {
 /// non-decreasing and its entries ≤ `u` form a prefix: the prefix's length
 /// is the bucket, counted without a branch.
 #[inline]
-pub fn sample_bucket(cdf: &[f64], u: f64) -> Option<usize> {
+fn sample_bucket(cdf: &[f64], u: f64) -> Option<usize> {
     let last = cdf.len().checked_sub(1)?;
     Some(cdf.iter().filter(|&&acc| acc <= u).count().min(last))
 }
 
 /// A truth column's value model, borrowed for one sampled statistic: the
-/// column, its histogram's cumulative bucket fractions, summed once in
-/// bucket order (`acc += f`) rather than on every draw, and each bucket's
-/// `(lo, hi − lo)`, so a draw lands at `lo + span · w`.
+/// column and its histogram's cumulative bucket fractions, summed once in
+/// bucket order (`acc += f`) rather than on every draw.
 struct ValueModel<'c> {
     col: &'c ColumnMeta,
     cdf: Vec<f64>,
-    spans: Vec<(f64, f64)>,
 }
 
 impl<'c> ValueModel<'c> {
     fn new(col: &'c ColumnMeta) -> Self {
-        let Some(h) = &col.histogram else {
-            return ValueModel {
-                col,
-                cdf: Vec::new(),
-                spans: Vec::new(),
-            };
-        };
         let mut acc = 0.0;
-        let cdf = h
-            .fractions()
-            .iter()
-            .map(|f| {
-                acc += f;
-                acc
-            })
-            .collect();
-        let spans = h
-            .boundaries()
-            .windows(2)
-            .map(|w| (w[0], w[1] - w[0]))
-            .collect();
-        ValueModel { col, cdf, spans }
+        let cdf = col.histogram.as_ref().map_or_else(Vec::new, |h| {
+            h.fractions()
+                .iter()
+                .map(|f| {
+                    acc += f;
+                    acc
+                })
+                .collect()
+        });
+        ValueModel { col, cdf }
     }
 }
 
@@ -603,3 +588,6 @@ mod tests {
         assert!(exact.widened(8).unwrap().is_point());
     }
 }
+
+#[cfg(test)]
+mod differential;

@@ -8,10 +8,14 @@
 //! instead of calling `f64::total_cmp`. The oracle below is the sampler
 //! those replaced, kept verbatim: `next_u64` as two `next_u32` calls, the
 //! `position` scan, and the `total_cmp` builder with its per-bucket
-//! `BTreeSet` (the oracle of `histogram_differential.rs`). Both must agree
-//! to the bit on every `StatInterval`, every sampled histogram
-//! (boundaries, fractions, distinct counts), `draws_made`, and the next
-//! RNG word the estimator would draw after each call.
+//! `BTreeSet`, shared with `tests/histogram_differential.rs` through
+//! `tests/common/mod.rs`. Both must agree to the bit on every
+//! `StatInterval`, every sampled histogram (boundaries, fractions,
+//! distinct counts), `draws_made`, and the next RNG word the estimator
+//! would draw after each call.
+//!
+//! The battery is a child module of `sampling`, so it reads the bucket
+//! pick and the estimator's generator without either being public.
 //!
 //! A uniform `u` lands exactly on a CDF entry, or at or above a last
 //! entry that rounding left below 1, with probability near 2⁻⁵³ per
@@ -24,12 +28,16 @@
 //! `.min(last)` clamp, or a two-word read at index 15 that takes the
 //! high word from the current block's word 0 each make this battery fail.
 
-use lec_catalog::sampling::{
+use super::{
     sample_bucket, sample_interval, BoundKind, SampleConfig, SampleEstimator, StatInterval,
 };
-use lec_catalog::{Catalog, CatalogError, ColumnMeta, Histogram, Predicate, TableMeta};
+use crate::{Catalog, CatalogError, ColumnMeta, Histogram, Predicate, TableMeta};
 use rand_chacha::rand_core::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+#[path = "../../tests/common/mod.rs"]
+mod common;
+use common::{oracle_build, OracleHistogram};
 
 // ---------------------------------------------------------------------------
 // The oracle: the sampler's draw loops as they were, verbatim.
@@ -277,73 +285,6 @@ fn oracle_bucket_index(boundaries: &[f64], v: f64) -> usize {
         .min(nb)
 }
 
-struct OracleHistogram {
-    boundaries: Vec<f64>,
-    fractions: Vec<f64>,
-    distinct: Vec<u64>,
-}
-
-/// The `total_cmp`, per-bucket `BTreeSet` builder.
-fn oracle_build(values: &[f64], buckets: usize, depth: bool) -> Result<OracleHistogram, String> {
-    if values.is_empty() {
-        return Err("no values".into());
-    }
-    if buckets == 0 {
-        return Err("zero buckets".into());
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err("non-finite value".into());
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let (lo, hi) = (sorted[0], *sorted.last().expect("non-empty"));
-
-    let boundaries: Vec<f64> = if depth {
-        let mut b: Vec<f64> = (0..=buckets)
-            .map(|i| {
-                let pos = (i * (sorted.len() - 1)) / buckets;
-                sorted[pos]
-            })
-            .collect();
-        b.dedup();
-        if b.len() < 2 {
-            vec![lo, hi]
-        } else {
-            b
-        }
-    } else if lo == hi {
-        vec![lo, hi]
-    } else {
-        let width = (hi - lo) / buckets as f64;
-        (0..=buckets).map(|i| lo + width * i as f64).collect()
-    };
-
-    let nb = boundaries.len() - 1;
-    let mut counts = vec![0u64; nb];
-    let mut uniques: Vec<std::collections::BTreeSet<u64>> =
-        vec![std::collections::BTreeSet::new(); nb];
-    for &v in &sorted {
-        let b = oracle_bucket_of(&boundaries, v);
-        counts[b] += 1;
-        uniques[b].insert(v.to_bits());
-    }
-    let n = sorted.len() as f64;
-    Ok(OracleHistogram {
-        boundaries,
-        fractions: counts.iter().map(|&c| c as f64 / n).collect(),
-        distinct: uniques.iter().map(|u| u.len() as u64).collect(),
-    })
-}
-
-fn oracle_bucket_of(boundaries: &[f64], v: f64) -> usize {
-    let nb = boundaries.len() - 1;
-    let mut idx = boundaries[1..nb].partition_point(|&b| b <= v);
-    if idx >= nb {
-        idx = nb - 1;
-    }
-    idx
-}
-
 // ---------------------------------------------------------------------------
 // Comparison.
 // ---------------------------------------------------------------------------
@@ -375,7 +316,11 @@ enum Call<'p> {
 fn check(truth: &Catalog, config: SampleConfig, seed: u64, calls: &[Call]) -> usize {
     let mut est = SampleEstimator::new(truth, config, seed);
     let mut oracle = OracleEstimator::new(truth, config, seed);
-    assert_eq!(est.peek_u64(), oracle.peek_u64(), "seed {seed}: first word");
+    assert_eq!(
+        next_word(&est),
+        oracle.peek_u64(),
+        "seed {seed}: first word"
+    );
     for (k, call) in calls.iter().enumerate() {
         let ctx = format!("seed {seed}, {} draws, call {k}", config.draws);
         match call {
@@ -419,9 +364,15 @@ fn check(truth: &Catalog, config: SampleConfig, seed: u64, calls: &[Call]) -> us
             }
         }
         assert_eq!(est.draws_made(), oracle.draws_made, "draws_made: {ctx}");
-        assert_eq!(est.peek_u64(), oracle.peek_u64(), "next word: {ctx}");
+        assert_eq!(next_word(&est), oracle.peek_u64(), "next word: {ctx}");
     }
     calls.len()
+}
+
+/// The next 64-bit word `est`'s generator would produce, read from a
+/// copy: the stream position an estimate leaves behind.
+fn next_word(est: &SampleEstimator) -> u64 {
+    est.rng.clone().next_u64()
 }
 
 fn config(draws: u64) -> SampleConfig {
@@ -521,6 +472,13 @@ fn truth() -> Catalog {
     c
 }
 
+/// The filter column `v` of `table`.
+fn v_column<'c>(c: &'c Catalog, table: &str) -> &'c ColumnMeta {
+    c.table(table)
+        .and_then(|t| t.column("v"))
+        .expect("every table has `v`")
+}
+
 const TABLES: [&str; 6] = ["uniform", "hot", "gaps", "tenths", "single", "plain"];
 
 fn range(table: &str, lo: f64, hi: f64) -> Predicate {
@@ -558,13 +516,10 @@ fn join(left: &str, right: &str) -> Predicate {
 fn catalog_shapes_are_as_described() {
     let c = truth();
     let h = |t: &str| {
-        c.table(t)
-            .unwrap()
-            .column("v")
-            .unwrap()
+        v_column(&c, t)
             .histogram
             .clone()
-            .unwrap()
+            .expect("every table but `plain` has a histogram")
     };
     let gaps = cdf(&h("gaps"));
     assert!(
@@ -573,15 +528,9 @@ fn catalog_shapes_are_as_described() {
     );
     let tenths = cdf(&h("tenths"));
     assert_eq!(tenths.len(), 10);
-    assert!(*tenths.last().unwrap() < 1.0, "{tenths:?}");
+    assert!(tenths[9] < 1.0, "{tenths:?}");
     assert_eq!(h("single").buckets(), 1);
-    assert!(c
-        .table("plain")
-        .unwrap()
-        .column("v")
-        .unwrap()
-        .histogram
-        .is_none());
+    assert!(v_column(&c, "plain").histogram.is_none());
     assert!(h("hot").fractions()[0] > 0.6);
 }
 
@@ -612,7 +561,7 @@ fn every_shape_and_call_matches_oracle() {
     let c = truth();
     let mut preds = Vec::new();
     for table in TABLES {
-        let col = c.table(table).unwrap().column("v").unwrap();
+        let col = v_column(&c, table);
         let (min, max) = (col.min, col.max);
         preds.push(range(table, min, min + (max - min) / 3.0));
         preds.push(range(table, min + (max - min) / 4.0, max));
@@ -736,7 +685,7 @@ fn bucket_pick_matches_position_scan() {
     let c = truth();
     let mut cdfs: Vec<Vec<f64>> = TABLES
         .iter()
-        .filter_map(|t| c.table(t).unwrap().column("v").unwrap().histogram.as_ref())
+        .filter_map(|t| v_column(&c, t).histogram.as_ref())
         .map(cdf)
         .collect();
     cdfs.extend([

@@ -2,160 +2,23 @@
 //!
 //! `Histogram::equi_width` / `equi_depth` count each bucket's distinct
 //! values with one pass over the sorted sample, one per run of equal bits.
-//! The oracle below is the builder it replaced, kept verbatim: it inserts
-//! every value's bits into a per-bucket `BTreeSet`. Both must agree to the
-//! bit on boundaries, fractions and per-bucket distinct counts, for
-//! seeded random samples, heavy duplicates, values exactly on
-//! boundaries, `-0.0` beside `+0.0`, a single repeated value, one and many
-//! buckets, equi-depth quantiles that collapse, and magnitudes from
-//! subnormals to 1e300.
-//!
-//! `Histogram::merge_observations` counts each bucket's distinct observed
-//! values the same way, one per run of equal bits after a sort; its
-//! oracle is the merge it replaced, verbatim, with a per-bucket
-//! `BTreeSet`. Merges must agree to the bit on every field after every
-//! batch: repeated and zero-count observations, values on boundaries and
-//! outside the domain, signed zeros, and rejected batches.
+//! The oracle (`common/mod.rs`) is the builder it replaced, kept
+//! verbatim: it inserts every value's bits into a per-bucket `BTreeSet`.
+//! Both must agree to the bit on boundaries, fractions and per-bucket
+//! distinct counts, for seeded random samples, heavy duplicates, values
+//! exactly on boundaries, `-0.0` beside `+0.0`, a single repeated value,
+//! one and many buckets, equi-depth quantiles that collapse, and
+//! magnitudes from subnormals to 1e300.
 //!
 //! Mutation check: counting one distinct value per sampled value instead
 //! of per run of equal bits makes `heavy_duplicates_match_oracle` (and
-//! most other cases) fail; dropping the merge's `dedup` makes
-//! `merges_match_oracle` fail.
+//! most other cases) fail.
 
 use lec_catalog::{CatalogError, Histogram};
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------------
-// The oracle: the per-bucket `BTreeSet` builder, verbatim.
-// ---------------------------------------------------------------------------
-
-struct OracleHistogram {
-    boundaries: Vec<f64>,
-    fractions: Vec<f64>,
-    distinct: Vec<u64>,
-}
-
-fn oracle_build(values: &[f64], buckets: usize, depth: bool) -> Result<OracleHistogram, String> {
-    if values.is_empty() {
-        return Err("no values".into());
-    }
-    if buckets == 0 {
-        return Err("zero buckets".into());
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err("non-finite value".into());
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let (lo, hi) = (sorted[0], *sorted.last().expect("non-empty"));
-
-    let boundaries: Vec<f64> = if depth {
-        // Quantile boundaries; duplicates collapse buckets below.
-        let mut b: Vec<f64> = (0..=buckets)
-            .map(|i| {
-                let pos = (i * (sorted.len() - 1)) / buckets;
-                sorted[pos]
-            })
-            .collect();
-        b.dedup();
-        if b.len() < 2 {
-            // All values identical: one degenerate bucket.
-            vec![lo, hi]
-        } else {
-            b
-        }
-    } else if lo == hi {
-        vec![lo, hi]
-    } else {
-        let width = (hi - lo) / buckets as f64;
-        (0..=buckets).map(|i| lo + width * i as f64).collect()
-    };
-
-    let nb = boundaries.len() - 1;
-    let mut counts = vec![0u64; nb];
-    let mut uniques: Vec<std::collections::BTreeSet<u64>> =
-        vec![std::collections::BTreeSet::new(); nb];
-    for &v in &sorted {
-        let b = oracle_bucket_of(&boundaries, v);
-        counts[b] += 1;
-        uniques[b].insert(v.to_bits());
-    }
-    let n = sorted.len() as f64;
-    Ok(OracleHistogram {
-        boundaries,
-        fractions: counts.iter().map(|&c| c as f64 / n).collect(),
-        distinct: uniques.iter().map(|u| u.len() as u64).collect(),
-    })
-}
-
-/// Index of the bucket containing `v` (clamped to the ends).
-fn oracle_bucket_of(boundaries: &[f64], v: f64) -> usize {
-    let nb = boundaries.len() - 1;
-    // partition_point over inner boundaries [1..nb]: first bucket whose
-    // upper boundary is > v.
-    let mut idx = boundaries[1..nb].partition_point(|&b| b <= v);
-    if idx >= nb {
-        idx = nb - 1;
-    }
-    idx
-}
-
-/// `Histogram::merge_observations` with its per-bucket `BTreeSet`,
-/// verbatim.
-fn oracle_merge(
-    h: &mut OracleHistogram,
-    observations: &[(f64, u64)],
-    blend: f64,
-) -> Result<(), String> {
-    if !(blend.is_finite() && blend > 0.0 && blend <= 1.0) {
-        return Err(format!("blend {blend} outside (0, 1]"));
-    }
-    if observations.iter().any(|(v, _)| !v.is_finite()) {
-        return Err("non-finite observed value".into());
-    }
-    let total: u64 = observations.iter().map(|&(_, c)| c).sum();
-    if total == 0 {
-        return Err("no observed rows".into());
-    }
-
-    // Widen the domain to cover everything observed.
-    for &(v, c) in observations {
-        if c == 0 {
-            continue;
-        }
-        if v < h.boundaries[0] {
-            h.boundaries[0] = v;
-        }
-        let last = h.boundaries.len() - 1;
-        if v > h.boundaries[last] {
-            h.boundaries[last] = v;
-        }
-    }
-
-    let nb = h.fractions.len();
-    let mut observed = vec![0.0f64; nb];
-    let mut uniques: Vec<std::collections::BTreeSet<u64>> =
-        vec![std::collections::BTreeSet::new(); nb];
-    for &(v, c) in observations {
-        if c == 0 {
-            continue;
-        }
-        let b = oracle_bucket_of(&h.boundaries, v);
-        observed[b] += c as f64 / total as f64;
-        uniques[b].insert(v.to_bits());
-    }
-    for i in 0..nb {
-        h.fractions[i] = (1.0 - blend) * h.fractions[i] + blend * observed[i];
-        h.distinct[i] = h.distinct[i].max(uniques[i].len() as u64);
-    }
-    let sum: f64 = h.fractions.iter().sum();
-    if sum > 0.0 {
-        for f in &mut h.fractions {
-            *f /= sum;
-        }
-    }
-    Ok(())
-}
+mod common;
+use common::oracle_build;
 
 // ---------------------------------------------------------------------------
 // Comparison.
@@ -184,12 +47,6 @@ fn check(values: &[f64], buckets: usize, depth: bool) -> Vec<u64> {
         ),
     };
     let ctx = format!("depth {depth}, {buckets} buckets, {} values", values.len());
-    assert_same(&got, &want, &ctx);
-    want.distinct
-}
-
-/// Compares every field of a histogram and its oracle to the bit.
-fn assert_same(got: &Histogram, want: &OracleHistogram, ctx: &str) {
     assert_eq!(
         bits(got.boundaries()),
         bits(&want.boundaries),
@@ -202,25 +59,7 @@ fn assert_same(got: &Histogram, want: &OracleHistogram, ctx: &str) {
     );
     let distinct: Vec<u64> = (0..got.buckets()).map(|b| got.distinct_in(b)).collect();
     assert_eq!(distinct, want.distinct, "distinct: {ctx}");
-}
-
-/// Builds an equi-width histogram of `values` both ways, then folds each
-/// batch of `merges` into both, comparing after every merge; a rejected
-/// merge must be rejected by both and leave both unchanged.
-fn check_merges(values: &[f64], buckets: usize, merges: &[(&[(f64, u64)], f64)]) {
-    let mut got = Histogram::equi_width(values, buckets).expect("builder");
-    let mut want = oracle_build(values, buckets, false).expect("oracle");
-    assert_same(&got, &want, "before merging");
-    for (k, &(observations, blend)) in merges.iter().enumerate() {
-        let ctx = format!(
-            "merge {k}, blend {blend}, {} observations",
-            observations.len()
-        );
-        let g = got.merge_observations(observations, blend);
-        let w = oracle_merge(&mut want, observations, blend);
-        assert_eq!(g.is_ok(), w.is_ok(), "accepted: {ctx}");
-        assert_same(&got, &want, &ctx);
-    }
+    distinct
 }
 
 fn check_both(values: &[f64], buckets: usize) {
@@ -423,82 +262,4 @@ fn overflowing_equi_width_span_stays_finite() {
         let all = h.selectivity_range(lo, hi);
         assert!((all - 1.0).abs() < 1e-12, "{buckets}: {all}");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Merges.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Seeded feedback batches: values inside and outside the domain,
-    /// repeated values, zero counts, over several successive merges.
-    #[test]
-    fn seeded_merges_match_oracle(
-        seed in any::<u64>(),
-        len in 1usize..300,
-        buckets in 1usize..20,
-        batches in 1usize..5,
-    ) {
-        let mut rng = SplitMix64(seed);
-        let values: Vec<f64> = (0..len).map(|_| rng.uniform(0.0, 100.0).round()).collect();
-        let observed: Vec<Vec<(f64, u64)>> = (0..batches)
-            .map(|_| {
-                (0..1 + rng.below(60))
-                    .map(|_| {
-                        let v = match rng.below(4) {
-                            0 => rng.uniform(-50.0, 150.0),
-                            1 => (rng.uniform(0.0, 100.0) / 10.0).round() * 10.0,
-                            _ => rng.uniform(0.0, 100.0).round(),
-                        };
-                        (v, rng.below(5) as u64)
-                    })
-                    .collect()
-            })
-            .collect();
-        let blends = [1.0, 0.5, 0.25, 0.8];
-        let merges: Vec<(&[(f64, u64)], f64)> = observed
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.as_slice(), blends[i % blends.len()]))
-            .collect();
-        check_merges(&values, buckets, &merges);
-    }
-}
-
-/// The serving loop's blend path: repeated values, values on boundaries,
-/// `-0.0` beside `+0.0`, outliers that widen the domain, a degenerate
-/// one-bucket histogram, and rejected batches.
-#[test]
-fn merges_match_oracle() {
-    let uniform: Vec<f64> = (0..1000).map(f64::from).collect();
-    let on_boundaries: Vec<(f64, u64)> = (0..=4).map(|i| (f64::from(i) * 249.75, 3)).collect();
-    check_merges(
-        &uniform,
-        4,
-        &[
-            (&[(100.0, 950), (600.0, 50)], 1.0),
-            (&[(10.0, 900), (10.0, 5), (80.0, 100), (80.0, 0)], 0.5),
-            (&on_boundaries, 0.3),
-            (&[(1500.0, 4), (-20.0, 1), (-20.0, 2)], 0.8),
-            (&[(1.0, 0)], 0.5),
-            (&[(f64::NAN, 1)], 0.5),
-            (&[(1.0, 1)], 0.0),
-            (&[(3.0, 1), (3.5, 1), (3.75, 1), (3.0, 9)], 0.5),
-        ],
-    );
-    check_merges(
-        &[0.0, -0.0, 1.0, -1.0],
-        2,
-        &[(&[(0.0, 1), (-0.0, 1), (0.0, 2), (0.5, 1)], 0.5)],
-    );
-    check_merges(
-        &[7.0; 5],
-        3,
-        &[(&[(7.0, 10)], 0.8), (&[(12.0, 10), (7.0, 1)], 0.8)],
-    );
-    let mut rng = SplitMix64(29);
-    let many: Vec<(f64, u64)> = (0..4096).map(|_| (rng.below(64) as f64, 1)).collect();
-    check_merges(&uniform, 8, &[(&many, 0.25), (&many, 1.0)]);
 }
