@@ -30,7 +30,7 @@ use crate::stats::OptStats;
 use lec_cost::fast_expect::expected_sort;
 use lec_cost::{CostModel, JoinMethod};
 use lec_plan::{JoinQuery, RelSet};
-use lec_stats::{ConvolveScratch, Distribution};
+use lec_stats::{rebucket, Distribution};
 
 /// Distributions for the non-memory parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,12 +204,10 @@ fn validate_inputs(
 /// joins its lowest member `j` onto `set \ {j}` (any choice of `j` is
 /// equivalent), and that smaller mask is always filled first.
 ///
-/// Every product → §3.6.3 rebucket step runs through one
-/// [`ConvolveScratch`], so steady-state nodes allocate nothing but their
-/// result: the wide product support lives in the scratch buffers and the
-/// rebucketed result (≤ `size_buckets` ≤ 8 points by default) is emitted
-/// inline. The scratch kernels are bit-identical to `product_with` +
-/// `rebucket`.
+/// Each independent product (`|sub| ⊗ |j|`, then `⊗ σ` for every predicate
+/// joining `j` to `sub`) is rebucketed back to `size_buckets` points at
+/// once (§3.6.3), so no node carries more than `size_buckets` points up the
+/// dag; sizes are then floored at one page.
 fn node_size_dists(
     query: &JoinQuery,
     sizes: &SizeModel,
@@ -217,7 +215,6 @@ fn node_size_dists(
 ) -> Result<Vec<Distribution>, CoreError> {
     let mut dists = Vec::with_capacity(1usize << query.n());
     dists.push(Distribution::point(1.0)?);
-    let mut scratch = ConvolveScratch::new();
     for set in RelSet::all_subsets(query.n()) {
         let j = set.bits().trailing_zeros() as usize;
         let sub = set.remove(j);
@@ -227,20 +224,16 @@ fn node_size_dists(
             continue;
         }
         let sub_dist = &dists[sub.bits() as usize];
-        let mut dist = scratch.product_rebucket(sub_dist, j_dist, |a, b| a * b, size_buckets)?;
+        let mut dist = rebucket(&sub_dist.product_with(j_dist, |a, b| a * b)?, size_buckets)?;
         for (pidx, pred) in query.predicates().iter().enumerate() {
             let crosses = (sub.contains(pred.left) && j == pred.right)
                 || (sub.contains(pred.right) && j == pred.left);
             if crosses {
-                dist = scratch.product_rebucket(
-                    &dist,
-                    &sizes.selectivities[pidx],
-                    |s, sel| s * sel,
-                    size_buckets,
-                )?;
+                let sel = &sizes.selectivities[pidx];
+                dist = rebucket(&dist.product_with(sel, |s, f| s * f)?, size_buckets)?;
             }
         }
-        dists.push(scratch.map(&dist, |v| v.max(1.0))?);
+        dists.push(dist.map(|v| v.max(1.0))?);
     }
     Ok(dists)
 }
