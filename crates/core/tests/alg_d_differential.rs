@@ -187,7 +187,7 @@ mod oracle {
     use lec_cost::fast_expect::{expected_join_fast, expected_join_naive, expected_sort};
     use lec_cost::{AccessMethod, CostModel, JoinMethod};
     use lec_plan::{JoinQuery, KeyId, Plan, RelSet};
-    use lec_stats::{ConvolveScratch, Distribution};
+    use lec_stats::{rebucket, Distribution};
 
     fn access_choices(rel: &lec_plan::Relation) -> Vec<AccessMethod> {
         let mut v = vec![AccessMethod::FullScan];
@@ -278,19 +278,11 @@ mod oracle {
         stats.counters.entries_written = n as u64;
 
         let ranks = par::ranks(n);
-        let mut scratch = ConvolveScratch::new();
         for rank in &ranks[1..] {
             let (result, elapsed) = par::timed(|| -> Result<(), CoreError> {
                 for &set in rank {
                     let idx = set.bits() as usize;
-                    size_of[idx] = Some(node_size_dist(
-                        query,
-                        sizes,
-                        config,
-                        &size_of,
-                        set,
-                        &mut scratch,
-                    )?);
+                    size_of[idx] = Some(node_size_dist(query, sizes, config, &size_of, set)?);
                     let (best, ordered, candidates) = cost_mask_d(
                         query, model, sizes, config, &access, &phases, &table, &size_of, set, full,
                         required,
@@ -378,19 +370,14 @@ mod oracle {
     /// Result-size distribution of a dag node: computed once per node, from
     /// the lowest member as the designated `j` (any choice is equivalent).
     ///
-    /// Every product → §3.6.3 rebucket step runs through the caller's
-    /// [`ConvolveScratch`], so steady-state nodes allocate nothing: the wide
-    /// product support lives in the scratch buffers and the rebucketed result
-    /// (≤ `size_buckets` ≤ 8 points by default) is emitted inline. The scratch
-    /// kernels are bit-identical to `product_with` + `rebucket`, so this is
-    /// purely an allocation change.
+    /// Every independent product is rebucketed back to `size_buckets`
+    /// points at once (§3.6.3).
     fn node_size_dist(
         query: &JoinQuery,
         sizes: &SizeModel,
         config: AlgDConfig,
         size_of: &[Option<Distribution>],
         set: RelSet,
-        scratch: &mut ConvolveScratch,
     ) -> Result<Distribution, CoreError> {
         let j = set.iter().next().expect("non-empty");
         let sub = set.remove(j);
@@ -398,21 +385,21 @@ mod oracle {
             .as_ref()
             .expect("subset computed earlier");
         let j_dist = &sizes.rel_sizes[j];
-        let mut dist =
-            scratch.product_rebucket(sub_dist, j_dist, |a, b| a * b, config.size_buckets)?;
+        let mut dist = rebucket(
+            &sub_dist.product_with(j_dist, |a, b| a * b)?,
+            config.size_buckets,
+        )?;
         for (pidx, pred) in query.predicates().iter().enumerate() {
             let crosses = (sub.contains(pred.left) && j == pred.right)
                 || (sub.contains(pred.right) && j == pred.left);
             if crosses {
-                dist = scratch.product_rebucket(
-                    &dist,
-                    &sizes.selectivities[pidx],
-                    |s, sel| s * sel,
+                dist = rebucket(
+                    &dist.product_with(&sizes.selectivities[pidx], |s, sel| s * sel)?,
                     config.size_buckets,
                 )?;
             }
         }
-        Ok(scratch.map(&dist, |v| v.max(1.0))?)
+        Ok(dist.map(|v| v.max(1.0))?)
     }
 
     /// Prices every way of forming `set` by a last join, against the filled

@@ -14,7 +14,7 @@ use crate::smallbuf::SmallBuf;
 use rand::Rng;
 
 /// Relative tolerance within which total mass is silently renormalized.
-pub(crate) const MASS_TOLERANCE: f64 = 1e-6;
+const MASS_TOLERANCE: f64 = 1e-6;
 
 /// A discrete probability distribution over finitely many `f64` values.
 ///
@@ -98,26 +98,6 @@ impl Distribution {
             values: SmallBuf::from_vec(values),
             probs: SmallBuf::from_vec(probs),
         })
-    }
-
-    /// Crate-internal constructor for kernels that have already produced a
-    /// sorted, deduplicated, normalized support (the [`crate::scratch`]
-    /// convolution arena). Copies out of the caller's buffers — inline, no
-    /// heap, when the support fits [`crate::smallbuf::INLINE_CAP`].
-    ///
-    /// Invariants are the caller's responsibility and are debug-asserted
-    /// here: same lengths, non-empty, values finite and strictly increasing
-    /// under `total_cmp` after `==`-dedup, probabilities positive.
-    pub(crate) fn from_normalized_slices(values: &[f64], probs: &[f64]) -> Self {
-        debug_assert_eq!(values.len(), probs.len());
-        debug_assert!(!values.is_empty());
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(values.iter().all(|v| v.is_finite()));
-        debug_assert!(probs.iter().all(|&p| p > 0.0));
-        Self {
-            values: SmallBuf::from_slice(values),
-            probs: SmallBuf::from_slice(probs),
-        }
     }
 
     /// Builds a distribution from unnormalized non-negative weights.

@@ -13,10 +13,14 @@
 //!
 //! * [`Distribution`] — a validated, sorted discrete distribution over `f64`
 //!   values with exact-mass arithmetic (expectations, quantiles,
-//!   pushforwards, independent products).
+//!   pushforwards, independent products). Supports of at most 8 points —
+//!   every rebucketed size distribution at `alg_d`'s default — are stored
+//!   inline, so cloning them never touches the heap.
 //! * [`bucket`] — bucketing strategies (equi-width, equi-depth, breakpoint /
 //!   level-set driven) and the mean-preserving `rebucket` reduction used by
-//!   §3.6.3 of the paper.
+//!   §3.6.3 of the paper. `rebucket(&x.product_with(&y, f)?, b)` is the
+//!   one product-then-rebucket path; Algorithm D's size propagation runs
+//!   it at every dag node.
 //! * [`markov`] — finite Markov chains over parameter values, used for the
 //!   dynamic-parameter model of §3.5 (memory changes between join phases).
 //! * [`utility`] — (dis)utility functions for the PODS 2002 extension from
@@ -31,7 +35,6 @@ pub mod dist;
 pub mod error;
 pub mod families;
 pub mod markov;
-pub mod scratch;
 mod smallbuf;
 pub mod utility;
 
@@ -39,7 +42,6 @@ pub use bucket::{rebucket, Bucketing};
 pub use dist::Distribution;
 pub use error::StatsError;
 pub use markov::MarkovChain;
-pub use scratch::ConvolveScratch;
 pub use utility::Utility;
 
 /// Convenience result alias for this crate.

@@ -3,9 +3,9 @@
 //! The paper's bucketed distributions are tiny by design — §3.7 argues for
 //! a handful of level-set buckets, and `alg_d` rebuckets size distributions
 //! back to 8 points after every product. Storing the support and the
-//! probability vector inline (no heap) whenever `b ≤ 8` makes cloning and
-//! constructing steady-state distributions allocation-free; larger supports
-//! (fine-grained inputs, un-rebucketed products) spill to a `Vec`.
+//! probability vector inline (no heap) whenever `b ≤ 8` makes cloning a
+//! rebucketed distribution allocation-free; larger supports (fine-grained
+//! inputs, un-rebucketed products) spill to a `Vec`.
 
 /// Supports of at most this many points are stored inline.
 pub(crate) const INLINE_CAP: usize = 8;

@@ -2,14 +2,13 @@
 // counting `GlobalAlloc` shim. It delegates every call to `System` verbatim.
 #![allow(unsafe_code)]
 
-//! Pins the "allocation-free steady state" claim with a counting
-//! allocator: once a [`ConvolveScratch`] is warm and results fit the
-//! inline small-support storage, a product → rebucket → fused-expect loop
-//! must perform **zero** heap allocations. This is the loop `alg_d` runs
-//! once per dag node, so a regression here silently reintroduces
-//! per-node malloc traffic.
+//! Pins the inline small-support storage with a counting allocator: a
+//! distribution of at most 8 points (`alg_d`'s default rebucketed size)
+//! keeps its support and probabilities inline, so cloning one performs
+//! **zero** heap allocations. The DP clones these per seed row, so a
+//! regression here silently reintroduces per-row malloc traffic.
 
-use lec_stats::{ConvolveScratch, Distribution};
+use lec_stats::Distribution;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -67,46 +66,6 @@ fn count_allocs(f: impl FnOnce()) -> usize {
     f();
     TRACKING.with(|t| t.set(false));
     ALLOC_EVENTS.with(Cell::get)
-}
-
-#[test]
-fn warm_convolve_loop_is_allocation_free() {
-    // Bucketed inputs shaped like alg_d's: 8-point size distributions,
-    // 4-point selectivity factors.
-    let pts_a: Vec<(f64, f64)> = (0..8).map(|i| (100.0 + 17.0 * i as f64, 0.125)).collect();
-    let pts_b: Vec<(f64, f64)> = (0..8).map(|i| (3.0 + 5.0 * i as f64, 0.125)).collect();
-    let pts_sel: Vec<(f64, f64)> = (0..4).map(|i| (0.1 + 0.2 * i as f64, 0.25)).collect();
-    let a = Distribution::new(pts_a).unwrap();
-    let b = Distribution::new(pts_b).unwrap();
-    let sel = Distribution::new(pts_sel).unwrap();
-
-    let mut scratch = ConvolveScratch::new();
-    let mut sink = 0.0f64;
-    let steady = |scratch: &mut ConvolveScratch, sink: &mut f64| {
-        // The alg_d node pipeline: size product rebucketed to 8 points...
-        let prod = scratch.product_rebucket(&a, &b, |x, y| x * y, 8).unwrap();
-        let sized = scratch
-            .product_rebucket(&prod, &sel, |s, f| s * f, 8)
-            .unwrap();
-        // ...plus a fused convolve-expect (the utility-extension step).
-        *sink += scratch
-            .convolve_expect(&sized, &prod, |v| v.sqrt())
-            .unwrap();
-    };
-
-    // Warm-up: buffers grow to their steady-state capacity here.
-    steady(&mut scratch, &mut sink);
-
-    let events = count_allocs(|| {
-        for _ in 0..100 {
-            steady(&mut scratch, &mut sink);
-        }
-    });
-    assert!(sink.is_finite());
-    assert_eq!(
-        events, 0,
-        "warm scratch loop performed {events} heap allocations"
-    );
 }
 
 #[test]
