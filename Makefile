@@ -96,17 +96,19 @@ rules-smoke:
 	grep -q '"optimized_build": true' results/BENCH_rules.json
 
 # Objectives smoke: re-run the experiments every objective path feeds —
-# X3 (Algorithm B on top-c, beside Algorithms A and C), X11 (utilities:
-# frontier DP and the unsound scalar DP), X15 (the parametric start-up
-# pick and its formula-evaluation counts), X14 (the EVPI table behind the
-# sampling decision), X16 (frontier growth) and X23 (selection rules) —
-# and diff each section against the committed results/xtable_all.md. All
-# six are deterministic (no timings), so any difference is a changed plan,
-# score or counter.
-OBJECTIVE_SECTIONS = X3 X11 X14 X15 X16 X23
+# X3 (Algorithm B on top-c, beside Algorithms A and C), X6 and X12
+# (Algorithm D under size and selectivity uncertainty, and its rebucketing
+# cap), X11 (utilities: frontier DP and the unsound scalar DP), X13 (the
+# product_with/rebucket size propagation of Figure 1), X15 (the parametric
+# start-up pick and its formula-evaluation counts), X14 (the EVPI table
+# behind the sampling decision), X16 (frontier growth) and X23 (selection
+# rules) — and diff each section against the committed
+# results/xtable_all.md. All nine are deterministic (no timings), so any
+# difference is a changed plan, score, distribution or counter.
+OBJECTIVE_SECTIONS = X3 X6 X11 X12 X13 X14 X15 X16 X23
 objectives-smoke:
 	mkdir -p target
-	cargo run --release -p lec-bench --bin xtable x3 x11 x14 x15 x16 x23 > target/objectives-smoke.md
+	cargo run --release -p lec-bench --bin xtable x3 x6 x11 x12 x13 x14 x15 x16 x23 > target/objectives-smoke.md
 	@for s in $(OBJECTIVE_SECTIONS); do \
 		awk -v s="## $$s " 'index($$0, s) == 1 {on = 1; print; next} /^## X/ {on = 0} on' \
 			results/xtable_all.md > target/objectives-want.$$s; \

@@ -29,14 +29,14 @@
 //! expected-cost bits.
 
 use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
+use crate::fixtures::{cost_under_truth, oracle_cost};
 use crate::table::Table;
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
-use lec_core::{alg_c, expected_cost, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::PAGE_CAPACITY;
 use lec_serve::{DriftConfig, QueryRequest, QueryService, ServeConfig};
 use lec_stats::Distribution;
-use lec_workload::from_catalog::{query_from_catalog, FilterSpec, JoinSpec};
+use lec_workload::from_catalog::{FilterSpec, JoinSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -266,33 +266,6 @@ fn config() -> ServeConfig {
         blend: 0.8,
     };
     cfg
-}
-
-/// Expected cost of `plan` for `request`, priced under `truth` statistics.
-fn cost_under_truth(
-    truth: &Catalog,
-    request: &QueryRequest,
-    plan: &lec_plan::Plan,
-    observed: &Distribution,
-) -> f64 {
-    let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
-    let q = query_from_catalog(truth, &tables, &request.joins, &request.filters, None)
-        .expect("truth query");
-    let phases = MemoryModel::Static(observed.clone())
-        .table(q.n().max(2))
-        .expect("phase table");
-    expected_cost(&q, &PaperCostModel, plan, &phases)
-}
-
-/// The truth-informed oracle: a fresh optimization per request.
-fn oracle_cost(truth: &Catalog, request: &QueryRequest, observed: &Distribution) -> f64 {
-    let tables: Vec<&str> = request.tables.iter().map(String::as_str).collect();
-    let q = query_from_catalog(truth, &tables, &request.joins, &request.filters, None)
-        .expect("truth query");
-    alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(observed.clone()))
-        .expect("oracle optimization")
-        .0
-        .cost
 }
 
 struct DriftRun {

@@ -35,12 +35,13 @@
 //!   optimum they degrade from).
 
 use crate::artifacts::{artifact_path, OPTIMIZED_BUILD};
+use crate::fixtures::{cost_under_truth, oracle_cost};
 use crate::table::Table;
 use lec_catalog::synthetic::zipf_masses;
 use lec_catalog::{Catalog, ColumnMeta, Histogram, TableMeta};
 use lec_core::evaluate::cost_profile;
 use lec_core::rules::optimize_with_rule;
-use lec_core::{alg_c, expected_cost, pareto, MemoryModel};
+use lec_core::{alg_c, pareto, MemoryModel};
 use lec_cost::PaperCostModel;
 use lec_exec::{FaultKind, PAGE_CAPACITY};
 use lec_serve::{
@@ -48,7 +49,7 @@ use lec_serve::{
     ServedQuery,
 };
 use lec_stats::{Distribution, Utility};
-use lec_workload::from_catalog::{query_from_catalog, FilterSpec, JoinSpec};
+use lec_workload::from_catalog::{FilterSpec, JoinSpec};
 use lec_workload::queries::{QueryGen, Topology};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -306,34 +307,6 @@ fn config(rule: Option<Rule>, faults: FaultInjection) -> ServeConfig {
         cfg.selection_rule = rule;
     }
     cfg
-}
-
-/// Expected cost of `plan` for `request`, priced under `truth` statistics
-/// (the x20 repricing idiom).
-fn cost_under_truth(
-    truth: &Catalog,
-    req: &QueryRequest,
-    plan: &lec_plan::Plan,
-    observed: &Distribution,
-) -> f64 {
-    let tables: Vec<&str> = req.tables.iter().map(String::as_str).collect();
-    let q = query_from_catalog(truth, &tables, &req.joins, &req.filters, None)
-        .expect("x23: truth query builds");
-    let phases = MemoryModel::Static(observed.clone())
-        .table(q.n().max(2))
-        .expect("x23: phase table");
-    expected_cost(&q, &PaperCostModel, plan, &phases)
-}
-
-/// The truth-informed oracle: a fresh optimization per request.
-fn oracle_cost(truth: &Catalog, req: &QueryRequest, observed: &Distribution) -> f64 {
-    let tables: Vec<&str> = req.tables.iter().map(String::as_str).collect();
-    let q = query_from_catalog(truth, &tables, &req.joins, &req.filters, None)
-        .expect("x23: truth query builds");
-    alg_c::optimize(&q, &PaperCostModel, &MemoryModel::Static(observed.clone()))
-        .expect("x23: oracle optimization")
-        .0
-        .cost
 }
 
 /// Nearest-rank percentile over an unsorted sample.

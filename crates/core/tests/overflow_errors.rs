@@ -3,15 +3,19 @@
 //! behind LSC, Algorithm C and parametric precompute, bushy, top-c,
 //! Algorithm B, and the certificate built on bushy — answers such a query
 //! with `CoreError::Plan(BadCost)` in every build: never an `Ok` carrying
-//! ∞, and never the debug-build verifier's panic. Run under `cargo test`,
-//! these cases exercise the debug build; `--release` exercises the other.
+//! ∞, and never the debug-build verifier's panic. Algorithm D fails
+//! earlier, while it propagates result-size distributions: the overflowing
+//! size product is rejected as `CoreError::Stats(NonFiniteValue(∞))`. Run
+//! under `cargo test`, these cases exercise the debug build; `--release`
+//! exercises the other.
 
+use lec_core::alg_d::{self, AlgDConfig, SizeModel};
 use lec_core::parametric::ParametricPlans;
 use lec_core::topc::top_c_plans;
 use lec_core::{alg_b, alg_c, bushy, certify_plan, lsc, CoreError, MemoryModel, QueryIntervals};
 use lec_cost::{JoinMethod, PaperCostModel};
 use lec_plan::{JoinPred, JoinQuery, KeyId, Plan, PlanError, Relation};
-use lec_stats::Distribution;
+use lec_stats::{Distribution, StatsError};
 
 /// A 3-relation chain whose two 1e200-page relations join at selectivity
 /// 1: every plan's result overflows, so every plan costs ∞.
@@ -97,6 +101,28 @@ fn top_c_rejects_overflowing_plans() {
 fn algorithm_b_rejects_an_overflowing_query() {
     let q = overflowing();
     assert_bad_cost(alg_b::optimize(&q, &PaperCostModel, &memory(), 2), "alg_b");
+}
+
+/// Algorithm D multiplies the two 1e200-page size distributions before it
+/// prices any join: the product's ∞ support point is a typed statistics
+/// error.
+#[test]
+fn algorithm_d_rejects_the_overflowing_size_product() {
+    let q = overflowing();
+    let sizes = SizeModel::certain(&q).expect("sizes");
+    let result = alg_d::optimize(
+        &q,
+        &PaperCostModel,
+        &memory(),
+        &sizes,
+        AlgDConfig::default(),
+    );
+    match result {
+        Err(CoreError::Stats(StatsError::NonFiniteValue(v))) => {
+            assert_eq!(v, f64::INFINITY, "alg_d: rejected {v}");
+        }
+        other => panic!("alg_d: expected NonFiniteValue(∞), got {other:?}"),
+    }
 }
 
 /// The certificate's lower bound is the bushy optimum of the optimistic
