@@ -29,23 +29,14 @@ impl SmallBuf {
     /// Builds from an owned vector, copying inline when it fits.
     pub(crate) fn from_vec(v: Vec<f64>) -> Self {
         if v.len() <= INLINE_CAP {
-            Self::from_slice(&v)
-        } else {
-            SmallBuf::Heap(v)
-        }
-    }
-
-    /// Builds from a slice, copying inline when it fits.
-    pub(crate) fn from_slice(s: &[f64]) -> Self {
-        if s.len() <= INLINE_CAP {
             let mut buf = [0.0; INLINE_CAP];
-            buf[..s.len()].copy_from_slice(s);
+            buf[..v.len()].copy_from_slice(&v);
             SmallBuf::Inline {
-                len: s.len() as u8,
+                len: v.len() as u8,
                 buf,
             }
         } else {
-            SmallBuf::Heap(s.to_vec())
+            SmallBuf::Heap(v)
         }
     }
 
@@ -85,7 +76,7 @@ mod tests {
 
     #[test]
     fn small_slices_stay_inline() {
-        let b = SmallBuf::from_slice(&[1.0, 2.0, 3.0]);
+        let b = SmallBuf::from_vec(vec![1.0, 2.0, 3.0]);
         assert!(b.is_inline());
         assert_eq!(&*b, &[1.0, 2.0, 3.0]);
         let c = b.clone();
@@ -105,7 +96,7 @@ mod tests {
 
     #[test]
     fn equality_ignores_representation() {
-        let a = SmallBuf::from_slice(&[1.0, 2.0]);
+        let a = SmallBuf::from_vec(vec![1.0, 2.0]);
         let b = SmallBuf::Heap(vec![1.0, 2.0]);
         assert_eq!(a, b);
     }
