@@ -5,8 +5,7 @@
 //! Pins the inline small-support storage with a counting allocator: a
 //! distribution of at most 8 points (`alg_d`'s default rebucketed size)
 //! keeps its support and probabilities inline, so cloning one performs
-//! **zero** heap allocations. The DP clones these per seed row, so a
-//! regression here silently reintroduces per-row malloc traffic.
+//! **zero** heap allocations.
 
 use lec_stats::Distribution;
 use std::alloc::{GlobalAlloc, Layout, System};
